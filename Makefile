@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint lint-fix lint-sarif lint-taint test race verify bench-lint bench-obs bench-queue bench-taint bench-baseline benchdiff coverage-md report cover smoke
+.PHONY: build vet lint lint-fix lint-sarif lint-taint test race bench-test verify bench-lint bench-obs bench-queue bench-taint bench-baseline benchdiff coverage-md report cover smoke
 
 # Minimum statement coverage enforced by `make cover`, per package.
 COVER_FLOOR_OBS  ?= 85.0
@@ -34,6 +34,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The repository benchmark (bench/) is a module of its own, so `go test
+# ./...` from the root does not reach its tests; they run here, at toy
+# sizes.
+bench-test:
+	cd bench && $(GO) test ./...
+
 # verify is tier-1 plus the migration gate: reconlint's deprecatedshim
 # analyzer fails the lint step if any deprecated alias (sim.EventQueue,
 # reconvirt.SimConfig, DefaultSimConfig, ...) gains a new call site —
@@ -41,7 +47,8 @@ race:
 # perf-regression contract: the gated benchmark families are re-run and
 # compared against the committed BENCH_PR10.json baseline; an alloc or
 # model-metric regression beyond the noise budget fails verify.
-verify: build vet lint test race benchdiff
+# bench-test smoke-runs every workload of the repository benchmark.
+verify: build vet lint test race bench-test benchdiff
 
 # Regenerate the committed linter benchmark snapshot.
 bench-lint:

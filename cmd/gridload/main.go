@@ -19,6 +19,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -178,41 +179,25 @@ type workerResult struct {
 	err                 error
 }
 
-// drive submits every task for the worker's tenants over one
-// connection. In closed mode each submit waits for its response; in
-// open mode submits are paced at interval and pipelined, with responses
-// matched FIFO (the protocol guarantees ordering per connection).
-func drive(opt *options, worker int, interval time.Duration) workerResult {
-	res := workerResult{}
-	c, err := dial(opt.network, opt.addr, opt.wait)
-	if err != nil {
-		res.err = err
-		return res
+// record counts one response to a request sent at sentAt.
+func (r *workerResult) record(resp controlplane.Response, sentAt time.Time) {
+	r.rtts = append(r.rtts, float64(time.Since(sentAt))/1e6)
+	if resp.OK {
+		r.accepted++
 	}
-	defer func() {
-		if cerr := c.close(); cerr != nil && res.err == nil {
-			res.err = cerr
-		}
-	}()
+}
 
-	type pending struct{ sentAt time.Time }
-	var inflight []pending
-	readOne := func() error {
-		resp, err := c.read()
-		if err != nil {
-			return err
-		}
-		res.rtts = append(res.rtts, float64(time.Since(inflight[0].sentAt))/1e6)
-		inflight = inflight[1:]
-		if resp.OK {
-			res.accepted++
-		}
-		return nil
-	}
+// maxInflight caps how many requests an open-mode connection leaves
+// unanswered. It is backpressure against a server that falls behind, not
+// a batch size: responses are read as they arrive.
+const maxInflight = 512
 
+// eachRequest calls fn with the worker's submissions in send order: every
+// task of every tenant the worker owns, drawn from the worker's split of
+// the seed.
+func eachRequest(opt *options, worker int, fn func(controlplane.Request) error) error {
 	rng := sim.NewRNG(opt.seed).Split(uint64(worker))
 	sizes := sim.Pareto{Xm: opt.workXm, Alpha: opt.alpha}
-	next := time.Now()
 	for tenant := worker; tenant < opt.tenants; tenant += opt.conns {
 		name := fmt.Sprintf("tenant-%04d", tenant)
 		tier := tierNames[tenant%len(tierNames)]
@@ -226,37 +211,104 @@ func drive(opt *options, worker int, interval time.Duration) workerResult {
 			if ts.Scenario == "userhw" {
 				ts.Design = "aes128"
 			}
-			req := controlplane.Request{Op: controlplane.OpSubmit, Tenant: name, Tier: tier, Task: ts}
-			if opt.mode == "open" {
-				if d := time.Until(next); d > 0 {
-					time.Sleep(d)
-				}
-				next = next.Add(interval)
-			}
-			if err := c.send(req); err != nil {
-				res.err = err
-				return res
-			}
-			res.submitted++
-			inflight = append(inflight, pending{sentAt: time.Now()})
-			// Closed loop: window of one. Open loop: bounded pipeline so
-			// slow responses apply backpressure eventually.
-			for len(inflight) > 0 && (opt.mode == "closed" || len(inflight) >= 512) {
-				if err := readOne(); err != nil {
-					res.err = err
-					return res
-				}
+			if err := fn(controlplane.Request{Op: controlplane.OpSubmit, Tenant: name, Tier: tier, Task: ts}); err != nil {
+				return err
 			}
 		}
 	}
-	for len(inflight) > 0 {
-		if err := readOne(); err != nil {
-			res.err = err
-			return res
-		}
+	return nil
+}
+
+// drive submits every task for the worker's tenants over one
+// connection. In closed mode each submit waits for its response; in
+// open mode submits are paced at interval and pipelined.
+func drive(opt *options, worker int, interval time.Duration) workerResult {
+	res := workerResult{}
+	c, err := dial(opt.network, opt.addr, opt.wait)
+	if err != nil {
+		res.err = err
+		return res
 	}
+	defer func() {
+		if cerr := c.close(); cerr != nil && res.err == nil {
+			res.err = cerr
+		}
+	}()
+	if opt.mode == "open" {
+		res.err = openLoop(c, opt, worker, interval, &res)
+		return res
+	}
+	res.err = eachRequest(opt, worker, func(req controlplane.Request) error {
+		if err := c.send(req); err != nil {
+			return err
+		}
+		sentAt := time.Now()
+		res.submitted++
+		resp, err := c.read()
+		if err != nil {
+			return err
+		}
+		res.record(resp, sentAt)
+		return nil
+	})
 	return res
 }
+
+// openLoop sends the worker's requests at interval whether or not earlier
+// responses have arrived, while a reader goroutine takes each response as
+// it arrives and times it from its send (the protocol answers a
+// connection's requests in order). At most maxInflight requests go
+// unanswered; past that the sender waits for the reader.
+func openLoop(c *client, opt *options, worker int, interval time.Duration, res *workerResult) error {
+	window := make(chan struct{}, maxInflight)
+	sent := make(chan time.Time, maxInflight) // never blocks: len(sent) <= len(window)
+	readerDone := make(chan struct{})
+	var readErr error
+	go func() {
+		defer close(readerDone)
+		for sentAt := range sent {
+			resp, err := c.read()
+			if err != nil {
+				readErr = err
+				return
+			}
+			res.record(resp, sentAt)
+			<-window
+		}
+	}()
+	next := time.Now()
+	err := eachRequest(opt, worker, func(req controlplane.Request) error {
+		if d := time.Until(next); d > 0 {
+			time.Sleep(d)
+		}
+		next = next.Add(interval)
+		select {
+		case window <- struct{}{}:
+		case <-readerDone:
+			return errReaderStopped
+		}
+		if err := c.send(req); err != nil {
+			return err
+		}
+		sent <- time.Now()
+		res.submitted++
+		return nil
+	})
+	close(sent)
+	if err != nil && err != errReaderStopped {
+		// Unblock a reader waiting on responses that will never come.
+		_ = c.conn.Close()
+	}
+	<-readerDone
+	if err == nil || err == errReaderStopped {
+		return readErr
+	}
+	return err
+}
+
+// errReaderStopped stops an open loop's sender once its reader has failed;
+// the reader's error is the one reported.
+var errReaderStopped = errors.New("response reader stopped")
 
 func run(args []string, stdout, stderr io.Writer) int {
 	opt, err := parseFlags(args, stderr)
@@ -272,6 +324,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if opt.mode == "open" && opt.rate > 0 {
 		// Per-connection pacing adds up to the requested total rate.
 		interval = time.Duration(float64(time.Second) * float64(opt.conns) / opt.rate)
+	}
+
+	// The control connection snapshots every tenant's counters before the
+	// load, so the audit below covers this run's tasks only, even on a
+	// server that earlier runs already loaded.
+	ctl, err := dial(opt.network, opt.addr, opt.wait)
+	if err != nil {
+		fmt.Fprintln(stderr, "gridload:", err)
+		return 1
+	}
+	defer func() {
+		if err := ctl.close(); err != nil {
+			fmt.Fprintln(stderr, "gridload:", err)
+		}
+	}()
+	snapshot, err := tenantStats(ctl)
+	if err != nil {
+		fmt.Fprintln(stderr, "gridload:", err)
+		return 1
+	}
+	before := make(map[string]controlplane.TenantStats, len(snapshot))
+	for _, st := range snapshot {
+		before[st.Tenant] = st
 	}
 
 	start := time.Now()
@@ -306,39 +381,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Control phase: drain the server and verify conservation from the
 	// authoritative per-tenant counters.
-	ctl, err := dial(opt.network, opt.addr, opt.wait)
-	if err != nil {
-		fmt.Fprintln(stderr, "gridload:", err)
-		return 1
-	}
-	defer func() {
-		if err := ctl.close(); err != nil {
-			fmt.Fprintln(stderr, "gridload:", err)
-		}
-	}()
 	if !opt.noDrain {
 		if resp, err := ctl.roundTrip(controlplane.Request{Op: controlplane.OpDrain}); err != nil || !resp.OK {
 			fmt.Fprintf(stderr, "gridload: drain failed: %v %q\n", err, resp.Error)
 			return 1
 		}
 	}
-	statsResp, err := ctl.roundTrip(controlplane.Request{Op: controlplane.OpStats})
-	if err != nil || !statsResp.OK {
-		fmt.Fprintf(stderr, "gridload: stats failed: %v %q\n", err, statsResp.Error)
+	after, err := tenantStats(ctl)
+	if err != nil {
+		fmt.Fprintln(stderr, "gridload:", err)
 		return 1
 	}
-	var repairedTasks int
+	var repairedTasks, inFlight int
 	var repairSeconds, virtualSeconds float64
-	for _, st := range statsResp.Tenants {
-		rep.Completed += st.Completed
-		rep.Evicted += st.Evicted
-		rep.Canceled += st.Canceled
-		rep.InFlight += st.InFlight
-		rep.Retries += st.Retries
-		rep.FaultAborts += st.FaultAborts
-		repairedTasks += st.RepairedTasks
-		repairSeconds += st.RepairSeconds
-		virtualSeconds += st.VirtualSeconds
+	for _, st := range after {
+		// Outcomes are this run's share: the change since the snapshot.
+		was := before[st.Tenant]
+		rep.Completed += st.Completed - was.Completed
+		rep.Evicted += st.Evicted - was.Evicted
+		rep.Canceled += st.Canceled - was.Canceled
+		rep.InFlight += st.InFlight - was.InFlight
+		rep.Retries += st.Retries - was.Retries
+		rep.FaultAborts += st.FaultAborts - was.FaultAborts
+		repairedTasks += st.RepairedTasks - was.RepairedTasks
+		repairSeconds += st.RepairSeconds - was.RepairSeconds
+		virtualSeconds += st.VirtualSeconds - was.VirtualSeconds
+		inFlight += st.InFlight
+		// Conservation holds for the lifetime counters.
 		if st.Submitted != st.Completed+st.Rejected+st.Evicted+st.Canceled+st.InFlight {
 			fmt.Fprintf(stderr, "gridload: tenant %q violates conservation: submitted=%d completed=%d rejected=%d evicted=%d canceled=%d in_flight=%d\n",
 				st.Tenant, st.Submitted, st.Completed, st.Rejected, st.Evicted, st.Canceled, st.InFlight)
@@ -369,9 +438,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gridload: %d tasks lost\n", rep.Lost)
 		return 1
 	}
-	if !opt.noDrain && rep.InFlight != 0 {
-		fmt.Fprintf(stderr, "gridload: %d tasks still in flight after drain\n", rep.InFlight)
+	if !opt.noDrain && inFlight != 0 {
+		fmt.Fprintf(stderr, "gridload: %d tasks still in flight after drain\n", inFlight)
 		return 1
 	}
 	return 0
+}
+
+// tenantStats fetches every tenant's counters, sorted by tenant.
+func tenantStats(ctl *client) ([]controlplane.TenantStats, error) {
+	resp, err := ctl.roundTrip(controlplane.Request{Op: controlplane.OpStats})
+	if err != nil {
+		return nil, fmt.Errorf("stats failed: %w", err)
+	}
+	if !resp.OK {
+		return nil, fmt.Errorf("stats failed: %q", resp.Error)
+	}
+	return resp.Tenants, nil
 }

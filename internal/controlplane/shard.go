@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -254,13 +255,19 @@ func (sh *shard) engineFor(tenant, tierName string, nowNanos int64) (*tenantEngi
 		return nil, err
 	}
 	sh.tenants[tenant] = te
-	sh.order = append(sh.order, te)
-	// Stable sort keeps creation order within a tier, so dispatch order
-	// is (priority, first-seen).
-	sort.SliceStable(sh.order, func(i, j int) bool {
-		return sh.order[i].policy.Priority < sh.order[j].policy.Priority
-	})
+	sh.order = insertByPriority(sh.order, te)
 	return te, nil
+}
+
+// insertByPriority inserts te into order, which is sorted by (priority,
+// first-seen), after the last engine of its priority band: the same order
+// a stable sort by priority gives, at O(n) instead of O(n log n) per new
+// tenant.
+func insertByPriority(order []*tenantEngine, te *tenantEngine) []*tenantEngine {
+	i := sort.Search(len(order), func(k int) bool {
+		return order[k].policy.Priority > te.policy.Priority
+	})
+	return slices.Insert(order, i, te)
 }
 
 // statsAll snapshots every tenant, sorted by name.

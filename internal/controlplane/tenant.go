@@ -91,7 +91,10 @@ func (s taskState) String() string {
 	return fmt.Sprintf("taskState(%d)", int(s))
 }
 
-// cpTask is one accepted task riding through a tenant engine.
+// cpTask is one accepted task riding through a tenant engine. Once the
+// task is terminal, settle drops t and sub: a settled record keeps only
+// what status, cancel and the duplicate-ID check read back, its ID and
+// state.
 type cpTask struct {
 	id    string
 	t     *task.Task
@@ -158,15 +161,17 @@ type tenantEngine struct {
 	// sampleEvery emits a gauge sample every N completions (0 = off).
 	sampleEvery int
 	sinceSample int
-
-	// reqs are the shared per-scenario requirement sets.
-	reqs tenantReqs
 }
 
-type tenantReqs struct {
-	software capability.Requirements
-	softcore capability.Requirements
-	userHW   capability.Requirements
+// tenantReqs are the per-scenario requirement sets of the wire task
+// mix. They are identical for every tenant and never mutated, so one
+// package-level set serves all tenant engines on every shard.
+var tenantReqs = struct {
+	software, softcore, userHW capability.Requirements
+}{
+	software: task.GPPOnly(1000, 256),
+	softcore: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 2),
+	userHW:   task.FPGAFamily("Virtex-5", 1),
 }
 
 // newTenantEngine builds a tenant's slice for its tier. The clock
@@ -234,12 +239,7 @@ func newTenantEngine(id string, tier Tier, seed uint64, cfg *Config, nowNanos in
 		costBudget:  cfg.CostBudgetUnits,
 		sink:        cfg.Sink,
 		sampleEvery: cfg.SampleEvery,
-		reqs: tenantReqs{
-			software: task.GPPOnly(1000, 256),
-			softcore: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 2),
-			userHW:   task.FPGAFamily("Virtex-5", 1),
-		},
-		stats: TenantStats{Tenant: id, Tier: tier.String()},
+		stats:       TenantStats{Tenant: id, Tier: tier.String()},
 	}
 	if te.sink != nil {
 		te.name = obs.Str(id)
@@ -273,15 +273,15 @@ func (te *tenantEngine) buildTask(spec *TaskSpec) (*task.Task, error) {
 	}
 	switch spec.Scenario {
 	case "", "software":
-		t.ExecReq = task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: te.reqs.software}
+		t.ExecReq = task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: tenantReqs.software}
 	case "softcore":
-		t.ExecReq = task.ExecReq{Scenario: pe.PredeterminedHW, SoftcoreISA: "rvex-vliw", Requirements: te.reqs.softcore}
+		t.ExecReq = task.ExecReq{Scenario: pe.PredeterminedHW, SoftcoreISA: "rvex-vliw", Requirements: tenantReqs.softcore}
 	case "userhw":
 		d, err := hdl.LookupIP(spec.Design)
 		if err != nil {
 			return nil, errWire(CodeInvalidTask, "task %q: %v", spec.ID, err)
 		}
-		t.ExecReq = task.ExecReq{Scenario: pe.UserDefinedHW, Requirements: te.reqs.userHW, Design: d}
+		t.ExecReq = task.ExecReq{Scenario: pe.UserDefinedHW, Requirements: tenantReqs.userHW, Design: d}
 		t.Work.HWSpeedup = d.AccelFactor
 	default:
 		return nil, errWire(CodeInvalidTask, "task %q: unknown scenario %q", spec.ID, spec.Scenario)
@@ -374,6 +374,7 @@ func (te *tenantEngine) cancel(taskID string) Response {
 	ct.doneAt = te.sim.Now()
 	te.jss.Fail(ct.sub.ID, te.sim.Now(), "canceled by user")
 	te.quotedCost -= ct.sub.QuotedCost
+	te.settle(ct)
 	te.stats.Canceled++
 	te.stats.InFlight--
 	return Response{OK: true, Op: OpCancel, Tenant: te.id, TaskID: taskID, State: ct.state.String()}
@@ -493,6 +494,7 @@ func (te *tenantEngine) attempt(ct *cpTask, now sim.Time) {
 		te.jss.TaskDoneFor(ct.sub, at)
 		te.quotedCost -= ct.sub.QuotedCost
 		te.stats.CostUnits += ct.sub.FinalCost
+		te.settle(ct)
 		te.stats.Completed++
 		te.stats.InFlight--
 		if ct.attempts > 0 {
@@ -531,9 +533,18 @@ func (te *tenantEngine) evict(ct *cpTask, now sim.Time, reason string) {
 	ct.doneAt = now
 	te.jss.Fail(ct.sub.ID, now, reason)
 	te.quotedCost -= ct.sub.QuotedCost
+	te.settle(ct)
 	te.stats.Evicted++
 	te.stats.InFlight--
 	te.emit(obs.KindLost, ct, nil)
+}
+
+// settle releases what a terminal task no longer needs, once its jss
+// accounting is final: the submission leaves jss, and the record drops the
+// task tuple and the submission, so neither outlives the task.
+func (te *tenantEngine) settle(ct *cpTask) {
+	te.jss.Release(ct.sub)
+	ct.t, ct.sub = nil, nil
 }
 
 // faultWithin returns the first crash/SEU/partition strike in (from, to],

@@ -229,6 +229,29 @@ func (j *JSS) Dequeue() *Submission {
 	return sub
 }
 
+// Release forgets a settled submission: it leaves the queue, if still
+// queued, and no longer answers Get, Query or Submissions, so a caller
+// that releases each submission once it is settled (the control plane)
+// keeps none resident. Releasing the queue head, where a FIFO caller
+// settles, is O(1).
+func (j *JSS) Release(sub *Submission) {
+	delete(j.all, sub.ID)
+	if len(j.queue) > 0 && j.queue[0] == sub {
+		j.queue[0] = nil // the backing array must not pin the released record
+		j.queue = j.queue[1:]
+		return
+	}
+	n := len(j.queue)
+	for i, q := range j.queue {
+		if q == sub {
+			//reconlint:sanitized queue length is bounded by the caller's admission quota before Enqueue, so this removal copy is bounded
+			j.queue = append(j.queue[:i], j.queue[i+1:]...)
+			j.queue[:n][n-1] = nil // the vacated tail slot
+			return
+		}
+	}
+}
+
 // QueueLength returns the number of queued submissions.
 func (j *JSS) QueueLength() int { return len(j.queue) }
 

@@ -88,20 +88,29 @@ type Scheduler interface {
 	Len() int
 }
 
-// poolBlock is how many Events one free-list refill allocates. Blocks keep
+// poolBlock is the most Events one free-list refill allocates. Blocks keep
 // steady-state scheduling at zero allocations: after warm-up every Push
 // reuses an event recycled by an earlier fire or cancel.
 const poolBlock = 64
+
+// poolFirstBlock is the first refill's size. Refills double from it up to
+// poolBlock (4, 8, 16, 32, 64, 64, ...), so a scheduler that never holds
+// more than a few events pending — one per control-plane tenant — pays
+// for a few events rather than a full block.
+const poolFirstBlock = 4
 
 // eventPool is a free list of recycled events. Not safe for concurrent use;
 // each scheduler owns its own pool.
 type eventPool struct {
 	free *Event
+	// block is the size of the last refill; 0 before the first.
+	block int
 }
 
 func (p *eventPool) alloc() *Event {
 	if p.free == nil {
-		blk := make([]Event, poolBlock)
+		p.block = min(max(2*p.block, poolFirstBlock), poolBlock)
+		blk := make([]Event, p.block)
 		for i := range blk {
 			blk[i].next = p.free
 			p.free = &blk[i]

@@ -306,3 +306,50 @@ func TestDrainLoopZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// freeLen counts the events on a pool's free list.
+func freeLen(p *eventPool) int {
+	n := 0
+	for e := p.free; e != nil; e = e.next {
+		n++
+	}
+	return n
+}
+
+// TestPoolGrowsGeometrically pins the refill sizes: the first refill
+// allocates poolFirstBlock events, each later one doubles up to
+// poolBlock, and from there every refill is poolBlock.
+func TestPoolGrowsGeometrically(t *testing.T) {
+	var p eventPool
+	for i, want := range []int{4, 8, 16, 32, 64, 64, 64} {
+		p.alloc()
+		if got := freeLen(&p) + 1; got != want {
+			t.Fatalf("refill %d allocated %d events, want %d", i, got, want)
+		}
+		for p.free != nil {
+			p.alloc()
+		}
+	}
+}
+
+// TestSmallSchedulerOneSmallBlock: a fresh HeapQueue that never holds
+// more than poolFirstBlock events pending — a control-plane tenant's
+// simulator — allocates one block of poolFirstBlock events, however many
+// events it schedules over its life.
+func TestSmallSchedulerOneSmallBlock(t *testing.T) {
+	q := NewHeapQueue()
+	for round := 0; round < 100; round++ {
+		for i := 0; i < poolFirstBlock; i++ {
+			q.Push(Time(round), i, "e", func() {})
+		}
+		for q.Pop() != nil {
+		}
+	}
+	owned := freeLen(&q.pool) + len(q.h)
+	if q.fired != nil {
+		owned++
+	}
+	if q.pool.block != poolFirstBlock || owned != poolFirstBlock {
+		t.Fatalf("pool holds %d events (last block %d), want one block of %d", owned, q.pool.block, poolFirstBlock)
+	}
+}
