@@ -46,8 +46,9 @@ bench-test:
 # control plane) are re-run and compared against the committed
 # BENCH_PR10.json baseline; an alloc or model-metric regression beyond
 # the noise budget fails verify. bench-test smoke-runs every workload of
-# the repository benchmark.
-verify: build vet lint test race bench-test benchdiff
+# the repository benchmark, and cover holds the observability and engine
+# packages at their coverage floors.
+verify: build vet lint test race cover bench-test benchdiff
 
 # --- Performance contract ---
 #

@@ -105,6 +105,9 @@ func (c Config) Validate() error {
 // appRun tracks one submission's progress through the engine.
 type appRun struct {
 	sub *jss.Submission
+	// workload marks a SubmitWorkload submission: a single task, whose
+	// submission leaves the JSS once the task completes or is lost.
+	workload bool
 	// Graph mode: remaining dependency counts per task.
 	waiting map[string]int
 	// Program mode: dispatch batches and progress.
@@ -119,6 +122,7 @@ type item struct {
 	t   *task.Task
 	// tid is the task ID interned once at enqueue; every later trace of
 	// this task passes the handle instead of re-hashing the string.
+	// Untraced engines leave it zero.
 	tid obs.Name
 	enq sim.Time
 	seq int
@@ -162,17 +166,18 @@ type Engine struct {
 	// is the RMS lease monitor; down maps a crashed node to the fault
 	// Seq that downed it, downNode/downSince keep the detached object
 	// and the outage start; linkFault holds the active link fault per
-	// node; retryPending counts tasks waiting out a retry backoff.
+	// node; backoff lists the tasks waiting out a retry backoff, in the
+	// order they began it.
 	// nodeNames/elemNames cache the interned obs handle per live object:
 	// tracing an event hashes a pointer, not an ID string.
-	nodeNames    map[*node.Node]obs.Name
-	elemNames    map[*node.Element]obs.Name
-	mon          *rms.Monitor
-	down         map[string]uint64
-	downNode     map[string]*node.Node
-	downSince    map[string]sim.Time
-	linkFault    map[string]faults.Event
-	retryPending int
+	nodeNames map[*node.Node]obs.Name
+	elemNames map[*node.Element]obs.Name
+	mon       *rms.Monitor
+	down      map[string]uint64
+	downNode  map[string]*node.Node
+	downSince map[string]sim.Time
+	linkFault map[string]faults.Event
+	backoff   []*item
 }
 
 // execution is one in-flight task placement. The event handles are refs,
@@ -232,36 +237,57 @@ func NewEngine(cfg Config, reg *rms.Registry, mm *rms.Matchmaker) (*Engine, erro
 
 // Submit schedules an application submission at a virtual time. Program
 // may be nil to execute by graph dependencies (Fig. 7 mode); otherwise the
-// Seq/Par plan drives dispatch (Fig. 8 mode).
+// Seq/Par plan drives dispatch (Fig. 8 mode). The submission stays
+// queryable through the JSS after it settles.
 func (e *Engine) Submit(at sim.Time, user string, g *task.Graph, prog *task.Program, qos jss.QoS) {
-	e.S.Schedule(at, "submit", func() {
-		if _, err := e.J.Submit(user, g, prog, qos, e.S.Now()); err != nil {
-			return // rejected; the JSS records the reason
-		}
-		// Each submit event admits one submission; Dequeue honours
-		// priority if several were queued at the same instant.
-		run := &appRun{sub: e.J.Dequeue()}
-		e.start(run)
-	})
+	e.S.Schedule(at, "submit", func() { e.admit(user, g, prog, qos, false) })
 }
 
 // SubmitWorkload schedules a many-task workload: each generated task is an
 // independent single-task submission at its arrival time (DReAMSim's
-// independent-task model).
+// independent-task model). Every task is checked here, before the run;
+// its graph and submission are built only when its arrival fires, and
+// the submission leaves the JSS once the task completes or is lost.
 func (e *Engine) SubmitWorkload(gen []Generated, user string) error {
 	if e.cfg.PrewarmSynthesis {
 		if err := e.prewarm(gen); err != nil {
 			return err
 		}
 	}
-	for _, g := range gen {
+	// One shared closure holds the engine and the user, so each
+	// arrival's own closure captures only its task.
+	arrive := func(t *task.Task) {
 		tg := task.NewGraph()
-		if err := tg.Add(g.Task); err != nil {
+		_ = tg.Add(t) // checked below, before the run
+		e.admit(user, tg, nil, jss.QoS{}, true)
+	}
+	for _, g := range gen {
+		if err := task.ValidateForGraph(g.Task); err != nil {
 			return err
 		}
-		e.Submit(g.Arrival, user, tg, nil, jss.QoS{})
+		t := g.Task
+		e.S.Schedule(g.Arrival, "submit", func() { arrive(t) })
 	}
 	return nil
+}
+
+// admit hands one submission to the JSS and starts it. Each submit event
+// admits one submission; Dequeue honours priority if several were queued
+// at the same instant.
+func (e *Engine) admit(user string, g *task.Graph, prog *task.Program, qos jss.QoS, workload bool) {
+	if _, err := e.J.Submit(user, g, prog, qos, e.S.Now()); err != nil {
+		return // rejected; the JSS records the reason
+	}
+	e.start(&appRun{sub: e.J.Dequeue(), workload: workload})
+}
+
+// release drops a settled workload submission from the JSS, so a batch
+// run keeps nothing per task once the task completes or is lost. Submit
+// submissions stay: they are Fig. 9's status service.
+func (e *Engine) release(run *appRun) {
+	if run.workload {
+		e.J.Release(run.sub)
+	}
 }
 
 // prewarm fills the provider's bitstream library for every design the
@@ -402,7 +428,7 @@ func (e *Engine) enqueue(run *appRun, taskID string) {
 	}
 	e.seq++
 	e.m.Submitted++
-	it := &item{run: run, t: t, tid: obs.Str(taskID), enq: e.S.Now(), seq: e.seq}
+	it := &item{run: run, t: t, tid: e.name(taskID), enq: e.S.Now(), seq: e.seq}
 	e.pushQueue(it, true)
 	e.J.NotifyFor(run.sub, e.S.Now(), taskID, "queued")
 	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindQueued, TaskID: it.tid})
@@ -618,6 +644,8 @@ func (e *Engine) complete(exe *execution) {
 	})
 	e.J.TaskDoneFor(run.sub, end)
 	e.advance(run, it.t.ID)
+	// A workload submission is one task, so its completion settles it.
+	e.release(run)
 	e.tryDispatch()
 }
 
@@ -664,8 +692,21 @@ func (e *Engine) trace(ev obs.Event) {
 	}
 }
 
+// name interns an identifier for trace events. An untraced engine
+// interns nothing: the process-wide intern table never shrinks, and
+// without a sink no event needs the handle.
+func (e *Engine) name(s string) obs.Name {
+	if e.cfg.Tracer == nil {
+		return 0
+	}
+	return obs.Str(s)
+}
+
 // nodeName returns the node's interned trace handle, caching per object.
 func (e *Engine) nodeName(n *node.Node) obs.Name {
+	if e.cfg.Tracer == nil {
+		return 0
+	}
 	if nm, ok := e.nodeNames[n]; ok {
 		return nm
 	}
@@ -676,6 +717,9 @@ func (e *Engine) nodeName(n *node.Node) obs.Name {
 
 // elemName returns the element's interned trace handle, caching per object.
 func (e *Engine) elemName(el *node.Element) obs.Name {
+	if e.cfg.Tracer == nil {
+		return 0
+	}
 	if nm, ok := e.elemNames[el]; ok {
 		return nm
 	}
@@ -712,7 +756,7 @@ func (e *Engine) emitSample() {
 	s := obs.Sample{
 		Time:         e.S.Now(),
 		QueueDepth:   len(e.queue),
-		RetryBacklog: e.retryPending,
+		RetryBacklog: len(e.backoff),
 		NodesDown:    len(e.down),
 		Completed:    e.m.Completed,
 		EnergyJoules: e.m.Energy.TotalJoules(),
@@ -836,12 +880,14 @@ func (e *Engine) requeueOrLose(it *item) {
 		e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindLost, TaskID: it.tid})
 		//reconlint:allow hotalloc terminal path: rendered once per task lost, never per event
 		e.J.Fail(it.run.sub.ID, e.S.Now(), "task "+it.t.ID+" lost after "+strconv.Itoa(it.attempts)+" failed attempts")
+		e.release(it.run)
 		return
 	}
 	e.m.Retries++
-	e.retryPending++
+	e.backoff = append(e.backoff, it)
 	e.S.After(sim.Time(pol.Delay(it.attempts)), "retry", func() {
-		e.retryPending--
+		i := slices.Index(e.backoff, it)
+		e.backoff = slices.Delete(e.backoff, i, i+1)
 		e.pushQueue(it, false)
 		e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindRetry, TaskID: it.tid})
 		e.J.NotifyFor(it.run.sub, e.S.Now(), it.t.ID, "requeued for retry")
@@ -875,10 +921,10 @@ func (e *Engine) Run(ctx context.Context) (*Metrics, error) {
 	return e.m, nil
 }
 
-// finish folds end-of-run accounting into the metrics: queued tasks
-// (plus tasks waiting out a retry backoff or stranded in flight at the
-// horizon) become unfinished, their submissions fail, open outages are
-// closed, and idle capacity is charged.
+// finish folds end-of-run accounting into the metrics: tasks stranded in
+// flight at the horizon, waiting out a retry backoff or still queued
+// become unfinished, their submissions fail, open outages are closed, and
+// idle capacity is charged.
 func (e *Engine) finish() {
 	now := e.S.Now()
 	// With sampling on, the clock may have been advanced past the last
@@ -887,11 +933,22 @@ func (e *Engine) finish() {
 	if e.samplingEnabled() && e.lastReal > 0 && e.lastReal < now {
 		now = e.lastReal
 	}
-	inflight := 0
+	var inflight []*item
 	for _, list := range e.running {
-		inflight += len(list)
+		for _, exe := range list {
+			inflight = append(inflight, exe.it)
+		}
 	}
-	e.m.Unfinished = len(e.queue) + e.retryPending + inflight
+	// Enqueue order, not map order: a submission with several stranded
+	// tasks keeps the reason of the last one failed below.
+	slices.SortFunc(inflight, func(a, b *item) int { return a.seq - b.seq })
+	e.m.Unfinished = len(inflight) + len(e.backoff) + len(e.queue)
+	for _, it := range inflight {
+		e.J.Fail(it.run.sub.ID, now, "task "+it.t.ID+" still running when the run ended")
+	}
+	for _, it := range e.backoff {
+		e.J.Fail(it.run.sub.ID, now, "task "+it.t.ID+" backing off before a retry when the run ended")
+	}
 	for _, it := range e.queue {
 		e.J.Fail(it.run.sub.ID, now, fmt.Sprintf("task %s unschedulable under %s", it.t.ID, e.cfg.Strategy.Name()))
 	}

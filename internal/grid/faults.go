@@ -227,7 +227,7 @@ func (e *Engine) applyLinkDegrade(ev faults.Event) {
 	if ev.Partition {
 		detail = "partition"
 	}
-	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindLinkDegraded, Node: obs.Str(ev.Node), Element: obs.Str(detail)})
+	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindLinkDegraded, Node: e.name(ev.Node), Element: e.name(detail)})
 }
 
 // applyLinkRestore clears a link fault, unless a newer fault on the same
@@ -238,6 +238,6 @@ func (e *Engine) applyLinkRestore(ev faults.Event) {
 		return
 	}
 	delete(e.linkFault, ev.Node)
-	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindLinkRestored, Node: obs.Str(ev.Node)})
+	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindLinkRestored, Node: e.name(ev.Node)})
 	e.tryDispatch()
 }

@@ -16,8 +16,10 @@ type Name int32
 
 // nameTable is the process-wide intern table. Interning takes the write
 // lock only on first sight of a string; resolution takes the read lock
-// and an index. The table only grows — identifiers in one process
-// (task/node/element IDs, fault details) form a small recurring set.
+// and an index. The table only grows: node/element IDs and fault details
+// form a small recurring set, but every distinct task ID a traced run
+// interns stays for the life of the process, so the grid engine interns
+// only when a sink will read the handles.
 var nameTable = struct {
 	sync.RWMutex
 	ids  map[string]Name

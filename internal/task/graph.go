@@ -25,12 +25,19 @@ func NewGraph() *Graph {
 	return &Graph{}
 }
 
-// Add inserts a task. Duplicate IDs and invalid tasks are rejected.
-func (g *Graph) Add(t *Task) error {
+// ValidateForGraph returns the error Add would give t on a graph that
+// does not hold its ID yet — an invalid task or an ID the App language
+// cannot carry — without building a graph.
+func ValidateForGraph(t *Task) error {
 	if err := t.Validate(); err != nil {
 		return err
 	}
-	if err := sanitizeID(t.ID); err != nil {
+	return sanitizeID(t.ID)
+}
+
+// Add inserts a task. Duplicate IDs and invalid tasks are rejected.
+func (g *Graph) Add(t *Task) error {
+	if err := ValidateForGraph(t); err != nil {
 		return err
 	}
 	if _, dup := g.get(t.ID); dup {
