@@ -5,8 +5,13 @@ GO ?= go
 .PHONY: build vet lint lint-fix lint-sarif lint-taint test race bench-test verify bench-baseline benchdiff coverage-md report cover smoke
 
 # Minimum statement coverage enforced by `make cover`, per package.
-COVER_FLOOR_OBS  ?= 85.0
-COVER_FLOOR_GRID ?= 85.0
+COVER_FLOOR_OBS          ?= 85.0
+COVER_FLOOR_GRID         ?= 85.0
+COVER_FLOOR_CONTROLPLANE ?= 85.0
+COVER_FLOOR_RMS          ?= 85.0
+# The packages `make cover` measures, as internal/<package>=<floor>.
+COVER_FLOORS = obs=$(COVER_FLOOR_OBS) grid=$(COVER_FLOOR_GRID) \
+	controlplane=$(COVER_FLOOR_CONTROLPLANE) rms=$(COVER_FLOOR_RMS)
 
 build:
 	$(GO) build ./...
@@ -46,8 +51,8 @@ bench-test:
 # control plane) are re-run and compared against the committed
 # BENCH_PR10.json baseline; an alloc or model-metric regression beyond
 # the noise budget fails verify. bench-test smoke-runs every workload of
-# the repository benchmark, and cover holds the observability and engine
-# packages at their coverage floors.
+# the repository benchmark, and cover holds the observability, engine,
+# control-plane and matchmaker packages at their coverage floors.
 verify: build vet lint test race cover bench-test benchdiff
 
 # --- Performance contract ---
@@ -122,14 +127,23 @@ smoke:
 	done; \
 	echo "smoke: rmsd did not shut down within 60s"; exit 1
 
-# Enforce statement-coverage floors on the observability and engine
-# packages. Fails if either package regresses below its floor.
+# Enforce statement-coverage floors on the observability, engine,
+# control-plane and matchmaker packages (COVER_FLOORS). Fails if any
+# package regresses below its floor or reports no coverage at all (a
+# failing test run prints none).
 cover:
-	@$(GO) test -cover ./internal/obs ./internal/grid | awk ' \
-		/coverage:/ { \
-			split($$0, f, "coverage: "); split(f[2], p, "%"); \
-			floor = ($$2 ~ /obs/) ? $(COVER_FLOOR_OBS) : $(COVER_FLOOR_GRID); \
-			printf "%-24s %5.1f%%  (floor %.1f%%)\n", $$2, p[1], floor; \
-			if (p[1] + 0 < floor) { bad = 1 } \
+	@$(GO) test -cover $(foreach f,$(COVER_FLOORS),./internal/$(firstword $(subst =, ,$(f)))) | awk -v floors='$(COVER_FLOORS)' ' \
+		BEGIN { \
+			n = split(floors, kv, " "); \
+			for (i = 1; i <= n; i++) { split(kv[i], p, "="); floor["repro/internal/" p[1]] = p[2] } \
 		} \
-		END { if (bad) { print "coverage below floor"; exit 1 } }'
+		/coverage:/ && ($$2 in floor) { \
+			split($$0, f, "coverage: "); split(f[2], p, "%"); \
+			printf "%-28s %5.1f%%  (floor %.1f%%)\n", $$2, p[1], floor[$$2]; \
+			seen[$$2] = 1; \
+			if (p[1] + 0 < floor[$$2]) { bad = 1 } \
+		} \
+		END { \
+			for (pkg in floor) if (!(pkg in seen)) { print pkg ": no coverage reported"; bad = 1 } \
+			if (bad) { print "coverage below floor"; exit 1 } \
+		}'

@@ -79,10 +79,9 @@ func BuildNodes() (*rms.Registry, error) {
 }
 
 // Provider returns the case-study service provider's toolchain: synthesis
-// CAD tools for the Xilinx families present in the grid.
-func Provider() (*hdl.Toolchain, error) {
-	return hdl.NewToolchain("Xilinx ISE 13", "Virtex-4", "Virtex-5", "Virtex-6")
-}
+// CAD tools for the Xilinx families present in the grid, the shared,
+// read-only hdl.DefaultToolchain.
+func Provider() (*hdl.Toolchain, error) { return hdl.DefaultToolchain() }
 
 // Slice requirements quoted in Section V from the Quipu analysis.
 const (

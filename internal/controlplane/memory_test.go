@@ -3,11 +3,14 @@ package controlplane
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/capability"
 	"repro/internal/faults"
 	"repro/internal/sim"
+	"repro/internal/softcore"
 )
 
 // liveHeap collects garbage and returns the live heap in bytes.
@@ -69,14 +72,16 @@ func scenarioOf(i int) string {
 }
 
 // TestHeapPerTenant is the per-tenant memory ceiling: 10^4 tenants that
-// each submit one task and drain cost at most 9 KB apiece.
+// each submit one task and drain cost at most 5 KB apiece. What a tenant
+// owns is its dynamic state; the capability sets, soft-core library and
+// toolchain are shared (TestTenantsShareCatalog).
 func TestHeapPerTenant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap ceiling run skipped in -short mode")
 	}
 	const (
 		tenants = 10_000
-		ceiling = 9 << 10 // bytes per tenant
+		ceiling = 5 << 10 // bytes per tenant
 	)
 	tiers := []string{"full", "virtualized", "background"}
 	s := newTestServer(t, DefaultConfig())
@@ -91,6 +96,71 @@ func TestHeapPerTenant(t *testing.T) {
 	t.Logf("%.0f B per tenant", perTenant)
 	if perTenant > ceiling {
 		t.Errorf("tenants cost %.0f B each, ceiling %d", perTenant, ceiling)
+	}
+}
+
+// setID is a capability set's map identity.
+func setID(s capability.Set) uintptr { return reflect.ValueOf(s).Pointer() }
+
+// TestTenantsShareCatalog pins what two same-tier tenants on different
+// shards share: each element's capability set and the soft-core library
+// are one read-only value, while elements, fabrics and matchmakers stay
+// private to each tenant.
+func TestTenantsShareCatalog(t *testing.T) {
+	s := newTestServer(t, DefaultConfig())
+	a, b := "tenant-a", ""
+	for i := 0; b == ""; i++ {
+		if name := taskID("tenant-b", i); s.shardFor(name) != s.shardFor(a) {
+			b = name
+		}
+	}
+	for _, tenant := range []string{a, b} {
+		mustOK(t, s.Do(Request{Op: OpSubmit, Tenant: tenant, Tier: "full", Task: spec("t0", 100)}))
+	}
+	mustOK(t, s.Do(Request{Op: OpDrain}))
+
+	// The drain reply orders every shard's work before these reads, and
+	// idle shards write nothing.
+	ta, tb := s.shardFor(a).tenants[a], s.shardFor(b).tenants[b]
+	if ta.mm == tb.mm {
+		t.Fatal("two tenants share a matchmaker")
+	}
+	ea, eb := ta.reg.Nodes()[0].Elements(), tb.reg.Nodes()[0].Elements()
+	if len(ea) != len(eb) || len(ta.reg.Nodes()[0].RPEs()) < 2 {
+		t.Fatalf("full-tier slices: %d and %d elements", len(ea), len(eb))
+	}
+	for i := range ea {
+		if ea[i] == eb[i] || (ea[i].Fabric != nil && ea[i].Fabric == eb[i].Fabric) {
+			t.Errorf("%s: tenants share the element's dynamic state", ea[i].ID)
+		}
+		if setID(ea[i].Caps()) != setID(eb[i].Caps()) {
+			t.Errorf("%s: each tenant holds its own capability set", ea[i].ID)
+		}
+	}
+
+	probe, err := ta.buildTask(&TaskSpec{ID: "probe", WorkMI: 100, Scenario: "softcore"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores := func(te *tenantEngine) []*softcore.Core {
+		cands, err := te.mm.Candidates(probe.ExecReq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []*softcore.Core
+		for _, c := range cands {
+			out = append(out, c.Core)
+		}
+		return out
+	}
+	ca, cb := cores(ta), cores(tb)
+	if len(ca) == 0 || len(ca) != len(cb) {
+		t.Fatalf("soft-core candidates: %d and %d", len(ca), len(cb))
+	}
+	for i := range ca {
+		if ca[i] != cb[i] || setID(ca[i].Caps()) != setID(cb[i].Caps()) {
+			t.Errorf("candidate %d: each tenant holds its own soft-core library", i)
+		}
 	}
 }
 

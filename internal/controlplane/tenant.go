@@ -212,7 +212,7 @@ func newTenantEngine(id string, tier Tier, seed uint64, cfg *Config, nowNanos in
 	if err := reg.AddNode(n); err != nil {
 		return nil, err
 	}
-	tc, err := hdl.NewToolchain("Xilinx ISE 13", "Virtex-4", "Virtex-5", "Virtex-6")
+	tc, err := hdl.DefaultToolchain()
 	if err != nil {
 		return nil, err
 	}

@@ -1102,10 +1102,9 @@ func defaultFaultHorizon(gen []Generated) float64 {
 	return float64(last)*1.5 + 60
 }
 
-// DefaultToolchain returns the provider toolchain used by scenario runs.
-func DefaultToolchain() (*hdl.Toolchain, error) {
-	return hdl.NewToolchain("Xilinx ISE 13", "Virtex-4", "Virtex-5", "Virtex-6")
-}
+// DefaultToolchain returns the provider toolchain used by scenario runs:
+// the shared, read-only hdl.DefaultToolchain.
+func DefaultToolchain() (*hdl.Toolchain, error) { return hdl.DefaultToolchain() }
 
 // ToSoftwareOnly rewrites every generated task to the software-only
 // scenario with modest GPP demands — the GPP-baseline transformation for

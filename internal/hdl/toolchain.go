@@ -3,6 +3,7 @@ package hdl
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/fabric"
@@ -33,6 +34,17 @@ func NewToolchain(vendor string, families ...string) (*Toolchain, error) {
 	}
 	return &Toolchain{Vendor: vendor, families: fs, model: quipu.Default()}, nil
 }
+
+// defaultToolchain builds the shared provider toolchain once.
+var defaultToolchain = sync.OnceValues(func() (*Toolchain, error) {
+	return NewToolchain("Xilinx ISE 13", "Virtex-4", "Virtex-5", "Virtex-6")
+})
+
+// DefaultToolchain returns the provider toolchain of scenario runs, the
+// case study and every control-plane tenant: Xilinx ISE 13 for the
+// Virtex-4/5/6 families with the default Quipu model. It is built once
+// and shared by every caller, so it must be treated as read-only.
+func DefaultToolchain() (*Toolchain, error) { return defaultToolchain() }
 
 // Supports reports whether the toolchain can target a device family.
 // Matched case-insensitively without lowering the query: this runs per

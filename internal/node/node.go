@@ -12,7 +12,9 @@ package node
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/capability"
 	"repro/internal/fabric"
@@ -31,13 +33,45 @@ type Element struct {
 	Fabric *fabric.Fabric
 	GPU    *gpu.Device
 
-	caps      capability.Set
-	busyCores int  // GPP: cores currently executing tasks
-	busyGPU   bool // GPU occupancy
+	caps      capability.Set // shared, read-only: see capSets
+	busyCores int            // GPP: cores currently executing tasks
+	busyGPU   bool           // GPU occupancy
 }
 
-// Caps returns the element's Table I capability set.
+// Caps returns the element's Table I capability set. The set is the
+// static half of the node tuple and is shared by every element built
+// from the same description, on every node: callers must not mutate it.
 func (e *Element) Caps() capability.Set { return e.caps }
+
+// capSets holds the one capability set of every distinct GPP, RPE and GPU
+// description installed in any node of the process. Shards and sweep
+// workers install nodes concurrently, so it is locked; it grows with
+// distinct descriptions only, never with nodes, tenants or tasks.
+var capSets = struct {
+	mu   sync.Mutex
+	sets map[any]capability.Set // guarded by mu
+}{sets: make(map[any]capability.Set)}
+
+// sharedSet returns the shared set for description c, building it on
+// first use. A description with a NaN field never equals itself, so it
+// would miss every lookup; it gets a private set rather than a table
+// entry per install.
+func sharedSet[C interface {
+	comparable
+	Set() capability.Set
+}](c C) capability.Set {
+	if c != c {
+		return c.Set()
+	}
+	capSets.mu.Lock()
+	defer capSets.mu.Unlock()
+	s, ok := capSets.sets[c]
+	if !ok {
+		s = c.Set()
+		capSets.sets[c] = s
+	}
+	return s
+}
 
 // IsRPE reports whether the element is a reconfigurable processing element.
 func (e *Element) IsRPE() bool { return e.Kind == capability.KindFPGA }
@@ -130,17 +164,22 @@ func (e *Element) StateLine() string {
 	return e.ID + ": ?"
 }
 
+// numKinds sizes the per-kind tables: capability.Kind is a dense enum
+// from KindUnknown to KindGPU.
+const numKinds = int(capability.KindGPU) + 1
+
 // Node is a grid computing node.
 type Node struct {
 	ID string
 
 	elems []*Element
 	byID  map[string]*Element
-	seq   map[capability.Kind]int
+	// seq is the next element number per kind (GPP0, GPP1, …).
+	seq [numKinds]int
 	// byKind caches the per-kind element lists (installation order),
 	// rebuilt on install/remove, so the matchmaker's per-dispatch kind
 	// scans allocate nothing.
-	byKind map[capability.Kind][]*Element
+	byKind [numKinds][]*Element
 }
 
 // New creates an empty node.
@@ -148,19 +187,12 @@ func New(id string) (*Node, error) {
 	if id == "" {
 		return nil, fmt.Errorf("node: empty node ID")
 	}
-	return &Node{
-		ID:   id,
-		byID: make(map[string]*Element),
-		seq:  make(map[capability.Kind]int),
-	}, nil
+	return &Node{ID: id, byID: make(map[string]*Element)}, nil
 }
 
 func (n *Node) install(e *Element) *Element {
 	n.elems = append(n.elems, e)
 	n.byID[e.ID] = e
-	if n.byKind == nil {
-		n.byKind = make(map[capability.Kind][]*Element)
-	}
 	n.byKind[e.Kind] = append(n.byKind[e.Kind], e)
 	return e
 }
@@ -177,7 +209,7 @@ func (n *Node) nextID(kind capability.Kind) string {
 	default:
 		prefix = "PE"
 	}
-	id := fmt.Sprintf("%s%d", prefix, n.seq[kind])
+	id := prefix + strconv.Itoa(n.seq[kind])
 	n.seq[kind]++
 	return id
 }
@@ -193,7 +225,7 @@ func (n *Node) AddGPP(caps capability.GPPCaps) (*Element, error) {
 		ID:   n.nextID(capability.KindGPP),
 		Kind: capability.KindGPP,
 		GPP:  p,
-		caps: caps.Set(),
+		caps: sharedSet(caps),
 	}), nil
 }
 
@@ -222,7 +254,7 @@ func (n *Node) installFabric(f *fabric.Fabric) *Element {
 		ID:     n.nextID(capability.KindFPGA),
 		Kind:   capability.KindFPGA,
 		Fabric: f,
-		caps:   f.Device().FPGACaps.Set(),
+		caps:   sharedSet(f.Device().FPGACaps),
 	})
 }
 
@@ -236,7 +268,7 @@ func (n *Node) AddGPU(caps capability.GPUCaps, coreClockMHz float64) (*Element, 
 		ID:   n.nextID(capability.KindGPU),
 		Kind: capability.KindGPU,
 		GPU:  d,
-		caps: caps.Set(),
+		caps: sharedSet(caps),
 	}), nil
 }
 
@@ -276,11 +308,15 @@ func (n *Node) Element(id string) (*Element, bool) {
 // Elements returns all elements in installation order.
 func (n *Node) Elements() []*Element { return append([]*Element(nil), n.elems...) }
 
-// ByKind returns the elements of one kind in installation order. The
-// returned slice is the node's cached view — read-only; callers must not
-// mutate it or hold it across Add*/Remove calls. It is rendered on every
-// matchmaking pass, which is why it cannot afford a defensive copy.
+// ByKind returns the elements of one kind in installation order, or nil
+// for a kind outside the Table I enum. The returned slice is the node's
+// cached view — read-only; callers must not mutate it or hold it across
+// Add*/Remove calls. It is rendered on every matchmaking pass, which is
+// why it cannot afford a defensive copy.
 func (n *Node) ByKind(kind capability.Kind) []*Element {
+	if kind < 0 || int(kind) >= numKinds {
+		return nil
+	}
 	return n.byKind[kind]
 }
 

@@ -1,7 +1,10 @@
 package node
 
 import (
+	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/capability"
@@ -151,7 +154,92 @@ func TestRemoveDynamic(t *testing.T) {
 	if err := n.Remove("RPE0"); err == nil {
 		t.Error("double remove accepted")
 	}
+	if len(n.RPEs()) != 0 || len(n.GPPs()) != 1 {
+		t.Errorf("ByKind after remove: %d RPEs, %d GPPs", len(n.RPEs()), len(n.GPPs()))
+	}
 	_ = r
+}
+
+func TestByKindOutOfRange(t *testing.T) {
+	n := testNode(t)
+	n.AddGPP(xeonCaps())
+	for _, k := range []capability.Kind{-1, capability.KindSoftcore, capability.KindGPU + 1, 99} {
+		if got := n.ByKind(k); got != nil {
+			t.Errorf("ByKind(%v) = %v, want nil", k, got)
+		}
+	}
+}
+
+// setID is a capability set's map identity.
+func setID(s capability.Set) uintptr { return reflect.ValueOf(s).Pointer() }
+
+// TestCapSetsSharedPerDescription pins the intern tables: elements built
+// from equal descriptions share one set, on any node and from concurrent
+// installers, while a customized device gets a set of its own.
+func TestCapSetsSharedPerDescription(t *testing.T) {
+	const workers = 8
+	gpps := make([]*Element, workers)
+	rpes := make([]*Element, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			n, err := New("NodeX")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			gpps[i], _ = n.AddGPP(xeonCaps())
+			rpes[i], _ = n.AddRPE("XC5VLX155T")
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < workers; i++ {
+		if setID(gpps[i].Caps()) != setID(gpps[0].Caps()) || setID(rpes[i].Caps()) != setID(rpes[0].Caps()) {
+			t.Fatalf("installer %d got its own capability set", i)
+		}
+		if rpes[i].Fabric == rpes[0].Fabric {
+			t.Fatalf("installer %d shares a fabric: dynamic state must stay per node", i)
+		}
+	}
+
+	dev, err := fabric.LookupDevice("XC5VLX155T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.ReconfigMBps = 7
+	custom, err := testNode(t).AddRPEDevice(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if setID(custom.Caps()) == setID(rpes[0].Caps()) {
+		t.Error("a customized device shares the catalog device's set")
+	}
+	if got := custom.Caps()[capability.ParamFPGAReconfigMBps].Number(); got != 7 {
+		t.Errorf("customized set reconfig bandwidth = %v, want 7", got)
+	}
+}
+
+// TestNaNDescriptionNotInterned: a description that never equals itself
+// would add a table entry per install; it gets a private set instead.
+func TestNaNDescriptionNotInterned(t *testing.T) {
+	entries := func() int {
+		capSets.mu.Lock()
+		defer capSets.mu.Unlock()
+		return len(capSets.sets)
+	}
+	caps := xeonCaps()
+	caps.MIPS = math.NaN()
+	before := entries()
+	for i := 0; i < 3; i++ {
+		if _, err := testNode(t).AddGPP(caps); err != nil {
+			t.Skipf("NaN MIPS rejected at install: %v", err)
+		}
+	}
+	if after := entries(); after != before {
+		t.Errorf("NaN description grew the table from %d to %d entries", before, after)
+	}
 }
 
 func TestRemoveBusyRejected(t *testing.T) {

@@ -126,7 +126,7 @@ func (m *Matchmaker) Estimate(c Candidate, req task.ExecReq, w pe.Work) (CostEst
 	switch {
 	case c.Core != nil:
 		cfg := c.Core.Config()
-		bsID = m.bitstreamID(m.coreDesign(c.Core), dev.FPGACaps.Device, dev.PartialRecon)
+		bsID = m.bitstreamID(c.Core.Design(), dev.FPGACaps.Device, dev.PartialRecon)
 		if dev.PartialRecon {
 			bsBytes = fabric.PartialSizeBytes(cfg.Slices())
 		} else {
@@ -204,7 +204,7 @@ func (m *Matchmaker) allocateFabric(c Candidate, req task.ExecReq) (*Lease, erro
 	switch {
 	case c.Core != nil:
 		cfg := c.Core.Config()
-		id := m.bitstreamID(m.coreDesign(c.Core), dev.FPGACaps.Device, dev.PartialRecon)
+		id := m.bitstreamID(c.Core.Design(), dev.FPGACaps.Device, dev.PartialRecon)
 		if dev.PartialRecon {
 			var err error
 			bs, err = c.Core.Bitstream(id, dev)

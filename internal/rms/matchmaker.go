@@ -2,7 +2,6 @@ package rms
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 
 	"repro/internal/capability"
@@ -48,6 +47,7 @@ type Matchmaker struct {
 	tc *hdl.Toolchain
 	// cores is the provider's soft-core library, used by the
 	// predetermined-hardware scenario and the software-only fallback.
+	// Read-only: the default library is shared by every matchmaker.
 	cores []*softcore.Core
 	// synthCache memoizes synthesis results per design×device so CAD time
 	// is paid once: matching mutates the cache, and two engines sharing a
@@ -60,8 +60,6 @@ type Matchmaker struct {
 	// the same shared-matchmaker reason as synthCache.
 	idMu    sync.RWMutex
 	idCache map[bsKey]string
-	// coreName holds the precomputed design name per library soft-core.
-	coreName map[*softcore.Core]string
 	// candBuf is the scratch candidate slice the scenario scans build
 	// into; the returned slice is valid until the next Candidates call
 	// (the engine consumes it within one dispatch attempt).
@@ -76,33 +74,39 @@ type Matchmaker struct {
 	DisableCompaction bool
 }
 
+// defaultCores is the ρ-VEX library (8-, 4- and 2-issue, one cluster)
+// of every matchmaker built without one. Cores are immutable, so one
+// library serves every node, tenant and sweep worker.
+var defaultCores = sync.OnceValues(func() ([]*softcore.Core, error) {
+	var cores []*softcore.Core
+	for _, iw := range []int{8, 4, 2} {
+		c, err := softcore.RVEX(iw, 1)
+		if err != nil {
+			return nil, err
+		}
+		cores = append(cores, c)
+	}
+	return cores, nil
+})
+
 // NewMatchmaker builds a matchmaker over a registry. The toolchain may be
 // nil for providers without CAD tools (they simply never match
 // user-defined-hardware tasks, per Section III-B3). The soft-core library
-// defaults to the ρ-VEX presets when empty.
+// defaults to the shared ρ-VEX presets when empty.
 func NewMatchmaker(reg *Registry, tc *hdl.Toolchain, cores ...*softcore.Core) (*Matchmaker, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("rms: matchmaker needs a registry")
 	}
 	if len(cores) == 0 {
-		for _, iw := range []int{8, 4, 2} {
-			c, err := softcore.RVEX(iw, 1)
-			if err != nil {
-				return nil, err
-			}
-			cores = append(cores, c)
+		var err error
+		if cores, err = defaultCores(); err != nil {
+			return nil, err
 		}
-	}
-	coreName := make(map[*softcore.Core]string, len(cores))
-	for _, c := range cores {
-		cfg := c.Config()
-		coreName[c] = "softcore-" + cfg.Caps.ISA + strconv.Itoa(cfg.Caps.IssueWidth)
 	}
 	return &Matchmaker{
 		reg: reg, tc: tc, cores: cores,
 		synthCache: make(map[string]*hdl.SynthesisResult),
 		idCache:    make(map[bsKey]string),
-		coreName:   coreName,
 	}, nil
 }
 
@@ -131,17 +135,6 @@ func (m *Matchmaker) bitstreamID(design, device string, partial bool) string {
 	m.idCache[k] = id
 	m.idMu.Unlock()
 	return id
-}
-
-// coreDesign returns the design name for a library soft-core, precomputed
-// at construction for the hot candidate paths.
-func (m *Matchmaker) coreDesign(c *softcore.Core) string {
-	if name, ok := m.coreName[c]; ok {
-		return name
-	}
-	cfg := c.Config()
-	//reconlint:allow hotalloc cache-miss fallback; every library core is precomputed at construction
-	return "softcore-" + cfg.Caps.ISA + strconv.Itoa(cfg.Caps.IssueWidth)
 }
 
 // nodes snapshots the registry into the matchmaker's scratch buffer for
@@ -279,14 +272,14 @@ func (m *Matchmaker) softcoreCandidates(req task.ExecReq, fallback bool) ([]Cand
 				if req.SoftcoreISA != "" && cfg.Caps.ISA != req.SoftcoreISA {
 					continue
 				}
-				ok, err := req.Requirements.SatisfiedBy(cfg.Caps.Set())
+				ok, err := req.Requirements.SatisfiedBy(c.Caps())
 				if err != nil {
 					return nil, err
 				}
 				if !ok || cfg.Slices() > dev.Slices {
 					continue
 				}
-				bsID := m.bitstreamID(m.coreDesign(c), dev.FPGACaps.Device, true)
+				bsID := m.bitstreamID(c.Design(), dev.FPGACaps.Device, true)
 				out = append(out, Candidate{
 					Node: n, Elem: e, Core: c,
 					Slices:        cfg.Slices(),

@@ -182,6 +182,37 @@ func TestPredeterminedMatching(t *testing.T) {
 	}
 }
 
+// TestPredeterminedCandidatesZeroAllocs pins the soft-core scan as
+// allocation-free once warm: each library core's capability set and
+// design name are built with the core, not per core × RPE × call.
+func TestPredeterminedCandidatesZeroAllocs(t *testing.T) {
+	reg := NewRegistry()
+	n := mkNode(t, "NodeA")
+	n.AddRPE("XC5VLX110T")
+	n.AddRPE("XC5VLX330T")
+	reg.AddNode(n)
+	mm := newMM(t, reg)
+	req := task.ExecReq{
+		Scenario:     pe.PredeterminedHW,
+		SoftcoreISA:  "rvex-vliw",
+		Requirements: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 2),
+	}
+	cands, err := mm.Candidates(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) != 2 {
+		t.Fatalf("candidates = %+v, want one per RPE", cands)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := mm.Candidates(req); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("predetermined-hardware Candidates allocates %.1f times per call, want 0", avg)
+	}
+}
+
 func TestUserDefinedNeedsToolchain(t *testing.T) {
 	reg := NewRegistry()
 	n := mkNode(t, "NodeA")

@@ -39,9 +39,6 @@ type Event struct {
 // Canceled reports whether the event has been canceled and will not fire.
 func (e *Event) Canceled() bool { return e.state == stateCanceled }
 
-// call invokes the event's handler.
-func (e *Event) call() { e.fn() }
-
 // eventLess is the scheduler total order: (Time, Priority, seq).
 func eventLess(a, b *Event) bool {
 	if a.Time != b.Time {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 // schedulers enumerates every Scheduler implementation; each conformance
@@ -303,6 +305,39 @@ func TestDrainLoopZeroAllocs(t *testing.T) {
 			if avg > 0.5 {
 				t.Errorf("drain loop allocates %.2f allocs/run, want ~0", avg)
 			}
+		})
+	}
+}
+
+// TestDrainedSimulatorReleasesLastHandler pins that a drained simulator
+// keeps nothing its last handler captured: the fired event waits in the
+// scheduler's fired slot until the next Pop, so Step must drop the
+// handler before running it. An idle control-plane tenant would
+// otherwise keep its last task's completion closure alive.
+func TestDrainedSimulatorReleasesLastHandler(t *testing.T) {
+	for name, mk := range schedulers() {
+		t.Run(name, func(t *testing.T) {
+			s := NewSimulator(WithScheduler(mk()))
+			collected := make(chan struct{})
+			func() {
+				captured := new([64]byte)
+				runtime.SetFinalizer(captured, func(*[64]byte) { close(collected) })
+				s.After(1, "last", func() { captured[0]++ })
+			}()
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 100; i++ {
+				runtime.GC()
+				select {
+				case <-collected:
+					runtime.KeepAlive(s)
+					return
+				case <-time.After(time.Millisecond):
+				}
+			}
+			runtime.KeepAlive(s)
+			t.Fatal("the drained simulator still reaches its last handler's captures")
 		})
 	}
 }

@@ -105,7 +105,12 @@ func (s *Simulator) Step() bool {
 	if s.Trace != nil {
 		s.Trace(s.now, e.Label)
 	}
-	e.call()
+	// The event stays in the scheduler's fired slot until the next Pop,
+	// so release the handler before running it: a drained simulator must
+	// not keep its last handler's closure, and what it captured, alive.
+	fn := e.fn
+	e.fn = nil
+	fn()
 	return true
 }
 

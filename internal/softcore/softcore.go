@@ -11,6 +11,7 @@ package softcore
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/capability"
@@ -78,9 +79,13 @@ func (c Config) EffectiveMIPS() float64 {
 	return c.ClockMHz * float64(c.Caps.IssueWidth) * ilpEfficiency * clusterScale
 }
 
-// Core is a synthesizable soft-core: a configuration plus estimator state.
+// Core is a synthesizable soft-core: a configuration plus what the
+// matchmaker reads on every candidate scan, built once in New. A Core is
+// immutable, so one library serves every matchmaker.
 type Core struct {
-	cfg Config
+	cfg    Config
+	caps   capability.Set
+	design string
 }
 
 // New validates the configuration and returns a core model.
@@ -88,11 +93,23 @@ func New(cfg Config) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Core{cfg: cfg}, nil
+	return &Core{
+		cfg:    cfg,
+		caps:   cfg.Caps.Set(),
+		design: "softcore-" + cfg.Caps.ISA + strconv.Itoa(cfg.Caps.IssueWidth),
+	}, nil
 }
 
 // Config returns the core's configuration.
 func (c *Core) Config() Config { return c.cfg }
+
+// Caps returns the configuration's Table I capability set. The set is
+// shared by every matchmaker using the core: callers must not mutate it.
+func (c *Core) Caps() capability.Set { return c.caps }
+
+// Design returns the design name the core's bitstream IDs are keyed by,
+// e.g. "softcore-rvex-vliw4".
+func (c *Core) Design() string { return c.design }
 
 // Kind implements pe.Estimator.
 func (c *Core) Kind() capability.Kind { return capability.KindSoftcore }

@@ -1,6 +1,7 @@
 package softcore
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -20,6 +21,12 @@ func TestRVEXPresets(t *testing.T) {
 		}
 		if c.Kind() != capability.KindSoftcore {
 			t.Error("kind")
+		}
+		if want := "softcore-rvex-vliw" + strconv.Itoa(iw); c.Design() != want {
+			t.Errorf("design = %q, want %q", c.Design(), want)
+		}
+		if got, want := c.Caps().String(), c.Config().Caps.Set().String(); got != want {
+			t.Errorf("caps = %s, want %s", got, want)
 		}
 	}
 	if _, err := RVEX(3, 1); err == nil {
