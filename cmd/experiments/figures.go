@@ -104,7 +104,7 @@ func runF2() error {
 
 // caseStudyVirtualGrid wraps the Section V grid in the framework facade.
 func caseStudyVirtualGrid() (*core.VirtualGrid, error) {
-	tc, err := casestudy.Provider()
+	tc, err := hdl.DefaultToolchain()
 	if err != nil {
 		return nil, err
 	}

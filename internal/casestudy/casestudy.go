@@ -78,11 +78,6 @@ func BuildNodes() (*rms.Registry, error) {
 	return reg, nil
 }
 
-// Provider returns the case-study service provider's toolchain: synthesis
-// CAD tools for the Xilinx families present in the grid, the shared,
-// read-only hdl.DefaultToolchain.
-func Provider() (*hdl.Toolchain, error) { return hdl.DefaultToolchain() }
-
 // Slice requirements quoted in Section V from the Quipu analysis.
 const (
 	// MalignSlices is the paper's Quipu estimate for malign.
@@ -208,7 +203,7 @@ func TableII() ([]TableIIRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	tc, err := Provider()
+	tc, err := hdl.DefaultToolchain()
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bio"
+	"repro/internal/hdl"
 )
 
 func TestBuildNodesMatchesFig5(t *testing.T) {
@@ -131,7 +132,7 @@ func TestRunFig10SmallWorkload(t *testing.T) {
 }
 
 func TestProviderSupportsGridFamilies(t *testing.T) {
-	tc, err := Provider()
+	tc, err := hdl.DefaultToolchain()
 	if err != nil {
 		t.Fatal(err)
 	}

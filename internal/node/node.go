@@ -53,16 +53,11 @@ var capSets = struct {
 }{sets: make(map[any]capability.Set)}
 
 // sharedSet returns the shared set for description c, building it on
-// first use. A description with a NaN field never equals itself, so it
-// would miss every lookup; it gets a private set rather than a table
-// entry per install.
+// first use.
 func sharedSet[C interface {
 	comparable
 	Set() capability.Set
 }](c C) capability.Set {
-	if c != c {
-		return c.Set()
-	}
 	capSets.mu.Lock()
 	defer capSets.mu.Unlock()
 	s, ok := capSets.sets[c]

@@ -1,7 +1,6 @@
 package node
 
 import (
-	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -218,27 +217,6 @@ func TestCapSetsSharedPerDescription(t *testing.T) {
 	}
 	if got := custom.Caps()[capability.ParamFPGAReconfigMBps].Number(); got != 7 {
 		t.Errorf("customized set reconfig bandwidth = %v, want 7", got)
-	}
-}
-
-// TestNaNDescriptionNotInterned: a description that never equals itself
-// would add a table entry per install; it gets a private set instead.
-func TestNaNDescriptionNotInterned(t *testing.T) {
-	entries := func() int {
-		capSets.mu.Lock()
-		defer capSets.mu.Unlock()
-		return len(capSets.sets)
-	}
-	caps := xeonCaps()
-	caps.MIPS = math.NaN()
-	before := entries()
-	for i := 0; i < 3; i++ {
-		if _, err := testNode(t).AddGPP(caps); err != nil {
-			t.Skipf("NaN MIPS rejected at install: %v", err)
-		}
-	}
-	if after := entries(); after != before {
-		t.Errorf("NaN description grew the table from %d to %d entries", before, after)
 	}
 }
 
