@@ -33,8 +33,11 @@ lint-taint:
 test:
 	$(GO) test ./...
 
+# The second line repeats the shards=1≡N determinism tests under -race
+# (about 10 s): one pass rarely sees a shard-scheduling race.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=50 -run 'TestDifferentialShardCount|TestTraceRepeatable' ./internal/controlplane
 
 # The repository benchmark (bench/) is a module of its own, so `go test
 # ./...` from the root does not reach its tests; they run here, at toy

@@ -115,9 +115,7 @@ func TestDoneLogCapped(t *testing.T) {
 	if !resp.OK {
 		t.Fatalf("submit failed: %+v", resp)
 	}
-	for te.hasWork() {
-		te.step()
-	}
+	te.run()
 	if got := len(te.doneLog); got != maxDoneLog {
 		t.Fatalf("doneLog length = %d, want %d", got, maxDoneLog)
 	}

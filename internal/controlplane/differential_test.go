@@ -11,7 +11,8 @@ import (
 
 // runTrace replays one seeded, deterministic request trace against a
 // server with the given shard count and returns per-tenant completion
-// logs and counter snapshots.
+// logs and counter snapshots. The server is paused for requests 200–399,
+// so cancels in that window can find their task still queued.
 func runTrace(t *testing.T, shards int, withFaults bool) (map[string][]string, []TenantStats) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -34,7 +35,14 @@ func runTrace(t *testing.T, shards int, withFaults bool) (map[string][]string, [
 	rng := sim.NewRNG(1234)
 	tiers := []string{"full", "virtualized", "background"}
 	scenarios := []string{"software", "softcore", "userhw"}
+	submitted := map[string][]string{}
 	for i := 0; i < 600; i++ {
+		switch i {
+		case 200:
+			mustOK(t, s.Do(Request{Op: OpPause}))
+		case 400:
+			mustOK(t, s.Do(Request{Op: OpResume}))
+		}
 		tenant := fmt.Sprintf("t%02d", rng.Intn(16))
 		ts := &TaskSpec{
 			ID:       fmt.Sprintf("task-%04d", i),
@@ -47,10 +55,12 @@ func runTrace(t *testing.T, shards int, withFaults bool) (map[string][]string, [
 		}
 		tier := tiers[int(tenantHash(tenant)%3)]
 		s.Do(Request{Op: OpSubmit, Tenant: tenant, Tier: tier, Task: ts})
+		submitted[tenant] = append(submitted[tenant], ts.ID)
 		if rng.Intn(5) == 0 {
-			// Cancel a random earlier task; often already terminal, which
-			// must be equally deterministic.
-			s.Do(Request{Op: OpCancel, Tenant: tenant, TaskID: fmt.Sprintf("task-%04d", rng.Intn(i+1))})
+			// Cancel one of the tenant's tasks; often already terminal,
+			// which must be equally deterministic.
+			mine := submitted[tenant]
+			s.Do(Request{Op: OpCancel, Tenant: tenant, TaskID: mine[rng.Intn(len(mine))]})
 		}
 	}
 	mustOK(t, s.Do(Request{Op: OpDrain}))
@@ -94,6 +104,15 @@ func TestDifferentialShardCount(t *testing.T) {
 			}
 			if !reflect.DeepEqual(stats1, stats5) {
 				t.Fatalf("stats differ between shard counts:\n shards=1: %+v\n shards=5: %+v", stats1, stats5)
+			}
+			// Some cancels must find their task queued during the pause,
+			// or the differential never compares a successful cancel.
+			canceled := 0
+			for _, st := range stats1 {
+				canceled += st.Canceled
+			}
+			if canceled == 0 {
+				t.Error("no cancel found its task queued; the paused window under-tests cancel")
 			}
 			if withFaults {
 				// The faulty run must actually exercise retries/evictions

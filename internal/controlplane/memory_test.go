@@ -42,7 +42,7 @@ func TestRetainedHeapPerSettledTask(t *testing.T) {
 	// configuration, doneLog at its cap) are not charged to the tasks.
 	for i := 0; i < maxDoneLog; i++ {
 		te.submit(&TaskSpec{ID: taskID("warm", i), WorkMI: 100}, 0, false)
-		te.step()
+		te.run()
 	}
 	heap0 := liveHeap()
 	for i := 0; i < tasks; i++ {
@@ -53,7 +53,7 @@ func TestRetainedHeapPerSettledTask(t *testing.T) {
 		if resp := te.submit(spec, 0, false); !resp.OK {
 			t.Fatalf("submit %d: %s %s", i, resp.Code, resp.Error)
 		}
-		te.step()
+		te.run()
 	}
 	perTask := (liveHeap() - heap0) / tasks
 	runtime.KeepAlive(te)
@@ -72,7 +72,7 @@ func scenarioOf(i int) string {
 }
 
 // TestHeapPerTenant is the per-tenant memory ceiling: 10^4 tenants that
-// each submit one task and drain cost at most 5 KB apiece. What a tenant
+// each submit one task and drain cost at most 4 KB apiece. What a tenant
 // owns is its dynamic state; the capability sets, soft-core library and
 // toolchain are shared (TestTenantsShareCatalog).
 func TestHeapPerTenant(t *testing.T) {
@@ -81,7 +81,7 @@ func TestHeapPerTenant(t *testing.T) {
 	}
 	const (
 		tenants = 10_000
-		ceiling = 5 << 10 // bytes per tenant
+		ceiling = 4 << 10 // bytes per tenant
 	)
 	tiers := []string{"full", "virtualized", "background"}
 	s := newTestServer(t, DefaultConfig())

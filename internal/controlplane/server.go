@@ -42,8 +42,6 @@ type Config struct {
 	// only wall-clock input the control plane has). nil disables rate
 	// limiting; queue bounds still apply.
 	NowNanos func() int64
-	// MaxRequestBytes caps a request line; ≤ 0 selects MaxRequestBytes.
-	MaxRequestBytes int
 	// MaxQueueOverride / RateOverride / BurstOverride replace the
 	// per-tier admission defaults when positive (mainly for tests and
 	// load drivers).
@@ -101,9 +99,6 @@ func New(cfg Config) (*Server, error) {
 		// Each shard is a goroutine plus a buffered inbox; an absurd
 		// operator value must not translate into an absurd allocation.
 		cfg.Shards = MaxShards
-	}
-	if cfg.MaxRequestBytes <= 0 {
-		cfg.MaxRequestBytes = MaxRequestBytes
 	}
 	if cfg.Faults.Enabled() {
 		if err := cfg.Faults.Validate(); err != nil {
@@ -175,13 +170,14 @@ func (s *Server) Do(req Request) Response {
 	case OpResume:
 		s.paused.Store(false)
 		s.draining.Store(false)
-		s.nudge()
-		return Response{OK: true, Op: OpResume}
+		return s.runQueued(OpResume)
 	case OpShutdown:
 		s.shutdownOnce.Do(func() { close(s.shutdownCh) })
 		return Response{OK: true, Op: OpShutdown}
 	case OpDrain:
-		return s.drain()
+		s.draining.Store(true)
+		s.paused.Store(false)
+		return s.runQueued(OpDrain)
 	case OpDump:
 		dump, err := s.dumpState()
 		if err != nil {
@@ -213,27 +209,16 @@ func (s *Server) Do(req Request) Response {
 	return reply.resp
 }
 
-// nudge wakes every shard loop (used after resume, when shards may be
-// blocked on their inboxes with work still queued).
-func (s *Server) nudge() {
-	for _, sh := range s.shards {
-		reply := make(chan shardReply, 1)
-		if sh.post(opMsg{kind: ctlNudge, reply: reply}) {
-			<-reply
-		}
-	}
-}
-
-// drain closes admission, lets every shard run its queues empty, and
-// returns when no task is in flight anywhere. Resume reopens admission.
-func (s *Server) drain() Response {
-	s.draining.Store(true)
-	s.paused.Store(false)
+// runQueued is the barrier behind drain and resume: every shard runs
+// every tenant's queue empty, and the call returns once all shards have.
+// Drain closes admission before it, so no task is in flight anywhere
+// when a drain answers; resume reopens admission first.
+func (s *Server) runQueued(op string) Response {
 	replies := make([]chan shardReply, 0, len(s.shards))
 	for _, sh := range s.shards {
 		reply := make(chan shardReply, 1)
-		if !sh.post(opMsg{kind: ctlDrainWait, reply: reply}) {
-			return errShutdown(OpDrain)
+		if !sh.post(opMsg{kind: ctlRunQueued, reply: reply}) {
+			return errShutdown(op)
 		}
 		replies = append(replies, reply)
 	}
@@ -241,10 +226,10 @@ func (s *Server) drain() Response {
 		select {
 		case <-reply:
 		case <-s.shards[0].quit:
-			return errShutdown(OpDrain)
+			return errShutdown(op)
 		}
 	}
-	return Response{OK: true, Op: OpDrain}
+	return Response{OK: true, Op: op}
 }
 
 // StatsAll snapshots every tenant across all shards, sorted by name.
@@ -346,13 +331,13 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 	enc := json.NewEncoder(conn)
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), s.cfg.MaxRequestBytes+2)
+	sc.Buffer(make([]byte, 0, 4096), MaxRequestBytes+2)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		req, err := DecodeRequest(line, s.cfg.MaxRequestBytes)
+		req, err := DecodeRequest(line, MaxRequestBytes)
 		var resp Response
 		if err != nil {
 			resp = errorResponse(req.Op, err)
@@ -366,7 +351,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	// A line beyond the size cap kills the scanner; tell the client why
 	// before hanging up.
 	if errors.Is(sc.Err(), bufio.ErrTooLong) {
-		_ = enc.Encode(errorResponse("", errWire(CodeOversized, "request line exceeds the %d-byte cap", s.cfg.MaxRequestBytes)))
+		_ = enc.Encode(errorResponse("", errWire(CodeOversized, "request line exceeds the %d-byte cap", MaxRequestBytes)))
 	}
 }
 

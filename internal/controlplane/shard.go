@@ -9,10 +9,14 @@ import (
 // hash of the tenant name, and each shard is a single goroutine owning its
 // tenants outright — no locks, no shared state between shards. All
 // cross-shard communication is message passing over the shard inbox.
-// Because every tenant engine is deterministic in isolation (see
-// tenantEngine) and a tenant's requests are totally ordered by its shard,
-// per-tenant results are identical for any shard count; sharding buys
-// throughput, never different answers.
+// A shard handles one message at a time, and an accepted submit runs to
+// a terminal state before the shard reads its next message (unless the
+// server is paused, when it stays queued until resume or drain). So what
+// a request observes depends only on the requests before it, never on
+// how fast the shard ran: because every tenant engine is deterministic
+// in isolation (see tenantEngine) and a tenant's requests are totally
+// ordered by its shard, per-tenant results are identical for any shard
+// count; sharding buys throughput, never different answers.
 
 // ctlKind selects what an inbox message asks the shard to do.
 type ctlKind int
@@ -20,16 +24,13 @@ type ctlKind int
 const (
 	// ctlRequest carries a tenant-routed wire request.
 	ctlRequest ctlKind = iota
-	// ctlDrainWait registers the reply channel to be answered when the
-	// shard has no queued work left.
-	ctlDrainWait
+	// ctlRunQueued asks the shard to run every tenant's queue empty and
+	// is answered when it has.
+	ctlRunQueued
 	// ctlStatsAll asks for every tenant's counter snapshot.
 	ctlStatsAll
 	// ctlDumpAll asks for every tenant's full state dump.
 	ctlDumpAll
-	// ctlNudge wakes the shard loop (after a resume) and is acknowledged
-	// immediately.
-	ctlNudge
 )
 
 // opMsg is one message into a shard inbox.
@@ -59,10 +60,6 @@ type TenantDump struct {
 	Fabric []string
 }
 
-// advanceBatch bounds how many tasks a shard executes between inbox
-// polls, so requests stay responsive under deep queues.
-const advanceBatch = 32
-
 // shard owns a partition of the tenant space. Everything below is
 // accessed only from the shard's own loop goroutine.
 type shard struct {
@@ -75,13 +72,9 @@ type shard struct {
 
 	tenants map[string]*tenantEngine
 	// order holds the engines sorted by (tier priority, creation order):
-	// the dispatch order. Higher tiers drain first — the control plane's
-	// rendering of RC3E priority.
+	// the order runQueued empties their queues in. Higher tiers drain
+	// first — the control plane's rendering of RC3E priority.
 	order []*tenantEngine
-	// pending counts queued tasks across all tenants of the shard.
-	pending int
-
-	drainWaiters []chan shardReply
 }
 
 func newShard(id int, srv *Server) *shard {
@@ -121,32 +114,11 @@ func (sh *shard) post(m opMsg) bool {
 	}
 }
 
-// loop is the shard goroutine: handle every queued message, then either
-// advance tenant work or block for the next message. Drain waiters are
-// settled whenever the shard goes idle.
+// loop is the shard goroutine: it handles one message at a time, each
+// to the end (an accepted submit's execution included), until shutdown.
 func (sh *shard) loop() {
 	defer sh.srv.wg.Done()
 	for {
-		select {
-		case <-sh.quit:
-			return
-		default:
-		}
-		// Handle everything already queued before running more work, so
-		// cancels and stats see a fresh state and submits batch up.
-		for pumped := true; pumped; {
-			select {
-			case m := <-sh.inbox:
-				sh.handle(m)
-			default:
-				pumped = false
-			}
-		}
-		if sh.pending > 0 && !sh.srv.paused.Load() {
-			sh.advance()
-			continue
-		}
-		sh.settleDrains()
 		select {
 		case m := <-sh.inbox:
 			sh.handle(m)
@@ -156,45 +128,34 @@ func (sh *shard) loop() {
 	}
 }
 
-// advance executes up to advanceBatch queued tasks, highest tier first.
-func (sh *shard) advance() {
-	ran := 0
-	for _, te := range sh.order {
-		for ran < advanceBatch && te.hasWork() {
-			te.step()
-			sh.pending--
-			ran++
-		}
-		if ran >= advanceBatch {
-			return
-		}
-	}
-}
-
-// settleDrains answers every waiting drain once no work is queued.
-func (sh *shard) settleDrains() {
-	if sh.pending > 0 || len(sh.drainWaiters) == 0 {
-		return
-	}
-	for _, w := range sh.drainWaiters {
-		w <- shardReply{resp: Response{OK: true, Op: OpDrain}}
-	}
-	sh.drainWaiters = nil
-}
-
-// handle dispatches one inbox message.
+// handle dispatches one inbox message. An accepted submit on a running
+// server is executed right after its reply goes out, so the client's
+// next request overlaps the execution but the shard reads it only once
+// the tenant's queue is empty again. The pause flag is read before the
+// reply, so a pause sent after this answer cannot hold the task back.
 func (sh *shard) handle(m opMsg) {
 	switch m.kind {
-	case ctlDrainWait:
-		sh.drainWaiters = append(sh.drainWaiters, m.reply)
+	case ctlRunQueued:
+		sh.runQueued()
+		m.reply <- shardReply{}
 	case ctlStatsAll:
 		m.reply <- shardReply{stats: sh.statsAll()}
 	case ctlDumpAll:
 		m.reply <- shardReply{dumps: sh.dumpAll()}
-	case ctlNudge:
-		m.reply <- shardReply{}
 	default:
-		m.reply <- shardReply{resp: sh.request(m)}
+		resp := sh.request(m)
+		run := m.req.Op == OpSubmit && resp.OK && !sh.srv.paused.Load()
+		m.reply <- shardReply{resp: resp}
+		if run {
+			sh.tenants[m.req.Tenant].run()
+		}
+	}
+}
+
+// runQueued runs every tenant's queue empty in dispatch order.
+func (sh *shard) runQueued() {
+	for _, te := range sh.order {
+		te.run()
 	}
 }
 
@@ -206,10 +167,7 @@ func (sh *shard) request(m opMsg) Response {
 		if err != nil {
 			return errorResponse(OpSubmit, err)
 		}
-		before := len(te.queue)
-		resp := te.submit(m.req.Task, m.nowNanos, sh.srv.draining.Load())
-		sh.pending += len(te.queue) - before
-		return resp
+		return te.submit(m.req.Task, m.nowNanos, sh.srv.draining.Load())
 	case OpStatus:
 		te, ok := sh.tenants[m.req.Tenant]
 		if !ok {
@@ -221,10 +179,7 @@ func (sh *shard) request(m opMsg) Response {
 		if !ok {
 			return errorResponse(OpCancel, errWire(CodeUnknownTenant, "unknown tenant %q", m.req.Tenant))
 		}
-		before := len(te.queue)
-		resp := te.cancel(m.req.TaskID)
-		sh.pending += len(te.queue) - before
-		return resp
+		return te.cancel(m.req.TaskID)
 	case OpStats:
 		te, ok := sh.tenants[m.req.Tenant]
 		if !ok {

@@ -67,3 +67,37 @@ func TestInsertByPriorityMatchesStableSort(t *testing.T) {
 		}
 	}
 }
+
+// TestShardRunsSubmitBeforeNextMessage calls shard.handle directly, with
+// no loop goroutine, so nothing but the message order decides what a
+// status or cancel sees. On a running server an accepted submit has run
+// to a terminal state before the shard takes its next message; on a
+// paused server it stays queued, so a cancel finds it there.
+func TestShardRunsSubmitBeforeNextMessage(t *testing.T) {
+	srv := &Server{cfg: DefaultConfig(), rng: sim.NewRNG(1)}
+	sh := newShard(0, srv)
+	call := func(req Request) Response {
+		t.Helper()
+		m := opMsg{kind: ctlRequest, req: req, reply: make(chan shardReply, 1)}
+		sh.handle(m)
+		return (<-m.reply).resp
+	}
+
+	mustOK(t, call(Request{Op: OpSubmit, Tenant: "ann", Task: spec("t1", 1000)}))
+	if resp := mustOK(t, call(Request{Op: OpStatus, Tenant: "ann", TaskID: "t1"})); resp.State != "done" {
+		t.Errorf("running server: status = %q, want done", resp.State)
+	}
+
+	srv.paused.Store(true)
+	mustOK(t, call(Request{Op: OpSubmit, Tenant: "ann", Task: spec("t2", 1000)}))
+	if resp := mustOK(t, call(Request{Op: OpStatus, Tenant: "ann", TaskID: "t2"})); resp.State != "queued" {
+		t.Errorf("paused server: status = %q, want queued", resp.State)
+	}
+	if resp := mustOK(t, call(Request{Op: OpCancel, Tenant: "ann", TaskID: "t2"})); resp.State != "canceled" {
+		t.Errorf("paused server: cancel = %q, want canceled", resp.State)
+	}
+	st := mustOK(t, call(Request{Op: OpStats, Tenant: "ann"})).Stats
+	if st.Completed != 1 || st.Canceled != 1 || st.InFlight != 0 || !st.conserved() {
+		t.Errorf("stats = %+v", st)
+	}
+}

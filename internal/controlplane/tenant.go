@@ -112,12 +112,12 @@ type cpTask struct {
 
 // tenantEngine is one tenant's deterministic slice of the control plane:
 // a vFPGA slice (a private registry/matchmaker over the tier's device
-// set), a jss instance for validation/quotas/cost accounting, a lease
-// monitor, and a discrete-event simulator providing the virtual clock
-// work executes under. Everything the engine does is a pure function of
-// (tenant seed, op sequence): it draws no wall-clock time and no global
-// randomness, which is what makes per-tenant results independent of the
-// shard count and of cross-tenant interleaving.
+// set), a jss instance for validation/quotas/cost accounting, and a
+// discrete-event simulator providing the virtual clock work executes
+// under. Everything the engine does is a pure function of (tenant seed,
+// op sequence): it draws no wall-clock time and no global randomness,
+// which is what makes per-tenant results independent of the shard count
+// and of cross-tenant interleaving.
 //
 // A tenantEngine is owned by exactly one shard goroutine; it needs no
 // locking.
@@ -129,7 +129,6 @@ type tenantEngine struct {
 
 	reg *rms.Registry
 	mm  *rms.Matchmaker
-	mon *rms.Monitor
 	jss *jss.JSS
 	sim *sim.Simulator
 
@@ -228,7 +227,6 @@ func newTenantEngine(id string, tier Tier, seed uint64, cfg *Config, nowNanos in
 		seed:   seed,
 		reg:    reg,
 		mm:     mm,
-		mon:    rms.NewMonitor(),
 		jss:    jss.New(),
 		// Tenant simulators are small (a handful of pending events);
 		// the binary heap beats the timing wheel's fixed footprint at
@@ -396,26 +394,21 @@ func (te *tenantEngine) snapshot() TenantStats {
 	return s
 }
 
-// hasWork reports whether the tenant has queued tasks.
-func (te *tenantEngine) hasWork() bool { return len(te.queue) > 0 }
-
-// step executes the head-of-queue task to a terminal state in virtual
-// time and returns true; false when the queue is empty.
-func (te *tenantEngine) step() bool {
-	if len(te.queue) == 0 {
-		return false
+// run executes the queued tasks in order, each to a terminal state in
+// virtual time, until the queue is empty.
+func (te *tenantEngine) run() {
+	for len(te.queue) > 0 {
+		ct := te.queue[0]
+		te.queue = te.queue[1:]
+		te.schedule(ct, 0)
+		// Run drains the attempt/retry/completion events this task put on
+		// the tenant's simulator; no other task is in flight, so the
+		// simulator is empty again when Run returns.
+		if err := te.sim.Run(); err != nil {
+			// Run only errors via Stop, which nothing here calls.
+			panic(fmt.Sprintf("controlplane: tenant %q simulator: %v", te.id, err))
+		}
 	}
-	ct := te.queue[0]
-	te.queue = te.queue[1:]
-	te.schedule(ct, 0)
-	// Run drains the attempt/retry/completion events this task put on the
-	// tenant's simulator; no other task is in flight, so the queue is
-	// empty again when Run returns.
-	if err := te.sim.Run(); err != nil {
-		// Run only errors via Stop, which nothing here calls.
-		panic(fmt.Sprintf("controlplane: tenant %q simulator: %v", te.id, err))
-	}
-	return true
 }
 
 // schedule arms one execution attempt for ct after delay.
@@ -445,18 +438,12 @@ func (te *tenantEngine) attempt(ct *cpTask, now sim.Time) {
 	}
 	exec, err := lease.Estimator.EstimateSeconds(ct.t.Work)
 	if err != nil {
-		te.release(lease, false)
+		te.release(lease)
 		te.evict(ct, now, err.Error())
 		return
 	}
 	overhead := lease.ReconfigDelay + lease.CompactionDelay + sim.Time(lease.SynthesisSeconds)
 	total := overhead + sim.Time(exec)
-	ttl := total + 1
-	if err := te.mon.Grant(lease, now+ttl); err != nil {
-		te.release(lease, false)
-		te.evict(ct, now, err.Error())
-		return
-	}
 
 	te.emit(obs.KindDispatch, ct, cand.Elem)
 	if lease.ReconfigDelay > 0 {
@@ -465,12 +452,11 @@ func (te *tenantEngine) attempt(ct *cpTask, now sim.Time) {
 
 	kind := elementKind(cand)
 	if strike, hit := te.faultWithin(now, now+total); hit {
-		// The attempt dies at the strike: the monitor expires the lease,
-		// the element is released, and the task retries (tier policy
-		// permitting) after backoff.
+		// The attempt dies at the strike: the element is released, and
+		// the task retries (tier policy permitting) after backoff.
 		te.sim.Schedule(strike, "fault-abort", func() {
 			at := te.sim.Now()
-			te.release(lease, true)
+			te.release(lease)
 			te.emit(obs.KindFail, ct, cand.Elem)
 			ct.attempts++
 			ct.lastFaultAt = at
@@ -487,7 +473,7 @@ func (te *tenantEngine) attempt(ct *cpTask, now sim.Time) {
 	}
 	te.sim.Schedule(now+total, "complete", func() {
 		at := te.sim.Now()
-		te.release(lease, false)
+		te.release(lease)
 		ct.state = stateDone
 		ct.doneAt = at
 		te.jss.ChargeFor(ct.sub, exec, kind)
@@ -510,16 +496,8 @@ func (te *tenantEngine) attempt(ct *cpTask, now sim.Time) {
 	})
 }
 
-// release settles (or expires) the lease with the monitor and frees the
-// element.
-func (te *tenantEngine) release(l *rms.Lease, expired bool) {
-	if te.mon.Active(l) {
-		if expired {
-			te.mon.Expire(l)
-		} else {
-			te.mon.Settle(l)
-		}
-	}
+// release frees the lease's element.
+func (te *tenantEngine) release(l *rms.Lease) {
 	// Release can only fail on double release, which the call sites
 	// exclude by construction.
 	if err := l.Release(); err != nil {

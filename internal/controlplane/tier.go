@@ -62,15 +62,16 @@ func Tiers() []Tier { return []Tier{TierFull, TierVirtualized, TierBackground} }
 
 // TierPolicy bundles everything the control plane derives from a tier.
 type TierPolicy struct {
-	// Priority orders dispatch across tenants within a shard; lower runs
-	// first when several tenants have queued work.
+	// Priority orders a drain or resume across a shard's tenants: lower
+	// runs its queue first.
 	Priority int
 	// GPPCores and RPEDevices describe the tenant's vFPGA slice: one
 	// node carrying a GPP with this many cores plus these catalog FPGAs.
 	GPPCores   int
 	RPEDevices []string
-	// MaxQueue bounds the tenant's pending queue; submissions beyond it
-	// are rejected with queue_full.
+	// MaxQueue caps the backlog a paused server accepts for the tenant
+	// (a running server executes each task as it is admitted);
+	// submissions beyond it are rejected with queue_full.
 	MaxQueue int
 	// RatePerSec/Burst are the token-bucket admission defaults (tokens
 	// are submissions). A zero rate disables refill-based limiting.

@@ -372,6 +372,10 @@ func TestStreamingCSVMatchesRecorder(t *testing.T) {
 		{},
 		{Time: 1.5, Kind: obs.KindQueued, TaskID: obs.Str(`comma,task`), Node: obs.Str(`quote"node`), Element: obs.Str("multi\nline")},
 		{Time: 2, Kind: obs.KindDispatch, TaskID: obs.Str("cr\rreturn"), Node: obs.Str("plain"), Element: obs.Str("")},
+		// encoding/csv also quotes a leading Unicode space and the
+		// field `\.`, but not an inner or trailing space.
+		{Time: 3, Kind: obs.KindComplete, TaskID: obs.Str(" t1"), Node: obs.Str("\tnode"), Element: obs.Str("\u00a0elem")},
+		{Time: 4, Kind: obs.KindFail, TaskID: obs.Str(`\.`), Node: obs.Str(`\.x`), Element: obs.Str("in ner ")},
 	}
 	rec2 := &obs.Recorder{}
 	var s2, b2 bytes.Buffer

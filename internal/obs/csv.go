@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
+	"unicode/utf8"
 )
 
 // CSV is the bounded-memory streaming trace sink: every event is encoded
@@ -130,10 +132,12 @@ func (c *CSV) writeHeaderLocked() bool {
 }
 
 // appendCSVField appends one field, quoting only when the value needs it
-// (comma, quote, CR, or LF) — the same minimal quoting encoding/csv
-// applies, keeping streamed output byte-identical to Recorder.WriteCSV.
+// (a comma, quote, CR or LF anywhere, a leading Unicode space, or the
+// whole field `\.`) — the same minimal quoting encoding/csv applies,
+// keeping streamed output byte-identical to Recorder.WriteCSV.
 func appendCSVField(dst []byte, s string) []byte {
-	if !strings.ContainsAny(s, ",\"\r\n") {
+	first, _ := utf8.DecodeRuneInString(s)
+	if !strings.ContainsAny(s, ",\"\r\n") && !unicode.IsSpace(first) && s != `\.` {
 		return append(dst, s...)
 	}
 	dst = append(dst, '"')

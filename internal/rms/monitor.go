@@ -2,16 +2,9 @@ package rms
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
-
-// grant is one outstanding lease's monitoring record.
-type grant struct {
-	deadline sim.Time
-	seq      int
-}
 
 // Monitor implements lease-based failure detection for the RMS: every
 // live allocation is granted a lease with a deadline, the owner renews it
@@ -23,8 +16,8 @@ type grant struct {
 // A Monitor belongs to one engine and, like the simulator it follows, is
 // driven from a single goroutine; it needs no locking.
 type Monitor struct {
-	leases map[*Lease]grant
-	seq    int
+	// leases maps each outstanding lease to its renewal deadline.
+	leases map[*Lease]sim.Time
 	// Granted/Settled/Expired count lease lifecycle outcomes.
 	Granted int
 	Settled int
@@ -33,7 +26,7 @@ type Monitor struct {
 
 // NewMonitor returns an empty monitor.
 func NewMonitor() *Monitor {
-	return &Monitor{leases: make(map[*Lease]grant)}
+	return &Monitor{leases: make(map[*Lease]sim.Time)}
 }
 
 // Grant registers a lease with its first renewal deadline.
@@ -44,8 +37,7 @@ func (m *Monitor) Grant(l *Lease, deadline sim.Time) error {
 	if _, ok := m.leases[l]; ok {
 		return fmt.Errorf("rms: lease already monitored")
 	}
-	m.seq++
-	m.leases[l] = grant{deadline: deadline, seq: m.seq}
+	m.leases[l] = deadline
 	m.Granted++
 	return nil
 }
@@ -53,12 +45,10 @@ func (m *Monitor) Grant(l *Lease, deadline sim.Time) error {
 // Renew extends a monitored lease's deadline; false if the lease is not
 // (or no longer) monitored.
 func (m *Monitor) Renew(l *Lease, deadline sim.Time) bool {
-	g, ok := m.leases[l]
-	if !ok {
+	if _, ok := m.leases[l]; !ok {
 		return false
 	}
-	g.deadline = deadline
-	m.leases[l] = g
+	m.leases[l] = deadline
 	return true
 }
 
@@ -70,8 +60,8 @@ func (m *Monitor) Active(l *Lease) bool {
 
 // Deadline returns a monitored lease's current deadline.
 func (m *Monitor) Deadline(l *Lease) (sim.Time, bool) {
-	g, ok := m.leases[l]
-	return g.deadline, ok
+	d, ok := m.leases[l]
+	return d, ok
 }
 
 // Settle removes a lease that completed normally; false if unknown.
@@ -96,25 +86,3 @@ func (m *Monitor) Expire(l *Lease) bool {
 
 // Outstanding returns the number of monitored leases.
 func (m *Monitor) Outstanding() int { return len(m.leases) }
-
-// OverdueAt returns the monitored leases whose deadline has passed at
-// now, in grant order — a deterministic sweep for callers that poll
-// instead of scheduling per-lease renewal events.
-func (m *Monitor) OverdueAt(now sim.Time) []*Lease {
-	type entry struct {
-		l *Lease
-		g grant
-	}
-	var due []entry
-	for l, g := range m.leases {
-		if g.deadline < now {
-			due = append(due, entry{l, g})
-		}
-	}
-	sort.Slice(due, func(i, j int) bool { return due[i].g.seq < due[j].g.seq })
-	out := make([]*Lease, len(due))
-	for i, e := range due {
-		out[i] = e.l
-	}
-	return out
-}

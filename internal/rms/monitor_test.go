@@ -45,30 +45,3 @@ func TestMonitorLifecycle(t *testing.T) {
 			m.Outstanding(), m.Granted, m.Settled, m.Expired)
 	}
 }
-
-func TestMonitorOverdueAtIsDeterministic(t *testing.T) {
-	m := NewMonitor()
-	leases := make([]*Lease, 8)
-	for i := range leases {
-		leases[i] = &Lease{}
-		if err := m.Grant(leases[i], 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Renew half past the probe time; the rest stay overdue.
-	for i := 0; i < len(leases); i += 2 {
-		m.Renew(leases[i], 100)
-	}
-	due := m.OverdueAt(50)
-	if len(due) != 4 {
-		t.Fatalf("overdue = %d, want 4", len(due))
-	}
-	for i, l := range due {
-		if l != leases[2*i+1] {
-			t.Fatalf("overdue[%d] not in grant order", i)
-		}
-	}
-	if got := m.OverdueAt(2); len(got) != 0 {
-		t.Fatalf("nothing should be overdue at t=2, got %d", len(got))
-	}
-}
