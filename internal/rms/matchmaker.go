@@ -279,7 +279,7 @@ func (m *Matchmaker) softcoreCandidates(req task.ExecReq, fallback bool) ([]Cand
 				if !ok || cfg.Slices() > dev.Slices {
 					continue
 				}
-				bsID := m.bitstreamID(c.Design(), dev.FPGACaps.Device, true)
+				bsID := m.bitstreamID(c.Design(), dev.FPGACaps.Device, dev.PartialRecon)
 				out = append(out, Candidate{
 					Node: n, Elem: e, Core: c,
 					Slices:        cfg.Slices(),
@@ -343,7 +343,7 @@ func (m *Matchmaker) userDefinedCandidates(req task.ExecReq) ([]Candidate, error
 			if !ok || area.Slices > dev.Slices || area.BRAMKb > dev.BRAMKb || area.DSPSlices > dev.DSPSlices {
 				continue
 			}
-			bsID := m.bitstreamID(req.Design.Name, dev.FPGACaps.Device, true)
+			bsID := m.bitstreamID(req.Design.Name, dev.FPGACaps.Device, dev.PartialRecon)
 			out = append(out, Candidate{
 				Node: n, Elem: e,
 				Slices:        area.Slices,

@@ -347,6 +347,67 @@ func TestAllocateUserDefinedReconfiguresThenReuses(t *testing.T) {
 	l2.Release()
 }
 
+// TestResidentConfigurationOnFullReconfigDevice pins the reuse probe on a
+// device without partial reconfiguration: Allocate loads a full image
+// there, so a released configuration must be reported resident, as
+// Estimate's zero reconfiguration delay already says it is.
+func TestResidentConfigurationOnFullReconfigDevice(t *testing.T) {
+	fir, _ := hdl.LookupIP("fir64")
+	for _, tc := range []struct {
+		name string
+		req  task.ExecReq
+	}{
+		{"softcore", task.ExecReq{
+			Scenario:     pe.PredeterminedHW,
+			SoftcoreISA:  "rvex-vliw",
+			Requirements: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 4),
+		}},
+		{"user-defined", task.ExecReq{
+			Scenario:     pe.UserDefinedHW,
+			Requirements: task.FPGAFamily("Virtex-4", 100),
+			Design:       fir,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			n := mkNode(t, "NodeA")
+			if _, err := n.AddRPE("XC4VLX60"); err != nil { // no partial reconfiguration
+				t.Fatal(err)
+			}
+			reg.AddNode(n)
+			mm := newMM(t, reg)
+			cands, err := mm.Candidates(tc.req)
+			if err != nil || len(cands) != 1 {
+				t.Fatalf("candidates: %+v %v", cands, err)
+			}
+			lease, err := mm.Allocate(cands[0], tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lease.ReconfigDelay <= 0 {
+				t.Error("first allocation should pay reconfiguration")
+			}
+			if err := lease.Release(); err != nil {
+				t.Fatal(err)
+			}
+			cands, err = mm.Candidates(tc.req)
+			if err != nil || len(cands) != 1 {
+				t.Fatalf("candidates: %+v %v", cands, err)
+			}
+			if !cands[0].AlreadyLoaded {
+				t.Error("resident full-device configuration not reported as loaded")
+			}
+			est, err := mm.Estimate(cands[0], tc.req, sampleWork())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.ReconfigDelay != 0 {
+				t.Errorf("estimate charges reconfiguration %v for a resident configuration", est.ReconfigDelay)
+			}
+		})
+	}
+}
+
 func TestAllocateEvictsIdleConfigurations(t *testing.T) {
 	reg := NewRegistry()
 	n := mkNode(t, "NodeA")
