@@ -162,7 +162,7 @@ func rvexBitstreamOn(rpe *node.Element) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	bs, err := c.Bitstream("rvex-demo", rpe.Fabric.Device())
+	bs, err := c.Bitstream(rpe.Fabric.Device())
 	if err != nil {
 		return "", err
 	}

@@ -64,8 +64,9 @@ func (a *Allocator) Fragmentation() float64 {
 }
 
 // Alloc reserves n contiguous slices first-fit and returns the start
-// address. It fails when no contiguous run of n slices exists, even if the
-// total free area would suffice (external fragmentation).
+// address. It fails with ErrNoRoom when no contiguous run of n slices
+// exists, even if the total free area would suffice (external
+// fragmentation).
 func (a *Allocator) Alloc(n int) (int, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("fabric: allocation of %d slices", n)
@@ -82,56 +83,7 @@ func (a *Allocator) Alloc(n int) (int, error) {
 		}
 		return start, nil
 	}
-	return 0, fmt.Errorf("fabric: no contiguous run of %d slices (free %d, largest %d)", n, a.Free(), a.LargestFree())
-}
-
-// AllocBestFit reserves n contiguous slices from the smallest free extent
-// that fits, which reduces fragmentation for skewed size mixes. Used by the
-// allocation-policy ablation.
-func (a *Allocator) AllocBestFit(n int) (int, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("fabric: allocation of %d slices", n)
-	}
-	best := -1
-	for i, e := range a.free {
-		if e.Len >= n && (best < 0 || e.Len < a.free[best].Len) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return 0, fmt.Errorf("fabric: no contiguous run of %d slices (free %d, largest %d)", n, a.Free(), a.LargestFree())
-	}
-	e := a.free[best]
-	start := e.Start
-	if e.Len == n {
-		a.free = append(a.free[:best], a.free[best+1:]...)
-	} else {
-		a.free[best] = extent{e.Start + n, e.Len - n}
-	}
-	return start, nil
-}
-
-// AllocAt claims the exact range [start, start+n), failing if any part of
-// it is already allocated. Compaction uses it to pin busy regions in place.
-func (a *Allocator) AllocAt(start, n int) error {
-	if n <= 0 || start < 0 || start+n > a.total {
-		return fmt.Errorf("fabric: AllocAt invalid range [%d,%d)", start, start+n)
-	}
-	for i, e := range a.free {
-		if e.Start <= start && start+n <= e.Start+e.Len {
-			// Split the hosting extent into up to two remainders.
-			var repl []extent
-			if start > e.Start {
-				repl = append(repl, extent{e.Start, start - e.Start})
-			}
-			if start+n < e.Start+e.Len {
-				repl = append(repl, extent{start + n, e.Start + e.Len - (start + n)})
-			}
-			a.free = append(a.free[:i], append(repl, a.free[i+1:]...)...)
-			return nil
-		}
-	}
-	return fmt.Errorf("fabric: range [%d,%d) not free", start, start+n)
+	return 0, ErrNoRoom
 }
 
 // Release returns [start, start+n) to the free pool, coalescing with
@@ -164,5 +116,5 @@ func (a *Allocator) Release(start, n int) error {
 
 // Reset frees the entire address space (what a full reconfiguration does).
 func (a *Allocator) Reset() {
-	a.free = []extent{{0, a.total}}
+	a.free = append(a.free[:0], extent{0, a.total})
 }

@@ -99,37 +99,6 @@ func TestAllocatorReleaseValidation(t *testing.T) {
 	}
 }
 
-func TestAllocatorBestFitReducesWaste(t *testing.T) {
-	a := NewAllocator(100)
-	s1, _ := a.Alloc(10) // [0,10)
-	_, _ = a.Alloc(50)   // [10,60)
-	s3, _ := a.Alloc(40) // [60,100)
-	_ = s3
-	if err := a.Release(s1, 10); err != nil { // free [0,10)
-		t.Fatal(err)
-	}
-	if err := a.Release(60, 40); err != nil { // free [60,100)
-		t.Fatal(err)
-	}
-	// Best-fit for 10 should take the exact [0,10) hole, not carve [60,100).
-	s, err := a.AllocBestFit(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 0 {
-		t.Errorf("best-fit start = %d, want 0", s)
-	}
-	if a.LargestFree() != 40 {
-		t.Errorf("largest free = %d, want 40 preserved", a.LargestFree())
-	}
-	if _, err := a.AllocBestFit(0); err == nil {
-		t.Error("zero best-fit accepted")
-	}
-	if _, err := a.AllocBestFit(99); err == nil {
-		t.Error("oversized best-fit accepted")
-	}
-}
-
 func TestAllocatorReset(t *testing.T) {
 	a := NewAllocator(50)
 	a.Alloc(20)

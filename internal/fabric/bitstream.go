@@ -91,13 +91,6 @@ func PartialBitstream(id, design string, dev Device, regionSlices int) *Bitstrea
 	}
 }
 
-// PartialSizeBytes returns the image size of a partial bitstream covering
-// the given region area — what PartialBitstream would report — without
-// building the bitstream, for cost estimators probing many candidates.
-func PartialSizeBytes(regionSlices int) int64 {
-	return int64(regionSlices) * bitstreamBytesPerSlice
-}
-
 // ConfigDelay returns the time to push a bitstream through a configuration
 // port with the given bandwidth (MB/s).
 func ConfigDelay(sizeBytes int64, reconfigMBps float64) sim.Time {

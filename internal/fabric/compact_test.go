@@ -1,38 +1,10 @@
 package fabric
 
-import "testing"
-
-func TestAllocAt(t *testing.T) {
-	a := NewAllocator(100)
-	if err := a.AllocAt(20, 30); err != nil {
-		t.Fatal(err)
-	}
-	if a.Free() != 70 {
-		t.Errorf("Free = %d", a.Free())
-	}
-	// The claimed range is gone; its neighbours remain.
-	if err := a.AllocAt(25, 5); err == nil {
-		t.Error("overlapping AllocAt accepted")
-	}
-	if err := a.AllocAt(0, 20); err != nil {
-		t.Errorf("left remainder not allocatable: %v", err)
-	}
-	if err := a.AllocAt(50, 50); err != nil {
-		t.Errorf("right remainder not allocatable: %v", err)
-	}
-	if a.Free() != 0 {
-		t.Errorf("Free = %d, want 0", a.Free())
-	}
-	if err := a.AllocAt(-1, 5); err == nil {
-		t.Error("negative start accepted")
-	}
-	if err := a.AllocAt(99, 5); err == nil {
-		t.Error("overflow accepted")
-	}
-	if err := a.AllocAt(0, 0); err == nil {
-		t.Error("zero length accepted")
-	}
-}
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 func TestCompactConsolidatesFreeSpace(t *testing.T) {
 	f, err := NewByName("XC5VLX110T") // 17,280 slices
@@ -173,5 +145,84 @@ func TestFullReconfigResetsSecondaryBudget(t *testing.T) {
 	}
 	if f.State().AvailableBRAMKb != dev.BRAMKb-5000 {
 		t.Errorf("available BRAM = %d", f.State().AvailableBRAMKb)
+	}
+}
+
+// TestCompactProperties drives fabrics through seeded random configure,
+// acquire, release and evict sequences and compacts after every step.
+// Each compaction must keep busy regions at their addresses, regions in
+// ID order and the free area unchanged, leave no two regions overlapping,
+// and move no idle region up.
+func TestCompactProperties(t *testing.T) {
+	totalMoved := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		f, err := NewByName("XC5VLX110T")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev := f.Device()
+		for step := 0; step < 150; step++ {
+			regions := f.Regions()
+			pick := func() *Region { return regions[rng.Intn(len(regions))] }
+			switch op := rng.Intn(4); {
+			case op == 0 || len(regions) == 0:
+				bs := PartialBitstream(fmt.Sprintf("c%d", step), "k", dev, 300+rng.Intn(5000))
+				if _, _, err := f.ConfigurePartial(bs); err != nil && err != ErrNoRoom {
+					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				}
+			case op == 1:
+				if r := pick(); !r.Busy {
+					f.Acquire(r)
+				}
+			case op == 2:
+				if r := pick(); r.Busy {
+					f.ReleaseRegion(r)
+				}
+			default:
+				if r := pick(); !r.Busy {
+					f.Evict(r)
+				}
+			}
+
+			before := make(map[*Region]int)
+			for _, r := range f.Regions() {
+				before[r] = r.Start
+			}
+			free := f.State().AvailableSlices
+			moved, _, err := f.Compact()
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			totalMoved += moved
+			after := f.Regions()
+			if got := f.State().AvailableSlices; got != free {
+				t.Fatalf("seed %d step %d: free area %d, was %d", seed, step, got, free)
+			}
+			occupied := 0
+			for i, r := range after {
+				occupied += r.Slices
+				if i > 0 && after[i-1].ID >= r.ID {
+					t.Fatalf("seed %d step %d: regions out of ID order", seed, step)
+				}
+				if r.Busy && r.Start != before[r] {
+					t.Fatalf("seed %d step %d: busy region %d moved %d -> %d", seed, step, r.ID, before[r], r.Start)
+				}
+				if r.Start > before[r] {
+					t.Fatalf("seed %d step %d: idle region %d moved up %d -> %d", seed, step, r.ID, before[r], r.Start)
+				}
+				for _, o := range after[:i] {
+					if r.Start < o.Start+o.Slices && o.Start < r.Start+r.Slices {
+						t.Fatalf("seed %d step %d: regions %d and %d overlap", seed, step, o.ID, r.ID)
+					}
+				}
+			}
+			if occupied+free != dev.Slices {
+				t.Fatalf("seed %d step %d: %d slices occupied and %d free on a %d-slice device", seed, step, occupied, free, dev.Slices)
+			}
+		}
+	}
+	if totalMoved == 0 {
+		t.Fatal("no compaction moved a region: the sequences exercise nothing")
 	}
 }

@@ -1,10 +1,26 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
+)
+
+// Placement failures are plain values: on a loaded grid most placements
+// fail, and the matchmaker answers them by compacting or evicting and
+// trying again, so building a message per failure would be wasted work.
+var (
+	// ErrNoRoom reports that no contiguous free run fits the configuration.
+	ErrNoRoom = errors.New("fabric: no contiguous free run fits the configuration")
+	// ErrNoBRAM reports that resident configurations hold too much block RAM.
+	ErrNoBRAM = errors.New("fabric: not enough free block RAM")
+	// ErrNoDSP reports that resident configurations hold too many DSP slices.
+	ErrNoDSP = errors.New("fabric: not enough free DSP slices")
+	// ErrBusy reports a full reconfiguration while a region is executing.
+	ErrBusy = errors.New("fabric: full reconfiguration with a busy region")
 )
 
 // Region is a slice range on a fabric currently holding a configuration.
@@ -70,7 +86,6 @@ type Fabric struct {
 	// no per-call allocation or sort.
 	regions          []*Region
 	nextID           int
-	policy           AllocPolicy
 	reconfigurations int
 	// usedBRAMKb and usedDSP track secondary-resource consumption by
 	// resident configurations; slices alone do not bound a placement.
@@ -80,15 +95,6 @@ type Fabric struct {
 	// utilization accounting.
 	reconfigTime sim.Time
 }
-
-// AllocPolicy selects the placement policy for partial regions.
-type AllocPolicy int
-
-// Placement policies.
-const (
-	FirstFit AllocPolicy = iota
-	BestFit
-)
 
 // New creates an idle, unconfigured fabric for a catalog device.
 func New(dev Device) *Fabric {
@@ -106,9 +112,6 @@ func NewByName(device string) (*Fabric, error) {
 	}
 	return New(dev), nil
 }
-
-// SetPolicy selects the region placement policy.
-func (f *Fabric) SetPolicy(p AllocPolicy) { f.policy = p }
 
 // Device returns the immutable part description.
 func (f *Fabric) Device() Device { return f.dev }
@@ -185,20 +188,18 @@ func (f *Fabric) checkTarget(bs *Bitstream) error {
 // checkSecondary verifies BRAM and DSP budgets for a new configuration.
 func (f *Fabric) checkSecondary(bs *Bitstream) error {
 	if f.usedBRAMKb+bs.BRAMKb > f.dev.BRAMKb {
-		return fmt.Errorf("fabric: %s needs %d Kb BRAM, %d free on %s",
-			bs.ID, bs.BRAMKb, f.dev.BRAMKb-f.usedBRAMKb, f.dev.FPGACaps.Device)
+		return ErrNoBRAM
 	}
 	if f.usedDSP+bs.DSPSlices > f.dev.DSPSlices {
-		return fmt.Errorf("fabric: %s needs %d DSP slices, %d free on %s",
-			bs.ID, bs.DSPSlices, f.dev.DSPSlices-f.usedDSP, f.dev.FPGACaps.Device)
+		return ErrNoDSP
 	}
 	return nil
 }
 
 // ConfigureFull performs a full reconfiguration: every existing region is
-// wiped and the whole device is given to the new configuration. It fails if
-// any region is busy. The returned delay is what the caller must advance in
-// simulated time before the region is usable.
+// wiped and the whole device is given to the new configuration. It fails
+// with ErrBusy if any region is busy. The returned delay is what the
+// caller must advance in simulated time before the region is usable.
 func (f *Fabric) ConfigureFull(bs *Bitstream) (*Region, sim.Time, error) {
 	if err := f.checkTarget(bs); err != nil {
 		return nil, 0, err
@@ -211,7 +212,7 @@ func (f *Fabric) ConfigureFull(bs *Bitstream) (*Region, sim.Time, error) {
 	}
 	for _, r := range f.regions {
 		if r.Busy {
-			return nil, 0, fmt.Errorf("fabric: full reconfiguration with busy region %d", r.ID)
+			return nil, 0, ErrBusy
 		}
 	}
 	f.regions = f.regions[:0]
@@ -237,7 +238,8 @@ func (f *Fabric) ConfigureFull(bs *Bitstream) (*Region, sim.Time, error) {
 
 // ConfigurePartial loads a partial bitstream into a newly allocated region,
 // leaving existing regions untouched. It fails if the device does not
-// support partial reconfiguration or no contiguous area is free.
+// support partial reconfiguration, and with ErrNoRoom, ErrNoBRAM or
+// ErrNoDSP when the resident configurations leave too little room.
 func (f *Fabric) ConfigurePartial(bs *Bitstream) (*Region, sim.Time, error) {
 	if err := f.checkTarget(bs); err != nil {
 		return nil, 0, err
@@ -251,13 +253,7 @@ func (f *Fabric) ConfigurePartial(bs *Bitstream) (*Region, sim.Time, error) {
 	if err := f.checkSecondary(bs); err != nil {
 		return nil, 0, err
 	}
-	var start int
-	var err error
-	if f.policy == BestFit {
-		start, err = f.alloc.AllocBestFit(bs.Slices)
-	} else {
-		start, err = f.alloc.Alloc(bs.Slices)
-	}
+	start, err := f.alloc.Alloc(bs.Slices)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -320,25 +316,38 @@ func (f *Fabric) ReleaseRegion(r *Region) error {
 // place. Rewriting a moved region costs its configuration delay; the total
 // is returned so callers can charge it in simulated time.
 func (f *Fabric) Compact() (moved int, delay sim.Time, err error) {
-	regions := f.Regions()
-	sort.Slice(regions, func(i, j int) bool { return regions[i].Start < regions[j].Start })
-	f.alloc.Reset()
-	// Pin busy regions first: their addresses cannot change.
-	for _, r := range regions {
-		if r.Busy {
-			if err := f.alloc.AllocAt(r.Start, r.Slices); err != nil {
-				return 0, 0, fmt.Errorf("fabric: compaction lost a busy region: %w", err)
-			}
+	// Walk the regions in address order, and restore ID order on return.
+	slices.SortFunc(f.regions, byStart)
+	defer slices.SortFunc(f.regions, byID)
+	// Busy regions keep their addresses, so the free list becomes the gaps
+	// between them, rebuilt in its own backing array.
+	a := f.alloc
+	a.free = a.free[:0]
+	end := 0
+	for _, r := range f.regions {
+		if !r.Busy {
+			continue
 		}
+		if r.Start < end {
+			return 0, 0, fmt.Errorf("fabric: busy region %d overlaps its predecessor", r.ID)
+		}
+		if r.Start > end {
+			a.free = append(a.free, extent{end, r.Start - end})
+		}
+		end = r.Start + r.Slices
 	}
-	// Re-place idle regions lowest-first.
-	for _, r := range regions {
+	if end < a.total {
+		a.free = append(a.free, extent{end, a.total - end})
+	}
+	// Re-place idle regions first-fit in address order. Each region's old
+	// range is still free when its turn comes, so none moves up.
+	for _, r := range f.regions {
 		if r.Busy {
 			continue
 		}
-		start, allocErr := f.alloc.Alloc(r.Slices)
+		start, allocErr := a.Alloc(r.Slices)
 		if allocErr != nil {
-			// Cannot happen: the region fit before and nothing grew.
+			// Cannot happen: the region's old range is free.
 			return moved, delay, fmt.Errorf("fabric: compaction failed to re-place region %d: %w", r.ID, allocErr)
 		}
 		if start != r.Start {
@@ -352,6 +361,20 @@ func (f *Fabric) Compact() (moved int, delay sim.Time, err error) {
 		f.reconfigTime += delay
 	}
 	return moved, delay, nil
+}
+
+func byStart(a, b *Region) int { return a.Start - b.Start }
+func byID(a, b *Region) int    { return a.ID - b.ID }
+
+// OldestIdle returns the idle region loaded first, the one eviction gives
+// up first, or nil when every region is busy.
+func (f *Fabric) OldestIdle() *Region {
+	for _, r := range f.regions {
+		if !r.Busy {
+			return r
+		}
+	}
+	return nil
 }
 
 // Regions returns a copy of the resident regions sorted by ID.

@@ -253,15 +253,6 @@ func TestBitstreamValidate(t *testing.T) {
 	}
 }
 
-func TestBestFitPolicyOnFabric(t *testing.T) {
-	f := lx155(t)
-	f.SetPolicy(BestFit)
-	bs := PartialBitstream("p", "k", f.Device(), 1000)
-	if _, _, err := f.ConfigurePartial(bs); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConfigDelayMatchesBandwidth(t *testing.T) {
 	// Virtex-6 configures twice as fast per byte as Virtex-5 in the catalog.
 	v5, _ := LookupDevice("XC5VLX330T")

@@ -1,8 +1,10 @@
 package rms
 
 import (
+	"errors"
 	"testing"
 
+	"repro/internal/capability"
 	"repro/internal/fabric"
 	"repro/internal/hdl"
 	"repro/internal/pe"
@@ -99,5 +101,60 @@ func TestDisableCompactionFallsBackToEviction(t *testing.T) {
 	st := f.State()
 	if len(st.Configurations) >= 3 {
 		t.Errorf("expected evictions, configurations = %v", st.Configurations)
+	}
+}
+
+// TestFailedPlacementZeroAllocs pins the failure path, the common case on
+// a loaded grid, as allocation-free: a soft-core placement on a fabric
+// whose busy regions leave no room compacts, finds nothing idle to evict
+// and fails with the fabric's sentinel, building nothing on the way.
+func TestFailedPlacementZeroAllocs(t *testing.T) {
+	reg := NewRegistry()
+	n := mkNode(t, "NodeA")
+	elem, err := n.AddRPE("XC5VLX110T") // 17,280 slices
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.AddNode(n)
+	mm := newMM(t, reg)
+	f := elem.Fabric
+	// Busy regions at [0,4000) and [8000,12000) leave 4,000 + 5,280 free.
+	var regions []*fabric.Region
+	for i := 0; i < 4; i++ {
+		r, _, err := f.ConfigurePartial(fabric.PartialBitstream(string(rune('a'+i)), "k", f.Device(), 4000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		regions = append(regions, r)
+	}
+	for i, r := range regions {
+		if i%2 == 0 {
+			err = f.Acquire(r)
+		} else {
+			err = f.Evict(r)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	req := task.ExecReq{
+		Scenario:     pe.PredeterminedHW,
+		SoftcoreISA:  "rvex-vliw",
+		Requirements: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 8),
+	}
+	cands, err := mm.Candidates(req)
+	if err != nil || len(cands) != 1 {
+		t.Fatalf("candidates: %+v %v", cands, err)
+	}
+	cand := cands[0]
+	if cand.Slices <= f.State().LargestFree {
+		t.Fatalf("setup: a %d-slice core fits the %d-slice gap", cand.Slices, f.State().LargestFree)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		if _, err := mm.Allocate(cand, req); !errors.Is(err, fabric.ErrNoRoom) {
+			t.Fatalf("Allocate = %v, want ErrNoRoom", err)
+		}
+	}); avg != 0 {
+		t.Errorf("failed placement allocates %.1f times per call, want 0", avg)
 	}
 }

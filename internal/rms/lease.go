@@ -1,6 +1,7 @@
 package rms
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/capability"
@@ -118,56 +119,21 @@ func (m *Matchmaker) Estimate(c Candidate, req task.ExecReq, w pe.Work) (CostEst
 		return out, fmt.Errorf("rms: candidate element %s has no backing model", c.Elem.ID)
 	}
 
-	f := c.Elem.Fabric
-	dev := f.Device()
-	var est pe.Estimator
-	var bsID string
-	var bsBytes int64
-	switch {
-	case c.Core != nil:
-		cfg := c.Core.Config()
-		bsID = m.bitstreamID(c.Core.Design(), dev.FPGACaps.Device, dev.PartialRecon)
-		if dev.PartialRecon {
-			bsBytes = fabric.PartialSizeBytes(cfg.Slices())
-		} else {
-			bsBytes = dev.BitstreamBytes
-		}
-		est = c.Core
-	case req.Scenario == pe.UserDefinedHW:
-		if m.tc == nil {
-			return out, fmt.Errorf("rms: provider has no CAD toolchain")
-		}
-		key := m.bitstreamID(req.Design.Name, dev.FPGACaps.Device, dev.PartialRecon)
-		m.synthMu.RLock()
-		res, cached := m.synthCache[key]
-		m.synthMu.RUnlock()
-		if !cached {
-			var err error
-			res, err = m.tc.Synthesize(req.Design, dev, dev.PartialRecon)
-			if err != nil {
-				return out, err
-			}
-			out.SynthesisSeconds = res.ToolSeconds
-		}
-		bsID = res.Bitstream.ID
-		bsBytes = res.Bitstream.SizeBytes
-		est = res.Accelerate(req.Design)
-	case req.Scenario == pe.DeviceSpecificHW:
-		bsID = req.Bitstream.ID
-		bsBytes = req.Bitstream.SizeBytes
-		est = userBitstreamEstimator{}
-	default:
-		return out, fmt.Errorf("rms: scenario %v cannot run on fabric without a core or design", req.Scenario)
+	bs, est, fresh, err := m.resolve(c, req)
+	if err != nil {
+		return out, err
 	}
-
+	if fresh != nil {
+		out.SynthesisSeconds = fresh.ToolSeconds
+	}
 	exec, err := est.EstimateSeconds(w)
 	if err != nil {
 		return out, err
 	}
 	out.ExecSeconds = exec
-	if f.FindLoaded(bsID) == nil {
-		out.ReconfigDelay = fabric.ConfigDelay(bsBytes, dev.ReconfigMBps)
-		out.BitstreamMB = float64(bsBytes) / 1e6
+	if f := c.Elem.Fabric; f.FindLoaded(bs.ID) == nil {
+		out.ReconfigDelay = fabric.ConfigDelay(bs.SizeBytes, f.Device().ReconfigMBps)
+		out.BitstreamMB = float64(bs.SizeBytes) / 1e6
 	}
 	return out, nil
 }
@@ -195,53 +161,24 @@ func (m *Matchmaker) Allocate(c Candidate, req task.ExecReq) (*Lease, error) {
 	return nil, fmt.Errorf("rms: candidate element %s has no backing model", c.Elem.ID)
 }
 
+// allocateFabric places c's configuration, reusing a resident idle copy
+// when there is one. A failed placement builds nothing.
 func (m *Matchmaker) allocateFabric(c Candidate, req task.ExecReq) (*Lease, error) {
-	f := c.Elem.Fabric
-	dev := f.Device()
-	lease := &Lease{Cand: c}
-
-	var bs *fabric.Bitstream
-	switch {
-	case c.Core != nil:
-		cfg := c.Core.Config()
-		id := m.bitstreamID(c.Core.Design(), dev.FPGACaps.Device, dev.PartialRecon)
-		if dev.PartialRecon {
-			var err error
-			bs, err = c.Core.Bitstream(id, dev)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			bs = fabric.FullBitstream(id, "softcore-"+cfg.Caps.ISA, dev, cfg.Slices())
-		}
-		lease.Estimator = c.Core
-	case req.Scenario == pe.UserDefinedHW:
-		if m.tc == nil {
-			return nil, fmt.Errorf("rms: provider has no CAD toolchain for user-defined hardware")
-		}
-		res, synthSeconds, err := m.synthesize(req.Design, dev)
-		if err != nil {
-			return nil, err
-		}
-		bs = res.Bitstream
-		lease.SynthesisSeconds = synthSeconds
-		lease.Estimator = res.Accelerate(req.Design)
-	case req.Scenario == pe.DeviceSpecificHW:
-		bs = req.Bitstream
-		lease.Estimator = userBitstreamEstimator{}
-	default:
-		return nil, fmt.Errorf("rms: scenario %v cannot run on fabric without a core or design", req.Scenario)
+	bs, est, fresh, err := m.resolve(c, req)
+	if err != nil {
+		return nil, err
 	}
-
-	// Reuse a resident idle configuration when possible.
+	var synthSeconds float64
+	if fresh != nil {
+		synthSeconds = m.commit(fresh)
+	}
+	f := c.Elem.Fabric
 	if r := f.FindLoaded(bs.ID); r != nil {
 		if err := f.Acquire(r); err != nil {
 			return nil, err
 		}
-		lease.Region = r
-		return lease, nil
+		return &Lease{Cand: c, Region: r, Estimator: est, SynthesisSeconds: synthSeconds}, nil
 	}
-
 	region, delay, compaction, err := m.configure(f, bs)
 	if err != nil {
 		return nil, err
@@ -249,13 +186,47 @@ func (m *Matchmaker) allocateFabric(c Candidate, req task.ExecReq) (*Lease, erro
 	if err := f.Acquire(region); err != nil {
 		return nil, err
 	}
-	lease.Region = region
-	lease.ReconfigDelay = delay
-	lease.CompactionDelay = compaction.delay
-	lease.CompactionMoves = compaction.moves
-	lease.BitstreamMB = float64(bs.SizeBytes) / 1e6
-	return lease, nil
+	return &Lease{
+		Cand:             c,
+		Region:           region,
+		Estimator:        est,
+		ReconfigDelay:    delay,
+		BitstreamMB:      float64(bs.SizeBytes) / 1e6,
+		CompactionDelay:  compaction.delay,
+		CompactionMoves:  compaction.moves,
+		SynthesisSeconds: synthSeconds,
+	}, nil
 }
+
+// resolve decides a fabric candidate's configuration for req: the
+// bitstream it loads, the estimator that times work on it and, when req's
+// design was never synthesized for the device, that first synthesis. The
+// caller charges the synthesis's tool time; only Allocate commits it.
+func (m *Matchmaker) resolve(c Candidate, req task.ExecReq) (*fabric.Bitstream, pe.Estimator, *hdl.SynthesisResult, error) {
+	dev := c.Elem.Fabric.Device()
+	switch {
+	case c.Core != nil:
+		bs, err := c.Core.Bitstream(dev)
+		return bs, c.Core, nil, err
+	case req.Scenario == pe.UserDefinedHW:
+		if m.tc == nil {
+			return nil, nil, nil, errNoToolchain
+		}
+		if res := m.cachedSynthesis(req.Design.Name, dev); res != nil {
+			return res.Bitstream, res.Accelerate(req.Design), nil, nil
+		}
+		res, err := m.tc.Synthesize(req.Design, dev, dev.PartialRecon)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return res.Bitstream, res.Accelerate(req.Design), res, nil
+	case req.Scenario == pe.DeviceSpecificHW:
+		return req.Bitstream, userBitstreamEstimator{}, nil, nil
+	}
+	return nil, nil, nil, fmt.Errorf("rms: scenario %v cannot run on fabric without a core or design", req.Scenario)
+}
+
+var errNoToolchain = errors.New("rms: provider has no CAD toolchain")
 
 // PrewarmSynthesis synthesizes a design for a device into the provider's
 // bitstream library ahead of time, so later allocations pay no CAD time.
@@ -263,42 +234,53 @@ func (m *Matchmaker) allocateFabric(c Candidate, req task.ExecReq) (*Lease, erro
 // ready bitstreams for popular library IPs.
 func (m *Matchmaker) PrewarmSynthesis(d *hdl.Design, dev fabric.Device) error {
 	if m.tc == nil {
-		return fmt.Errorf("rms: provider has no CAD toolchain")
+		return errNoToolchain
 	}
 	if !m.tc.Supports(dev.Family) {
 		return fmt.Errorf("rms: toolchain does not support %s", dev.Family)
 	}
-	_, _, err := m.synthesize(d, dev)
-	return err
-}
-
-// synthesize runs (or replays from cache) a synthesis for design×device.
-func (m *Matchmaker) synthesize(d *hdl.Design, dev fabric.Device) (*hdl.SynthesisResult, float64, error) {
-	key := m.bitstreamID(d.Name, dev.FPGACaps.Device, dev.PartialRecon)
-	m.synthMu.RLock()
-	res, ok := m.synthCache[key]
-	m.synthMu.RUnlock()
-	if ok {
-		return res, 0, nil
+	if m.cachedSynthesis(d.Name, dev) != nil {
+		return nil
 	}
 	res, err := m.tc.Synthesize(d, dev, dev.PartialRecon)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
+	m.commit(res)
+	return nil
+}
+
+// synthKey identifies one synthesis: a design for a device, partial or
+// full.
+type synthKey struct {
+	design, device string
+	partial        bool
+}
+
+// cachedSynthesis returns the committed synthesis of the named design for
+// the kind of image dev loads, or nil.
+func (m *Matchmaker) cachedSynthesis(design string, dev fabric.Device) *hdl.SynthesisResult {
+	m.synthMu.RLock()
+	defer m.synthMu.RUnlock()
+	return m.synthCache[synthKey{design, dev.FPGACaps.Device, dev.PartialRecon}]
+}
+
+// commit adds a first synthesis to the cache and returns the tool seconds
+// to charge for it. A concurrent caller may have committed the same
+// design×device×kind first; its result stays, and this duplicate is free
+// since the cost was already charged once.
+func (m *Matchmaker) commit(res *hdl.SynthesisResult) float64 {
+	k := synthKey{res.Design, res.Device, res.Bitstream.Partial}
 	m.synthMu.Lock()
 	defer m.synthMu.Unlock()
-	if m.synthCache == nil { // zero-value Matchmaker
-		m.synthCache = make(map[string]*hdl.SynthesisResult)
+	if _, ok := m.synthCache[k]; ok {
+		return 0
 	}
-	// A concurrent caller may have synthesized the same pair while we were;
-	// keep the first result so every reader sees one canonical bitstream,
-	// and report zero tool time for the duplicate (the cost was already
-	// charged once).
-	if prior, ok := m.synthCache[key]; ok {
-		return prior, 0, nil
+	if m.synthCache == nil {
+		m.synthCache = make(map[synthKey]*hdl.SynthesisResult)
 	}
-	m.synthCache[key] = res
-	return res, res.ToolSeconds, nil
+	m.synthCache[k] = res
+	return res.ToolSeconds
 }
 
 // compactionCost reports defragmentation work done during configure.
@@ -309,7 +291,8 @@ type compactionCost struct {
 
 // configure loads a bitstream. When a partial placement fails it first
 // compacts the fabric (preserving loaded configurations), then falls back
-// to evicting idle configurations oldest-first.
+// to evicting idle configurations oldest-first. It fails with the fabric's
+// own error once nothing idle is left to evict.
 func (m *Matchmaker) configure(f *fabric.Fabric, bs *fabric.Bitstream) (*fabric.Region, sim.Time, compactionCost, error) {
 	var compaction compactionCost
 	if !bs.Partial {
@@ -335,17 +318,12 @@ func (m *Matchmaker) configure(f *fabric.Fabric, bs *fabric.Bitstream) (*fabric.
 			}
 		}
 		// Second resort: evict the oldest idle region.
-		evicted := false
-		for _, r := range f.Regions() {
-			if !r.Busy {
-				if evictErr := f.Evict(r); evictErr == nil {
-					evicted = true
-					break
-				}
-			}
+		r := f.OldestIdle()
+		if r == nil {
+			return nil, 0, compaction, err
 		}
-		if !evicted {
-			return nil, 0, compaction, fmt.Errorf("rms: cannot place %d slices on %s: %w", bs.Slices, f.Device().FPGACaps.Device, err)
+		if err := f.Evict(r); err != nil {
+			return nil, 0, compaction, err
 		}
 	}
 }

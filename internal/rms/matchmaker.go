@@ -49,17 +49,12 @@ type Matchmaker struct {
 	// predetermined-hardware scenario and the software-only fallback.
 	// Read-only: the default library is shared by every matchmaker.
 	cores []*softcore.Core
-	// synthCache memoizes synthesis results per design×device so CAD time
-	// is paid once: matching mutates the cache, and two engines sharing a
-	// matchmaker (or a future concurrent RMS) would otherwise race.
+	// synthCache memoizes synthesis results per design×device×kind so CAD
+	// time is paid once: matching mutates the cache, and two engines
+	// sharing a matchmaker (or a future concurrent RMS) would otherwise
+	// race. Made on the first commit.
 	synthMu    sync.RWMutex
-	synthCache map[string]*hdl.SynthesisResult // guarded by synthMu
-	// idCache memoizes hdl.BitstreamID per design×device×kind: the reuse
-	// probe runs once per candidate per dispatch round, and rebuilding
-	// the ID string dominated the allocation profile. Guarded by idMu for
-	// the same shared-matchmaker reason as synthCache.
-	idMu    sync.RWMutex
-	idCache map[bsKey]string
+	synthCache map[synthKey]*hdl.SynthesisResult // guarded by synthMu
 	// candBuf is the scratch candidate slice the scenario scans build
 	// into; the returned slice is valid until the next Candidates call
 	// (the engine consumes it within one dispatch attempt).
@@ -103,38 +98,7 @@ func NewMatchmaker(reg *Registry, tc *hdl.Toolchain, cores ...*softcore.Core) (*
 			return nil, err
 		}
 	}
-	return &Matchmaker{
-		reg: reg, tc: tc, cores: cores,
-		synthCache: make(map[string]*hdl.SynthesisResult),
-		idCache:    make(map[bsKey]string),
-	}, nil
-}
-
-// bsKey identifies one bitstream-ID memo entry.
-type bsKey struct {
-	design, device string
-	partial        bool
-}
-
-// bitstreamID is hdl.BitstreamID behind a memo table: candidate probing
-// asks for the same design×device IDs over and over, so after the first
-// build the hot path stops allocating.
-func (m *Matchmaker) bitstreamID(design, device string, partial bool) string {
-	k := bsKey{design: design, device: device, partial: partial}
-	m.idMu.RLock()
-	id, ok := m.idCache[k]
-	m.idMu.RUnlock()
-	if ok {
-		return id
-	}
-	id = hdl.BitstreamID(design, device, partial)
-	m.idMu.Lock()
-	if m.idCache == nil { // zero-value Matchmaker
-		m.idCache = make(map[bsKey]string)
-	}
-	m.idCache[k] = id
-	m.idMu.Unlock()
-	return id
+	return &Matchmaker{reg: reg, tc: tc, cores: cores}, nil
 }
 
 // nodes snapshots the registry into the matchmaker's scratch buffer for
@@ -164,7 +128,7 @@ func (m *Matchmaker) Candidates(req task.ExecReq) ([]Candidate, error) {
 		if req.Requirements.Kind() == capability.KindGPU {
 			return m.gpuCandidates(req)
 		}
-		return m.softcoreCandidates(req, false)
+		return m.softcoreCandidates(req)
 	case pe.UserDefinedHW:
 		return m.userDefinedCandidates(req)
 	case pe.DeviceSpecificHW:
@@ -250,10 +214,6 @@ func (m *Matchmaker) pickCore(isa string, needMIPS float64, e *node.Element) *so
 		if cfg.Slices() > dev.Slices {
 			continue
 		}
-		if !dev.PartialRecon && cfg.Slices() < dev.Slices {
-			// Without partial reconfiguration a soft-core occupies the whole
-			// device; still feasible, just exclusive.
-		}
 		return c
 	}
 	return nil
@@ -262,7 +222,7 @@ func (m *Matchmaker) pickCore(isa string, needMIPS float64, e *node.Element) *so
 // softcoreCandidates matches predetermined-hardware tasks: RPEs that can
 // host a library core with the requested ISA whose capability set
 // satisfies the softcore.* requirements.
-func (m *Matchmaker) softcoreCandidates(req task.ExecReq, fallback bool) ([]Candidate, error) {
+func (m *Matchmaker) softcoreCandidates(req task.ExecReq) ([]Candidate, error) {
 	out := m.candBuf[:0]
 	for _, n := range m.nodes() {
 		for _, e := range n.RPEs() {
@@ -279,12 +239,14 @@ func (m *Matchmaker) softcoreCandidates(req task.ExecReq, fallback bool) ([]Cand
 				if !ok || cfg.Slices() > dev.Slices {
 					continue
 				}
-				bsID := m.bitstreamID(c.Design(), dev.FPGACaps.Device, dev.PartialRecon)
+				bs, err := c.Bitstream(dev)
+				if err != nil {
+					return nil, err
+				}
 				out = append(out, Candidate{
 					Node: n, Elem: e, Core: c,
 					Slices:        cfg.Slices(),
-					AlreadyLoaded: e.Fabric.FindLoaded(bsID) != nil,
-					Fallback:      fallback,
+					AlreadyLoaded: e.Fabric.FindLoaded(bs.ID) != nil,
 				})
 				break // first matching core per element
 			}
@@ -343,11 +305,13 @@ func (m *Matchmaker) userDefinedCandidates(req task.ExecReq) ([]Candidate, error
 			if !ok || area.Slices > dev.Slices || area.BRAMKb > dev.BRAMKb || area.DSPSlices > dev.DSPSlices {
 				continue
 			}
-			bsID := m.bitstreamID(req.Design.Name, dev.FPGACaps.Device, dev.PartialRecon)
+			// A design never synthesized for this device cannot be
+			// resident on it.
+			res := m.cachedSynthesis(req.Design.Name, dev)
 			out = append(out, Candidate{
 				Node: n, Elem: e,
 				Slices:        area.Slices,
-				AlreadyLoaded: e.Fabric.FindLoaded(bsID) != nil,
+				AlreadyLoaded: res != nil && e.Fabric.FindLoaded(res.Bitstream.ID) != nil,
 			})
 		}
 	}

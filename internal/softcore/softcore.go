@@ -13,9 +13,11 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/capability"
 	"repro/internal/fabric"
+	"repro/internal/hdl"
 	"repro/internal/pe"
 )
 
@@ -80,12 +82,24 @@ func (c Config) EffectiveMIPS() float64 {
 }
 
 // Core is a synthesizable soft-core: a configuration plus what the
-// matchmaker reads on every candidate scan, built once in New. A Core is
-// immutable, so one library serves every matchmaker.
+// matchmaker reads on every candidate scan and placement, built once. A
+// Core never changes what it returns, so one library serves every
+// matchmaker.
 type Core struct {
 	cfg    Config
 	caps   capability.Set
 	design string
+	// images memoizes Bitstream per part and reconfiguration kind. Cores
+	// are shared across goroutines, so mu guards it.
+	mu     sync.RWMutex
+	images map[imageKey]*fabric.Bitstream
+}
+
+// imageKey identifies one configuration image of a core. A catalog part
+// name fixes every device field the image reads.
+type imageKey struct {
+	device  string
+	partial bool
 }
 
 // New validates the configuration and returns a core model.
@@ -132,17 +146,40 @@ func (c *Core) EstimateSeconds(w pe.Work) (float64, error) {
 	return w.MInstructions / eff, nil
 }
 
-// Bitstream synthesizes the core for a target device, producing a partial
-// bitstream sized by the core's area model. It fails when the core does not
-// fit the device.
-func (c *Core) Bitstream(id string, dev fabric.Device) (*fabric.Bitstream, error) {
+// Bitstream returns the core synthesized for a device: a partial
+// bitstream sized by the core's area model where the device supports
+// partial reconfiguration, a full-device image otherwise. Each image is
+// built once and shared, so callers must not mutate it. It fails when the
+// core does not fit the device.
+func (c *Core) Bitstream(dev fabric.Device) (*fabric.Bitstream, error) {
+	k := imageKey{dev.FPGACaps.Device, dev.PartialRecon}
+	c.mu.RLock()
+	bs := c.images[k]
+	c.mu.RUnlock()
+	if bs != nil {
+		return bs, nil
+	}
 	slices := c.cfg.Slices()
 	if slices > dev.Slices {
 		return nil, fmt.Errorf("softcore: %s needs %d slices, %s has %d",
 			c.cfg.Caps.ISA, slices, dev.FPGACaps.Device, dev.Slices)
 	}
-	bs := fabric.PartialBitstream(id, "softcore-"+c.cfg.Caps.ISA, dev, slices)
-	bs.ClockMHz = c.cfg.ClockMHz
+	id := hdl.BitstreamID(c.design, dev.FPGACaps.Device, dev.PartialRecon)
+	if dev.PartialRecon {
+		bs = fabric.PartialBitstream(id, "softcore-"+c.cfg.Caps.ISA, dev, slices)
+		bs.ClockMHz = c.cfg.ClockMHz
+	} else {
+		bs = fabric.FullBitstream(id, "softcore-"+c.cfg.Caps.ISA, dev, slices)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if prior := c.images[k]; prior != nil {
+		return prior, nil
+	}
+	if c.images == nil {
+		c.images = make(map[imageKey]*fabric.Bitstream)
+	}
+	c.images[k] = bs
 	return bs, nil
 }
 

@@ -3,6 +3,7 @@ package softcore
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/capability"
@@ -109,7 +110,7 @@ func TestBitstreamSynthesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, err := c.Bitstream("rvex4", dev)
+	bs, err := c.Bitstream(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +123,18 @@ func TestBitstreamSynthesis(t *testing.T) {
 	if bs.Device != "XC5VLX110T" {
 		t.Errorf("bitstream device = %s", bs.Device)
 	}
+	if again, _ := c.Bitstream(dev); again != bs {
+		t.Error("second request rebuilt the image")
+	}
+	// A device without partial reconfiguration loads the full image.
+	dev.PartialRecon = false
+	full, err := c.Bitstream(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Partial || full.SizeBytes != dev.BitstreamBytes || full.ID == bs.ID {
+		t.Errorf("full-device image = %v", full)
+	}
 }
 
 func TestBitstreamTooBigForDevice(t *testing.T) {
@@ -133,7 +146,7 @@ func TestBitstreamTooBigForDevice(t *testing.T) {
 	if c.Config().Slices() <= small.Slices {
 		t.Skip("preset unexpectedly fits the smallest device")
 	}
-	if _, err := c.Bitstream("big", small); err == nil {
+	if _, err := c.Bitstream(small); err == nil {
 		t.Error("oversized core accepted")
 	}
 }
@@ -157,5 +170,44 @@ func TestStringMentionsISA(t *testing.T) {
 	c, _ := RVEX(4, 1)
 	if !strings.Contains(c.String(), "rvex") {
 		t.Errorf("String = %q", c.String())
+	}
+}
+
+// TestBitstreamSharedAcrossGoroutines pins the image memo under concurrent
+// use: cores are shared by every sweep worker, and each must get the one
+// image per device and kind.
+func TestBitstreamSharedAcrossGoroutines(t *testing.T) {
+	c, _ := RVEX(2, 1)
+	var devs []fabric.Device
+	for _, name := range []string{"XC5VLX110T", "XC5VLX330T", "XC4VLX60"} {
+		dev, err := fabric.LookupDevice(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs = append(devs, dev)
+	}
+	got := make([][]*fabric.Bitstream, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, dev := range devs {
+				bs, err := c.Bitstream(dev)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = append(got[g], bs)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		for i := range devs {
+			if len(got[g]) != len(devs) || got[g][i] != got[0][i] {
+				t.Fatalf("goroutine %d got a different image for %s", g, devs[i].FPGACaps.Device)
+			}
+		}
 	}
 }
