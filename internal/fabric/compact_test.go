@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -165,24 +166,28 @@ func TestCompactProperties(t *testing.T) {
 		for step := 0; step < 150; step++ {
 			regions := f.Regions()
 			pick := func() *Region { return regions[rng.Intn(len(regions))] }
+			var err error
 			switch op := rng.Intn(4); {
 			case op == 0 || len(regions) == 0:
 				bs := PartialBitstream(fmt.Sprintf("c%d", step), "k", dev, 300+rng.Intn(5000))
-				if _, _, err := f.ConfigurePartial(bs); err != nil && err != ErrNoRoom {
-					t.Fatalf("seed %d step %d: %v", seed, step, err)
+				if _, _, err = f.ConfigurePartial(bs); errors.Is(err, ErrNoRoom) {
+					err = nil
 				}
 			case op == 1:
 				if r := pick(); !r.Busy {
-					f.Acquire(r)
+					err = f.Acquire(r)
 				}
 			case op == 2:
 				if r := pick(); r.Busy {
-					f.ReleaseRegion(r)
+					err = f.ReleaseRegion(r)
 				}
 			default:
 				if r := pick(); !r.Busy {
-					f.Evict(r)
+					err = f.Evict(r)
 				}
+			}
+			if err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 
 			before := make(map[*Region]int)

@@ -140,6 +140,8 @@ func (m *Matchmaker) Estimate(c Candidate, req task.ExecReq, w pe.Work) (CostEst
 
 // Allocate turns a candidate into a live lease. It may evict idle resident
 // configurations to make room and reports reconfiguration/synthesis costs.
+// When no room can be made it returns the fabric's placement error, such
+// as fabric.ErrNoRoom or fabric.ErrBusy.
 func (m *Matchmaker) Allocate(c Candidate, req task.ExecReq) (*Lease, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err

@@ -52,7 +52,7 @@ type Matchmaker struct {
 	// synthCache memoizes synthesis results per design×device×kind so CAD
 	// time is paid once: matching mutates the cache, and two engines
 	// sharing a matchmaker (or a future concurrent RMS) would otherwise
-	// race. Made on the first commit.
+	// race. The map is made when the first synthesis is stored.
 	synthMu    sync.RWMutex
 	synthCache map[synthKey]*hdl.SynthesisResult // guarded by synthMu
 	// candBuf is the scratch candidate slice the scenario scans build

@@ -92,7 +92,7 @@ type Core struct {
 	// images memoizes Bitstream per part and reconfiguration kind. Cores
 	// are shared across goroutines, so mu guards it.
 	mu     sync.RWMutex
-	images map[imageKey]*fabric.Bitstream
+	images map[imageKey]*fabric.Bitstream // guarded by mu
 }
 
 // imageKey identifies one configuration image of a core. A catalog part
