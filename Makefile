@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint lint-fix lint-sarif lint-taint test race bench-test verify bench-baseline benchdiff coverage-md report cover smoke
+.PHONY: build vet lint lint-sarif lint-taint test race bench-test verify bench-baseline benchdiff coverage-md report cover smoke
 
 # Minimum statement coverage enforced by `make cover`, per package.
 COVER_FLOOR_OBS  ?= 85.0
@@ -19,16 +19,13 @@ vet:
 lint:
 	$(GO) run ./cmd/reconlint ./...
 
-lint-fix:
-	$(GO) run ./cmd/reconlint -fix ./...
-
 lint-sarif:
 	$(GO) run ./cmd/reconlint -sarif ./...
 
-# Just the trust-boundary trio: the fast loop while fixing a taint
+# Just the trust-boundary pair: the fast loop while fixing a taint
 # finding (the full suite still runs in `make lint`/tier-1).
 lint-taint:
-	$(GO) run ./cmd/reconlint -run wiretaint,sizecap,logtaint ./...
+	$(GO) run ./cmd/reconlint -run wiretaint,logtaint ./...
 
 test:
 	$(GO) test ./...
@@ -47,7 +44,7 @@ bench-test:
 
 # verify is tier-1 plus the perf gate. benchdiff is the perf-regression
 # contract: the gated benchmark families (the event-core queue, the
-# DReAMSim sweeps, sink overhead, reconlint and its taint trio, and the
+# DReAMSim sweeps, sink overhead, reconlint and its taint pair, and the
 # control plane) are re-run and compared against the committed
 # BENCH_PR17.json baseline; an alloc or model-metric regression beyond
 # the noise budget fails verify. bench-test smoke-runs every workload of

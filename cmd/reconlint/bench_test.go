@@ -22,16 +22,16 @@ func BenchmarkReconlint(b *testing.B) {
 	resetGlobals()
 }
 
-// BenchmarkReconlintTaint times a taint-trio-only run over the repo.
-// The load/type-check/dataflow build dominates and is shared with the
-// full suite, so the delta between this and BenchmarkReconlint bounds
-// what the ten non-taint analyzers cost. make benchdiff gates both
+// BenchmarkReconlintTaint times a taint-only run (wiretaint and
+// logtaint) over the repo. The load/type-check/dataflow build dominates
+// and is shared with the full suite, so the delta between this and
+// BenchmarkReconlint bounds what the nine other analyzers cost. make benchdiff gates both
 // against the committed BENCH_PR17.json baseline.
 func BenchmarkReconlintTaint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		resetGlobals()
 		var stdout bytes.Buffer
-		code := run("../..", []string{"-run", "wiretaint,sizecap,logtaint", "./..."}, &stdout, io.Discard)
+		code := run("../..", []string{"-run", "wiretaint,logtaint", "./..."}, &stdout, io.Discard)
 		if code != 0 {
 			b.Fatalf("taint-only reconlint over the repo exited %d:\n%s", code, stdout.String())
 		}

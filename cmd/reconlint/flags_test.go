@@ -2,45 +2,34 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestRunSkipFlags checks -run/-skip subset the suite and that a typo
-// is a hard usage error rather than a silently-empty run.
-func TestRunSkipFlags(t *testing.T) {
+// TestRunFlag checks -run subsets the suite, that a typo is a usage
+// error rather than a silently empty run, and that the driver accepts
+// no flag besides -run and -sarif.
+func TestRunFlag(t *testing.T) {
 	resetGlobals()
 	defer resetGlobals()
-	dir := fixableModule(t) // one hotalloc finding, one errflow finding
+	dir := findingsModule(t) // one errflow finding, one detrand finding
 
 	var stdout, stderr bytes.Buffer
-	if code := run(dir, []string{"-run=hotalloc", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-run=hotalloc exit = %d, want 1\nstderr:\n%s", code, stderr.String())
+	if code := run(dir, []string{"-run=errflow", "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("-run=errflow exit = %d, want 1\nstderr:\n%s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "hotalloc") || strings.Contains(stdout.String(), "errflow") {
-		t.Errorf("-run=hotalloc should report only hotalloc findings:\n%s", stdout.String())
-	}
-
-	resetGlobals()
-	stdout.Reset()
-	stderr.Reset()
-	if code := run(dir, []string{"-skip=hotalloc", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-skip=hotalloc exit = %d, want 1\nstderr:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "errflow") || strings.Contains(stdout.String(), "hotalloc") {
-		t.Errorf("-skip=hotalloc should keep the errflow finding only:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "(errflow)") || strings.Contains(stdout.String(), "(detrand)") {
+		t.Errorf("-run=errflow should report only errflow findings:\n%s", stdout.String())
 	}
 
 	resetGlobals()
 	stdout.Reset()
 	stderr.Reset()
-	if code := run(dir, []string{"-run=hotalloc,errflow", "-skip=errflow", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-run with -skip exit = %d, want 1", code)
+	if code := run(dir, []string{"-run=detrand,errflow", "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("-run=detrand,errflow exit = %d, want 1\nstderr:\n%s", code, stderr.String())
 	}
-	if strings.Contains(stdout.String(), "errflow") {
-		t.Errorf("-skip should subtract from -run:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "(errflow)") || !strings.Contains(stdout.String(), "(detrand)") {
+		t.Errorf("-run=detrand,errflow should report both findings:\n%s", stdout.String())
 	}
 
 	stdout.Reset()
@@ -51,82 +40,13 @@ func TestRunSkipFlags(t *testing.T) {
 	if !strings.Contains(stderr.String(), `unknown analyzer "nosuchanalyzer"`) {
 		t.Errorf("error should name the bad analyzer, stderr:\n%s", stderr.String())
 	}
-}
 
-// TestStaleBaselinePruning walks the baseline through its whole decay
-// cycle: record, suppress, go stale when the finding is fixed (a full
-// run must fail), subset runs stay exempt, -prune-baseline drops the
-// stale entries, and the pruned baseline runs clean again.
-func TestStaleBaselinePruning(t *testing.T) {
-	resetGlobals()
-	defer resetGlobals()
-	dir := fixableModule(t)
-
-	var stdout, stderr bytes.Buffer
-	if code := run(dir, []string{"-write-baseline", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline exit = %d\nstderr:\n%s", code, stderr.String())
-	}
-
-	// Fix the errflow drop at the source; its baseline entry goes stale.
-	hot := filepath.Join(dir, "internal/grid/hot.go")
-	src, err := os.ReadFile(hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed := strings.Replace(string(src), "\thelper()\n", "\tif err := helper(); err != nil {\n\t\tpanic(err)\n\t}\n", 1)
-	if fixed == string(src) {
-		t.Fatal("fixture edit did not apply; helper() call not found")
-	}
-	if err := os.WriteFile(hot, []byte(fixed), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	resetGlobals()
-	stdout.Reset()
-	stderr.Reset()
-	if code := run(dir, []string{"./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("full run with stale baseline exit = %d, want 1\nstderr:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "stale baseline entry: errflow\t") {
-		t.Errorf("stderr should identify the stale entry:\n%s", stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "-prune-baseline") {
-		t.Errorf("stderr should point at the remedy:\n%s", stderr.String())
-	}
-
-	// A subset run cannot judge staleness and must not fail on it.
-	resetGlobals()
-	stdout.Reset()
-	stderr.Reset()
-	if code := run(dir, []string{"-run=hotalloc", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-run subset exit = %d, want 0 (stale check is full-run only)\nstderr:\n%s", code, stderr.String())
-	}
-
-	resetGlobals()
-	stdout.Reset()
-	stderr.Reset()
-	if code := run(dir, []string{"-prune-baseline", "./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-prune-baseline exit = %d\nstderr:\n%s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "pruned 1 stale baseline entry") {
-		t.Errorf("expected prune note, stderr:\n%s", stderr.String())
-	}
-	base, err := os.ReadFile(filepath.Join(dir, "lint.baseline"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(base), "errflow") {
-		t.Errorf("stale errflow entry survived pruning:\n%s", base)
-	}
-	if !strings.Contains(string(base), "hotalloc") {
-		t.Errorf("live hotalloc entry must survive pruning:\n%s", base)
-	}
-
-	resetGlobals()
-	stdout.Reset()
-	stderr.Reset()
-	if code := run(dir, []string{"./..."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("post-prune run exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	for _, flag := range []string{"-fix", "-json", "-skip=errflow", "-baseline=x", "-write-baseline", "-prune-baseline"} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(dir, []string{flag, "./..."}, &stdout, &stderr); code != 2 {
+			t.Errorf("%s exit = %d, want 2 (not a reconlint flag)", flag, code)
+		}
 	}
 }
 

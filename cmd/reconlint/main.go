@@ -1,33 +1,26 @@
-// Command reconlint is the repository's determinism and concurrency
-// linter: a multichecker over the custom analyzers in internal/lint
-// (detrand, maporder, ctxflow, lockcheck, seedflow, errflow, hotalloc,
-// lockorder, goroleak, chanmisuse, wiretaint, sizecap, logtaint). It is
+// Command reconlint is the repository's determinism, concurrency and
+// trust-boundary linter: a multichecker over the analyzers in
+// internal/lint (detrand, maporder, ctxflow, lockcheck, seedflow,
+// errflow, lockorder, goroleak, chanmisuse, wiretaint, logtaint). It is
 // part of tier-1 verify:
 //
 //	go run ./cmd/reconlint ./...
 //
-// Modes and output:
+// Flags:
 //
-//	-fix            apply suggested fixes in place (idempotent: a second
-//	                run after applying reports zero fixable findings)
-//	-json           machine-readable findings on stdout
-//	-sarif          SARIF 2.1.0 on stdout (CI code-scanning upload)
-//	-baseline FILE  suppress findings recorded in FILE (default
-//	                lint.baseline in the target dir, if present)
-//	-write-baseline rewrite the baseline from the current findings
-//	-prune-baseline drop baseline entries no current finding matches and
-//	                rewrite the file (full ./... runs only)
-//	-run NAMES      run only the named analyzers (comma-separated)
-//	-skip NAMES     run all but the named analyzers (comma-separated)
+//	-run NAMES  run only the named analyzers (comma-separated)
+//	-sarif      write SARIF 2.1.0 on stdout (CI code-scanning upload)
 //
-// Exit status: 0 clean (or every finding baselined/fixed), 1 findings,
-// 2 usage/load failure. A full-suite ./... run also exits 1 when the
-// baseline holds stale entries (recorded findings that no longer
-// occur) — prune them so the baseline only ever shrinks honestly.
-// Suppress an individual finding with a justified directive on or
-// above the line:
+// Exit status: 0 clean, 1 findings, 2 usage or load failure. Suppress
+// an individual finding with a justified directive on or above the
+// line:
 //
 //	//reconlint:allow <analyzer> <reason>
+//
+// catch_test.go is the suite's catch table: it seeds one bug per
+// analyzer into a copy of the tree and checks each lands where
+// expected, and each row records what go vet, go test, go test -race
+// and benchdiff make of the same seed.
 package main
 
 import (
@@ -51,17 +44,11 @@ func main() {
 func run(dir string, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("reconlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fix := fs.Bool("fix", false, "apply suggested fixes to the source files")
-	jsonOut := fs.Bool("json", false, "emit findings as JSON on stdout")
 	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
-	baselinePath := fs.String("baseline", "lint.baseline", "baseline file of accepted findings (relative to the target dir)")
-	writeBaseline := fs.Bool("write-baseline", false, "rewrite the baseline file from the current findings and exit 0")
-	pruneBaseline := fs.Bool("prune-baseline", false, "drop stale baseline entries, rewrite the file, and exit 0")
 	runList := fs.String("run", "", "comma-separated analyzer names to run (default: the whole suite)")
-	skipList := fs.String("skip", "", "comma-separated analyzer names to skip")
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: reconlint [flags] [packages]")
-		fmt.Fprintln(stderr, "Runs the repro determinism & concurrency analyzer suite.")
+		fmt.Fprintln(stderr, "Runs the repro determinism, concurrency and trust-boundary analyzer suite.")
 		fs.PrintDefaults()
 		for _, sa := range lint.Suite() {
 			fmt.Fprintf(stderr, "  %-15s %s\n", sa.Name, sa.Doc)
@@ -70,15 +57,7 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "reconlint: -json and -sarif are mutually exclusive")
-		return 2
-	}
-	if *writeBaseline && *pruneBaseline {
-		fmt.Fprintln(stderr, "reconlint: -write-baseline and -prune-baseline are mutually exclusive")
-		return 2
-	}
-	suite, err := filterSuite(lint.Suite(), *runList, *skipList)
+	suite, err := selectAnalyzers(lint.Suite(), *runList)
 	if err != nil {
 		fmt.Fprintln(stderr, "reconlint:", err)
 		return 2
@@ -87,11 +66,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	// Stale-baseline entries are only decidable when every package and
-	// every analyzer ran: a subset run must not mistake out-of-scope
-	// entries for stale ones.
-	fullRun := *runList == "" && *skipList == "" &&
-		len(patterns) == 1 && patterns[0] == "./..."
 
 	roots, all, err := loader.LoadAll(dir, patterns...)
 	if err != nil {
@@ -121,81 +95,16 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		diags = append(diags, ds...)
 	}
 
-	if *fix && len(diags) > 0 {
-		var sharedFset = roots[0].Fset // one fileset spans every loaded package
-		applied, unfixed, err := applyFixes(sharedFset, diags)
+	if *sarifOut {
+		absDir, err := filepath.Abs(dir)
+		if err == nil {
+			err = writeSARIF(stdout, absDir, diags, suite)
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, "reconlint:", err)
 			return 2
 		}
-		if applied > 0 {
-			fmt.Fprintf(stderr, "reconlint: applied %d suggested fix(es)\n", applied)
-		}
-		diags = unfixed
-	}
-
-	absDir, err := filepath.Abs(dir)
-	if err != nil {
-		fmt.Fprintln(stderr, "reconlint:", err)
-		return 2
-	}
-	// Relative baseline paths resolve against the target dir, so the
-	// test driver can run against fixture modules; absolute paths are
-	// taken as given.
-	resolvedBaseline := *baselinePath
-	if !filepath.IsAbs(resolvedBaseline) {
-		resolvedBaseline = filepath.Join(dir, resolvedBaseline)
-	}
-	if *writeBaseline {
-		path := resolvedBaseline
-		if err := writeBaselineFile(path, absDir, diags); err != nil {
-			fmt.Fprintln(stderr, "reconlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "reconlint: wrote %d finding(s) to %s\n", len(diags), path)
-		return 0
-	}
-	base, err := loadBaseline(resolvedBaseline)
-	if err != nil {
-		fmt.Fprintln(stderr, "reconlint:", err)
-		return 2
-	}
-	if *pruneBaseline {
-		kept, dropped := base.prune(absDir, diags)
-		if err := writeBaselineLines(resolvedBaseline, kept); err != nil {
-			fmt.Fprintln(stderr, "reconlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "reconlint: pruned %d stale baseline entr%s from %s (%d kept)\n",
-			dropped, plural(dropped, "y", "ies"), resolvedBaseline, len(kept))
-		return 0
-	}
-	diags, suppressed, stale := base.filter(absDir, diags)
-	if suppressed > 0 {
-		fmt.Fprintf(stderr, "reconlint: %d finding(s) suppressed by baseline\n", suppressed)
-	}
-	staleFailure := false
-	if fullRun && len(stale) > 0 {
-		staleFailure = true
-		for _, s := range stale {
-			fmt.Fprintf(stderr, "reconlint: stale baseline entry: %s\n", s)
-		}
-		fmt.Fprintf(stderr, "reconlint: %d stale baseline entr%s; the recorded finding(s) no longer occur — run reconlint -prune-baseline\n",
-			len(stale), plural(len(stale), "y", "ies"))
-	}
-
-	switch {
-	case *jsonOut:
-		if err := writeJSON(stdout, absDir, diags); err != nil {
-			fmt.Fprintln(stderr, "reconlint:", err)
-			return 2
-		}
-	case *sarifOut:
-		if err := writeSARIF(stdout, absDir, diags, suite); err != nil {
-			fmt.Fprintln(stderr, "reconlint:", err)
-			return 2
-		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d.String())
 		}
@@ -204,78 +113,35 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "reconlint: %d finding(s)\n", len(diags))
 		return 1
 	}
-	if staleFailure {
-		return 1
-	}
 	return 0
 }
 
-// filterSuite applies the -run/-skip analyzer selections. Unknown
-// names are an error (a typo must not silently run nothing).
-func filterSuite(suite []lint.ScopedAnalyzer, runList, skipList string) ([]lint.ScopedAnalyzer, error) {
+// selectAnalyzers applies the -run selection. Unknown names are an
+// error: a typo must not silently run nothing.
+func selectAnalyzers(suite []lint.ScopedAnalyzer, runList string) ([]lint.ScopedAnalyzer, error) {
+	if runList == "" {
+		return suite, nil
+	}
 	known := make(map[string]bool, len(suite))
 	for _, sa := range suite {
 		known[sa.Name] = true
 	}
-	parse := func(list, flagName string) (map[string]bool, error) {
-		if list == "" {
-			return nil, nil
+	want := make(map[string]bool)
+	for _, name := range strings.Split(runList, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
 		}
-		out := make(map[string]bool)
-		for _, name := range strings.Split(list, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if !known[name] {
-				return nil, fmt.Errorf("-%s: unknown analyzer %q (reconlint -h lists the suite)", flagName, name)
-			}
-			out[name] = true
+		if !known[name] {
+			return nil, fmt.Errorf("-run: unknown analyzer %q (reconlint -h lists the suite)", name)
 		}
-		return out, nil
-	}
-	runSet, err := parse(runList, "run")
-	if err != nil {
-		return nil, err
-	}
-	skipSet, err := parse(skipList, "skip")
-	if err != nil {
-		return nil, err
-	}
-	if runSet == nil && skipSet == nil {
-		return suite, nil
+		want[name] = true
 	}
 	var out []lint.ScopedAnalyzer
 	for _, sa := range suite {
-		if runSet != nil && !runSet[sa.Name] {
-			continue
+		if want[sa.Name] {
+			out = append(out, sa)
 		}
-		if skipSet[sa.Name] {
-			continue
-		}
-		out = append(out, sa)
 	}
 	return out, nil
-}
-
-// plural picks the suffix for n.
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
-}
-
-// relPath renders a finding path relative to the lint root for stable
-// baseline and CI output; absolute paths fall through unchanged when
-// they are outside the root.
-func relPath(absDir, filename string) string {
-	if rel, err := filepath.Rel(absDir, filename); err == nil && !filepath.IsAbs(rel) && rel != ".." && !hasDotDotPrefix(rel) {
-		return filepath.ToSlash(rel)
-	}
-	return filepath.ToSlash(filename)
-}
-
-func hasDotDotPrefix(rel string) bool {
-	return len(rel) >= 3 && rel[:3] == ".."+string(filepath.Separator)
 }

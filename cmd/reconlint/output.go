@@ -3,40 +3,11 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"path/filepath"
+	"strings"
 
 	"repro/internal/lint"
 )
-
-// jsonFinding is the -json record for one diagnostic.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	Fixable  bool   `json:"fixable,omitempty"`
-}
-
-// writeJSON emits findings as a stable JSON document on w.
-func writeJSON(w io.Writer, absDir string, diags []lint.Diagnostic) error {
-	out := struct {
-		Findings []jsonFinding `json:"findings"`
-		Count    int           `json:"count"`
-	}{Findings: []jsonFinding{}, Count: len(diags)}
-	for _, d := range diags {
-		out.Findings = append(out.Findings, jsonFinding{
-			File:     relPath(absDir, d.Position.Filename),
-			Line:     d.Position.Line,
-			Column:   d.Position.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-			Fixable:  len(d.SuggestedFixes) > 0,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
 
 // SARIF 2.1.0 document shape, reduced to the fields code-scanning
 // consumers require (schema, version, tool.driver.rules, results with
@@ -105,7 +76,7 @@ const sarifSchemaURI = "https://json.schemastore.org/sarif-2.1.0.json"
 func writeSARIF(w io.Writer, absDir string, diags []lint.Diagnostic, suite []lint.ScopedAnalyzer) error {
 	rules := []sarifRule{{
 		ID:               "reconlint",
-		ShortDescription: sarifMessage{Text: "directive hygiene: reconlint:allow needs a reason, reconlint:hotpath needs a function"},
+		ShortDescription: sarifMessage{Text: "directive hygiene: reconlint:allow and reconlint:sanitized need a reason"},
 	}}
 	index := map[string]int{"reconlint": 0}
 	for _, sa := range suite {
@@ -142,4 +113,14 @@ func writeSARIF(w io.Writer, absDir string, diags []lint.Diagnostic, suite []lin
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(log)
+}
+
+// relPath renders a finding path relative to the lint root; paths
+// outside the root stay absolute.
+func relPath(absDir, filename string) string {
+	rel, err := filepath.Rel(absDir, filename)
+	if err != nil || rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+		return filepath.ToSlash(filename)
+	}
+	return filepath.ToSlash(rel)
 }

@@ -2,6 +2,7 @@ package capability
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -58,8 +59,8 @@ func (c FPGACaps) Validate() error {
 		return fmt.Errorf("capability: FPGA %s has no family", c.Device)
 	case c.Slices <= 0:
 		return fmt.Errorf("capability: FPGA %s has non-positive slices", c.Device)
-	case c.ReconfigMBps <= 0:
-		return fmt.Errorf("capability: FPGA %s has non-positive reconfiguration bandwidth", c.Device)
+	case !(c.ReconfigMBps > 0) || math.IsInf(c.ReconfigMBps, 1):
+		return fmt.Errorf("capability: FPGA %s reconfiguration bandwidth must be positive and finite", c.Device)
 	}
 	return nil
 }
@@ -97,8 +98,8 @@ func (c GPPCaps) Validate() error {
 	switch {
 	case c.CPUType == "":
 		return fmt.Errorf("capability: GPP has no CPU type")
-	case c.MIPS <= 0:
-		return fmt.Errorf("capability: GPP %s has non-positive MIPS", c.CPUType)
+	case !(c.MIPS > 0) || math.IsInf(c.MIPS, 1):
+		return fmt.Errorf("capability: GPP %s MIPS must be positive and finite", c.CPUType)
 	case c.Cores <= 0:
 		return fmt.Errorf("capability: GPP %s has non-positive cores", c.CPUType)
 	}
@@ -191,6 +192,8 @@ func (c GPUCaps) Validate() error {
 		return fmt.Errorf("capability: GPU has no model")
 	case c.ShaderCores <= 0:
 		return fmt.Errorf("capability: GPU %s has non-positive shader cores", c.Model)
+	case math.IsNaN(c.MemFreqMHz) || math.IsInf(c.MemFreqMHz, 0):
+		return fmt.Errorf("capability: GPU %s memory frequency must be finite", c.Model)
 	}
 	return nil
 }

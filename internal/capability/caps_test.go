@@ -1,6 +1,7 @@
 package capability
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,27 @@ func TestFPGAValidate(t *testing.T) {
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad FPGA %d accepted", i)
+		}
+	}
+}
+
+// TestCapsRejectNonFinite: NaN and ±Inf in a float capability are
+// rejected. A NaN never equals itself, so such a description would also
+// defeat every equality-keyed cache of capability sets.
+func TestCapsRejectNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		gppCaps := GPPCaps{CPUType: "x86-64", MIPS: v, OS: "Linux", RAMMB: 8192, Cores: 4}
+		if err := gppCaps.Validate(); err == nil {
+			t.Errorf("GPP MIPS %v accepted", v)
+		}
+		fpga := sampleFPGA()
+		fpga.ReconfigMBps = v
+		if err := fpga.Validate(); err == nil {
+			t.Errorf("FPGA ReconfigMBps %v accepted", v)
+		}
+		gpu := GPUCaps{Model: "GT200", ShaderCores: 240, WarpSize: 32, MemFreqMHz: v}
+		if err := gpu.Validate(); err == nil {
+			t.Errorf("GPU MemFreqMHz %v accepted", v)
 		}
 	}
 }

@@ -101,17 +101,15 @@ func GenerateApps(rng *sim.RNG, spec AppSpec) ([]GeneratedApp, error) {
 // SubmitApps schedules DAG applications on the engine; each runs in graph
 // mode, dispatching tasks as their dependencies complete.
 func (e *Engine) SubmitApps(apps []GeneratedApp, user string) error {
-	if e.cfg.PrewarmSynthesis {
-		var gen []Generated
-		for _, app := range apps {
-			for _, id := range app.Graph.IDs() {
-				t, _ := app.Graph.Get(id)
-				gen = append(gen, Generated{Task: t})
-			}
+	var gen []Generated
+	for _, app := range apps {
+		for _, id := range app.Graph.IDs() {
+			t, _ := app.Graph.Get(id)
+			gen = append(gen, Generated{Task: t})
 		}
-		if err := e.prewarm(gen); err != nil {
-			return err
-		}
+	}
+	if err := e.prewarm(gen); err != nil {
+		return err
 	}
 	for _, app := range apps {
 		e.Submit(app.Arrival, user, app.Graph, nil, jss.QoS{})

@@ -40,10 +40,6 @@ type Config struct {
 	Topology *network.Topology
 	// Horizon optionally bounds simulated time (0 = run to completion).
 	Horizon sim.Time
-	// PrewarmSynthesis models a provider that keeps a ready bitstream
-	// library for the workload's IP designs (the paper's OpenCores
-	// scenario): CAD time is paid offline, not on the task critical path.
-	PrewarmSynthesis bool
 	// Tracer, when non-nil, receives per-task lifecycle events (and gauge
 	// samples when SampleEverySeconds is set). Any obs.TraceSink works:
 	// the in-memory Recorder, the streaming CSV/Chrome sinks, a Timeline,
@@ -81,7 +77,6 @@ func DefaultConfig() Config {
 		Queue:              sched.FCFS,
 		LinkMBps:           125, // 1 Gb/s
 		LinkLatencySeconds: 0.002,
-		PrewarmSynthesis:   true,
 	}
 }
 
@@ -249,10 +244,8 @@ func (e *Engine) Submit(at sim.Time, user string, g *task.Graph, prog *task.Prog
 // its graph and submission are built only when its arrival fires, and
 // the submission leaves the JSS once the task completes or is lost.
 func (e *Engine) SubmitWorkload(gen []Generated, user string) error {
-	if e.cfg.PrewarmSynthesis {
-		if err := e.prewarm(gen); err != nil {
-			return err
-		}
+	if err := e.prewarm(gen); err != nil {
+		return err
 	}
 	// One shared closure holds the engine and the user, so each
 	// arrival's own closure captures only its task.
@@ -291,7 +284,10 @@ func (e *Engine) release(run *appRun) {
 }
 
 // prewarm fills the provider's bitstream library for every design the
-// workload references, on every distinct RPE device in the grid.
+// workload references, on every distinct RPE device in the grid: the
+// provider keeps a ready library for the workload's IP designs (the
+// paper's OpenCores scenario), so CAD time is paid offline, not on the
+// task critical path.
 func (e *Engine) prewarm(gen []Generated) error {
 	designs := map[string]*hdl.Design{}
 	for _, g := range gen {
@@ -483,8 +479,6 @@ func (e *Engine) orderQueue() {
 // tryDispatch greedily places queued tasks until no further placement
 // succeeds (FCFS order with backfill: a blocked head does not stall
 // runnable tasks behind it).
-//
-//reconlint:hotpath runs once per dispatchable event across the whole simulation
 func (e *Engine) tryDispatch() {
 	for {
 		e.orderQueue()
@@ -587,7 +581,6 @@ func (e *Engine) execute(it *item, opt sched.Option, lease *rms.Lease) {
 	if run.sub.QoS.Monitor {
 		// Gate before NotifyFor: the label string is only built when the
 		// user actually subscribed to progress events.
-		//reconlint:allow hotalloc gated behind QoS.Monitor; rendered only for monitored submissions
 		e.J.NotifyFor(run.sub, now, it.t.ID, "dispatched to "+opt.Cand.Label())
 	}
 
@@ -852,7 +845,6 @@ func (e *Engine) failExecution(exe *execution, nodeID, elemID string) {
 	e.abortExecution(exe)
 	e.m.Failures++
 	if exe.it.run.sub.QoS.Monitor {
-		//reconlint:allow hotalloc gated behind QoS.Monitor on a failure path; cold by construction
 		e.J.NotifyFor(exe.it.run.sub, e.S.Now(), exe.it.t.ID,
 			"failed on "+nodeID+"/"+elemID+", requeued")
 	}
@@ -878,7 +870,6 @@ func (e *Engine) requeueOrLose(it *item) {
 	if pol.MaxRetries > 0 && it.attempts > pol.MaxRetries {
 		e.m.TasksLost++
 		e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindLost, TaskID: it.tid})
-		//reconlint:allow hotalloc terminal path: rendered once per task lost, never per event
 		e.J.Fail(it.run.sub.ID, e.S.Now(), "task "+it.t.ID+" lost after "+strconv.Itoa(it.attempts)+" failed attempts")
 		e.release(it.run)
 		return

@@ -92,14 +92,29 @@ func TestWorkloadValidation(t *testing.T) {
 	}
 }
 
+// TestWorkloadDeterministic: the same seed generates the same workload,
+// including the GPU branch, which draws its own parallel fraction.
 func TestWorkloadDeterministic(t *testing.T) {
-	spec := DefaultWorkload(50, 1)
-	a, _ := Generate(sim.NewRNG(9), spec)
-	b, _ := Generate(sim.NewRNG(9), spec)
-	for i := range a {
-		if a[i].Arrival != b[i].Arrival || a[i].Task.ID != b[i].Task.ID ||
-			a[i].Task.Work != b[i].Task.Work {
-			t.Fatal("generation not deterministic")
+	gpu := DefaultWorkload(50, 1)
+	gpu.ShareGPU = 0.3
+	for _, spec := range []WorkloadSpec{DefaultWorkload(50, 1), gpu} {
+		a, err := Generate(sim.NewRNG(9), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := Generate(sim.NewRNG(9), spec)
+		gpuTasks := 0
+		for i := range a {
+			if a[i].Arrival != b[i].Arrival || a[i].Task.ID != b[i].Task.ID ||
+				a[i].Task.Work != b[i].Task.Work {
+				t.Fatalf("ShareGPU=%v: generation not deterministic at task %d", spec.ShareGPU, i)
+			}
+			if a[i].Task.ExecReq.Requirements.Kind() == capability.KindGPU {
+				gpuTasks++
+			}
+		}
+		if spec.ShareGPU > 0 && gpuTasks == 0 {
+			t.Errorf("ShareGPU=%v drew no GPU task", spec.ShareGPU)
 		}
 	}
 }

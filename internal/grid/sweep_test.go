@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -113,6 +115,67 @@ func TestSweepCancellation(t *testing.T) {
 		}
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("replica %d err = %v, want context.Canceled", i, r.Err)
+		}
+	}
+}
+
+// cancelOnEmit is a trace sink that cancels the sweep at the first
+// event its replica emits, so the cancel lands while that replica runs.
+type cancelOnEmit struct {
+	obs.Noop
+	cancel  context.CancelFunc
+	emitted *atomic.Int64
+}
+
+func (c cancelOnEmit) Emit(obs.Event) {
+	if c.emitted.Add(1) == 1 {
+		c.cancel()
+	}
+}
+
+// TestSweepCancelMidReplica: cancelling the sweep while a replica runs
+// stops that replica at its next event-loop context check with
+// context.Canceled; it does not run to completion. The loop polls the
+// context every few hundred events, so the replicas here are long
+// enough to reach a poll after the cancel.
+func TestSweepCancelMidReplica(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var emitted atomic.Int64
+	spec := sweepTestSpec(t, 1)
+	for i := range spec.Points {
+		spec.Points[i].Workload.Tasks = 400
+	}
+	spec.SinkFactory = func(r Replica) obs.TraceSink {
+		if r.Index != 0 {
+			return nil
+		}
+		return cancelOnEmit{cancel: cancel, emitted: &emitted}
+	}
+	res, err := Sweep(ctx, spec)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("sweep err = %v, want context.Canceled", err)
+	}
+	if emitted.Load() == 0 {
+		t.Fatal("replica 0 emitted nothing: the cancel never landed mid-run")
+	}
+	if r := res.Replicas[0]; !errors.Is(r.Err, context.Canceled) {
+		t.Errorf("replica 0 err = %v after %d events, want context.Canceled", r.Err, emitted.Load())
+	}
+}
+
+// TestSweepSeedsFollowBaseSeed: replica seeds are split from BaseSeed,
+// so two base seeds give two disjoint sets of replica seeds.
+func TestSweepSeedsFollowBaseSeed(t *testing.T) {
+	a := SweepSpec{BaseSeed: 42, Replications: 4}.seeds()
+	b := SweepSpec{BaseSeed: 43, Replications: 4}.seeds()
+	seen := map[uint64]bool{}
+	for _, s := range a {
+		seen[s] = true
+	}
+	for i, s := range b {
+		if seen[s] {
+			t.Errorf("replica %d seed %#x appears under both base seeds", i, s)
 		}
 	}
 }

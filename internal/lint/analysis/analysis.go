@@ -44,25 +44,6 @@ type Diagnostic struct {
 	// Category is the reporting analyzer's name, filled by the driver.
 	Category string
 	Message  string
-	// SuggestedFixes are machine-applicable repairs for this finding,
-	// consumed by the driver's -fix mode. A diagnostic with no fixes is
-	// report-only.
-	SuggestedFixes []SuggestedFix
-}
-
-// SuggestedFix is one self-contained repair: applying every edit in it
-// resolves the diagnostic. Edits within a fix must not overlap.
-type SuggestedFix struct {
-	Message   string
-	TextEdits []TextEdit
-}
-
-// TextEdit replaces the source range [Pos, End) with NewText. A zero
-// End means End = Pos (pure insertion).
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText []byte
 }
 
 // Reportf reports a formatted diagnostic at pos.

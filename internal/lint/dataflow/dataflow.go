@@ -7,7 +7,7 @@
 // The solver runs two domains, each to its own fixpoint: seed
 // provenance (seed-derived / wall-clock / global-rand / constant /
 // unknown, provenance.go) for seedflow, and taint (taint.go) for the
-// wiretaint, sizecap and logtaint trust-boundary analyzers. A domain
+// wiretaint and logtaint trust-boundary analyzers. A domain
 // supplies only its lattice and its hooks: what "no information" and
 // constants read as, sources and sanitizers (read), call-site writes
 // (effects), the sinks it reports, and //reconlint:sanitized coverage.
@@ -16,10 +16,10 @@
 // writes through constructors, and sink propagation are shared.
 //
 // The graph is built once per driver run over every loaded package
-// (lint.Prepare) and shared by the seedflow, errflow, and hotalloc
-// analyzers; analyzer unit tests fall back to a single-package graph
-// built on demand, so intra-package interprocedural behavior is
-// testable without a whole-program load.
+// (lint.Prepare) and shared by every analyzer that resolves it;
+// analyzer unit tests fall back to a single-package graph built on
+// demand, so intra-package interprocedural behavior is testable
+// without a whole-program load.
 //
 // Everything here is stdlib-only (go/ast, go/types); the design mirrors
 // golang.org/x/tools/go/callgraph/cha scaled down to what the reconlint

@@ -104,10 +104,6 @@ type Sink[V comparable] struct {
 	Kind  SinkKind
 	Chain []string
 	Val   V
-	// SizeExpr is the size expression for alloc-size sinks declared in
-	// this very function — the expression sizecap's SuggestedFix wraps.
-	// nil for propagated sinks.
-	SizeExpr ast.Expr
 }
 
 // FuncSummary is one function's summary in one domain after the
@@ -132,11 +128,10 @@ type FuncSummary[V comparable] struct {
 
 func sinkEqual[V comparable](x, y Sink[V]) bool {
 	return x.Pos == y.Pos && x.Kind == y.Kind && x.Val == y.Val &&
-		x.SizeExpr == y.SizeExpr && slices.Equal(x.Chain, y.Chain)
+		slices.Equal(x.Chain, y.Chain)
 }
 
-// equal compares summaries; SizeExpr by identity (DeepEqual would walk
-// ast.Object cycles).
+// equal compares summaries.
 func (a *FuncSummary[V]) equal(b *FuncSummary[V]) bool {
 	if a == nil || b == nil {
 		return a == b

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"go/token"
 	"os"
+	"path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -21,18 +22,19 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/summaries.golden
 // channel state. Each fixture package gets its own graph, exactly as
 // the analyzers see it under analysistest.
 func TestSummaryGolden(t *testing.T) {
-	fixtures := []struct{ analyzer, path string }{
-		{"seedflow", "sim"},
-		{"seedflow", "grid"},
-		{"wiretaint", "controlplane"},
-		{"sizecap", "controlplane"},
-		{"logtaint", "controlplane"},
+	// dir names a second fixture tree under an analyzer's testdata.
+	fixtures := []struct{ analyzer, dir, path string }{
+		{"seedflow", "", "sim"},
+		{"seedflow", "", "grid"},
+		{"wiretaint", "", "controlplane"},
+		{"wiretaint", "alloc", "controlplane"},
+		{"logtaint", "", "controlplane"},
 	}
 	var b strings.Builder
 	for _, fx := range fixtures {
-		pkg := analysistest.Load(t, filepath.Join("..", fx.analyzer, "testdata"), fx.path)[0]
+		pkg := analysistest.Load(t, filepath.Join("..", fx.analyzer, "testdata", fx.dir), fx.path)[0]
 		g := Build([]*PackageInfo{{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}})
-		fmt.Fprintf(&b, "== %s/%s\n", fx.analyzer, fx.path)
+		fmt.Fprintf(&b, "== %s\n", path.Join(fx.analyzer, fx.dir, fx.path))
 		dumpGraph(&b, g)
 	}
 	got := b.String()
@@ -98,7 +100,7 @@ func dumpGraph(b *strings.Builder, g *Graph) {
 				fmt.Fprintf(b, "  taint result %d: %s\n", i, taint(r))
 			}
 			for _, s := range sum.Sinks {
-				fmt.Fprintf(b, "  taint sink %s %s via %s: %s%s\n", at(s.Pos), s.Kind, strings.Join(s.Chain, " < "), taint(s.Val), sizeMark(s.SizeExpr != nil))
+				fmt.Fprintf(b, "  taint sink %s %s via %s: %s\n", at(s.Pos), s.Kind, strings.Join(s.Chain, " < "), taint(s.Val))
 			}
 			for _, i := range sortedKeys(sum.ParamSinks) {
 				s := sum.ParamSinks[i]
@@ -145,13 +147,6 @@ func paramBits(p uint64) string {
 		return ""
 	}
 	return fmt.Sprintf(" params=%#x", p)
-}
-
-func sizeMark(ok bool) string {
-	if ok {
-		return " (size expr)"
-	}
-	return ""
 }
 
 func sortedKeys[K int | string, V any](m map[K]V) []K {

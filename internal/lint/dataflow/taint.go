@@ -425,7 +425,7 @@ func validatedFields(g *Graph) map[string]bool {
 	return out
 }
 
-// taint is the taint domain behind wiretaint, sizecap and logtaint. Its
+// taint is the taint domain behind wiretaint and logtaint. Its
 // program-wide sanitizer facts are computed once; guards are per
 // function, rebuilt by enter.
 type taint struct {
@@ -866,7 +866,7 @@ func callSinks(s *funcState[TaintValue], call *ast.CallExpr, add func(TaintSink)
 			switch b.Name() {
 			case "make":
 				for _, a := range call.Args[1:] {
-					add(TaintSink{Pos: a.Pos(), Kind: TaintAllocSize, Chain: []string{"make"}, Val: s.valueOf(a), SizeExpr: a})
+					add(TaintSink{Pos: a.Pos(), Kind: TaintAllocSize, Chain: []string{"make"}, Val: s.valueOf(a)})
 				}
 			case "append":
 				if call.Ellipsis.IsValid() && len(call.Args) == 2 {
@@ -910,16 +910,16 @@ func callSinks(s *funcState[TaintValue], call *ast.CallExpr, add func(TaintSink)
 			}
 		case "strings", "bytes":
 			if fn.Name() == "Repeat" && !hasRecv && len(call.Args) == 2 {
-				add(TaintSink{Pos: call.Args[1].Pos(), Kind: TaintAllocSize, Chain: []string{pkg.Name() + ".Repeat"}, Val: s.valueOf(call.Args[1]), SizeExpr: call.Args[1]})
+				add(TaintSink{Pos: call.Args[1].Pos(), Kind: TaintAllocSize, Chain: []string{pkg.Name() + ".Repeat"}, Val: s.valueOf(call.Args[1])})
 				return true
 			}
 			if fn.Name() == "Grow" && hasRecv && len(call.Args) == 1 {
-				add(TaintSink{Pos: call.Args[0].Pos(), Kind: TaintAllocSize, Chain: []string{displayName(fn)}, Val: s.valueOf(call.Args[0]), SizeExpr: call.Args[0]})
+				add(TaintSink{Pos: call.Args[0].Pos(), Kind: TaintAllocSize, Chain: []string{displayName(fn)}, Val: s.valueOf(call.Args[0])})
 				return true
 			}
 		case "bufio":
 			if fn.Name() == "Buffer" && hasRecv && len(call.Args) == 2 {
-				add(TaintSink{Pos: call.Args[1].Pos(), Kind: TaintAllocSize, Chain: []string{"Scanner.Buffer"}, Val: s.valueOf(call.Args[1]), SizeExpr: call.Args[1]})
+				add(TaintSink{Pos: call.Args[1].Pos(), Kind: TaintAllocSize, Chain: []string{"Scanner.Buffer"}, Val: s.valueOf(call.Args[1])})
 				return true
 			}
 		}

@@ -1,11 +1,10 @@
-// Package directive parses //reconlint:allow suppression comments,
-// //reconlint:hotpath region markers, and //reconlint:sanitized trust
-// assertions, and filters analyzer diagnostics through them.
+// Package directive parses //reconlint:allow suppression comments and
+// //reconlint:sanitized trust assertions, and filters analyzer
+// diagnostics through them.
 //
 // Grammar, one directive per comment line:
 //
 //	//reconlint:allow <analyzer>[,<analyzer>...] <reason>
-//	//reconlint:hotpath
 //	//reconlint:sanitized <reason>
 //
 // The analyzer list may be "all". The reason is mandatory and must
@@ -17,14 +16,9 @@
 // on every line of that statement, so an allow above a wrapped call
 // covers the whole call.
 //
-// //reconlint:hotpath marks the function whose doc comment carries it
-// as a hot path: the hotalloc analyzer polices it (and its same-package
-// callees) for per-event allocations. A hotpath marker that is not
-// attached to a function declaration is reported as a problem.
-//
 // //reconlint:sanitized is the taint layer's escape hatch: values read
 // and sinks evaluated on the covered lines are treated as trusted by
-// the wiretaint/sizecap/logtaint analyzers. Unlike allow (which hides
+// the wiretaint and logtaint analyzers. Unlike allow (which hides
 // one analyzer's diagnostic), sanitized changes the dataflow itself —
 // downstream flows of the covered value stay clean too — so the
 // mandatory reason must say why the input is trusted (for example an
@@ -40,7 +34,6 @@ import (
 
 const (
 	prefix          = "//reconlint:allow"
-	hotpathPrefix   = "//reconlint:hotpath"
 	sanitizedPrefix = "//reconlint:sanitized"
 )
 
@@ -113,41 +106,6 @@ func Parse(files []*ast.File) ([]Allow, []Problem) {
 		}
 	}
 	return allows, probs
-}
-
-// Hotpaths returns the function declarations marked //reconlint:hotpath
-// via their doc comment, plus problems for markers that are attached to
-// nothing (a detached marker silently policing no function would be a
-// false sense of coverage).
-func Hotpaths(files []*ast.File) (map[*ast.FuncDecl]bool, []Problem) {
-	marked := make(map[*ast.FuncDecl]bool)
-	attached := make(map[*ast.Comment]bool)
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				if _, ok := ownDirective(c.Text, hotpathPrefix); ok {
-					marked[fd] = true
-					attached[c] = true
-				}
-			}
-		}
-	}
-	var probs []Problem
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if _, ok := ownDirective(c.Text, hotpathPrefix); ok && !attached[c] {
-					probs = append(probs, Problem{Pos: c.Pos(),
-						Message: "reconlint:hotpath marker is not attached to a function declaration"})
-				}
-			}
-		}
-	}
-	return marked, probs
 }
 
 // Sanitized is one parsed //reconlint:sanitized directive.

@@ -180,36 +180,3 @@ func a() {
 		}
 	}
 }
-
-// TestHotpaths checks marker attachment: doc-comment markers mark their
-// function, detached markers are problems.
-func TestHotpaths(t *testing.T) {
-	const src = `package p
-
-// Hot dispatches events.
-//
-//reconlint:hotpath once per event
-func Hot() {}
-
-//reconlint:hotpath floating, attached to nothing
-
-var X = 1
-
-func Cold() {
-	//reconlint:hotpath inside a body marks nothing
-}
-`
-	_, files := parseSrc(t, src)
-	marked, probs := directive.Hotpaths(files)
-	if len(marked) != 1 {
-		t.Fatalf("got %d marked functions, want 1", len(marked))
-	}
-	for fd := range marked {
-		if fd.Name.Name != "Hot" {
-			t.Errorf("marked function is %s, want Hot", fd.Name.Name)
-		}
-	}
-	if len(probs) != 2 {
-		t.Fatalf("got %d detached-marker problems, want 2: %+v", len(probs), probs)
-	}
-}

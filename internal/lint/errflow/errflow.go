@@ -104,23 +104,17 @@ func (c *checker) checkBody(body *ast.BlockStmt, sig *types.Signature) {
 	// to do at the body level.
 }
 
-// errorResults counts error-typed results in a call's type.
-func errorResults(t types.Type) (errs, total int) {
-	if t == nil {
-		return 0, 0
-	}
+// returnsError reports whether a call's type has an error-typed result.
+func returnsError(t types.Type) bool {
 	if tuple, ok := t.(*types.Tuple); ok {
 		for i := 0; i < tuple.Len(); i++ {
 			if types.Identical(tuple.At(i).Type(), errorType) {
-				errs++
+				return true
 			}
 		}
-		return errs, tuple.Len()
+		return false
 	}
-	if types.Identical(t, errorType) {
-		return 1, 1
-	}
-	return 0, 1
+	return t != nil && types.Identical(t, errorType)
 }
 
 // fmtPrintFamily are conventionally-unchecked writers to std streams.
@@ -161,8 +155,7 @@ func (c *checker) checkDropped(call *ast.CallExpr, stmtKind string) {
 	if !ok {
 		return
 	}
-	errs, total := errorResults(tv.Type)
-	if errs == 0 {
+	if !returnsError(tv.Type) {
 		return
 	}
 	if fn := c.pass.FuncOf(call); fn != nil {
@@ -181,28 +174,14 @@ func (c *checker) checkDropped(call *ast.CallExpr, stmtKind string) {
 		}
 	}
 	name := calleeLabel(c.pass, call)
-	d := analysis.Diagnostic{
-		Pos:     call.Pos(),
-		Message: "error result of " + name + " silently dropped on a Run-reachable path; handle it or discard explicitly with _ =",
-	}
 	if stmtKind == "" {
-		// Autofix: make the drop explicit and auditable.
-		blanks := make([]string, total)
-		for i := range blanks {
-			blanks[i] = "_"
-		}
-		d.SuggestedFixes = []analysis.SuggestedFix{{
-			Message: "assign discarded results to blank explicitly",
-			TextEdits: []analysis.TextEdit{{
-				Pos: call.Pos(), End: call.Pos(),
-				NewText: []byte(strings.Join(blanks, ", ") + " = "),
-			}},
-		}}
-	} else {
-		d.Message = "error result of " + stmtKind + name + " silently dropped on a Run-reachable path; handle it in the " +
-			strings.TrimSpace(stmtKind) + "ed function or wrap the call"
+		c.pass.Reportf(call.Pos(),
+			"error result of %s silently dropped on a Run-reachable path; handle it or discard explicitly with _ =", name)
+		return
 	}
-	c.pass.Report(d)
+	c.pass.Reportf(call.Pos(),
+		"error result of %s%s silently dropped on a Run-reachable path; handle it in the %sed function or wrap the call",
+		stmtKind, name, strings.TrimSpace(stmtKind))
 }
 
 // checkBlankCtxErr flags `_ = ctx.Err()`: unlike other errors, blank-
@@ -262,18 +241,9 @@ func (c *checker) checkDoneCase(clause *ast.CommClause, sig *types.Signature) {
 			if id, ok := last.(*ast.Ident); ok && id.Name == "nil" {
 				var buf strings.Builder
 				_ = printer.Fprint(&buf, c.pass.Fset, ctxExpr) //reconlint:allow errflow printing to a Builder cannot fail
-				c.pass.Report(analysis.Diagnostic{
-					Pos: last.Pos(),
-					Message: "cancellation observed via <-" + buf.String() + ".Done() but nil returned: return " +
-						buf.String() + ".Err() so callers see it",
-					SuggestedFixes: []analysis.SuggestedFix{{
-						Message: "return the context's error",
-						TextEdits: []analysis.TextEdit{{
-							Pos: last.Pos(), End: last.End(),
-							NewText: []byte(buf.String() + ".Err()"),
-						}},
-					}},
-				})
+				c.pass.Reportf(last.Pos(),
+					"cancellation observed via <-%s.Done() but nil returned: return %s.Err() so callers see it",
+					buf.String(), buf.String())
 			}
 			return true
 		})

@@ -18,14 +18,12 @@ import (
 	"repro/internal/lint/directive"
 	"repro/internal/lint/errflow"
 	"repro/internal/lint/goroleak"
-	"repro/internal/lint/hotalloc"
 	"repro/internal/lint/loader"
 	"repro/internal/lint/lockcheck"
 	"repro/internal/lint/lockorder"
 	"repro/internal/lint/logtaint"
 	"repro/internal/lint/maporder"
 	"repro/internal/lint/seedflow"
-	"repro/internal/lint/sizecap"
 	"repro/internal/lint/wiretaint"
 )
 
@@ -34,8 +32,6 @@ type Diagnostic struct {
 	Position token.Position
 	Analyzer string
 	Message  string
-	// SuggestedFixes carries machine-applicable repairs (driver -fix).
-	SuggestedFixes []analysis.SuggestedFix
 }
 
 func (d Diagnostic) String() string {
@@ -144,9 +140,6 @@ func Suite() []ScopedAnalyzer {
 		{Analyzer: lockcheck.Analyzer, Applies: everywhere},
 		{Analyzer: seedflow.Analyzer, Applies: seedflowScope},
 		{Analyzer: errflow.Analyzer, Applies: errflowScope},
-		// hotalloc runs everywhere: it only fires inside functions that
-		// opted in with //reconlint:hotpath.
-		{Analyzer: hotalloc.Analyzer, Applies: everywhere},
 		// Concurrency analyzers (flow-sensitive, on the dataflow CFG and
 		// lockset layer).
 		{Analyzer: lockorder.Analyzer, Applies: concurrencyScope},
@@ -155,7 +148,6 @@ func Suite() []ScopedAnalyzer {
 		// Taint analyzers (interprocedural taint lattice over the trust
 		// boundary: wire structs, flags, env).
 		{Analyzer: wiretaint.Analyzer, Applies: taintScope},
-		{Analyzer: sizecap.Analyzer, Applies: taintScope},
 		{Analyzer: logtaint.Analyzer, Applies: taintScope},
 	}
 }
@@ -182,8 +174,8 @@ func Prepare(pkgs []*loader.Package) {
 func RunPackage(pkg *loader.Package, suite []ScopedAnalyzer) ([]Diagnostic, error) {
 	var out []Diagnostic
 	seen := make(map[string]bool)
-	add := func(analyzer string, pos token.Pos, msg string, fixes []analysis.SuggestedFix) {
-		d := Diagnostic{Position: pkg.Fset.Position(pos), Analyzer: analyzer, Message: msg, SuggestedFixes: fixes}
+	add := func(analyzer string, pos token.Pos, msg string) {
+		d := Diagnostic{Position: pkg.Fset.Position(pos), Analyzer: analyzer, Message: msg}
 		key := d.String()
 		if !seen[key] {
 			seen[key] = true
@@ -193,11 +185,11 @@ func RunPackage(pkg *loader.Package, suite []ScopedAnalyzer) ([]Diagnostic, erro
 
 	_, problems := directive.Parse(pkg.Syntax)
 	for _, p := range problems {
-		add("reconlint", p.Pos, p.Message, nil)
+		add("reconlint", p.Pos, p.Message)
 	}
 	_, sanProblems := directive.ParseSanitized(pkg.Syntax)
 	for _, p := range sanProblems {
-		add("reconlint", p.Pos, p.Message, nil)
+		add("reconlint", p.Pos, p.Message)
 	}
 
 	for _, sa := range suite {
@@ -217,7 +209,7 @@ func RunPackage(pkg *loader.Package, suite []ScopedAnalyzer) ([]Diagnostic, erro
 			if suppressed(d.Pos) {
 				return
 			}
-			add(name, d.Pos, d.Message, d.SuggestedFixes)
+			add(name, d.Pos, d.Message)
 		}
 		if _, err := sa.Run(pass); err != nil {
 			return nil, fmt.Errorf("lint: %s on %s: %w", sa.Name, pkg.ImportPath, err)

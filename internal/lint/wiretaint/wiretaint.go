@@ -68,7 +68,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 // DescribeChain renders a sink chain: "make" for a direct sink,
 // "make (via buildTask -> reserve)" for one forwarded through callees.
-// Shared by the three taint analyzers.
+// Shared by the two taint analyzers.
 func DescribeChain(chain []string) string {
 	if len(chain) == 0 {
 		return "a sink"

@@ -1,6 +1,7 @@
 package wiretaint_test
 
 import (
+	"path/filepath"
 	"testing"
 
 	"repro/internal/lint/analysistest"
@@ -9,4 +10,7 @@ import (
 
 func TestWiretaint(t *testing.T) {
 	analysistest.Run(t, "testdata", wiretaint.Analyzer, "controlplane")
+	// Allocation sizes in every form: make, strings.Repeat, Builder.Grow,
+	// and sizes carried through a return value or a channel.
+	analysistest.Run(t, filepath.Join("testdata", "alloc"), wiretaint.Analyzer, "controlplane")
 }

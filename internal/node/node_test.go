@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -311,5 +312,29 @@ func TestAddRPEDevice(t *testing.T) {
 	bad.Slices = 0
 	if _, err := n.AddRPEDevice(bad); err == nil {
 		t.Error("invalid device accepted")
+	}
+}
+
+// TestNaNDescriptionRejected: a NaN MIPS never equals itself, so an
+// accepted NaN description would add a new capSets entry on every
+// install, breaking the map's "distinct descriptions only" bound.
+func TestNaNDescriptionRejected(t *testing.T) {
+	n, err := New("n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func() int {
+		capSets.mu.Lock()
+		defer capSets.mu.Unlock()
+		return len(capSets.sets)
+	}
+	before := size()
+	for i := 0; i < 100; i++ {
+		if _, err := n.AddGPP(capability.GPPCaps{CPUType: "x86-64", MIPS: math.NaN(), OS: "Linux", RAMMB: 1024, Cores: 1}); err == nil {
+			t.Fatal("GPP with NaN MIPS installed")
+		}
+	}
+	if grown := size() - before; grown != 0 {
+		t.Errorf("capSets grew by %d entries for one rejected description", grown)
 	}
 }

@@ -31,8 +31,7 @@ type Candidate struct {
 }
 
 // Label renders the candidate in Table II notation. It allocates; the
-// engine only renders it for submissions that opted into monitoring, so
-// it is deliberately outside the hotpath lint region.
+// engine only renders it for submissions that opted into monitoring.
 func (c Candidate) Label() string {
 	return c.Elem.ID + " <-> " + c.Node.ID
 }
@@ -115,8 +114,6 @@ func (m *Matchmaker) nodes() []*node.Node {
 // The returned slice is backed by the matchmaker's scratch buffer and is
 // valid until the next Candidates call: consume (or copy) it before
 // matching again.
-//
-//reconlint:hotpath evaluated for every queued task on every dispatch round
 func (m *Matchmaker) Candidates(req task.ExecReq) ([]Candidate, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -134,7 +131,6 @@ func (m *Matchmaker) Candidates(req task.ExecReq) ([]Candidate, error) {
 	case pe.DeviceSpecificHW:
 		return m.deviceSpecificCandidates(req)
 	}
-	//reconlint:allow hotalloc unreachable after Validate; cold error path, never taken per dispatch
 	return nil, fmt.Errorf("rms: unhandled scenario %v", req.Scenario)
 }
 

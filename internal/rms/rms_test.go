@@ -182,34 +182,71 @@ func TestPredeterminedMatching(t *testing.T) {
 	}
 }
 
-// TestPredeterminedCandidatesZeroAllocs pins the soft-core scan as
-// allocation-free once warm: each library core's capability set and
-// design name are built with the core, not per core × RPE × call.
+// TestPredeterminedCandidatesZeroAllocs pins every request kind's
+// candidate scan as allocation-free once warm: the engine calls
+// Candidates for each queued task on every dispatch round, so a
+// per-call allocation here scales with queue length × events. Each
+// library core's capability set and design name are built with the
+// core, synthesis results are cached, and the scan reuses the
+// matchmaker's scratch buffers.
 func TestPredeterminedCandidatesZeroAllocs(t *testing.T) {
 	reg := NewRegistry()
 	n := mkNode(t, "NodeA")
+	n.AddGPP(xeon())
 	n.AddRPE("XC5VLX110T")
 	n.AddRPE("XC5VLX330T")
-	reg.AddNode(n)
-	mm := newMM(t, reg)
-	req := task.ExecReq{
-		Scenario:     pe.PredeterminedHW,
-		SoftcoreISA:  "rvex-vliw",
-		Requirements: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 2),
-	}
-	cands, err := mm.Candidates(req)
-	if err != nil {
+	if _, err := n.AddGPU(capability.GPUCaps{
+		Model: "GT200", ShaderCores: 240, WarpSize: 32, SIMDWidth: 8, SharedKB: 16, MemFreqMHz: 1100,
+	}, 1296); err != nil {
 		t.Fatal(err)
 	}
-	if len(cands) != 2 {
-		t.Fatalf("candidates = %+v, want one per RPE", cands)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := mm.Candidates(req); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("predetermined-hardware Candidates allocates %.1f times per call, want 0", avg)
+	n.AddRPE("XC6VLX365T")
+	reg.AddNode(n)
+	mm := newMM(t, reg)
+
+	design, _ := hdl.LookupIP("fir64")
+	dev, _ := fabric.LookupDevice("XC6VLX365T")
+	for _, tc := range []struct {
+		name string
+		req  task.ExecReq
+	}{
+		{"software", task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: task.GPPOnly(9000, 1024)}},
+		// More RAM than the Xeon has: no GPP matches, so the task falls
+		// back to a soft-core on an RPE.
+		{"software-fallback", task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: task.GPPOnly(100, 32768)}},
+		{"softcore", task.ExecReq{
+			Scenario:     pe.PredeterminedHW,
+			SoftcoreISA:  "rvex-vliw",
+			Requirements: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 2),
+		}},
+		{"gpu", gpuReq()},
+		{"user-defined", task.ExecReq{
+			Scenario:     pe.UserDefinedHW,
+			Requirements: task.FPGAFamily("Virtex-5", 100),
+			Design:       design,
+		}},
+		{"device-specific", task.ExecReq{
+			Scenario:     pe.DeviceSpecificHW,
+			Requirements: task.FPGADevice("XC6VLX365T"),
+			Bitstream:    fabric.FullBitstream("user", "custom", dev, 40000),
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cands, err := mm.Candidates(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cands) == 0 {
+				t.Fatal("no candidates: the pin would measure an empty scan")
+			}
+			if avg := testing.AllocsPerRun(100, func() {
+				if _, err := mm.Candidates(tc.req); err != nil {
+					t.Fatal(err)
+				}
+			}); avg != 0 {
+				t.Errorf("Candidates allocates %.2f times per call, want 0", avg)
+			}
+		})
 	}
 }
 
