@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestRunFlag checks -run subsets the suite, that a typo is a usage
-// error rather than a silently empty run, and that the driver accepts
-// no flag besides -run and -sarif.
-func TestRunFlag(t *testing.T) {
+// TestRunSkipFlags checks -run subsets the suite, that a typo is a
+// usage error rather than a silently empty run, and that the driver
+// accepts no flag besides -run and -sarif: -skip, like the other
+// removed flags, is a usage error.
+func TestRunSkipFlags(t *testing.T) {
 	resetGlobals()
 	defer resetGlobals()
 	dir := findingsModule(t) // one errflow finding, one detrand finding
