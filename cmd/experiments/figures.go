@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/bio"
 	"repro/internal/capability"
 	"repro/internal/casestudy"
 	"repro/internal/core"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/pe"
 	"repro/internal/report"
 	"repro/internal/rms"
-	"repro/internal/sim"
 	"repro/internal/softcore"
 	"repro/internal/task"
 )
@@ -373,8 +371,5 @@ func runF10() error {
 	if res.PairalignPercent < 60 || res.MalignPercent > res.PairalignPercent {
 		return fmt.Errorf("profile shape does not match the paper")
 	}
-	_ = bio.Alphabet
-	_ = sim.TimeZero
-	_ = hdl.VHDL
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/rms"
 	"repro/internal/sim"
 )
@@ -46,7 +47,7 @@ func run() error {
 		return err
 	}
 
-	rec := &grid.Recorder{}
+	rec := &obs.Recorder{}
 	cfg := grid.DefaultConfig()
 	cfg.Tracer = rec
 	reg, err := grid.BuildGrid(grid.DefaultGridSpec())

@@ -1,7 +1,7 @@
 // Faultsweep: measure how the scheduling strategies degrade as the grid
 // gets less reliable, through the public API. Each sweep point pairs a
 // strategy with a fault intensity (node crashes, SEU configuration
-// upsets, and link faults/partitions); the engine's lease monitor
+// upsets, and link faults/partitions); the engine's lease renewal
 // detects dead placements, releases their fabric regions, and re-enters
 // tasks through capped-exponential-backoff retry and re-matchmaking.
 //

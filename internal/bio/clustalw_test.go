@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/profiler"
-	"repro/internal/sim"
 )
 
 func TestAlignEndToEnd(t *testing.T) {
@@ -213,7 +212,6 @@ func TestAlignSmallestCase(t *testing.T) {
 	if res.Columns() != 9 {
 		t.Errorf("columns = %d", res.Columns())
 	}
-	_ = sim.TimeZero
 }
 
 func TestAlignWithKimuraCorrection(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/faults"
 )
 
 // TestFaultRepairStats pins the MTTR accounting the release report
@@ -66,5 +68,38 @@ func TestFaultStatsOmittedWhenClean(t *testing.T) {
 				t.Errorf("tenant %s: clean snapshot serializes %q: %s", st.Tenant, field, b)
 			}
 		}
+	}
+}
+
+// TestZeroMaxRetriesEvictsOnFirstAbort pins the control plane's reading
+// of RetryPolicy.MaxRetries == 0: a tenant evicts a task on its first
+// fault abort, which TierBackground's zero policy relies on, while
+// faults.RetryPolicy documents zero as unlimited and grid.Engine retries
+// without limit. In one faulty run, every struck background task is
+// evicted unretried and struck virtualized tasks are retried.
+func TestZeroMaxRetriesEvictsOnFirstAbort(t *testing.T) {
+	if got := TierBackground.Policy().Retry.MaxRetries; got != 0 {
+		t.Fatalf("background MaxRetries = %d, want 0", got)
+	}
+	cfg := DefaultConfig()
+	cfg.Faults = faults.Spec{CrashRate: 0.05, MeanOutageSeconds: 5, SEURate: 0.05, HorizonSeconds: 2000}
+	s := newTestServer(t, cfg)
+	for i := 0; i < 20; i++ {
+		mustOK(t, s.Do(Request{Op: OpSubmit, Tenant: "bg", Tier: "background", Task: spec(taskID("bg", i), 500000)}))
+		mustOK(t, s.Do(Request{Op: OpSubmit, Tenant: "virt", Tier: "virtualized", Task: spec(taskID("virt", i), 500000)}))
+	}
+	mustOK(t, s.Do(Request{Op: OpDrain}))
+
+	bg := *mustOK(t, s.Do(Request{Op: OpStats, Tenant: "bg"})).Stats
+	if bg.FaultAborts == 0 {
+		t.Fatalf("no background task was struck: %+v", bg)
+	}
+	if bg.Retries != 0 || bg.Evicted != bg.FaultAborts {
+		t.Errorf("background: %d fault aborts, %d retries, %d evicted; want every abort evicted unretried",
+			bg.FaultAborts, bg.Retries, bg.Evicted)
+	}
+	virt := *mustOK(t, s.Do(Request{Op: OpStats, Tenant: "virt"})).Stats
+	if virt.FaultAborts == 0 || virt.Retries == 0 {
+		t.Errorf("virtualized: %d fault aborts, %d retries; want struck tasks retried", virt.FaultAborts, virt.Retries)
 	}
 }

@@ -78,6 +78,10 @@ type TierPolicy struct {
 	RatePerSec float64
 	Burst      float64
 	// Retry bounds re-execution of fault-aborted tasks before eviction.
+	// A tenant evicts a task once its fault aborts exceed MaxRetries, so
+	// MaxRetries == 0 evicts on the first abort; TierBackground relies on
+	// that. faults.RetryPolicy documents zero as unlimited, and
+	// grid.Engine reads it that way.
 	Retry faults.RetryPolicy
 }
 

@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func lx155(t *testing.T) *Fabric {
@@ -262,5 +260,4 @@ func TestConfigDelayMatchesBandwidth(t *testing.T) {
 	if d6 >= d5 {
 		t.Errorf("v6 delay %v should be below v5 %v", d6, d5)
 	}
-	_ = sim.TimeZero
 }

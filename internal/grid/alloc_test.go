@@ -15,7 +15,7 @@ import (
 // dispatchRig builds an engine over one node with a one-core GPP and an
 // XC5VLX110T RPE. A software task runs on the GPP while its core is
 // free and falls back to a soft-core on the RPE otherwise.
-func dispatchRig(t *testing.T, tracer TraceSink) (*Engine, *node.Element, *node.Element) {
+func dispatchRig(t *testing.T, tracer obs.TraceSink) (*Engine, *node.Element, *node.Element) {
 	t.Helper()
 	n, err := node.New("n0")
 	if err != nil {
@@ -103,7 +103,7 @@ const dispatchCompleteAllocs = 11
 func TestDispatchCompletionAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		tracer TraceSink
+		tracer obs.TraceSink
 	}{
 		{"untraced", nil},
 		{"noop-tracer", obs.Noop{}},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rms"
 	"repro/internal/sim"
 )
@@ -73,7 +74,7 @@ func TestSubmitAppsRunsAllTasksRespectingDeps(t *testing.T) {
 	for _, app := range apps {
 		total += app.Graph.Len()
 	}
-	rec := &Recorder{}
+	rec := &obs.Recorder{}
 	cfg := DefaultConfig()
 	cfg.Tracer = rec
 	tc, _ := DefaultToolchain()
@@ -99,9 +100,9 @@ func TestSubmitAppsRunsAllTasksRespectingDeps(t *testing.T) {
 	dispatchAt := map[string]sim.Time{}
 	for _, ev := range rec.Events() {
 		switch ev.Kind {
-		case TraceComplete:
+		case obs.KindComplete:
 			completeAt[ev.TaskID.String()] = ev.Time
-		case TraceDispatch:
+		case obs.KindDispatch:
 			dispatchAt[ev.TaskID.String()] = ev.Time
 		}
 	}

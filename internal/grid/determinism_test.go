@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -41,7 +42,7 @@ func faultFingerprint(m *Metrics) string {
 	return b.String()
 }
 
-func faultScenario(rec *Recorder) ScenarioSpec {
+func faultScenario(rec *obs.Recorder) ScenarioSpec {
 	cfg := DefaultConfig()
 	cfg.Tracer = rec
 	return ScenarioSpec{
@@ -60,7 +61,7 @@ func faultScenario(rec *Recorder) ScenarioSpec {
 //scenario:differential strategy=reconfig-aware regime=hostile workload=default
 func TestFaultScenarioReplaysByteIdentically(t *testing.T) {
 	run := func() (*Metrics, []byte) {
-		rec := &Recorder{}
+		rec := &obs.Recorder{}
 		m, err := RunScenario(context.Background(), faultScenario(rec))
 		if err != nil {
 			t.Fatal(err)
@@ -93,13 +94,13 @@ func TestFaultScenarioReplaysByteIdentically(t *testing.T) {
 // faultSweepSpec builds a 2-strategy × nReps fault sweep; each point
 // gets its own Recorder so per-point traces can be compared across
 // worker counts (one replica per point owns the recorder exclusively).
-func faultSweepSpec(t *testing.T, workers, reps int, withTracers bool) (SweepSpec, []*Recorder) {
+func faultSweepSpec(t *testing.T, workers, reps int, withTracers bool) (SweepSpec, []*obs.Recorder) {
 	t.Helper()
 	tc, err := DefaultToolchain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []*Recorder
+	var recs []*obs.Recorder
 	var points []SweepPoint
 	for _, name := range []string{"reconfig-aware", "first-fit"} {
 		strat, err := sched.ByName(name)
@@ -109,7 +110,7 @@ func faultSweepSpec(t *testing.T, workers, reps int, withTracers bool) (SweepSpe
 		cfg := DefaultConfig()
 		cfg.Strategy = strat
 		if withTracers {
-			rec := &Recorder{}
+			rec := &obs.Recorder{}
 			recs = append(recs, rec)
 			cfg.Tracer = rec
 		}

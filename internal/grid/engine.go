@@ -42,11 +42,11 @@ type Config struct {
 	Horizon sim.Time
 	// Tracer, when non-nil, receives per-task lifecycle events (and gauge
 	// samples when SampleEverySeconds is set). Any obs.TraceSink works:
-	// the in-memory Recorder, the streaming CSV/Chrome sinks, a Timeline,
-	// or an obs.Multi fan-out. Events are emitted on the simulator
-	// goroutine in virtual-time order; the engine never flushes or closes
-	// the sink — its creator owns that.
-	Tracer TraceSink
+	// the in-memory obs.Recorder, the streaming obs.CSV/obs.Chrome sinks,
+	// an obs.Timeline, or an obs.Multi fan-out. Events are emitted on the
+	// simulator goroutine in virtual-time order; the engine never flushes
+	// or closes the sink — its creator owns that.
+	Tracer obs.TraceSink
 	// SampleEverySeconds, when positive, makes the engine snapshot its
 	// gauges (queue depth, per-kind utilization, fabric occupancy,
 	// outages, energy) into the Tracer's Sample method every interval of
@@ -157,17 +157,15 @@ type Engine struct {
 	// end-of-run metrics window clamps to it when sampling is enabled so
 	// a trailing sampler tick cannot widen WindowSeconds/Availability.
 	lastReal sim.Time
-	// Fault-injection state, touched only from simulator handlers: mon
-	// is the RMS lease monitor; down maps a crashed node to the fault
-	// Seq that downed it, downNode/downSince keep the detached object
-	// and the outage start; linkFault holds the active link fault per
-	// node; backoff lists the tasks waiting out a retry backoff, in the
-	// order they began it.
+	// Fault-injection state, touched only from simulator handlers: down
+	// maps a crashed node to the fault Seq that downed it,
+	// downNode/downSince keep the detached object and the outage start;
+	// linkFault holds the active link fault per node; backoff lists the
+	// tasks waiting out a retry backoff, in the order they began it.
 	// nodeNames/elemNames cache the interned obs handle per live object:
 	// tracing an event hashes a pointer, not an ID string.
 	nodeNames map[*node.Node]obs.Name
 	elemNames map[*node.Element]obs.Name
-	mon       *rms.Monitor
 	down      map[string]uint64
 	downNode  map[string]*node.Node
 	downSince map[string]sim.Time
@@ -222,7 +220,6 @@ func NewEngine(cfg Config, reg *rms.Registry, mm *rms.Matchmaker) (*Engine, erro
 		runningByKind: make(map[capability.Kind]int),
 		nodeNames:     make(map[*node.Node]obs.Name),
 		elemNames:     make(map[*node.Element]obs.Name),
-		mon:           rms.NewMonitor(),
 		down:          make(map[string]uint64),
 		downNode:      make(map[string]*node.Node),
 		downSince:     make(map[string]sim.Time),
@@ -613,7 +610,6 @@ func (e *Engine) complete(exe *execution) {
 	elem := exe.opt.Cand.Elem
 	end := e.S.Now()
 	e.S.Cancel(exe.renew)
-	e.mon.Settle(lease)
 	e.dropRunning(elem, exe)
 	if err := lease.Release(); err != nil {
 		panic(fmt.Sprintf("grid: release failed: %v", err))
@@ -827,7 +823,6 @@ func (e *Engine) FailElementAt(at sim.Time, nodeID, elemID string, permanent boo
 func (e *Engine) abortExecution(exe *execution) {
 	e.S.Cancel(exe.ev)
 	e.S.Cancel(exe.renew)
-	e.mon.Settle(exe.lease)
 	elem := exe.lease.Cand.Elem
 	e.dropRunning(elem, exe)
 	if err := exe.lease.Release(); err != nil {

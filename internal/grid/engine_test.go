@@ -10,6 +10,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/jss"
 	"repro/internal/node"
+	"repro/internal/obs"
 	"repro/internal/pe"
 	"repro/internal/rms"
 	"repro/internal/task"
@@ -80,7 +81,7 @@ func TestFinishFailsEveryUnfinishedSubmission(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Horizon = 50
 	cfg.Faults = &faults.Spec{Retry: faults.RetryPolicy{MaxRetries: 3, BackoffSeconds: 100}}
-	cfg.Tracer = &Recorder{}
+	cfg.Tracer = &obs.Recorder{}
 	cfg.SampleEverySeconds = 10
 	eng := gppRig(t, cfg, 2, 1000)
 	eng.Submit(0, "inflight", singleTaskGraph(t, softwareTask("A", 1e6, 100)), nil, jss.QoS{})
@@ -112,7 +113,7 @@ func TestFinishFailsEveryUnfinishedSubmission(t *testing.T) {
 			t.Errorf("%s: %s %s %q, want failed %q", s.User, s.ID, resp.Status, resp.FailureReason, want[s.User])
 		}
 	}
-	samples := cfg.Tracer.(*Recorder).Samples()
+	samples := cfg.Tracer.(*obs.Recorder).Samples()
 	last := samples[len(samples)-1]
 	if last.Running != 1 || last.RetryBacklog != 1 || last.QueueDepth != 1 {
 		t.Errorf("end-of-run sample: running %d, retry backlog %d, queued %d; want 1 each",
@@ -129,7 +130,7 @@ func TestFinishFailsEveryUnfinishedSubmission(t *testing.T) {
 // Streaming arrivals one at a time would schedule B's arrival after the
 // failure and change this trace.
 func TestArrivalTiesKeepScheduleOrder(t *testing.T) {
-	rec := &Recorder{}
+	rec := &obs.Recorder{}
 	cfg := DefaultConfig()
 	cfg.Tracer = rec
 	eng := gppRig(t, cfg, 1, 1000)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/capability"
 	"repro/internal/jss"
 	"repro/internal/pe"
 	"repro/internal/rms"
@@ -195,5 +194,4 @@ func TestFailureMetricsFieldZeroByDefault(t *testing.T) {
 	if m.Failures != 0 {
 		t.Errorf("failures = %d without injection", m.Failures)
 	}
-	_ = capability.KindGPP
 }

@@ -55,42 +55,36 @@ func (e *Engine) leaseTTL() sim.Time {
 
 // superviseLease starts the lease renewal loop for an in-flight
 // execution: every TTL the RMS checks the hosting node, and while it
-// answers the lease's deadline moves forward. The first check that finds
-// the node unreachable expires the lease, so failure-detection latency
-// is at most one TTL. No-op without an active fault policy.
+// answers the lease is renewed for another TTL. The first check that
+// finds the node unreachable expires the lease, so failure-detection
+// latency is at most one TTL. Completion and abort cancel the pending
+// check, so a check that fires always finds its lease live. No-op
+// without an active fault policy.
 func (e *Engine) superviseLease(exe *execution) {
 	ttl := e.leaseTTL()
 	if ttl <= 0 {
 		return
 	}
-	if err := e.mon.Grant(exe.lease, e.S.Now()+ttl); err != nil {
-		panic(fmt.Sprintf("grid: lease grant: %v", err))
-	}
 	nodeID := exe.lease.Cand.Node.ID
 	var check func()
 	check = func() {
-		if !e.mon.Active(exe.lease) {
-			return
-		}
 		if e.unreachable(nodeID) {
 			e.expireLease(exe)
 			return
 		}
-		e.mon.Renew(exe.lease, e.S.Now()+ttl)
 		exe.renew = e.S.After(ttl, "lease-renew", check)
 	}
 	exe.renew = e.S.After(ttl, "lease-renew", check)
 }
 
-// expireLease is failure detection firing: the monitor declares the
-// lease dead, the fabric region and element capacity it held are
-// released, the task re-enters the retry path (re-matchmaking on
-// whatever nodes remain), and — once the node has no surviving leases —
-// its registry entry is dropped so the matchmaker stops offering it.
+// expireLease is failure detection firing: the lease is declared dead,
+// the fabric region and element capacity it held are released, the task
+// re-enters the retry path (re-matchmaking on whatever nodes remain),
+// and — once the node has no surviving leases — its registry entry is
+// dropped so the matchmaker stops offering it.
 func (e *Engine) expireLease(exe *execution) {
 	nodeID := exe.lease.Cand.Node.ID
 	elemID := exe.lease.Cand.Elem.ID
-	e.mon.Expire(exe.lease)
 	e.m.LeaseExpiries++
 	e.trace(obs.Event{
 		Time: e.S.Now(), Kind: obs.KindLeaseExpired, TaskID: exe.it.tid,
@@ -119,7 +113,7 @@ func (e *Engine) releaseCrashedNode(nodeID string) {
 
 // applyCrash silences a node: in-flight completions on it will never
 // arrive (their events are cancelled), but the leases stay granted until
-// the monitor notices the missed renewals — detection, not omniscience.
+// the renewal check notices the node is gone — detection, not omniscience.
 func (e *Engine) applyCrash(ev faults.Event) {
 	if _, down := e.down[ev.Node]; down {
 		return // already down; this event's paired recovery will not match
@@ -143,10 +137,10 @@ func (e *Engine) applyCrash(ev faults.Event) {
 
 // applyRecover reboots a crashed node: leases that outlived the outage
 // are expired now (the reboot lost their work regardless of what the
-// monitor had seen), the fabric comes back blank — no configuration
-// survives a power cycle, so post-recovery tasks pay reconfiguration
-// again — and the node re-registers, immediately eligible for queued
-// work.
+// renewal checks had seen), the fabric comes back blank — no
+// configuration survives a power cycle, so post-recovery tasks pay
+// reconfiguration again — and the node re-registers, immediately
+// eligible for queued work.
 func (e *Engine) applyRecover(ev faults.Event) {
 	seq, down := e.down[ev.Node]
 	if !down || seq != ev.Seq {

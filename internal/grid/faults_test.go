@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/rms"
 	"repro/internal/sim"
 )
@@ -20,7 +21,7 @@ func faultPolicy() *faults.Spec {
 
 // faultRig builds the failureRig grid with an active fault policy: one
 // ≈100 s hardware task dispatched shortly after t=0.
-func faultRig(t *testing.T, spec *faults.Spec, rec *Recorder) *Engine {
+func faultRig(t *testing.T, spec *faults.Spec, rec *obs.Recorder) *Engine {
 	t.Helper()
 	reg, err := BuildGrid(DefaultGridSpec())
 	if err != nil {
@@ -199,7 +200,7 @@ func TestSEUAbortsTaskAndForcesReconfiguration(t *testing.T) {
 }
 
 func TestPartitionExpiresLeaseAndReroutes(t *testing.T) {
-	rec := &Recorder{}
+	rec := &obs.Recorder{}
 	eng := faultRig(t, faultPolicy(), rec)
 	if err := eng.S.RunUntil(5); err != nil {
 		t.Fatal(err)
@@ -226,7 +227,7 @@ func TestPartitionExpiresLeaseAndReroutes(t *testing.T) {
 	// Degraded-mode scheduling: nothing dispatches to the partitioned
 	// node while it is cut off.
 	for _, ev := range rec.Events() {
-		if ev.Kind == TraceDispatch && ev.Node.String() == nodeID && ev.Time >= 8 && ev.Time < 60 {
+		if ev.Kind == obs.KindDispatch && ev.Node.String() == nodeID && ev.Time >= 8 && ev.Time < 60 {
 			t.Errorf("task %s dispatched to partitioned node %s at t=%v", ev.TaskID, nodeID, ev.Time)
 		}
 	}
@@ -278,7 +279,7 @@ func TestRetryBudgetExhaustedLosesTask(t *testing.T) {
 		LeaseTTLSeconds: 2,
 		Retry:           faults.RetryPolicy{MaxRetries: 1, BackoffSeconds: 1},
 	}
-	rec := &Recorder{}
+	rec := &obs.Recorder{}
 	cfg.Tracer = rec
 	eng, err := NewEngine(cfg, reg, mm)
 	if err != nil {
@@ -315,7 +316,7 @@ func TestRetryBudgetExhaustedLosesTask(t *testing.T) {
 	}
 	var sawLost bool
 	for _, ev := range rec.Events() {
-		if ev.Kind == TraceLost {
+		if ev.Kind == obs.KindLost {
 			sawLost = true
 		}
 	}
@@ -329,7 +330,7 @@ func TestRetryBudgetExhaustedLosesTask(t *testing.T) {
 }
 
 func TestFaultTraceKindsRecorded(t *testing.T) {
-	rec := &Recorder{}
+	rec := &obs.Recorder{}
 	eng := faultRig(t, faultPolicy(), rec)
 	if err := eng.S.RunUntil(5); err != nil {
 		t.Fatal(err)
@@ -342,11 +343,11 @@ func TestFaultTraceKindsRecorded(t *testing.T) {
 	if _, err := eng.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[TraceKind]int{}
+	kinds := map[obs.Kind]int{}
 	for _, ev := range rec.Events() {
 		kinds[ev.Kind]++
 	}
-	for _, want := range []TraceKind{TraceNodeDown, TraceNodeUp, TraceLeaseExpired, TraceFail, TraceRetry, TraceDispatch, TraceComplete} {
+	for _, want := range []obs.Kind{obs.KindNodeDown, obs.KindNodeUp, obs.KindLeaseExpired, obs.KindFail, obs.KindRetry, obs.KindDispatch, obs.KindComplete} {
 		if kinds[want] == 0 {
 			t.Errorf("trace kind %q never recorded (got %v)", want, kinds)
 		}

@@ -84,7 +84,7 @@ func compareGolden(t *testing.T, name string, got []byte) {
 // TestGoldenFaultTrace replays the pinned scenario and compares the full
 // trace stream byte-for-byte against testdata/fault_trace.csv.
 func TestGoldenFaultTrace(t *testing.T) {
-	rec := &Recorder{}
+	rec := &obs.Recorder{}
 	m, err := RunScenario(context.Background(), goldenFaultScenario(rec))
 	if err != nil {
 		t.Fatal(err)

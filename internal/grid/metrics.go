@@ -42,8 +42,8 @@ type Metrics struct {
 	// Fault-injection and recovery accounting (zero unless a fault spec
 	// is active): Retries counts fault-induced re-queues, TasksLost the
 	// tasks abandoned after exhausting their retry budget, LeaseExpiries
-	// the leases the RMS monitor declared dead, and the remaining
-	// counters the injected fault events that took effect.
+	// the leases whose renewal check found their node gone, and the
+	// remaining counters the injected fault events that took effect.
 	Retries        int
 	TasksLost      int
 	LeaseExpiries  int

@@ -6,13 +6,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rms"
 	"repro/internal/sim"
 )
 
-func tracedRun(t *testing.T) (*Recorder, *Metrics) {
+func tracedRun(t *testing.T) (*obs.Recorder, *Metrics) {
 	t.Helper()
-	rec := &Recorder{}
+	rec := &obs.Recorder{}
 	cfg := DefaultConfig()
 	cfg.Tracer = rec
 	tc, _ := DefaultToolchain()
@@ -39,11 +40,11 @@ func tracedRun(t *testing.T) (*Recorder, *Metrics) {
 func TestRecorderCapturesLifecycle(t *testing.T) {
 	rec, m := tracedRun(t)
 	events := rec.Events()
-	counts := map[TraceKind]int{}
+	counts := map[obs.Kind]int{}
 	for _, ev := range events {
 		counts[ev.Kind]++
 	}
-	if counts[TraceQueued] != 20 || counts[TraceDispatch] != 20 || counts[TraceComplete] != 20 {
+	if counts[obs.KindQueued] != 20 || counts[obs.KindDispatch] != 20 || counts[obs.KindComplete] != 20 {
 		t.Errorf("event counts = %v, want 20 of each lifecycle kind", counts)
 	}
 	if m.Completed != 20 {
@@ -54,14 +55,14 @@ func TestRecorderCapturesLifecycle(t *testing.T) {
 	queued := map[string]sim.Time{}
 	for _, ev := range events {
 		switch ev.Kind {
-		case TraceQueued:
+		case obs.KindQueued:
 			queued[ev.TaskID.String()] = ev.Time
-		case TraceDispatch:
+		case obs.KindDispatch:
 			dispatch[ev.TaskID.String()] = ev.Time
 			if ev.Node.IsZero() || ev.Element.IsZero() {
 				t.Error("dispatch without placement info")
 			}
-		case TraceComplete:
+		case obs.KindComplete:
 			if ev.Time < dispatch[ev.TaskID.String()] || dispatch[ev.TaskID.String()] < queued[ev.TaskID.String()] {
 				t.Errorf("causality violated for %s", ev.TaskID)
 			}
@@ -103,15 +104,15 @@ func TestRecorderGantt(t *testing.T) {
 }
 
 func TestRecorderNilSafe(t *testing.T) {
-	var rec *Recorder
-	rec.Emit(TraceEvent{}) // must not panic
+	var rec *obs.Recorder
+	rec.Emit(obs.Event{}) // must not panic
 	if rec.Events() != nil {
 		t.Error("nil recorder should have no events")
 	}
 }
 
 func TestRecorderEmptyGantt(t *testing.T) {
-	rec := &Recorder{}
+	rec := &obs.Recorder{}
 	var buf bytes.Buffer
 	if err := rec.Gantt(&buf, 40); err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"repro/internal/capability"
 	"repro/internal/fabric"
 	"repro/internal/pe"
-	"repro/internal/quipu"
 )
 
 func TestLibraryDesignsValid(t *testing.T) {
@@ -222,5 +221,4 @@ func TestEstimateArea(t *testing.T) {
 	if _, err := tc.EstimateArea(&Design{}); err == nil {
 		t.Error("invalid design accepted")
 	}
-	_ = quipu.FeatureCount
 }

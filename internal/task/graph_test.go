@@ -3,8 +3,6 @@ package task
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/pe"
 )
 
 func chainGraph(t *testing.T, n int) *Graph {
@@ -201,7 +199,6 @@ func TestRoots(t *testing.T) {
 			t.Errorf("expected root %s missing (roots = %v)", want, roots)
 		}
 	}
-	_ = pe.SoftwareOnly
 }
 
 func TestGetAndIDs(t *testing.T) {

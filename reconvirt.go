@@ -8,10 +8,10 @@
 // gprof-style profiler, the ClustalW aligner of the case study, and the
 // DReAMSim-equivalent discrete-event grid simulator.
 //
-// This file is the public facade: the names most programs need, re-exported
-// from the internal packages with constructors for the common flows. See
-// the examples/ directory for runnable programs and DESIGN.md for the full
-// system inventory.
+// This file is the public facade: the names the repository's examples and
+// root tests use, re-exported from the internal packages with constructors
+// for the common flows. See the examples/ directory for runnable programs
+// and DESIGN.md for the full system inventory.
 package reconvirt
 
 import (
@@ -21,7 +21,6 @@ import (
 	"repro/internal/bio"
 	"repro/internal/capability"
 	"repro/internal/casestudy"
-	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/faults"
@@ -41,16 +40,8 @@ import (
 	"repro/internal/task"
 )
 
-// Core framework types (the paper's contribution).
-type (
-	// VirtualGrid is the virtual organization: the hardware-independent
-	// layer between application developers and GPP/RPE resources.
-	VirtualGrid = core.VirtualGrid
-	// Level is a virtualization/abstraction level (Fig. 2).
-	Level = core.Level
-	// Scenario is a use-case scenario (Fig. 1, Section III).
-	Scenario = pe.Scenario
-)
+// Level is a virtualization/abstraction level (Fig. 2).
+type Level = core.Level
 
 // Abstraction levels, most abstract first.
 const (
@@ -60,28 +51,15 @@ const (
 	LevelDevice   = core.LevelDevice
 )
 
-// Use-case scenarios.
+// Use-case scenarios (Fig. 1, Section III).
 const (
 	SoftwareOnly     = pe.SoftwareOnly
-	PredeterminedHW  = pe.PredeterminedHW
 	UserDefinedHW    = pe.UserDefinedHW
 	DeviceSpecificHW = pe.DeviceSpecificHW
 )
 
-// Node and capability model (Eq. 1, Table I).
-type (
-	// Node is a grid computing node holding GPPs and RPEs.
-	Node = node.Node
-	// Element is one processing element installed in a node.
-	Element = node.Element
-	// GPPCaps, FPGACaps, SoftcoreCaps, GPUCaps are Table I parameter sets.
-	GPPCaps      = capability.GPPCaps
-	FPGACaps     = capability.FPGACaps
-	SoftcoreCaps = capability.SoftcoreCaps
-	GPUCaps      = capability.GPUCaps
-	// Requirements is a conjunction of ExecReq capability predicates.
-	Requirements = capability.Requirements
-)
+// GPPCaps is the Table I parameter set of a general-purpose processor.
+type GPPCaps = capability.GPPCaps
 
 // Task model (Eq. 2/3, Figs. 4, 7, 8).
 type (
@@ -89,125 +67,72 @@ type (
 	Task = task.Task
 	// ExecReq is a task's execution requirement.
 	ExecReq = task.ExecReq
-	// Graph is an application task graph.
-	Graph = task.Graph
-	// Program is a parsed Seq/Par application expression.
-	Program = task.Program
 )
 
 // Grid services (Figs. 3, 9).
 type (
 	// Registry is the RMS node registry.
 	Registry = rms.Registry
-	// Matchmaker maps ExecReqs to candidate processing elements.
-	Matchmaker = rms.Matchmaker
-	// Candidate is one feasible task↔element mapping (Table II rows).
-	Candidate = rms.Candidate
-	// Lease binds a task to an element until released.
-	Lease = rms.Lease
-	// JSS is the job submission system.
-	JSS = jss.JSS
 	// QoS are submission service attributes.
 	QoS = jss.QoS
-	// Submission is one submitted application.
-	Submission = jss.Submission
 )
 
 // Hardware substrates.
 type (
-	// Fabric is a live FPGA with configuration state.
-	Fabric = fabric.Fabric
 	// Device is an FPGA part description.
 	Device = fabric.Device
 	// Bitstream is a device configuration image.
 	Bitstream = fabric.Bitstream
-	// Design is an HDL accelerator design.
-	Design = hdl.Design
-	// Toolchain is a provider's synthesis CAD tool.
-	Toolchain = hdl.Toolchain
-	// SoftCore is a parameterizable VLIW soft-core (ρ-VEX style).
-	SoftCore = softcore.Core
 )
 
 // Simulation (the DReAMSim equivalent).
 type (
-	// Engine is the discrete-event grid simulator.
-	Engine = grid.Engine
-	// EngineConfig parameterizes a simulation run.
-	EngineConfig = grid.Config
 	// GridSpec describes simulated grid resources.
 	GridSpec = grid.GridSpec
 	// WorkloadSpec describes a synthetic many-task workload.
 	WorkloadSpec = grid.WorkloadSpec
 	// Metrics aggregates one run's outcomes.
 	Metrics = grid.Metrics
-	// Strategy is a task scheduling strategy.
-	Strategy = sched.Strategy
 	// ScenarioSpec bundles one scenario run's inputs for RunScenario.
 	ScenarioSpec = grid.ScenarioSpec
 )
 
-// Event core (the simulator's pending-event set). Both schedulers obey
-// the same (Time, Priority, seq) total order, so swapping one for the
-// other is a pure performance choice: runs stay bit-identical. Select
-// per engine via EngineConfig.Scheduler, or per bare simulator via
+// EventScheduler is the simulator's pluggable pending-event set. Both
+// schedulers obey the same (Time, Priority, seq) total order, so swapping
+// one for the other is a pure performance choice: runs stay bit-identical.
+// Select per engine via grid.Config.Scheduler, or per bare simulator via
 // sim.WithScheduler.
-type (
-	// EventScheduler is the pluggable pending-event set contract.
-	EventScheduler = sim.Scheduler
-	// HeapQueue is the binary-heap scheduler (O(log n) per operation).
-	HeapQueue = sim.HeapQueue
-	// WheelQueue is the hierarchical timing-wheel scheduler (amortized
-	// O(1) near-future operations; the default).
-	WheelQueue = sim.WheelQueue
-)
+type EventScheduler = sim.Scheduler
 
-// NewHeapQueue returns an empty binary-heap event scheduler.
-func NewHeapQueue() *HeapQueue { return sim.NewHeapQueue() }
+// NewHeapQueue returns an empty binary-heap event scheduler (O(log n) per
+// operation).
+func NewHeapQueue() *sim.HeapQueue { return sim.NewHeapQueue() }
 
-// NewWheelQueue returns an empty timing-wheel event scheduler.
-func NewWheelQueue() *WheelQueue { return sim.NewWheelQueue() }
+// NewWheelQueue returns an empty hierarchical timing-wheel event
+// scheduler (amortized O(1) near-future operations; the default).
+func NewWheelQueue() *sim.WheelQueue { return sim.NewWheelQueue() }
 
-// Observability (pluggable trace sinks and timeline metrics). The
-// engine emits lifecycle events and periodic gauge samples through any
-// TraceSink wired into EngineConfig.Tracer or ScenarioSpec.Sinks; see the
-// obs package comment for the full sink contract.
+// Observability (pluggable trace sinks). The engine emits lifecycle
+// events and periodic gauge samples through any TraceSink wired into
+// grid.Config.Tracer or ScenarioSpec.Sinks; see the obs package comment
+// for the full sink contract.
 type (
 	// TraceSink consumes engine lifecycle events and gauge samples.
 	TraceSink = obs.TraceSink
-	// TraceEvent is one engine lifecycle event.
-	TraceEvent = obs.Event
-	// TraceSample is one periodic gauge snapshot (enable via
-	// EngineConfig.SampleEverySeconds).
-	TraceSample = obs.Sample
 	// TraceRecorder retains the full stream in memory for post-hoc
 	// analysis: CSV dumps, Gantt charts, differential checks.
 	TraceRecorder = obs.Recorder
-	// ChromeTrace streams a Chrome trace-event JSON document
-	// (Perfetto-loadable); Close finalizes it.
-	ChromeTrace = obs.Chrome
-	// StreamingCSV streams events as CSV with O(1) memory, byte-identical
-	// to TraceRecorder.WriteCSV output.
-	StreamingCSV = obs.CSV
-	// TimelineSink folds gauge samples into virtual-time series and
-	// report tables.
-	TimelineSink = obs.Timeline
 	// NoopSink discards everything (instrumentation-cost baseline).
 	NoopSink = obs.Noop
 )
 
-// NewChromeTrace returns a Chrome trace-event sink writing to w.
-func NewChromeTrace(w io.Writer) *ChromeTrace { return obs.NewChrome(w) }
+// NewChromeTrace returns a sink that streams a Chrome trace-event JSON
+// document (Perfetto-loadable) to w; Close finalizes it.
+func NewChromeTrace(w io.Writer) *obs.Chrome { return obs.NewChrome(w) }
 
-// NewStreamingCSV returns a bounded-memory CSV event sink writing to w.
-func NewStreamingCSV(w io.Writer) *StreamingCSV { return obs.NewCSV(w) }
-
-// NewTimeline returns an empty timeline sink.
-func NewTimeline() *TimelineSink { return obs.NewTimeline() }
-
-// MultiSink fans one engine's stream out to several sinks; nil members
-// are dropped.
-func MultiSink(sinks ...TraceSink) TraceSink { return obs.Multi(sinks...) }
+// NewStreamingCSV returns a CSV event sink writing to w with O(1) memory,
+// byte-identical to TraceRecorder.WriteCSV output.
+func NewStreamingCSV(w io.Writer) *obs.CSV { return obs.NewCSV(w) }
 
 // Fault injection and recovery (availability experiments).
 type (
@@ -218,19 +143,11 @@ type (
 	FaultSpec = faults.Spec
 	// RetryPolicy caps and paces fault-induced task retries.
 	RetryPolicy = faults.RetryPolicy
-	// FaultEvent is one scheduled fault occurrence.
-	FaultEvent = faults.Event
 )
 
 // DefaultFaults returns a moderate fault model; adjust rates as needed
 // and set HorizonSeconds (or leave it zero to cover the workload).
 func DefaultFaults() FaultSpec { return faults.Default() }
-
-// FaultSchedule derives the deterministic fault timeline a spec produces
-// for the given nodes — useful for inspecting what a seed will inject.
-func FaultSchedule(rng *sim.RNG, spec FaultSpec, nodeIDs []string) ([]FaultEvent, error) {
-	return faults.Schedule(rng, spec, nodeIDs)
-}
 
 // Parallel experiment sweeps (the DReAMSim evaluation loop).
 type (
@@ -241,33 +158,27 @@ type (
 	SweepPoint = grid.SweepPoint
 	// SweepResult is a completed (or cancelled) sweep.
 	SweepResult = grid.SweepResult
-	// Replica identifies one point × seed replica.
-	Replica = grid.Replica
-	// ReplicaResult is one replica's metrics or error.
-	ReplicaResult = grid.ReplicaResult
-	// PointSummary is a point's mean/stddev/95%-CI aggregate across seeds.
-	PointSummary = grid.PointSummary
-	// Summary is a mean/stddev/95%-CI condensation of replicated values.
-	Summary = sim.Summary
 )
 
-// NewVirtualGrid creates an empty virtual organization. Pass a Toolchain
-// via Options to enable the user-defined-hardware scenario.
-func NewVirtualGrid(opts core.Options) (*VirtualGrid, error) { return core.NewVirtualGrid(opts) }
+// NewVirtualGrid creates an empty virtual organization: the
+// hardware-independent layer between application developers and GPP/RPE
+// resources. Pass a toolchain from NewToolchain via GridOptions to enable
+// the user-defined-hardware scenario.
+func NewVirtualGrid(opts GridOptions) (*core.VirtualGrid, error) { return core.NewVirtualGrid(opts) }
 
 // GridOptions configure NewVirtualGrid.
 type GridOptions = core.Options
 
 // NewNode creates an empty grid node.
-func NewNode(id string) (*Node, error) { return node.New(id) }
+func NewNode(id string) (*node.Node, error) { return node.New(id) }
 
 // NewToolchain creates a provider CAD toolchain for the given families.
-func NewToolchain(vendor string, families ...string) (*Toolchain, error) {
+func NewToolchain(vendor string, families ...string) (*hdl.Toolchain, error) {
 	return hdl.NewToolchain(vendor, families...)
 }
 
 // LookupIP returns a built-in OpenCores-style library design.
-func LookupIP(name string) (*Design, error) { return hdl.LookupIP(name) }
+func LookupIP(name string) (*hdl.Design, error) { return hdl.LookupIP(name) }
 
 // LookupDevice returns a catalog FPGA part.
 func LookupDevice(name string) (Device, error) { return fabric.LookupDevice(name) }
@@ -278,29 +189,32 @@ func NewFullBitstream(id, design string, dev Device, usedSlices int) *Bitstream 
 	return fabric.FullBitstream(id, design, dev, usedSlices)
 }
 
-// RVEX returns the ρ-VEX-style soft-core preset.
-func RVEX(issueWidth, clusters int) (*SoftCore, error) { return softcore.RVEX(issueWidth, clusters) }
+// RVEX returns the ρ-VEX-style VLIW soft-core preset.
+func RVEX(issueWidth, clusters int) (*softcore.Core, error) {
+	return softcore.RVEX(issueWidth, clusters)
+}
 
 // ParseApp parses a Seq/Par application expression such as
 // "App{Seq(T2), Par(T4,T1,T7), Seq(T5,T10)}".
-func ParseApp(src string) (*Program, error) { return task.ParseApp(src) }
+func ParseApp(src string) (*task.Program, error) { return task.ParseApp(src) }
 
 // NewGraph returns an empty application task graph.
-func NewGraph() *Graph { return task.NewGraph() }
+func NewGraph() *task.Graph { return task.NewGraph() }
 
 // NewMatchmaker builds a matchmaker over a registry. The toolchain may be
 // nil (a provider without CAD tools never serves user-defined hardware).
-func NewMatchmaker(reg *Registry, tc *Toolchain) (*Matchmaker, error) {
+func NewMatchmaker(reg *Registry, tc *hdl.Toolchain) (*rms.Matchmaker, error) {
 	return rms.NewMatchmaker(reg, tc)
 }
 
-// NewEngine wires a simulator around a registry and matchmaker.
-func NewEngine(cfg EngineConfig, reg *Registry, mm *Matchmaker) (*Engine, error) {
+// NewEngine wires the discrete-event grid simulator around a registry and
+// matchmaker.
+func NewEngine(cfg grid.Config, reg *Registry, mm *rms.Matchmaker) (*grid.Engine, error) {
 	return grid.NewEngine(cfg, reg, mm)
 }
 
 // DefaultEngineConfig returns the default simulation configuration.
-func DefaultEngineConfig() EngineConfig { return grid.DefaultConfig() }
+func DefaultEngineConfig() grid.Config { return grid.DefaultConfig() }
 
 // BuildGrid constructs a registry from a grid spec.
 func BuildGrid(spec GridSpec) (*Registry, error) { return grid.BuildGrid(spec) }
@@ -322,11 +236,7 @@ func RunSweep(ctx context.Context, spec SweepSpec) (*SweepResult, error) {
 }
 
 // Strategies returns every built-in scheduling strategy.
-func Strategies() []Strategy { return sched.All() }
-
-// StrategyByName returns a built-in strategy by name; unknown names report
-// an error wrapping sched.ErrUnknownStrategy.
-func StrategyByName(name string) (Strategy, error) { return sched.ByName(name) }
+func Strategies() []sched.Strategy { return sched.All() }
 
 // CaseStudyNodes builds the Section V grid (Fig. 5).
 func CaseStudyNodes() (*Registry, error) { return casestudy.BuildNodes() }
@@ -354,20 +264,14 @@ func PredictArea(m quipu.Metrics) (quipu.Prediction, error) {
 // NewRNG returns the deterministic random generator simulations use.
 func NewRNG(seed uint64) *sim.RNG { return sim.NewRNG(seed) }
 
-// Streaming extension (the paper's future work).
-type (
-	// StreamManager admits continuous dataflows with throughput
-	// guarantees onto grid elements.
-	StreamManager = stream.Manager
-	// StreamSpec describes a streaming session request.
-	StreamSpec = stream.Spec
-	// StreamSession is an admitted stream holding its reservation.
-	StreamSession = stream.Session
-)
+// StreamSpec describes a streaming session request (the paper's future
+// work).
+type StreamSpec = stream.Spec
 
-// NewStreamManager builds a streaming manager over a matchmaker and a
+// NewStreamManager builds a manager that admits continuous dataflows with
+// throughput guarantees onto grid elements, over a matchmaker and a
 // simulator for session timing.
-func NewStreamManager(mm *Matchmaker, s *sim.Simulator) (*StreamManager, error) {
+func NewStreamManager(mm *rms.Matchmaker, s *sim.Simulator) (*stream.Manager, error) {
 	return stream.NewManager(mm, s)
 }
 
@@ -375,17 +279,14 @@ func NewStreamManager(mm *Matchmaker, s *sim.Simulator) (*StreamManager, error) 
 // driving streams or custom models directly rather than via Engine).
 func NewSimulator() *sim.Simulator { return sim.NewSimulator() }
 
-// FamilyOptions control synthetic protein-family generation for the
-// bioinformatics case study.
-type FamilyOptions = bio.FamilyOptions
-
-// GenerateProteinFamily produces a synthetic homologous protein family.
-func GenerateProteinFamily(rng *sim.RNG, opts FamilyOptions) ([]bio.Sequence, error) {
+// GenerateProteinFamily produces a synthetic homologous protein family
+// for the bioinformatics case study.
+func GenerateProteinFamily(rng *sim.RNG, opts bio.FamilyOptions) ([]bio.Sequence, error) {
 	return bio.GenerateFamily(rng, opts)
 }
 
 // DefaultFamily matches the scale of a BioBench ClustalW input.
-func DefaultFamily() FamilyOptions { return bio.DefaultFamily() }
+func DefaultFamily() bio.FamilyOptions { return bio.DefaultFamily() }
 
 // PairalignMetrics returns the measured software-complexity metrics of the
 // ClustalW pairalign kernel (the case study's Quipu input).
@@ -393,40 +294,3 @@ func PairalignMetrics() quipu.Metrics { return quipu.PairalignMetrics() }
 
 // MalignMetrics returns the measured metrics of the malign kernel.
 func MalignMetrics() quipu.Metrics { return quipu.MalignMetrics() }
-
-// Multi-tenant control plane (the long-running RMS server behind
-// cmd/rmsd; see README "Control plane").
-type (
-	// ControlPlane is the sharded multi-tenant RMS server.
-	ControlPlane = controlplane.Server
-	// ControlPlaneConfig parameterizes a ControlPlane.
-	ControlPlaneConfig = controlplane.Config
-	// ServiceTier is an RC3E-style provisioning tier.
-	ServiceTier = controlplane.Tier
-	// WireRequest and WireResponse are the line-delimited JSON wire
-	// protocol messages.
-	WireRequest  = controlplane.Request
-	WireResponse = controlplane.Response
-)
-
-// The RC3E provisioning tiers.
-const (
-	TierFull        = controlplane.TierFull
-	TierVirtualized = controlplane.TierVirtualized
-	TierBackground  = controlplane.TierBackground
-)
-
-// NewControlPlane starts a control plane; the caller must Shutdown it.
-func NewControlPlane(cfg ControlPlaneConfig) (*ControlPlane, error) {
-	return controlplane.New(cfg)
-}
-
-// DefaultControlPlaneConfig returns a deterministic quota-free
-// configuration.
-func DefaultControlPlaneConfig() ControlPlaneConfig {
-	return controlplane.DefaultConfig()
-}
-
-// ErrQuotaExceeded is the typed rejection a submission over its cost
-// quota returns (errors.Is-matchable).
-var ErrQuotaExceeded = jss.ErrQuotaExceeded

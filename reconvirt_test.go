@@ -3,6 +3,12 @@ package reconvirt
 import (
 	"context"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -217,4 +223,129 @@ func ExampleParseApp() {
 	// Output:
 	// App{Seq(T2), Par(T4,T1,T7), Seq(T5,T10)}
 	// [[T2] [T4 T1 T7] [T5] [T10]]
+}
+
+// TestFacadeNamesExercised holds the facade to the names the repository
+// exercises. Every exported name in reconvirt.go must appear as
+// reconvirt.X in examples/, cmd/ or a root test file, or as a bare
+// identifier in a package-reconvirt test. Struct field keys and the
+// selected name of any other selector are not uses.
+func TestFacadeNamesExercised(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "reconvirt.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exported []string
+	for _, d := range facade.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil && d.Name.IsExported() {
+				exported = append(exported, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						exported = append(exported, s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							exported = append(exported, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(path, ".go") {
+				files = append(files, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	used := map[string]bool{}
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		markFacadeUses(f, used)
+	}
+
+	var unused []string
+	for _, name := range exported {
+		if !used[name] {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	if len(unused) > 0 {
+		t.Errorf("%d of %d facade names are exercised nowhere; delete them or use them:\n%s",
+			len(unused), len(exported), strings.Join(unused, "\n"))
+	}
+}
+
+// markFacadeUses records the facade names f uses: reconvirt.X selectors
+// in a file that imports the facade, and bare identifiers in a
+// package-reconvirt file.
+func markFacadeUses(f *ast.File, used map[string]bool) {
+	if f.Name.Name == "reconvirt" {
+		notUses := map[*ast.Ident]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				notUses[n.Sel] = true
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							notUses[key] = true
+						}
+					}
+				}
+			case *ast.Ident:
+				if !notUses[n] {
+					used[n.Name] = true
+				}
+			}
+			return true
+		})
+		return
+	}
+	for _, imp := range f.Imports {
+		if imp.Path.Value != `"repro"` {
+			continue
+		}
+		local := "reconvirt"
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
 }
