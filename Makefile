@@ -8,7 +8,7 @@ GO ?= go
 COVER_FLOOR_OBS  ?= 85.0
 COVER_FLOOR_GRID ?= 85.0
 # The packages `make cover` measures, as internal/<package>=<floor>.
-COVER_FLOORS = obs=$(COVER_FLOOR_OBS) grid=$(COVER_FLOOR_GRID) controlplane=85.0 rms=85.0
+COVER_FLOORS = obs=$(COVER_FLOOR_OBS) grid=$(COVER_FLOOR_GRID) controlplane=85.0 rms=85.0 sim=85.0
 
 build:
 	$(GO) build ./...
@@ -49,7 +49,8 @@ bench-test:
 # BENCH_PR17.json baseline; an alloc or model-metric regression beyond
 # the noise budget fails verify. bench-test smoke-runs every workload of
 # the repository benchmark, and cover holds the observability, engine,
-# control-plane and matchmaker packages at their coverage floors.
+# control-plane, matchmaker and event-core packages at their coverage
+# floors.
 verify: build vet lint test race cover bench-test benchdiff
 
 # --- Performance contract ---
@@ -125,7 +126,7 @@ smoke:
 	echo "smoke: rmsd did not shut down within 60s"; exit 1
 
 # Enforce statement-coverage floors on the observability, engine,
-# control-plane and matchmaker packages (COVER_FLOORS). Fails if any
+# control-plane, matchmaker and event-core packages (COVER_FLOORS). Fails if any
 # package regresses below its floor or reports no coverage at all (a
 # failing test run prints none).
 cover:

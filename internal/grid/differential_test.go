@@ -2,8 +2,11 @@ package grid
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -320,5 +323,57 @@ func TestSchedulerDifferentialGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rec.Events(), wev) {
 		t.Error("default-scheduler events diverge from the explicit wheel run")
+	}
+}
+
+// TestShuffledTraceMatchesSortedCopy: SubmitWorkload runs a trace in
+// (Arrival, index) order, so a trace whose arrivals are out of order
+// gives the same metrics, trace events and gauge samples as its stably
+// sorted copy, with and without faults. Arrivals are cut to whole
+// seconds so that ties, which the index settles, are common.
+func TestShuffledTraceMatchesSortedCopy(t *testing.T) {
+	tc, err := DefaultToolchain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled, err := Generate(sim.NewRNG(31), DefaultWorkload(60, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range shuffled {
+		shuffled[i].Arrival = sim.Time(math.Floor(float64(shuffled[i].Arrival)))
+	}
+	sim.NewRNG(32).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	sorted := slices.Clone(shuffled)
+	slices.SortStableFunc(sorted, func(a, b Generated) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	if slices.Equal(sorted, shuffled) {
+		t.Fatal("the shuffle left the trace sorted; the test would not reach the permutation")
+	}
+	run := func(trace []Generated, fs *faults.Spec) (*Metrics, *obs.Recorder) {
+		rec := &obs.Recorder{}
+		cfg := DefaultConfig()
+		cfg.SampleEverySeconds = 1
+		m, err := RunScenario(context.Background(), ScenarioSpec{
+			Seed: 33, Config: cfg, Grid: DefaultGridSpec(), Trace: trace, Toolchain: tc, Faults: fs, Sinks: []obs.TraceSink{rec},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, rec
+	}
+	for regime, fs := range differentialRegimes() {
+		t.Run(regime, func(t *testing.T) {
+			sm, srec := run(sorted, fs)
+			um, urec := run(shuffled, fs)
+			if !reflect.DeepEqual(sm, um) {
+				t.Errorf("metrics diverge:\nsorted:   %+v\nshuffled: %+v", sm, um)
+			}
+			if !reflect.DeepEqual(srec.Events(), urec.Events()) {
+				t.Error("trace events diverge")
+			}
+			if !reflect.DeepEqual(srec.Samples(), urec.Samples()) {
+				t.Error("gauge samples diverge")
+			}
+		})
 	}
 }

@@ -1,9 +1,11 @@
 package grid
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -237,27 +239,45 @@ func (e *Engine) Submit(at sim.Time, user string, g *task.Graph, prog *task.Prog
 
 // SubmitWorkload schedules a many-task workload: each generated task is an
 // independent single-task submission at its arrival time (DReAMSim's
-// independent-task model). Every task is checked here, before the run;
-// its graph and submission are built only when its arrival fires, and
-// the submission leaves the JSS once the task completes or is lost.
+// independent-task model). Every task and arrival is checked here,
+// before the run. The trace is then streamed into the simulator in
+// (Arrival, index) order, the order one Schedule call per task made now
+// would give, so arrivals tie with other events in schedule order. The
+// engine reads gen until the last arrival fires, so the caller must not
+// modify it before then. A task's graph and submission are built only
+// when its arrival fires, and the submission leaves the JSS once the
+// task completes or is lost.
 func (e *Engine) SubmitWorkload(gen []Generated, user string) error {
-	if err := e.prewarm(gen); err != nil {
-		return err
-	}
-	// One shared closure holds the engine and the user, so each
-	// arrival's own closure captures only its task.
-	arrive := func(t *task.Task) {
-		tg := task.NewGraph()
-		_ = tg.Add(t) // checked below, before the run
-		e.admit(user, tg, nil, jss.QoS{}, true)
-	}
-	for _, g := range gen {
+	sorted := true
+	for i, g := range gen {
 		if err := task.ValidateForGraph(g.Task); err != nil {
 			return err
 		}
-		t := g.Task
-		e.S.Schedule(g.Arrival, "submit", func() { arrive(t) })
+		if a := float64(g.Arrival); math.IsNaN(a) || math.IsInf(a, 0) {
+			return fmt.Errorf("grid: task %d (%s): arrival %v is not finite", i, g.Task.ID, a)
+		}
+		if g.Arrival < e.S.Now() {
+			return fmt.Errorf("grid: task %d (%s): arrival %v before now %v", i, g.Task.ID, g.Arrival, e.S.Now())
+		}
+		sorted = sorted && (i == 0 || gen[i-1].Arrival <= g.Arrival)
 	}
+	if err := e.prewarm(gen); err != nil {
+		return err
+	}
+	arrival := func(i int) *Generated { return &gen[i] }
+	if !sorted {
+		order := make([]int, len(gen))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(gen[a].Arrival, gen[b].Arrival) })
+		arrival = func(i int) *Generated { return &gen[order[i]] }
+	}
+	e.S.Stream(len(gen), "submit", func(i int) sim.Time { return arrival(i).Arrival }, func(i int) {
+		tg := task.NewGraph()
+		_ = tg.Add(arrival(i).Task) // checked above, before the run
+		e.admit(user, tg, nil, jss.QoS{}, true)
+	})
 	return nil
 }
 

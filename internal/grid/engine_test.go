@@ -3,6 +3,7 @@ package grid
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pe"
 	"repro/internal/rms"
+	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -127,8 +129,6 @@ func TestFinishFailsEveryUnfinishedSubmission(t *testing.T) {
 // SubmitWorkload, so the attach runs first and A lands on the faster new
 // node. The arrival of B ties with an element failure scheduled after
 // SubmitWorkload, so B is dispatched first and the failure aborts it.
-// Streaming arrivals one at a time would schedule B's arrival after the
-// failure and change this trace.
 func TestArrivalTiesKeepScheduleOrder(t *testing.T) {
 	rec := &obs.Recorder{}
 	cfg := DefaultConfig()
@@ -171,5 +171,36 @@ func TestArrivalTiesKeepScheduleOrder(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("trace order:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestSubmitWorkloadRejectsUnorderableArrivals: an arrival the simulator
+// cannot order (NaN, ±Inf, or before the engine's clock) is an input
+// error, not a panic, and a rejected trace schedules none of its tasks.
+func TestSubmitWorkloadRejectsUnorderableArrivals(t *testing.T) {
+	for name, at := range map[string]sim.Time{
+		"nan":      sim.Time(math.NaN()),
+		"+inf":     sim.TimeInf,
+		"-inf":     sim.Time(math.Inf(-1)),
+		"past":     4,
+		"negative": -1,
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng := gppRig(t, DefaultConfig(), 1, 1000)
+			if err := eng.S.RunUntil(5); err != nil {
+				t.Fatal(err)
+			}
+			gen := []Generated{
+				{Task: softwareTask("ok", 1000, 100), Arrival: 6},
+				{Task: softwareTask("bad", 1000, 100), Arrival: at},
+			}
+			err := eng.SubmitWorkload(gen, "u")
+			if err == nil || !strings.Contains(err.Error(), "task 1 (bad)") {
+				t.Fatalf("SubmitWorkload = %v, want an error naming task 1", err)
+			}
+			if n := eng.S.Pending(); n != 0 {
+				t.Errorf("a rejected trace left %d arrivals pending", n)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/capability"
@@ -115,6 +116,16 @@ func TestWorkloadDeterministic(t *testing.T) {
 		}
 		if spec.ShareGPU > 0 && gpuTasks == 0 {
 			t.Errorf("ShareGPU=%v drew no GPU task", spec.ShareGPU)
+		}
+	}
+}
+
+// TestWorkloadIDMatchesSprintf: Generate's task IDs stay byte-identical
+// to fmt.Sprintf("wl-%05d", i), padded below 10^5 and not above.
+func TestWorkloadIDMatchesSprintf(t *testing.T) {
+	for _, i := range []int{0, 7, 10, 9999, 10000, 99_999, 100_000, 123_456} {
+		if got, want := workloadID(i), fmt.Sprintf("wl-%05d", i); got != want {
+			t.Errorf("workloadID(%d) = %q, want %q", i, got, want)
 		}
 	}
 }

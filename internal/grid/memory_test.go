@@ -59,13 +59,18 @@ func reuseRig(t *testing.T, tasks int) (*Engine, []Generated) {
 }
 
 const (
-	heapTasks   = 20_000
-	heapCeiling = 160 // bytes per pending arrival, and per settled task
+	heapTasks = 20_000
+	// pendingCeiling bounds what SubmitWorkload keeps for a whole trace,
+	// in bytes: a streamed trace is one cursor, not an event per arrival.
+	pendingCeiling = 1024
+	// settledCeiling bounds what a settled task leaves behind, in bytes
+	// per task.
+	settledCeiling = 48
 )
 
-// TestHeapPerPendingArrival is the pre-run memory ceiling: a scheduled
-// arrival holds its event and a closure over its task, not a task graph
-// or a submission built ahead of time.
+// TestHeapPerPendingArrival is the pre-run memory ceiling: SubmitWorkload
+// streams the trace, so a pending arrival holds no event, closure, task
+// graph or submission, and the whole trace costs a bounded cursor.
 func TestHeapPerPendingArrival(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap ceiling run skipped in -short mode")
@@ -75,18 +80,19 @@ func TestHeapPerPendingArrival(t *testing.T) {
 	if err := eng.SubmitWorkload(gen, "mem"); err != nil {
 		t.Fatal(err)
 	}
-	perArrival := (liveHeap() - heap0) / heapTasks
+	retained := liveHeap() - heap0
 	runtime.KeepAlive(eng)
 	runtime.KeepAlive(gen)
-	t.Logf("%.0f B per pending arrival", perArrival)
-	if perArrival > heapCeiling {
-		t.Errorf("pending arrivals hold %.0f B each, ceiling %d", perArrival, heapCeiling)
+	t.Logf("%.0f B for %d pending arrivals", retained, heapTasks)
+	if retained > pendingCeiling {
+		t.Errorf("%d pending arrivals hold %.0f B, ceiling %d", heapTasks, retained, pendingCeiling)
 	}
 }
 
 // TestHeapPerSettledTask is the post-run memory ceiling: once a workload
 // task completes, the engine keeps no submission, graph or interned ID
-// for it.
+// for it, and the event pool stays as small as the run's peak of
+// queued events, not the trace's length.
 func TestHeapPerSettledTask(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap ceiling run skipped in -short mode")
@@ -107,8 +113,27 @@ func TestHeapPerSettledTask(t *testing.T) {
 		t.Fatalf("completed %d of %d tasks", m.Completed, heapTasks)
 	}
 	t.Logf("%.0f B per settled task", perTask)
-	if perTask > heapCeiling {
-		t.Errorf("settled tasks retain %.0f B each, ceiling %d", perTask, heapCeiling)
+	if perTask > settledCeiling {
+		t.Errorf("settled tasks retain %.0f B each, ceiling %d", perTask, settledCeiling)
+	}
+}
+
+// TestSubmitWorkloadAllocsFlat pins that SubmitWorkload's allocations do
+// not grow with the trace: a 10-task and a 10^4-task trace allocate the
+// same number of times.
+func TestSubmitWorkloadAllocsFlat(t *testing.T) {
+	allocs := func(tasks int) float64 {
+		eng, gen := reuseRig(t, tasks)
+		return testing.AllocsPerRun(10, func() {
+			if err := eng.SubmitWorkload(gen, "mem"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(10_000)
+	t.Logf("%.0f allocs for 10 tasks, %.0f for 10^4", small, large)
+	if small != large {
+		t.Errorf("SubmitWorkload allocates %.0f times for 10 tasks and %.0f for 10^4; want equal", small, large)
 	}
 }
 

@@ -11,6 +11,7 @@ package grid
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/capability"
 	"repro/internal/fabric"
@@ -226,13 +227,24 @@ func Generate(rng *sim.RNG, spec WorkloadSpec) ([]Generated, error) {
 	var now sim.Time
 	for i := 0; i < spec.Tasks; i++ {
 		now += sim.Time(spec.Interarrival.Sample(rng))
-		t, err := randomTask(rng, spec, fmt.Sprintf("wl-%05d", i), reqs)
+		t, err := randomTask(rng, spec, workloadID(i), reqs)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, Generated{Task: t, Arrival: now})
 	}
 	return out, nil
+}
+
+// workloadID returns task i's ID, fmt.Sprintf("wl-%05d", i), built in a
+// stack buffer so the index is not boxed.
+func workloadID(i int) string {
+	var buf [24]byte
+	b := append(buf[:0], "wl-"...)
+	for p := 10000; p > 1 && i < p; p /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
 
 // specReqs holds the per-scenario requirement lists shared by every task

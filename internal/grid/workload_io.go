@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/capability"
 	"repro/internal/fabric"
@@ -92,6 +93,9 @@ func LoadWorkload(r io.Reader) ([]Generated, error) {
 	}
 	out := make([]Generated, 0, len(file.Tasks))
 	for i, wt := range file.Tasks {
+		if a := wt.Arrival; a < 0 || math.IsNaN(a) || math.IsInf(a, 0) {
+			return nil, fmt.Errorf("grid: task %d: arrival %v is negative or not finite", i, a)
+		}
 		scenario, err := pe.ParseScenario(wt.Scenario)
 		if err != nil {
 			return nil, fmt.Errorf("grid: task %d: %w", i, err)

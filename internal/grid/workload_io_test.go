@@ -3,6 +3,7 @@ package grid
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -133,5 +134,16 @@ func TestLoadWorkloadRejectsBadInput(t *testing.T) {
 		if _, err := LoadWorkload(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+}
+
+// TestLoadWorkloadRejectsNegativeArrival: a trace file cannot schedule an
+// arrival before time zero, and the error names the offending task.
+func TestLoadWorkloadRejectsNegativeArrival(t *testing.T) {
+	const task = `{"id":"%s","arrival_s":%s,"scenario":"software","requirements":"gpp.mips >= 1","work_mi":1,"parallel_fraction":0,"data_mb":0,"t_estimated_s":1}`
+	in := `{"version":1,"tasks":[` + fmt.Sprintf(task, "a", "0") + `,` + fmt.Sprintf(task, "b", "-1") + `]}`
+	_, err := LoadWorkload(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "task 1:") {
+		t.Fatalf("LoadWorkload = %v, want an error naming task 1", err)
 	}
 }

@@ -71,7 +71,9 @@ func (r EventRef) Pending() bool {
 //
 // Contract:
 //   - Push assigns the next sequence number, so two schedulers fed the same
-//     Push/Cancel calls pop events in the identical order.
+//     Push/Cancel calls pop events in the identical order. The returned
+//     ref points at the pushed event: the Simulator reads its sequence
+//     number there to place stream items (Simulator.Stream).
 //   - Peek and Pop return the earliest live event; canceled events are
 //     never returned. Pop's result is valid only until the next Pop.
 //   - Cancel acts only when ref is still pending; it returns false for

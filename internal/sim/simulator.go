@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrStopped is returned by Run when the simulation was halted via Stop
@@ -18,13 +19,48 @@ type Simulator struct {
 	queue   Scheduler
 	now     Time
 	stopped bool
-	// Executed counts events that have fired.
+	// lastSeq is the sequence number of the last event pushed: a stream
+	// attached now sorts its items after that event and before every
+	// later one.
+	lastSeq uint64
+	// streams holds the attached streams with items left, in attach
+	// order; streamed counts those items.
+	streams  []*stream
+	streamed int
+	// Executed counts events and stream items that have fired.
 	Executed uint64
-	// Horizon, when non-zero, bounds Run: events after the horizon stay
-	// queued and Run returns once the clock would pass it.
+	// Horizon, when non-zero, bounds Run: events and stream items after
+	// the horizon stay pending and Run returns once the clock would pass
+	// it.
 	Horizon Time
-	// Trace, when non-nil, receives a line per executed event.
+	// Trace, when non-nil, receives a line per executed event or stream
+	// item.
 	Trace func(t Time, label string)
+}
+
+// stream is the cursor of one Stream call: item next fires at t, which
+// caches at(next).
+type stream struct {
+	label string
+	at    func(i int) Time
+	fire  func(i int)
+	after uint64 // the simulator's lastSeq when the stream was attached
+	next  int
+	n     int
+	t     Time
+}
+
+// before reports whether the stream's next item runs before queued event
+// e: it sorts as a priority-0 event whose sequence number falls just
+// after the stream's attach point.
+func (st *stream) before(e *Event) bool {
+	if st.t != e.Time {
+		return st.t < e.Time
+	}
+	if e.Priority != 0 {
+		return e.Priority > 0
+	}
+	return st.after < e.seq
 }
 
 // Option configures a Simulator at construction time.
@@ -54,9 +90,17 @@ func NewSimulator(opts ...Option) *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Pending returns the number of live queued events. Canceled events do not
-// count: a simulation whose remaining events were all canceled reports 0.
-func (s *Simulator) Pending() int { return s.queue.Len() }
+// Pending returns the number of live queued events and unfired stream
+// items. Canceled events do not count: a simulation whose remaining
+// events were all canceled reports 0.
+func (s *Simulator) Pending() int { return s.queue.Len() + s.streamed }
+
+// push enqueues an event and records its sequence number for Stream.
+func (s *Simulator) push(t Time, priority int, label string, fn Handler) EventRef {
+	ref := s.queue.Push(t, priority, label, fn)
+	s.lastSeq = ref.e.seq
+	return ref
+}
 
 // Schedule enqueues fn to run at absolute time t. Scheduling in the past is
 // an error that would break causality, so it panics — such a call is always
@@ -65,7 +109,7 @@ func (s *Simulator) Schedule(t Time, label string, fn Handler) EventRef {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, t, s.now))
 	}
-	return s.queue.Push(t, 0, label, fn)
+	return s.push(t, 0, label, fn)
 }
 
 // After enqueues fn to run d seconds after the current time.
@@ -73,7 +117,7 @@ func (s *Simulator) After(d Time, label string, fn Handler) EventRef {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for %q", d, label))
 	}
-	return s.queue.Push(s.now+d, 0, label, fn)
+	return s.push(s.now+d, 0, label, fn)
 }
 
 // ScheduleWithPriority is Schedule with an explicit tie-break priority;
@@ -82,7 +126,33 @@ func (s *Simulator) ScheduleWithPriority(t Time, priority int, label string, fn 
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, t, s.now))
 	}
-	return s.queue.Push(t, priority, label, fn)
+	return s.push(t, priority, label, fn)
+}
+
+// Stream attaches n items that fire in index order, item i calling
+// fire(i) at time at(i), without queuing an event per item: the
+// simulator keeps one cursor. Each item runs exactly where n Schedule
+// calls, made in index order now, would have put it: among events tied
+// on time and priority, after those queued before this call and before
+// those pushed after it, behind any negative priority and ahead of any
+// positive one. Items cannot be canceled. at must be non-decreasing in
+// i and no earlier than Now; Stream checks every item and panics on a
+// violation (NaN included), as Schedule does on a time in the past.
+// Once its last item fires, the stream drops at and fire.
+func (s *Simulator) Stream(n int, label string, at func(i int) Time, fire func(i int)) {
+	if n <= 0 {
+		return
+	}
+	prev := s.now
+	for i := 0; i < n; i++ {
+		t := at(i)
+		if !(t >= prev) {
+			panic(fmt.Sprintf("sim: stream %q item %d at %v, before %v", label, i, t, prev))
+		}
+		prev = t
+	}
+	s.streams = append(s.streams, &stream{label: label, at: at, fire: fire, after: s.lastSeq, n: n, t: at(0)})
+	s.streamed += n
 }
 
 // Cancel prevents a scheduled event from firing. It is safe on zero,
@@ -93,13 +163,43 @@ func (s *Simulator) Cancel(ref EventRef) bool { return s.queue.Cancel(ref) }
 // Stop halts the run loop after the current handler returns.
 func (s *Simulator) Stop() { s.stopped = true }
 
+// head finds the earliest pending item: the next item of stream st, or
+// the queue's head event when st is nil. ok is false when nothing is
+// pending. Among streams tied on time the earliest attached runs first.
+func (s *Simulator) head() (t Time, st *stream, ok bool) {
+	e := s.queue.Peek()
+	for _, c := range s.streams {
+		if st == nil || c.t < st.t {
+			st = c
+		}
+	}
+	switch {
+	case st != nil && (e == nil || st.before(e)):
+		return st.t, st, true
+	case e != nil:
+		return e.Time, nil, true
+	}
+	return 0, nil, false
+}
+
 // Step executes the single earliest event, advancing the clock to its time.
 // It returns false when no events remain.
 func (s *Simulator) Step() bool {
-	e := s.queue.Pop()
-	if e == nil {
-		return false
+	_, st, ok := s.head()
+	if ok {
+		s.fire(st)
 	}
+	return ok
+}
+
+// fire runs the item head chose: stream st's next item, or the queue's
+// head event when st is nil.
+func (s *Simulator) fire(st *stream) {
+	if st != nil {
+		s.fireStream(st)
+		return
+	}
+	e := s.queue.Pop()
 	s.now = e.Time
 	s.Executed++
 	if s.Trace != nil {
@@ -111,7 +211,26 @@ func (s *Simulator) Step() bool {
 	fn := e.fn
 	e.fn = nil
 	fn()
-	return true
+}
+
+// fireStream runs a stream's next item and advances its cursor. An
+// exhausted stream is detached, and its closures dropped, before its
+// last item runs.
+func (s *Simulator) fireStream(st *stream) {
+	i, fire := st.next, st.fire
+	s.now = st.t
+	s.Executed++
+	s.streamed--
+	if s.Trace != nil {
+		s.Trace(s.now, st.label)
+	}
+	if st.next++; st.next < st.n {
+		st.t = st.at(st.next)
+	} else {
+		st.at, st.fire = nil, nil
+		s.streams = slices.DeleteFunc(s.streams, func(c *stream) bool { return c == st })
+	}
+	fire(i)
 }
 
 // Run executes events until the queue drains, Stop is called, or the horizon
@@ -153,15 +272,15 @@ func (s *Simulator) RunContext(ctx context.Context) error {
 		if sinceCheck >= ctxCheckInterval {
 			sinceCheck = 0
 		}
-		next := s.queue.Peek()
-		if next == nil {
+		t, st, ok := s.head()
+		if !ok {
 			return nil
 		}
-		if next.Time != s.now && s.Horizon > 0 && next.Time > s.Horizon {
+		if t != s.now && s.Horizon > 0 && t > s.Horizon {
 			s.now = s.Horizon
 			return nil
 		}
-		s.Step()
+		s.fire(st)
 	}
 }
 
@@ -173,13 +292,13 @@ func (s *Simulator) RunUntil(t Time) error {
 		if s.stopped {
 			return ErrStopped
 		}
-		next := s.queue.Peek()
-		if next == nil || next.Time > t {
+		next, st, ok := s.head()
+		if !ok || next > t {
 			if s.now < t {
 				s.now = t
 			}
 			return nil
 		}
-		s.Step()
+		s.fire(st)
 	}
 }
