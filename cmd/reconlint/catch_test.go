@@ -174,7 +174,7 @@ var catchTable = []catchRow{
 	{
 		class:    "operator queue bound presizes a tenant map unclamped",
 		file:     "internal/controlplane/tenant.go",
-		edits:    []seedEdit{{"\t\ttasks:       make(map[string]*cpTask),\n", "\t\ttasks:       make(map[string]*cpTask, policy.MaxQueue),\n"}},
+		edits:    []seedEdit{{"\t\ttasks:       make(map[string]taskState),\n", "\t\ttasks:       make(map[string]taskState, policy.MaxQueue),\n"}},
 		analyzer: "wiretaint",
 		deleted:  "sizecap",
 	},

@@ -97,29 +97,3 @@ func TestHostileRejectAllocs(t *testing.T) {
 		t.Errorf("admission reject = %.1f allocs/op, want a small constant (<= 32)", avg)
 	}
 }
-
-// TestDoneLogCapped pins the completion-log bound: a tenant that keeps
-// completing tasks cannot grow server memory past maxDoneLog entries,
-// and the log keeps the most recent completions.
-func TestDoneLogCapped(t *testing.T) {
-	cfg := DefaultConfig()
-	te, err := newTenantEngine("acme", TierFull, 1, &cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pre-fill to the cap, then complete one more task for real.
-	for i := 0; i < maxDoneLog; i++ {
-		te.doneLog = append(te.doneLog, "old")
-	}
-	resp := te.submit(&TaskSpec{ID: "fresh", WorkMI: 10}, 0, false)
-	if !resp.OK {
-		t.Fatalf("submit failed: %+v", resp)
-	}
-	te.run()
-	if got := len(te.doneLog); got != maxDoneLog {
-		t.Fatalf("doneLog length = %d, want %d", got, maxDoneLog)
-	}
-	if last := te.doneLog[len(te.doneLog)-1]; last != "fresh" {
-		t.Fatalf("last doneLog entry = %q, want the fresh completion", last)
-	}
-}

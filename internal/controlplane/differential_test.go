@@ -6,18 +6,22 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // runTrace replays one seeded, deterministic request trace against a
 // server with the given shard count and returns per-tenant completion
-// logs and counter snapshots. The server is paused for requests 200–399,
-// so cancels in that window can find their task still queued.
+// logs, read from the trace's complete events, and counter snapshots.
+// The server is paused for requests 200–399, so cancels in that window
+// can find their task still queued.
 func runTrace(t *testing.T, shards int, withFaults bool) (map[string][]string, []TenantStats) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Shards = shards
 	cfg.Seed = 9
+	rec := &obs.Recorder{}
+	cfg.Sink = rec
 	if withFaults {
 		cfg.Faults = faults.Spec{
 			CrashRate:         0.05,
@@ -65,16 +69,18 @@ func runTrace(t *testing.T, shards int, withFaults bool) (map[string][]string, [
 	}
 	mustOK(t, s.Do(Request{Op: OpDrain}))
 
-	dumps, err := s.DumpTenants()
+	stats, err := s.StatsAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(map[string][]string, len(dumps))
-	stats := make([]TenantStats, 0, len(dumps))
-	for _, d := range dumps {
-		done[d.Stats.Tenant] = d.DoneLog
-		st := d.Stats
-		stats = append(stats, st)
+	// A tenant emits from one shard goroutine, so its events keep their
+	// order in the shared recorder.
+	done := make(map[string][]string, len(stats))
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindComplete {
+			tenant := ev.Node.String()
+			done[tenant] = append(done[tenant], ev.TaskID.String())
+		}
 	}
 	return done, stats
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -120,4 +121,27 @@ func TestDrainEmptiesFabric(t *testing.T) {
 	if !strings.Contains(dump, "in_flight=0") || strings.Contains(dump, fmt.Sprintf("in_flight=%d", 1)) {
 		t.Errorf("dump shows in-flight work after drain:\n%s", dump)
 	}
+}
+
+// TestTenantStatsGolden pins every tenant's counters bit for bit after
+// the differential trace, clean and faulty, at one shard. The dump
+// golden prints floats at %.3f; this one writes each float in full, so
+// a change that reassociates a virtual-time sum, a cost or a repair
+// window shows up here even when it moves only the last bits.
+//
+//scenario:golden strategy=first-fit regime=none,moderate workload=control-plane file=testdata/tenant_stats.golden
+func TestTenantStatsGolden(t *testing.T) {
+	var b strings.Builder
+	for _, withFaults := range []bool{false, true} {
+		_, stats := runTrace(t, 1, withFaults)
+		for _, st := range stats {
+			fmt.Fprintf(&b, "faults=%v tenant=%s tier=%s submitted=%d accepted=%d rejected=%d quota_denied=%d completed=%d evicted=%d canceled=%d in_flight=%d retries=%d fault_aborts=%d repaired=%d repair_s=%s vtime=%s cost=%s\n",
+				withFaults, st.Tenant, st.Tier, st.Submitted, st.Accepted, st.Rejected, st.QuotaDenied,
+				st.Completed, st.Evicted, st.Canceled, st.InFlight, st.Retries, st.FaultAborts, st.RepairedTasks,
+				strconv.FormatFloat(st.RepairSeconds, 'g', -1, 64),
+				strconv.FormatFloat(st.VirtualSeconds, 'g', -1, 64),
+				strconv.FormatFloat(st.CostUnits, 'g', -1, 64))
+		}
+	}
+	compareGolden(t, "tenant_stats.golden", []byte(b.String()))
 }

@@ -5,12 +5,16 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/capability"
 	"repro/internal/faults"
+	"repro/internal/jss"
 	"repro/internal/sim"
 	"repro/internal/softcore"
+	"repro/internal/task"
 )
 
 // liveHeap collects garbage and returns the live heap in bytes.
@@ -23,24 +27,24 @@ func liveHeap() float64 {
 
 // TestRetainedHeapPerSettledTask is the per-task memory ceiling: a tenant
 // that runs 10^5 tasks one after another keeps, once they are settled,
-// only each task's ID and state — not its task tuple, graph or jss
-// submission.
+// only each task's ID and state in its tasks map — not its task tuple,
+// graph or jss submission.
 func TestRetainedHeapPerSettledTask(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap ceiling run skipped in -short mode")
 	}
 	const (
 		tasks   = 100_000
-		ceiling = 200 // bytes per settled task
+		ceiling = 64 // bytes per settled task
 	)
 	cfg := DefaultConfig()
 	te, err := newTenantEngine("acme", TierVirtualized, 1, &cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the engine so its one-off structures (event pool, fabric
-	// configuration, doneLog at its cap) are not charged to the tasks.
-	for i := 0; i < maxDoneLog; i++ {
+	// Warm the engine so its one-off structures (fabric configuration,
+	// queue array) are not charged to the tasks.
+	for i := 0; i < 4096; i++ {
 		te.submit(&TaskSpec{ID: taskID("warm", i), WorkMI: 100}, 0, false)
 		te.run()
 	}
@@ -72,7 +76,7 @@ func scenarioOf(i int) string {
 }
 
 // TestHeapPerTenant is the per-tenant memory ceiling: 10^4 tenants that
-// each submit one task and drain cost at most 4 KB apiece. What a tenant
+// each submit one task and drain cost at most 3 KB apiece. What a tenant
 // owns is its dynamic state; the capability sets, soft-core library and
 // toolchain are shared (TestTenantsShareCatalog).
 func TestHeapPerTenant(t *testing.T) {
@@ -81,7 +85,7 @@ func TestHeapPerTenant(t *testing.T) {
 	}
 	const (
 		tenants = 10_000
-		ceiling = 4 << 10 // bytes per tenant
+		ceiling = 3 << 10 // bytes per tenant
 	)
 	tiers := []string{"full", "virtualized", "background"}
 	s := newTestServer(t, DefaultConfig())
@@ -165,10 +169,11 @@ func TestTenantsShareCatalog(t *testing.T) {
 }
 
 // TestSettledTasksUnreachable pins what a drained server keeps: every
-// tenant's jss holds no submission, and no task record reaches its task
-// tuple, graph or submission — whether the task completed, was evicted
-// or was canceled. Status and cancel still answer for every settled ID,
-// byte for byte as before settling.
+// tenant's jss holds no submission, and each task that completed, was
+// evicted or was canceled is only its state in the tenant's tasks map
+// (TestSettledTasksCollected proves its task tuple and submission are
+// garbage). Status and cancel still answer for every settled ID, byte
+// for byte as before settling.
 func TestSettledTasksUnreachable(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Shards = 3
@@ -192,21 +197,20 @@ func TestSettledTasksUnreachable(t *testing.T) {
 
 	// The drain reply orders every shard's work before these reads, and
 	// idle shards write nothing.
+	type settledTask struct {
+		tenant, id string
+		state      taskState
+	}
 	states := map[taskState]int{}
-	var settled []*cpTask
-	var owners []string
+	var settled []settledTask
 	for _, sh := range s.shards {
 		for _, te := range sh.tenants {
 			if n, q := len(te.jss.Submissions()), te.jss.QueueLength(); n != 0 || q != 0 {
 				t.Errorf("tenant %s: jss holds %d submissions, %d queued after drain", te.id, n, q)
 			}
-			for _, ct := range te.tasks {
-				if ct.t != nil || ct.sub != nil {
-					t.Errorf("tenant %s task %s (%s) still reaches its task or submission", te.id, ct.id, ct.state)
-				}
-				states[ct.state]++
-				settled = append(settled, ct)
-				owners = append(owners, te.id)
+			for id, st := range te.tasks {
+				states[st]++
+				settled = append(settled, settledTask{te.id, id, st})
 			}
 		}
 	}
@@ -222,8 +226,8 @@ func TestSettledTasksUnreachable(t *testing.T) {
 	// Wire answers for settled tasks; resume reopens admission so a
 	// duplicate submit reaches the duplicate-ID check.
 	mustOK(t, s.Do(Request{Op: OpResume}))
-	for i, ct := range settled {
-		tenant := owners[i]
+	for _, ct := range settled {
+		tenant := ct.tenant
 		status := wireJSON(t, s.Do(Request{Op: OpStatus, Tenant: tenant, TaskID: ct.id}))
 		if want := fmt.Sprintf(`{"ok":true,"op":"status","tenant":%q,"task_id":%q,"state":%q}`, tenant, ct.id, ct.state); status != want {
 			t.Fatalf("status = %s, want %s", status, want)
@@ -238,6 +242,118 @@ func TestSettledTasksUnreachable(t *testing.T) {
 			quoteJSON(t, ct.id)); dup != want {
 			t.Fatalf("duplicate submit = %s, want %s", dup, want)
 		}
+	}
+}
+
+// TestSettledTasksCollected proves that a settled task leaves nothing
+// reachable behind: finalizers on every queued task's tuple and jss
+// submission must all run once the tenant drains, while the tenant
+// itself stays live. The background tier evicts on its first fault
+// abort, so the run mixes completions, evictions after "retries
+// exhausted" and one task canceled from the middle of the paused queue.
+// A pop that leaves its slot set, or a cancel that removes by append
+// (keeping a copy of the last task in the vacated tail slot), leaves
+// finalizers unrun.
+func TestSettledTasksCollected(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Faults = faults.Spec{CrashRate: 0.05, MeanOutageSeconds: 5, SEURate: 0.05, HorizonSeconds: 2000}
+	te, err := newTenantEngine("bg", TierBackground, 1, &cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	for i := 0; i < n; i++ {
+		mustOK(t, te.submit(spec(taskID("t", i), float64(50+(i%2)*500000)), 0, false))
+	}
+	var collected atomic.Int64
+	watchQueue(te, &collected)
+	mustOK(t, te.cancel(taskID("t", n/2)))
+	te.run()
+
+	st := te.snapshot()
+	if st.Completed == 0 || st.Canceled != 1 || st.Evicted == 0 || st.Evicted != st.FaultAborts || st.Retries != 0 {
+		t.Fatalf("want completions, one cancel and only retries-exhausted evictions: %+v", st)
+	}
+	for i := 0; i < 20 && collected.Load() < 2*n; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got != 2*n {
+		t.Errorf("%d of %d task tuples and submissions collected after the drain", got, 2*n)
+	}
+	runtime.KeepAlive(te)
+}
+
+// watchQueue sets a finalizer counting into collected on every queued
+// task's tuple and submission. It is a function of its own so that no
+// local of the test keeps one of them alive.
+//
+//go:noinline
+func watchQueue(te *tenantEngine, collected *atomic.Int64) {
+	for _, p := range te.queue {
+		runtime.SetFinalizer(p.t, func(*task.Task) { collected.Add(1) })
+		runtime.SetFinalizer(p.sub, func(*jss.Submission) { collected.Add(1) })
+	}
+}
+
+// TestHeapPerFaultyTenant is the per-tenant ceiling under `rmsd -faults`
+// (faults.Default over a 10^6 s horizon): a tenant keeps the times of
+// the faults that can abort an attempt, not the whole fault schedule.
+func TestHeapPerFaultyTenant(t *testing.T) {
+	const ceiling = 512 << 10 // bytes per tenant
+	cfg := DefaultConfig()
+	cfg.Faults = faults.Default()
+	cfg.Faults.HorizonSeconds = 1e6
+	liveHeap() // a second cycle empties the sync.Pool victim caches
+	heap0 := liveHeap()
+	te, err := newTenantEngine("acme", TierVirtualized, 1, &cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := liveHeap() - heap0
+	runtime.KeepAlive(te)
+	t.Logf("%.0f B per tenant, %d strikes", retained, len(te.strikes))
+	if retained > ceiling {
+		t.Errorf("a faulty tenant costs %.0f B, ceiling %d", retained, ceiling)
+	}
+}
+
+// submitRunAllocs is what one steady-state submit and run allocates on a
+// warm tenant in each wire scenario, formatting the task ID included.
+const submitRunAllocs = 11
+
+// TestSubmitRunAllocs pins the allocations of one task's whole life on a
+// warm tenant: admission, the jss submission, placement, execution and
+// settling.
+func TestSubmitRunAllocs(t *testing.T) {
+	for _, scenario := range []string{"software", "softcore", "userhw"} {
+		t.Run(scenario, func(t *testing.T) {
+			cfg := DefaultConfig()
+			te, err := newTenantEngine("acme", TierFull, 1, &cfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			one := func() {
+				i++
+				resp := te.submit(&TaskSpec{ID: taskID("t", i), WorkMI: 500, Scenario: scenario, Design: "aes128"}, 0, false)
+				if !resp.OK {
+					t.Fatalf("submit: %s %s", resp.Code, resp.Error)
+				}
+				te.run()
+			}
+			for range 64 {
+				one()
+			}
+			avg := testing.AllocsPerRun(200, one)
+			if st := te.snapshot(); st.Completed != i {
+				t.Fatalf("completed %d of %d tasks", st.Completed, i)
+			}
+			t.Logf("%.0f allocs per submit and run", avg)
+			if avg > submitRunAllocs {
+				t.Errorf("one submit and run allocates %.0f times, want at most %d", avg, submitRunAllocs)
+			}
+		})
 	}
 }
 

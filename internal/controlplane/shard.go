@@ -50,12 +50,10 @@ type shardReply struct {
 	dumps []TenantDump
 }
 
-// TenantDump is one tenant's full state snapshot for OpDump and the
-// differential/golden test suites.
+// TenantDump is one tenant's full state snapshot for OpDump and
+// `rmsd -dump-state`.
 type TenantDump struct {
 	Stats TenantStats
-	// DoneLog lists completed task IDs in completion order.
-	DoneLog []string
 	// Fabric describes each RPE of the tenant slice, one line per device.
 	Fabric []string
 }
@@ -239,11 +237,7 @@ func (sh *shard) statsAll() []TenantStats {
 func (sh *shard) dumpAll() []TenantDump {
 	out := make([]TenantDump, 0, len(sh.order))
 	for _, te := range sh.order {
-		d := TenantDump{
-			Stats: te.snapshot(),
-			//reconlint:sanitized doneLog is capped at maxDoneLog entries on completion, so this snapshot copy is bounded
-			DoneLog: append([]string(nil), te.doneLog...),
-		}
+		d := TenantDump{Stats: te.snapshot()}
 		for _, n := range te.reg.Nodes() {
 			for _, e := range n.RPEs() {
 				st := e.Fabric.State()

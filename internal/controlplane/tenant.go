@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/capability"
 	"repro/internal/faults"
@@ -74,11 +75,6 @@ const (
 	stateCanceled
 )
 
-// maxDoneLog bounds the per-tenant completion log: large enough for
-// every test workload and any plausible dump window, small enough that
-// a tenant completing tasks forever cannot grow server memory.
-const maxDoneLog = 4096
-
 var taskStateNames = [...]string{
 	stateQueued: "queued", stateDone: "done",
 	stateEvicted: "evicted", stateCanceled: "canceled",
@@ -91,33 +87,23 @@ func (s taskState) String() string {
 	return fmt.Sprintf("taskState(%d)", int(s))
 }
 
-// cpTask is one accepted task riding through a tenant engine. Once the
-// task is terminal, settle drops t and sub: a settled record keeps only
-// what status, cancel and the duplicate-ID check read back, its ID and
-// state.
-type cpTask struct {
-	id    string
-	t     *task.Task
-	sub   *jss.Submission
-	state taskState
-	// attempts counts fault-aborted executions so far; lastFaultAt is
-	// the virtual time of the most recent abort, the start of the repair
-	// window MTTR accounting measures.
-	attempts    int
-	lastFaultAt sim.Time
-	// queuedAt/doneAt are tenant-virtual times.
-	queuedAt sim.Time
-	doneAt   sim.Time
+// pending is one accepted task waiting in a tenant's queue: its ID, its
+// task tuple and its jss submission. It lives only in the queue and in
+// the run that takes it out; once the task settles, its state in
+// tenantEngine.tasks is all that remains.
+type pending struct {
+	id  string
+	t   *task.Task
+	sub *jss.Submission
 }
 
 // tenantEngine is one tenant's deterministic slice of the control plane:
 // a vFPGA slice (a private registry/matchmaker over the tier's device
 // set), a jss instance for validation/quotas/cost accounting, and a
-// discrete-event simulator providing the virtual clock work executes
-// under. Everything the engine does is a pure function of (tenant seed,
-// op sequence): it draws no wall-clock time and no global randomness,
-// which is what makes per-tenant results independent of the shard count
-// and of cross-tenant interleaving.
+// virtual clock work executes under. Everything the engine does is a
+// pure function of (tenant seed, op sequence): it draws no wall-clock
+// time and no global randomness, which is what makes per-tenant results
+// independent of the shard count and of cross-tenant interleaving.
 //
 // A tenantEngine is owned by exactly one shard goroutine; it needs no
 // locking.
@@ -125,25 +111,24 @@ type tenantEngine struct {
 	id     string
 	tier   Tier
 	policy TierPolicy
-	seed   uint64
 
 	reg *rms.Registry
 	mm  *rms.Matchmaker
 	jss *jss.JSS
-	sim *sim.Simulator
+	// now is the tenant's virtual clock. It moves only while run
+	// executes a task, to the time of each strike, retry and completion.
+	now sim.Time
 
-	// faultEvents is the precomputed, time-sorted fault timeline for the
-	// slice; faultIdx the consumption cursor (virtual time is monotone).
-	faultEvents []faults.Event
-	faultIdx    int
+	// strikes holds, in time order, the times of the slice's faults that
+	// abort an attempt: node crashes, SEUs and link partitions.
+	// faultWithin consumes them from the front (virtual time is
+	// monotone).
+	strikes []sim.Time
 
-	queue []*cpTask
-	tasks map[string]*cpTask
-	// doneLog records completed task IDs in completion order — the
-	// differential suite compares these sets across shard counts. Capped
-	// at maxDoneLog (oldest dropped): a long-running server must not
-	// grow memory with every task a tenant ever completed.
-	doneLog []string
+	queue []pending
+	// tasks holds the state of every task the tenant ever accepted:
+	// what status, cancel and the duplicate-ID check read back.
+	tasks map[string]taskState
 
 	bucket tokenBucket
 	// costBudget caps total accepted cost when positive (wired through
@@ -221,18 +206,13 @@ func newTenantEngine(id string, tier Tier, seed uint64, cfg *Config, nowNanos in
 	}
 
 	te := &tenantEngine{
-		id:     id,
-		tier:   tier,
-		policy: policy,
-		seed:   seed,
-		reg:    reg,
-		mm:     mm,
-		jss:    jss.New(),
-		// Tenant simulators are small (a handful of pending events);
-		// the binary heap beats the timing wheel's fixed footprint at
-		// thousands-of-tenants scale.
-		sim:         sim.NewSimulator(sim.WithScheduler(sim.NewHeapQueue())),
-		tasks:       make(map[string]*cpTask),
+		id:          id,
+		tier:        tier,
+		policy:      policy,
+		reg:         reg,
+		mm:          mm,
+		jss:         jss.New(),
+		tasks:       make(map[string]taskState),
 		bucket:      newTokenBucket(policy.RatePerSec, policy.Burst, nowNanos),
 		costBudget:  cfg.CostBudgetUnits,
 		sink:        cfg.Sink,
@@ -249,7 +229,15 @@ func newTenantEngine(id string, tier Tier, seed uint64, cfg *Config, nowNanos in
 		if err != nil {
 			return nil, err
 		}
-		te.faultEvents = events
+		// Only crashes, SEUs and partitions end an attempt; the tenant
+		// keeps their times and drops the rest of the schedule.
+		var strikes []sim.Time
+		for _, ev := range events {
+			if ev.Kind == faults.KindNodeCrash || ev.Kind == faults.KindSEU || ev.Kind == faults.KindLinkDegrade && ev.Partition {
+				strikes = append(strikes, ev.Time)
+			}
+		}
+		te.strikes = slices.Clone(strikes) // held for life: no spare capacity
 	}
 	return te, nil
 }
@@ -331,7 +319,7 @@ func (te *tenantEngine) submit(spec *TaskSpec, nowNanos int64, draining bool) Re
 		}
 		qos.MaxCostUnits = remaining
 	}
-	sub, err := te.jss.Submit(te.id, g, nil, qos, te.sim.Now())
+	sub, err := te.jss.Submit(te.id, g, nil, qos, te.now)
 	if err != nil {
 		if ErrorCode(err) == CodeQuotaExceeded {
 			te.stats.QuotaDenied++
@@ -340,57 +328,52 @@ func (te *tenantEngine) submit(spec *TaskSpec, nowNanos int64, draining bool) Re
 	}
 	te.quotedCost += sub.QuotedCost
 
-	ct := &cpTask{id: spec.ID, t: t, sub: sub, state: stateQueued, queuedAt: te.sim.Now()}
-	te.queue = append(te.queue, ct)
-	te.tasks[spec.ID] = ct
+	te.queue = append(te.queue, pending{id: spec.ID, t: t, sub: sub})
+	te.tasks[spec.ID] = stateQueued
 	te.stats.Accepted++
 	te.stats.InFlight++
-	te.emit(obs.KindQueued, ct, nil)
-	return Response{OK: true, Op: OpSubmit, Tenant: te.id, TaskID: spec.ID, State: ct.state.String()}
+	te.emit(obs.KindQueued, spec.ID, nil)
+	return Response{OK: true, Op: OpSubmit, Tenant: te.id, TaskID: spec.ID, State: stateQueued.String()}
 }
 
 // cancel removes a queued task. Terminal tasks report their state with
 // OK=false and code unknown_task is reserved for IDs never seen.
 func (te *tenantEngine) cancel(taskID string) Response {
-	ct, ok := te.tasks[taskID]
+	st, ok := te.tasks[taskID]
 	if !ok {
 		return errorResponse(OpCancel, errWire(CodeUnknownTask, "tenant %q has no task %q", te.id, taskID))
 	}
-	if ct.state != stateQueued {
-		resp := errorResponse(OpCancel, errWire(CodeBadRequest, "task %q is already %s", taskID, ct.state))
-		resp.State = ct.state.String()
+	if st != stateQueued {
+		resp := errorResponse(OpCancel, errWire(CodeBadRequest, "task %q is already %s", taskID, st))
+		resp.State = st.String()
 		return resp
 	}
-	for i, q := range te.queue {
-		if q == ct {
-			//reconlint:sanitized queue length is bounded by policy.MaxQueue at admission, so this removal copy is bounded
-			te.queue = append(te.queue[:i], te.queue[i+1:]...)
-			break
-		}
-	}
-	ct.state = stateCanceled
-	ct.doneAt = te.sim.Now()
-	te.jss.Fail(ct.sub.ID, te.sim.Now(), "canceled by user")
-	te.quotedCost -= ct.sub.QuotedCost
-	te.settle(ct)
+	// A queued task is in the queue: run takes a task out only to settle
+	// it before returning.
+	i := slices.IndexFunc(te.queue, func(p pending) bool { return p.id == taskID })
+	p := te.queue[i]
+	// Delete clears the vacated tail slot, so the backing array does not
+	// keep the canceled task alive.
+	te.queue = slices.Delete(te.queue, i, i+1)
+	te.jss.Fail(p.sub.ID, te.now, "canceled by user")
+	te.settle(p, stateCanceled)
 	te.stats.Canceled++
-	te.stats.InFlight--
-	return Response{OK: true, Op: OpCancel, Tenant: te.id, TaskID: taskID, State: ct.state.String()}
+	return Response{OK: true, Op: OpCancel, Tenant: te.id, TaskID: taskID, State: stateCanceled.String()}
 }
 
 // status reports a task's lifecycle state.
 func (te *tenantEngine) status(taskID string) Response {
-	ct, ok := te.tasks[taskID]
+	st, ok := te.tasks[taskID]
 	if !ok {
 		return errorResponse(OpStatus, errWire(CodeUnknownTask, "tenant %q has no task %q", te.id, taskID))
 	}
-	return Response{OK: true, Op: OpStatus, Tenant: te.id, TaskID: taskID, State: ct.state.String()}
+	return Response{OK: true, Op: OpStatus, Tenant: te.id, TaskID: taskID, State: st.String()}
 }
 
 // snapshot returns the tenant's counters with the live queue depth.
 func (te *tenantEngine) snapshot() TenantStats {
 	s := te.stats
-	s.VirtualSeconds = float64(te.sim.Now())
+	s.VirtualSeconds = float64(te.now)
 	return s
 }
 
@@ -398,102 +381,84 @@ func (te *tenantEngine) snapshot() TenantStats {
 // virtual time, until the queue is empty.
 func (te *tenantEngine) run() {
 	for len(te.queue) > 0 {
-		ct := te.queue[0]
+		p := te.queue[0]
+		te.queue[0] = pending{} // the backing array must not keep a settled task alive
 		te.queue = te.queue[1:]
-		te.schedule(ct, 0)
-		// Run drains the attempt/retry/completion events this task put on
-		// the tenant's simulator; no other task is in flight, so the
-		// simulator is empty again when Run returns.
-		if err := te.sim.Run(); err != nil {
-			// Run only errors via Stop, which nothing here calls.
-			panic(fmt.Sprintf("controlplane: tenant %q simulator: %v", te.id, err))
+		te.execute(p)
+	}
+}
+
+// execute runs p to a terminal state. Each attempt places p and charges
+// the reconfiguration, synthesis and execution time; it either completes
+// at the end or aborts at the first fault that strikes the window, and
+// an aborted task attempts again after the tier's backoff until its
+// retries run out. A task that completes after aborts adds the time
+// since its last abort to the repair record.
+func (te *tenantEngine) execute(p pending) {
+	aborts := 0
+	var lastAbort sim.Time
+	for {
+		cands, err := te.mm.Candidates(p.t.ExecReq)
+		if err != nil || len(cands) == 0 {
+			te.evict(p, "no feasible mapping on the tenant slice")
+			return
 		}
-	}
-}
+		// First-fit over the deterministic candidate order: the slice is
+		// private and the engine runs one task at a time, so the first
+		// candidate is free by construction.
+		cand := cands[0]
+		lease, err := te.mm.Allocate(cand, p.t.ExecReq)
+		if err != nil {
+			te.evict(p, err.Error())
+			return
+		}
+		exec, err := lease.Estimator.EstimateSeconds(p.t.Work)
+		if err != nil {
+			te.release(lease)
+			te.evict(p, err.Error())
+			return
+		}
+		overhead := lease.ReconfigDelay + lease.CompactionDelay + sim.Time(lease.SynthesisSeconds)
+		total := overhead + sim.Time(exec)
 
-// schedule arms one execution attempt for ct after delay.
-func (te *tenantEngine) schedule(ct *cpTask, delay sim.Time) {
-	te.sim.After(delay, "attempt", func() {
-		te.attempt(ct, te.sim.Now())
-	})
-}
+		te.emit(obs.KindDispatch, p.id, cand.Elem)
+		if lease.ReconfigDelay > 0 {
+			te.emit(obs.KindReconfig, p.id, cand.Elem)
+		}
 
-// attempt places and executes ct once: match, lease, charge the
-// reconfiguration/synthesis/execution time, and either complete at the
-// end or abort at the first fault that strikes the window.
-func (te *tenantEngine) attempt(ct *cpTask, now sim.Time) {
-	cands, err := te.mm.Candidates(ct.t.ExecReq)
-	if err != nil || len(cands) == 0 {
-		te.evict(ct, now, "no feasible mapping on the tenant slice")
-		return
-	}
-	// First-fit over the deterministic candidate order: the slice is
-	// private and the engine runs one task at a time, so the first
-	// candidate is free by construction.
-	cand := cands[0]
-	lease, err := te.mm.Allocate(cand, ct.t.ExecReq)
-	if err != nil {
-		te.evict(ct, now, err.Error())
-		return
-	}
-	exec, err := lease.Estimator.EstimateSeconds(ct.t.Work)
-	if err != nil {
-		te.release(lease)
-		te.evict(ct, now, err.Error())
-		return
-	}
-	overhead := lease.ReconfigDelay + lease.CompactionDelay + sim.Time(lease.SynthesisSeconds)
-	total := overhead + sim.Time(exec)
-
-	te.emit(obs.KindDispatch, ct, cand.Elem)
-	if lease.ReconfigDelay > 0 {
-		te.emit(obs.KindReconfig, ct, cand.Elem)
-	}
-
-	kind := elementKind(cand)
-	if strike, hit := te.faultWithin(now, now+total); hit {
+		strike, hit := te.faultWithin(te.now, te.now+total)
+		if !hit {
+			te.now += total
+			te.release(lease)
+			te.jss.ChargeFor(p.sub, exec, elementKind(cand))
+			te.jss.TaskDoneFor(p.sub, te.now)
+			te.stats.CostUnits += p.sub.FinalCost
+			te.settle(p, stateDone)
+			te.stats.Completed++
+			if aborts > 0 {
+				te.stats.RepairedTasks++
+				te.stats.RepairSeconds += float64(te.now - lastAbort)
+			}
+			te.emit(obs.KindComplete, p.id, cand.Elem)
+			te.sample()
+			return
+		}
 		// The attempt dies at the strike: the element is released, and
 		// the task retries (tier policy permitting) after backoff.
-		te.sim.Schedule(strike, "fault-abort", func() {
-			at := te.sim.Now()
-			te.release(lease)
-			te.emit(obs.KindFail, ct, cand.Elem)
-			ct.attempts++
-			ct.lastFaultAt = at
-			te.stats.FaultAborts++
-			if ct.attempts > te.policy.Retry.MaxRetries {
-				te.evict(ct, at, "retries exhausted")
-				return
-			}
-			te.stats.Retries++
-			te.emit(obs.KindRetry, ct, nil)
-			te.schedule(ct, sim.Time(te.policy.Retry.Delay(ct.attempts)))
-		})
-		return
-	}
-	te.sim.Schedule(now+total, "complete", func() {
-		at := te.sim.Now()
+		te.now = strike
 		te.release(lease)
-		ct.state = stateDone
-		ct.doneAt = at
-		te.jss.ChargeFor(ct.sub, exec, kind)
-		te.jss.TaskDoneFor(ct.sub, at)
-		te.quotedCost -= ct.sub.QuotedCost
-		te.stats.CostUnits += ct.sub.FinalCost
-		te.settle(ct)
-		te.stats.Completed++
-		te.stats.InFlight--
-		if ct.attempts > 0 {
-			te.stats.RepairedTasks++
-			te.stats.RepairSeconds += float64(at - ct.lastFaultAt)
+		te.emit(obs.KindFail, p.id, cand.Elem)
+		aborts++
+		lastAbort = strike
+		te.stats.FaultAborts++
+		if aborts > te.policy.Retry.MaxRetries {
+			te.evict(p, "retries exhausted")
+			return
 		}
-		te.doneLog = append(te.doneLog, ct.id)
-		if len(te.doneLog) > maxDoneLog {
-			te.doneLog = te.doneLog[len(te.doneLog)-maxDoneLog:]
-		}
-		te.emit(obs.KindComplete, ct, cand.Elem)
-		te.sample()
-	})
+		te.stats.Retries++
+		te.emit(obs.KindRetry, p.id, nil)
+		te.now += sim.Time(te.policy.Retry.Delay(aborts))
+	}
 }
 
 // release frees the lease's element.
@@ -505,47 +470,37 @@ func (te *tenantEngine) release(l *rms.Lease) {
 	}
 }
 
-// evict terminates ct without completion.
-func (te *tenantEngine) evict(ct *cpTask, now sim.Time, reason string) {
-	ct.state = stateEvicted
-	ct.doneAt = now
-	te.jss.Fail(ct.sub.ID, now, reason)
-	te.quotedCost -= ct.sub.QuotedCost
-	te.settle(ct)
+// evict terminates p without completion.
+func (te *tenantEngine) evict(p pending, reason string) {
+	te.jss.Fail(p.sub.ID, te.now, reason)
+	te.settle(p, stateEvicted)
 	te.stats.Evicted++
+	te.emit(obs.KindLost, p.id, nil)
+}
+
+// settle records p's terminal state once its jss accounting is final:
+// its quote leaves the budget and its submission leaves jss, so only
+// the state in tasks outlives the task.
+func (te *tenantEngine) settle(p pending, st taskState) {
+	te.quotedCost -= p.sub.QuotedCost
+	te.jss.Release(p.sub)
+	te.tasks[p.id] = st
 	te.stats.InFlight--
-	te.emit(obs.KindLost, ct, nil)
 }
 
-// settle releases what a terminal task no longer needs, once its jss
-// accounting is final: the submission leaves jss, and the record drops the
-// task tuple and the submission, so neither outlives the task.
-func (te *tenantEngine) settle(ct *cpTask) {
-	te.jss.Release(ct.sub)
-	ct.t, ct.sub = nil, nil
-}
-
-// faultWithin returns the first crash/SEU/partition strike in (from, to],
-// consuming every fault event with time ≤ to. Virtual time is monotone
-// per tenant, so a single cursor suffices.
+// faultWithin returns the first strike in (from, to], consuming every
+// strike with time ≤ to.
 func (te *tenantEngine) faultWithin(from, to sim.Time) (sim.Time, bool) {
-	for te.faultIdx < len(te.faultEvents) {
-		ev := te.faultEvents[te.faultIdx]
-		if ev.Time > to {
+	for len(te.strikes) > 0 {
+		at := te.strikes[0]
+		if at > to {
 			return 0, false
 		}
-		te.faultIdx++
-		if ev.Time <= from {
+		te.strikes = te.strikes[1:]
+		if at <= from {
 			continue
 		}
-		switch ev.Kind {
-		case faults.KindNodeCrash, faults.KindSEU:
-			return ev.Time, true
-		case faults.KindLinkDegrade:
-			if ev.Partition {
-				return ev.Time, true
-			}
-		}
+		return at, true
 	}
 	return 0, false
 }
@@ -559,7 +514,7 @@ func elementKind(c rms.Candidate) capability.Kind {
 }
 
 // emit sends one lifecycle event to the sink (no-op without one).
-func (te *tenantEngine) emit(kind obs.Kind, ct *cpTask, elem *node.Element) {
+func (te *tenantEngine) emit(kind obs.Kind, taskID string, elem *node.Element) {
 	if te.sink == nil {
 		return
 	}
@@ -572,9 +527,9 @@ func (te *tenantEngine) emit(kind obs.Kind, ct *cpTask, elem *node.Element) {
 		}
 	}
 	te.sink.Emit(obs.Event{
-		Time:    te.sim.Now(),
+		Time:    te.now,
 		Kind:    kind,
-		TaskID:  obs.Str(ct.id),
+		TaskID:  obs.Str(taskID),
 		Node:    te.name,
 		Element: en,
 	})
@@ -591,7 +546,7 @@ func (te *tenantEngine) sample() {
 	}
 	te.sinceSample = 0
 	s := obs.Sample{
-		Time:       te.sim.Now(),
+		Time:       te.now,
 		QueueDepth: len(te.queue),
 		Completed:  te.stats.Completed,
 	}

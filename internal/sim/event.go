@@ -94,8 +94,8 @@ const poolBlock = 64
 
 // poolFirstBlock is the first refill's size. Refills double from it up to
 // poolBlock (4, 8, 16, 32, 64, 64, ...), so a scheduler that never holds
-// more than a few events pending — one per control-plane tenant — pays
-// for a few events rather than a full block.
+// more than a few events pending pays for a few events rather than a full
+// block.
 const poolFirstBlock = 4
 
 // eventPool is a free list of recycled events. Not safe for concurrent use;
