@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint lint-sarif lint-taint test race bench-test verify bench-baseline benchdiff coverage-md report cover smoke
+.PHONY: build fmt vet lint lint-sarif lint-taint test race bench-test verify bench-baseline benchdiff coverage-md report cover smoke
 
 # Minimum statement coverage enforced by `make cover`, per package.
 COVER_FLOOR_OBS  ?= 85.0
@@ -12,6 +12,11 @@ COVER_FLOORS = obs=$(COVER_FLOOR_OBS) grid=$(COVER_FLOOR_GRID) controlplane=85.0
 
 build:
 	$(GO) build ./...
+
+# Fails, listing the files, when any Go file in the tree (bench/ and
+# testdata included) is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -46,12 +51,13 @@ bench-test:
 # contract: the gated benchmark families (the event-core queue, the
 # DReAMSim sweeps, sink overhead, reconlint and its taint pair, and the
 # control plane) are re-run and compared against the committed
-# BENCH_PR21.json baseline; an alloc or model-metric regression beyond
-# the noise budget fails verify. bench-test smoke-runs every workload of
+# BENCH_PR22.json baseline; an alloc or model-metric regression beyond
+# the noise budget fails verify. fmt fails on any file gofmt would
+# change. bench-test smoke-runs every workload of
 # the repository benchmark, and cover holds the observability, engine,
 # control-plane, matchmaker and event-core packages at their coverage
 # floors.
-verify: build vet lint test race cover bench-test benchdiff
+verify: build fmt vet lint test race cover bench-test benchdiff
 
 # --- Performance contract ---
 #
@@ -64,7 +70,7 @@ verify: build vet lint test race cover bench-test benchdiff
 # shared machine. On a different machine (CI) time gating switches off
 # automatically via the env fingerprint in the JSON.
 BENCHTIME_VERIFY ?= 3x
-BENCH_BASELINE   ?= BENCH_PR21.json
+BENCH_BASELINE   ?= BENCH_PR22.json
 BENCH_OUT        ?= /tmp/bench_head.json
 
 # The raw capture goes to a file first (not a pipe) so a failing

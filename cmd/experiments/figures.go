@@ -337,10 +337,10 @@ func runF9() error {
 	}
 	fmt.Printf("submission %s by %s: status=%s quote=%.1f units\n", sub.ID, sub.User, sub.Status, sub.QuotedCost)
 	j.Dequeue()
-	j.Notify(sub.ID, 3, "T1", "dispatched to GPP0 <-> Node0")
-	j.Charge(sub.ID, 30, capability.KindGPP)
-	j.Notify(sub.ID, 33, "T1", "completed")
-	j.TaskDone(sub.ID, 33)
+	j.Notify(sub, 3, "T1", "dispatched to GPP0 <-> Node0")
+	j.Charge(sub, 30, capability.KindGPP)
+	j.Notify(sub, 33, "T1", "completed")
+	j.TaskDone(sub, 33)
 	fmt.Printf("response: status=%s cost=%.1f deadlineMet=%t events=%d\n",
 		sub.Status, sub.FinalCost, sub.DeadlineMet, len(sub.Events))
 	// The minimum service level (no QoS) also works.

@@ -30,7 +30,12 @@ const (
 	KindGPU
 )
 
-var kindNames = map[Kind]string{
+// NumKinds sizes per-kind tables: Kind is a dense enum from KindUnknown
+// to KindGPU, so an array of NumKinds entries indexed by Kind holds one
+// entry per kind, in kind order.
+const NumKinds = int(KindGPU) + 1
+
+var kindNames = [NumKinds]string{
 	KindUnknown:  "unknown",
 	KindFPGA:     "FPGA",
 	KindGPP:      "GPP",
@@ -40,8 +45,8 @@ var kindNames = map[Kind]string{
 
 // String returns the Table I row label for the kind.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < NumKinds {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -50,7 +55,7 @@ func (k Kind) String() string {
 func ParseKind(s string) (Kind, error) {
 	for k, name := range kindNames {
 		if strings.EqualFold(name, s) {
-			return k, nil
+			return Kind(k), nil
 		}
 	}
 	return KindUnknown, fmt.Errorf("capability: unknown kind %q", s)

@@ -76,16 +76,17 @@ func scenarioOf(i int) string {
 }
 
 // TestHeapPerTenant is the per-tenant memory ceiling: 10^4 tenants that
-// each submit one task and drain cost at most 3 KB apiece. What a tenant
-// owns is its dynamic state; the capability sets, soft-core library and
-// toolchain are shared (TestTenantsShareCatalog).
+// each submit one task and drain cost at most 2.5 KB apiece. What a tenant
+// owns is its dynamic state, with its node and registry indexed by their
+// lists alone; the capability sets, soft-core library and toolchain are
+// shared (TestTenantsShareCatalog).
 func TestHeapPerTenant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap ceiling run skipped in -short mode")
 	}
 	const (
 		tenants = 10_000
-		ceiling = 3 << 10 // bytes per tenant
+		ceiling = 2560 // bytes per tenant
 	)
 	tiers := []string{"full", "virtualized", "background"}
 	s := newTestServer(t, DefaultConfig())

@@ -355,7 +355,7 @@ func (te *tenantEngine) cancel(taskID string) Response {
 	// Delete clears the vacated tail slot, so the backing array does not
 	// keep the canceled task alive.
 	te.queue = slices.Delete(te.queue, i, i+1)
-	te.jss.Fail(p.sub.ID, te.now, "canceled by user")
+	te.jss.Fail(p.sub, te.now, "canceled by user")
 	te.settle(p, stateCanceled)
 	te.stats.Canceled++
 	return Response{OK: true, Op: OpCancel, Tenant: te.id, TaskID: taskID, State: stateCanceled.String()}
@@ -430,8 +430,7 @@ func (te *tenantEngine) execute(p pending) {
 		if !hit {
 			te.now += total
 			te.release(lease)
-			te.jss.ChargeFor(p.sub, exec, elementKind(cand))
-			te.jss.TaskDoneFor(p.sub, te.now)
+			te.jss.Charge(p.sub, exec, lease.Estimator.Kind())
 			te.stats.CostUnits += p.sub.FinalCost
 			te.settle(p, stateDone)
 			te.stats.Completed++
@@ -472,7 +471,7 @@ func (te *tenantEngine) release(l *rms.Lease) {
 
 // evict terminates p without completion.
 func (te *tenantEngine) evict(p pending, reason string) {
-	te.jss.Fail(p.sub.ID, te.now, reason)
+	te.jss.Fail(p.sub, te.now, reason)
 	te.settle(p, stateEvicted)
 	te.stats.Evicted++
 	te.emit(obs.KindLost, p.id, nil)
@@ -503,14 +502,6 @@ func (te *tenantEngine) faultWithin(from, to sim.Time) (sim.Time, bool) {
 		return at, true
 	}
 	return 0, false
-}
-
-// elementKind classifies a candidate's element for cost accounting.
-func elementKind(c rms.Candidate) capability.Kind {
-	if c.Core != nil || c.Fallback {
-		return capability.KindSoftcore
-	}
-	return c.Elem.Kind
 }
 
 // emit sends one lifecycle event to the sink (no-op without one).

@@ -151,45 +151,40 @@ type Engine struct {
 	optsBuf []sched.Option
 	m       *Metrics
 	// running tracks in-flight executions per element, for failure
-	// injection; runningByKind counts them per element kind so the gauge
-	// sampler stays O(nodes) instead of walking every execution.
-	running       map[*node.Element][]*execution
-	runningByKind map[capability.Kind]int
+	// injection and the gauge sampler.
+	running map[*node.Element][]*execution
 	// lastReal is the virtual time of the last traced (model) event; the
 	// end-of-run metrics window clamps to it when sampling is enabled so
 	// a trailing sampler tick cannot widen WindowSeconds/Availability.
 	lastReal sim.Time
 	// Fault-injection state, touched only from simulator handlers: down
-	// maps a crashed node to the fault Seq that downed it,
-	// downNode/downSince keep the detached object and the outage start;
-	// linkFault holds the active link fault per node; backoff lists the
-	// tasks waiting out a retry backoff, in the order they began it.
-	// nodeNames/elemNames cache the interned obs handle per live object:
-	// tracing an event hashes a pointer, not an ID string.
+	// holds the outage record of each crashed node; linkFault holds the
+	// active link fault per node; backoff lists the tasks waiting out a
+	// retry backoff, in the order they began it. nodeNames/elemNames
+	// cache the interned obs handle per live object, so tracing an event
+	// hashes a pointer, not an ID string; an untraced engine has neither.
 	nodeNames map[*node.Node]obs.Name
 	elemNames map[*node.Element]obs.Name
-	down      map[string]uint64
-	downNode  map[string]*node.Node
-	downSince map[string]sim.Time
+	down      map[string]outage
 	linkFault map[string]faults.Event
 	backoff   []*item
 }
 
-// execution is one in-flight task placement. The event handles are refs,
-// not pointers: events are pooled, and a ref that outlives its event (a
-// crash cancels the completion, then a lease expiry tries again) degrades
-// to a harmless no-op instead of touching a recycled event.
+// execution is one in-flight task placement; its lease holds the
+// candidate it runs on and the estimator whose kind prices it. The event
+// handles are refs, not pointers: events are pooled, and a ref that
+// outlives its event (a crash cancels the completion, then a lease expiry
+// tries again) degrades to a harmless no-op instead of touching a
+// recycled event.
 type execution struct {
 	it    *item
 	lease *rms.Lease
-	opt   sched.Option
 	// exec is the pure execution time, span the full charged timeline
 	// (transfer + synthesis + reconfiguration + execution). Stored here so
 	// the completion handler closes over just the execution record instead
 	// of a dozen locals — one small closure per dispatch, not ten boxes.
 	exec float64
 	span float64
-	kind capability.Kind
 	ev   sim.EventRef
 	// renew is the pending lease-renewal check, cancelled when the
 	// execution completes or aborts.
@@ -211,22 +206,22 @@ func NewEngine(cfg Config, reg *rms.Registry, mm *rms.Matchmaker) (*Engine, erro
 	if cfg.Scheduler != nil {
 		simOpts = append(simOpts, sim.WithScheduler(cfg.Scheduler()))
 	}
-	return &Engine{
-		cfg:           cfg,
-		S:             sim.NewSimulator(simOpts...),
-		Reg:           reg,
-		MM:            mm,
-		J:             jss.New(),
-		m:             newMetrics(cfg.Strategy.Name()),
-		running:       make(map[*node.Element][]*execution),
-		runningByKind: make(map[capability.Kind]int),
-		nodeNames:     make(map[*node.Node]obs.Name),
-		elemNames:     make(map[*node.Element]obs.Name),
-		down:          make(map[string]uint64),
-		downNode:      make(map[string]*node.Node),
-		downSince:     make(map[string]sim.Time),
-		linkFault:     make(map[string]faults.Event),
-	}, nil
+	e := &Engine{
+		cfg:       cfg,
+		S:         sim.NewSimulator(simOpts...),
+		Reg:       reg,
+		MM:        mm,
+		J:         jss.New(),
+		m:         newMetrics(cfg.Strategy.Name()),
+		running:   make(map[*node.Element][]*execution),
+		down:      make(map[string]outage),
+		linkFault: make(map[string]faults.Event),
+	}
+	if cfg.Tracer != nil {
+		e.nodeNames = make(map[*node.Node]obs.Name)
+		e.elemNames = make(map[*node.Element]obs.Name)
+	}
+	return e, nil
 }
 
 // Submit schedules an application submission at a virtual time. Program
@@ -443,7 +438,7 @@ func (e *Engine) enqueue(run *appRun, taskID string) {
 	e.m.Submitted++
 	it := &item{run: run, t: t, tid: e.name(taskID), enq: e.S.Now(), seq: e.seq}
 	e.pushQueue(it, true)
-	e.J.NotifyFor(run.sub, e.S.Now(), taskID, "queued")
+	e.J.Notify(run.sub, e.S.Now(), taskID, "queued")
 	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindQueued, TaskID: it.tid})
 	e.tryDispatch()
 }
@@ -545,25 +540,24 @@ func (e *Engine) dispatchOne(it *item) bool {
 		if idx < 0 {
 			break
 		}
-		opt := opts[idx]
-		lease, err := e.MM.Allocate(opt.Cand, req)
+		lease, err := e.MM.Allocate(opts[idx].Cand, req)
 		if err != nil {
 			// Element became unusable (area busy); drop the option.
 			opts = append(opts[:idx], opts[idx+1:]...)
 			continue
 		}
-		e.execute(it, opt, lease)
+		e.execute(it, lease)
 		placed = true
 		break
 	}
-	// Keep the grown backing array for the next call; Option values are
-	// copied out before execute, so nothing aliases the buffer.
+	// Keep the grown backing array for the next call; the lease holds its
+	// own copy of the candidate, so nothing aliases the buffer.
 	e.optsBuf = opts[:0]
 	return placed
 }
 
 // execute charges the placement's timeline and schedules completion.
-func (e *Engine) execute(it *item, opt sched.Option, lease *rms.Lease) {
+func (e *Engine) execute(it *item, lease *rms.Lease) {
 	now := e.S.Now()
 	wait := float64(now - it.enq)
 	e.m.Wait.Observe(wait)
@@ -575,47 +569,44 @@ func (e *Engine) execute(it *item, opt sched.Option, lease *rms.Lease) {
 	}
 	// Transfer: input data always crosses the node's link; the
 	// configuration bitstream only when this lease actually reconfigured.
-	transfer := e.linkTo(opt.Cand.Node.ID).TransferSeconds(it.t.InputMB() + lease.BitstreamMB)
+	cand := lease.Cand
+	transfer := e.linkTo(cand.Node.ID).TransferSeconds(it.t.InputMB() + lease.BitstreamMB)
 	span := transfer + lease.SynthesisSeconds + float64(lease.ReconfigDelay+lease.CompactionDelay) + exec
 
 	if lease.ReconfigDelay > 0 {
 		e.m.Reconfigs++
 		e.m.ReconfigSeconds += float64(lease.ReconfigDelay)
 		e.m.BitstreamMB += lease.BitstreamMB
-	} else if opt.Cand.Elem.Fabric != nil {
+	} else if cand.Elem.Fabric != nil {
 		e.m.Reuses++
 	}
 	if lease.CompactionMoves > 0 {
 		e.m.Compactions += lease.CompactionMoves
 		e.m.CompactionSeconds += float64(lease.CompactionDelay)
 	}
-	if opt.Cand.Fallback {
+	if cand.Fallback {
 		e.m.Fallbacks++
 	}
 	e.m.SynthesisSeconds += lease.SynthesisSeconds
 
 	run := it.run
 	if run.sub.QoS.Monitor {
-		// Gate before NotifyFor: the label string is only built when the
+		// Gate before Notify: the label string is only built when the
 		// user actually subscribed to progress events.
-		e.J.NotifyFor(run.sub, now, it.t.ID, "dispatched to "+opt.Cand.Label())
+		e.J.Notify(run.sub, now, it.t.ID, "dispatched to "+cand.Label())
 	}
 
-	exe := &execution{
-		it: it, lease: lease, opt: opt,
-		exec: exec, span: span, kind: lease.Estimator.Kind(),
-	}
-	elem := opt.Cand.Elem
+	exe := &execution{it: it, lease: lease, exec: exec, span: span}
+	elem := cand.Elem
 	e.running[elem] = append(e.running[elem], exe)
-	e.runningByKind[elem.Kind]++
 	e.trace(obs.Event{
 		Time: now, Kind: obs.KindDispatch, TaskID: it.tid,
-		Node: e.nodeName(opt.Cand.Node), Element: e.elemName(elem),
+		Node: e.nodeName(cand.Node), Element: e.elemName(elem),
 	})
 	if lease.ReconfigDelay > 0 {
 		e.trace(obs.Event{
 			Time: now, Kind: obs.KindReconfig, TaskID: it.tid,
-			Node: e.nodeName(opt.Cand.Node), Element: e.elemName(elem),
+			Node: e.nodeName(cand.Node), Element: e.elemName(elem),
 		})
 	}
 	e.superviseLease(exe)
@@ -627,7 +618,7 @@ func (e *Engine) execute(it *item, opt sched.Option, lease *rms.Lease) {
 // whatever the finished task was blocking.
 func (e *Engine) complete(exe *execution) {
 	it, lease, run := exe.it, exe.lease, exe.it.run
-	elem := exe.opt.Cand.Elem
+	elem := lease.Cand.Elem
 	end := e.S.Now()
 	e.S.Cancel(exe.renew)
 	e.dropRunning(elem, exe)
@@ -645,13 +636,13 @@ func (e *Engine) complete(exe *execution) {
 	if end > e.m.Makespan {
 		e.m.Makespan = end
 	}
-	e.J.ChargeFor(run.sub, exe.exec, exe.kind)
-	e.J.NotifyFor(run.sub, end, it.t.ID, "completed")
+	e.J.Charge(run.sub, exe.exec, lease.Estimator.Kind())
+	e.J.Notify(run.sub, end, it.t.ID, "completed")
 	e.trace(obs.Event{
 		Time: end, Kind: obs.KindComplete, TaskID: it.tid,
-		Node: e.nodeName(exe.opt.Cand.Node), Element: e.elemName(elem),
+		Node: e.nodeName(lease.Cand.Node), Element: e.elemName(elem),
 	})
-	e.J.TaskDoneFor(run.sub, end)
+	e.J.TaskDone(run.sub, end)
 	e.advance(run, it.t.ID)
 	// A workload submission is one task, so its completion settles it.
 	e.release(run)
@@ -682,7 +673,6 @@ func (e *Engine) dropRunning(elem *node.Element, exe *execution) {
 	for i, cur := range list {
 		if cur == exe {
 			e.running[elem] = append(list[:i], list[i+1:]...)
-			e.runningByKind[elem.Kind]--
 			break
 		}
 	}
@@ -770,9 +760,12 @@ func (e *Engine) emitSample() {
 		Completed:    e.m.Completed,
 		EnergyJoules: e.m.Energy.TotalJoules(),
 	}
+	// Every element holding an execution is registered: a crashed or
+	// detaching node stays in the registry while it is busy.
 	var unitsGPP, unitsFPGA, unitsGPU int
 	for _, n := range e.Reg.Nodes() {
 		for _, el := range n.Elements() {
+			running := len(e.running[el])
 			switch el.Kind {
 			case capability.KindGPP:
 				u := 1
@@ -780,8 +773,10 @@ func (e *Engine) emitSample() {
 					u = el.GPP.Caps.Cores
 				}
 				unitsGPP += u
+				s.RunningGPP += running
 			case capability.KindFPGA:
 				unitsFPGA++
+				s.RunningFPGA += running
 				if el.Fabric != nil {
 					st := el.Fabric.State()
 					s.FabricSlicesTotal += st.TotalSlices
@@ -790,12 +785,10 @@ func (e *Engine) emitSample() {
 				}
 			case capability.KindGPU:
 				unitsGPU++
+				s.RunningGPU += running
 			}
 		}
 	}
-	s.RunningGPP = e.runningByKind[capability.KindGPP]
-	s.RunningFPGA = e.runningByKind[capability.KindFPGA]
-	s.RunningGPU = e.runningByKind[capability.KindGPU]
 	s.Running = s.RunningGPP + s.RunningFPGA + s.RunningGPU
 	s.UtilGPP = unitRatio(s.RunningGPP, unitsGPP)
 	s.UtilFPGA = unitRatio(s.RunningFPGA, unitsFPGA)
@@ -860,7 +853,7 @@ func (e *Engine) failExecution(exe *execution, nodeID, elemID string) {
 	e.abortExecution(exe)
 	e.m.Failures++
 	if exe.it.run.sub.QoS.Monitor {
-		e.J.NotifyFor(exe.it.run.sub, e.S.Now(), exe.it.t.ID,
+		e.J.Notify(exe.it.run.sub, e.S.Now(), exe.it.t.ID,
 			"failed on "+nodeID+"/"+elemID+", requeued")
 	}
 	e.trace(obs.Event{
@@ -885,7 +878,7 @@ func (e *Engine) requeueOrLose(it *item) {
 	if pol.MaxRetries > 0 && it.attempts > pol.MaxRetries {
 		e.m.TasksLost++
 		e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindLost, TaskID: it.tid})
-		e.J.Fail(it.run.sub.ID, e.S.Now(), "task "+it.t.ID+" lost after "+strconv.Itoa(it.attempts)+" failed attempts")
+		e.J.Fail(it.run.sub, e.S.Now(), "task "+it.t.ID+" lost after "+strconv.Itoa(it.attempts)+" failed attempts")
 		e.release(it.run)
 		return
 	}
@@ -896,7 +889,7 @@ func (e *Engine) requeueOrLose(it *item) {
 		e.backoff = slices.Delete(e.backoff, i, i+1)
 		e.pushQueue(it, false)
 		e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindRetry, TaskID: it.tid})
-		e.J.NotifyFor(it.run.sub, e.S.Now(), it.t.ID, "requeued for retry")
+		e.J.Notify(it.run.sub, e.S.Now(), it.t.ID, "requeued for retry")
 		e.tryDispatch()
 	})
 }
@@ -950,21 +943,21 @@ func (e *Engine) finish() {
 	slices.SortFunc(inflight, func(a, b *item) int { return a.seq - b.seq })
 	e.m.Unfinished = len(inflight) + len(e.backoff) + len(e.queue)
 	for _, it := range inflight {
-		e.J.Fail(it.run.sub.ID, now, "task "+it.t.ID+" still running when the run ended")
+		e.J.Fail(it.run.sub, now, "task "+it.t.ID+" still running when the run ended")
 	}
 	for _, it := range e.backoff {
-		e.J.Fail(it.run.sub.ID, now, "task "+it.t.ID+" backing off before a retry when the run ended")
+		e.J.Fail(it.run.sub, now, "task "+it.t.ID+" backing off before a retry when the run ended")
 	}
 	for _, it := range e.queue {
-		e.J.Fail(it.run.sub.ID, now, fmt.Sprintf("task %s unschedulable under %s", it.t.ID, e.cfg.Strategy.Name()))
+		e.J.Fail(it.run.sub, now, fmt.Sprintf("task %s unschedulable under %s", it.t.ID, e.cfg.Strategy.Name()))
 	}
-	ids := make([]string, 0, len(e.downSince))
-	for id := range e.downSince {
+	ids := make([]string, 0, len(e.down))
+	for id := range e.down {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		e.m.DownSeconds += float64(now - e.downSince[id])
+		e.m.DownSeconds += float64(now - e.down[id].since)
 	}
 	e.m.WindowSeconds = float64(now)
 	e.m.Nodes = e.Reg.Len() + len(e.down)
@@ -995,7 +988,7 @@ func (e *Engine) fillCapacity() {
 	for kind, cap := range e.m.capacitySeconds {
 		idle := cap - e.m.busySeconds[kind]
 		if idle > 0 {
-			e.m.Energy.ChargeIdle(kind, idle)
+			e.m.Energy.ChargeIdle(capability.Kind(kind), idle)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/faults"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -14,6 +15,15 @@ import (
 // run on the simulator goroutine; none of them draws randomness — every
 // choice below node granularity is resolved from the event's Selector
 // bits, so a fault schedule replays identically.
+
+// outage is one crashed node's record: the fault that downed it, the
+// node itself (detached from the registry once idle) and when the outage
+// began.
+type outage struct {
+	seq   uint64
+	node  *node.Node
+	since sim.Time
+}
 
 // InjectFaults schedules a fault timeline (typically produced by
 // faults.Schedule) onto the engine's simulator. Call it before Run;
@@ -99,11 +109,11 @@ func (e *Engine) expireLease(exe *execution) {
 // busy nodes, so a loaded node is released lease by lease as expiries
 // land; an idle one goes immediately at crash time.
 func (e *Engine) releaseCrashedNode(nodeID string) {
-	if _, down := e.down[nodeID]; !down {
+	o, down := e.down[nodeID]
+	if !down {
 		return
 	}
-	n := e.downNode[nodeID]
-	for _, el := range n.Elements() {
+	for _, el := range o.node.Elements() {
 		if len(e.running[el]) > 0 {
 			return
 		}
@@ -122,9 +132,7 @@ func (e *Engine) applyCrash(ev faults.Event) {
 	if !ok {
 		return // detached or already removed
 	}
-	e.down[ev.Node] = ev.Seq
-	e.downNode[ev.Node] = n
-	e.downSince[ev.Node] = e.S.Now()
+	e.down[ev.Node] = outage{seq: ev.Seq, node: n, since: e.S.Now()}
 	e.m.NodeCrashes++
 	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindNodeDown, Node: e.nodeName(n)})
 	for _, el := range n.Elements() {
@@ -142,11 +150,11 @@ func (e *Engine) applyCrash(ev faults.Event) {
 // reconfiguration again — and the node re-registers, immediately
 // eligible for queued work.
 func (e *Engine) applyRecover(ev faults.Event) {
-	seq, down := e.down[ev.Node]
-	if !down || seq != ev.Seq {
+	o, down := e.down[ev.Node]
+	if !down || o.seq != ev.Seq {
 		return // not down, or downed again by a later crash
 	}
-	n := e.downNode[ev.Node]
+	n := o.node
 	for _, el := range n.Elements() {
 		for _, exe := range append([]*execution(nil), e.running[el]...) {
 			e.expireLease(exe)
@@ -158,11 +166,9 @@ func (e *Engine) applyRecover(ev faults.Event) {
 			_ = el.Fabric.Evict(r)
 		}
 	}
-	e.m.DownSeconds += float64(e.S.Now() - e.downSince[ev.Node])
+	e.m.DownSeconds += float64(e.S.Now() - o.since)
 	e.m.NodeRecoveries++
 	delete(e.down, ev.Node)
-	delete(e.downNode, ev.Node)
-	delete(e.downSince, ev.Node)
 	if err := e.Reg.AddNode(n); err != nil {
 		panic(fmt.Sprintf("grid: re-adding recovered node %s: %v", ev.Node, err))
 	}

@@ -181,6 +181,11 @@ func TestEndToEndSimulationCompletesAllTasks(t *testing.T) {
 	if m.Utilization(capability.KindGPP) <= 0 {
 		t.Error("GPP utilization zero")
 	}
+	for _, k := range []capability.Kind{-1, capability.KindGPU + 1} {
+		if u := m.Utilization(k); u != 0 {
+			t.Errorf("Utilization(%v) = %v outside the kind enum", k, u)
+		}
+	}
 	if m.String() == "" {
 		t.Error("String")
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/capability"
 	"repro/internal/jss"
 	"repro/internal/rms"
 	"repro/internal/sim"
@@ -115,6 +116,53 @@ func TestHeapPerSettledTask(t *testing.T) {
 	t.Logf("%.0f B per settled task", perTask)
 	if perTask > settledCeiling {
 		t.Errorf("settled tasks retain %.0f B each, ceiling %d", perTask, settledCeiling)
+	}
+}
+
+// TestHeapPerEngine is the engine's own memory ceiling: over a prebuilt
+// one-node registry and matchmaker, an untraced engine on the heap queue
+// holds its simulator, JSS, metrics and four maps (running executions,
+// outages, link faults and the JSS's submissions), and no trace cache.
+func TestHeapPerEngine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap ceiling run skipped in -short mode")
+	}
+	const (
+		engines       = 2_000
+		engineCeiling = 1280 // bytes per engine
+	)
+	regs := make([]*rms.Registry, engines)
+	mms := make([]*rms.Matchmaker, engines)
+	for i := range regs {
+		reg, err := BuildGrid(GridSpec{GPPNodes: 1, GPPsPerNode: 1, GPPCaps: capability.GPPCaps{
+			CPUType: "x", MIPS: 1000, RAMMB: 1024, Cores: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mm, err := rms.NewMatchmaker(reg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs[i], mms[i] = reg, mm
+	}
+	cfg := DefaultConfig()
+	cfg.Scheduler = func() sim.Scheduler { return sim.NewHeapQueue() }
+	engs := make([]*Engine, engines)
+	heap0 := liveHeap()
+	for i := range engs {
+		eng, err := NewEngine(cfg, regs[i], mms[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		engs[i] = eng
+	}
+	perEngine := (liveHeap() - heap0) / engines
+	runtime.KeepAlive(engs)
+	runtime.KeepAlive(regs)
+	runtime.KeepAlive(mms)
+	t.Logf("%.0f B per engine", perEngine)
+	if perEngine > engineCeiling {
+		t.Errorf("engines cost %.0f B each, ceiling %d", perEngine, engineCeiling)
 	}
 }
 

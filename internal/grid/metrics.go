@@ -69,20 +69,15 @@ type Metrics struct {
 	// Makespan is the completion time of the last task.
 	Makespan sim.Time
 	// busySeconds accumulates element-kind busy time for utilization.
-	busySeconds     map[capability.Kind]float64
-	capacitySeconds map[capability.Kind]float64
+	busySeconds     [capability.NumKinds]float64
+	capacitySeconds [capability.NumKinds]float64
 	// Energy meters the grid's power draw over the run (active while
 	// executing, idle otherwise), quantifying the paper's low-power claim.
 	Energy *power.Meter
 }
 
 func newMetrics(strategy string) *Metrics {
-	return &Metrics{
-		Strategy:        strategy,
-		busySeconds:     make(map[capability.Kind]float64),
-		capacitySeconds: make(map[capability.Kind]float64),
-		Energy:          power.NewMeter(),
-	}
+	return &Metrics{Strategy: strategy, Energy: power.NewMeter()}
 }
 
 // EnergyJoules returns the total grid energy consumed over the makespan.
@@ -98,8 +93,12 @@ func (m *Metrics) JoulesPerTask() float64 {
 }
 
 // Utilization returns busy time over capacity time for a PE kind in [0,1],
-// or 0 when the grid has no capacity of that kind.
+// or 0 when the grid has no capacity of that kind or the kind is outside
+// the enum.
 func (m *Metrics) Utilization(kind capability.Kind) float64 {
+	if kind < 0 || int(kind) >= capability.NumKinds {
+		return 0
+	}
 	cap := m.capacitySeconds[kind]
 	if cap <= 0 {
 		return 0

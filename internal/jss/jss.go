@@ -273,16 +273,7 @@ func (j *JSS) Submissions() []*Submission {
 
 // Notify records a monitoring event for a submission (no-op unless the
 // user requested monitoring).
-func (j *JSS) Notify(subID string, now sim.Time, taskID, what string) {
-	if s, ok := j.all[subID]; ok {
-		j.NotifyFor(s, now, taskID, what)
-	}
-}
-
-// NotifyFor is Notify for a caller already holding the submission — the
-// engine reports progress once per simulated event, so the hot path skips
-// the ID lookup.
-func (j *JSS) NotifyFor(s *Submission, now sim.Time, taskID, what string) {
+func (j *JSS) Notify(s *Submission, now sim.Time, taskID, what string) {
 	if !s.QoS.Monitor {
 		return
 	}
@@ -290,27 +281,14 @@ func (j *JSS) NotifyFor(s *Submission, now sim.Time, taskID, what string) {
 }
 
 // Charge adds actual cost for executed work.
-func (j *JSS) Charge(subID string, seconds float64, kind capability.Kind) {
-	if s, ok := j.all[subID]; ok {
-		j.ChargeFor(s, seconds, kind)
-	}
-}
-
-// ChargeFor is Charge for a caller already holding the submission.
-func (j *JSS) ChargeFor(s *Submission, seconds float64, kind capability.Kind) {
+func (j *JSS) Charge(s *Submission, seconds float64, kind capability.Kind) {
 	s.FinalCost += seconds * CostRate(kind)
 }
 
 // TaskDone marks one of the submission's tasks complete; when the last one
 // finishes the submission completes and the deadline outcome is recorded.
-func (j *JSS) TaskDone(subID string, now sim.Time) {
-	if s, ok := j.all[subID]; ok {
-		j.TaskDoneFor(s, now)
-	}
-}
-
-// TaskDoneFor is TaskDone for a caller already holding the submission.
-func (j *JSS) TaskDoneFor(s *Submission, now sim.Time) {
+// Only a dequeued (running) submission counts its tasks.
+func (j *JSS) TaskDone(s *Submission, now sim.Time) {
 	if s.Status != StatusRunning {
 		return
 	}
@@ -325,11 +303,7 @@ func (j *JSS) TaskDoneFor(s *Submission, now sim.Time) {
 }
 
 // Fail marks a submission failed with a reason.
-func (j *JSS) Fail(subID string, now sim.Time, reason string) {
-	s, ok := j.all[subID]
-	if !ok {
-		return
-	}
+func (j *JSS) Fail(s *Submission, now sim.Time, reason string) {
 	s.Status = StatusFailed
 	s.CompletedAt = now
 	s.FailureReason = reason

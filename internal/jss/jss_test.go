@@ -43,9 +43,9 @@ func TestSubmitAndComplete(t *testing.T) {
 	if got != sub || got.Status != StatusRunning {
 		t.Error("dequeue broken")
 	}
-	j.Notify(sub.ID, 6, "T1", "dispatched")
-	j.Charge(sub.ID, 10, capability.KindGPP)
-	j.TaskDone(sub.ID, 20)
+	j.Notify(sub, 6, "T1", "dispatched")
+	j.Charge(sub, 10, capability.KindGPP)
+	j.TaskDone(sub, 20)
 	if sub.Status != StatusDone || sub.CompletedAt != 20 {
 		t.Errorf("completion: %+v", sub)
 	}
@@ -65,7 +65,7 @@ func TestDeadlineMiss(t *testing.T) {
 	g := oneTaskGraph(t, "T1")
 	sub, _ := j.Submit("alice", g, nil, QoS{DeadlineSeconds: 5}, 0)
 	j.Dequeue()
-	j.TaskDone(sub.ID, 50)
+	j.TaskDone(sub, 50)
 	if sub.DeadlineMet {
 		t.Error("50s elapsed > 5s deadline reported met")
 	}
@@ -159,23 +159,22 @@ func TestFIFOWithinPriority(t *testing.T) {
 func TestNotifyRequiresMonitorQoS(t *testing.T) {
 	j := New()
 	sub, _ := j.Submit("a", oneTaskGraph(t, "T1"), nil, QoS{}, 0)
-	j.Notify(sub.ID, 1, "T1", "x")
+	j.Notify(sub, 1, "T1", "x")
 	if len(sub.Events) != 0 {
 		t.Error("events recorded without Monitor QoS")
 	}
-	j.Notify("nonexistent", 1, "T1", "x") // must not panic
 }
 
 func TestFail(t *testing.T) {
 	j := New()
 	sub, _ := j.Submit("a", oneTaskGraph(t, "T1"), nil, QoS{}, 0)
 	j.Dequeue()
-	j.Fail(sub.ID, 9, "node vanished")
+	j.Fail(sub, 9, "node vanished")
 	if sub.Status != StatusFailed || sub.FailureReason != "node vanished" {
 		t.Errorf("fail: %+v", sub)
 	}
 	// TaskDone after failure is a no-op.
-	j.TaskDone(sub.ID, 10)
+	j.TaskDone(sub, 10)
 	if sub.Status != StatusFailed {
 		t.Error("TaskDone resurrected a failed submission")
 	}
@@ -213,11 +212,11 @@ func TestMultiTaskCompletionCounting(t *testing.T) {
 	}
 	sub, _ := j.Submit("a", g, nil, QoS{}, 0)
 	j.Dequeue()
-	j.TaskDone(sub.ID, 1)
+	j.TaskDone(sub, 1)
 	if sub.Status != StatusRunning {
 		t.Error("submission completed early")
 	}
-	j.TaskDone(sub.ID, 2)
+	j.TaskDone(sub, 2)
 	if sub.Status != StatusDone {
 		t.Error("submission not completed")
 	}
@@ -227,7 +226,7 @@ func TestQueryResponseSnapshot(t *testing.T) {
 	j := New()
 	sub, _ := j.Submit("alice", oneTaskGraph(t, "T1"), nil, QoS{Monitor: true}, 2)
 	j.Dequeue()
-	j.Notify(sub.ID, 3, "T1", "dispatched")
+	j.Notify(sub, 3, "T1", "dispatched")
 
 	resp, err := j.Query(sub.ID)
 	if err != nil {
@@ -236,7 +235,7 @@ func TestQueryResponseSnapshot(t *testing.T) {
 	if resp.Status != StatusRunning || resp.TasksTotal != 1 || resp.TasksDone != 0 {
 		t.Errorf("mid-run response = %+v", resp)
 	}
-	j.TaskDone(sub.ID, 9)
+	j.TaskDone(sub, 9)
 	resp, _ = j.Query(sub.ID)
 	if resp.Status != StatusDone || resp.TasksDone != 1 || resp.CompletedAt != 9 {
 		t.Errorf("final response = %+v", resp)

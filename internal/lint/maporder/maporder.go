@@ -12,8 +12,8 @@
 //     rounding),
 //   - appends of iteration-derived values to a slice, unless that
 //     slice is later passed to a sort.*/slices.Sort* call in the same
-//     function (the collect-then-sort idiom, e.g. power.inKindOrder,
-//     is the sanctioned fix),
+//     function (the collect-then-sort idiom, e.g. the outage sum in
+//     grid.Engine.finish, is the sanctioned fix),
 //   - output and metrics emission (Print/Write/AddRow/Observe/…) that
 //     mentions the iteration variables,
 //   - channel sends of iteration-derived values.
@@ -174,7 +174,7 @@ func checkAssign(pass *analysis.Pass, st *ast.AssignStmt, mentions func(ast.Node
 	case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
 		if len(st.Lhs) == 1 && isFloat(pass.TypeOf(st.Lhs[0])) && mentions(st.Rhs[0]) {
 			pass.Reportf(st.TokPos,
-				"floating-point accumulation inside range over map: float addition is not associative, so map iteration order changes the result; iterate sorted keys (see power.inKindOrder)")
+				"floating-point accumulation inside range over map: float addition is not associative, so map iteration order changes the result; iterate sorted keys, or index per-kind data by an array")
 		}
 	case token.ASSIGN, token.DEFINE:
 		for i, rhs := range st.Rhs {
@@ -191,7 +191,7 @@ func checkAssign(pass *analysis.Pass, st *ast.AssignStmt, mentions func(ast.Node
 				if bin, ok := ast.Unparen(rhs).(*ast.BinaryExpr); ok && isFloat(pass.TypeOf(st.Lhs[i])) &&
 					sameIdent(pass, st.Lhs[i], bin.X) && mentions(bin.Y) {
 					pass.Reportf(st.TokPos,
-						"floating-point accumulation inside range over map: float addition is not associative, so map iteration order changes the result; iterate sorted keys (see power.inKindOrder)")
+						"floating-point accumulation inside range over map: float addition is not associative, so map iteration order changes the result; iterate sorted keys, or index per-kind data by an array")
 				}
 			}
 		}

@@ -12,6 +12,7 @@ package node
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -159,22 +160,19 @@ func (e *Element) StateLine() string {
 	return e.ID + ": ?"
 }
 
-// numKinds sizes the per-kind tables: capability.Kind is a dense enum
-// from KindUnknown to KindGPU.
-const numKinds = int(capability.KindGPU) + 1
-
 // Node is a grid computing node.
 type Node struct {
 	ID string
 
+	// elems is the node's only index of its elements: a node holds a
+	// handful, and lookups by ID run only on fault and churn events.
 	elems []*Element
-	byID  map[string]*Element
 	// seq is the next element number per kind (GPP0, GPP1, …).
-	seq [numKinds]int
+	seq [capability.NumKinds]int
 	// byKind caches the per-kind element lists (installation order),
 	// rebuilt on install/remove, so the matchmaker's per-dispatch kind
 	// scans allocate nothing.
-	byKind [numKinds][]*Element
+	byKind [capability.NumKinds][]*Element
 }
 
 // New creates an empty node.
@@ -182,14 +180,19 @@ func New(id string) (*Node, error) {
 	if id == "" {
 		return nil, fmt.Errorf("node: empty node ID")
 	}
-	return &Node{ID: id, byID: make(map[string]*Element)}, nil
+	return &Node{ID: id}, nil
 }
 
 func (n *Node) install(e *Element) *Element {
 	n.elems = append(n.elems, e)
-	n.byID[e.ID] = e
 	n.byKind[e.Kind] = append(n.byKind[e.Kind], e)
 	return e
+}
+
+// index returns the position of the element with the given ID in elems,
+// or -1.
+func (n *Node) index(id string) int {
+	return slices.IndexFunc(n.elems, func(e *Element) bool { return e.ID == id })
 }
 
 func (n *Node) nextID(kind capability.Kind) string {
@@ -270,20 +273,15 @@ func (n *Node) AddGPU(caps capability.GPUCaps, coreClockMHz float64) (*Element, 
 // Remove detaches an idle element at runtime (the framework's dynamic
 // remove). Busy elements cannot be removed.
 func (n *Node) Remove(elemID string) error {
-	e, ok := n.byID[elemID]
-	if !ok {
+	i := n.index(elemID)
+	if i < 0 {
 		return fmt.Errorf("node: %s has no element %s", n.ID, elemID)
 	}
+	e := n.elems[i]
 	if e.Busy() {
 		return fmt.Errorf("node: element %s is busy", elemID)
 	}
-	delete(n.byID, elemID)
-	for i, el := range n.elems {
-		if el == e {
-			n.elems = append(n.elems[:i], n.elems[i+1:]...)
-			break
-		}
-	}
+	n.elems = append(n.elems[:i], n.elems[i+1:]...)
 	kin := n.byKind[e.Kind]
 	for i, el := range kin {
 		if el == e {
@@ -296,8 +294,11 @@ func (n *Node) Remove(elemID string) error {
 
 // Element returns an element by ID.
 func (n *Node) Element(id string) (*Element, bool) {
-	e, ok := n.byID[id]
-	return e, ok
+	i := n.index(id)
+	if i < 0 {
+		return nil, false
+	}
+	return n.elems[i], true
 }
 
 // Elements returns all elements in installation order.
@@ -309,7 +310,7 @@ func (n *Node) Elements() []*Element { return append([]*Element(nil), n.elems...
 // Add*/Remove calls. It is rendered on every matchmaking pass, which is
 // why it cannot afford a defensive copy.
 func (n *Node) ByKind(kind capability.Kind) []*Element {
-	if kind < 0 || int(kind) >= numKinds {
+	if kind < 0 || int(kind) >= capability.NumKinds {
 		return nil
 	}
 	return n.byKind[kind]

@@ -145,16 +145,27 @@ func TestRemoveDynamic(t *testing.T) {
 	n := testNode(t)
 	n.AddGPP(xeonCaps())
 	r, _ := n.AddRPE("XC5VLX110T")
+	g1, _ := n.AddGPP(xeonCaps())
 	if err := n.Remove("RPE0"); err != nil {
 		t.Fatal(err)
 	}
-	if len(n.Elements()) != 1 {
-		t.Error("element not removed")
+	if len(n.Elements()) != 2 || n.Elements()[1] != g1 {
+		t.Error("element not removed, or the rest reordered")
 	}
-	if err := n.Remove("RPE0"); err == nil {
-		t.Error("double remove accepted")
+	// The element list is the only index: a removed ID no longer
+	// resolves, the others still do, and unknown IDs keep their error.
+	if e, ok := n.Element("RPE0"); ok || e != nil {
+		t.Errorf("removed RPE0 still resolves to %v", e)
 	}
-	if len(n.RPEs()) != 0 || len(n.GPPs()) != 1 {
+	if e, ok := n.Element("GPP1"); !ok || e != g1 {
+		t.Error("GPP1 lost by removing RPE0")
+	}
+	for _, id := range []string{"RPE0", "nope"} {
+		if err := n.Remove(id); err == nil || err.Error() != "node: Node0 has no element "+id {
+			t.Errorf("Remove(%s) = %v", id, err)
+		}
+	}
+	if len(n.RPEs()) != 0 || len(n.GPPs()) != 2 {
 		t.Errorf("ByKind after remove: %d RPEs, %d GPPs", len(n.RPEs()), len(n.GPPs()))
 	}
 	_ = r

@@ -10,7 +10,6 @@ package power
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/capability"
 )
@@ -26,31 +25,36 @@ type Draw struct {
 // profiles are era-typical draws. GPP draw is PER CORE (a quad-core Xeon
 // node burns ~100 W under load), matching the engine's core-second
 // accounting; FPGA, soft-core, and GPU draws are per device.
-var profiles = map[capability.Kind]Draw{
+var profiles = [capability.NumKinds]Draw{
 	capability.KindGPP:      {ActiveWatts: 25, IdleWatts: 9},
 	capability.KindFPGA:     {ActiveWatts: 20, IdleWatts: 2},
 	capability.KindSoftcore: {ActiveWatts: 12, IdleWatts: 2},
 	capability.KindGPU:      {ActiveWatts: 200, IdleWatts: 40},
 }
 
-// Of returns the draw profile for a PE kind. Unknown kinds report zero
-// draw so accounting stays additive.
+// inEnum reports whether kind indexes the per-kind arrays.
+func inEnum(kind capability.Kind) bool {
+	return kind >= 0 && int(kind) < capability.NumKinds
+}
+
+// Of returns the draw profile for a PE kind. Unknown kinds, and kinds
+// outside the enum, report zero draw so accounting stays additive.
 func Of(kind capability.Kind) Draw {
+	if !inEnum(kind) {
+		return Draw{}
+	}
 	return profiles[kind]
 }
 
 // Meter accumulates energy per PE kind over a simulation.
 type Meter struct {
-	activeJ map[capability.Kind]float64
-	idleJ   map[capability.Kind]float64
+	activeJ [capability.NumKinds]float64
+	idleJ   [capability.NumKinds]float64
 }
 
 // NewMeter returns an empty meter.
 func NewMeter() *Meter {
-	return &Meter{
-		activeJ: make(map[capability.Kind]float64),
-		idleJ:   make(map[capability.Kind]float64),
-	}
+	return &Meter{}
 }
 
 // ChargeActive records busy seconds on an element kind.
@@ -58,7 +62,9 @@ func (m *Meter) ChargeActive(kind capability.Kind, seconds float64) {
 	if seconds < 0 {
 		panic(fmt.Sprintf("power: negative active charge %g", seconds))
 	}
-	m.activeJ[kind] += Of(kind).ActiveWatts * seconds
+	if inEnum(kind) {
+		m.activeJ[kind] += profiles[kind].ActiveWatts * seconds
+	}
 }
 
 // ChargeIdle records powered-but-idle seconds on an element kind.
@@ -66,42 +72,39 @@ func (m *Meter) ChargeIdle(kind capability.Kind, seconds float64) {
 	if seconds < 0 {
 		panic(fmt.Sprintf("power: negative idle charge %g", seconds))
 	}
-	m.idleJ[kind] += Of(kind).IdleWatts * seconds
+	if inEnum(kind) {
+		m.idleJ[kind] += profiles[kind].IdleWatts * seconds
+	}
 }
 
-// ActiveJoules returns active energy for one kind.
-func (m *Meter) ActiveJoules(kind capability.Kind) float64 { return m.activeJ[kind] }
+// ActiveJoules returns active energy for one kind (zero outside the enum).
+func (m *Meter) ActiveJoules(kind capability.Kind) float64 {
+	if !inEnum(kind) {
+		return 0
+	}
+	return m.activeJ[kind]
+}
 
-// IdleJoules returns idle energy for one kind.
-func (m *Meter) IdleJoules(kind capability.Kind) float64 { return m.idleJ[kind] }
+// IdleJoules returns idle energy for one kind (zero outside the enum).
+func (m *Meter) IdleJoules(kind capability.Kind) float64 {
+	if !inEnum(kind) {
+		return 0
+	}
+	return m.idleJ[kind]
+}
 
-// TotalJoules returns all energy across kinds and states. Kinds are
-// summed in a fixed order: float addition is not associative, so map
-// iteration order would otherwise wobble the last bit between runs and
-// break bit-for-bit reproducibility.
+// TotalJoules returns all energy across kinds and states. The arrays are
+// summed in kind order: float addition is not associative, so a fixed
+// order keeps the total bit-for-bit reproducible.
 func (m *Meter) TotalJoules() float64 {
 	var total float64
-	for _, j := range inKindOrder(m.activeJ) {
+	for _, j := range m.activeJ {
 		total += j
 	}
-	for _, j := range inKindOrder(m.idleJ) {
+	for _, j := range m.idleJ {
 		total += j
 	}
 	return total
-}
-
-// inKindOrder returns the map's values sorted by kind.
-func inKindOrder(byKind map[capability.Kind]float64) []float64 {
-	kinds := make([]capability.Kind, 0, len(byKind))
-	for k := range byKind {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	out := make([]float64, len(kinds))
-	for i, k := range kinds {
-		out[i] = byKind[k]
-	}
-	return out
 }
 
 // String summarizes the meter.

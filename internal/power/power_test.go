@@ -46,6 +46,37 @@ func TestMeterAccounting(t *testing.T) {
 	}
 }
 
+// TestKindsOutsideEnumReadZero pins that per-kind arrays answer zero,
+// not a panic, for a kind outside the enum.
+func TestKindsOutsideEnumReadZero(t *testing.T) {
+	m := NewMeter()
+	for _, k := range []capability.Kind{-1, capability.KindGPU + 1, 99} {
+		m.ChargeActive(k, 10)
+		m.ChargeIdle(k, 10)
+		if d := Of(k); d != (Draw{}) {
+			t.Errorf("Of(%v) = %+v", k, d)
+		}
+		if m.ActiveJoules(k) != 0 || m.IdleJoules(k) != 0 {
+			t.Errorf("%v reads nonzero energy", k)
+		}
+	}
+	if got := m.TotalJoules(); got != 0 {
+		t.Errorf("total = %v", got)
+	}
+}
+
+// TestTotalJoulesAllocatesNothing pins the array sum: the gauge sampler
+// calls TotalJoules on every sample.
+func TestTotalJoulesAllocatesNothing(t *testing.T) {
+	m := NewMeter()
+	m.ChargeActive(capability.KindGPP, 10)
+	m.ChargeActive(capability.KindFPGA, 3)
+	m.ChargeIdle(capability.KindGPU, 2)
+	if n := testing.AllocsPerRun(100, func() { _ = m.TotalJoules() }); n != 0 {
+		t.Errorf("TotalJoules allocates %.0f times, want 0", n)
+	}
+}
+
 func TestMeterRejectsNegative(t *testing.T) {
 	m := NewMeter()
 	defer func() {

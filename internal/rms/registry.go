@@ -7,6 +7,7 @@ package rms
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/node"
@@ -14,15 +15,24 @@ import (
 
 // Registry tracks the nodes of a grid. It is safe for concurrent use: the
 // paper's RMS "updates the statuses of all nodes" while submissions arrive.
+//
+// The node list is its only index: lookups by ID scan it, and they run
+// only while a grid is built and on fault or churn events, whereas the
+// matchmaker scans every node on every dispatch anyway.
 type Registry struct {
 	mu    sync.RWMutex
-	nodes []*node.Node          // guarded by mu
-	byID  map[string]*node.Node // guarded by mu
+	nodes []*node.Node // guarded by mu
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byID: make(map[string]*node.Node)}
+	return &Registry{}
+}
+
+// indexLocked returns the position of the node with the given ID, or -1.
+// The caller holds mu.
+func (r *Registry) indexLocked(id string) int {
+	return slices.IndexFunc(r.nodes, func(n *node.Node) bool { return n.ID == id })
 }
 
 // AddNode registers a node; duplicate IDs are rejected. Nodes can join at
@@ -34,11 +44,10 @@ func (r *Registry) AddNode(n *node.Node) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.byID[n.ID]; dup {
+	if r.indexLocked(n.ID) >= 0 {
 		return fmt.Errorf("rms: duplicate node %s", n.ID)
 	}
 	r.nodes = append(r.nodes, n)
-	r.byID[n.ID] = n
 	return nil
 }
 
@@ -47,22 +56,16 @@ func (r *Registry) AddNode(n *node.Node) error {
 func (r *Registry) RemoveNode(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n, ok := r.byID[id]
-	if !ok {
+	i := r.indexLocked(id)
+	if i < 0 {
 		return fmt.Errorf("rms: unknown node %s", id)
 	}
-	for _, e := range n.Elements() {
+	for _, e := range r.nodes[i].Elements() {
 		if e.Busy() {
 			return fmt.Errorf("rms: node %s element %s is busy", id, e.ID)
 		}
 	}
-	delete(r.byID, id)
-	for i, cand := range r.nodes {
-		if cand == n {
-			r.nodes = append(r.nodes[:i], r.nodes[i+1:]...)
-			break
-		}
-	}
+	r.nodes = append(r.nodes[:i], r.nodes[i+1:]...)
 	return nil
 }
 
@@ -70,8 +73,11 @@ func (r *Registry) RemoveNode(id string) error {
 func (r *Registry) Node(id string) (*node.Node, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	n, ok := r.byID[id]
-	return n, ok
+	i := r.indexLocked(id)
+	if i < 0 {
+		return nil, false
+	}
+	return r.nodes[i], true
 }
 
 // Nodes returns the registered nodes in registration order.

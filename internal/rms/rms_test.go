@@ -34,8 +34,8 @@ func TestRegistryAddRemove(t *testing.T) {
 	if err := reg.AddNode(n); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.AddNode(mkNode(t, "NodeA")); err == nil {
-		t.Error("duplicate node accepted")
+	if err := reg.AddNode(mkNode(t, "NodeA")); err == nil || err.Error() != "rms: duplicate node NodeA" {
+		t.Errorf("duplicate node: %v", err)
 	}
 	if reg.Len() != 1 {
 		t.Errorf("Len = %d", reg.Len())
@@ -43,11 +43,30 @@ func TestRegistryAddRemove(t *testing.T) {
 	if _, ok := reg.Node("NodeA"); !ok {
 		t.Error("lookup failed")
 	}
+	b := mkNode(t, "NodeB")
+	if err := reg.AddNode(b); err != nil {
+		t.Fatal(err)
+	}
 	if err := reg.RemoveNode("NodeA"); err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RemoveNode("NodeA"); err == nil {
-		t.Error("double remove accepted")
+	if err := reg.RemoveNode("NodeA"); err == nil || err.Error() != "rms: unknown node NodeA" {
+		t.Errorf("double remove: %v", err)
+	}
+	// The node list is the only index: a removed ID no longer resolves,
+	// and it can register again, after the nodes that stayed.
+	if got, ok := reg.Node("NodeA"); ok || got != nil {
+		t.Errorf("removed NodeA still resolves to %v", got)
+	}
+	a2 := mkNode(t, "NodeA")
+	if err := reg.AddNode(a2); err != nil {
+		t.Fatalf("re-adding NodeA: %v", err)
+	}
+	if got, ok := reg.Node("NodeA"); !ok || got != a2 {
+		t.Error("re-added NodeA does not resolve to the new node")
+	}
+	if got := reg.Nodes(); len(got) != 2 || got[0] != b || got[1] != a2 {
+		t.Errorf("registration order after re-add = %v", got)
 	}
 }
 
