@@ -4,11 +4,9 @@ GO ?= go
 
 .PHONY: build fmt vet lint lint-sarif lint-taint test race bench-test verify bench-baseline benchdiff coverage-md report cover smoke
 
-# Minimum statement coverage enforced by `make cover`, per package.
-COVER_FLOOR_OBS  ?= 85.0
-COVER_FLOOR_GRID ?= 85.0
-# The packages `make cover` measures, as internal/<package>=<floor>.
-COVER_FLOORS = obs=$(COVER_FLOOR_OBS) grid=$(COVER_FLOOR_GRID) controlplane=85.0 rms=85.0 sim=85.0
+# The packages `make cover` measures, as internal/<package>=<minimum
+# statement coverage>.
+COVER_FLOORS = obs=85.0 grid=85.0 controlplane=85.0 rms=85.0 sim=85.0
 
 build:
 	$(GO) build ./...
@@ -18,8 +16,11 @@ build:
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
+# The repository benchmark (bench/) is a module of its own, so the root
+# `go vet ./...` does not reach it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 lint:
 	$(GO) run ./cmd/reconlint ./...

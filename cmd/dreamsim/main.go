@@ -26,7 +26,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/report"
-	"repro/internal/rms"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -253,8 +252,8 @@ func run(strategyName, queueName string, tasks int, rate float64, seeds int, see
 		return err
 	}
 
-	// The strategy × seed grid runs as one parallel sweep; the trace-replay
-	// path drives engines directly because a trace is one fixed workload.
+	// The strategy × seed grid runs as one parallel sweep; a trace is one
+	// fixed workload, replayed once per strategy.
 	perStrategy := make([][]*grid.Metrics, len(strategies))
 	if trace != nil {
 		for si, s := range strategies {
@@ -263,50 +262,9 @@ func run(strategyName, queueName string, tasks int, rate float64, seeds int, see
 			cfg.Queue = queue
 			cfg.Tracer = traceSink
 			cfg.SampleEverySeconds = opts.sample
-			reg, err := grid.BuildGrid(gs)
-			if err != nil {
-				return err
-			}
-			mm, err := rms.NewMatchmaker(reg, tc)
-			if err != nil {
-				return err
-			}
-			if fspec != nil {
-				f := *fspec
-				if f.HorizonSeconds <= 0 {
-					// Cover the whole replay: last arrival plus slack.
-					var last float64
-					for _, g := range trace {
-						if float64(g.Arrival) > last {
-							last = float64(g.Arrival)
-						}
-					}
-					f.HorizonSeconds = last*1.5 + 60
-				}
-				if err := f.Validate(); err != nil {
-					return err
-				}
-				cfg.Faults = &f
-			}
-			eng, err := grid.NewEngine(cfg, reg, mm)
-			if err != nil {
-				return err
-			}
-			if cfg.Faults != nil && cfg.Faults.Enabled() {
-				var ids []string
-				for _, n := range reg.Nodes() {
-					ids = append(ids, n.ID)
-				}
-				evs, err := faults.Schedule(sim.NewRNG(seed0).Split(faults.ScheduleStream), *cfg.Faults, ids)
-				if err != nil {
-					return err
-				}
-				eng.InjectFaults(evs)
-			}
-			if err := eng.SubmitWorkload(trace, "trace"); err != nil {
-				return err
-			}
-			m, err := eng.Run(context.Background())
+			m, err := grid.RunScenario(context.Background(), grid.ScenarioSpec{
+				Seed: seed0, Config: cfg, Grid: gs, Toolchain: tc, Trace: trace, User: "trace", Faults: fspec,
+			})
 			if err != nil {
 				return err
 			}

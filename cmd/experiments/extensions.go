@@ -108,22 +108,9 @@ func runX2() error {
 		return err
 	}
 
-	hybridReg, err := grid.BuildGrid(grid.DefaultGridSpec())
-	if err != nil {
-		return err
-	}
-	mmH, err := rms.NewMatchmaker(hybridReg, tc)
-	if err != nil {
-		return err
-	}
-	engH, err := grid.NewEngine(grid.DefaultConfig(), hybridReg, mmH)
-	if err != nil {
-		return err
-	}
-	if err := engH.SubmitWorkload(gen, "x2"); err != nil {
-		return err
-	}
-	mh, err := engH.Run(context.Background())
+	mh, err := grid.RunScenario(context.Background(), grid.ScenarioSpec{
+		Config: grid.DefaultConfig(), Grid: grid.DefaultGridSpec(), Toolchain: tc, Trace: gen, User: "x2",
+	})
 	if err != nil {
 		return err
 	}
@@ -131,22 +118,9 @@ func runX2() error {
 	gs := grid.DefaultGridSpec()
 	gs.HybridNodes = 0
 	gs.GPPNodes = 4
-	gppReg, err := grid.BuildGrid(gs)
-	if err != nil {
-		return err
-	}
-	mmG, err := rms.NewMatchmaker(gppReg, nil)
-	if err != nil {
-		return err
-	}
-	engG, err := grid.NewEngine(grid.DefaultConfig(), gppReg, mmG)
-	if err != nil {
-		return err
-	}
-	if err := engG.SubmitWorkload(grid.ToSoftwareOnly(gen), "x2"); err != nil {
-		return err
-	}
-	mg, err := engG.Run(context.Background())
+	mg, err := grid.RunScenario(context.Background(), grid.ScenarioSpec{
+		Config: grid.DefaultConfig(), Grid: gs, Trace: grid.ToSoftwareOnly(gen), User: "x2",
+	})
 	if err != nil {
 		return err
 	}

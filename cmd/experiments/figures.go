@@ -341,8 +341,12 @@ func runF9() error {
 	j.Charge(sub, 30, capability.KindGPP)
 	j.Notify(sub, 33, "T1", "completed")
 	j.TaskDone(sub, 33)
+	resp, err := j.Query(sub.ID)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("response: status=%s cost=%.1f deadlineMet=%t events=%d\n",
-		sub.Status, sub.FinalCost, sub.DeadlineMet, len(sub.Events))
+		resp.Status, resp.FinalCost, resp.DeadlineMet, len(resp.Events))
 	// The minimum service level (no QoS) also works.
 	basic, err := j.Submit("bob", g, nil, jss.QoS{}, 40)
 	if err != nil {

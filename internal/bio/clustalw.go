@@ -109,17 +109,6 @@ func Align(seqs []Sequence, prof *profiler.Profiler, opt Options) (*Result, erro
 	return res, nil
 }
 
-// Ungap removes gap characters, recovering the original residues.
-func Ungap(aligned string) string {
-	out := make([]byte, 0, len(aligned))
-	for i := 0; i < len(aligned); i++ {
-		if aligned[i] != '-' {
-			out = append(out, aligned[i])
-		}
-	}
-	return string(out)
-}
-
 // SumOfPairsScore scores a finished alignment column-by-column with BLOSUM
 // substitution scores and affine gap penalties — the standard MSA quality
 // measure, used to compare guide-tree methods.

@@ -238,3 +238,14 @@ func TestAlignWithKimuraCorrection(t *testing.T) {
 		}
 	}
 }
+
+// Ungap removes gap characters, recovering the original residues.
+func Ungap(aligned string) string {
+	out := make([]byte, 0, len(aligned))
+	for i := 0; i < len(aligned); i++ {
+		if aligned[i] != '-' {
+			out = append(out, aligned[i])
+		}
+	}
+	return string(out)
+}

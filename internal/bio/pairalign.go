@@ -203,18 +203,6 @@ func calcScore(alignedA, alignedB string, la, lb int, prof *profiler.Profiler) f
 	return float64(matches) / float64(den)
 }
 
-// PairAlign globally aligns two sequences with affine gap penalties.
-func PairAlign(a, b Sequence, prof *profiler.Profiler) (PairResult, error) {
-	if err := a.Validate(); err != nil {
-		return PairResult{}, err
-	}
-	if err := b.Validate(); err != nil {
-		return PairResult{}, err
-	}
-	var al aligner
-	return al.pair(a, b, prof), nil
-}
-
 func (al *aligner) pair(a, b Sequence, prof *profiler.Profiler) PairResult {
 	al.forwardPass(a.Residues, b.Residues, prof)
 	alignedA, alignedB, score := al.tracepath(a.Residues, b.Residues, prof)

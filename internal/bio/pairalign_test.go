@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/profiler"
 	"repro/internal/sim"
 )
 
@@ -195,4 +196,16 @@ func TestPairAlignAllValidation(t *testing.T) {
 	if _, err := PairAlignAll(two, nil); err == nil {
 		t.Error("invalid member accepted")
 	}
+}
+
+// PairAlign globally aligns two sequences with affine gap penalties.
+func PairAlign(a, b Sequence, prof *profiler.Profiler) (PairResult, error) {
+	if err := a.Validate(); err != nil {
+		return PairResult{}, err
+	}
+	if err := b.Validate(); err != nil {
+		return PairResult{}, err
+	}
+	var al aligner
+	return al.pair(a, b, prof), nil
 }

@@ -3,7 +3,6 @@ package bio
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/profiler"
 )
@@ -34,26 +33,6 @@ func (t *TreeNode) Leaves() []int {
 		return []int{t.Leaf}
 	}
 	return append(t.Left.Leaves(), t.Right.Leaves()...)
-}
-
-// Newick renders the tree in Newick notation with seq indices as labels.
-func (t *TreeNode) Newick() string {
-	var b strings.Builder
-	t.newick(&b)
-	b.WriteByte(';')
-	return b.String()
-}
-
-func (t *TreeNode) newick(b *strings.Builder) {
-	if t.IsLeaf() {
-		fmt.Fprintf(b, "%d", t.Leaf)
-		return
-	}
-	b.WriteByte('(')
-	t.Left.newick(b)
-	b.WriteByte(',')
-	t.Right.newick(b)
-	b.WriteByte(')')
 }
 
 func validateDistances(d [][]float64) error {

@@ -1,6 +1,7 @@
 package bio
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -218,4 +219,24 @@ func TestKimuraMatrix(t *testing.T) {
 	if _, err := NeighborJoining(k, nil); err != nil {
 		t.Errorf("NJ on corrected matrix: %v", err)
 	}
+}
+
+// Newick renders the tree in Newick notation with seq indices as labels.
+func (t *TreeNode) Newick() string {
+	var b strings.Builder
+	t.newick(&b)
+	b.WriteByte(';')
+	return b.String()
+}
+
+func (t *TreeNode) newick(b *strings.Builder) {
+	if t.IsLeaf() {
+		fmt.Fprintf(b, "%d", t.Leaf)
+		return
+	}
+	b.WriteByte('(')
+	t.Left.newick(b)
+	b.WriteByte(',')
+	t.Right.newick(b)
+	b.WriteByte(')')
 }

@@ -51,16 +51,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind converts a Table I row label back to a Kind.
-func ParseKind(s string) (Kind, error) {
-	for k, name := range kindNames {
-		if strings.EqualFold(name, s) {
-			return Kind(k), nil
-		}
-	}
-	return KindUnknown, fmt.Errorf("capability: unknown kind %q", s)
-}
-
 // ValueType discriminates the payload of a Value.
 type ValueType int
 
@@ -112,24 +102,6 @@ func (v Value) String() string {
 // TextValue returns the text payload; it is "" for non-text.
 func (v Value) TextValue() string { return v.txt }
 
-// BoolValue returns the boolean payload; it is false for non-booleans.
-func (v Value) BoolValue() bool { return v.b }
-
-// Equal reports exact equality of type and payload.
-func (v Value) Equal(u Value) bool {
-	if v.typ != u.typ {
-		return false
-	}
-	switch v.typ {
-	case TypeNumber:
-		return v.num == u.num
-	case TypeText:
-		return v.txt == u.txt
-	default:
-		return v.b == u.b
-	}
-}
-
 // Compare orders two values of the same type: -1, 0, +1. Text compares
 // case-insensitively (device names are case-insensitive in vendor tools).
 // Comparing values of different types returns an error.
@@ -163,24 +135,6 @@ func (v Value) Compare(u Value) (int, error) {
 // node advertises for each of its processing elements (Fig. 3) and what
 // ExecReq predicates are evaluated against (Fig. 4).
 type Set map[string]Value
-
-// Clone returns an independent copy of the set.
-func (s Set) Clone() Set {
-	out := make(Set, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-// Merge returns a new set with entries of o overriding entries of s.
-func (s Set) Merge(o Set) Set {
-	out := s.Clone()
-	for k, v := range o {
-		out[k] = v
-	}
-	return out
-}
 
 // Keys returns the parameter names in sorted order.
 func (s Set) Keys() []string {

@@ -23,7 +23,7 @@ func TestFPGACapsSet(t *testing.T) {
 	if s[ParamFPGASlices].Number() != 17280 {
 		t.Error("slices missing")
 	}
-	if !s[ParamFPGAEthernetMAC].BoolValue() {
+	if s[ParamFPGAEthernetMAC] != Bool(true) {
 		t.Error("MAC flag missing")
 	}
 	if len(s) != 12 {

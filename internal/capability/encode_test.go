@@ -16,7 +16,7 @@ func TestValueJSONRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatalf("unmarshal %s: %v", data, err)
 		}
-		if !back.Equal(v) {
+		if back != v {
 			t.Errorf("round trip %v -> %s -> %v", v, data, back)
 		}
 	}
@@ -61,17 +61,17 @@ func TestSetJSONRoundTrip(t *testing.T) {
 		t.Fatalf("lengths differ: %d vs %d", len(back), len(s))
 	}
 	for k, v := range s {
-		if !back[k].Equal(v) {
+		if back[k] != v {
 			t.Errorf("key %s: %v vs %v", k, back[k], v)
 		}
 	}
 }
 
 func TestRequirementsJSONRoundTrip(t *testing.T) {
-	reqs := Requirements{}.
+	reqs := append(Requirements{}.
 		Eq(ParamFPGAFamily, Text("Virtex-5")).
-		Min(ParamFPGASlices, 18707).
-		HasAll(ParamSoftFUTypes, "ALU,MUL")
+		Min(ParamFPGASlices, 18707),
+		Requirement{ParamSoftFUTypes, OpHasAll, Text("ALU,MUL")})
 	data, err := json.Marshal(reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestValueJSONPropertyRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(data, &back); err != nil {
 			return false
 		}
-		return back.Equal(v)
+		return back == v
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {

@@ -33,7 +33,7 @@ func TestParseRequirementsValueTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reqs[0].Value.Type() != TypeBool || !reqs[0].Value.BoolValue() {
+	if reqs[0].Value != Bool(true) {
 		t.Errorf("bool value = %+v", reqs[0].Value)
 	}
 	if reqs[1].Value.Type() != TypeNumber || reqs[1].Value.Number() != 9600 {
@@ -75,10 +75,10 @@ func TestParseRequirementsErrors(t *testing.T) {
 }
 
 func TestParseRequirementsRoundTrip(t *testing.T) {
-	orig := Requirements{}.
+	orig := append(Requirements{}.
 		Eq(ParamFPGAFamily, Text("Virtex-5")).
-		Min(ParamFPGASlices, 30790).
-		Max(ParamFPGAIOBs, 960)
+		Min(ParamFPGASlices, 30790),
+		Requirement{ParamFPGAIOBs, OpLe, Num(960)})
 	back, err := ParseRequirements(orig.String())
 	if err != nil {
 		t.Fatal(err)

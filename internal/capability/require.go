@@ -111,16 +111,6 @@ func (rs Requirements) Min(param string, n float64) Requirements {
 	return append(rs, Requirement{param, OpGe, Num(n)})
 }
 
-// Max appends a "<= n" predicate.
-func (rs Requirements) Max(param string, n float64) Requirements {
-	return append(rs, Requirement{param, OpLe, Num(n)})
-}
-
-// HasAll appends a comma-list containment predicate.
-func (rs Requirements) HasAll(param, items string) Requirements {
-	return append(rs, Requirement{param, OpHasAll, Text(items)})
-}
-
 // SatisfiedBy reports whether every predicate holds for the set.
 func (rs Requirements) SatisfiedBy(s Set) (bool, error) {
 	for _, r := range rs {
@@ -133,27 +123,6 @@ func (rs Requirements) SatisfiedBy(s Set) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// Explain returns the predicates that fail against the set, for diagnostics
-// in the matchmaker. An empty result means the set satisfies everything.
-func (rs Requirements) Explain(s Set) []string {
-	var fails []string
-	for _, r := range rs {
-		ok, err := r.Eval(s)
-		switch {
-		case err != nil:
-			fails = append(fails, fmt.Sprintf("%s: %v", r, err))
-		case !ok:
-			have, present := s[r.Param]
-			if present {
-				fails = append(fails, fmt.Sprintf("%s (have %s)", r, have))
-			} else {
-				fails = append(fails, fmt.Sprintf("%s (parameter absent)", r))
-			}
-		}
-	}
-	return fails
 }
 
 // Kind infers which PE kind the requirements target from the parameter

@@ -105,26 +105,6 @@ func TestRequirementsFluentAndSatisfied(t *testing.T) {
 	}
 }
 
-func TestRequirementsExplain(t *testing.T) {
-	reqs := Requirements{}.
-		Eq(ParamFPGAFamily, Text("Virtex-6")).
-		Min(ParamFPGASlices, 99999).
-		Min("fpga.nonexistent", 1)
-	fails := reqs.Explain(sampleFPGA().Set())
-	if len(fails) != 3 {
-		t.Fatalf("Explain returned %d failures, want 3: %v", len(fails), fails)
-	}
-	if !strings.Contains(fails[0], "have Virtex-5") {
-		t.Errorf("family failure should show actual value: %s", fails[0])
-	}
-	if !strings.Contains(fails[2], "absent") {
-		t.Errorf("missing param should be flagged absent: %s", fails[2])
-	}
-	if got := reqs.Explain(Set{}); len(got) != 3 {
-		t.Errorf("all predicates should fail on empty set: %v", got)
-	}
-}
-
 func TestRequirementsKind(t *testing.T) {
 	fpga := Requirements{}.Min(ParamFPGASlices, 1)
 	if fpga.Kind() != KindFPGA {

@@ -206,8 +206,11 @@ func TestSettledTasksUnreachable(t *testing.T) {
 	var settled []settledTask
 	for _, sh := range s.shards {
 		for _, te := range sh.tenants {
-			if n, q := len(te.jss.Submissions()), te.jss.QueueLength(); n != 0 || q != 0 {
-				t.Errorf("tenant %s: jss holds %d submissions, %d queued after drain", te.id, n, q)
+			if n := len(te.jss.Submissions()); n != 0 {
+				t.Errorf("tenant %s: jss holds %d submissions after drain", te.id, n)
+			}
+			if q := te.jss.Dequeue(); q != nil {
+				t.Errorf("tenant %s: jss still queues %s after drain", te.id, q.ID)
 			}
 			for id, st := range te.tasks {
 				states[st]++

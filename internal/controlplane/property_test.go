@@ -170,3 +170,8 @@ func TestPropertyQuotaBound(t *testing.T) {
 		t.Errorf("conservation: %+v", st)
 	}
 }
+
+// conserved reports whether the tenant's counters balance.
+func (s TenantStats) conserved() bool {
+	return s.Submitted == s.Completed+s.Rejected+s.Evicted+s.Canceled+s.InFlight
+}

@@ -51,7 +51,7 @@ func TestInsertByPriority(t *testing.T) {
 // random tier sequence, the ordered insert leaves exactly the order a
 // stable sort of the creation sequence by priority gives.
 func TestInsertByPriorityMatchesStableSort(t *testing.T) {
-	tiers := Tiers()
+	tiers := []Tier{TierFull, TierVirtualized, TierBackground}
 	for seed := uint64(1); seed <= 50; seed++ {
 		rng := sim.NewRNG(seed)
 		var order, created []*tenantEngine

@@ -60,11 +60,6 @@ type TenantStats struct {
 	CostUnits      float64 `json:"cost_units"`
 }
 
-// conserved reports whether the tenant's counters balance.
-func (s TenantStats) conserved() bool {
-	return s.Submitted == s.Completed+s.Rejected+s.Evicted+s.Canceled+s.InFlight
-}
-
 // taskState is a control-plane task's lifecycle state.
 type taskState int
 

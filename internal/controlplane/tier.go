@@ -57,9 +57,6 @@ func ParseTier(s string) (Tier, error) {
 	return TierVirtualized, fmt.Errorf("controlplane: unknown tier %q", s)
 }
 
-// Tiers lists the provisioning tiers in priority order.
-func Tiers() []Tier { return []Tier{TierFull, TierVirtualized, TierBackground} }
-
 // TierPolicy bundles everything the control plane derives from a tier.
 type TierPolicy struct {
 	// Priority orders a drain or resume across a shard's tenants: lower

@@ -14,11 +14,9 @@ import (
 	"fmt"
 
 	"repro/internal/hdl"
-	"repro/internal/jss"
 	"repro/internal/node"
 	"repro/internal/pe"
 	"repro/internal/rms"
-	"repro/internal/sim"
 	"repro/internal/softcore"
 	"repro/internal/task"
 )
@@ -108,8 +106,6 @@ type Options struct {
 type VirtualGrid struct {
 	reg *rms.Registry
 	mm  *rms.Matchmaker
-	jss *jss.JSS
-	tc  *hdl.Toolchain
 }
 
 // NewVirtualGrid creates an empty virtual organization.
@@ -119,17 +115,8 @@ func NewVirtualGrid(opts Options) (*VirtualGrid, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VirtualGrid{reg: reg, mm: mm, jss: jss.New(), tc: opts.Toolchain}, nil
+	return &VirtualGrid{reg: reg, mm: mm}, nil
 }
-
-// Registry exposes the underlying node registry.
-func (vg *VirtualGrid) Registry() *rms.Registry { return vg.reg }
-
-// Matchmaker exposes the underlying matchmaker.
-func (vg *VirtualGrid) Matchmaker() *rms.Matchmaker { return vg.mm }
-
-// JSS exposes the underlying job submission system.
-func (vg *VirtualGrid) JSS() *jss.JSS { return vg.jss }
 
 // AttachNode adds a node at runtime.
 func (vg *VirtualGrid) AttachNode(n *node.Node) error { return vg.reg.AddNode(n) }
@@ -170,11 +157,6 @@ func (vg *VirtualGrid) Place(t *task.Task, choose func([]rms.Candidate) int) (*r
 		return nil, rms.Candidate{}, err
 	}
 	return lease, cands[idx], nil
-}
-
-// Submit hands an application to the virtual organization's JSS.
-func (vg *VirtualGrid) Submit(user string, g *task.Graph, prog *task.Program, qos jss.QoS, now sim.Time) (*jss.Submission, error) {
-	return vg.jss.Submit(user, g, prog, qos, now)
 }
 
 // View is what a user sees at one abstraction level (Fig. 2): the visible
@@ -220,15 +202,3 @@ func (vg *VirtualGrid) ViewAt(l Level) View {
 // gppsOrFallback counts processors visible at grid level: GPPs plus RPEs
 // (which can masquerade as soft-core CPUs).
 func gppsOrFallback(gpps, rpes int) int { return gpps + rpes }
-
-// Objectives returns the paper's stated framework objectives, used by
-// documentation commands.
-func Objectives() []string {
-	return []string{
-		"More performance can be achieved by utilizing reconfigurable hardware, at lower power.",
-		"Due to abstraction at a higher level, an application program can be directly mapped to any of the RPE or the GPP.",
-		"Different hardware implementations on the same RPE are possible due to the reconfigurable nature of the fabric.",
-		"Resources can be utilized more effectively when the processing elements are both GPPs and RPEs.",
-		"Grid applications with more parallelism benefit more when executed on reconfigurable hardware.",
-	}
-}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/capability"
 	"repro/internal/hdl"
-	"repro/internal/jss"
 	"repro/internal/node"
 	"repro/internal/pe"
 	"repro/internal/rms"
@@ -47,7 +46,7 @@ func TestLevelScenarioRoundTrip(t *testing.T) {
 			t.Errorf("level %v does not round-trip", l)
 		}
 	}
-	for _, s := range pe.Scenarios() {
+	for _, s := range []pe.Scenario{pe.SoftwareOnly, pe.PredeterminedHW, pe.UserDefinedHW, pe.DeviceSpecificHW} {
 		if ScenarioOf(LevelOf(s)) != s {
 			t.Errorf("scenario %v does not round-trip", s)
 		}
@@ -69,13 +68,13 @@ func TestAttachDetachRuntime(t *testing.T) {
 	if err := vg.AttachNode(hybridNode(t, "NodeA")); err != nil {
 		t.Fatal(err)
 	}
-	if vg.Registry().Len() != 1 {
+	if vg.reg.Len() != 1 {
 		t.Error("attach failed")
 	}
 	if err := vg.DetachNode("NodeA"); err != nil {
 		t.Fatal(err)
 	}
-	if vg.Registry().Len() != 0 {
+	if vg.reg.Len() != 0 {
 		t.Error("detach failed")
 	}
 	if err := vg.DetachNode("NodeA"); err == nil {
@@ -170,42 +169,5 @@ func TestViewsHideDetailByLevel(t *testing.T) {
 	scView := vg.ViewAt(LevelSoftcore)
 	if !strings.Contains(scView.Resources[0], "soft-core") {
 		t.Errorf("softcore view = %+v", scView)
-	}
-}
-
-func TestSubmitThroughVirtualGrid(t *testing.T) {
-	vg := vgrid(t)
-	g := task.NewGraph()
-	tk := &task.Task{
-		ID:               "T1",
-		Outputs:          []task.DataOut{{DataID: "o", SizeMB: 1}},
-		ExecReq:          task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: task.GPPOnly(1000, 1)},
-		EstimatedSeconds: 1,
-		Work:             pe.Work{MInstructions: 1000, ParallelFraction: 0},
-	}
-	if err := g.Add(tk); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := vg.Submit("alice", g, nil, jss.QoS{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Status != jss.StatusQueued {
-		t.Errorf("status = %v", sub.Status)
-	}
-	if vg.JSS().QueueLength() != 1 {
-		t.Error("submission not queued")
-	}
-}
-
-func TestObjectivesNonEmpty(t *testing.T) {
-	objs := Objectives()
-	if len(objs) < 5 {
-		t.Errorf("objectives = %d", len(objs))
-	}
-	for _, o := range objs {
-		if o == "" {
-			t.Error("empty objective")
-		}
 	}
 }

@@ -92,9 +92,6 @@ type Matrix struct {
 	Dangling []string
 }
 
-// Covered reports whether the cell has at least one source.
-func (m *Matrix) Covered(c Cell) bool { return len(m.Cells[c]) > 0 }
-
 // has reports whether the cell has a source of kind k.
 func (m *Matrix) has(c Cell, k Kind) bool {
 	for _, s := range m.Cells[c] {
@@ -103,22 +100,6 @@ func (m *Matrix) has(c Cell, k Kind) bool {
 		}
 	}
 	return false
-}
-
-// CoveredStrategies returns the strategies with at least one covered
-// cell — the non-vacuity surface the guard test checks against
-// sched.Names().
-func (m *Matrix) CoveredStrategies() []string {
-	seen := map[string]bool{}
-	for c := range m.Cells {
-		seen[c.Strategy] = true
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Compute walks every *_test.go under root (skipping testdata and

@@ -42,7 +42,7 @@ func TestComputeCoversMarkedCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := Cell{Strategy: "first-fit", Regime: "moderate", Workload: "default"}
-	if !m.Covered(golden) || !m.has(golden, KindGolden) {
+	if len(m.Cells[golden]) == 0 || !m.has(golden, KindGolden) {
 		t.Errorf("golden cell %s not covered: %v", golden, m.Cells[golden])
 	}
 	if got := m.Cells[golden][0].Path; got != "pkg/testdata/out.golden" {
@@ -54,7 +54,7 @@ func TestComputeCoversMarkedCells(t *testing.T) {
 			t.Errorf("strategy=all did not expand to %s", cell)
 		}
 	}
-	if m.Covered(Cell{Strategy: "first-fit", Regime: "hostile", Workload: "default"}) {
+	if len(m.Cells[Cell{Strategy: "first-fit", Regime: "hostile", Workload: "default"}]) > 0 {
 		t.Error("unmarked cell reported covered")
 	}
 	if len(m.Dangling) != 0 {
@@ -80,7 +80,7 @@ func TestComputeDeletedGoldenFlipsCellDark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !before.Covered(cell) {
+	if len(before.Cells[cell]) == 0 {
 		t.Fatalf("precondition: %s not covered", cell)
 	}
 	var renderedBefore strings.Builder
@@ -95,7 +95,7 @@ func TestComputeDeletedGoldenFlipsCellDark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Covered(cell) {
+	if len(after.Cells[cell]) > 0 {
 		t.Errorf("cell %s still covered after its golden was deleted", cell)
 	}
 	if len(after.Dangling) != 1 || !strings.Contains(after.Dangling[0], "pkg/testdata/out.golden") {

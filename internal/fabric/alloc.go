@@ -28,9 +28,6 @@ func NewAllocator(total int) *Allocator {
 	return &Allocator{total: total, free: []extent{{0, total}}}
 }
 
-// Total returns the size of the managed address space.
-func (a *Allocator) Total() int { return a.total }
-
 // Free returns the total unallocated slices (possibly fragmented).
 func (a *Allocator) Free() int {
 	n := 0

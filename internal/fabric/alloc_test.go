@@ -9,7 +9,7 @@ import (
 
 func TestAllocatorBasics(t *testing.T) {
 	a := NewAllocator(100)
-	if a.Total() != 100 || a.Free() != 100 || a.LargestFree() != 100 {
+	if a.total != 100 || a.Free() != 100 || a.LargestFree() != 100 {
 		t.Fatal("fresh allocator wrong")
 	}
 	s1, err := a.Alloc(30)

@@ -88,26 +88,3 @@ func Devices() []Device {
 	})
 	return out
 }
-
-// DevicesInFamily returns the catalog entries of one family, smallest first.
-func DevicesInFamily(family string) []Device {
-	var out []Device
-	for _, d := range Devices() {
-		if strings.EqualFold(d.Family, family) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// SmallestFitting returns the smallest device in the family with at least
-// the requested slices, supporting the user-defined-hardware scenario where
-// the provider picks a device for a generic HDL design.
-func SmallestFitting(family string, slices int) (Device, error) {
-	for _, d := range DevicesInFamily(family) {
-		if d.Slices >= slices {
-			return d, nil
-		}
-	}
-	return Device{}, fmt.Errorf("fabric: no %s device with ≥%d slices", family, slices)
-}

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -59,44 +58,5 @@ func TestCaseStudyDevicesPresent(t *testing.T) {
 	d, _ := LookupDevice("XC5VLX155T")
 	if d.Slices < 24000 {
 		t.Errorf("LX155T has %d slices; case study requires >24,000", d.Slices)
-	}
-}
-
-func TestDevicesInFamily(t *testing.T) {
-	v5 := DevicesInFamily("virtex-5")
-	if len(v5) < 5 {
-		t.Fatalf("Virtex-5 family has %d entries", len(v5))
-	}
-	for _, d := range v5 {
-		if !strings.EqualFold(d.Family, "Virtex-5") {
-			t.Errorf("wrong family: %s", d.Family)
-		}
-	}
-	for i := 1; i < len(v5); i++ {
-		if v5[i-1].Slices > v5[i].Slices {
-			t.Error("family list not sorted by slices")
-		}
-	}
-}
-
-func TestSmallestFitting(t *testing.T) {
-	// malign needs 18,707 slices → smallest Virtex-5 that fits is LX155T.
-	d, err := SmallestFitting("Virtex-5", 18707)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.FPGACaps.Device != "XC5VLX155T" {
-		t.Errorf("smallest fit for 18,707 = %s, want XC5VLX155T", d.FPGACaps.Device)
-	}
-	// pairalign needs 30,790 → LX220T.
-	d, err = SmallestFitting("Virtex-5", 30790)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.FPGACaps.Device != "XC5VLX220T" {
-		t.Errorf("smallest fit for 30,790 = %s, want XC5VLX220T", d.FPGACaps.Device)
-	}
-	if _, err := SmallestFitting("Virtex-5", 10_000_000); err == nil {
-		t.Error("impossible fit accepted")
 	}
 }

@@ -116,13 +116,6 @@ func NewByName(device string) (*Fabric, error) {
 // Device returns the immutable part description.
 func (f *Fabric) Device() Device { return f.dev }
 
-// Reconfigurations returns how many configuration loads the fabric has
-// performed.
-func (f *Fabric) Reconfigurations() int { return f.reconfigurations }
-
-// ReconfigTime returns the cumulative time spent loading configurations.
-func (f *Fabric) ReconfigTime() sim.Time { return f.reconfigTime }
-
 // State returns the current snapshot.
 func (f *Fabric) State() State {
 	s := State{

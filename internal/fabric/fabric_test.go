@@ -58,11 +58,11 @@ func TestFullReconfiguration(t *testing.T) {
 	if len(st.Configurations) != 1 || st.Configurations[0] != "bs-b" {
 		t.Errorf("full reconfig did not wipe: %+v", st)
 	}
-	if f.Reconfigurations() != 2 {
-		t.Errorf("reconfig count = %d", f.Reconfigurations())
+	if f.reconfigurations != 2 {
+		t.Errorf("reconfig count = %d", f.reconfigurations)
 	}
-	if f.ReconfigTime() != 2*wantDelay {
-		t.Errorf("reconfig time = %v", f.ReconfigTime())
+	if f.reconfigTime != 2*wantDelay {
+		t.Errorf("reconfig time = %v", f.reconfigTime)
 	}
 	_ = r
 }

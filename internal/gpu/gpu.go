@@ -64,16 +64,3 @@ func warpEfficiency(warp int) float64 {
 func (d *Device) String() string {
 	return fmt.Sprintf("gpu %s @%g MHz", d.Caps.Model, d.CoreClockMHz)
 }
-
-// PresetGT200 returns a Tesla-class GPU of the paper's era (GT200: 240
-// shader cores, warp 32).
-func PresetGT200() *Device {
-	d, err := New(capability.GPUCaps{
-		Model: "GT200", ShaderCores: 240, WarpSize: 32, SIMDWidth: 8,
-		SharedKB: 16, MemFreqMHz: 1100,
-	}, 1296)
-	if err != nil {
-		panic(err) // preset is statically valid
-	}
-	return d
-}

@@ -38,7 +38,7 @@ func faultFingerprint(m *Metrics) string {
 	fmt.Fprintf(&b, "crashes=%d recoveries=%d seu=%d link=%d\n",
 		m.NodeCrashes, m.NodeRecoveries, m.SEUFaults, m.LinkFaults)
 	fmt.Fprintf(&b, "mttr=%v down=%v window=%v nodes=%d avail=%v\n",
-		m.MTTR.Values(), m.DownSeconds, m.WindowSeconds, m.Nodes, m.Availability())
+		m.MTTR, m.DownSeconds, m.WindowSeconds, m.Nodes, m.Availability())
 	return b.String()
 }
 
@@ -67,7 +67,7 @@ func TestFaultScenarioReplaysByteIdentically(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := rec.WriteCSV(&buf); err != nil {
+		if err := writeTraceCSV(&buf, rec.Events()); err != nil {
 			t.Fatal(err)
 		}
 		return m, buf.Bytes()
@@ -180,7 +180,7 @@ func TestFaultSweepTraceStreamsMatchAcrossWorkers(t *testing.T) {
 		out := make([][]byte, len(recs))
 		for i, rec := range recs {
 			var buf bytes.Buffer
-			if err := rec.WriteCSV(&buf); err != nil {
+			if err := writeTraceCSV(&buf, rec.Events()); err != nil {
 				t.Fatal(err)
 			}
 			out[i] = buf.Bytes()

@@ -286,14 +286,14 @@ func TestSweepProgressCallback(t *testing.T) {
 //scenario:differential strategy=reconfig-aware regime=moderate workload=default
 func TestSchedulerDifferentialGolden(t *testing.T) {
 	run := func(mk func() sim.Scheduler) (*Metrics, []obs.Event, []obs.Sample) {
-		rec := &obs.Recorder{}
-		spec := goldenFaultScenario(rec)
+		rec, tl := &obs.Recorder{}, obs.NewTimeline()
+		spec := goldenFaultScenario(rec, tl)
 		spec.Config.Scheduler = mk
 		m, err := RunScenario(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m, rec.Events(), rec.Samples()
+		return m, rec.Events(), tl.Samples()
 	}
 	hm, hev, hsa := run(func() sim.Scheduler { return sim.NewHeapQueue() })
 	wm, wev, wsa := run(func() sim.Scheduler { return sim.NewWheelQueue() })
@@ -343,35 +343,39 @@ func TestShuffledTraceMatchesSortedCopy(t *testing.T) {
 	for i := range shuffled {
 		shuffled[i].Arrival = sim.Time(math.Floor(float64(shuffled[i].Arrival)))
 	}
-	sim.NewRNG(32).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	r := sim.NewRNG(32)
+	for i := len(shuffled) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	}
 	sorted := slices.Clone(shuffled)
 	slices.SortStableFunc(sorted, func(a, b Generated) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	if slices.Equal(sorted, shuffled) {
 		t.Fatal("the shuffle left the trace sorted; the test would not reach the permutation")
 	}
-	run := func(trace []Generated, fs *faults.Spec) (*Metrics, *obs.Recorder) {
-		rec := &obs.Recorder{}
+	run := func(trace []Generated, fs *faults.Spec) (*Metrics, *obs.Recorder, *obs.Timeline) {
+		rec, tl := &obs.Recorder{}, obs.NewTimeline()
 		cfg := DefaultConfig()
 		cfg.SampleEverySeconds = 1
 		m, err := RunScenario(context.Background(), ScenarioSpec{
-			Seed: 33, Config: cfg, Grid: DefaultGridSpec(), Trace: trace, Toolchain: tc, Faults: fs, Sinks: []obs.TraceSink{rec},
+			Seed: 33, Config: cfg, Grid: DefaultGridSpec(), Trace: trace, Toolchain: tc, Faults: fs, Sinks: []obs.TraceSink{rec, tl},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m, rec
+		return m, rec, tl
 	}
 	for regime, fs := range differentialRegimes() {
 		t.Run(regime, func(t *testing.T) {
-			sm, srec := run(sorted, fs)
-			um, urec := run(shuffled, fs)
+			sm, srec, stl := run(sorted, fs)
+			um, urec, utl := run(shuffled, fs)
 			if !reflect.DeepEqual(sm, um) {
 				t.Errorf("metrics diverge:\nsorted:   %+v\nshuffled: %+v", sm, um)
 			}
 			if !reflect.DeepEqual(srec.Events(), urec.Events()) {
 				t.Error("trace events diverge")
 			}
-			if !reflect.DeepEqual(srec.Samples(), urec.Samples()) {
+			if !reflect.DeepEqual(stl.Samples(), utl.Samples()) {
 				t.Error("gauge samples diverge")
 			}
 		})

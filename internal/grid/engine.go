@@ -59,9 +59,9 @@ type Config struct {
 	SampleEverySeconds float64
 	// Faults carries the active fault policy (retry bounds, lease TTL)
 	// for engines driven with InjectFaults; nil disables lease
-	// monitoring and gives aborted tasks unlimited immediate retries
-	// (the legacy FailElementAt behavior). RunScenario populates it from
-	// ScenarioSpec.Faults. The spec is read-only once the engine runs.
+	// monitoring and gives aborted tasks unlimited immediate retries.
+	// RunScenario populates it from ScenarioSpec.Faults. The spec is
+	// read-only once the engine runs.
 	Faults *faults.Spec
 	// Scheduler, when non-nil, constructs the simulator's pending-event
 	// set (one call per engine, so sweep replicas never share one). Nil
@@ -356,37 +356,6 @@ func (e *Engine) unreachable(nodeID string) bool {
 	}
 	f, ok := e.linkFault[nodeID]
 	return ok && f.Partition
-}
-
-// AttachNodeAt adds a node to the grid at a virtual time — resources
-// joining at runtime, per the framework's adaptivity claim. Queued tasks
-// are re-examined immediately: work that was unschedulable may now run.
-func (e *Engine) AttachNodeAt(at sim.Time, n *node.Node) {
-	e.S.Schedule(at, "attach "+n.ID, func() {
-		if err := e.Reg.AddNode(n); err != nil {
-			return // duplicate ID; the registry refused
-		}
-		e.tryDispatch()
-	})
-}
-
-// DetachNodeAt removes a node at a virtual time. A node busy with running
-// tasks cannot leave; the detach retries after each second of virtual time
-// until the node drains (bounded, so a saturated grid cannot loop forever).
-func (e *Engine) DetachNodeAt(at sim.Time, id string) {
-	const maxRetries = 100000
-	retries := 0
-	var attempt func()
-	attempt = func() {
-		if err := e.Reg.RemoveNode(id); err == nil {
-			return
-		}
-		retries++
-		if retries < maxRetries {
-			e.S.After(1, "detach-retry "+id, attempt)
-		}
-	}
-	e.S.Schedule(at, "detach "+id, attempt)
 }
 
 // start initializes a run and enqueues its initially ready tasks.
@@ -804,31 +773,6 @@ func unitRatio(busy, units int) float64 {
 	return float64(busy) / float64(units)
 }
 
-// FailElementAt injects an element failure at a virtual time: every task
-// running on the element is aborted and routed through the retry policy
-// (its original enqueue time is kept, so the lost work shows up in
-// waiting/turnaround). With permanent set, the element is also removed
-// from its node, modelling hardware loss rather than a transient fault.
-func (e *Engine) FailElementAt(at sim.Time, nodeID, elemID string, permanent bool) {
-	e.S.Schedule(at, "fail "+nodeID+"/"+elemID, func() {
-		n, ok := e.Reg.Node(nodeID)
-		if !ok {
-			return
-		}
-		elem, ok := n.Element(elemID)
-		if !ok {
-			return
-		}
-		for _, exe := range append([]*execution(nil), e.running[elem]...) {
-			e.failExecution(exe, nodeID, elemID)
-		}
-		if permanent {
-			_ = n.Remove(elemID)
-		}
-		e.tryDispatch()
-	})
-}
-
 // abortExecution tears one in-flight execution down: its completion and
 // renewal events are cancelled, the lease released, and the region it
 // configured evicted — a failed or power-cycled fabric cannot be trusted
@@ -868,7 +812,7 @@ func (e *Engine) failExecution(exe *execution, nodeID, elemID string) {
 // scratch — the previous placement is gone, and the strategy sees
 // whatever options remain), or declare the task lost once its retry
 // budget is exhausted. Without an active fault policy the task retries
-// immediately and without bound, the legacy FailElementAt behavior.
+// immediately and without bound.
 func (e *Engine) requeueOrLose(it *item) {
 	it.attempts++
 	var pol faults.RetryPolicy

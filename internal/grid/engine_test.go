@@ -10,7 +10,6 @@ import (
 	"repro/internal/capability"
 	"repro/internal/faults"
 	"repro/internal/jss"
-	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/pe"
 	"repro/internal/rms"
@@ -59,6 +58,17 @@ func gppRig(t *testing.T, cfg Config, nodes int, mips float64) *Engine {
 	return eng
 }
 
+// advanceTo runs eng's simulator up to at: events due by then fire, later
+// ones stay queued, and the clock stops on at.
+func advanceTo(t *testing.T, eng *Engine, at sim.Time) {
+	t.Helper()
+	eng.S.Schedule(at, "advance", func() {})
+	eng.S.Horizon = at
+	if err := eng.S.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // runningOn returns the node and element executing a task.
 func runningOn(t *testing.T, eng *Engine, taskID string) (string, string) {
 	t.Helper()
@@ -83,17 +93,16 @@ func TestFinishFailsEveryUnfinishedSubmission(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Horizon = 50
 	cfg.Faults = &faults.Spec{Retry: faults.RetryPolicy{MaxRetries: 3, BackoffSeconds: 100}}
-	cfg.Tracer = &obs.Recorder{}
+	tl := obs.NewTimeline()
+	cfg.Tracer = tl
 	cfg.SampleEverySeconds = 10
 	eng := gppRig(t, cfg, 2, 1000)
 	eng.Submit(0, "inflight", singleTaskGraph(t, softwareTask("A", 1e6, 100)), nil, jss.QoS{})
 	eng.Submit(1, "backoff", singleTaskGraph(t, softwareTask("B", 1e6, 100)), nil, jss.QoS{})
 	eng.Submit(2, "queued", singleTaskGraph(t, softwareTask("C", 1000, 1e9)), nil, jss.QoS{})
-	if err := eng.S.RunUntil(5); err != nil {
-		t.Fatal(err)
-	}
-	nodeID, elemID := runningOn(t, eng, "B")
-	eng.FailElementAt(10, nodeID, elemID, false)
+	advanceTo(t, eng, 5)
+	nodeID, _ := runningOn(t, eng, "B")
+	eng.InjectFaults([]faults.Event{{Time: 10, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1}})
 	m, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +124,7 @@ func TestFinishFailsEveryUnfinishedSubmission(t *testing.T) {
 			t.Errorf("%s: %s %s %q, want failed %q", s.User, s.ID, resp.Status, resp.FailureReason, want[s.User])
 		}
 	}
-	samples := cfg.Tracer.(*obs.Recorder).Samples()
+	samples := tl.Samples()
 	last := samples[len(samples)-1]
 	if last.Running != 1 || last.RetryBacklog != 1 || last.QueueDepth != 1 {
 		t.Errorf("end-of-run sample: running %d, retry backlog %d, queued %d; want 1 each",
@@ -125,32 +134,28 @@ func TestFinishFailsEveryUnfinishedSubmission(t *testing.T) {
 
 // TestArrivalTiesKeepScheduleOrder pins how workload arrivals order
 // against other events at the same virtual time: by when each was
-// scheduled. The arrival of A ties with a node attach scheduled before
-// SubmitWorkload, so the attach runs first and A lands on the faster new
-// node. The arrival of B ties with an element failure scheduled after
-// SubmitWorkload, so B is dispatched first and the failure aborts it.
+// scheduled. The arrival of A ties with a submission scheduled before
+// SubmitWorkload, so the submission runs first and its task S takes the
+// only core ahead of A. The arrival of B ties with a node crash
+// scheduled after SubmitWorkload, so B is dispatched first and the
+// crash aborts it; the recovery expires its lease and B runs again.
 func TestArrivalTiesKeepScheduleOrder(t *testing.T) {
 	rec := &obs.Recorder{}
 	cfg := DefaultConfig()
 	cfg.Tracer = rec
 	eng := gppRig(t, cfg, 1, 1000)
-	slow := eng.Reg.Nodes()[0]
-	fast, err := node.New("Fast")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fast.AddGPP(capability.GPPCaps{CPUType: "x", MIPS: 10000, RAMMB: 1024, Cores: 1}); err != nil {
-		t.Fatal(err)
-	}
-	eng.AttachNodeAt(1, fast)
+	eng.Submit(1, "early", singleTaskGraph(t, softwareTask("S", 1000, 100)), nil, jss.QoS{})
 	gen := []Generated{
-		{Task: softwareTask("A", 100000, 100), Arrival: 1},
-		{Task: softwareTask("B", 1000, 100), Arrival: 2},
+		{Task: softwareTask("A", 1000, 100), Arrival: 1},
+		{Task: softwareTask("B", 1000, 100), Arrival: 5},
 	}
 	if err := eng.SubmitWorkload(gen, "ties"); err != nil {
 		t.Fatal(err)
 	}
-	eng.FailElementAt(2, slow.ID, slow.GPPs()[0].ID, false)
+	eng.InjectFaults([]faults.Event{
+		{Time: 5, Kind: faults.KindNodeCrash, Node: "Node0", Seq: 1},
+		{Time: 6, Kind: faults.KindNodeRecover, Node: "Node0", Seq: 1},
+	})
 	if _, err := eng.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -159,15 +164,21 @@ func TestArrivalTiesKeepScheduleOrder(t *testing.T) {
 		got = append(got, fmt.Sprintf("%.4g %s %s %s/%s", float64(ev.Time), ev.Kind, ev.TaskID, ev.Node, ev.Element))
 	}
 	want := []string{
+		"1 queued S /",
+		"1 dispatch S Node0/GPP0",
 		"1 queued A /",
-		"1 dispatch A Fast/GPP0",
-		"2 queued B /",
-		"2 dispatch B Node0/GPP0",
-		"2 fail B Node0/GPP0",
-		"2 retry B /",
-		"2 dispatch B Node0/GPP0",
-		"3.002 complete B Node0/GPP0",
-		"11 complete A Fast/GPP0",
+		"2.002 complete S Node0/GPP0",
+		"2.002 dispatch A Node0/GPP0",
+		"3.004 complete A Node0/GPP0",
+		"5 queued B /",
+		"5 dispatch B Node0/GPP0",
+		"5 node-down  Node0/",
+		"6 lease-expired B Node0/GPP0",
+		"6 fail B Node0/GPP0",
+		"6 node-up  Node0/",
+		"6 retry B /",
+		"6 dispatch B Node0/GPP0",
+		"7.002 complete B Node0/GPP0",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("trace order:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -187,9 +198,7 @@ func TestSubmitWorkloadRejectsUnorderableArrivals(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			eng := gppRig(t, DefaultConfig(), 1, 1000)
-			if err := eng.S.RunUntil(5); err != nil {
-				t.Fatal(err)
-			}
+			advanceTo(t, eng, 5)
 			gen := []Generated{
 				{Task: softwareTask("ok", 1000, 100), Arrival: 6},
 				{Task: softwareTask("bad", 1000, 100), Arrival: at},

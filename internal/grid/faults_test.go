@@ -2,12 +2,20 @@ package grid
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/capability"
 	"repro/internal/faults"
+	"repro/internal/jss"
+	"repro/internal/node"
 	"repro/internal/obs"
+	"repro/internal/pe"
 	"repro/internal/rms"
+	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/task"
 )
 
 // faultPolicy is the lease/retry policy used by crafted-event tests:
@@ -55,9 +63,7 @@ func faultRig(t *testing.T, spec *faults.Spec, rec *obs.Recorder) *Engine {
 
 func TestCrashRecoveryEndToEnd(t *testing.T) {
 	eng := faultRig(t, faultPolicy(), nil)
-	if err := eng.S.RunUntil(5); err != nil {
-		t.Fatal(err)
-	}
+	advanceTo(t, eng, 5)
 	nodeID, _ := busyRPE(t, eng)
 	eng.InjectFaults([]faults.Event{
 		{Time: 10, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1},
@@ -171,9 +177,7 @@ func seuSelector(t *testing.T, eng *Engine, nodeID string) (uint64, string) {
 
 func TestSEUAbortsTaskAndForcesReconfiguration(t *testing.T) {
 	eng := faultRig(t, faultPolicy(), nil)
-	if err := eng.S.RunUntil(5); err != nil {
-		t.Fatal(err)
-	}
+	advanceTo(t, eng, 5)
 	nodeID, _ := busyRPE(t, eng)
 	sel, _ := seuSelector(t, eng, nodeID)
 	eng.InjectFaults([]faults.Event{
@@ -202,9 +206,7 @@ func TestSEUAbortsTaskAndForcesReconfiguration(t *testing.T) {
 func TestPartitionExpiresLeaseAndReroutes(t *testing.T) {
 	rec := &obs.Recorder{}
 	eng := faultRig(t, faultPolicy(), rec)
-	if err := eng.S.RunUntil(5); err != nil {
-		t.Fatal(err)
-	}
+	advanceTo(t, eng, 5)
 	nodeID, _ := busyRPE(t, eng)
 	eng.InjectFaults([]faults.Event{
 		{Time: 8, Kind: faults.KindLinkDegrade, Node: nodeID, Seq: 1, Factor: 1, Partition: true},
@@ -332,9 +334,7 @@ func TestRetryBudgetExhaustedLosesTask(t *testing.T) {
 func TestFaultTraceKindsRecorded(t *testing.T) {
 	rec := &obs.Recorder{}
 	eng := faultRig(t, faultPolicy(), rec)
-	if err := eng.S.RunUntil(5); err != nil {
-		t.Fatal(err)
-	}
+	advanceTo(t, eng, 5)
 	nodeID, _ := busyRPE(t, eng)
 	eng.InjectFaults([]faults.Event{
 		{Time: 10, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1},
@@ -351,5 +351,236 @@ func TestFaultTraceKindsRecorded(t *testing.T) {
 		if kinds[want] == 0 {
 			t.Errorf("trace kind %q never recorded (got %v)", want, kinds)
 		}
+	}
+}
+
+// busyRPE locates the RPE running the rig's single hardware task.
+func busyRPE(t *testing.T, eng *Engine) (string, string) {
+	t.Helper()
+	for _, n := range eng.Reg.Nodes() {
+		for _, el := range n.RPEs() {
+			if el.Busy() {
+				return n.ID, el.ID
+			}
+		}
+	}
+	t.Fatal("no busy RPE found")
+	return "", ""
+}
+
+// TestTransientFailureRetriesTask: an upset that aborts the rig's task
+// mid-run charges the wasted attempt. The retried task finishes later
+// than in a fault-free run by most of the work thrown away, and the
+// struck element stays in the grid.
+func TestTransientFailureRetriesTask(t *testing.T) {
+	baseM, err := faultRig(t, faultPolicy(), nil).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if baseM.Completed != 1 {
+		t.Fatalf("baseline completed = %d", baseM.Completed)
+	}
+	eng := faultRig(t, faultPolicy(), nil)
+	advanceTo(t, eng, 5)
+	nodeID, elemID := busyRPE(t, eng)
+	sel, _ := seuSelector(t, eng, nodeID)
+	eng.InjectFaults([]faults.Event{{Time: 10, Kind: faults.KindSEU, Node: nodeID, Seq: 1, Selector: sel}})
+	m, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Failures != 1 {
+		t.Errorf("failures = %d, want 1", m.Failures)
+	}
+	if m.Completed != 1 || m.Unfinished != 0 {
+		t.Errorf("completed=%d unfinished=%d; the retried task must finish", m.Completed, m.Unfinished)
+	}
+	if m.MeanTurnaround() < baseM.MeanTurnaround()+5 {
+		t.Errorf("turnaround %.1fs vs baseline %.1fs: wasted attempt not charged",
+			m.MeanTurnaround(), baseM.MeanTurnaround())
+	}
+	n, _ := eng.Reg.Node(nodeID)
+	if !slices.ContainsFunc(n.RPEs(), func(el *node.Element) bool { return el.ID == elemID }) {
+		t.Error("a transient upset removed the element")
+	}
+}
+
+// TestPermanentFailureRemovesElement: a crash with no recovery takes the
+// node out of the grid for good, and the task migrates to a surviving
+// device and completes.
+func TestPermanentFailureRemovesElement(t *testing.T) {
+	eng := faultRig(t, faultPolicy(), nil)
+	advanceTo(t, eng, 5)
+	nodeID, _ := busyRPE(t, eng)
+	eng.InjectFaults([]faults.Event{{Time: 10, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1}})
+	m, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := eng.Reg.Node(nodeID); ok {
+		t.Errorf("node %s still registered after a crash without recovery", nodeID)
+	}
+	if m.Completed != 1 || m.NodeRecoveries != 0 {
+		t.Errorf("completed=%d recoveries=%d; the task should migrate to a surviving RPE", m.Completed, m.NodeRecoveries)
+	}
+}
+
+// TestFailureOnIdleElementIsHarmless: upsets that strike unconfigured
+// fabric, a node without RPEs or an unknown node change nothing and are
+// not counted.
+func TestFailureOnIdleElementIsHarmless(t *testing.T) {
+	reg, err := BuildGrid(DefaultGridSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gppNode, hybridNode string
+	for _, n := range reg.Nodes() {
+		if len(n.RPEs()) == 0 {
+			gppNode = n.ID
+		} else {
+			hybridNode = n.ID
+		}
+	}
+	mm, _ := rms.NewMatchmaker(reg, nil)
+	eng, _ := NewEngine(DefaultConfig(), reg, mm)
+	eng.InjectFaults([]faults.Event{
+		{Time: 1, Kind: faults.KindSEU, Node: hybridNode, Seq: 1},
+		{Time: 2, Kind: faults.KindSEU, Node: gppNode, Seq: 2},
+		{Time: 3, Kind: faults.KindSEU, Node: "NoSuchNode", Seq: 3},
+	})
+	m, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.SEUFaults != 0 || m.Failures != 0 || eng.Reg.Len() != 4 {
+		t.Errorf("seu=%d failures=%d nodes=%d; idle strikes must be harmless", m.SEUFaults, m.Failures, eng.Reg.Len())
+	}
+}
+
+// TestFailureEventVisibleToMonitoringUser: a user who asked for
+// monitoring sees the abort of their task in the submission's events.
+func TestFailureEventVisibleToMonitoringUser(t *testing.T) {
+	eng := faultRig(t, faultPolicy(), nil)
+	advanceTo(t, eng, 5)
+	g := task.NewGraph()
+	mon := &task.Task{
+		ID:      "monitored",
+		Outputs: []task.DataOut{{DataID: "o", SizeMB: 1}},
+		ExecReq: task.ExecReq{
+			Scenario:     pe.SoftwareOnly,
+			Requirements: task.GPPOnly(1000, 64),
+		},
+		EstimatedSeconds: 100,
+		Work:             pe.Work{MInstructions: 4e6, ParallelFraction: 0},
+	}
+	if err := g.Add(mon); err != nil {
+		t.Fatal(err)
+	}
+	eng.Submit(6, "alice", g, nil, jss.QoS{Monitor: true})
+	advanceTo(t, eng, 7)
+	nodeID, _ := runningOn(t, eng, "monitored")
+	eng.InjectFaults([]faults.Event{
+		{Time: 8, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1},
+		{Time: 9, Kind: faults.KindNodeRecover, Node: nodeID, Seq: 1},
+	})
+	if _, err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var sawFailure bool
+	for _, sub := range eng.J.Submissions() {
+		for _, ev := range sub.Events {
+			if sub.User == "alice" && strings.HasPrefix(ev.What, "failed on "+nodeID) {
+				sawFailure = true
+			}
+		}
+	}
+	if !sawFailure {
+		t.Error("monitoring user never saw the failure event")
+	}
+}
+
+func TestFailureMetricsFieldZeroByDefault(t *testing.T) {
+	m := runSmall(t, sched.ReconfigAware{}, 30, 0.5)
+	if m.Failures != 0 {
+		t.Errorf("failures = %d without injection", m.Failures)
+	}
+}
+
+// TestRuntimeAttachUnblocksWaitingTasks: a hardware workload sits
+// unschedulable while the only hybrid node is down, and runs once the
+// node rejoins the grid at t=50.
+func TestRuntimeAttachUnblocksWaitingTasks(t *testing.T) {
+	gs := GridSpec{GPPNodes: 1, GPPsPerNode: 2, GPPCaps: capability.GPPCaps{
+		CPUType: "Xeon", MIPS: 42000, OS: "Linux", RAMMB: 8192, Cores: 4},
+		HybridNodes: 1, RPEDevices: []string{"XC5VLX330T"}}
+	reg, err := BuildGrid(gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, _ := DefaultToolchain()
+	mm, err := rms.NewMatchmaker(reg, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(DefaultConfig(), reg, mm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hybrid string
+	for _, n := range reg.Nodes() {
+		if len(n.RPEs()) > 0 {
+			hybrid = n.ID
+		}
+	}
+	eng.InjectFaults([]faults.Event{
+		{Time: 0, Kind: faults.KindNodeCrash, Node: hybrid, Seq: 1},
+		{Time: 50, Kind: faults.KindNodeRecover, Node: hybrid, Seq: 1},
+	})
+	ws := DefaultWorkload(30, 2)
+	ws.ShareUserHW = 1
+	ws.ShareSoftcore = 0
+	gen, err := Generate(sim.NewRNG(6), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SubmitWorkload(gen, "churn"); err != nil {
+		t.Fatal(err)
+	}
+	m, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Completed != 30 {
+		t.Fatalf("completed = %d, want all 30 after the node rejoined", m.Completed)
+	}
+	if m.Wait.Quantile(0.1) <= 0 {
+		t.Error("tasks should have waited for the hybrid node")
+	}
+}
+
+// TestRuntimeDetachWaitsForDrain: a crashed node that still holds a
+// lease stays registered until the lease expires, and leaves the
+// registry then; its task moves on and nothing is lost.
+func TestRuntimeDetachWaitsForDrain(t *testing.T) {
+	eng := faultRig(t, faultPolicy(), nil)
+	advanceTo(t, eng, 5)
+	nodeID, _ := busyRPE(t, eng)
+	eng.InjectFaults([]faults.Event{{Time: 10, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1}})
+	registered := func(at sim.Time, want bool) {
+		eng.S.Schedule(at, "probe", func() {
+			if _, ok := eng.Reg.Node(nodeID); ok != want {
+				t.Errorf("t=%v: node %s registered = %t, want %t", at, nodeID, ok, want)
+			}
+		})
+	}
+	registered(10, true)
+	registered(10+sim.Time(faultPolicy().LeaseTTLSeconds)+0.5, false)
+	m, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.LeaseExpiries != 1 || m.Completed != 1 || m.TasksLost != 0 {
+		t.Errorf("expiries=%d completed=%d lost=%d; the drained task must finish elsewhere",
+			m.LeaseExpiries, m.Completed, m.TasksLost)
 	}
 }

@@ -84,13 +84,13 @@ func compareGolden(t *testing.T, name string, got []byte) {
 // TestGoldenFaultTrace replays the pinned scenario and compares the full
 // trace stream byte-for-byte against testdata/fault_trace.csv.
 func TestGoldenFaultTrace(t *testing.T) {
-	rec := &obs.Recorder{}
-	m, err := RunScenario(context.Background(), goldenFaultScenario(rec))
+	var buf bytes.Buffer
+	sink := obs.NewCSV(&buf)
+	m, err := RunScenario(context.Background(), goldenFaultScenario(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rec.WriteCSV(&buf); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, "fault_trace.csv", buf.Bytes())

@@ -3,6 +3,7 @@ package grid
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/capability"
@@ -188,6 +189,23 @@ func TestEndToEndSimulationCompletesAllTasks(t *testing.T) {
 	}
 	if m.String() == "" {
 		t.Error("String")
+	}
+}
+
+// TestMeanWaitIgnoresP95: P95Wait sorts the wait series in place, and
+// MeanWait read after it must equal MeanWait read before it bit for bit.
+func TestMeanWaitIgnoresP95(t *testing.T) {
+	r := sim.NewRNG(7)
+	for run := 0; run < 20; run++ {
+		var m Metrics
+		for i := 0; i < 1000; i++ {
+			m.Wait.Observe(r.ExpFloat64() * 100)
+		}
+		before := m.MeanWait()
+		m.P95Wait()
+		if after := m.MeanWait(); math.Float64bits(after) != math.Float64bits(before) {
+			t.Errorf("run %d: MeanWait %v after P95Wait, %v before", run, after, before)
+		}
 	}
 }
 

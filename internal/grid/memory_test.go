@@ -2,6 +2,7 @@ package grid
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -71,19 +72,25 @@ const (
 
 // TestHeapPerPendingArrival is the pre-run memory ceiling: SubmitWorkload
 // streams the trace, so a pending arrival holds no event, closure, task
-// graph or submission, and the whole trace costs a bounded cursor.
+// graph or submission, and the whole trace costs a bounded cursor. A
+// stray runtime allocation between the two collections can only add
+// bytes, so the test keeps the smallest of five measurements, each on a
+// fresh rig.
 func TestHeapPerPendingArrival(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap ceiling run skipped in -short mode")
 	}
-	eng, gen := reuseRig(t, heapTasks)
-	heap0 := liveHeap()
-	if err := eng.SubmitWorkload(gen, "mem"); err != nil {
-		t.Fatal(err)
+	retained := math.Inf(1)
+	for i := 0; i < 5; i++ {
+		eng, gen := reuseRig(t, heapTasks)
+		heap0 := liveHeap()
+		if err := eng.SubmitWorkload(gen, "mem"); err != nil {
+			t.Fatal(err)
+		}
+		retained = min(retained, liveHeap()-heap0)
+		runtime.KeepAlive(eng)
+		runtime.KeepAlive(gen)
 	}
-	retained := liveHeap() - heap0
-	runtime.KeepAlive(eng)
-	runtime.KeepAlive(gen)
 	t.Logf("%.0f B for %d pending arrivals", retained, heapTasks)
 	if retained > pendingCeiling {
 		t.Errorf("%d pending arrivals hold %.0f B, ceiling %d", heapTasks, retained, pendingCeiling)
@@ -213,7 +220,7 @@ func TestSettledWorkloadSubmissionsLeaveJSS(t *testing.T) {
 	if resp.Status != jss.StatusDone || resp.TasksDone != 1 {
 		t.Errorf("settled Submit submission answers %+v", resp)
 	}
-	if n := eng.J.QueueLength(); n != 0 {
-		t.Errorf("%d submissions still queued after the drain", n)
+	if sub := eng.J.Dequeue(); sub != nil {
+		t.Errorf("submission %s still queued after the drain", sub.ID)
 	}
 }

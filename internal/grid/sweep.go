@@ -190,18 +190,6 @@ type SweepResult struct {
 	Workers int
 }
 
-// Metrics returns the successful metrics of one point's replicas in
-// replication order.
-func (r *SweepResult) Metrics(point int) []*Metrics {
-	var out []*Metrics
-	for _, rep := range r.Replicas {
-		if rep.Replica.Point == point && rep.Err == nil && rep.Metrics != nil {
-			out = append(out, rep.Metrics)
-		}
-	}
-	return out
-}
-
 // errSkipped marks replicas the sweep never started because the context
 // was cancelled first; it is replaced by the context's error.
 var errSkipped = fmt.Errorf("grid: replica skipped")

@@ -3,6 +3,7 @@ package grid
 import (
 	"bytes"
 	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestRecorderCapturesLifecycle(t *testing.T) {
 			queued[ev.TaskID.String()] = ev.Time
 		case obs.KindDispatch:
 			dispatch[ev.TaskID.String()] = ev.Time
-			if ev.Node.IsZero() || ev.Element.IsZero() {
+			if ev.Node == 0 || ev.Element == 0 {
 				t.Error("dispatch without placement info")
 			}
 		case obs.KindComplete:
@@ -73,7 +74,7 @@ func TestRecorderCapturesLifecycle(t *testing.T) {
 func TestRecorderCSV(t *testing.T) {
 	rec, _ := tracedRun(t)
 	var buf bytes.Buffer
-	if err := rec.WriteCSV(&buf); err != nil {
+	if err := writeTraceCSV(&buf, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -83,6 +84,15 @@ func TestRecorderCSV(t *testing.T) {
 	if len(lines) != 1+len(rec.Events()) {
 		t.Errorf("csv rows = %d, want %d", len(lines)-1, len(rec.Events()))
 	}
+}
+
+// writeTraceCSV renders recorded events through the streaming CSV sink.
+func writeTraceCSV(w io.Writer, events []obs.Event) error {
+	sink := obs.NewCSV(w)
+	for _, ev := range events {
+		sink.Emit(ev)
+	}
+	return sink.Close()
 }
 
 func TestRecorderGantt(t *testing.T) {

@@ -80,7 +80,8 @@ func SaveWorkload(w io.Writer, gen []Generated) error {
 	return enc.Encode(file)
 }
 
-// LoadWorkload reads a JSON trace back into a runnable workload.
+// LoadWorkload reads a JSON trace back into a runnable workload. A file
+// with no tasks is an error.
 func LoadWorkload(r io.Reader) ([]Generated, error) {
 	var file workloadFile
 	dec := json.NewDecoder(r)
@@ -90,6 +91,9 @@ func LoadWorkload(r io.Reader) ([]Generated, error) {
 	}
 	if file.Version != WorkloadFileVersion {
 		return nil, fmt.Errorf("grid: workload file version %d, want %d", file.Version, WorkloadFileVersion)
+	}
+	if len(file.Tasks) == 0 {
+		return nil, fmt.Errorf("grid: workload file has no tasks")
 	}
 	out := make([]Generated, 0, len(file.Tasks))
 	for i, wt := range file.Tasks {

@@ -137,6 +137,17 @@ func TestLoadWorkloadRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestLoadWorkloadRejectsEmptyTrace: a trace file with no tasks is an
+// input error that says so, not a run of nothing.
+func TestLoadWorkloadRejectsEmptyTrace(t *testing.T) {
+	for _, in := range []string{`{"version":1,"tasks":[]}`, `{"version":1}`} {
+		_, err := LoadWorkload(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "no tasks") {
+			t.Errorf("LoadWorkload(%s) = %v, want an error saying the file has no tasks", in, err)
+		}
+	}
+}
+
 // TestLoadWorkloadRejectsNegativeArrival: a trace file cannot schedule an
 // arrival before time zero, and the error names the offending task.
 func TestLoadWorkloadRejectsNegativeArrival(t *testing.T) {

@@ -230,7 +230,7 @@ func (j *JSS) Dequeue() *Submission {
 }
 
 // Release forgets a settled submission: it leaves the queue, if still
-// queued, and no longer answers Get, Query or Submissions, so a caller
+// queued, and no longer answers Query or Submissions, so a caller
 // that releases each submission once it is settled (the control plane)
 // keeps none resident. Releasing the queue head, where a FIFO caller
 // settles, is O(1).
@@ -250,15 +250,6 @@ func (j *JSS) Release(sub *Submission) {
 			return
 		}
 	}
-}
-
-// QueueLength returns the number of queued submissions.
-func (j *JSS) QueueLength() int { return len(j.queue) }
-
-// Get returns a submission by ID.
-func (j *JSS) Get(id string) (*Submission, bool) {
-	s, ok := j.all[id]
-	return s, ok
 }
 
 // Submissions returns every known submission sorted by ID.

@@ -130,8 +130,8 @@ func TestPriorityDequeueOrder(t *testing.T) {
 	low, _ := j.Submit("a", oneTaskGraph(t, "T1"), nil, QoS{Priority: 1}, 0)
 	high, _ := j.Submit("b", oneTaskGraph(t, "T1"), nil, QoS{Priority: 9}, 0)
 	mid, _ := j.Submit("c", oneTaskGraph(t, "T1"), nil, QoS{Priority: 5}, 0)
-	if j.QueueLength() != 3 {
-		t.Fatalf("queue = %d", j.QueueLength())
+	if len(j.queue) != 3 {
+		t.Fatalf("queue = %d", len(j.queue))
 	}
 	if got := j.Dequeue(); got != high {
 		t.Errorf("first dequeue = %s", got.ID)
@@ -269,8 +269,8 @@ func TestRelease(t *testing.T) {
 	backing := j.queue[:cap(j.queue)]
 	j.Release(subs[0]) // head
 	j.Release(subs[2]) // middle
-	if _, ok := j.Get(subs[0].ID); ok {
-		t.Error("released head still answers Get")
+	if _, err := j.Query(subs[0].ID); err == nil {
+		t.Error("released head still answers Query")
 	}
 	if _, err := j.Query(subs[2].ID); err == nil {
 		t.Error("released submission still answers Query")
@@ -288,7 +288,7 @@ func TestRelease(t *testing.T) {
 	}
 	j.Release(subs[3])
 	j.Release(subs[1])
-	if j.QueueLength() != 0 || len(j.Submissions()) != 0 {
-		t.Errorf("after releasing everything: queue %d, submissions %d", j.QueueLength(), len(j.Submissions()))
+	if len(j.queue) != 0 || len(j.Submissions()) != 0 {
+		t.Errorf("after releasing everything: queue %d, submissions %d", len(j.queue), len(j.Submissions()))
 	}
 }

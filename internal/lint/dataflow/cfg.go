@@ -3,7 +3,6 @@ package dataflow
 import (
 	"go/ast"
 	"go/token"
-	"sort"
 )
 
 // CFG is a per-function control-flow graph over go/ast statements. It
@@ -411,15 +410,4 @@ func (b *cfgBuilder) switchClauses(clauses []ast.Stmt, done *Block) {
 		dispatch.addSucc(done)
 	}
 	b.cur = nil
-}
-
-// Statements returns every statement node in the CFG in source-position
-// order — the flattened view tests and exhaustiveness checks use.
-func (c *CFG) Statements() []ast.Node {
-	var out []ast.Node
-	for _, blk := range c.Blocks {
-		out = append(out, blk.Nodes...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
-	return out
 }

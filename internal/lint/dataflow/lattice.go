@@ -160,8 +160,7 @@ type solver[V value[V]] struct {
 	// sent value, a receive reads the join.
 	chans map[string]V
 	// senders records, per channel-element key, the functions that send
-	// informative values on it — the MHP layer pairs these against
-	// receives to show the concurrent half of a channel-crossing chain.
+	// informative values on it.
 	senders map[string][]*types.Func
 }
 
@@ -367,8 +366,8 @@ func (s *funcState[V]) processNode(x ast.Node) {
 	}
 }
 
-// noteChanSender records this function as a sender on the channel key
-// (deduplicated; order restored by ChanSenders).
+// noteChanSender records this function as a sender on the channel key,
+// once per key, in discovery order.
 func (s *funcState[V]) noteChanSender(key string) {
 	if !slices.Contains(s.senders[key], s.n.Fn) {
 		s.senders[key] = append(s.senders[key], s.n.Fn)

@@ -176,12 +176,6 @@ func (lg *LockGraph) addEdge(e AcqEdge) {
 	m[e.To] = append(m[e.To], e)
 }
 
-// MayAcquire returns the lock classes fn may acquire, directly or
-// through callees, each with a representative call chain.
-func (lg *LockGraph) MayAcquire(fn *types.Func) map[string][]string {
-	return lg.acquires[fn]
-}
-
 // Cycle is one deadlock candidate: a cyclic lock-order chain. Classes
 // lists the classes in cycle order (len ≥ 2 — recursive single-lock
 // re-acquisition is reported separately); Witness holds one AcqEdge per

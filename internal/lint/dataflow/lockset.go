@@ -185,10 +185,6 @@ type FuncLocks struct {
 	Before map[ast.Node]LockSet
 	// Acquires lists every Lock/RLock call with the lockset held at it.
 	Acquires []Acquisition
-	// Releases counts Unlock calls per class (used to detect functions
-	// that return holding a lock they took — a summary detail callers of
-	// lock-order use).
-	exitSet LockSet
 }
 
 // Acquisition is one Lock/RLock call and the locks already held there.
@@ -197,14 +193,6 @@ type Acquisition struct {
 	Pos  token.Pos
 	Held LockSet
 }
-
-// HeldAt returns the must-hold lockset before the given node, or nil
-// when the node is not part of the analyzed CFG.
-func (fl *FuncLocks) HeldAt(n ast.Node) LockSet { return fl.Before[n] }
-
-// ExitSet returns the lockset still held when the function returns
-// (deferred unlocks applied).
-func (fl *FuncLocks) ExitSet() LockSet { return fl.exitSet }
 
 // AnalyzeLocks runs the reaching-lockset dataflow over one function
 // body. Deferred Unlock/RUnlock calls do not kill the set mid-body;
@@ -275,27 +263,6 @@ func AnalyzeLocks(info *types.Info, body *ast.BlockStmt) *FuncLocks {
 	}
 	sort.Slice(fl.Acquires, func(i, j int) bool { return fl.Acquires[i].Pos < fl.Acquires[j].Pos })
 
-	// Exit set: join of exit preds, minus deferred releases.
-	var exit LockSet
-	for _, p := range cfg.Exit.Preds {
-		if out[p.Index] == nil {
-			continue
-		}
-		if exit == nil {
-			exit = out[p.Index].clone()
-		} else {
-			exit = exit.intersect(out[p.Index])
-		}
-	}
-	if exit == nil {
-		exit = make(LockSet)
-	}
-	for _, d := range cfg.Defers {
-		if op, ok := classifyLockCall(info, d.Call); ok && !op.acquire {
-			delete(exit, op.Lock.Class)
-		}
-	}
-	fl.exitSet = exit
 	return fl
 }
 

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"go/token"
+	"go/types"
 	"os"
 	"path"
 	"path/filepath"
@@ -156,4 +157,13 @@ func sortedKeys[K int | string, V any](m map[K]V) []K {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
+}
+
+// ChanSenders returns the functions that send on channels whose element
+// type renders as key, in deterministic order — the senders the MHP
+// layer pairs against a tainted receive.
+func (g *Graph) ChanSenders(key string) []*types.Func {
+	out := append([]*types.Func(nil), g.taint.senders[key]...)
+	sort.Slice(out, func(i, j int) bool { return out[i].FullName() < out[j].FullName() })
+	return out
 }

@@ -51,7 +51,6 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -103,15 +102,6 @@ type (
 // analyzed packages.
 func (g *Graph) Taint(fn *types.Func) *TaintSummary {
 	return g.taint.summaries[fn]
-}
-
-// ChanSenders returns the functions that send on channels whose element
-// type renders as key, in deterministic order — the senders the MHP
-// layer pairs against a tainted receive.
-func (g *Graph) ChanSenders(key string) []*types.Func {
-	out := append([]*types.Func(nil), g.taint.senders[key]...)
-	sort.Slice(out, func(i, j int) bool { return out[i].FullName() < out[j].FullName() })
-	return out
 }
 
 // sanitizedLines merges every package's //reconlint:sanitized coverage

@@ -114,15 +114,6 @@ func (c *chainImporter) ImportFrom(path, dir string, mode types.ImportMode) (*ty
 	return c.std.ImportFrom(path, dir, mode)
 }
 
-// Load type-checks the packages matched by patterns (relative to dir)
-// plus their in-module dependencies, and returns the matched packages
-// in `go list` order. Test files are not loaded: reconlint polices
-// library and command code, not tests.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	roots, _, err := LoadAll(dir, patterns...)
-	return roots, err
-}
-
 // LoadAll is Load plus the closure: it returns both the matched root
 // packages and every in-module package that was type-checked to serve
 // them (dependencies included, in dependency order). Whole-program

@@ -75,6 +75,3 @@ func (t *Topology) LinkTo(nodeID string) Link {
 	}
 	return t.def
 }
-
-// Default returns the default link.
-func (t *Topology) Default() Link { return t.def }

@@ -53,9 +53,6 @@ func TestTopologyDefaultsAndOverrides(t *testing.T) {
 	if topo.LinkTo("NearNode").BandwidthMBps != 125 {
 		t.Error("override leaked")
 	}
-	if topo.Default().BandwidthMBps != 125 {
-		t.Error("Default")
-	}
 }
 
 func TestTopologyValidation(t *testing.T) {

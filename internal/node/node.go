@@ -69,9 +69,6 @@ func sharedSet[C interface {
 	return s
 }
 
-// IsRPE reports whether the element is a reconfigurable processing element.
-func (e *Element) IsRPE() bool { return e.Kind == capability.KindFPGA }
-
 // FreeCores returns idle GPP cores (0 for non-GPP elements).
 func (e *Element) FreeCores() int {
 	if e.GPP == nil {
@@ -290,15 +287,6 @@ func (n *Node) Remove(elemID string) error {
 		}
 	}
 	return nil
-}
-
-// Element returns an element by ID.
-func (n *Node) Element(id string) (*Element, bool) {
-	i := n.index(id)
-	if i < 0 {
-		return nil, false
-	}
-	return n.elems[i], true
 }
 
 // Elements returns all elements in installation order.

@@ -263,8 +263,8 @@ func TestRPECapsMatchDevice(t *testing.T) {
 	if set[capability.ParamFPGASlices].Number() != 56880 {
 		t.Errorf("slices = %v", set[capability.ParamFPGASlices].Number())
 	}
-	if !r.IsRPE() {
-		t.Error("IsRPE")
+	if r.Kind != capability.KindFPGA {
+		t.Errorf("kind = %v", r.Kind)
 	}
 }
 
@@ -348,4 +348,13 @@ func TestNaNDescriptionRejected(t *testing.T) {
 	if grown := size() - before; grown != 0 {
 		t.Errorf("capSets grew by %d entries for one rejected description", grown)
 	}
+}
+
+// Element returns an element by ID.
+func (n *Node) Element(id string) (*Element, bool) {
+	i := n.index(id)
+	if i < 0 {
+		return nil, false
+	}
+	return n.elems[i], true
 }

@@ -13,10 +13,10 @@ import (
 // CSV is the bounded-memory streaming trace sink: every event is encoded
 // and written through a buffered writer immediately, so memory stays O(1)
 // in the run length — unlike Recorder, which retains the whole run. The
-// encoding is byte-identical to Recorder.WriteCSV (header
-// time_s,kind,task,node,element, minimal quoting), so the two are
-// interchangeable for downstream tooling. Samples are discarded; pair a
-// CSV with a Timeline via Multi when both are wanted.
+// encoding is byte-identical to encoding/csv's (header
+// time_s,kind,task,node,element, minimal quoting), so any standard CSV
+// tooling reads it. Samples are discarded; pair a CSV with a Timeline
+// via Multi when both are wanted.
 //
 // Construct with NewCSV; a zero CSV is a valid no-op sink.
 type CSV struct {
@@ -78,8 +78,8 @@ func (c *CSV) Flush() error {
 }
 
 // Close flushes and stops the sink; later Emits are no-ops. An event-free
-// sink still emits the header, matching Recorder.WriteCSV on an empty
-// trace. Close is idempotent and keeps returning the latched error.
+// sink still emits the header. Close is idempotent and keeps returning
+// the latched error.
 func (c *CSV) Close() error {
 	if c == nil {
 		return nil
@@ -134,7 +134,7 @@ func (c *CSV) writeHeaderLocked() bool {
 // appendCSVField appends one field, quoting only when the value needs it
 // (a comma, quote, CR or LF anywhere, a leading Unicode space, or the
 // whole field `\.`) — the same minimal quoting encoding/csv applies,
-// keeping streamed output byte-identical to Recorder.WriteCSV.
+// keeping streamed output byte-identical to encoding/csv's.
 func appendCSVField(dst []byte, s string) []byte {
 	first, _ := utf8.DecodeRuneInString(s)
 	if !strings.ContainsAny(s, ",\"\r\n") && !unicode.IsSpace(first) && s != `\.` {

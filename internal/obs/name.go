@@ -63,6 +63,3 @@ func (n Name) String() string {
 	}
 	return nameTable.strs[i]
 }
-
-// IsZero reports whether the name is the empty name.
-func (n Name) IsZero() bool { return n == 0 }

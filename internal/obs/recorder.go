@@ -1,23 +1,19 @@
 package obs
 
 import (
-	"encoding/csv"
-	"io"
-	"strconv"
 	"sync"
 )
 
-// Recorder is the in-memory TraceSink: it retains every event and sample
-// for post-hoc analysis (CSV dumps, Gantt charts, differential checks).
-// Memory grows with the run — for production-scale sweeps prefer the
-// streaming sinks. The zero value is ready to use, and a Recorder is safe
-// to share across engines running on different goroutines (events from
-// concurrent sweep replicas interleave; within one engine they stay in
-// virtual-time order).
+// Recorder is the in-memory TraceSink: it retains every event for
+// post-hoc analysis (Gantt charts, differential checks). Memory grows
+// with the run — for production-scale sweeps prefer the streaming sinks.
+// The zero value is ready to use, and a Recorder is safe to share across
+// engines running on different goroutines (events from concurrent sweep
+// replicas interleave; within one engine they stay in virtual-time
+// order).
 type Recorder struct {
-	mu      sync.Mutex
-	events  []Event  // guarded by mu
-	samples []Sample // guarded by mu
+	mu     sync.Mutex
+	events []Event // guarded by mu
 }
 
 // Emit retains one event.
@@ -30,15 +26,9 @@ func (r *Recorder) Emit(ev Event) {
 	r.mu.Unlock()
 }
 
-// Sample retains one gauge snapshot.
-func (r *Recorder) Sample(s Sample) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.samples = append(r.samples, s)
-	r.mu.Unlock()
-}
+// Sample discards the snapshot: a Recorder keeps events only. Pair it
+// with a Timeline through Multi to keep samples too.
+func (r *Recorder) Sample(Sample) {}
 
 // Flush is a no-op: a Recorder holds everything in memory.
 func (r *Recorder) Flush() error { return nil }
@@ -54,34 +44,4 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.events...)
-}
-
-// Samples returns the recorded gauge snapshots in emission order.
-func (r *Recorder) Samples() []Sample {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Sample(nil), r.samples...)
-}
-
-// WriteCSV emits the trace as CSV (time_s,kind,task,node,element), the
-// same encoding the streaming CSV sink produces incrementally.
-func (r *Recorder) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time_s", "kind", "task", "node", "element"}); err != nil {
-		return err
-	}
-	for _, ev := range r.Events() {
-		rec := []string{
-			strconv.FormatFloat(float64(ev.Time), 'g', -1, 64),
-			string(ev.Kind), ev.TaskID.String(), ev.Node.String(), ev.Element.String(),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -114,16 +114,6 @@ func (t *Timeline) WriteCSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// QueueHistogram buckets the sampled queue depths into a fixed-width
-// sim.Histogram starting at zero.
-func (t *Timeline) QueueHistogram(binWidth float64, bins int) *sim.Histogram {
-	h := sim.NewHistogram(0, binWidth, bins)
-	for _, s := range t.Samples() {
-		h.Observe(float64(s.QueueDepth))
-	}
-	return h
-}
-
 // timelineSeries enumerates the summarized series in display order.
 var timelineSeries = []struct {
 	name string

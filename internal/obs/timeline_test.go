@@ -56,19 +56,6 @@ func TestTimelineWriteCSV(t *testing.T) {
 	}
 }
 
-func TestTimelineQueueHistogram(t *testing.T) {
-	h := timelineFixture().QueueHistogram(2, 4)
-	if h.N() != 3 {
-		t.Errorf("histogram observed %d samples", h.N())
-	}
-	// Depths 4, 2, 0 → bins [0,2)=1, [2,4)=1, [4,6)=1.
-	for bin, want := range map[int]uint64{0: 1, 1: 1, 2: 1} {
-		if got := h.Bin(bin); got != want {
-			t.Errorf("bin %d = %d, want %d", bin, got, want)
-		}
-	}
-}
-
 func TestTimelineSummary(t *testing.T) {
 	tb := timelineFixture().Summary("obs demo")
 	out := tb.String()

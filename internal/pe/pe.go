@@ -52,11 +52,6 @@ func (s Scenario) String() string {
 	return fmt.Sprintf("Scenario(%d)", int(s))
 }
 
-// Scenarios lists the four scenarios in Fig. 1 order.
-func Scenarios() []Scenario {
-	return []Scenario{SoftwareOnly, PredeterminedHW, UserDefinedHW, DeviceSpecificHW}
-}
-
 // scenario aliases accepted by ParseScenario, beyond the full names.
 var scenarioAliases = map[string]Scenario{
 	"software":        SoftwareOnly,
@@ -105,16 +100,6 @@ func Profiles() []Profile {
 		{UserDefinedHW, "accelerator in generic HDL (VHDL/Verilog) + code + data", "synthesis CAD tools to emit device-specific bitstreams", true, true, 3, 3},
 		{DeviceSpecificHW, "device-specific bitstream + code + data", "the exact device targeted by the developer", false, false, 4, 4},
 	}
-}
-
-// ProfileOf returns the taxonomy row for one scenario.
-func ProfileOf(s Scenario) (Profile, error) {
-	for _, p := range Profiles() {
-		if p.Scenario == s {
-			return p, nil
-		}
-	}
-	return Profile{}, fmt.Errorf("pe: unknown scenario %d", int(s))
 }
 
 // Work is an architecture-neutral statement of a task's computational

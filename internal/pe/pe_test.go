@@ -24,13 +24,18 @@ func TestScenarioNames(t *testing.T) {
 	}
 }
 
+// TestScenariosOrder: the taxonomy lists the four scenarios in Fig. 1
+// order.
 func TestScenariosOrder(t *testing.T) {
-	ss := Scenarios()
-	if len(ss) != 4 {
-		t.Fatalf("Scenarios() = %d entries", len(ss))
+	ps := Profiles()
+	want := []Scenario{SoftwareOnly, PredeterminedHW, UserDefinedHW, DeviceSpecificHW}
+	if len(ps) != len(want) {
+		t.Fatalf("Profiles() = %d entries", len(ps))
 	}
-	if ss[0] != SoftwareOnly || ss[3] != DeviceSpecificHW {
-		t.Error("scenario order wrong")
+	for i, p := range ps {
+		if p.Scenario != want[i] {
+			t.Errorf("row %d is %v, want %v", i, p.Scenario, want[i])
+		}
 	}
 }
 
@@ -52,25 +57,19 @@ func TestProfilesMonotonicTradeoff(t *testing.T) {
 }
 
 func TestProfileProperties(t *testing.T) {
-	ud, err := ProfileOf(UserDefinedHW)
-	if err != nil {
-		t.Fatal(err)
+	byScenario := map[Scenario]Profile{}
+	for _, p := range Profiles() {
+		byScenario[p.Scenario] = p
 	}
-	if !ud.ProviderCADTools {
+	if ud := byScenario[UserDefinedHW]; !ud.ProviderCADTools {
 		t.Error("user-defined HW requires provider CAD tools (Section III-B2)")
 	}
-	ds, err := ProfileOf(DeviceSpecificHW)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := byScenario[DeviceSpecificHW]
 	if ds.ProviderCADTools {
 		t.Error("device-specific HW must NOT require provider CAD tools (Section III-B3)")
 	}
 	if ds.DeviceIndependent {
 		t.Error("device-specific HW is not device independent")
-	}
-	if _, err := ProfileOf(Scenario(42)); err == nil {
-		t.Error("unknown scenario accepted")
 	}
 }
 
@@ -123,7 +122,8 @@ func TestAmdahlBounds(t *testing.T) {
 
 func TestParseScenario(t *testing.T) {
 	// Full names round-trip.
-	for _, s := range Scenarios() {
+	for _, p := range Profiles() {
+		s := p.Scenario
 		back, err := ParseScenario(s.String())
 		if err != nil || back != s {
 			t.Errorf("ParseScenario(%q) = %v, %v", s.String(), back, err)

@@ -37,15 +37,6 @@ func inEnum(kind capability.Kind) bool {
 	return kind >= 0 && int(kind) < capability.NumKinds
 }
 
-// Of returns the draw profile for a PE kind. Unknown kinds, and kinds
-// outside the enum, report zero draw so accounting stays additive.
-func Of(kind capability.Kind) Draw {
-	if !inEnum(kind) {
-		return Draw{}
-	}
-	return profiles[kind]
-}
-
 // Meter accumulates energy per PE kind over a simulation.
 type Meter struct {
 	activeJ [capability.NumKinds]float64
@@ -75,22 +66,6 @@ func (m *Meter) ChargeIdle(kind capability.Kind, seconds float64) {
 	if inEnum(kind) {
 		m.idleJ[kind] += profiles[kind].IdleWatts * seconds
 	}
-}
-
-// ActiveJoules returns active energy for one kind (zero outside the enum).
-func (m *Meter) ActiveJoules(kind capability.Kind) float64 {
-	if !inEnum(kind) {
-		return 0
-	}
-	return m.activeJ[kind]
-}
-
-// IdleJoules returns idle energy for one kind (zero outside the enum).
-func (m *Meter) IdleJoules(kind capability.Kind) float64 {
-	if !inEnum(kind) {
-		return 0
-	}
-	return m.idleJ[kind]
 }
 
 // TotalJoules returns all energy across kinds and states. The arrays are

@@ -24,7 +24,6 @@ import (
 type Profiler struct {
 	// now is the time source; tests may replace it for determinism.
 	now   func() time.Duration
-	base  time.Time
 	stack []frame
 	nodes map[string]*node
 	edges map[edge]*edgeStat
@@ -55,13 +54,7 @@ type edgeStat struct {
 // New returns an empty profiler using the monotonic wall clock.
 func New() *Profiler {
 	base := time.Now()
-	p := &Profiler{
-		base:  base,
-		nodes: make(map[string]*node),
-		edges: make(map[edge]*edgeStat),
-	}
-	p.now = func() time.Duration { return time.Since(base) }
-	return p
+	return NewWithClock(func() time.Duration { return time.Since(base) })
 }
 
 // NewWithClock returns a profiler driven by an explicit clock, for
@@ -202,17 +195,6 @@ func (p *Profiler) Top(n int) []FlatLine {
 	return flat
 }
 
-// SelfPercent returns one kernel's share of total self time, or 0 if the
-// kernel was never observed.
-func (p *Profiler) SelfPercent(name string) float64 {
-	for _, l := range p.Flat() {
-		if l.Name == name {
-			return l.SelfPercent
-		}
-	}
-	return 0
-}
-
 // EdgeLine is one caller→callee row of the call graph.
 type EdgeLine struct {
 	Caller string
@@ -263,19 +245,4 @@ func (p *Profiler) String() string {
 		return fmt.Sprintf("profiler: %v", err)
 	}
 	return b.String()
-}
-
-// WriteCallGraph renders the caller→callee table, the second half of a
-// gprof report.
-func (p *Profiler) WriteCallGraph(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "%-20s %-20s %9s %12s\n", "caller", "callee", "calls", "time"); err != nil {
-		return err
-	}
-	for _, e := range p.CallGraph() {
-		if _, err := fmt.Fprintf(w, "%-20s %-20s %9d %12s\n",
-			e.Caller, e.Callee, e.Calls, e.Time.Round(time.Microsecond)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

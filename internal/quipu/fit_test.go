@@ -1,11 +1,107 @@
 package quipu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/sim"
 )
+
+// Sample pairs kernel metrics with the slice count a real synthesis run
+// produced, for model calibration.
+type Sample struct {
+	Metrics Metrics
+	Slices  float64
+}
+
+// Fit calibrates slice-count coefficients by ordinary least squares over
+// the samples (normal equations with Gaussian elimination and partial
+// pivoting). It needs at least FeatureCount samples; with fewer, or with a
+// singular design matrix, it returns an error.
+func Fit(samples []Sample) ([]float64, error) {
+	if len(samples) < FeatureCount {
+		return nil, fmt.Errorf("quipu: need ≥%d samples to fit, got %d", FeatureCount, len(samples))
+	}
+	// Build XᵀX and Xᵀy.
+	var xtx [FeatureCount][FeatureCount]float64
+	var xty [FeatureCount]float64
+	for _, s := range samples {
+		if err := s.Metrics.Validate(); err != nil {
+			return nil, err
+		}
+		f := features(s.Metrics)
+		for i := 0; i < FeatureCount; i++ {
+			for j := 0; j < FeatureCount; j++ {
+				xtx[i][j] += f[i] * f[j]
+			}
+			xty[i] += f[i] * s.Slices
+		}
+	}
+	// Gaussian elimination with partial pivoting. Singularity is judged
+	// against the matrix's own scale so rank deficiency is detected even
+	// when entries are large.
+	scale := 0.0
+	for i := 0; i < FeatureCount; i++ {
+		for j := 0; j < FeatureCount; j++ {
+			if v := math.Abs(xtx[i][j]); v > scale {
+				scale = v
+			}
+		}
+	}
+	var a [FeatureCount][FeatureCount + 1]float64
+	for i := 0; i < FeatureCount; i++ {
+		copy(a[i][:FeatureCount], xtx[i][:])
+		a[i][FeatureCount] = xty[i]
+	}
+	for col := 0; col < FeatureCount; col++ {
+		pivot := col
+		for r := col + 1; r < FeatureCount; r++ {
+			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
+				pivot = r
+			}
+		}
+		if math.Abs(a[pivot][col]) < 1e-10*scale {
+			return nil, fmt.Errorf("quipu: singular design matrix at feature %d", col)
+		}
+		a[col], a[pivot] = a[pivot], a[col]
+		for r := 0; r < FeatureCount; r++ {
+			if r == col {
+				continue
+			}
+			factor := a[r][col] / a[col][col]
+			for c := col; c <= FeatureCount; c++ {
+				a[r][c] -= factor * a[col][c]
+			}
+		}
+	}
+	coef := make([]float64, FeatureCount)
+	for i := 0; i < FeatureCount; i++ {
+		coef[i] = a[i][FeatureCount] / a[i][i]
+	}
+	return coef, nil
+}
+
+// RMSE returns the root-mean-square slice error of coefficients over
+// samples, the calibration quality measure.
+func RMSE(coef []float64, samples []Sample) (float64, error) {
+	if len(coef) != FeatureCount {
+		return 0, fmt.Errorf("quipu: %d coefficients, want %d", len(coef), FeatureCount)
+	}
+	if len(samples) == 0 {
+		return 0, fmt.Errorf("quipu: no samples")
+	}
+	var se float64
+	for _, s := range samples {
+		f := features(s.Metrics)
+		var pred float64
+		for i, c := range coef {
+			pred += c * f[i]
+		}
+		se += (pred - s.Slices) * (pred - s.Slices)
+	}
+	return math.Sqrt(se / float64(len(samples))), nil
+}
 
 // syntheticMetrics builds a valid random metrics struct.
 func syntheticMetrics(r *sim.RNG, i int) Metrics {

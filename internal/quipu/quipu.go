@@ -69,14 +69,6 @@ func (m Metrics) HalsteadVolume() float64 {
 	return N * math.Log2(n)
 }
 
-// HalsteadDifficulty returns D = (n1/2)·(N2/n2), the error-proneness proxy.
-func (m Metrics) HalsteadDifficulty() float64 {
-	if m.UniqueOperands == 0 {
-		return 0
-	}
-	return float64(m.UniqueOperators) / 2 * float64(m.TotalOperands) / float64(m.UniqueOperands)
-}
-
 // features maps metrics to the model's feature vector. The first entry is
 // the intercept.
 func features(m Metrics) []float64 {

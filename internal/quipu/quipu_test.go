@@ -68,14 +68,6 @@ func TestHalsteadVolume(t *testing.T) {
 	if v := m.HalsteadVolume(); math.Abs(v-32) > 1e-12 {
 		t.Errorf("V = %v, want 32", v)
 	}
-	if d := m.HalsteadDifficulty(); math.Abs(d-4) > 1e-12 {
-		// D = (2/2)·(8/2) = 4.
-		t.Errorf("D = %v, want 4", d)
-	}
-	degenerate := Metrics{UniqueOperators: 1, UniqueOperands: 0}
-	if degenerate.HalsteadDifficulty() != 0 {
-		t.Error("zero operands should give zero difficulty")
-	}
 }
 
 func TestPredictRejectsInvalid(t *testing.T) {

@@ -10,8 +10,6 @@ import (
 type Distribution interface {
 	// Sample draws one value using r.
 	Sample(r *RNG) float64
-	// Mean returns the distribution's analytic mean (may be +Inf).
-	Mean() float64
 	// String describes the distribution and its parameters.
 	String() string
 }
@@ -22,9 +20,6 @@ type Constant struct{ Value float64 }
 // Sample implements Distribution.
 func (c Constant) Sample(*RNG) float64 { return c.Value }
 
-// Mean implements Distribution.
-func (c Constant) Mean() float64 { return c.Value }
-
 func (c Constant) String() string { return fmt.Sprintf("Constant(%g)", c.Value) }
 
 // Uniform draws uniformly from [Lo, Hi).
@@ -32,9 +27,6 @@ type Uniform struct{ Lo, Hi float64 }
 
 // Sample implements Distribution.
 func (u Uniform) Sample(r *RNG) float64 { return u.Lo + (u.Hi-u.Lo)*r.Float64() }
-
-// Mean implements Distribution.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
 
 func (u Uniform) String() string { return fmt.Sprintf("Uniform[%g,%g)", u.Lo, u.Hi) }
 
@@ -46,29 +38,7 @@ type Exponential struct{ Rate float64 }
 // Sample implements Distribution.
 func (e Exponential) Sample(r *RNG) float64 { return r.ExpFloat64() / e.Rate }
 
-// Mean implements Distribution.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
 func (e Exponential) String() string { return fmt.Sprintf("Exponential(rate=%g)", e.Rate) }
-
-// Normal draws from a normal distribution truncated at zero (negative draws
-// are clamped), suitable for service times with moderate variance.
-type Normal struct{ Mu, Sigma float64 }
-
-// Sample implements Distribution.
-func (n Normal) Sample(r *RNG) float64 {
-	v := n.Mu + n.Sigma*r.NormFloat64()
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// Mean implements Distribution. The reported mean ignores the truncation,
-// which is negligible when Mu >> Sigma.
-func (n Normal) Mean() float64 { return n.Mu }
-
-func (n Normal) String() string { return fmt.Sprintf("Normal(µ=%g,σ=%g)", n.Mu, n.Sigma) }
 
 // LogNormal draws from a log-normal distribution parameterized by the
 // underlying normal's Mu and Sigma.
@@ -78,9 +48,6 @@ type LogNormal struct{ Mu, Sigma float64 }
 func (l LogNormal) Sample(r *RNG) float64 {
 	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
 }
-
-// Mean implements Distribution.
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
 
 func (l LogNormal) String() string { return fmt.Sprintf("LogNormal(µ=%g,σ=%g)", l.Mu, l.Sigma) }
 
@@ -101,64 +68,4 @@ func (p Pareto) Sample(r *RNG) float64 {
 	}
 }
 
-// Mean implements Distribution. It is +Inf for Alpha <= 1.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
-
 func (p Pareto) String() string { return fmt.Sprintf("Pareto(xm=%g,α=%g)", p.Xm, p.Alpha) }
-
-// Choice draws one of Values with the corresponding (non-normalized)
-// Weights. It panics at construction if the inputs are inconsistent.
-type Choice struct {
-	values  []float64
-	cum     []float64
-	totalWt float64
-}
-
-// NewChoice builds a weighted discrete distribution over values.
-func NewChoice(values, weights []float64) (*Choice, error) {
-	if len(values) == 0 || len(values) != len(weights) {
-		return nil, fmt.Errorf("sim: choice needs equal, non-empty values/weights (%d vs %d)", len(values), len(weights))
-	}
-	c := &Choice{values: append([]float64(nil), values...)}
-	c.cum = make([]float64, len(weights))
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("sim: choice weight %d is %v", i, w)
-		}
-		c.totalWt += w
-		c.cum[i] = c.totalWt
-	}
-	if c.totalWt <= 0 {
-		return nil, fmt.Errorf("sim: choice weights sum to %v", c.totalWt)
-	}
-	return c, nil
-}
-
-// Sample implements Distribution.
-func (c *Choice) Sample(r *RNG) float64 {
-	x := r.Float64() * c.totalWt
-	for i, cw := range c.cum {
-		if x < cw {
-			return c.values[i]
-		}
-	}
-	return c.values[len(c.values)-1]
-}
-
-// Mean implements Distribution.
-func (c *Choice) Mean() float64 {
-	var m, prev float64
-	for i, v := range c.values {
-		w := c.cum[i] - prev
-		prev = c.cum[i]
-		m += v * w / c.totalWt
-	}
-	return m
-}
-
-func (c *Choice) String() string { return fmt.Sprintf("Choice(%d values)", len(c.values)) }

@@ -17,7 +17,7 @@ func sampleMean(d Distribution, seed uint64, n int) float64 {
 
 func TestConstant(t *testing.T) {
 	d := Constant{Value: 4.2}
-	if d.Sample(NewRNG(1)) != 4.2 || d.Mean() != 4.2 {
+	if d.Sample(NewRNG(1)) != 4.2 {
 		t.Error("Constant broken")
 	}
 }
@@ -34,37 +34,18 @@ func TestUniformMeanAndSupport(t *testing.T) {
 	if m := sampleMean(d, 2, 100000); math.Abs(m-4) > 0.05 {
 		t.Errorf("uniform sample mean %v, want ≈4", m)
 	}
-	if d.Mean() != 4 {
-		t.Errorf("Mean = %v", d.Mean())
-	}
 }
 
 func TestExponentialMean(t *testing.T) {
 	d := Exponential{Rate: 0.5}
-	if d.Mean() != 2 {
-		t.Errorf("Mean = %v, want 2", d.Mean())
-	}
 	if m := sampleMean(d, 3, 200000); math.Abs(m-2) > 0.05 {
 		t.Errorf("sample mean %v, want ≈2", m)
-	}
-}
-
-func TestNormalTruncatesAtZero(t *testing.T) {
-	d := Normal{Mu: 0.1, Sigma: 5}
-	r := NewRNG(4)
-	for i := 0; i < 1000; i++ {
-		if d.Sample(r) < 0 {
-			t.Fatal("normal sample went negative")
-		}
 	}
 }
 
 func TestLogNormalMean(t *testing.T) {
 	d := LogNormal{Mu: 0, Sigma: 0.25}
 	want := math.Exp(0.25 * 0.25 / 2)
-	if math.Abs(d.Mean()-want) > 1e-12 {
-		t.Errorf("Mean = %v, want %v", d.Mean(), want)
-	}
 	if m := sampleMean(d, 5, 200000); math.Abs(m-want) > 0.02 {
 		t.Errorf("sample mean %v, want ≈%v", m, want)
 	}
@@ -72,11 +53,8 @@ func TestLogNormalMean(t *testing.T) {
 
 func TestParetoMean(t *testing.T) {
 	d := Pareto{Xm: 1, Alpha: 3}
-	if d.Mean() != 1.5 {
-		t.Errorf("Mean = %v, want 1.5", d.Mean())
-	}
-	if !math.IsInf(Pareto{Xm: 1, Alpha: 1}.Mean(), 1) {
-		t.Error("alpha<=1 should have infinite mean")
+	if m := sampleMean(d, 7, 200000); math.Abs(m-1.5) > 0.02 {
+		t.Errorf("sample mean %v, want ≈1.5", m)
 	}
 	r := NewRNG(6)
 	for i := 0; i < 1000; i++ {
@@ -86,45 +64,10 @@ func TestParetoMean(t *testing.T) {
 	}
 }
 
-func TestChoiceValidation(t *testing.T) {
-	if _, err := NewChoice(nil, nil); err == nil {
-		t.Error("empty choice should error")
-	}
-	if _, err := NewChoice([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths should error")
-	}
-	if _, err := NewChoice([]float64{1}, []float64{-1}); err == nil {
-		t.Error("negative weight should error")
-	}
-	if _, err := NewChoice([]float64{1}, []float64{0}); err == nil {
-		t.Error("zero total weight should error")
-	}
-}
-
-func TestChoiceDistribution(t *testing.T) {
-	c, err := NewChoice([]float64{1, 10}, []float64{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMean := (1*3 + 10*1) / 4.0
-	if math.Abs(c.Mean()-wantMean) > 1e-12 {
-		t.Errorf("Mean = %v, want %v", c.Mean(), wantMean)
-	}
-	r := NewRNG(7)
-	counts := map[float64]int{}
-	for i := 0; i < 40000; i++ {
-		counts[c.Sample(r)]++
-	}
-	ratio := float64(counts[1]) / float64(counts[10])
-	if math.Abs(ratio-3) > 0.2 {
-		t.Errorf("weight ratio = %v, want ≈3", ratio)
-	}
-}
-
 func TestDistributionsNonNegative(t *testing.T) {
 	dists := []Distribution{
 		Constant{1}, Uniform{0, 5}, Exponential{Rate: 2},
-		Normal{Mu: 1, Sigma: 0.3}, LogNormal{Mu: 0, Sigma: 1}, Pareto{Xm: 0.5, Alpha: 2},
+		LogNormal{Mu: 0, Sigma: 1}, Pareto{Xm: 0.5, Alpha: 2},
 	}
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)
@@ -145,7 +88,7 @@ func TestDistributionsNonNegative(t *testing.T) {
 func TestDistributionStrings(t *testing.T) {
 	dists := []Distribution{
 		Constant{1}, Uniform{0, 5}, Exponential{Rate: 2},
-		Normal{Mu: 1, Sigma: 0.3}, LogNormal{Mu: 0, Sigma: 1}, Pareto{Xm: 0.5, Alpha: 2},
+		LogNormal{Mu: 0, Sigma: 1}, Pareto{Xm: 0.5, Alpha: 2},
 	}
 	for _, d := range dists {
 		if d.String() == "" {

@@ -36,9 +36,6 @@ type Event struct {
 	next     *Event // free-list link
 }
 
-// Canceled reports whether the event has been canceled and will not fire.
-func (e *Event) Canceled() bool { return e.state == stateCanceled }
-
 // eventLess is the scheduler total order: (Time, Priority, seq).
 func eventLess(a, b *Event) bool {
 	if a.Time != b.Time {

@@ -88,32 +88,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// IntRange returns a uniform value in [lo, hi] inclusive. It panics if
-// hi < lo.
-func (r *RNG) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic("sim: IntRange with hi < lo")
-	}
-	return lo + r.Intn(hi-lo+1)
-}
-
-// Shuffle permutes the first n items via swap with a Fisher-Yates walk.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // NormFloat64 returns a standard normal deviate (Marsaglia polar method).
 func (r *RNG) NormFloat64() float64 {
 	for {

@@ -81,31 +81,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestIntRange(t *testing.T) {
-	r := NewRNG(3)
-	for i := 0; i < 100; i++ {
-		v := r.IntRange(5, 9)
-		if v < 5 || v > 9 {
-			t.Fatalf("IntRange(5,9) = %d", v)
-		}
-	}
-	if r.IntRange(4, 4) != 4 {
-		t.Error("degenerate range should return lo")
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(11)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestUniformityOfFloat64(t *testing.T) {
 	r := NewRNG(99)
 	const n = 200000

@@ -2,23 +2,17 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 )
-
-// ErrStopped is returned by Run when the simulation was halted via Stop
-// before the event queue drained.
-var ErrStopped = errors.New("sim: stopped")
 
 // Simulator owns a virtual clock and a pending-event scheduler and executes
 // events in deterministic order. It is single-threaded by design: handlers
 // run on the caller's goroutine, one at a time, which keeps simulation
 // state free of data races without locks.
 type Simulator struct {
-	queue   Scheduler
-	now     Time
-	stopped bool
+	queue Scheduler
+	now   Time
 	// lastSeq is the sequence number of the last event pushed: a stream
 	// attached now sorts its items after that event and before every
 	// later one.
@@ -27,21 +21,15 @@ type Simulator struct {
 	// order; streamed counts those items.
 	streams  []*stream
 	streamed int
-	// Executed counts events and stream items that have fired.
-	Executed uint64
 	// Horizon, when non-zero, bounds Run: events and stream items after
 	// the horizon stay pending and Run returns once the clock would pass
 	// it.
 	Horizon Time
-	// Trace, when non-nil, receives a line per executed event or stream
-	// item.
-	Trace func(t Time, label string)
 }
 
 // stream is the cursor of one Stream call: item next fires at t, which
 // caches at(next).
 type stream struct {
-	label string
 	at    func(i int) Time
 	fire  func(i int)
 	after uint64 // the simulator's lastSeq when the stream was attached
@@ -51,14 +39,11 @@ type stream struct {
 }
 
 // before reports whether the stream's next item runs before queued event
-// e: it sorts as a priority-0 event whose sequence number falls just
-// after the stream's attach point.
+// e: it sorts as an event whose sequence number falls just after the
+// stream's attach point.
 func (st *stream) before(e *Event) bool {
 	if st.t != e.Time {
 		return st.t < e.Time
-	}
-	if e.Priority != 0 {
-		return e.Priority > 0
 	}
 	return st.after < e.seq
 }
@@ -96,8 +81,8 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Pending() int { return s.queue.Len() + s.streamed }
 
 // push enqueues an event and records its sequence number for Stream.
-func (s *Simulator) push(t Time, priority int, label string, fn Handler) EventRef {
-	ref := s.queue.Push(t, priority, label, fn)
+func (s *Simulator) push(t Time, label string, fn Handler) EventRef {
+	ref := s.queue.Push(t, 0, label, fn)
 	s.lastSeq = ref.e.seq
 	return ref
 }
@@ -109,7 +94,7 @@ func (s *Simulator) Schedule(t Time, label string, fn Handler) EventRef {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, t, s.now))
 	}
-	return s.push(t, 0, label, fn)
+	return s.push(t, label, fn)
 }
 
 // After enqueues fn to run d seconds after the current time.
@@ -117,25 +102,15 @@ func (s *Simulator) After(d Time, label string, fn Handler) EventRef {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for %q", d, label))
 	}
-	return s.push(s.now+d, 0, label, fn)
-}
-
-// ScheduleWithPriority is Schedule with an explicit tie-break priority;
-// lower priorities run first among simultaneous events.
-func (s *Simulator) ScheduleWithPriority(t Time, priority int, label string, fn Handler) EventRef {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling %q at %v before now %v", label, t, s.now))
-	}
-	return s.push(t, priority, label, fn)
+	return s.push(s.now+d, label, fn)
 }
 
 // Stream attaches n items that fire in index order, item i calling
 // fire(i) at time at(i), without queuing an event per item: the
 // simulator keeps one cursor. Each item runs exactly where n Schedule
 // calls, made in index order now, would have put it: among events tied
-// on time and priority, after those queued before this call and before
-// those pushed after it, behind any negative priority and ahead of any
-// positive one. Items cannot be canceled. at must be non-decreasing in
+// on time, after those queued before this call and before those pushed
+// after it. Items cannot be canceled. at must be non-decreasing in
 // i and no earlier than Now; Stream checks every item and panics on a
 // violation (NaN included), as Schedule does on a time in the past.
 // Once its last item fires, the stream drops at and fire.
@@ -151,7 +126,7 @@ func (s *Simulator) Stream(n int, label string, at func(i int) Time, fire func(i
 		}
 		prev = t
 	}
-	s.streams = append(s.streams, &stream{label: label, at: at, fire: fire, after: s.lastSeq, n: n, t: at(0)})
+	s.streams = append(s.streams, &stream{at: at, fire: fire, after: s.lastSeq, n: n, t: at(0)})
 	s.streamed += n
 }
 
@@ -159,9 +134,6 @@ func (s *Simulator) Stream(n int, label string, at func(i int) Time, fire func(i
 // stale, or repeated refs; it returns true only when the event was still
 // pending.
 func (s *Simulator) Cancel(ref EventRef) bool { return s.queue.Cancel(ref) }
-
-// Stop halts the run loop after the current handler returns.
-func (s *Simulator) Stop() { s.stopped = true }
 
 // head finds the earliest pending item: the next item of stream st, or
 // the queue's head event when st is nil. ok is false when nothing is
@@ -182,16 +154,6 @@ func (s *Simulator) head() (t Time, st *stream, ok bool) {
 	return 0, nil, false
 }
 
-// Step executes the single earliest event, advancing the clock to its time.
-// It returns false when no events remain.
-func (s *Simulator) Step() bool {
-	_, st, ok := s.head()
-	if ok {
-		s.fire(st)
-	}
-	return ok
-}
-
 // fire runs the item head chose: stream st's next item, or the queue's
 // head event when st is nil.
 func (s *Simulator) fire(st *stream) {
@@ -201,10 +163,6 @@ func (s *Simulator) fire(st *stream) {
 	}
 	e := s.queue.Pop()
 	s.now = e.Time
-	s.Executed++
-	if s.Trace != nil {
-		s.Trace(s.now, e.Label)
-	}
 	// The event stays in the scheduler's fired slot until the next Pop,
 	// so release the handler before running it: a drained simulator must
 	// not keep its last handler's closure, and what it captured, alive.
@@ -219,11 +177,7 @@ func (s *Simulator) fire(st *stream) {
 func (s *Simulator) fireStream(st *stream) {
 	i, fire := st.next, st.fire
 	s.now = st.t
-	s.Executed++
 	s.streamed--
-	if s.Trace != nil {
-		s.Trace(s.now, st.label)
-	}
 	if st.next++; st.next < st.n {
 		st.t = st.at(st.next)
 	} else {
@@ -233,9 +187,8 @@ func (s *Simulator) fireStream(st *stream) {
 	fire(i)
 }
 
-// Run executes events until the queue drains, Stop is called, or the horizon
-// (if set) is reached. It returns nil on a drained queue or horizon stop and
-// ErrStopped if halted explicitly.
+// Run executes events until the queue drains or the horizon (if set) is
+// reached, and returns nil.
 func (s *Simulator) Run() error { return s.RunContext(nil) }
 
 // ctxCheckInterval is how many events RunContext executes between
@@ -257,12 +210,8 @@ const ctxCheckInterval = 256
 // the clock cannot cross it without advancing — so dense simultaneous
 // bursts pay one boundary check, not one per event.
 func (s *Simulator) RunContext(ctx context.Context) error {
-	s.stopped = false
 	sinceCheck := 0
 	for {
-		if s.stopped {
-			return ErrStopped
-		}
 		if ctx != nil && sinceCheck == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -278,25 +227,6 @@ func (s *Simulator) RunContext(ctx context.Context) error {
 		}
 		if t != s.now && s.Horizon > 0 && t > s.Horizon {
 			s.now = s.Horizon
-			return nil
-		}
-		s.fire(st)
-	}
-}
-
-// RunUntil executes events with time ≤ t and leaves the clock at
-// min(t, last event time ≥ t boundary). Later events remain queued.
-func (s *Simulator) RunUntil(t Time) error {
-	s.stopped = false
-	for {
-		if s.stopped {
-			return ErrStopped
-		}
-		next, st, ok := s.head()
-		if !ok || next > t {
-			if s.now < t {
-				s.now = t
-			}
 			return nil
 		}
 		s.fire(st)

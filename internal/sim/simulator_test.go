@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -25,9 +27,6 @@ func TestSimulatorRunsEventsInTimeOrder(t *testing.T) {
 	if s.Now() != 3 {
 		t.Errorf("Now = %v, want 3", s.Now())
 	}
-	if s.Executed != 3 {
-		t.Errorf("Executed = %d, want 3", s.Executed)
-	}
 }
 
 func TestSimultaneousEventsRunInScheduleOrder(t *testing.T) {
@@ -47,16 +46,18 @@ func TestSimultaneousEventsRunInScheduleOrder(t *testing.T) {
 	}
 }
 
+// TestPriorityBreaksTies: among simultaneous events a scheduler pops the
+// lower priority first, whatever the push order.
 func TestPriorityBreaksTies(t *testing.T) {
-	s := NewSimulator()
-	var order []string
-	s.ScheduleWithPriority(1, 5, "low", func() { order = append(order, "low") })
-	s.ScheduleWithPriority(1, 1, "high", func() { order = append(order, "high") })
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if order[0] != "high" || order[1] != "low" {
-		t.Fatalf("priority tie-break failed: %v", order)
+	for name, q := range map[string]Scheduler{"heap": NewHeapQueue(), "wheel": NewWheelQueue()} {
+		q.Push(1, 5, "low", func() {})
+		q.Push(1, 1, "high", func() {})
+		if e := q.Pop(); e == nil || e.Label != "high" {
+			t.Fatalf("%s: first Pop = %v, want high", name, e)
+		}
+		if e := q.Pop(); e == nil || e.Label != "low" {
+			t.Fatalf("%s: second Pop = %v, want low", name, e)
+		}
 	}
 }
 
@@ -92,26 +93,8 @@ func TestCancelPreventsExecution(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	s := NewSimulator()
-	n := 0
-	var step func()
-	step = func() {
-		n++
-		if n == 3 {
-			s.Stop()
-		}
-		s.After(1, "step", step)
-	}
-	s.After(1, "step", step)
-	if err := s.Run(); err != ErrStopped {
-		t.Fatalf("Run = %v, want ErrStopped", err)
-	}
-	if n != 3 {
-		t.Errorf("executed %d steps, want 3", n)
-	}
-}
-
+// TestRunUntilLeavesLaterEventsQueued: a run cut at its horizon leaves
+// the clock on the horizon and every later event queued.
 func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	s := NewSimulator()
 	var fired []Time
@@ -119,8 +102,9 @@ func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 		at := at
 		s.Schedule(at, "e", func() { fired = append(fired, at) })
 	}
-	if err := s.RunUntil(5); err != nil {
-		t.Fatalf("RunUntil: %v", err)
+	s.Horizon = 5
+	if err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 	if len(fired) != 3 {
 		t.Fatalf("fired %v, want 3 events", fired)
@@ -130,6 +114,34 @@ func TestRunUntilLeavesLaterEventsQueued(t *testing.T) {
 	}
 	if s.Pending() != 1 {
 		t.Errorf("Pending = %d, want 1", s.Pending())
+	}
+}
+
+// TestStopHaltsRun: cancelling RunContext's context from a handler stops
+// the run within ctxCheckInterval events with the context's error, and
+// leaves the clock on the last executed event.
+func TestStopHaltsRun(t *testing.T) {
+	s := NewSimulator()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	n := 0
+	var step func()
+	step = func() {
+		n++
+		if n == 3 {
+			cancel()
+		}
+		s.After(1, "step", step)
+	}
+	s.After(1, "step", step)
+	if err := s.RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext = %v, want context.Canceled", err)
+	}
+	if n > 3+ctxCheckInterval {
+		t.Errorf("executed %d steps after cancelling at step 3", n)
+	}
+	if s.Now() != Time(n) {
+		t.Errorf("Now = %v after %d steps; the clock must stay on the last executed event", s.Now(), n)
 	}
 }
 
@@ -196,26 +208,11 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestTimeHelpers(t *testing.T) {
-	if MaxTime(1, 2) != 2 || MinTime(1, 2) != 1 {
-		t.Error("MaxTime/MinTime broken")
-	}
 	if !TimeInf.IsInf() {
 		t.Error("TimeInf.IsInf = false")
 	}
-	if Time(3).Add(2) != 5 || Time(3).Sub(2) != 1 {
-		t.Error("Add/Sub broken")
-	}
-	if !Time(1).Before(2) || !Time(2).After(1) {
-		t.Error("Before/After broken")
-	}
-	if math.Abs(Time(1.5).Millis()-1500) > 1e-9 {
-		t.Error("Millis broken")
-	}
-	if Time(-1).Duration() != 0 {
-		t.Error("negative duration should clamp to 0")
-	}
-	if TimeInf.Duration() <= 0 {
-		t.Error("inf duration should saturate positive")
+	if Time(math.MaxFloat64).IsInf() || Time(math.Inf(-1)).IsInf() {
+		t.Error("IsInf holds for a finite time or -inf")
 	}
 }
 

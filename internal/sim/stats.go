@@ -13,7 +13,6 @@ type Counter struct {
 	mean     float64
 	m2       float64
 	min, max float64
-	sum      float64
 }
 
 // Observe records one value.
@@ -29,17 +28,10 @@ func (c *Counter) Observe(x float64) {
 			c.max = x
 		}
 	}
-	c.sum += x
 	delta := x - c.mean
 	c.mean += delta / float64(c.n)
 	c.m2 += delta * (x - c.mean)
 }
-
-// N returns the number of observations.
-func (c *Counter) N() uint64 { return c.n }
-
-// Sum returns the running sum of observations.
-func (c *Counter) Sum() float64 { return c.sum }
 
 // Mean returns the arithmetic mean, or 0 with no observations.
 func (c *Counter) Mean() float64 { return c.mean }
@@ -55,12 +47,6 @@ func (c *Counter) Variance() float64 {
 // StdDev returns the sample standard deviation.
 func (c *Counter) StdDev() float64 { return math.Sqrt(c.Variance()) }
 
-// Min returns the smallest observation, or 0 with no observations.
-func (c *Counter) Min() float64 { return c.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (c *Counter) Max() float64 { return c.max }
-
 // String summarizes the counter.
 func (c *Counter) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g", c.n, c.Mean(), c.StdDev(), c.min, c.max)
@@ -71,31 +57,27 @@ func (c *Counter) String() string {
 type Series struct {
 	xs     []float64
 	sorted bool
+	// sum adds the observations in insertion order, so Mean does not
+	// depend on whether a Quantile call has sorted xs.
+	sum float64
 }
 
 // Observe appends one value.
 func (s *Series) Observe(x float64) {
 	s.xs = append(s.xs, x)
 	s.sorted = false
+	s.sum += x
 }
 
 // N returns the number of observations.
 func (s *Series) N() int { return len(s.xs) }
-
-// Values returns a copy of the observations in insertion order is NOT
-// guaranteed after a quantile query; callers needing order should copy first.
-func (s *Series) Values() []float64 { return append([]float64(nil), s.xs...) }
 
 // Mean returns the arithmetic mean, or 0 with no observations.
 func (s *Series) Mean() float64 {
 	if len(s.xs) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
+	return s.sum / float64(len(s.xs))
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation
@@ -123,9 +105,6 @@ func (s *Series) Quantile(q float64) float64 {
 	frac := pos - float64(lo)
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
 }
-
-// Median returns the 0.5 quantile.
-func (s *Series) Median() float64 { return s.Quantile(0.5) }
 
 // Summary condenses replicated observations — one value per independent
 // replication — into the experiment-report form: mean, sample standard
@@ -201,12 +180,6 @@ func (w *TimeWeighted) Set(t Time, v float64) {
 	w.value = v
 }
 
-// Add shifts the current value by delta at time t.
-func (w *TimeWeighted) Add(t Time, delta float64) { w.Set(t, w.value+delta) }
-
-// Value returns the current quantity.
-func (w *TimeWeighted) Value() float64 { return w.value }
-
 // Max returns the largest value seen.
 func (w *TimeWeighted) Max() float64 { return w.max }
 
@@ -219,49 +192,3 @@ func (w *TimeWeighted) MeanOver(t Time) float64 {
 	integral := w.integral + w.value*float64(t-w.last)
 	return integral / float64(t)
 }
-
-// Histogram buckets observations into fixed-width bins for coarse shape
-// inspection in experiment output.
-type Histogram struct {
-	Lo, Width float64
-	bins      []uint64
-	under     uint64
-	over      uint64
-	n         uint64
-}
-
-// NewHistogram creates a histogram covering [lo, lo+width*nbins) with
-// nbins equal bins.
-func NewHistogram(lo, width float64, nbins int) *Histogram {
-	if width <= 0 || nbins <= 0 {
-		panic("sim: histogram needs positive width and bins")
-	}
-	return &Histogram{Lo: lo, Width: width, bins: make([]uint64, nbins)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(x float64) {
-	h.n++
-	if x < h.Lo {
-		h.under++
-		return
-	}
-	i := int((x - h.Lo) / h.Width)
-	if i >= len(h.bins) {
-		h.over++
-		return
-	}
-	h.bins[i]++
-}
-
-// N returns the observation count.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) uint64 { return h.bins[i] }
-
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.bins) }
-
-// Outliers returns counts below and above the covered range.
-func (h *Histogram) Outliers() (under, over uint64) { return h.under, h.over }

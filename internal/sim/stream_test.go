@@ -11,47 +11,43 @@ import (
 )
 
 // checkpoint is what a stop leaves observable: the items executed so far
-// (with their handler-side IDs and times), the Trace lines, and the
-// simulator's counters.
+// (with their handler-side IDs and times), the pending count and the
+// clock.
 type checkpoint struct {
-	Order, Trace []string
-	Executed     uint64
-	Pending      int
-	Now          Time
+	Order   []string
+	Pending int
+	Now     Time
 }
 
 // Stop modes for runStreamProgram.
 const (
 	stopRun = iota
-	stopRunUntil
 	stopHorizon
 	stopModes
 )
 
 // runStreamProgram draws a random program from seed and runs it on a
-// fresh simulator over q. The program mixes Schedule and
-// ScheduleWithPriority at integer times (so ties are common) with
-// priorities -1, 0 and 1, Cancel calls, and Stream calls, both before
-// the run and from handlers; handlers may also schedule at Now. With
-// expand set, every Stream call is replaced by one Schedule call per
-// item, in index order, at the point of the call. Every random draw
+// fresh simulator over q. The program mixes Schedule calls at integer
+// times (so ties are common), Cancel calls, and Stream calls, both
+// before the run and from handlers; handlers may also schedule at Now.
+// With expand set, every Stream call is replaced by one Schedule call
+// per item, in index order, at the point of the call. Every random draw
 // happens in the same place in both forms, so the two runs stay in step
 // for as long as they execute the same items. stop selects how the run
-// ends: Run, RunUntil and then Run, or Run under a Horizon and then Run
-// without one; a checkpoint is taken after each call.
+// ends: Run, or Run under a Horizon and then Run without one; a
+// checkpoint is taken after each call.
 func runStreamProgram(seed uint64, q Scheduler, expand bool, stop int) []checkpoint {
 	r := NewRNG(seed)
 	s := NewSimulator(WithScheduler(q))
 	var cp checkpoint
-	s.Trace = func(t Time, label string) { cp.Trace = append(cp.Trace, fmt.Sprintf("%s@%v", label, t)) }
 	var refs []EventRef
 	events, streams := 0, 0
 
 	var handle func(id string, depth int)
-	schedule := func(t Time, prio, depth int) {
+	schedule := func(t Time, depth int) {
 		id := fmt.Sprintf("e%d", events)
 		events++
-		refs = append(refs, s.ScheduleWithPriority(t, prio, "e", func() { handle(id, depth) }))
+		refs = append(refs, s.Schedule(t, "e", func() { handle(id, depth) }))
 	}
 	stream := func(from Time, depth int) {
 		name := fmt.Sprintf("s%d", streams)
@@ -84,9 +80,9 @@ func runStreamProgram(seed uint64, q Scheduler, expand bool, stop int) []checkpo
 		}
 		switch r.Intn(8) {
 		case 0:
-			schedule(s.Now(), r.Intn(3)-1, depth+1)
+			schedule(s.Now(), depth+1)
 		case 1:
-			schedule(s.Now()+Time(r.Intn(3)), r.Intn(3)-1, depth+1)
+			schedule(s.Now()+Time(r.Intn(3)), depth+1)
 		case 2:
 			cancel()
 		case 3:
@@ -97,7 +93,7 @@ func runStreamProgram(seed uint64, q Scheduler, expand bool, stop int) []checkpo
 	for ops := 4 + r.Intn(20); ops > 0; ops-- {
 		switch k := r.Intn(10); {
 		case k < 5:
-			schedule(Time(r.Intn(8)), r.Intn(3)-1, 0)
+			schedule(Time(r.Intn(8)), 0)
 		case k < 8:
 			stream(0, 0)
 		default:
@@ -110,14 +106,11 @@ func runStreamProgram(seed uint64, q Scheduler, expand bool, stop int) []checkpo
 		if err != nil {
 			cp.Order = append(cp.Order, "error: "+err.Error())
 		}
-		cp.Executed, cp.Pending, cp.Now = s.Executed, s.Pending(), s.Now()
+		cp.Pending, cp.Now = s.Pending(), s.Now()
 		cps = append(cps, cp)
-		cp.Order, cp.Trace = nil, nil
+		cp.Order = nil
 	}
-	switch stop {
-	case stopRunUntil:
-		take(s.RunUntil(at))
-	case stopHorizon:
+	if stop == stopHorizon {
 		s.Horizon = at + 1
 		take(s.Run())
 		s.Horizon = 0
@@ -129,8 +122,8 @@ func runStreamProgram(seed uint64, q Scheduler, expand bool, stop int) []checkpo
 // TestStreamMatchesScheduleCalls is the ordering contract of Stream as a
 // property: a random program runs identically with each Stream call
 // replaced by index-ordered Schedule calls made where the Stream call
-// was. Executed order, Trace, Executed, Pending and the clock must
-// match at every stop, under both schedulers and all three stop modes.
+// was. Handler order, Pending and the clock must match at every stop,
+// under both schedulers and both stop modes.
 func TestStreamMatchesScheduleCalls(t *testing.T) {
 	seeds := uint64(1000)
 	if testing.Short() {
@@ -152,9 +145,8 @@ func TestStreamMatchesScheduleCalls(t *testing.T) {
 }
 
 // TestStreamTieRule pins the tie rule on one hand-written program: at
-// equal times, a stream's items run after priority-0 events queued
-// before the Stream call and before those pushed after it, after any
-// negative priority and before any positive one; a second stream
+// equal times, a stream's items run after events queued before the
+// Stream call and before those pushed after it; a second stream
 // attached with nothing pushed in between follows the first.
 func TestStreamTieRule(t *testing.T) {
 	for name, mk := range schedulers() {
@@ -163,20 +155,18 @@ func TestStreamTieRule(t *testing.T) {
 			var order []string
 			ev := func(label string) Handler { return func() { order = append(order, label) } }
 			s.Schedule(1, "before", ev("before"))
-			s.ScheduleWithPriority(1, 1, "late", ev("late"))
 			s.Stream(2, "a", func(int) Time { return 1 }, func(i int) { order = append(order, fmt.Sprint("a", i)) })
 			s.Stream(1, "b", func(int) Time { return 1 }, func(int) { order = append(order, "b0") })
 			s.Schedule(1, "after", ev("after"))
-			s.ScheduleWithPriority(1, -1, "early", ev("early"))
 			if err := s.Run(); err != nil {
 				t.Fatal(err)
 			}
-			want := "early before a0 a1 b0 after late"
+			want := "before a0 a1 b0 after"
 			if got := strings.Join(order, " "); got != want {
 				t.Errorf("order %q, want %q", got, want)
 			}
-			if s.Executed != 7 || s.Pending() != 0 {
-				t.Errorf("Executed %d, Pending %d; want 7 and 0", s.Executed, s.Pending())
+			if s.Pending() != 0 {
+				t.Errorf("Pending %d, want 0", s.Pending())
 			}
 		})
 	}
@@ -193,7 +183,8 @@ func TestStreamRejectsUnorderedTimes(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := NewSimulator()
-			if err := s.RunUntil(2); err != nil {
+			s.Schedule(2, "tick", func() {})
+			if err := s.Run(); err != nil {
 				t.Fatal(err)
 			}
 			defer func() {
@@ -222,7 +213,8 @@ func TestExhaustedStreamReleasesClosures(t *testing.T) {
 				s.Stream(3, "items", func(i int) Time { return Time(i) }, func(i int) { captured[i]++ })
 			}()
 			s.Schedule(10, "later", func() {})
-			if err := s.RunUntil(5); err != nil {
+			s.Horizon = 5
+			if err := s.Run(); err != nil {
 				t.Fatal(err)
 			}
 			if s.Pending() != 1 {

@@ -11,7 +11,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is virtual simulation time in seconds. It is a distinct type so that
@@ -24,39 +23,8 @@ const TimeZero Time = 0
 // TimeInf sorts after every real event time; it is used as "never".
 var TimeInf = Time(math.Inf(1))
 
-// Seconds returns the time as a plain float64 number of seconds.
-func (t Time) Seconds() float64 { return float64(t) }
-
-// Millis returns the time in milliseconds.
-func (t Time) Millis() float64 { return float64(t) * 1e3 }
-
-// Duration converts a virtual time span to a time.Duration for display
-// purposes only. Durations beyond ~290 years saturate.
-func (t Time) Duration() time.Duration {
-	s := float64(t)
-	if math.IsInf(s, 1) || s > math.MaxInt64/1e9 {
-		return time.Duration(math.MaxInt64)
-	}
-	if s < 0 {
-		return 0
-	}
-	return time.Duration(s * float64(time.Second))
-}
-
 // IsInf reports whether t is the "never" sentinel.
 func (t Time) IsInf() bool { return math.IsInf(float64(t), 1) }
-
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
-// Add returns t shifted by d seconds.
-func (t Time) Add(d Time) Time { return t + d }
-
-// Sub returns the span t-u.
-func (t Time) Sub(u Time) Time { return t - u }
 
 // String formats the time with engineering-friendly units.
 func (t Time) String() string {
@@ -72,20 +40,4 @@ func (t Time) String() string {
 	default:
 		return fmt.Sprintf("%.6gs", float64(t))
 	}
-}
-
-// MaxTime returns the later of a and b.
-func MaxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinTime returns the earlier of a and b.
-func MinTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -121,10 +121,6 @@ func (c *Core) Config() Config { return c.cfg }
 // shared by every matchmaker using the core: callers must not mutate it.
 func (c *Core) Caps() capability.Set { return c.caps }
 
-// Design returns the design name the core's bitstream IDs are keyed by,
-// e.g. "softcore-rvex-vliw4".
-func (c *Core) Design() string { return c.design }
-
 // Kind implements pe.Estimator.
 func (c *Core) Kind() capability.Kind { return capability.KindSoftcore }
 

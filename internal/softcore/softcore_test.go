@@ -23,8 +23,8 @@ func TestRVEXPresets(t *testing.T) {
 		if c.Kind() != capability.KindSoftcore {
 			t.Error("kind")
 		}
-		if want := "softcore-rvex-vliw" + strconv.Itoa(iw); c.Design() != want {
-			t.Errorf("design = %q, want %q", c.Design(), want)
+		if want := "softcore-rvex-vliw" + strconv.Itoa(iw); c.design != want {
+			t.Errorf("design = %q, want %q", c.design, want)
 		}
 		if got, want := c.Caps().String(), c.Config().Caps.Set().String(); got != want {
 			t.Errorf("caps = %s, want %s", got, want)

@@ -208,9 +208,3 @@ func (s *Session) DataMB() float64 {
 
 // Active returns the number of live sessions.
 func (m *Manager) Active() int { return len(m.active) }
-
-// Get returns a live session by ID.
-func (m *Manager) Get(id string) (*Session, bool) {
-	s, ok := m.active[id]
-	return s, ok
-}

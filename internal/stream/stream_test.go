@@ -116,8 +116,8 @@ func TestAdmitSoftwareStream(t *testing.T) {
 	if mgr.Active() != 1 || mgr.Admitted != 1 {
 		t.Error("bookkeeping")
 	}
-	if got, ok := mgr.Get("audio"); !ok || got != sess {
-		t.Error("Get")
+	if got, ok := mgr.active["audio"]; !ok || got != sess {
+		t.Error("session not active under its ID")
 	}
 	if sess.DataMB() != 500 {
 		t.Errorf("DataMB = %v", sess.DataMB())

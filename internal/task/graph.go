@@ -270,22 +270,3 @@ func (g *Graph) WriteDOT(w io.Writer, name string) error {
 	_, err := fmt.Fprintln(w, "}")
 	return err
 }
-
-// Roots returns tasks with no in-graph dependencies, in insertion order.
-func (g *Graph) Roots() []string {
-	var out []string
-	for _, id := range g.order {
-		hasDep := false
-		t, _ := g.get(id)
-		for _, dep := range t.DependsOn() {
-			if _, ok := g.get(dep); ok {
-				hasDep = true
-				break
-			}
-		}
-		if !hasDep {
-			out = append(out, id)
-		}
-	}
-	return out
-}

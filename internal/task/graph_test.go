@@ -1,6 +1,7 @@
 package task
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -184,20 +185,18 @@ func TestCriticalPathFig7(t *testing.T) {
 	}
 }
 
+// TestRoots: the Fig. 7 tasks without dependencies are exactly
+// T0, T1, T2, T3, T5 and T7.
 func TestRoots(t *testing.T) {
 	g := Fig7Graph()
-	roots := g.Roots()
-	rootSet := map[string]bool{}
-	for _, r := range roots {
-		rootSet[r] = true
-		if len(g.Dependencies(r)) != 0 {
-			t.Errorf("root %s has dependencies", r)
+	var roots []string
+	for _, id := range g.IDs() {
+		if len(g.Dependencies(id)) == 0 {
+			roots = append(roots, id)
 		}
 	}
-	for _, want := range []string{"T0", "T1", "T2", "T3", "T5", "T7"} {
-		if !rootSet[want] {
-			t.Errorf("expected root %s missing (roots = %v)", want, roots)
-		}
+	if want := []string{"T0", "T1", "T2", "T3", "T5", "T7"}; !slices.Equal(roots, want) {
+		t.Errorf("roots = %v, want %v", roots, want)
 	}
 }
 

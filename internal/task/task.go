@@ -157,15 +157,6 @@ func (t *Task) InputMB() float64 {
 	return s
 }
 
-// OutputMB returns the total output volume.
-func (t *Task) OutputMB() float64 {
-	var s float64
-	for _, o := range t.Outputs {
-		s += o.SizeMB
-	}
-	return s
-}
-
 // DependsOn returns the IDs of tasks whose outputs this task consumes, in
 // input order with duplicates removed.
 func (t *Task) DependsOn() []string {

@@ -122,9 +122,6 @@ func TestDependsOnDeduplicates(t *testing.T) {
 	if tk.InputMB() != 4 {
 		t.Errorf("InputMB = %v", tk.InputMB())
 	}
-	if tk.OutputMB() != 1 {
-		t.Errorf("OutputMB = %v", tk.OutputMB())
-	}
 }
 
 func TestTaskString(t *testing.T) {

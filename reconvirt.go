@@ -119,8 +119,8 @@ func NewWheelQueue() *sim.WheelQueue { return sim.NewWheelQueue() }
 type (
 	// TraceSink consumes engine lifecycle events and gauge samples.
 	TraceSink = obs.TraceSink
-	// TraceRecorder retains the full stream in memory for post-hoc
-	// analysis: CSV dumps, Gantt charts, differential checks.
+	// TraceRecorder retains every event in memory for post-hoc
+	// analysis: Gantt charts, differential checks.
 	TraceRecorder = obs.Recorder
 	// NoopSink discards everything (instrumentation-cost baseline).
 	NoopSink = obs.Noop
@@ -131,7 +131,7 @@ type (
 func NewChromeTrace(w io.Writer) *obs.Chrome { return obs.NewChrome(w) }
 
 // NewStreamingCSV returns a CSV event sink writing to w with O(1) memory,
-// byte-identical to TraceRecorder.WriteCSV output.
+// byte-identical to encoding/csv's rendering of the same events.
 func NewStreamingCSV(w io.Writer) *obs.CSV { return obs.NewCSV(w) }
 
 // Fault injection and recovery (availability experiments).
