@@ -263,7 +263,7 @@ func run(strategyName, queueName string, tasks int, rate float64, seeds int, see
 			cfg.Tracer = traceSink
 			cfg.SampleEverySeconds = opts.sample
 			m, err := grid.RunScenario(context.Background(), grid.ScenarioSpec{
-				Seed: seed0, Config: cfg, Grid: gs, Toolchain: tc, Trace: trace, User: "trace", Faults: fspec,
+				Seed: seed0, Config: cfg, Grid: gs, Toolchain: tc, Trace: trace, Faults: fspec,
 			})
 			if err != nil {
 				return err

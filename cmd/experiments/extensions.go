@@ -109,7 +109,7 @@ func runX2() error {
 	}
 
 	mh, err := grid.RunScenario(context.Background(), grid.ScenarioSpec{
-		Config: grid.DefaultConfig(), Grid: grid.DefaultGridSpec(), Toolchain: tc, Trace: gen, User: "x2",
+		Config: grid.DefaultConfig(), Grid: grid.DefaultGridSpec(), Toolchain: tc, Trace: gen,
 	})
 	if err != nil {
 		return err
@@ -119,7 +119,7 @@ func runX2() error {
 	gs.HybridNodes = 0
 	gs.GPPNodes = 4
 	mg, err := grid.RunScenario(context.Background(), grid.ScenarioSpec{
-		Config: grid.DefaultConfig(), Grid: gs, Trace: grid.ToSoftwareOnly(gen), User: "x2",
+		Config: grid.DefaultConfig(), Grid: gs, Trace: grid.ToSoftwareOnly(gen),
 	})
 	if err != nil {
 		return err

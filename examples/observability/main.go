@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/faults"
 	"repro/internal/grid"
@@ -43,15 +43,15 @@ func run() error {
 
 	cfg := grid.DefaultConfig()
 	cfg.SampleEverySeconds = 2
+	// The engine fans events into every sink; their lifecycles stay
+	// ours: we flush and close below.
+	cfg.Tracer = obs.Multi(rec, timeline, chrome, stream)
 	m, err := grid.RunScenario(context.Background(), grid.ScenarioSpec{
 		Seed:     2026,
 		Config:   cfg,
 		Grid:     grid.DefaultGridSpec(),
 		Workload: grid.DefaultWorkload(24, 0.6),
 		Faults:   &f,
-		// The engine fans events into every sink; their lifecycles stay
-		// ours: we flush and close below.
-		Sinks: []obs.TraceSink{rec, timeline, chrome, stream},
 	})
 	if err != nil {
 		return err
@@ -82,11 +82,11 @@ func run() error {
 		csvBuf.Len(), chromeBuf.Len())
 
 	// --- Part 2: a sweep with progress reporting and per-replica sinks. ---
-	var done atomic.Int32
+	// Progress and the sink factory run on worker goroutines, so what
+	// they record is guarded by mu: the finished replicas in completion
+	// order, and one Timeline per replica, keyed by replica index.
 	var mu sync.Mutex
-	dispatchByReplica := map[int]int{}
-	// One Timeline per replica, keyed by replica index; the factory runs
-	// on worker goroutines, so access is guarded by mu.
+	var finished []grid.ReplicaResult
 	replicaTimelines := map[int]*obs.Timeline{}
 	spec := grid.SweepSpec{
 		Points: []grid.SweepPoint{{
@@ -99,8 +99,9 @@ func run() error {
 		Seeds:   []uint64{1, 2, 3, 4},
 		Workers: 2,
 		Progress: func(rr grid.ReplicaResult) {
-			fmt.Printf("  replica %d (seed %d) finished: %d/4\n",
-				rr.Replica.Index, rr.Replica.Seed, done.Add(1))
+			mu.Lock()
+			defer mu.Unlock()
+			finished = append(finished, rr)
 		},
 		SinkFactory: func(r grid.Replica) obs.TraceSink {
 			tl := obs.NewTimeline()
@@ -115,16 +116,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Workers finish in any order; the progress lines print in replica
+	// order once the sweep is done, so every run prints the same bytes.
+	slices.SortFunc(finished, func(a, b grid.ReplicaResult) int { return a.Replica.Index - b.Replica.Index })
+	for i, rr := range finished {
+		fmt.Printf("  replica %d (seed %d) finished: %d/%d\n",
+			rr.Replica.Index, rr.Replica.Seed, i+1, len(res.Replicas))
+	}
 	for _, rr := range res.Replicas {
 		if rr.Err != nil {
 			return rr.Err
 		}
-		mu.Lock()
-		dispatchByReplica[rr.Replica.Index] = replicaTimelines[rr.Replica.Index].EventCount(obs.KindDispatch)
-		mu.Unlock()
-	}
-	for i := 0; i < len(res.Replicas); i++ {
-		fmt.Printf("  replica %d saw %d dispatches\n", i, dispatchByReplica[i])
+		fmt.Printf("  replica %d saw %d dispatches\n",
+			rr.Replica.Index, replicaTimelines[rr.Replica.Index].EventCount(obs.KindDispatch))
 	}
 	return nil
 }

@@ -3,8 +3,7 @@
 // noise-aware thresholds, so `cmd/benchdiff` can turn the benchmark
 // trajectory into an enforced regression contract: per-metric relative
 // budgets with absolute floors, a minimum-iteration guard for wall-time
-// metrics, cross-machine detection, and an explicit allow-list for
-// known-noisy benchmarks.
+// metrics, and cross-machine detection.
 package benchstat
 
 import (

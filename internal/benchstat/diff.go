@@ -3,7 +3,6 @@ package benchstat
 import (
 	"fmt"
 	"math"
-	"regexp"
 	"sort"
 )
 
@@ -37,13 +36,9 @@ type Options struct {
 	// wall-time metrics to gate; below it ns/op is reported but
 	// informational — a 3-iteration sample routinely swings ±50%.
 	MinIters int64
-	// Allow lists known-noisy benchmarks by name regexp: everything
-	// about a matching benchmark is informational, never gating. Adding
-	// an entry is a reviewed policy decision (see DESIGN.md).
-	Allow []*regexp.Regexp
 	// GateTime enables wall-time gating; callers clear it when
 	// SameMachine(old, new) is false (cmd/benchdiff does this
-	// automatically unless -force-time is given).
+	// automatically).
 	GateTime bool
 }
 
@@ -79,15 +74,6 @@ func (o Options) budgetFor(unit string) Budget {
 	return o.ModelBudget
 }
 
-func (o Options) allowed(name string) bool {
-	for _, re := range o.Allow {
-		if re.MatchString(name) {
-			return true
-		}
-	}
-	return false
-}
-
 // Class is a delta's verdict.
 type Class int
 
@@ -98,8 +84,8 @@ const (
 	// units only); never gates.
 	ClassImproved
 	// ClassInfo: a real delta that is deliberately not gated — the
-	// benchmark is allow-listed, the metric is wall time off-machine or
-	// under-iterated, or the benchmark/metric is new in this run.
+	// metric is wall time off-machine or under-iterated, or the
+	// benchmark/metric is new in this run.
 	ClassInfo
 	// ClassRegressed: outside the budget in the bad direction, or a
 	// benchmark/metric that went dark. Gates the build.
@@ -184,22 +170,14 @@ func Diff(old, new *Doc, opts Options) *Report {
 		or := oldBy[name]
 		nr, ok := newBy[name]
 		if !ok {
-			cl, note := ClassRegressed, "benchmark missing from new run"
-			if opts.allowed(name) {
-				cl, note = ClassInfo, "benchmark missing from new run (allow-listed)"
-			}
-			rep.Deltas = append(rep.Deltas, Delta{Name: name, Unit: "-", Old: math.NaN(), New: math.NaN(), Pct: math.NaN(), Class: cl, Note: note})
+			rep.Deltas = append(rep.Deltas, Delta{Name: name, Unit: "-", Old: math.NaN(), New: math.NaN(), Pct: math.NaN(), Class: ClassRegressed, Note: "benchmark missing from new run"})
 			continue
 		}
 		for _, unit := range sortedUnits(or.Metrics) {
 			ov := or.Metrics[unit]
 			nv, ok := nr.Metrics[unit]
 			if !ok {
-				cl, note := ClassRegressed, "metric missing from new run"
-				if opts.allowed(name) {
-					cl, note = ClassInfo, "metric missing from new run (allow-listed)"
-				}
-				rep.Deltas = append(rep.Deltas, Delta{Name: name, Unit: unit, Old: ov, New: math.NaN(), Pct: math.NaN(), Class: cl, Note: note})
+				rep.Deltas = append(rep.Deltas, Delta{Name: name, Unit: unit, Old: ov, New: math.NaN(), Pct: math.NaN(), Class: ClassRegressed, Note: "metric missing from new run"})
 				continue
 			}
 			rep.Deltas = append(rep.Deltas, classify(name, unit, ov, nv, or.Iterations, nr.Iterations, opts))
@@ -234,8 +212,6 @@ func classify(name, unit string, ov, nv float64, oiters, niters int64, opts Opti
 	// The delta is bad (or, for model metrics, any drift). Decide
 	// whether it may gate.
 	switch {
-	case opts.allowed(name):
-		d.Class, d.Note = ClassInfo, "allow-listed"
 	case timeUnits[unit] && !opts.GateTime:
 		d.Class, d.Note = ClassInfo, "wall time not gated across machines"
 	case timeUnits[unit] && (oiters < opts.MinIters || niters < opts.MinIters):

@@ -8,8 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-
-	"regexp"
 	"testing"
 )
 
@@ -107,23 +105,6 @@ func TestDiffMissingMetricGates(t *testing.T) {
 	}
 	if got, _ := classOf(t, rep, "BenchmarkX", "widgets"); got != ClassInfo {
 		t.Errorf("new metric class = %v, want info", got)
-	}
-}
-
-func TestDiffAllowListNeutralizesGating(t *testing.T) {
-	old := doc(
-		res("BenchmarkNoisy/sub", 100, map[string]float64{"allocs/op": 1000}),
-		res("BenchmarkNoisyGone", 100, map[string]float64{"allocs/op": 1000}),
-	)
-	new := doc(res("BenchmarkNoisy/sub", 100, map[string]float64{"allocs/op": 9000}))
-	opts := DefaultOptions()
-	opts.Allow = []*regexp.Regexp{regexp.MustCompile(`^BenchmarkNoisy`)}
-	rep := Diff(old, new, opts)
-	if len(rep.Regressions()) != 0 {
-		t.Errorf("allow-listed benchmarks still gate: %v", rep.Regressions())
-	}
-	if got, note := classOf(t, rep, "BenchmarkNoisy/sub", "allocs/op"); got != ClassInfo || note != "allow-listed" {
-		t.Errorf("allow-listed delta = %v (%q)", got, note)
 	}
 }
 

@@ -264,23 +264,7 @@ func RunFig10(seed uint64, opts bio.FamilyOptions) (*Fig10Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof := profiler.New()
-
-	// Sequence input: serialize and re-parse the family, as the real
-	// application reads its input files.
-	leave := prof.Enter("seq_input")
-	var fasta strings.Builder
-	if err := bio.WriteFASTA(&fasta, generated); err != nil {
-		leave()
-		return nil, err
-	}
-	seqs, err := bio.ParseFASTA(strings.NewReader(fasta.String()))
-	leave()
-	if err != nil {
-		return nil, err
-	}
-
-	res, err := bio.Align(seqs, prof, bio.DefaultOptions())
+	prof, res, err := profileFig10(generated)
 	if err != nil {
 		return nil, err
 	}
@@ -313,6 +297,28 @@ func RunFig10(seed uint64, opts bio.FamilyOptions) (*Fig10Result, error) {
 		MalignArea:       ma,
 		Columns:          res.Columns(),
 	}, nil
+}
+
+// profileFig10 runs the Fig. 10 pipeline once over a generated family
+// under a fresh profiler.
+func profileFig10(generated []bio.Sequence) (*profiler.Profiler, *bio.Result, error) {
+	prof := profiler.New()
+
+	// Sequence input: serialize and re-parse the family, as the real
+	// application reads its input files.
+	leave := prof.Enter("seq_input")
+	var fasta strings.Builder
+	if err := bio.WriteFASTA(&fasta, generated); err != nil {
+		leave()
+		return nil, nil, err
+	}
+	seqs, err := bio.ParseFASTA(strings.NewReader(fasta.String()))
+	leave()
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := bio.Align(seqs, prof, bio.DefaultOptions())
+	return prof, res, err
 }
 
 // FormatTableII renders rows in the paper's layout.

@@ -1,11 +1,15 @@
 package casestudy
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bio"
 	"repro/internal/hdl"
+	"repro/internal/sim"
 )
 
 func TestBuildNodesMatchesFig5(t *testing.T) {
@@ -107,15 +111,17 @@ func TestTableIIExactReproduction(t *testing.T) {
 
 func TestRunFig10SmallWorkload(t *testing.T) {
 	// A reduced family keeps the test fast while preserving the shape.
-	res, err := RunFig10(7, bio.FamilyOptions{Count: 14, Length: 100, SubstitutionRate: 0.15, IndelRate: 0.02})
+	opts := bio.FamilyOptions{Count: 14, Length: 100, SubstitutionRate: 0.15, IndelRate: 0.02}
+	res, err := RunFig10(7, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PairalignPercent < 55 {
-		t.Errorf("pairalign share = %.1f%%, want dominant", res.PairalignPercent)
+	pair, mal := fig10Shares(t, 7, opts)
+	if pair < 55 {
+		t.Errorf("pairalign share = %.1f%%, want dominant", pair)
 	}
-	if res.MalignPercent <= 0 || res.MalignPercent >= res.PairalignPercent {
-		t.Errorf("malign share = %.1f%% vs pairalign %.1f%%", res.MalignPercent, res.PairalignPercent)
+	if mal <= 0 || mal >= pair {
+		t.Errorf("malign share = %.1f%% vs pairalign %.1f%%", mal, pair)
 	}
 	if len(res.Top) < 8 {
 		t.Errorf("top kernels = %d, want ≥8 for a top-10 figure", len(res.Top))
@@ -129,6 +135,58 @@ func TestRunFig10SmallWorkload(t *testing.T) {
 	if res.Columns < 100 {
 		t.Errorf("alignment columns = %d", res.Columns)
 	}
+}
+
+// fig10Shares returns pairalign's and malign's cumulative shares of
+// RunFig10's profile, in percent. The profiler reads the wall clock, so
+// a GC cycle or a preemption inflates whichever kernel it lands in. The
+// collector is held off while the runs are timed. Preemption only ever
+// adds time, so each kernel's self time is its minimum over several
+// runs, and a stage's cumulative time sums the self times of the
+// kernels it reaches in the call graph.
+func fig10Shares(t *testing.T, seed uint64, opts bio.FamilyOptions) (pair, mal float64) {
+	t.Helper()
+	generated, err := bio.GenerateFamily(sim.NewRNG(seed), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 5
+	self := make(map[string]time.Duration)
+	callees := make(map[string][]string)
+	for i := 0; i < runs; i++ {
+		prof, _, err := profileFig10(generated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range prof.Flat() {
+			if d, ok := self[l.Name]; !ok || l.Self < d {
+				self[l.Name] = l.Self
+			}
+		}
+		if i == 0 {
+			for _, e := range prof.CallGraph() {
+				callees[e.Caller] = append(callees[e.Caller], e.Callee)
+			}
+		}
+	}
+	var total time.Duration
+	for _, d := range self {
+		total += d
+	}
+	if total <= 0 {
+		t.Fatal("profiler recorded nothing")
+	}
+	var cum func(name string) time.Duration
+	cum = func(name string) time.Duration {
+		d := self[name]
+		for _, c := range callees[name] {
+			d += cum(c)
+		}
+		return d
+	}
+	return 100 * float64(cum("pairalign")) / float64(total), 100 * float64(cum("malign")) / float64(total)
 }
 
 func TestProviderSupportsGridFamilies(t *testing.T) {

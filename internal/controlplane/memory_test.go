@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/capability"
 	"repro/internal/faults"
-	"repro/internal/jss"
 	"repro/internal/sim"
 	"repro/internal/softcore"
 	"repro/internal/task"
@@ -27,8 +26,7 @@ func liveHeap() float64 {
 
 // TestRetainedHeapPerSettledTask is the per-task memory ceiling: a tenant
 // that runs 10^5 tasks one after another keeps, once they are settled,
-// only each task's ID and state in its tasks map — not its task tuple,
-// graph or jss submission.
+// only each task's ID and state in its tasks map — not its task tuple.
 func TestRetainedHeapPerSettledTask(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap ceiling run skipped in -short mode")
@@ -76,7 +74,7 @@ func scenarioOf(i int) string {
 }
 
 // TestHeapPerTenant is the per-tenant memory ceiling: 10^4 tenants that
-// each submit one task and drain cost at most 2.5 KB apiece. What a tenant
+// each submit one task and drain cost at most 2 KB apiece. What a tenant
 // owns is its dynamic state, with its node and registry indexed by their
 // lists alone; the capability sets, soft-core library and toolchain are
 // shared (TestTenantsShareCatalog).
@@ -86,7 +84,7 @@ func TestHeapPerTenant(t *testing.T) {
 	}
 	const (
 		tenants = 10_000
-		ceiling = 2560 // bytes per tenant
+		ceiling = 2048 // bytes per tenant
 	)
 	tiers := []string{"full", "virtualized", "background"}
 	s := newTestServer(t, DefaultConfig())
@@ -169,11 +167,10 @@ func TestTenantsShareCatalog(t *testing.T) {
 	}
 }
 
-// TestSettledTasksUnreachable pins what a drained server keeps: every
-// tenant's jss holds no submission, and each task that completed, was
-// evicted or was canceled is only its state in the tenant's tasks map
-// (TestSettledTasksCollected proves its task tuple and submission are
-// garbage). Status and cancel still answer for every settled ID, byte
+// TestSettledTasksUnreachable pins what a drained server keeps: each
+// task that completed, was evicted or was canceled is only its state in
+// the tenant's tasks map (TestSettledTasksCollected proves its task tuple
+// is garbage). Status and cancel still answer for every settled ID, byte
 // for byte as before settling.
 func TestSettledTasksUnreachable(t *testing.T) {
 	cfg := DefaultConfig()
@@ -206,12 +203,6 @@ func TestSettledTasksUnreachable(t *testing.T) {
 	var settled []settledTask
 	for _, sh := range s.shards {
 		for _, te := range sh.tenants {
-			if n := len(te.jss.Submissions()); n != 0 {
-				t.Errorf("tenant %s: jss holds %d submissions after drain", te.id, n)
-			}
-			if q := te.jss.Dequeue(); q != nil {
-				t.Errorf("tenant %s: jss still queues %s after drain", te.id, q.ID)
-			}
 			for id, st := range te.tasks {
 				states[st]++
 				settled = append(settled, settledTask{te.id, id, st})
@@ -250,8 +241,8 @@ func TestSettledTasksUnreachable(t *testing.T) {
 }
 
 // TestSettledTasksCollected proves that a settled task leaves nothing
-// reachable behind: finalizers on every queued task's tuple and jss
-// submission must all run once the tenant drains, while the tenant
+// reachable behind: finalizers on every queued task's tuple must all
+// run once the tenant drains, while the tenant
 // itself stays live. The background tier evicts on its first fault
 // abort, so the run mixes completions, evictions after "retries
 // exhausted" and one task canceled from the middle of the paused queue.
@@ -278,25 +269,24 @@ func TestSettledTasksCollected(t *testing.T) {
 	if st.Completed == 0 || st.Canceled != 1 || st.Evicted == 0 || st.Evicted != st.FaultAborts || st.Retries != 0 {
 		t.Fatalf("want completions, one cancel and only retries-exhausted evictions: %+v", st)
 	}
-	for i := 0; i < 20 && collected.Load() < 2*n; i++ {
+	for i := 0; i < 20 && collected.Load() < n; i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	if got := collected.Load(); got != 2*n {
-		t.Errorf("%d of %d task tuples and submissions collected after the drain", got, 2*n)
+	if got := collected.Load(); got != n {
+		t.Errorf("%d of %d task tuples collected after the drain", got, n)
 	}
 	runtime.KeepAlive(te)
 }
 
 // watchQueue sets a finalizer counting into collected on every queued
-// task's tuple and submission. It is a function of its own so that no
-// local of the test keeps one of them alive.
+// task's tuple. It is a function of its own so that no local of the
+// test keeps one of them alive.
 //
 //go:noinline
 func watchQueue(te *tenantEngine, collected *atomic.Int64) {
 	for _, p := range te.queue {
 		runtime.SetFinalizer(p.t, func(*task.Task) { collected.Add(1) })
-		runtime.SetFinalizer(p.sub, func(*jss.Submission) { collected.Add(1) })
 	}
 }
 
@@ -324,11 +314,10 @@ func TestHeapPerFaultyTenant(t *testing.T) {
 
 // submitRunAllocs is what one steady-state submit and run allocates on a
 // warm tenant in each wire scenario, formatting the task ID included.
-const submitRunAllocs = 11
+const submitRunAllocs = 4
 
 // TestSubmitRunAllocs pins the allocations of one task's whole life on a
-// warm tenant: admission, the jss submission, placement, execution and
-// settling.
+// warm tenant: admission, placement, execution and settling.
 func TestSubmitRunAllocs(t *testing.T) {
 	for _, scenario := range []string{"software", "softcore", "userhw"} {
 		t.Run(scenario, func(t *testing.T) {

@@ -48,9 +48,6 @@ type Config struct {
 	MaxQueueOverride int
 	RateOverride     float64
 	BurstOverride    float64
-	// CostBudgetUnits caps each tenant's total accepted cost when
-	// positive; over-budget submissions reject with quota_exceeded.
-	CostBudgetUnits float64
 	// SampleEvery emits a per-tenant gauge sample every N completions
 	// when positive.
 	SampleEvery int

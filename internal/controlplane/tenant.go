@@ -31,8 +31,8 @@ type TenantStats struct {
 	Accepted  int `json:"accepted"`
 	// Rejected counts every admission denial (quota, queue bound,
 	// invalid task, draining); QuotaDenied is the subset denied by a
-	// tier resource limit — admission rate, queue bound, or cost
-	// budget — as opposed to malformed or mistimed requests.
+	// tier resource limit — admission rate or queue bound — as opposed
+	// to malformed or mistimed requests.
 	Rejected    int `json:"rejected"`
 	QuotaDenied int `json:"quota_denied"`
 	// Completed / Evicted / Canceled are terminal outcomes; InFlight is
@@ -55,7 +55,7 @@ type TenantStats struct {
 	RepairedTasks int     `json:"repaired_tasks,omitempty"`
 	RepairSeconds float64 `json:"repair_seconds,omitempty"`
 	// VirtualSeconds is the tenant engine's virtual clock; CostUnits the
-	// accumulated execution cost at the jss cost rates.
+	// accumulated execution cost at the jss cost rates (jss.CostRate).
 	VirtualSeconds float64 `json:"virtual_seconds"`
 	CostUnits      float64 `json:"cost_units"`
 }
@@ -82,23 +82,22 @@ func (s taskState) String() string {
 	return fmt.Sprintf("taskState(%d)", int(s))
 }
 
-// pending is one accepted task waiting in a tenant's queue: its ID, its
-// task tuple and its jss submission. It lives only in the queue and in
-// the run that takes it out; once the task settles, its state in
-// tenantEngine.tasks is all that remains.
+// pending is one accepted task waiting in a tenant's queue: its ID and
+// its task tuple. It lives only in the queue and in the run that takes
+// it out; once the task settles, its state in tenantEngine.tasks is all
+// that remains.
 type pending struct {
-	id  string
-	t   *task.Task
-	sub *jss.Submission
+	id string
+	t  *task.Task
 }
 
 // tenantEngine is one tenant's deterministic slice of the control plane:
 // a vFPGA slice (a private registry/matchmaker over the tier's device
-// set), a jss instance for validation/quotas/cost accounting, and a
-// virtual clock work executes under. Everything the engine does is a
-// pure function of (tenant seed, op sequence): it draws no wall-clock
-// time and no global randomness, which is what makes per-tenant results
-// independent of the shard count and of cross-tenant interleaving.
+// set) and a virtual clock work executes under. Everything the engine
+// does is a pure function of (tenant seed, op sequence): it draws no
+// wall-clock time and no global randomness, which is what makes
+// per-tenant results independent of the shard count and of
+// cross-tenant interleaving.
 //
 // A tenantEngine is owned by exactly one shard goroutine; it needs no
 // locking.
@@ -109,7 +108,6 @@ type tenantEngine struct {
 
 	reg *rms.Registry
 	mm  *rms.Matchmaker
-	jss *jss.JSS
 	// now is the tenant's virtual clock. It moves only while run
 	// executes a task, to the time of each strike, retry and completion.
 	now sim.Time
@@ -126,10 +124,6 @@ type tenantEngine struct {
 	tasks map[string]taskState
 
 	bucket tokenBucket
-	// costBudget caps total accepted cost when positive (wired through
-	// jss QoS so over-budget submissions reject with ErrQuotaExceeded).
-	costBudget float64
-	quotedCost float64
 
 	stats TenantStats
 
@@ -206,10 +200,8 @@ func newTenantEngine(id string, tier Tier, seed uint64, cfg *Config, nowNanos in
 		policy:      policy,
 		reg:         reg,
 		mm:          mm,
-		jss:         jss.New(),
 		tasks:       make(map[string]taskState),
 		bucket:      newTokenBucket(policy.RatePerSec, policy.Burst, nowNanos),
-		costBudget:  cfg.CostBudgetUnits,
 		sink:        cfg.Sink,
 		sampleEvery: cfg.SampleEvery,
 		stats:       TenantStats{Tenant: id, Tier: tier.String()},
@@ -270,9 +262,9 @@ func (te *tenantEngine) buildTask(spec *TaskSpec) (*task.Task, error) {
 	return t, nil
 }
 
-// submit runs admission for one task: token-bucket quota, queue bound,
-// task construction, and the jss validation/cost gate. On success the
-// task is queued; every failure path is a counted rejection.
+// submit runs admission for one task: queue bound, token-bucket quota,
+// and task construction and validation. On success the task is queued;
+// every failure path is a counted rejection.
 func (te *tenantEngine) submit(spec *TaskSpec, nowNanos int64, draining bool) Response {
 	te.stats.Submitted++
 	fail := func(err error) Response {
@@ -297,33 +289,11 @@ func (te *tenantEngine) submit(spec *TaskSpec, nowNanos int64, draining bool) Re
 	if err != nil {
 		return fail(err)
 	}
-	g := task.NewGraph()
-	if err := g.Add(t); err != nil {
-		// %q because the graph error embeds the tenant-chosen task ID.
+	if err := task.ValidateForGraph(t); err != nil {
+		// %q because the error embeds the tenant-chosen task ID.
 		return fail(errWire(CodeInvalidTask, "task %q: %q", spec.ID, err))
 	}
-	var qos jss.QoS
-	if te.costBudget > 0 {
-		remaining := te.costBudget - te.stats.CostUnits - te.quotedCost
-		if remaining <= 0 {
-			// The budget is spent (or fully quoted away): reject here
-			// rather than via the jss gate, whose MaxCostUnits <= 0
-			// means "uncapped" and would admit everything.
-			te.stats.QuotaDenied++
-			return fail(errWire(CodeQuotaExceeded, "tenant %q exhausted its cost budget %.2f", te.id, te.costBudget))
-		}
-		qos.MaxCostUnits = remaining
-	}
-	sub, err := te.jss.Submit(te.id, g, nil, qos, te.now)
-	if err != nil {
-		if ErrorCode(err) == CodeQuotaExceeded {
-			te.stats.QuotaDenied++
-		}
-		return fail(err)
-	}
-	te.quotedCost += sub.QuotedCost
-
-	te.queue = append(te.queue, pending{id: spec.ID, t: t, sub: sub})
+	te.queue = append(te.queue, pending{id: spec.ID, t: t})
 	te.tasks[spec.ID] = stateQueued
 	te.stats.Accepted++
 	te.stats.InFlight++
@@ -350,7 +320,6 @@ func (te *tenantEngine) cancel(taskID string) Response {
 	// Delete clears the vacated tail slot, so the backing array does not
 	// keep the canceled task alive.
 	te.queue = slices.Delete(te.queue, i, i+1)
-	te.jss.Fail(p.sub, te.now, "canceled by user")
 	te.settle(p, stateCanceled)
 	te.stats.Canceled++
 	return Response{OK: true, Op: OpCancel, Tenant: te.id, TaskID: taskID, State: stateCanceled.String()}
@@ -395,7 +364,7 @@ func (te *tenantEngine) execute(p pending) {
 	for {
 		cands, err := te.mm.Candidates(p.t.ExecReq)
 		if err != nil || len(cands) == 0 {
-			te.evict(p, "no feasible mapping on the tenant slice")
+			te.evict(p)
 			return
 		}
 		// First-fit over the deterministic candidate order: the slice is
@@ -404,13 +373,13 @@ func (te *tenantEngine) execute(p pending) {
 		cand := cands[0]
 		lease, err := te.mm.Allocate(cand, p.t.ExecReq)
 		if err != nil {
-			te.evict(p, err.Error())
+			te.evict(p)
 			return
 		}
 		exec, err := lease.Estimator.EstimateSeconds(p.t.Work)
 		if err != nil {
 			te.release(lease)
-			te.evict(p, err.Error())
+			te.evict(p)
 			return
 		}
 		overhead := lease.ReconfigDelay + lease.CompactionDelay + sim.Time(lease.SynthesisSeconds)
@@ -425,8 +394,7 @@ func (te *tenantEngine) execute(p pending) {
 		if !hit {
 			te.now += total
 			te.release(lease)
-			te.jss.Charge(p.sub, exec, lease.Estimator.Kind())
-			te.stats.CostUnits += p.sub.FinalCost
+			te.stats.CostUnits += exec * jss.CostRate(lease.Estimator.Kind())
 			te.settle(p, stateDone)
 			te.stats.Completed++
 			if aborts > 0 {
@@ -446,7 +414,7 @@ func (te *tenantEngine) execute(p pending) {
 		lastAbort = strike
 		te.stats.FaultAborts++
 		if aborts > te.policy.Retry.MaxRetries {
-			te.evict(p, "retries exhausted")
+			te.evict(p)
 			return
 		}
 		te.stats.Retries++
@@ -465,19 +433,15 @@ func (te *tenantEngine) release(l *rms.Lease) {
 }
 
 // evict terminates p without completion.
-func (te *tenantEngine) evict(p pending, reason string) {
-	te.jss.Fail(p.sub, te.now, reason)
+func (te *tenantEngine) evict(p pending) {
 	te.settle(p, stateEvicted)
 	te.stats.Evicted++
 	te.emit(obs.KindLost, p.id, nil)
 }
 
-// settle records p's terminal state once its jss accounting is final:
-// its quote leaves the budget and its submission leaves jss, so only
-// the state in tasks outlives the task.
+// settle records p's terminal state: only the state in tasks outlives
+// the task.
 func (te *tenantEngine) settle(p pending, st taskState) {
-	te.quotedCost -= p.sub.QuotedCost
-	te.jss.Release(p.sub)
 	te.tasks[p.id] = st
 	te.stats.InFlight--
 }

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/jss"
 )
 
 // The wire protocol is line-delimited JSON over TCP or a unix socket: one
@@ -44,7 +42,6 @@ const (
 	CodeQuotaExceeded = "quota_exceeded"
 	CodeQueueFull     = "queue_full"
 	CodeDraining      = "draining"
-	CodeUnsupported   = "unsupported"
 	CodeInternal      = "internal"
 )
 
@@ -125,25 +122,11 @@ func errWire(code, format string, args ...any) error {
 }
 
 // ErrorCode maps an error to its wire code: wireErrors carry their own,
-// typed JSS rejections translate by rejection code (ErrQuotaExceeded →
-// quota_exceeded), and anything else is internal. The mapping is what
-// the jss error-mapping table test pins.
+// and anything else is internal.
 func ErrorCode(err error) string {
 	var we *wireError
 	if errors.As(err, &we) {
 		return we.code
-	}
-	var re *jss.RejectError
-	if errors.As(err, &re) {
-		switch re.Code {
-		case jss.CodeQuotaExceeded:
-			return CodeQuotaExceeded
-		case jss.CodeUnsupported:
-			return CodeUnsupported
-		case jss.CodeInvalid:
-			return CodeInvalidTask
-		}
-		return CodeInvalidTask
 	}
 	if err != nil {
 		return CodeInternal
@@ -165,7 +148,7 @@ var validOps = map[string]bool{
 
 // wireScenarios are the scenario names a TaskSpec may carry. The
 // device-specific scenario needs a user bitstream, which the wire format
-// does not transport; it is rejected as unsupported.
+// does not transport; it is rejected as an unknown scenario.
 var wireScenarios = map[string]bool{"": true, "software": true, "softcore": true, "userhw": true}
 
 // DecodeRequest parses and validates one request line under the given

@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/jss"
 )
 
 // TestDecodeRequestTable pins the decode/validation surface: every
@@ -71,9 +69,9 @@ func TestDecodeRequestOversized(t *testing.T) {
 	}
 }
 
-// TestErrorCodeMapping pins the error→wire-code translation, in
-// particular that typed jss rejections cross the boundary as their wire
-// equivalents (the control-plane half of the ErrQuotaExceeded fix).
+// TestErrorCodeMapping pins the error→wire-code translation: a wire
+// error crosses the boundary with its own code, anything else as
+// internal.
 func TestErrorCodeMapping(t *testing.T) {
 	cases := []struct {
 		name string
@@ -82,10 +80,6 @@ func TestErrorCodeMapping(t *testing.T) {
 	}{
 		{"nil", nil, ""},
 		{"wire error", errWire(CodeQueueFull, "full"), CodeQueueFull},
-		{"jss quota", &jss.RejectError{Code: jss.CodeQuotaExceeded, Reason: "quote 9 exceeds cost cap 1"}, CodeQuotaExceeded},
-		{"jss quota sentinel", jss.ErrQuotaExceeded, CodeQuotaExceeded},
-		{"jss unsupported", &jss.RejectError{Code: jss.CodeUnsupported, Reason: "streaming"}, CodeUnsupported},
-		{"jss invalid", &jss.RejectError{Code: jss.CodeInvalid, Reason: "no tasks"}, CodeInvalidTask},
 		{"plain error", errors.New("boom"), CodeInternal},
 	}
 	for _, tc := range cases {
@@ -94,50 +88,6 @@ func TestErrorCodeMapping(t *testing.T) {
 				t.Errorf("ErrorCode = %q, want %q", got, tc.want)
 			}
 		})
-	}
-}
-
-// TestQuotaBudgetRejectsOverCostCap drives the typed quota path end to
-// end: a tenant with a tiny cost budget gets quota_exceeded on the wire.
-func TestQuotaBudgetRejectsOverCostCap(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CostBudgetUnits = 2.5 // one 2000-MI software task quotes 2.0 units
-	s := newTestServer(t, cfg)
-	// Pause so the first task's 2.0-unit quote is still outstanding when
-	// the second submission hits the budget gate.
-	mustOK(t, s.Do(Request{Op: OpPause}))
-	mustOK(t, s.Do(Request{Op: OpSubmit, Tenant: "a", Task: spec("t1", 2000)}))
-	resp := s.Do(Request{Op: OpSubmit, Tenant: "a", Task: spec("t2", 2000)})
-	if resp.OK || resp.Code != CodeQuotaExceeded {
-		t.Errorf("resp = %+v, want quota_exceeded", resp)
-	}
-	mustOK(t, s.Do(Request{Op: OpDrain}))
-	stats := mustOK(t, s.Do(Request{Op: OpStats, Tenant: "a"})).Stats
-	if stats.QuotaDenied != 1 || stats.Completed != 1 || !stats.conserved() {
-		t.Errorf("stats = %+v", stats)
-	}
-}
-
-// TestQuotaBudgetExhaustedRejects pins the remaining<=0 path: once the
-// budget is exactly consumed by outstanding quotes, every later
-// submission rejects with quota_exceeded — the control plane must gate
-// this itself, because a non-positive jss MaxCostUnits means uncapped.
-func TestQuotaBudgetExhaustedRejects(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.CostBudgetUnits = 2.0 // exactly one 2000-MI software task
-	s := newTestServer(t, cfg)
-	mustOK(t, s.Do(Request{Op: OpPause}))
-	mustOK(t, s.Do(Request{Op: OpSubmit, Tenant: "a", Task: spec("t1", 2000)}))
-	for i := 0; i < 2; i++ {
-		resp := s.Do(Request{Op: OpSubmit, Tenant: "a", Task: spec(taskID("x", i), 2000)})
-		if resp.OK || resp.Code != CodeQuotaExceeded {
-			t.Errorf("submit %d: resp = %+v, want quota_exceeded", i, resp)
-		}
-	}
-	mustOK(t, s.Do(Request{Op: OpDrain}))
-	stats := mustOK(t, s.Do(Request{Op: OpStats, Tenant: "a"})).Stats
-	if stats.QuotaDenied != 2 || stats.Completed != 1 || !stats.conserved() {
-		t.Errorf("stats = %+v", stats)
 	}
 }
 

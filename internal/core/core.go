@@ -17,7 +17,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/pe"
 	"repro/internal/rms"
-	"repro/internal/softcore"
 	"repro/internal/task"
 )
 
@@ -96,9 +95,6 @@ type Options struct {
 	// Toolchain is the provider's CAD tools; nil models a provider that
 	// cannot serve the user-defined-hardware scenario.
 	Toolchain *hdl.Toolchain
-	// Softcores is the provider's soft-core library; empty uses the ρ-VEX
-	// presets.
-	Softcores []*softcore.Core
 }
 
 // VirtualGrid is the virtual organization: the hardware-independent layer
@@ -111,7 +107,7 @@ type VirtualGrid struct {
 // NewVirtualGrid creates an empty virtual organization.
 func NewVirtualGrid(opts Options) (*VirtualGrid, error) {
 	reg := rms.NewRegistry()
-	mm, err := rms.NewMatchmaker(reg, opts.Toolchain, opts.Softcores...)
+	mm, err := rms.NewMatchmaker(reg, opts.Toolchain)
 	if err != nil {
 		return nil, err
 	}

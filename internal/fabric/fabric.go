@@ -84,16 +84,12 @@ type Fabric struct {
 	// and appends preserve that, so reuse lookups (FindLoaded — one call
 	// per candidate per dispatch round) scan in deterministic order with
 	// no per-call allocation or sort.
-	regions          []*Region
-	nextID           int
-	reconfigurations int
+	regions []*Region
+	nextID  int
 	// usedBRAMKb and usedDSP track secondary-resource consumption by
 	// resident configurations; slices alone do not bound a placement.
 	usedBRAMKb int
 	usedDSP    int
-	// reconfigTime accumulates total time spent reconfiguring, for
-	// utilization accounting.
-	reconfigTime sim.Time
 }
 
 // New creates an idle, unconfigured fabric for a catalog device.
@@ -223,10 +219,7 @@ func (f *Fabric) ConfigureFull(bs *Bitstream) (*Region, sim.Time, error) {
 	f.regions = append(f.regions, r)
 	f.usedBRAMKb += bs.BRAMKb
 	f.usedDSP += bs.DSPSlices
-	delay := ConfigDelay(bs.SizeBytes, f.dev.ReconfigMBps)
-	f.reconfigurations++
-	f.reconfigTime += delay
-	return r, delay, nil
+	return r, ConfigDelay(bs.SizeBytes, f.dev.ReconfigMBps), nil
 }
 
 // ConfigurePartial loads a partial bitstream into a newly allocated region,
@@ -255,10 +248,7 @@ func (f *Fabric) ConfigurePartial(bs *Bitstream) (*Region, sim.Time, error) {
 	f.regions = append(f.regions, r)
 	f.usedBRAMKb += bs.BRAMKb
 	f.usedDSP += bs.DSPSlices
-	delay := ConfigDelay(bs.SizeBytes, f.dev.ReconfigMBps)
-	f.reconfigurations++
-	f.reconfigTime += delay
-	return r, delay, nil
+	return r, ConfigDelay(bs.SizeBytes, f.dev.ReconfigMBps), nil
 }
 
 // Evict removes an idle region, freeing its area for future configurations.
@@ -348,10 +338,6 @@ func (f *Fabric) Compact() (moved int, delay sim.Time, err error) {
 			delay += ConfigDelay(r.Bitstream.SizeBytes, f.dev.ReconfigMBps)
 			r.Start = start
 		}
-	}
-	if moved > 0 {
-		f.reconfigurations += moved
-		f.reconfigTime += delay
 	}
 	return moved, delay, nil
 }

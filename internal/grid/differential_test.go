@@ -98,6 +98,7 @@ func TestTraceMetricsDifferential(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Strategy = strat
 				cfg.SampleEverySeconds = 1
+				cfg.Tracer = rec
 				m, err := RunScenario(context.Background(), ScenarioSpec{
 					Seed:      4242,
 					Config:    cfg,
@@ -105,7 +106,6 @@ func TestTraceMetricsDifferential(t *testing.T) {
 					Workload:  DefaultWorkload(tasks, 1),
 					Toolchain: tc,
 					Faults:    fs,
-					Sinks:     []obs.TraceSink{rec},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -357,8 +357,9 @@ func TestShuffledTraceMatchesSortedCopy(t *testing.T) {
 		rec, tl := &obs.Recorder{}, obs.NewTimeline()
 		cfg := DefaultConfig()
 		cfg.SampleEverySeconds = 1
+		cfg.Tracer = obs.Multi(rec, tl)
 		m, err := RunScenario(context.Background(), ScenarioSpec{
-			Seed: 33, Config: cfg, Grid: DefaultGridSpec(), Trace: trace, Toolchain: tc, Faults: fs, Sinks: []obs.TraceSink{rec, tl},
+			Seed: 33, Config: cfg, Grid: DefaultGridSpec(), Trace: trace, Toolchain: tc, Faults: fs,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -30,15 +30,8 @@ type Config struct {
 	Strategy sched.Strategy
 	// Queue orders waiting tasks.
 	Queue sched.QueuePolicy
-	// LinkMBps and LinkLatencySeconds model the default network link
-	// between the JSS and every node: input data and configuration
-	// bitstreams both cross it ("the time required to send configuration
-	// bitstreams").
-	LinkMBps           float64
-	LinkLatencySeconds float64
-	// Topology, when non-nil, overrides per-node links (heterogeneous
-	// connectivity); the default link above still covers unlisted nodes
-	// only when Topology is nil.
+	// Topology, when non-nil, gives per-node links (heterogeneous
+	// connectivity); nil links every node over defaultLink.
 	Topology *network.Topology
 	// Horizon optionally bounds simulated time (0 = run to completion).
 	Horizon sim.Time
@@ -71,27 +64,21 @@ type Config struct {
 	Scheduler func() sim.Scheduler
 }
 
-// DefaultConfig uses the reconfiguration-aware strategy over a gigabit
-// link.
+// defaultLink is the network link between the JSS and every node when
+// Config.Topology is nil: a gigabit link that input data and
+// configuration bitstreams both cross ("the time required to send
+// configuration bitstreams").
+var defaultLink = network.Link{BandwidthMBps: 125, LatencySeconds: 0.002}
+
+// DefaultConfig uses the reconfiguration-aware strategy.
 func DefaultConfig() Config {
-	return Config{
-		Strategy:           sched.ReconfigAware{},
-		Queue:              sched.FCFS,
-		LinkMBps:           125, // 1 Gb/s
-		LinkLatencySeconds: 0.002,
-	}
+	return Config{Strategy: sched.ReconfigAware{}, Queue: sched.FCFS}
 }
 
 // Validate reports impossible configurations.
 func (c Config) Validate() error {
 	if c.Strategy == nil {
 		return fmt.Errorf("grid: config without a strategy")
-	}
-	if c.LinkMBps <= 0 {
-		return fmt.Errorf("grid: non-positive link bandwidth")
-	}
-	if c.LinkLatencySeconds < 0 {
-		return fmt.Errorf("grid: negative link latency")
 	}
 	if c.SampleEverySeconds < 0 {
 		return fmt.Errorf("grid: negative sampling interval")
@@ -335,7 +322,7 @@ func (e *Engine) prewarm(gen []Generated) error {
 // latency by the fault's factor. (A partitioned node is excluded from
 // matchmaking entirely rather than slowed.)
 func (e *Engine) linkTo(nodeID string) network.Link {
-	l := network.Link{BandwidthMBps: e.cfg.LinkMBps, LatencySeconds: e.cfg.LinkLatencySeconds}
+	l := defaultLink
 	if e.cfg.Topology != nil {
 		l = e.cfg.Topology.LinkTo(nodeID)
 	}
@@ -595,7 +582,6 @@ func (e *Engine) complete(exe *execution) {
 		panic(fmt.Sprintf("grid: release failed: %v", err))
 	}
 	e.m.Completed++
-	e.m.Exec.Observe(exe.exec)
 	e.m.Turnaround.Observe(float64(end - it.enq))
 	if it.attempts > 0 {
 		e.m.MTTR.Observe(float64(end - it.lastFail))
@@ -956,18 +942,12 @@ type ScenarioSpec struct {
 	// Trace, when non-empty, replays a fixed workload instead of
 	// generating one from Seed/Workload.
 	Trace []Generated
-	// User labels the submissions; defaults to "bench".
-	User string
 	// Faults, when non-nil and enabled, injects a deterministic fault
 	// schedule (node crashes, SEUs, link faults) derived from Seed on an
 	// independent RNG split — replaying a seed replays its faults, and
 	// sweep replicas derive independent-but-seeded schedules. A zero
 	// HorizonSeconds is defaulted from the workload's arrival window.
 	Faults *faults.Spec
-	// Sinks are extra trace sinks for this run, multiplexed together with
-	// Config.Tracer via obs.Multi. The caller keeps ownership: RunScenario
-	// neither flushes nor closes them.
-	Sinks []obs.TraceSink
 }
 
 // RunScenario is the one-call harness used by benchmarks and commands:
@@ -991,12 +971,6 @@ func RunScenario(ctx context.Context, spec ScenarioSpec) (*Metrics, error) {
 		}
 	}
 	cfg := spec.Config
-	if len(spec.Sinks) > 0 {
-		all := make([]obs.TraceSink, 0, len(spec.Sinks)+1)
-		all = append(all, cfg.Tracer)
-		all = append(all, spec.Sinks...)
-		cfg.Tracer = obs.Multi(all...)
-	}
 	if spec.Faults != nil {
 		f := *spec.Faults
 		if f.Enabled() && f.HorizonSeconds <= 0 {
@@ -1022,11 +996,7 @@ func RunScenario(ctx context.Context, spec ScenarioSpec) (*Metrics, error) {
 		}
 		eng.InjectFaults(evs)
 	}
-	user := spec.User
-	if user == "" {
-		user = "bench"
-	}
-	if err := eng.SubmitWorkload(gen, user); err != nil {
+	if err := eng.SubmitWorkload(gen, "bench"); err != nil {
 		return nil, err
 	}
 	return eng.Run(ctx)

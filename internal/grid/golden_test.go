@@ -38,13 +38,13 @@ func goldenFaultScenario(sinks ...obs.TraceSink) ScenarioSpec {
 	f.Retry = faults.RetryPolicy{MaxRetries: 6, BackoffSeconds: 0.5, BackoffCapSeconds: 8}
 	cfg := DefaultConfig()
 	cfg.SampleEverySeconds = 2
+	cfg.Tracer = obs.Multi(sinks...)
 	return ScenarioSpec{
 		Seed:     42,
 		Config:   cfg,
 		Grid:     DefaultGridSpec(),
 		Workload: DefaultWorkload(8, 0.5),
 		Faults:   &f,
-		Sinks:    sinks,
 	}
 }
 

@@ -67,7 +67,7 @@ const (
 	pendingCeiling = 1024
 	// settledCeiling bounds what a settled task leaves behind, in bytes
 	// per task.
-	settledCeiling = 48
+	settledCeiling = 32
 )
 
 // TestHeapPerPendingArrival is the pre-run memory ceiling: SubmitWorkload

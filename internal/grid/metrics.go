@@ -23,10 +23,9 @@ type Metrics struct {
 	Completed  int
 	Unfinished int
 	// Wait is queueing delay (enqueue → dispatch); Turnaround is enqueue →
-	// completion; Exec is pure execution time.
+	// completion.
 	Wait       sim.Series
 	Turnaround sim.Series
-	Exec       sim.Series
 	// Reconfigs counts fabric configuration loads; ReconfigSeconds their
 	// total delay; BitstreamMB the configuration traffic sent over the
 	// network; Reuses the allocations served by resident configurations.

@@ -312,7 +312,7 @@ func runReplica(ctx context.Context, spec SweepSpec, r Replica) (out ReplicaResu
 	}
 	if spec.SinkFactory != nil {
 		if sink := spec.SinkFactory(r); sink != nil {
-			scenario.Sinks = []obs.TraceSink{sink}
+			scenario.Config.Tracer = obs.Multi(scenario.Config.Tracer, sink)
 			defer func() {
 				if err := sink.Flush(); err != nil && out.Err == nil {
 					out.Err = fmt.Errorf("grid: replica %d (%s, seed %#x) sink flush: %w",

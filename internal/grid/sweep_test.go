@@ -45,7 +45,7 @@ func sweepTestSpec(t *testing.T, workers int) SweepSpec {
 func fingerprint(m *Metrics) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "completed=%d unfinished=%d\n", m.Completed, m.Unfinished)
-	fmt.Fprintf(&b, "wait=%v\nturnaround=%v\nexec=%v\n", m.Wait, m.Turnaround, m.Exec)
+	fmt.Fprintf(&b, "wait=%v\nturnaround=%v\n", m.Wait, m.Turnaround)
 	fmt.Fprintf(&b, "makespan=%v reconfigs=%d reconfigS=%v bitstreamMB=%v reuses=%d\n",
 		m.Makespan, m.Reconfigs, m.ReconfigSeconds, m.BitstreamMB, m.Reuses)
 	fmt.Fprintf(&b, "fallbacks=%d synthS=%v energyJ=%v\n", m.Fallbacks, m.SynthesisSeconds, m.EnergyJoules())

@@ -7,6 +7,7 @@
 package jss
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -147,33 +148,33 @@ func (j *JSS) Submit(user string, g *task.Graph, prog *task.Program, qos QoS, no
 		seq:         j.nextSeq,
 	}
 	if user == "" {
-		return j.reject(sub, CodeInvalid, "submission without a user")
+		return j.reject(sub, "submission without a user")
 	}
 	if g == nil || g.Len() == 0 {
-		return j.reject(sub, CodeInvalid, "submission without tasks")
+		return j.reject(sub, "submission without tasks")
 	}
 	if err := g.Validate(); err != nil {
-		return j.reject(sub, CodeInvalid, err.Error())
+		return j.reject(sub, err.Error())
 	}
 	if prog != nil {
 		if err := prog.Validate(); err != nil {
-			return j.reject(sub, CodeInvalid, err.Error())
+			return j.reject(sub, err.Error())
 		}
 		for _, id := range prog.TaskIDs() {
 			if _, ok := g.Get(id); !ok {
-				return j.reject(sub, CodeInvalid, fmt.Sprintf("program references unknown task %s", id))
+				return j.reject(sub, fmt.Sprintf("program references unknown task %s", id))
 			}
 		}
 	}
 	for _, id := range g.Order() {
 		t, _ := g.Get(id)
 		if d := t.ExecReq.Design; d != nil && d.Streaming {
-			return j.reject(sub, CodeUnsupported, fmt.Sprintf("task %s uses a streaming design; streaming applications are future work", id))
+			return j.reject(sub, fmt.Sprintf("task %s uses a streaming design; streaming applications are future work", id))
 		}
 	}
 	sub.QuotedCost = QuoteCost(g)
 	if qos.MaxCostUnits > 0 && sub.QuotedCost > qos.MaxCostUnits {
-		return j.reject(sub, CodeQuotaExceeded, fmt.Sprintf("quote %.2f exceeds cost cap %.2f", sub.QuotedCost, qos.MaxCostUnits))
+		return j.reject(sub, fmt.Sprintf("quote %.2f exceeds cost cap %.2f", sub.QuotedCost, qos.MaxCostUnits))
 	}
 	sub.remaining = g.Len()
 	j.queue = append(j.queue, sub)
@@ -181,15 +182,15 @@ func (j *JSS) Submit(user string, g *task.Graph, prog *task.Program, qos QoS, no
 	return sub, nil
 }
 
-// reject records a refused submission and returns it with the typed error
-// the caller reports (see RejectError). A named method rather than a
-// closure inside Submit so the accept path does not allocate a closure it
-// never calls.
-func (j *JSS) reject(sub *Submission, code RejectCode, reason string) (*Submission, error) {
+// reject records a refused submission and returns it with the error the
+// caller reports, "jss: <reason>". A named method rather than a closure
+// inside Submit so the accept path does not allocate a closure it never
+// calls.
+func (j *JSS) reject(sub *Submission, reason string) (*Submission, error) {
 	sub.Status = StatusRejected
 	sub.FailureReason = reason
 	j.all[sub.ID] = sub
-	return sub, &RejectError{Code: code, Reason: reason}
+	return sub, errors.New("jss: " + reason)
 }
 
 // subID renders "sub-%04d" without fmt: one submission per task in the

@@ -292,3 +292,74 @@ func TestRelease(t *testing.T) {
 		t.Errorf("after releasing everything: queue %d, submissions %d", len(j.queue), len(j.Submissions()))
 	}
 }
+
+// TestRejectErrorTable pins the rejection surface: every reject path
+// returns a rejected submission record and an error that names the
+// refusal under the jss: prefix.
+func TestRejectErrorTable(t *testing.T) {
+	cases := []struct {
+		name     string
+		submit   func(j *JSS) (*Submission, error)
+		contains string
+	}{
+		{
+			name: "no user",
+			submit: func(j *JSS) (*Submission, error) {
+				return j.Submit("", oneTaskGraph(t, "T1"), nil, QoS{}, 0)
+			},
+			contains: "without a user",
+		},
+		{
+			name: "no tasks",
+			submit: func(j *JSS) (*Submission, error) {
+				return j.Submit("alice", nil, nil, QoS{}, 0)
+			},
+			contains: "without tasks",
+		},
+		{
+			name: "cost cap exceeded",
+			submit: func(j *JSS) (*Submission, error) {
+				// The one-task graph quotes 10 units; cap it at 1.
+				return j.Submit("alice", oneTaskGraph(t, "T1"), nil, QoS{MaxCostUnits: 1}, 0)
+			},
+			contains: "exceeds cost cap",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sub, err := tc.submit(New())
+			if err == nil {
+				t.Fatal("expected a rejection")
+			}
+			if sub.Status != StatusRejected {
+				t.Errorf("status = %v, want rejected", sub.Status)
+			}
+			if !strings.Contains(err.Error(), tc.contains) {
+				t.Errorf("error %q does not mention %q", err, tc.contains)
+			}
+			if want := "jss: " + sub.FailureReason; err.Error() != want {
+				t.Errorf("error %q, want %q", err, want)
+			}
+		})
+	}
+}
+
+// TestRejectedSubmissionRecorded checks the rejected record stays
+// queryable with the rejection reason.
+func TestRejectedSubmissionRecorded(t *testing.T) {
+	j := New()
+	sub, err := j.Submit("alice", oneTaskGraph(t, "T1"), nil, QoS{MaxCostUnits: 1}, 0)
+	if err == nil {
+		t.Fatal("expected a rejection")
+	}
+	if sub.Status != StatusRejected {
+		t.Errorf("status = %v, want rejected", sub.Status)
+	}
+	resp, err := j.Query(sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != StatusRejected || !strings.Contains(resp.FailureReason, "cost cap") {
+		t.Errorf("query = %+v", resp)
+	}
+}

@@ -159,9 +159,6 @@ type solver[V value[V]] struct {
 	// chans does the same for channel element types: a send joins the
 	// sent value, a receive reads the join.
 	chans map[string]V
-	// senders records, per channel-element key, the functions that send
-	// informative values on it.
-	senders map[string][]*types.Func
 }
 
 // solve runs the interprocedural fixpoint for one domain: each round
@@ -173,7 +170,6 @@ func solve[V value[V]](g *Graph, d domain[V]) *solver[V] {
 		summaries: make(map[*types.Func]*FuncSummary[V]),
 		fields:    make(map[string]V),
 		chans:     make(map[string]V),
-		senders:   make(map[string][]*types.Func),
 	}
 	funcs := g.SortedFuncs()
 	const maxRounds = 10
@@ -352,25 +348,13 @@ func (s *funcState[V]) processNode(x ast.Node) {
 		}
 	case *ast.SendStmt:
 		if key := s.chanKey(st.Chan); key != "" {
-			v := s.valueOf(st.Value)
-			s.joinGlobal(s.chans, key, v)
-			if v.withParams(0) != s.d.unknown() {
-				s.noteChanSender(key)
-			}
+			s.joinGlobal(s.chans, key, s.valueOf(st.Value))
 		}
 	case *ast.CompositeLit:
 		s.recordCompositeFields(st)
 	case *ast.CallExpr:
 		s.d.effects(s, st)
 		s.applyCalleeFieldWrites(st)
-	}
-}
-
-// noteChanSender records this function as a sender on the channel key,
-// once per key, in discovery order.
-func (s *funcState[V]) noteChanSender(key string) {
-	if !slices.Contains(s.senders[key], s.n.Fn) {
-		s.senders[key] = append(s.senders[key], s.n.Fn)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"go/token"
-	"go/types"
 	"os"
 	"path"
 	"path/filepath"
@@ -134,13 +133,6 @@ func dumpGraph(b *strings.Builder, g *Graph) {
 			fmt.Fprintf(b, "taint chan %s: %s\n", k, taint(v))
 		}
 	}
-	for _, k := range sortedKeys(g.taint.senders) {
-		var names []string
-		for _, fn := range g.ChanSenders(k) {
-			names = append(names, fn.FullName())
-		}
-		fmt.Fprintf(b, "taint senders %s: %s\n", k, strings.Join(names, ", "))
-	}
 }
 
 func paramBits(p uint64) string {
@@ -157,13 +149,4 @@ func sortedKeys[K int | string, V any](m map[K]V) []K {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
-}
-
-// ChanSenders returns the functions that send on channels whose element
-// type renders as key, in deterministic order — the senders the MHP
-// layer pairs against a tainted receive.
-func (g *Graph) ChanSenders(key string) []*types.Func {
-	out := append([]*types.Func(nil), g.taint.senders[key]...)
-	sort.Slice(out, func(i, j int) bool { return out[i].FullName() < out[j].FullName() })
-	return out
 }

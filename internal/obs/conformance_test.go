@@ -135,13 +135,13 @@ func observedScenario(sinks ...obs.TraceSink) grid.ScenarioSpec {
 	f.Retry = faults.RetryPolicy{MaxRetries: 5, BackoffSeconds: 0.5, BackoffCapSeconds: 6}
 	cfg := grid.DefaultConfig()
 	cfg.SampleEverySeconds = 1
+	cfg.Tracer = obs.Multi(sinks...)
 	return grid.ScenarioSpec{
 		Seed:     7,
 		Config:   cfg,
 		Grid:     grid.DefaultGridSpec(),
 		Workload: grid.DefaultWorkload(12, 0.8),
 		Faults:   &f,
-		Sinks:    sinks,
 	}
 }
 

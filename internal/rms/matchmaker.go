@@ -46,7 +46,7 @@ type Matchmaker struct {
 	tc *hdl.Toolchain
 	// cores is the provider's soft-core library, used by the
 	// predetermined-hardware scenario and the software-only fallback.
-	// Read-only: the default library is shared by every matchmaker.
+	// Read-only: it is defaultCores, shared by every matchmaker.
 	cores []*softcore.Core
 	// synthCache memoizes synthesis results per design×device×kind so CAD
 	// time is paid once: matching mutates the cache, and two engines
@@ -69,8 +69,8 @@ type Matchmaker struct {
 }
 
 // defaultCores is the ρ-VEX library (8-, 4- and 2-issue, one cluster)
-// of every matchmaker built without one. Cores are immutable, so one
-// library serves every node, tenant and sweep worker.
+// of every matchmaker. Cores are immutable, so one library serves every
+// node, tenant and sweep worker.
 var defaultCores = sync.OnceValues(func() ([]*softcore.Core, error) {
 	var cores []*softcore.Core
 	for _, iw := range []int{8, 4, 2} {
@@ -83,19 +83,17 @@ var defaultCores = sync.OnceValues(func() ([]*softcore.Core, error) {
 	return cores, nil
 })
 
-// NewMatchmaker builds a matchmaker over a registry. The toolchain may be
-// nil for providers without CAD tools (they simply never match
-// user-defined-hardware tasks, per Section III-B3). The soft-core library
-// defaults to the shared ρ-VEX presets when empty.
-func NewMatchmaker(reg *Registry, tc *hdl.Toolchain, cores ...*softcore.Core) (*Matchmaker, error) {
+// NewMatchmaker builds a matchmaker over a registry with the shared
+// ρ-VEX soft-core library. The toolchain may be nil for providers
+// without CAD tools (they simply never match user-defined-hardware
+// tasks, per Section III-B3).
+func NewMatchmaker(reg *Registry, tc *hdl.Toolchain) (*Matchmaker, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("rms: matchmaker needs a registry")
 	}
-	if len(cores) == 0 {
-		var err error
-		if cores, err = defaultCores(); err != nil {
-			return nil, err
-		}
+	cores, err := defaultCores()
+	if err != nil {
+		return nil, err
 	}
 	return &Matchmaker{reg: reg, tc: tc, cores: cores}, nil
 }

@@ -113,9 +113,9 @@ func NewHeapQueue() *sim.HeapQueue { return sim.NewHeapQueue() }
 func NewWheelQueue() *sim.WheelQueue { return sim.NewWheelQueue() }
 
 // Observability (pluggable trace sinks). The engine emits lifecycle
-// events and periodic gauge samples through any TraceSink wired into
-// grid.Config.Tracer or ScenarioSpec.Sinks; see the obs package comment
-// for the full sink contract.
+// events and periodic gauge samples through the TraceSink wired into
+// grid.Config.Tracer (obs.Multi fans one stream out to several); see the
+// obs package comment for the full sink contract.
 type (
 	// TraceSink consumes engine lifecycle events and gauge samples.
 	TraceSink = obs.TraceSink
