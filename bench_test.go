@@ -295,7 +295,7 @@ func BenchmarkDReAMSim_HybridVsGPP(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := eng.SubmitWorkload(grid.ToSoftwareOnly(gen), "bench"); err != nil {
+			if err := eng.SubmitWorkload(grid.ToSoftwareOnly(gen)); err != nil {
 				b.Fatal(err)
 			}
 			m, err := eng.Run(context.Background())
@@ -798,7 +798,7 @@ func BenchmarkAblate_Compaction(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := eng.SubmitWorkload(gen, "bench"); err != nil {
+				if err := eng.SubmitWorkload(gen); err != nil {
 					b.Fatal(err)
 				}
 				m, err := eng.Run(context.Background())

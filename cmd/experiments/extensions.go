@@ -241,7 +241,7 @@ func runX5() error {
 		if err != nil {
 			return err
 		}
-		if err := eng.SubmitWorkload(gen, "x5"); err != nil {
+		if err := eng.SubmitWorkload(gen); err != nil {
 			return err
 		}
 		m, err := eng.Run(context.Background())

@@ -66,9 +66,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := eng.SubmitApps(apps, "dag-user"); err != nil {
-		return err
-	}
+	eng.SubmitApps(apps, "dag-user")
 	m, err := eng.Run(context.Background())
 	if err != nil {
 		return err

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/capability"
 	"repro/internal/fabric"
-	"repro/internal/jss"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/rms"
@@ -50,10 +49,12 @@ func dispatchRig(t *testing.T, tracer obs.TraceSink) (*Engine, *node.Element, *n
 	return e, gpp, rpe
 }
 
-// admitOne submits one task as a workload submission at the current
-// virtual time, which dispatches it if anything fits.
-func admitOne(t *testing.T, e *Engine, tk *task.Task) {
-	e.admit("pin", singleTaskGraph(t, tk), nil, jss.QoS{}, true)
+// admitOne queues one task as a workload arrival at the current virtual
+// time, which dispatches it if anything fits. The record it queues is its
+// own allocation, where a run reads records from the caller's trace.
+func admitOne(e *Engine, tk *task.Task) {
+	g := workloadRecord(tk, e.S.Now())
+	e.queueItem(&item{gen: &g})
 }
 
 // TestDispatchRoundNothingFitsZeroAllocs pins a dispatch round over a
@@ -75,12 +76,12 @@ func TestDispatchRoundNothingFitsZeroAllocs(t *testing.T) {
 	if err := f.Acquire(r); err != nil {
 		t.Fatal(err)
 	}
-	admitOne(t, e, softwareTask("a", 500, 100))
-	admitOne(t, e, softwareTask("b", 500, 100))
+	admitOne(e, softwareTask("a", 500, 100))
+	admitOne(e, softwareTask("b", 500, 100))
 	if len(e.queue) != 2 {
 		t.Fatalf("queue holds %d tasks, want both waiting", len(e.queue))
 	}
-	if cands, err := e.MM.Candidates(e.queue[0].t.ExecReq); err != nil || len(cands) == 0 {
+	if cands, err := e.MM.Candidates(e.queue[0].execReq()); err != nil || len(cands) == 0 {
 		t.Fatalf("no soft-core fallback candidate (%v): the round would not reach placement", err)
 	}
 	if avg := testing.AllocsPerRun(100, e.tryDispatch); avg != 0 {
@@ -91,11 +92,12 @@ func TestDispatchRoundNothingFitsZeroAllocs(t *testing.T) {
 	}
 }
 
-// dispatchCompleteAllocs is everything one software task's admission,
-// dispatch and completion allocate on a warm engine, its per-task
-// records included. A per-candidate or per-placement allocation on the
-// dispatch path raises it.
-const dispatchCompleteAllocs = 11
+// dispatchCompleteAllocs is everything one software task's arrival,
+// dispatch and completion allocate on a warm engine: admitOne's record,
+// the item, the execution, the lease and the completion closure. A
+// per-candidate or per-placement allocation on the dispatch path, or a
+// graph or submission per workload task, raises it.
+const dispatchCompleteAllocs = 5
 
 // TestDispatchCompletionAllocs pins the success path's allocations per
 // task, untraced and with a sink that discards everything, at the
@@ -113,7 +115,7 @@ func TestDispatchCompletionAllocs(t *testing.T) {
 			tk := softwareTask("t", 500, 100)
 			before := e.m.Completed
 			avg := testing.AllocsPerRun(100, func() {
-				admitOne(t, e, tk)
+				admitOne(e, tk)
 				if err := e.S.Run(); err != nil {
 					t.Fatal(err)
 				}

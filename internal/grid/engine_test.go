@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/capability"
 	"repro/internal/faults"
+	"repro/internal/hdl"
 	"repro/internal/jss"
 	"repro/internal/obs"
 	"repro/internal/pe"
@@ -27,6 +28,11 @@ func softwareTask(id string, mi, minMIPS float64) *task.Task {
 		EstimatedSeconds: mi / 1000,
 		Work:             pe.Work{MInstructions: mi},
 	}
+}
+
+// workloadRecord is the trace record of a task that arrives at at.
+func workloadRecord(tk *task.Task, at sim.Time) Generated {
+	return Generated{Arrival: at, ID: tk.ID, ExecReq: tk.ExecReq, EstimatedSeconds: tk.EstimatedSeconds, Work: tk.Work}
 }
 
 // singleTaskGraph wraps one task in a graph for Engine.Submit.
@@ -75,7 +81,7 @@ func runningOn(t *testing.T, eng *Engine, taskID string) (string, string) {
 	for _, n := range eng.Reg.Nodes() {
 		for _, el := range n.Elements() {
 			for _, exe := range eng.running[el] {
-				if exe.it.t.ID == taskID {
+				if exe.it.id() == taskID {
 					return n.ID, el.ID
 				}
 			}
@@ -146,10 +152,10 @@ func TestArrivalTiesKeepScheduleOrder(t *testing.T) {
 	eng := gppRig(t, cfg, 1, 1000)
 	eng.Submit(1, "early", singleTaskGraph(t, softwareTask("S", 1000, 100)), nil, jss.QoS{})
 	gen := []Generated{
-		{Task: softwareTask("A", 1000, 100), Arrival: 1},
-		{Task: softwareTask("B", 1000, 100), Arrival: 5},
+		workloadRecord(softwareTask("A", 1000, 100), 1),
+		workloadRecord(softwareTask("B", 1000, 100), 5),
 	}
-	if err := eng.SubmitWorkload(gen, "ties"); err != nil {
+	if err := eng.SubmitWorkload(gen); err != nil {
 		t.Fatal(err)
 	}
 	eng.InjectFaults([]faults.Event{
@@ -185,6 +191,31 @@ func TestArrivalTiesKeepScheduleOrder(t *testing.T) {
 	}
 }
 
+// TestSubmitWorkloadRejectsStreamingDesign: the engine cannot run a
+// streaming design, so a trace that names one is refused before the run,
+// naming the task, instead of losing the task at its arrival.
+func TestSubmitWorkloadRejectsStreamingDesign(t *testing.T) {
+	gen, err := Generate(sim.NewRNG(5), DefaultWorkload(10, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fir, err := hdl.LookupIP("fir64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	streaming := *fir
+	streaming.Streaming = true
+	gen[3].ExecReq = task.ExecReq{Scenario: pe.UserDefinedHW, Requirements: task.FPGAFamily("Virtex-5", 1), Design: &streaming}
+	eng := gppRig(t, DefaultConfig(), 1, 1000)
+	err = eng.SubmitWorkload(gen)
+	if err == nil || !strings.Contains(err.Error(), "task 3 ("+gen[3].ID+")") || !strings.Contains(err.Error(), "streaming") {
+		t.Fatalf("SubmitWorkload = %v, want an error naming task 3 and its streaming design", err)
+	}
+	if n := eng.S.Pending(); n != 0 {
+		t.Errorf("a rejected trace left %d arrivals pending", n)
+	}
+}
+
 // TestSubmitWorkloadRejectsUnorderableArrivals: an arrival the simulator
 // cannot order (NaN, ±Inf, or before the engine's clock) is an input
 // error, not a panic, and a rejected trace schedules none of its tasks.
@@ -200,10 +231,10 @@ func TestSubmitWorkloadRejectsUnorderableArrivals(t *testing.T) {
 			eng := gppRig(t, DefaultConfig(), 1, 1000)
 			advanceTo(t, eng, 5)
 			gen := []Generated{
-				{Task: softwareTask("ok", 1000, 100), Arrival: 6},
-				{Task: softwareTask("bad", 1000, 100), Arrival: at},
+				workloadRecord(softwareTask("ok", 1000, 100), 6),
+				workloadRecord(softwareTask("bad", 1000, 100), at),
 			}
-			err := eng.SubmitWorkload(gen, "u")
+			err := eng.SubmitWorkload(gen)
 			if err == nil || !strings.Contains(err.Error(), "task 1 (bad)") {
 				t.Fatalf("SubmitWorkload = %v, want an error naming task 1", err)
 			}

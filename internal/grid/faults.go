@@ -132,6 +132,9 @@ func (e *Engine) applyCrash(ev faults.Event) {
 	if !ok {
 		return // detached or already removed
 	}
+	if e.down == nil {
+		e.down = make(map[string]outage)
+	}
 	e.down[ev.Node] = outage{seq: ev.Seq, node: n, since: e.S.Now()}
 	e.m.NodeCrashes++
 	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindNodeDown, Node: e.nodeName(n)})
@@ -221,6 +224,9 @@ func (e *Engine) applySEU(ev faults.Event) {
 // fail, so in-flight work on it is (correctly, from the RMS's view)
 // declared lost even though the node itself kept running.
 func (e *Engine) applyLinkDegrade(ev faults.Event) {
+	if e.linkFault == nil {
+		e.linkFault = make(map[string]faults.Event)
+	}
 	e.linkFault[ev.Node] = ev
 	e.m.LinkFaults++
 	detail := ""

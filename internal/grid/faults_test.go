@@ -55,7 +55,7 @@ func faultRig(t *testing.T, spec *faults.Spec, rec *obs.Recorder) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SubmitWorkload(gen, "faults"); err != nil {
+	if err := eng.SubmitWorkload(gen); err != nil {
 		t.Fatal(err)
 	}
 	return eng
@@ -295,7 +295,7 @@ func TestRetryBudgetExhaustedLosesTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SubmitWorkload(gen, "lossy"); err != nil {
+	if err := eng.SubmitWorkload(gen); err != nil {
 		t.Fatal(err)
 	}
 	// Two crashes, each aborting one attempt of the only task on the
@@ -543,7 +543,7 @@ func TestRuntimeAttachUnblocksWaitingTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SubmitWorkload(gen, "churn"); err != nil {
+	if err := eng.SubmitWorkload(gen); err != nil {
 		t.Fatal(err)
 	}
 	m, err := eng.Run(context.Background())

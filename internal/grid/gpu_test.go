@@ -40,12 +40,12 @@ func TestWorkloadWithGPUShare(t *testing.T) {
 	}
 	gpuTasks := 0
 	for _, g := range gen {
-		if g.Task.ExecReq.Requirements.Kind() == capability.KindGPU {
+		if g.ExecReq.Requirements.Kind() == capability.KindGPU {
 			gpuTasks++
-			if g.Task.Work.ParallelFraction < 0.9 {
+			if g.Work.ParallelFraction < 0.9 {
 				t.Error("GPU task insufficiently parallel")
 			}
-			if g.Task.ExecReq.Scenario != pe.PredeterminedHW {
+			if g.ExecReq.Scenario != pe.PredeterminedHW {
 				t.Error("GPU task scenario wrong")
 			}
 		}
@@ -98,7 +98,7 @@ func TestHybridUsesLessEnergyPerTask(t *testing.T) {
 	hybridReg, _ := BuildGrid(DefaultGridSpec())
 	mmH, _ := rms.NewMatchmaker(hybridReg, tc)
 	engH, _ := NewEngine(DefaultConfig(), hybridReg, mmH)
-	engH.SubmitWorkload(gen, "x")
+	engH.SubmitWorkload(gen)
 	mh, err := engH.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestHybridUsesLessEnergyPerTask(t *testing.T) {
 	gppReg, _ := BuildGrid(gs)
 	mmG, _ := rms.NewMatchmaker(gppReg, nil)
 	engG, _ := NewEngine(DefaultConfig(), gppReg, mmG)
-	engG.SubmitWorkload(ToSoftwareOnly(gen), "x")
+	engG.SubmitWorkload(ToSoftwareOnly(gen))
 	mg, err := engG.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

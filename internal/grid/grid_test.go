@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/capability"
@@ -61,14 +62,14 @@ func TestWorkloadGeneration(t *testing.T) {
 	counts := map[pe.Scenario]int{}
 	var prev sim.Time
 	for _, g := range gen {
-		if err := g.Task.Validate(); err != nil {
-			t.Fatalf("generated invalid task: %v", err)
+		if tk := g.tuple(); tk.Validate() != nil {
+			t.Fatalf("generated invalid task: %v", tk.Validate())
 		}
 		if g.Arrival < prev {
 			t.Fatal("arrivals not monotone")
 		}
 		prev = g.Arrival
-		counts[g.Task.ExecReq.Scenario]++
+		counts[g.ExecReq.Scenario]++
 	}
 	// Mix roughly honours the shares (50/20/30 over 200 tasks).
 	if counts[pe.SoftwareOnly] < 60 || counts[pe.UserDefinedHW] < 30 || counts[pe.PredeterminedHW] < 15 {
@@ -107,11 +108,11 @@ func TestWorkloadDeterministic(t *testing.T) {
 		b, _ := Generate(sim.NewRNG(9), spec)
 		gpuTasks := 0
 		for i := range a {
-			if a[i].Arrival != b[i].Arrival || a[i].Task.ID != b[i].Task.ID ||
-				a[i].Task.Work != b[i].Task.Work {
+			if a[i].Arrival != b[i].Arrival || a[i].ID != b[i].ID ||
+				a[i].Work != b[i].Work {
 				t.Fatalf("ShareGPU=%v: generation not deterministic at task %d", spec.ShareGPU, i)
 			}
-			if a[i].Task.ExecReq.Requirements.Kind() == capability.KindGPU {
+			if a[i].ExecReq.Requirements.Kind() == capability.KindGPU {
 				gpuTasks++
 			}
 		}
@@ -124,9 +125,12 @@ func TestWorkloadDeterministic(t *testing.T) {
 // TestWorkloadIDMatchesSprintf: Generate's task IDs stay byte-identical
 // to fmt.Sprintf("wl-%05d", i), padded below 10^5 and not above.
 func TestWorkloadIDMatchesSprintf(t *testing.T) {
+	var ids strings.Builder
 	for _, i := range []int{0, 7, 10, 9999, 10000, 99_999, 100_000, 123_456} {
-		if got, want := workloadID(i), fmt.Sprintf("wl-%05d", i); got != want {
-			t.Errorf("workloadID(%d) = %q, want %q", i, got, want)
+		start := ids.Len()
+		writeWorkloadID(&ids, i)
+		if got, want := ids.String()[start:], fmt.Sprintf("wl-%05d", i); got != want {
+			t.Errorf("writeWorkloadID(%d) wrote %q, want %q", i, got, want)
 		}
 	}
 }
@@ -378,10 +382,10 @@ func TestToSoftwareOnly(t *testing.T) {
 	gen, _ := Generate(sim.NewRNG(3), DefaultWorkload(30, 1))
 	sw := ToSoftwareOnly(gen)
 	for i, g := range sw {
-		if g.Task.ExecReq.Scenario != pe.SoftwareOnly {
+		if g.ExecReq.Scenario != pe.SoftwareOnly {
 			t.Fatalf("task %d not software-only", i)
 		}
-		if g.Task.Work.MInstructions != gen[i].Task.Work.MInstructions {
+		if g.Work.MInstructions != gen[i].Work.MInstructions {
 			t.Fatal("work changed")
 		}
 		if g.Arrival != gen[i].Arrival {
@@ -389,8 +393,8 @@ func TestToSoftwareOnly(t *testing.T) {
 		}
 	}
 	// Originals untouched.
-	if gen[0].Task.ExecReq.Scenario == pe.SoftwareOnly && gen[5].Task.ExecReq.Scenario == pe.SoftwareOnly &&
-		gen[10].Task.ExecReq.Scenario == pe.SoftwareOnly && gen[15].Task.ExecReq.Scenario == pe.SoftwareOnly {
+	if gen[0].ExecReq.Scenario == pe.SoftwareOnly && gen[5].ExecReq.Scenario == pe.SoftwareOnly &&
+		gen[10].ExecReq.Scenario == pe.SoftwareOnly && gen[15].ExecReq.Scenario == pe.SoftwareOnly {
 		t.Skip("unlikely: sampled tasks all software already")
 	}
 }
@@ -411,7 +415,7 @@ func TestHybridBeatsGPPOnlyGridForAcceleratorWorkload(t *testing.T) {
 	hybridReg, _ := BuildGrid(DefaultGridSpec())
 	mmH, _ := rms.NewMatchmaker(hybridReg, tc)
 	engH, _ := NewEngine(DefaultConfig(), hybridReg, mmH)
-	engH.SubmitWorkload(gen, "x")
+	engH.SubmitWorkload(gen)
 	mh, err := engH.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +427,7 @@ func TestHybridBeatsGPPOnlyGridForAcceleratorWorkload(t *testing.T) {
 	gppReg, _ := BuildGrid(gppSpec)
 	mmG, _ := rms.NewMatchmaker(gppReg, nil)
 	engG, _ := NewEngine(DefaultConfig(), gppReg, mmG)
-	engG.SubmitWorkload(ToSoftwareOnly(gen), "x")
+	engG.SubmitWorkload(ToSoftwareOnly(gen))
 	mg, err := engG.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -174,7 +174,7 @@ func TestFabricCapacityInvariantDuringFaultyRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.SubmitWorkload(gen, "invariant"); err != nil {
+			if err := eng.SubmitWorkload(gen); err != nil {
 				t.Fatal(err)
 			}
 			ids := make([]string, 0, reg.Len())

@@ -61,7 +61,7 @@ func localityRig(t *testing.T, strategy sched.Strategy) *Metrics {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SubmitWorkload(gen, "loc"); err != nil {
+	if err := eng.SubmitWorkload(gen); err != nil {
 		t.Fatal(err)
 	}
 	m, err := eng.Run(context.Background())
@@ -101,7 +101,7 @@ func TestUniformTopologyMatchesLegacyConfig(t *testing.T) {
 		mm, _ := rms.NewMatchmaker(reg, tc)
 		eng, _ := NewEngine(cfg, reg, mm)
 		gen, _ := Generate(sim.NewRNG(5), DefaultWorkload(40, 1))
-		eng.SubmitWorkload(gen, "u")
+		eng.SubmitWorkload(gen)
 		m, err := eng.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)

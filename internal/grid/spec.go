@@ -12,6 +12,7 @@ package grid
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"repro/internal/capability"
 	"repro/internal/fabric"
@@ -204,47 +205,67 @@ func (w WorkloadSpec) Validate() error {
 	return nil
 }
 
-// Generated is one workload item: a task and its arrival time.
+// Generated is one workload task, a flat record of the task tuple
+// (Eq. 2) with its arrival time. Its one input, from the submitter, is
+// Work.DataMB, and its one output a quarter of that; the engine queues
+// the task straight from the record.
 type Generated struct {
-	Task    *task.Task
-	Arrival sim.Time
+	Arrival          sim.Time
+	ID               string
+	ExecReq          task.ExecReq
+	EstimatedSeconds float64
+	Work             pe.Work
 }
 
-// Generate draws a deterministic workload from the spec.
+// tuple returns the task the record stands for, without its input and
+// output: Work.Validate rejects a negative DataMB, so with Work valid
+// the two are valid too, and Validate gives the same answer either way.
+func (g *Generated) tuple() task.Task {
+	return task.Task{ID: g.ID, ExecReq: g.ExecReq, EstimatedSeconds: g.EstimatedSeconds, Work: g.Work}
+}
+
+// Generate draws a deterministic workload from the spec. The records
+// share one backing string for their IDs, so a trace costs a bounded
+// number of allocations, not a few per task.
 func Generate(rng *sim.RNG, spec WorkloadSpec) ([]Generated, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	out := make([]Generated, 0, spec.Tasks)
+	out := make([]Generated, spec.Tasks)
+	// Each ID is "wl-" and at least five digits.
+	var ids strings.Builder
+	idBytes := spec.Tasks * len("wl-00000")
+	for p := 100_000; p < spec.Tasks; p *= 10 {
+		idBytes += spec.Tasks - p
+	}
+	ids.Grow(idBytes)
 	// The capability predicates depend only on the spec, so build each
 	// variant once and share the (read-only) slices across all tasks.
-	reqs := specReqs{
-		userHW:   task.FPGAFamily(spec.Family, 1),
-		softcore: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 2),
-		gpu:      capability.Requirements{}.Min(capability.ParamGPUShaderCores, 64),
-		software: task.GPPOnly(spec.MinMIPS, spec.MinRAMMB),
-	}
+	reqs := newSpecReqs(spec)
 	var now sim.Time
-	for i := 0; i < spec.Tasks; i++ {
+	for i := range out {
 		now += sim.Time(spec.Interarrival.Sample(rng))
-		t, err := randomTask(rng, spec, workloadID(i), reqs)
+		start := ids.Len()
+		writeWorkloadID(&ids, i)
+		t, err := randomTask(rng, spec, ids.String()[start:], reqs)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Generated{Task: t, Arrival: now})
+		out[i] = Generated{Arrival: now, ID: t.ID, ExecReq: t.ExecReq, EstimatedSeconds: t.EstimatedSeconds, Work: t.Work}
 	}
 	return out, nil
 }
 
-// workloadID returns task i's ID, fmt.Sprintf("wl-%05d", i), built in a
-// stack buffer so the index is not boxed.
-func workloadID(i int) string {
+// writeWorkloadID writes task i's ID, fmt.Sprintf("wl-%05d", i), from a
+// stack buffer, so neither the index nor a temporary string reaches the
+// heap.
+func writeWorkloadID(ids *strings.Builder, i int) {
 	var buf [24]byte
 	b := append(buf[:0], "wl-"...)
 	for p := 10000; p > 1 && i < p; p /= 10 {
 		b = append(b, '0')
 	}
-	return string(strconv.AppendInt(b, int64(i), 10))
+	ids.Write(strconv.AppendInt(b, int64(i), 10))
 }
 
 // specReqs holds the per-scenario requirement lists shared by every task
@@ -253,8 +274,20 @@ type specReqs struct {
 	userHW, softcore, gpu, software capability.Requirements
 }
 
-// randomTask draws one task from the spec's distributions and scenario mix.
-func randomTask(rng *sim.RNG, spec WorkloadSpec, id string, reqs specReqs) (*task.Task, error) {
+// newSpecReqs builds the requirement list of each of spec's scenarios.
+func newSpecReqs(spec WorkloadSpec) specReqs {
+	return specReqs{
+		userHW:   task.FPGAFamily(spec.Family, 1),
+		softcore: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 2),
+		gpu:      capability.Requirements{}.Min(capability.ParamGPUShaderCores, 64),
+		software: task.GPPOnly(spec.MinMIPS, spec.MinRAMMB),
+	}
+}
+
+// randomTask draws one task from the spec's distributions and scenario
+// mix. It has no inputs or outputs: Generate keeps Work.DataMB as the
+// record's input, and GenerateApps attaches them.
+func randomTask(rng *sim.RNG, spec WorkloadSpec, id string, reqs specReqs) (task.Task, error) {
 	par := spec.Parallel.Sample(rng)
 	if par < 0 {
 		par = 0
@@ -262,16 +295,13 @@ func randomTask(rng *sim.RNG, spec WorkloadSpec, id string, reqs specReqs) (*tas
 	if par > 1 {
 		par = 1
 	}
-	w := pe.Work{
-		MInstructions:    1 + spec.WorkMI.Sample(rng),
-		ParallelFraction: par,
-		DataMB:           spec.DataMB.Sample(rng),
-	}
-	t := &task.Task{
-		ID:      id,
-		Inputs:  []task.DataIn{{DataID: "in", SizeMB: w.DataMB}},
-		Outputs: []task.DataOut{{DataID: "out", SizeMB: w.DataMB / 4}},
-		Work:    w,
+	t := task.Task{
+		ID: id,
+		Work: pe.Work{
+			MInstructions:    1 + spec.WorkMI.Sample(rng),
+			ParallelFraction: par,
+			DataMB:           spec.DataMB.Sample(rng),
+		},
 	}
 	r := rng.Float64()
 	switch {
@@ -279,7 +309,7 @@ func randomTask(rng *sim.RNG, spec WorkloadSpec, id string, reqs specReqs) (*tas
 		name := spec.Designs[rng.Intn(len(spec.Designs))]
 		d, err := hdl.LookupIP(name)
 		if err != nil {
-			return nil, err
+			return task.Task{}, err
 		}
 		t.ExecReq = task.ExecReq{
 			Scenario:     pe.UserDefinedHW,
@@ -311,7 +341,7 @@ func randomTask(rng *sim.RNG, spec WorkloadSpec, id string, reqs specReqs) (*tas
 	// t_estimated: the reference-GPP time.
 	t.EstimatedSeconds = t.Work.MInstructions / 1000
 	if err := t.Validate(); err != nil {
-		return nil, err
+		return task.Task{}, err
 	}
 	return t, nil
 }

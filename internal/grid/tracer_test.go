@@ -28,7 +28,7 @@ func tracedRun(t *testing.T) (*obs.Recorder, *Metrics) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SubmitWorkload(gen, "trace"); err != nil {
+	if err := eng.SubmitWorkload(gen); err != nil {
 		t.Fatal(err)
 	}
 	m, err := eng.Run(context.Background())

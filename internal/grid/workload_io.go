@@ -54,23 +54,22 @@ type workloadBitstream struct {
 func SaveWorkload(w io.Writer, gen []Generated) error {
 	file := workloadFile{Version: WorkloadFileVersion}
 	for _, g := range gen {
-		t := g.Task
 		wt := workloadTask{
-			ID:               t.ID,
+			ID:               g.ID,
 			Arrival:          float64(g.Arrival),
-			Scenario:         t.ExecReq.Scenario.String(),
-			Requirements:     t.ExecReq.Requirements.String(),
-			SoftcoreISA:      t.ExecReq.SoftcoreISA,
-			WorkMI:           t.Work.MInstructions,
-			ParallelFraction: t.Work.ParallelFraction,
-			DataMB:           t.Work.DataMB,
-			HWSpeedup:        t.Work.HWSpeedup,
-			EstimatedSeconds: t.EstimatedSeconds,
+			Scenario:         g.ExecReq.Scenario.String(),
+			Requirements:     g.ExecReq.Requirements.String(),
+			SoftcoreISA:      g.ExecReq.SoftcoreISA,
+			WorkMI:           g.Work.MInstructions,
+			ParallelFraction: g.Work.ParallelFraction,
+			DataMB:           g.Work.DataMB,
+			HWSpeedup:        g.Work.HWSpeedup,
+			EstimatedSeconds: g.EstimatedSeconds,
 		}
-		if d := t.ExecReq.Design; d != nil {
+		if d := g.ExecReq.Design; d != nil {
 			wt.Design = d.Name
 		}
-		if bs := t.ExecReq.Bitstream; bs != nil {
+		if bs := g.ExecReq.Bitstream; bs != nil {
 			wt.Bitstream = &workloadBitstream{Design: bs.Design, Device: bs.Device, Slices: bs.Slices}
 		}
 		file.Tasks = append(file.Tasks, wt)
@@ -95,7 +94,7 @@ func LoadWorkload(r io.Reader) ([]Generated, error) {
 	if len(file.Tasks) == 0 {
 		return nil, fmt.Errorf("grid: workload file has no tasks")
 	}
-	out := make([]Generated, 0, len(file.Tasks))
+	out := make([]Generated, len(file.Tasks))
 	for i, wt := range file.Tasks {
 		if a := wt.Arrival; a < 0 || math.IsNaN(a) || math.IsInf(a, 0) {
 			return nil, fmt.Errorf("grid: task %d: arrival %v is negative or not finite", i, a)
@@ -108,10 +107,10 @@ func LoadWorkload(r io.Reader) ([]Generated, error) {
 		if err != nil {
 			return nil, fmt.Errorf("grid: task %d: %w", i, err)
 		}
-		t := &task.Task{
+		g := &out[i]
+		*g = Generated{
+			Arrival: sim.Time(wt.Arrival),
 			ID:      wt.ID,
-			Inputs:  []task.DataIn{{DataID: "in", SizeMB: wt.DataMB}},
-			Outputs: []task.DataOut{{DataID: "out", SizeMB: wt.DataMB / 4}},
 			ExecReq: task.ExecReq{
 				Scenario:     scenario,
 				Requirements: reqs,
@@ -130,21 +129,21 @@ func LoadWorkload(r io.Reader) ([]Generated, error) {
 			if err != nil {
 				return nil, fmt.Errorf("grid: task %d: %w", i, err)
 			}
-			t.ExecReq.Design = d
+			g.ExecReq.Design = d
 		}
 		if wt.Bitstream != nil {
 			dev, err := fabric.LookupDevice(wt.Bitstream.Device)
 			if err != nil {
 				return nil, fmt.Errorf("grid: task %d: %w", i, err)
 			}
-			t.ExecReq.Bitstream = fabric.FullBitstream(
+			g.ExecReq.Bitstream = fabric.FullBitstream(
 				hdl.BitstreamID(wt.Bitstream.Design, dev.FPGACaps.Device, false),
 				wt.Bitstream.Design, dev, wt.Bitstream.Slices)
 		}
+		t := g.tuple()
 		if err := t.Validate(); err != nil {
 			return nil, fmt.Errorf("grid: task %d: %w", i, err)
 		}
-		out = append(out, Generated{Task: t, Arrival: sim.Time(wt.Arrival)})
 	}
 	return out, nil
 }

@@ -37,23 +37,23 @@ func TestWorkloadSaveLoadRoundTrip(t *testing.T) {
 	}
 	for i := range gen {
 		a, b := gen[i], back[i]
-		if a.Arrival != b.Arrival || a.Task.ID != b.Task.ID {
+		if a.Arrival != b.Arrival || a.ID != b.ID {
 			t.Fatalf("task %d identity changed", i)
 		}
-		if a.Task.Work != b.Task.Work {
-			t.Fatalf("task %d work changed: %+v vs %+v", i, a.Task.Work, b.Task.Work)
+		if a.Work != b.Work {
+			t.Fatalf("task %d work changed: %+v vs %+v", i, a.Work, b.Work)
 		}
-		if a.Task.ExecReq.Scenario != b.Task.ExecReq.Scenario {
+		if a.ExecReq.Scenario != b.ExecReq.Scenario {
 			t.Fatalf("task %d scenario changed", i)
 		}
-		if a.Task.ExecReq.Requirements.String() != b.Task.ExecReq.Requirements.String() {
+		if a.ExecReq.Requirements.String() != b.ExecReq.Requirements.String() {
 			t.Fatalf("task %d requirements changed: %s vs %s", i,
-				a.Task.ExecReq.Requirements, b.Task.ExecReq.Requirements)
+				a.ExecReq.Requirements, b.ExecReq.Requirements)
 		}
-		if (a.Task.ExecReq.Design == nil) != (b.Task.ExecReq.Design == nil) {
+		if (a.ExecReq.Design == nil) != (b.ExecReq.Design == nil) {
 			t.Fatalf("task %d design presence changed", i)
 		}
-		if a.Task.ExecReq.Design != nil && a.Task.ExecReq.Design.Name != b.Task.ExecReq.Design.Name {
+		if a.ExecReq.Design != nil && a.ExecReq.Design.Name != b.ExecReq.Design.Name {
 			t.Fatalf("task %d design changed", i)
 		}
 	}
@@ -75,7 +75,7 @@ func TestWorkloadRoundTripSimulatesIdentically(t *testing.T) {
 		reg, _ := BuildGrid(DefaultGridSpec())
 		mm, _ := rms.NewMatchmaker(reg, tc)
 		eng, _ := NewEngine(DefaultConfig(), reg, mm)
-		eng.SubmitWorkload(g, "io")
+		eng.SubmitWorkload(g)
 		m, err := eng.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -92,19 +92,15 @@ func TestWorkloadDeviceSpecificRoundTrip(t *testing.T) {
 	dev, _ := fabric.LookupDevice("XC6VLX365T")
 	bs := fabric.FullBitstream(hdl.BitstreamID("user-app", dev.FPGACaps.Device, false), "user-app", dev, 40000)
 	gen := []Generated{{
-		Task: &task.Task{
-			ID:      "ds-1",
-			Inputs:  []task.DataIn{{DataID: "in", SizeMB: 5}},
-			Outputs: []task.DataOut{{DataID: "out", SizeMB: 1}},
-			ExecReq: task.ExecReq{
-				Scenario:     pe.DeviceSpecificHW,
-				Requirements: task.FPGADevice("XC6VLX365T"),
-				Bitstream:    bs,
-			},
-			EstimatedSeconds: 10,
-			Work:             pe.Work{MInstructions: 1e5, ParallelFraction: 0.9, DataMB: 5, HWSpeedup: 50},
-		},
 		Arrival: 3,
+		ID:      "ds-1",
+		ExecReq: task.ExecReq{
+			Scenario:     pe.DeviceSpecificHW,
+			Requirements: task.FPGADevice("XC6VLX365T"),
+			Bitstream:    bs,
+		},
+		EstimatedSeconds: 10,
+		Work:             pe.Work{MInstructions: 1e5, ParallelFraction: 0.9, DataMB: 5, HWSpeedup: 50},
 	}}
 	var buf bytes.Buffer
 	if err := SaveWorkload(&buf, gen); err != nil {
@@ -114,7 +110,7 @@ func TestWorkloadDeviceSpecificRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := back[0].Task.ExecReq.Bitstream
+	got := back[0].ExecReq.Bitstream
 	if got == nil || got.Device != "XC6VLX365T" || got.Slices != 40000 || got.Partial {
 		t.Errorf("bitstream = %+v", got)
 	}

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"repro/internal/capability"
 	"repro/internal/sim"
@@ -138,7 +137,7 @@ func (j *JSS) Submit(user string, g *task.Graph, prog *task.Program, qos QoS, no
 	j.nextID++
 	j.nextSeq++
 	sub := &Submission{
-		ID:          subID(j.nextID),
+		ID:          fmt.Sprintf("sub-%04d", j.nextID),
 		User:        user,
 		Graph:       g,
 		Program:     prog,
@@ -193,23 +192,6 @@ func (j *JSS) reject(sub *Submission, reason string) (*Submission, error) {
 	return sub, errors.New("jss: " + reason)
 }
 
-// subID renders "sub-%04d" without fmt: one submission per task in the
-// many-task workload model makes this a measurable allocation site.
-func subID(n int) string {
-	var buf [24]byte
-	s := strconv.AppendInt(buf[:0], int64(n), 10)
-	pad := 4 - len(s)
-	if pad < 0 {
-		pad = 0
-	}
-	b := make([]byte, 0, 4+pad+len(s))
-	b = append(b, "sub-"...)
-	for ; pad > 0; pad-- {
-		b = append(b, '0')
-	}
-	return string(append(b, s...))
-}
-
 // Dequeue removes and returns the highest-priority queued submission
 // (FIFO within a priority level), or nil when empty.
 func (j *JSS) Dequeue() *Submission {
@@ -228,29 +210,6 @@ func (j *JSS) Dequeue() *Submission {
 	j.queue = append(j.queue[:best], j.queue[best+1:]...)
 	sub.Status = StatusRunning
 	return sub
-}
-
-// Release forgets a settled submission: it leaves the queue, if still
-// queued, and no longer answers Query or Submissions, so a caller
-// that releases each submission once it is settled (the control plane)
-// keeps none resident. Releasing the queue head, where a FIFO caller
-// settles, is O(1).
-func (j *JSS) Release(sub *Submission) {
-	delete(j.all, sub.ID)
-	if len(j.queue) > 0 && j.queue[0] == sub {
-		j.queue[0] = nil // the backing array must not pin the released record
-		j.queue = j.queue[1:]
-		return
-	}
-	n := len(j.queue)
-	for i, q := range j.queue {
-		if q == sub {
-			//reconlint:sanitized queue length is bounded by the caller's admission quota before Enqueue, so this removal copy is bounded
-			j.queue = append(j.queue[:i], j.queue[i+1:]...)
-			j.queue[:n][n-1] = nil // the vacated tail slot
-			return
-		}
-	}
 }
 
 // Submissions returns every known submission sorted by ID.

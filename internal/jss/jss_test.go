@@ -253,46 +253,6 @@ func TestQueryResponseSnapshot(t *testing.T) {
 	}
 }
 
-// TestRelease pins that a released submission leaves both the queue and
-// the ID index, from the head and from the middle, that the queue keeps
-// its order, and that the queue's backing array pins no released record.
-func TestRelease(t *testing.T) {
-	j := New()
-	var subs []*Submission
-	for i := 0; i < 4; i++ {
-		sub, err := j.Submit("a", oneTaskGraph(t, "T1"), nil, QoS{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs = append(subs, sub)
-	}
-	backing := j.queue[:cap(j.queue)]
-	j.Release(subs[0]) // head
-	j.Release(subs[2]) // middle
-	if _, err := j.Query(subs[0].ID); err == nil {
-		t.Error("released head still answers Query")
-	}
-	if _, err := j.Query(subs[2].ID); err == nil {
-		t.Error("released submission still answers Query")
-	}
-	if got := len(j.Submissions()); got != 2 {
-		t.Errorf("Submissions = %d, want 2", got)
-	}
-	for _, s := range backing {
-		if s == subs[0] || s == subs[2] {
-			t.Fatalf("queue backing array still holds released %s", s.ID)
-		}
-	}
-	if got := j.Dequeue(); got != subs[1] {
-		t.Errorf("first dequeue after release = %v, want %s", got, subs[1].ID)
-	}
-	j.Release(subs[3])
-	j.Release(subs[1])
-	if len(j.queue) != 0 || len(j.Submissions()) != 0 {
-		t.Errorf("after releasing everything: queue %d, submissions %d", len(j.queue), len(j.Submissions()))
-	}
-}
-
 // TestRejectErrorTable pins the rejection surface: every reject path
 // returns a rejected submission record and an error that names the
 // refusal under the jss: prefix.
