@@ -54,7 +54,7 @@ func GenerateApps(rng *sim.RNG, spec AppSpec) ([]GeneratedApp, error) {
 		return nil, err
 	}
 	out := make([]GeneratedApp, 0, spec.Apps)
-	reqs := newSpecReqs(spec.Base)
+	reqs := newSpecReqs(&spec.Base)
 	var now sim.Time
 	for a := 0; a < spec.Apps; a++ {
 		now += sim.Time(spec.Base.Interarrival.Sample(rng))
@@ -67,10 +67,11 @@ func GenerateApps(rng *sim.RNG, spec AppSpec) ([]GeneratedApp, error) {
 		for i := 0; i < n; i++ {
 			id := fmt.Sprintf("app%03d-t%02d", a, i)
 			ids[i] = id
-			t, err := randomTask(rng, spec.Base, id, reqs)
-			if err != nil {
+			rec := Generated{ID: id}
+			if err := reqs.draw(rng, &rec); err != nil {
 				return nil, err
 			}
+			t := rec.tuple()
 			t.Inputs = []task.DataIn{{DataID: "in", SizeMB: t.Work.DataMB}}
 			t.Outputs = []task.DataOut{{DataID: "out", SizeMB: t.Work.DataMB / 4}}
 			// Wire dependencies to earlier tasks of the same application.
@@ -102,7 +103,7 @@ func (e *Engine) SubmitApps(apps []GeneratedApp, user string) {
 	for _, app := range apps {
 		for _, id := range app.Graph.IDs() {
 			t, _ := app.Graph.Get(id)
-			addDesign(designs, t.ExecReq)
+			addDesign(designs, &t.ExecReq)
 		}
 	}
 	e.prewarm(designs)

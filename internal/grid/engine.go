@@ -129,7 +129,7 @@ func (it *item) id() string {
 
 func (it *item) execReq() task.ExecReq {
 	if it.gen != nil {
-		return it.gen.ExecReq
+		return *it.gen.ExecReq
 	}
 	return it.t.ExecReq
 }
@@ -228,9 +228,6 @@ func NewEngine(cfg Config, reg *rms.Registry, mm *rms.Matchmaker) (*Engine, erro
 	if reg == nil || mm == nil {
 		return nil, fmt.Errorf("grid: engine needs a registry and matchmaker")
 	}
-	// Own the strategy: a stateful strategy shared across engines (sweep
-	// replicas) would race, so clone it when it says it can be cloned.
-	cfg.Strategy = sched.ForEngine(cfg.Strategy)
 	var simOpts []sim.Option
 	if cfg.Scheduler != nil {
 		simOpts = append(simOpts, sim.WithScheduler(cfg.Scheduler()))
@@ -267,7 +264,8 @@ func (e *Engine) Submit(at sim.Time, user string, g *task.Graph, prog *task.Prog
 // streamed into the simulator in (Arrival, index) order, the order one
 // Schedule call per task made now would give, so arrivals tie with
 // other events in schedule order. Queued and running tasks point into
-// gen, so the caller must not modify it until Run returns.
+// gen and the requirements its records share, so the caller must modify
+// neither until Run returns.
 func (e *Engine) SubmitWorkload(gen []Generated) error {
 	sorted := true
 	designs := map[string]*hdl.Design{}
@@ -317,7 +315,7 @@ func (e *Engine) admit(user string, g *task.Graph, prog *task.Program, qos jss.Q
 
 // addDesign adds the HDL design a task's requirement names, if any, to
 // the set prewarm fills the library for.
-func addDesign(designs map[string]*hdl.Design, req task.ExecReq) {
+func addDesign(designs map[string]*hdl.Design, req *task.ExecReq) {
 	if d := req.Design; d != nil {
 		designs[d.Name] = d
 	}
@@ -1070,12 +1068,12 @@ func defaultFaultHorizon(gen []Generated) float64 {
 func DefaultToolchain() (*hdl.Toolchain, error) { return hdl.DefaultToolchain() }
 
 // ToSoftwareOnly rewrites copies of the records to the software-only
-// scenario with modest GPP demands, one requirement list shared by all —
+// scenario with modest GPP demands, one requirement shared by all —
 // the GPP-baseline transformation for the hybrid-vs-GPP experiment: the
 // same computational work, no accelerator option.
 func ToSoftwareOnly(gen []Generated) []Generated {
 	out := slices.Clone(gen)
-	sw := task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: task.GPPOnly(1000, 256)}
+	sw := &task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: task.GPPOnly(1000, 256)}
 	for i := range out {
 		out[i].ExecReq = sw
 		out[i].Work.HWSpeedup = 0

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,9 +31,10 @@ func softwareTask(id string, mi, minMIPS float64) *task.Task {
 	}
 }
 
-// workloadRecord is the trace record of a task that arrives at at.
+// workloadRecord is the trace record of a task that arrives at at; it
+// shares the task's requirement.
 func workloadRecord(tk *task.Task, at sim.Time) Generated {
-	return Generated{Arrival: at, ID: tk.ID, ExecReq: tk.ExecReq, EstimatedSeconds: tk.EstimatedSeconds, Work: tk.Work}
+	return Generated{Arrival: at, ID: tk.ID, ExecReq: &tk.ExecReq, EstimatedSeconds: tk.EstimatedSeconds, Work: tk.Work}
 }
 
 // singleTaskGraph wraps one task in a graph for Engine.Submit.
@@ -205,7 +207,7 @@ func TestSubmitWorkloadRejectsStreamingDesign(t *testing.T) {
 	}
 	streaming := *fir
 	streaming.Streaming = true
-	gen[3].ExecReq = task.ExecReq{Scenario: pe.UserDefinedHW, Requirements: task.FPGAFamily("Virtex-5", 1), Design: &streaming}
+	gen[3].ExecReq = &task.ExecReq{Scenario: pe.UserDefinedHW, Requirements: task.FPGAFamily("Virtex-5", 1), Design: &streaming}
 	eng := gppRig(t, DefaultConfig(), 1, 1000)
 	err = eng.SubmitWorkload(gen)
 	if err == nil || !strings.Contains(err.Error(), "task 3 ("+gen[3].ID+")") || !strings.Contains(err.Error(), "streaming") {
@@ -213,6 +215,47 @@ func TestSubmitWorkloadRejectsStreamingDesign(t *testing.T) {
 	}
 	if n := eng.S.Pending(); n != 0 {
 		t.Errorf("a rejected trace left %d arrivals pending", n)
+	}
+}
+
+// TestSubmitWorkloadErrorsNameTheTask pins SubmitWorkload's errors on a
+// bad record: each names the first bad record, also one that shares its
+// requirement with an earlier record, with the text
+// task.ValidateForGraph gives the whole task. A record with no
+// requirement is refused as one with an empty requirement.
+func TestSubmitWorkloadErrorsNameTheTask(t *testing.T) {
+	noDesign := &task.ExecReq{Scenario: pe.UserDefinedHW, Requirements: task.FPGAFamily("Virtex-5", 1)}
+	for _, tc := range []struct {
+		name string
+		bad  func(gen []Generated)
+		want string
+	}{
+		{"bad requirement", func(gen []Generated) { gen[4].ExecReq, gen[7].ExecReq = noDesign, noDesign },
+			"task wl-00004: task: user-defined-hardware ExecReq carries no HDL design"},
+		{"no requirement", func(gen []Generated) { gen[4].ExecReq = nil },
+			"task wl-00004: capability: empty requirements"},
+		{"negative estimate", func(gen []Generated) { gen[6].EstimatedSeconds = -1 },
+			"task wl-00006: negative t_estimated"},
+		{"bad work", func(gen []Generated) { gen[6].Work.ParallelFraction = 2 },
+			"task wl-00006: pe: parallel fraction 2 outside [0,1]"},
+		{"bad ID", func(gen []Generated) { gen[6].ID = "wl 6" },
+			`task: ID "wl 6" contains ' '`},
+	} {
+		gen, err := Generate(sim.NewRNG(5), DefaultWorkload(10, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(gen[:6], func(g Generated) bool { return g.ExecReq == gen[6].ExecReq }) {
+			t.Fatal("setup: task 6 shares its requirement with no earlier task")
+		}
+		tc.bad(gen)
+		eng := gppRig(t, DefaultConfig(), 1, 1000)
+		if err := eng.SubmitWorkload(gen); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: SubmitWorkload = %v, want %q", tc.name, err, tc.want)
+		}
+		if n := eng.S.Pending(); n != 0 {
+			t.Errorf("%s: a rejected trace left %d arrivals pending", tc.name, n)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,7 +97,9 @@ func TestWorkloadValidation(t *testing.T) {
 }
 
 // TestWorkloadDeterministic: the same seed generates the same workload,
-// including the GPU branch, which draws its own parallel fraction.
+// including the GPU branch, which draws its own parallel fraction. Two
+// traces are compared by content, their saved form: each Generate call
+// shares requirements of its own, so equal records hold unequal pointers.
 func TestWorkloadDeterministic(t *testing.T) {
 	gpu := DefaultWorkload(50, 1)
 	gpu.ShareGPU = 0.3
@@ -106,18 +109,90 @@ func TestWorkloadDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		b, _ := Generate(sim.NewRNG(9), spec)
+		if savedTrace(t, a) != savedTrace(t, b) {
+			t.Fatalf("ShareGPU=%v: generation not deterministic", spec.ShareGPU)
+		}
 		gpuTasks := 0
 		for i := range a {
-			if a[i].Arrival != b[i].Arrival || a[i].ID != b[i].ID ||
-				a[i].Work != b[i].Work {
-				t.Fatalf("ShareGPU=%v: generation not deterministic at task %d", spec.ShareGPU, i)
-			}
 			if a[i].ExecReq.Requirements.Kind() == capability.KindGPU {
 				gpuTasks++
 			}
 		}
 		if spec.ShareGPU > 0 && gpuTasks == 0 {
 			t.Errorf("ShareGPU=%v drew no GPU task", spec.ShareGPU)
+		}
+	}
+}
+
+// nthSample is a distribution that gives bad on its n-th sample (counted
+// from 1 in *calls) and ok on every other.
+type nthSample struct {
+	calls   *int
+	n       int
+	ok, bad float64
+}
+
+func (d nthSample) String() string { return fmt.Sprintf("bad on sample %d", d.n) }
+
+func (d nthSample) Sample(*sim.RNG) float64 {
+	*d.calls++
+	if *d.calls == d.n {
+		return d.bad
+	}
+	return d.ok
+}
+
+// TestGenerateErrorsNameTheTask pins Generate's errors on bad input. An
+// unknown design fails at the first task that draws it: the trace before
+// that task generates. A bad sample fails at its own task, one that
+// shares its requirement with an earlier task, with the text
+// task.Validate gives the whole task.
+func TestGenerateErrorsNameTheTask(t *testing.T) {
+	unknown := DefaultWorkload(40, 1)
+	unknown.Designs = []string{"fft1024", "no-such-ip"}
+	const firstUnknown = 19 // the first task that draws no-such-ip
+	_, err := Generate(sim.NewRNG(1), unknown)
+	if want := `hdl: unknown IP core "no-such-ip"`; err == nil || err.Error() != want {
+		t.Errorf("unknown design: Generate = %v, want %q", err, want)
+	}
+	unknown.Tasks = firstUnknown
+	if gen, err := Generate(sim.NewRNG(1), unknown); err != nil {
+		t.Errorf("the %d tasks before the first to draw the unknown design: Generate = %v", firstUnknown, err)
+	} else if !slices.ContainsFunc(gen, func(g Generated) bool { return g.ExecReq.Design != nil }) {
+		t.Errorf("setup: the %d tasks before the first to draw the unknown design draw no design", firstUnknown)
+	}
+
+	for _, tc := range []struct {
+		name string
+		bad  int // the task whose sample is bad
+		set  func(*WorkloadSpec, nthSample)
+		want string
+	}{
+		{"negative estimate", 8, func(s *WorkloadSpec, d nthSample) {
+			d.ok, d.bad = 1e5, -5
+			s.WorkMI = d
+		}, "task wl-00008: negative t_estimated"},
+		{"negative data", 16, func(s *WorkloadSpec, d nthSample) {
+			d.ok, d.bad = 4, -1
+			s.DataMB = d
+		}, "task wl-00016: pe: negative data volume -1"},
+	} {
+		// The samples draw nothing from the RNG, so a trace with no bad
+		// sample draws the same variants.
+		var calls int
+		spec := DefaultWorkload(40, 1)
+		tc.set(&spec, nthSample{calls: &calls})
+		gen, err := Generate(sim.NewRNG(5), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(gen[:tc.bad], func(g Generated) bool { return g.ExecReq == gen[tc.bad].ExecReq }) {
+			t.Fatalf("%s: setup: task %d shares its requirement with no earlier task", tc.name, tc.bad)
+		}
+		calls = 0
+		tc.set(&spec, nthSample{calls: &calls, n: tc.bad + 1})
+		if _, err := Generate(sim.NewRNG(5), spec); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Generate = %v, want %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -208,11 +208,13 @@ func (w WorkloadSpec) Validate() error {
 // Generated is one workload task, a flat record of the task tuple
 // (Eq. 2) with its arrival time. Its one input, from the submitter, is
 // Work.DataMB, and its one output a quarter of that; the engine queues
-// the task straight from the record.
+// the task straight from the record. Records of one requirement variant
+// share one ExecReq, read-only: no caller may modify a requirement
+// through a record's pointer.
 type Generated struct {
 	Arrival          sim.Time
 	ID               string
-	ExecReq          task.ExecReq
+	ExecReq          *task.ExecReq
 	EstimatedSeconds float64
 	Work             pe.Work
 }
@@ -220,13 +222,19 @@ type Generated struct {
 // tuple returns the task the record stands for, without its input and
 // output: Work.Validate rejects a negative DataMB, so with Work valid
 // the two are valid too, and Validate gives the same answer either way.
+// A record with no requirement stands for a task with a zero one.
 func (g *Generated) tuple() task.Task {
-	return task.Task{ID: g.ID, ExecReq: g.ExecReq, EstimatedSeconds: g.EstimatedSeconds, Work: g.Work}
+	t := task.Task{ID: g.ID, EstimatedSeconds: g.EstimatedSeconds, Work: g.Work}
+	if g.ExecReq != nil {
+		t.ExecReq = *g.ExecReq
+	}
+	return t
 }
 
 // Generate draws a deterministic workload from the spec. The records
-// share one backing string for their IDs, so a trace costs a bounded
-// number of allocations, not a few per task.
+// share one backing string for their IDs and one requirement per
+// variant, so a trace costs a bounded number of allocations, not a few
+// per task.
 func Generate(rng *sim.RNG, spec WorkloadSpec) ([]Generated, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -239,19 +247,17 @@ func Generate(rng *sim.RNG, spec WorkloadSpec) ([]Generated, error) {
 		idBytes += spec.Tasks - p
 	}
 	ids.Grow(idBytes)
-	// The capability predicates depend only on the spec, so build each
-	// variant once and share the (read-only) slices across all tasks.
-	reqs := newSpecReqs(spec)
+	reqs := newSpecReqs(&spec)
 	var now sim.Time
 	for i := range out {
 		now += sim.Time(spec.Interarrival.Sample(rng))
 		start := ids.Len()
 		writeWorkloadID(&ids, i)
-		t, err := randomTask(rng, spec, ids.String()[start:], reqs)
-		if err != nil {
+		g := &out[i]
+		g.Arrival, g.ID = now, ids.String()[start:]
+		if err := reqs.draw(rng, g); err != nil {
 			return nil, err
 		}
-		out[i] = Generated{Arrival: now, ID: t.ID, ExecReq: t.ExecReq, EstimatedSeconds: t.EstimatedSeconds, Work: t.Work}
 	}
 	return out, nil
 }
@@ -268,26 +274,46 @@ func writeWorkloadID(ids *strings.Builder, i int) {
 	ids.Write(strconv.AppendInt(b, int64(i), 10))
 }
 
-// specReqs holds the per-scenario requirement lists shared by every task
-// Generate draws from one spec.
+// The variants of a spec's requirement, as indices into specReqs.vars:
+// the soft-core, GPU and software ones, then one per entry of
+// spec.Designs at its position.
+const (
+	softcoreVariant = iota
+	gpuVariant
+	softwareVariant
+	designVariants
+)
+
+// specReqs holds the requirements shared by every task drawn from one
+// spec. The predicate lists are built up front, so a trace's allocations
+// do not depend on which variants it draws; a design is looked up at its
+// variant's first draw, so an unknown design fails at the first task
+// that draws it.
 type specReqs struct {
-	userHW, softcore, gpu, software capability.Requirements
+	spec   *WorkloadSpec
+	userHW capability.Requirements
+	vars   []task.ExecReq
 }
 
-// newSpecReqs builds the requirement list of each of spec's scenarios.
-func newSpecReqs(spec WorkloadSpec) specReqs {
-	return specReqs{
-		userHW:   task.FPGAFamily(spec.Family, 1),
-		softcore: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 2),
-		gpu:      capability.Requirements{}.Min(capability.ParamGPUShaderCores, 64),
-		software: task.GPPOnly(spec.MinMIPS, spec.MinRAMMB),
-	}
+// newSpecReqs builds the requirement of each of spec's scenarios but
+// user-defined hardware, whose variants wait for their design.
+func newSpecReqs(spec *WorkloadSpec) specReqs {
+	vars := make([]task.ExecReq, designVariants+len(spec.Designs))
+	vars[softcoreVariant] = task.ExecReq{Scenario: pe.PredeterminedHW, SoftcoreISA: "rvex-vliw",
+		Requirements: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 2)}
+	vars[gpuVariant] = task.ExecReq{Scenario: pe.PredeterminedHW,
+		Requirements: capability.Requirements{}.Min(capability.ParamGPUShaderCores, 64)}
+	vars[softwareVariant] = task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: task.GPPOnly(spec.MinMIPS, spec.MinRAMMB)}
+	return specReqs{spec: spec, userHW: task.FPGAFamily(spec.Family, 1), vars: vars}
 }
 
-// randomTask draws one task from the spec's distributions and scenario
-// mix. It has no inputs or outputs: Generate keeps Work.DataMB as the
-// record's input, and GenerateApps attaches them.
-func randomTask(rng *sim.RNG, spec WorkloadSpec, id string, reqs specReqs) (task.Task, error) {
+// draw fills in the task of g, whose ID is set, from the spec's
+// distributions and scenario mix, points it at its variant's shared
+// requirement and checks it as task.Task.Validate does. It has no inputs
+// or outputs: Generate keeps Work.DataMB as the record's input, and
+// GenerateApps attaches them.
+func (s *specReqs) draw(rng *sim.RNG, g *Generated) error {
+	spec := s.spec
 	par := spec.Parallel.Sample(rng)
 	if par < 0 {
 		par = 0
@@ -295,53 +321,39 @@ func randomTask(rng *sim.RNG, spec WorkloadSpec, id string, reqs specReqs) (task
 	if par > 1 {
 		par = 1
 	}
-	t := task.Task{
-		ID: id,
-		Work: pe.Work{
-			MInstructions:    1 + spec.WorkMI.Sample(rng),
-			ParallelFraction: par,
-			DataMB:           spec.DataMB.Sample(rng),
-		},
+	g.Work = pe.Work{
+		MInstructions:    1 + spec.WorkMI.Sample(rng),
+		ParallelFraction: par,
+		DataMB:           spec.DataMB.Sample(rng),
 	}
+	v := softwareVariant
 	r := rng.Float64()
 	switch {
 	case r < spec.ShareUserHW:
-		name := spec.Designs[rng.Intn(len(spec.Designs))]
-		d, err := hdl.LookupIP(name)
-		if err != nil {
-			return task.Task{}, err
-		}
-		t.ExecReq = task.ExecReq{
-			Scenario:     pe.UserDefinedHW,
-			Requirements: reqs.userHW,
-			Design:       d,
-		}
-		t.Work.HWSpeedup = d.AccelFactor
+		v = designVariants + rng.Intn(len(spec.Designs))
 	case r < spec.ShareUserHW+spec.ShareSoftcore:
-		t.ExecReq = task.ExecReq{
-			Scenario:     pe.PredeterminedHW,
-			SoftcoreISA:  "rvex-vliw",
-			Requirements: reqs.softcore,
-		}
+		v = softcoreVariant
 	case r < spec.ShareUserHW+spec.ShareSoftcore+spec.ShareGPU:
-		t.ExecReq = task.ExecReq{
-			Scenario:     pe.PredeterminedHW,
-			Requirements: reqs.gpu,
-		}
+		v = gpuVariant
 		// GPU tasks skew highly parallel or they are not worth routing.
-		if t.Work.ParallelFraction < 0.9 {
-			t.Work.ParallelFraction = 0.9 + 0.09*rng.Float64()
+		if g.Work.ParallelFraction < 0.9 {
+			g.Work.ParallelFraction = 0.9 + 0.09*rng.Float64()
 		}
-	default:
-		t.ExecReq = task.ExecReq{
-			Scenario:     pe.SoftwareOnly,
-			Requirements: reqs.software,
+	}
+	req := &s.vars[v]
+	if v >= designVariants && req.Design == nil {
+		d, err := hdl.LookupIP(spec.Designs[v-designVariants])
+		if err != nil {
+			return err
 		}
+		*req = task.ExecReq{Scenario: pe.UserDefinedHW, Requirements: s.userHW, Design: d}
+	}
+	g.ExecReq = req
+	if d := req.Design; d != nil {
+		g.Work.HWSpeedup = d.AccelFactor
 	}
 	// t_estimated: the reference-GPP time.
-	t.EstimatedSeconds = t.Work.MInstructions / 1000
-	if err := t.Validate(); err != nil {
-		return task.Task{}, err
-	}
-	return t, nil
+	g.EstimatedSeconds = g.Work.MInstructions / 1000
+	t := g.tuple()
+	return t.Validate()
 }

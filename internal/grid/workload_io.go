@@ -50,10 +50,14 @@ type workloadBitstream struct {
 	Slices int    `json:"slices"`
 }
 
-// SaveWorkload writes a generated workload as a JSON trace.
+// SaveWorkload writes a generated workload as a JSON trace. A record
+// with no requirement is an error that names it.
 func SaveWorkload(w io.Writer, gen []Generated) error {
 	file := workloadFile{Version: WorkloadFileVersion}
-	for _, g := range gen {
+	for i, g := range gen {
+		if g.ExecReq == nil {
+			return fmt.Errorf("grid: task %d (%s): no execution requirement", i, g.ID)
+		}
 		wt := workloadTask{
 			ID:               g.ID,
 			Arrival:          float64(g.Arrival),
@@ -79,8 +83,16 @@ func SaveWorkload(w io.Writer, gen []Generated) error {
 	return enc.Encode(file)
 }
 
+// reqKey identifies a trace task's requirement by its file fields.
+type reqKey struct {
+	scenario, requirements, softcoreISA, design string
+	bitstream                                   workloadBitstream
+	hasBitstream                                bool
+}
+
 // LoadWorkload reads a JSON trace back into a runnable workload. A file
-// with no tasks is an error.
+// with no tasks is an error. Tasks whose requirement fields are equal
+// share one requirement.
 func LoadWorkload(r io.Reader) ([]Generated, error) {
 	var file workloadFile
 	dec := json.NewDecoder(r)
@@ -95,27 +107,28 @@ func LoadWorkload(r io.Reader) ([]Generated, error) {
 		return nil, fmt.Errorf("grid: workload file has no tasks")
 	}
 	out := make([]Generated, len(file.Tasks))
+	reqs := map[reqKey]*task.ExecReq{}
 	for i, wt := range file.Tasks {
 		if a := wt.Arrival; a < 0 || math.IsNaN(a) || math.IsInf(a, 0) {
 			return nil, fmt.Errorf("grid: task %d: arrival %v is negative or not finite", i, a)
 		}
-		scenario, err := pe.ParseScenario(wt.Scenario)
-		if err != nil {
-			return nil, fmt.Errorf("grid: task %d: %w", i, err)
+		k := reqKey{scenario: wt.Scenario, requirements: wt.Requirements, softcoreISA: wt.SoftcoreISA, design: wt.Design}
+		if wt.Bitstream != nil {
+			k.bitstream, k.hasBitstream = *wt.Bitstream, true
 		}
-		reqs, err := capability.ParseRequirements(wt.Requirements)
-		if err != nil {
-			return nil, fmt.Errorf("grid: task %d: %w", i, err)
+		req, ok := reqs[k]
+		if !ok {
+			var err error
+			if req, err = loadReq(&wt); err != nil {
+				return nil, fmt.Errorf("grid: task %d: %w", i, err)
+			}
+			reqs[k] = req
 		}
 		g := &out[i]
 		*g = Generated{
-			Arrival: sim.Time(wt.Arrival),
-			ID:      wt.ID,
-			ExecReq: task.ExecReq{
-				Scenario:     scenario,
-				Requirements: reqs,
-				SoftcoreISA:  wt.SoftcoreISA,
-			},
+			Arrival:          sim.Time(wt.Arrival),
+			ID:               wt.ID,
+			ExecReq:          req,
 			EstimatedSeconds: wt.EstimatedSeconds,
 			Work: pe.Work{
 				MInstructions:    wt.WorkMI,
@@ -124,26 +137,36 @@ func LoadWorkload(r io.Reader) ([]Generated, error) {
 				HWSpeedup:        wt.HWSpeedup,
 			},
 		}
-		if wt.Design != "" {
-			d, err := hdl.LookupIP(wt.Design)
-			if err != nil {
-				return nil, fmt.Errorf("grid: task %d: %w", i, err)
-			}
-			g.ExecReq.Design = d
-		}
-		if wt.Bitstream != nil {
-			dev, err := fabric.LookupDevice(wt.Bitstream.Device)
-			if err != nil {
-				return nil, fmt.Errorf("grid: task %d: %w", i, err)
-			}
-			g.ExecReq.Bitstream = fabric.FullBitstream(
-				hdl.BitstreamID(wt.Bitstream.Design, dev.FPGACaps.Device, false),
-				wt.Bitstream.Design, dev, wt.Bitstream.Slices)
-		}
 		t := g.tuple()
 		if err := t.Validate(); err != nil {
 			return nil, fmt.Errorf("grid: task %d: %w", i, err)
 		}
 	}
 	return out, nil
+}
+
+// loadReq builds a trace task's requirement from its file fields.
+func loadReq(wt *workloadTask) (*task.ExecReq, error) {
+	scenario, err := pe.ParseScenario(wt.Scenario)
+	if err != nil {
+		return nil, err
+	}
+	preds, err := capability.ParseRequirements(wt.Requirements)
+	if err != nil {
+		return nil, err
+	}
+	req := &task.ExecReq{Scenario: scenario, Requirements: preds, SoftcoreISA: wt.SoftcoreISA}
+	if wt.Design != "" {
+		if req.Design, err = hdl.LookupIP(wt.Design); err != nil {
+			return nil, err
+		}
+	}
+	if bs := wt.Bitstream; bs != nil {
+		dev, err := fabric.LookupDevice(bs.Device)
+		if err != nil {
+			return nil, err
+		}
+		req.Bitstream = fabric.FullBitstream(hdl.BitstreamID(bs.Design, dev.FPGACaps.Device, false), bs.Design, dev, bs.Slices)
+	}
+	return req, nil
 }

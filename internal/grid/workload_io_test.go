@@ -15,6 +15,59 @@ import (
 	"repro/internal/task"
 )
 
+// savedTrace is gen's SaveWorkload form, which compares two traces by
+// content.
+func savedTrace(t *testing.T, gen []Generated) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := SaveWorkload(&buf, gen); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// requirementValues counts a trace's distinct requirement values and its
+// variants: its distinct requirements by content.
+func requirementValues(gen []Generated) (values, variants int) {
+	ptrs, keys := map[*task.ExecReq]bool{}, map[string]bool{}
+	for _, g := range gen {
+		ptrs[g.ExecReq] = true
+		design := ""
+		if g.ExecReq.Design != nil {
+			design = g.ExecReq.Design.Name
+		}
+		keys[fmt.Sprint(g.ExecReq.Scenario, "|", g.ExecReq.Requirements, "|", g.ExecReq.SoftcoreISA, "|", design)] = true
+	}
+	return len(ptrs), len(keys)
+}
+
+// TestTraceRecordsShareRequirements: the records of one requirement
+// variant point at one value in a generated trace, in that trace saved
+// and reloaded, and after ToSoftwareOnly, so a trace holds a requirement
+// per variant, not one per task.
+func TestTraceRecordsShareRequirements(t *testing.T) {
+	ws := DefaultWorkload(400, 1)
+	ws.ShareGPU = 0.1
+	gen, err := Generate(sim.NewRNG(12), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Software, soft-core, GPU and the four designs.
+	if values, variants := requirementValues(gen); variants != 7 || values != variants {
+		t.Errorf("generated trace: %d requirement values for %d variants, want one for each of 7", values, variants)
+	}
+	back, err := LoadWorkload(strings.NewReader(savedTrace(t, gen)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if values, variants := requirementValues(back); values > variants {
+		t.Errorf("reloaded trace: %d requirement values for %d variants", values, variants)
+	}
+	if values, _ := requirementValues(ToSoftwareOnly(gen)); values != 1 {
+		t.Errorf("software-only trace: %d requirement values, want 1", values)
+	}
+}
+
 func TestWorkloadSaveLoadRoundTrip(t *testing.T) {
 	ws := DefaultWorkload(40, 1)
 	ws.ShareGPU = 0.1
@@ -94,7 +147,7 @@ func TestWorkloadDeviceSpecificRoundTrip(t *testing.T) {
 	gen := []Generated{{
 		Arrival: 3,
 		ID:      "ds-1",
-		ExecReq: task.ExecReq{
+		ExecReq: &task.ExecReq{
 			Scenario:     pe.DeviceSpecificHW,
 			Requirements: task.FPGADevice("XC6VLX365T"),
 			Bitstream:    bs,
@@ -130,6 +183,57 @@ func TestLoadWorkloadRejectsBadInput(t *testing.T) {
 		if _, err := LoadWorkload(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+}
+
+// TestLoadWorkloadErrorsNameTheTask pins LoadWorkload's errors on a bad
+// task: a bad requirement fails where it first appears, and a bad field
+// of a task that shares its requirement with earlier tasks fails at that
+// task, with the text a whole-task check gives.
+func TestLoadWorkloadErrorsNameTheTask(t *testing.T) {
+	const (
+		sw  = `"scenario":"software","requirements":"gpp.mips >= 1"`
+		rec = `{"id":%q,"arrival_s":%d,%s,"work_mi":%d,"parallel_fraction":0,"data_mb":0,"t_estimated_s":1}`
+	)
+	for _, tc := range []struct {
+		name string
+		bad  string // task 2, after two software tasks
+		want string
+	}{
+		{"no design", fmt.Sprintf(rec, "c", 2, `"scenario":"user-defined","requirements":"fpga.family == Virtex-5"`, 1),
+			"grid: task 2: task c: task: user-defined-hardware ExecReq carries no HDL design"},
+		{"mixed requirements", fmt.Sprintf(rec, "c", 2, `"scenario":"software","requirements":"gpp.mips >= 1 && fpga.slices >= 1"`, 1),
+			"grid: task 2: task c: capability: requirements mix processing-element kinds or use unknown parameters"},
+		{"unparsable requirements", fmt.Sprintf(rec, "c", 2, `"scenario":"software","requirements":"gpp.mips >>= 1"`, 1),
+			"grid: task 2: capability: expected value at offset 10"},
+		{"shared requirement, no work", fmt.Sprintf(rec, "c", 2, sw, 0),
+			"grid: task 2: task c: pe: work has non-positive instruction count 0"},
+		{"shared requirement, no ID", fmt.Sprintf(rec, "", 2, sw, 1),
+			"grid: task 2: task: task without an ID"},
+	} {
+		in := `{"version":1,"tasks":[` + fmt.Sprintf(rec, "a", 0, sw, 1) + `,` + fmt.Sprintf(rec, "b", 1, sw, 1) + `,` + tc.bad + `]}`
+		if _, err := LoadWorkload(strings.NewReader(in)); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: LoadWorkload = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestSaveWorkloadRejectsRecordWithoutRequirement: a record with no
+// requirement, which SubmitWorkload refuses too, is an error naming it,
+// not a panic, and nothing is written.
+func TestSaveWorkloadRejectsRecordWithoutRequirement(t *testing.T) {
+	gen, err := Generate(sim.NewRNG(3), DefaultWorkload(5, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen[2].ExecReq = nil
+	var buf bytes.Buffer
+	err = SaveWorkload(&buf, gen)
+	if want := "grid: task 2 (wl-00002): no execution requirement"; err == nil || err.Error() != want {
+		t.Errorf("SaveWorkload = %v, want %q", err, want)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("a refused trace wrote %d bytes", buf.Len())
 	}
 }
 

@@ -122,18 +122,23 @@ type JSS struct {
 	nextID  int
 	nextSeq int
 	queue   []*Submission
-	all     map[string]*Submission
+	// all is made at the first Submit; reads work on a nil map, so a JSS
+	// that is never submitted to holds no map.
+	all map[string]*Submission
 }
 
 // New returns an empty job submission system.
 func New() *JSS {
-	return &JSS{all: make(map[string]*Submission)}
+	return &JSS{}
 }
 
 // Submit validates and enqueues an application. Rejections (invalid
 // graphs, over-budget quotes, streaming designs) return an error and a
 // rejected submission record.
 func (j *JSS) Submit(user string, g *task.Graph, prog *task.Program, qos QoS, now sim.Time) (*Submission, error) {
+	if j.all == nil {
+		j.all = make(map[string]*Submission)
+	}
 	j.nextID++
 	j.nextSeq++
 	sub := &Submission{

@@ -164,46 +164,40 @@ func (m *Matchmaker) Allocate(c Candidate, req task.ExecReq) (*Lease, error) {
 }
 
 // allocateFabric places c's configuration, reusing a resident idle copy
-// when there is one. A failed placement builds nothing.
+// when there is one. A failed placement builds nothing: a first synthesis
+// is committed, and its tool time charged, only once the region is held.
 func (m *Matchmaker) allocateFabric(c Candidate, req task.ExecReq) (*Lease, error) {
 	bs, est, fresh, err := m.resolve(c, req)
 	if err != nil {
 		return nil, err
 	}
-	var synthSeconds float64
-	if fresh != nil {
-		synthSeconds = m.commit(fresh)
-	}
 	f := c.Elem.Fabric
-	if r := f.FindLoaded(bs.ID); r != nil {
-		if err := f.Acquire(r); err != nil {
+	l := Lease{Cand: c, Region: f.FindLoaded(bs.ID), Estimator: est}
+	if l.Region == nil {
+		var compaction compactionCost
+		if l.Region, l.ReconfigDelay, compaction, err = m.configure(f, bs); err != nil {
 			return nil, err
 		}
-		return &Lease{Cand: c, Region: r, Estimator: est, SynthesisSeconds: synthSeconds}, nil
+		l.BitstreamMB = float64(bs.SizeBytes) / 1e6
+		l.CompactionDelay, l.CompactionMoves = compaction.delay, compaction.moves
 	}
-	region, delay, compaction, err := m.configure(f, bs)
-	if err != nil {
+	if err := f.Acquire(l.Region); err != nil {
 		return nil, err
 	}
-	if err := f.Acquire(region); err != nil {
-		return nil, err
+	if fresh != nil {
+		l.SynthesisSeconds = m.commit(fresh)
 	}
-	return &Lease{
-		Cand:             c,
-		Region:           region,
-		Estimator:        est,
-		ReconfigDelay:    delay,
-		BitstreamMB:      float64(bs.SizeBytes) / 1e6,
-		CompactionDelay:  compaction.delay,
-		CompactionMoves:  compaction.moves,
-		SynthesisSeconds: synthSeconds,
-	}, nil
+	// Only the placed lease reaches the heap: a failed placement, the
+	// common case on a loaded grid, allocates nothing.
+	lease := l
+	return &lease, nil
 }
 
 // resolve decides a fabric candidate's configuration for req: the
 // bitstream it loads, the estimator that times work on it and, when req's
 // design was never synthesized for the device, that first synthesis. The
-// caller charges the synthesis's tool time; only Allocate commits it.
+// caller charges the synthesis's tool time; only an Allocate that places
+// the configuration commits it.
 func (m *Matchmaker) resolve(c Candidate, req task.ExecReq) (*fabric.Bitstream, pe.Estimator, *hdl.SynthesisResult, error) {
 	dev := c.Elem.Fabric.Device()
 	switch {

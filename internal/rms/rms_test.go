@@ -1,6 +1,7 @@
 package rms
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -401,6 +402,72 @@ func TestAllocateUserDefinedReconfiguresThenReuses(t *testing.T) {
 		t.Errorf("reuse paid costs: %+v", l2)
 	}
 	l2.Release()
+}
+
+// TestFailedPlacementCommitsNoSynthesis: a first synthesis whose placement
+// fails is not cached, so the lease that finally places the design is
+// charged its CAD time. Two busy malign-core regions leave an XC5VLX330T
+// too little room for pairalign-core; once they are released, the next
+// pairalign-core lease pays the synthesis.
+func TestFailedPlacementCommitsNoSynthesis(t *testing.T) {
+	reg := NewRegistry()
+	n := mkNode(t, "NodeA")
+	if _, err := n.AddRPE("XC5VLX330T"); err != nil {
+		t.Fatal(err)
+	}
+	reg.AddNode(n)
+	mm := newMM(t, reg)
+	mkReq := func(name string) task.ExecReq {
+		d, err := hdl.LookupIP(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return task.ExecReq{Scenario: pe.UserDefinedHW, Requirements: task.FPGAFamily("Virtex-5", 100), Design: d}
+	}
+	allocate := func(req task.ExecReq) (*Lease, error) {
+		t.Helper()
+		cands, err := mm.Candidates(req)
+		if err != nil || len(cands) != 1 {
+			t.Fatalf("candidates: %+v %v", cands, err)
+		}
+		return mm.Allocate(cands[0], req)
+	}
+	malign, pairalign := mkReq("malign-core"), mkReq("pairalign-core")
+	var busy []*Lease
+	for i := 0; i < 2; i++ {
+		l, err := allocate(malign)
+		if err != nil {
+			t.Fatal(err)
+		}
+		busy = append(busy, l)
+	}
+	cands, err := mm.Candidates(pairalign)
+	if err != nil || len(cands) != 1 {
+		t.Fatalf("candidates: %+v %v", cands, err)
+	}
+	est, err := mm.Estimate(cands[0], pairalign, sampleWork())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.SynthesisSeconds <= 0 {
+		t.Fatalf("pairalign-core estimate charges no synthesis: %+v", est)
+	}
+	if _, err := allocate(pairalign); !errors.Is(err, fabric.ErrNoRoom) {
+		t.Fatalf("pairalign-core beside two busy malign-core regions: Allocate = %v, want %v", err, fabric.ErrNoRoom)
+	}
+	for _, l := range busy {
+		if err := l.Release(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l, err := allocate(pairalign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Release()
+	if l.SynthesisSeconds != est.SynthesisSeconds {
+		t.Errorf("first placed pairalign-core lease charges %v s of synthesis, want %v s", l.SynthesisSeconds, est.SynthesisSeconds)
+	}
 }
 
 // TestResidentConfigurationOnFullReconfigDevice pins the reuse probe on a

@@ -38,29 +38,14 @@ func (o Option) TotalSeconds() float64 {
 }
 
 // Strategy picks one option for a task, or -1 to leave the task queued.
+// Choose's result is a pure function of its options: it reads no state
+// kept between calls, so concurrent engines share one strategy value and
+// the same options always get the same choice.
 type Strategy interface {
 	// Name identifies the strategy in experiment output.
 	Name() string
 	// Choose returns the index of the selected option, or -1.
 	Choose(opts []Option) int
-}
-
-// Cloner is implemented by stateful strategies that cannot be shared
-// between concurrently running engines. The sweep engine calls
-// CloneStrategy once per replica and hands each engine its own copy. Every
-// built-in strategy is a stateless value type, so none implements it.
-type Cloner interface {
-	// CloneStrategy returns an independent copy safe for a new engine.
-	CloneStrategy() Strategy
-}
-
-// ForEngine returns the instance of s an engine should own: the result of
-// CloneStrategy when s is stateful (implements Cloner), s itself otherwise.
-func ForEngine(s Strategy) Strategy {
-	if c, ok := s.(Cloner); ok {
-		return c.CloneStrategy()
-	}
-	return s
 }
 
 // FirstFit takes the first feasible option — the naive baseline: it

@@ -153,28 +153,6 @@ func TestByNameAndAll(t *testing.T) {
 	}
 }
 
-// cloningStrategy is a stateful strategy for the ForEngine contract.
-type cloningStrategy struct{ clones *int }
-
-func (c cloningStrategy) Name() string        { return "cloning" }
-func (c cloningStrategy) Choose([]Option) int { return -1 }
-func (c cloningStrategy) CloneStrategy() Strategy {
-	*c.clones++
-	return cloningStrategy{clones: c.clones}
-}
-
-func TestForEngine(t *testing.T) {
-	ff := FirstFit{}
-	if got := ForEngine(ff); got != (FirstFit{}) {
-		t.Error("stateless strategy should pass through unchanged")
-	}
-	clones := 0
-	ForEngine(cloningStrategy{clones: &clones})
-	if clones != 1 {
-		t.Errorf("Cloner invoked %d times, want 1", clones)
-	}
-}
-
 func TestQueuePolicyString(t *testing.T) {
 	if FCFS.String() != "fcfs" || SJF.String() != "sjf" {
 		t.Error("policy names")
