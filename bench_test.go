@@ -116,15 +116,15 @@ func BenchmarkFig8_SeqPar(b *testing.B) {
 
 // BenchmarkFig10_ClustalWProfile runs the profiled ClustalW pipeline on a
 // reduced protein family per iteration (the full Fig. 10 workload runs in
-// cmd/casestudy).
+// `experiments -run F10`).
 func BenchmarkFig10_ClustalWProfile(b *testing.B) {
 	opts := bio.FamilyOptions{Count: 10, Length: 80, SubstitutionRate: 0.15, IndelRate: 0.02}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		// Fixed seed: every iteration does identical work. The profile
-		// SHAPE is asserted in deterministic tests and cmd/casestudy, not
-		// here — wall-clock attribution under benchmark load is noisy at
-		// this reduced scale.
+		// SHAPE is asserted in deterministic tests and `experiments -run
+		// F10`, not here — wall-clock attribution under benchmark load is
+		// noisy at this reduced scale.
 		res, err := casestudy.RunFig10(1, opts)
 		if err != nil {
 			b.Fatal(err)

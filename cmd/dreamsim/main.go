@@ -20,6 +20,7 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the -pprof server
 	"os"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/faults"
@@ -351,9 +352,15 @@ func run(strategyName, queueName string, tasks int, rate float64, seeds int, see
 	if fspec != nil {
 		cols = append(cols, "retries", "lost", "mttr", "avail")
 	}
+	// A replayed trace has its own size and arrivals: name the trace, not
+	// the -tasks and -rate flags it did not come from.
+	workload := fmt.Sprintf("%d tasks, λ=%.2g/s", tasks, rate)
+	if trace != nil {
+		workload = fmt.Sprintf("%d tasks from %s", len(trace), filepath.Base(workloadIn))
+	}
 	tb := report.NewTable(
-		fmt.Sprintf("DReAMSim: %d tasks, λ=%.2g/s, %d seed(s), %d+%d nodes, queue=%s",
-			tasks, rate, seeds, gppNodes, hybridNodes, queue),
+		fmt.Sprintf("DReAMSim: %s, %d seed(s), %d+%d nodes, queue=%s",
+			workload, seeds, gppNodes, hybridNodes, queue),
 		cols...)
 	for si, s := range strategies {
 		var wait, p95, turn, mttr, avail sim.Series

@@ -16,8 +16,12 @@ import (
 	"repro/internal/task"
 )
 
-// liveHeap collects garbage and returns the live heap in bytes.
+// liveHeap collects garbage and returns the live heap in bytes. It
+// collects twice: objects that only sync.Pool victim caches hold at the
+// first collection are freed by the second, so the reading does not
+// depend on what the pools held when it was taken.
 func liveHeap() float64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -298,7 +302,6 @@ func TestHeapPerFaultyTenant(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Faults = faults.Default()
 	cfg.Faults.HorizonSeconds = 1e6
-	liveHeap() // a second cycle empties the sync.Pool victim caches
 	heap0 := liveHeap()
 	te, err := newTenantEngine("acme", TierVirtualized, 1, &cfg, 0)
 	if err != nil {
@@ -319,8 +322,17 @@ const submitRunAllocs = 4
 // TestSubmitRunAllocs pins the allocations of one task's whole life on a
 // warm tenant: admission, placement, execution and settling.
 func TestSubmitRunAllocs(t *testing.T) {
-	for _, scenario := range []string{"software", "softcore", "userhw"} {
-		t.Run(scenario, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, scenario string
+		dataMB         float64
+	}{
+		{"software", "software", 0},
+		{"softcore", "softcore", 0},
+		{"userhw", "userhw", 0},
+		// A task's data is its Work.DataMB: it builds no input or output list.
+		{"software-with-data", "software", 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			te, err := newTenantEngine("acme", TierFull, 1, &cfg, 0)
 			if err != nil {
@@ -329,7 +341,7 @@ func TestSubmitRunAllocs(t *testing.T) {
 			i := 0
 			one := func() {
 				i++
-				resp := te.submit(&TaskSpec{ID: taskID("t", i), WorkMI: 500, Scenario: scenario, Design: "aes128"}, 0, false)
+				resp := te.submit(&TaskSpec{ID: taskID("t", i), WorkMI: 500, Scenario: tc.scenario, Design: "aes128", DataMB: tc.dataMB}, 0, false)
 				if !resp.OK {
 					t.Fatalf("submit: %s %s", resp.Code, resp.Error)
 				}

@@ -240,10 +240,6 @@ func (te *tenantEngine) buildTask(spec *TaskSpec) (*task.Task, error) {
 		},
 		EstimatedSeconds: spec.WorkMI / 1000,
 	}
-	if spec.DataMB > 0 {
-		t.Inputs = []task.DataIn{{DataID: "in", SizeMB: spec.DataMB}}
-		t.Outputs = []task.DataOut{{DataID: "out", SizeMB: spec.DataMB / 4}}
-	}
 	switch spec.Scenario {
 	case "", "software":
 		t.ExecReq = task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: tenantReqs.software}

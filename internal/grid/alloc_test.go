@@ -54,7 +54,7 @@ func dispatchRig(t *testing.T, tracer obs.TraceSink) (*Engine, *node.Element, *n
 // own allocation, where a run reads records from the caller's trace.
 func admitOne(e *Engine, tk *task.Task) {
 	g := workloadRecord(tk, e.S.Now())
-	e.queueItem(&item{gen: &g})
+	e.queueItem(&item{rec: &g})
 }
 
 // TestDispatchRoundNothingFitsZeroAllocs pins a dispatch round over a
@@ -81,7 +81,7 @@ func TestDispatchRoundNothingFitsZeroAllocs(t *testing.T) {
 	if len(e.queue) != 2 {
 		t.Fatalf("queue holds %d tasks, want both waiting", len(e.queue))
 	}
-	if cands, err := e.MM.Candidates(e.queue[0].execReq()); err != nil || len(cands) == 0 {
+	if cands, err := e.MM.Candidates(*e.queue[0].rec.ExecReq); err != nil || len(cands) == 0 {
 		t.Fatalf("no soft-core fallback candidate (%v): the round would not reach placement", err)
 	}
 	if avg := testing.AllocsPerRun(100, e.tryDispatch); avg != 0 {

@@ -96,8 +96,10 @@ func GenerateApps(rng *sim.RNG, spec AppSpec) ([]GeneratedApp, error) {
 	return out, nil
 }
 
-// SubmitApps schedules DAG applications on the engine; each runs in graph
-// mode, dispatching tasks as their dependencies complete.
+// SubmitApps streams DAG applications into the engine in (Arrival,
+// index) order; each runs in graph mode, dispatching tasks as their
+// dependencies complete. Each application is read from the slice when
+// it arrives, so the caller must not modify apps until Run returns.
 func (e *Engine) SubmitApps(apps []GeneratedApp, user string) {
 	designs := map[string]*hdl.Design{}
 	for _, app := range apps {
@@ -107,7 +109,7 @@ func (e *Engine) SubmitApps(apps []GeneratedApp, user string) {
 		}
 	}
 	e.prewarm(designs)
-	for _, app := range apps {
-		e.Submit(app.Arrival, user, app.Graph, nil, jss.QoS{})
-	}
+	e.stream(len(apps), "submit", func(i int) sim.Time { return apps[i].Arrival }, func(i int) {
+		e.admit(user, apps[i].Graph, nil, jss.QoS{})
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
@@ -11,7 +12,9 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/jss"
 	"repro/internal/obs"
+	"repro/internal/rms"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -380,5 +383,141 @@ func TestShuffledTraceMatchesSortedCopy(t *testing.T) {
 				t.Error("gauge samples diverge")
 			}
 		})
+	}
+}
+
+// scheduleEachFault is the reference fault feed: one Schedule call per
+// fault, in slice order, each fault captured in its own closure.
+func scheduleEachFault(e *Engine, evs []faults.Event) {
+	for _, ev := range evs {
+		e.S.Schedule(ev.Time, "fault", func() { e.applyFault(ev) })
+	}
+}
+
+// TestStreamedFaultsMatchScheduledFaults: InjectFaults streams a fault
+// timeline in (Time, index) order, so a run must match the reference
+// that schedules one event per fault at the same point: equal metrics,
+// trace events and gauge samples. The timelines are sorted, shuffled,
+// and cut to whole seconds (tied, in order and shuffled), where faults
+// tie with each other and with the whole-second arrivals of workload
+// tasks and Submit applications. Faults go in before or after those
+// submissions, under the moderate and the hostile spec, with the run
+// drained or cut by a horizon.
+func TestStreamedFaultsMatchScheduledFaults(t *testing.T) {
+	tc, err := DefaultToolchain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := Generate(sim.NewRNG(51), DefaultWorkload(60, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range gen {
+		gen[i].Arrival = sim.Time(math.Floor(float64(gen[i].Arrival)))
+	}
+	apps, err := GenerateApps(sim.NewRNG(52), AppSpec{Apps: 4, MinTasks: 2, MaxTasks: 4, EdgeProb: 0.5, Base: DefaultWorkload(1, 0.2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes, err := BuildGrid(DefaultGridSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodeIDs []string
+	for _, n := range nodes.Nodes() {
+		nodeIDs = append(nodeIDs, n.ID)
+	}
+	type result struct {
+		m       *Metrics
+		events  []obs.Event
+		samples []obs.Sample
+	}
+	run := func(fs *faults.Spec, evs []faults.Event, inject func(*Engine, []faults.Event), faultsFirst bool, horizon sim.Time) result {
+		reg, err := BuildGrid(DefaultGridSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mm, err := rms.NewMatchmaker(reg, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, tl := &obs.Recorder{}, obs.NewTimeline()
+		cfg := DefaultConfig()
+		cfg.Faults, cfg.Horizon = fs, horizon
+		cfg.SampleEverySeconds = 1
+		cfg.Tracer = obs.Multi(rec, tl)
+		eng, err := NewEngine(cfg, reg, mm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if faultsFirst {
+			inject(eng, evs)
+		}
+		for _, app := range apps {
+			eng.Submit(sim.Time(math.Floor(float64(app.Arrival))), "alice", app.Graph, nil, jss.QoS{})
+		}
+		if err := eng.SubmitWorkload(gen); err != nil {
+			t.Fatal(err)
+		}
+		if !faultsFirst {
+			inject(eng, evs)
+		}
+		m, err := eng.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return result{m, rec.Events(), tl.Samples()}
+	}
+	for regime, spec := range differentialRegimes() {
+		if spec == nil {
+			continue
+		}
+		fs := *spec
+		fs.HorizonSeconds = 150
+		sorted, err := faults.Schedule(sim.NewRNG(53).Split(faults.ScheduleStream), fs, nodeIDs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shuffle := func(evs []faults.Event) []faults.Event {
+			out, r := slices.Clone(evs), sim.NewRNG(54)
+			for i := len(out) - 1; i > 0; i-- {
+				j := r.Intn(i + 1)
+				out[i], out[j] = out[j], out[i]
+			}
+			return out
+		}
+		tied := slices.Clone(sorted)
+		for i := range tied {
+			tied[i].Time = sim.Time(math.Floor(float64(tied[i].Time)))
+		}
+		if !slices.ContainsFunc(tied, func(ev faults.Event) bool {
+			return slices.ContainsFunc(gen, func(g Generated) bool { return g.Arrival == ev.Time })
+		}) {
+			t.Fatalf("%s: no whole-second fault ties with an arrival; the test would not reach a tie", regime)
+		}
+		timelines := map[string][]faults.Event{
+			"sorted": sorted, "shuffled": shuffle(sorted), "tied": tied, "tied-shuffled": shuffle(tied),
+		}
+		for name, evs := range timelines {
+			for _, faultsFirst := range []bool{true, false} {
+				for _, horizon := range []sim.Time{0, 40} {
+					want := run(&fs, evs, scheduleEachFault, faultsFirst, horizon)
+					got := run(&fs, evs, (*Engine).InjectFaults, faultsFirst, horizon)
+					label := fmt.Sprintf("%s/%s/faults-first=%v/horizon=%v", regime, name, faultsFirst, horizon)
+					if want.m.NodeCrashes+want.m.SEUFaults+want.m.LinkFaults == 0 {
+						t.Fatalf("%s: no fault applied; the differential checks nothing", label)
+					}
+					if !reflect.DeepEqual(want.m, got.m) {
+						t.Errorf("%s: metrics diverge:\nscheduled: %+v\nstreamed:  %+v", label, want.m, got.m)
+					}
+					if !reflect.DeepEqual(want.events, got.events) {
+						t.Errorf("%s: trace events diverge", label)
+					}
+					if !reflect.DeepEqual(want.samples, got.samples) {
+						t.Errorf("%s: gauge samples diverge", label)
+					}
+				}
+			}
+		}
 	}
 }

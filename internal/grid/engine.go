@@ -86,26 +86,34 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// appRun tracks one Submit application's progress through the engine.
+// appRun tracks one Submit application's progress by one unblock rule
+// for graphs (Fig. 7) and programs (Fig. 8): waiting counts each blocked
+// task's unfinished predecessors, next lists each task's successors, and
+// a task is queued once its count reaches zero. Both stay nil when no
+// task waits.
 type appRun struct {
-	sub *jss.Submission
-	// Graph mode: remaining dependency counts per task.
+	sub     *jss.Submission
 	waiting map[string]int
-	// Program mode: dispatch batches and progress.
-	batches   []task.Batch
-	batchIdx  int
-	batchLeft int
+	next    map[string][]string
 }
 
-// item is one runnable task waiting for a processing element: a task of
-// a Submit application, read from its graph, or a workload task, read
-// from its trace record.
+// block makes task id wait for every task in after.
+func (run *appRun) block(id string, after []string) {
+	if run.waiting == nil {
+		run.waiting, run.next = make(map[string]int), make(map[string][]string)
+	}
+	run.waiting[id] = len(after)
+	for _, p := range after {
+		run.next[p] = append(run.next[p], id)
+	}
+}
+
+// item is one runnable task waiting for a processing element. rec is its
+// task tuple: a workload task's trace record, or the record enqueue
+// builds for a ready task of the Submit application run.
 type item struct {
-	// run and t are the Submit application and its task; a workload task
-	// has neither, and gen is its record.
+	rec *Generated
 	run *appRun
-	t   *task.Task
-	gen *Generated
 	// tid is the task ID interned once at enqueue; every later trace of
 	// this task passes the handle instead of re-hashing the string.
 	// Untraced engines leave it zero.
@@ -116,45 +124,6 @@ type item struct {
 	// most recent one (the MTTR clock).
 	attempts int
 	lastFail sim.Time
-}
-
-// id, execReq, work and estimate read the task tuple from the record or
-// the graph task.
-func (it *item) id() string {
-	if it.gen != nil {
-		return it.gen.ID
-	}
-	return it.t.ID
-}
-
-func (it *item) execReq() task.ExecReq {
-	if it.gen != nil {
-		return *it.gen.ExecReq
-	}
-	return it.t.ExecReq
-}
-
-func (it *item) work() pe.Work {
-	if it.gen != nil {
-		return it.gen.Work
-	}
-	return it.t.Work
-}
-
-func (it *item) estimate() float64 {
-	if it.gen != nil {
-		return it.gen.EstimatedSeconds
-	}
-	return it.t.EstimatedSeconds
-}
-
-// inputMB is the data that crosses the node's link before the task runs:
-// a workload task's one input is its Work.DataMB.
-func (it *item) inputMB() float64 {
-	if it.gen != nil {
-		return it.gen.Work.DataMB
-	}
-	return it.t.InputMB()
 }
 
 // Engine drives the simulation: submissions arrive, the scheduler places
@@ -261,13 +230,10 @@ func (e *Engine) Submit(at sim.Time, user string, g *task.Graph, prog *task.Prog
 // the JSS, which serves Submit applications. Every record is checked
 // here, before the run, as task.ValidateForGraph checks a task, and a
 // streaming design is refused as the JSS refuses one. The trace is then
-// streamed into the simulator in (Arrival, index) order, the order one
-// Schedule call per task made now would give, so arrivals tie with
-// other events in schedule order. Queued and running tasks point into
-// gen and the requirements its records share, so the caller must modify
-// neither until Run returns.
+// streamed into the simulator in (Arrival, index) order (see stream).
+// Queued and running tasks point into gen and the requirements its
+// records share, so the caller must modify neither until Run returns.
 func (e *Engine) SubmitWorkload(gen []Generated) error {
-	sorted := true
 	designs := map[string]*hdl.Design{}
 	for i := range gen {
 		g := &gen[i]
@@ -284,23 +250,36 @@ func (e *Engine) SubmitWorkload(gen []Generated) error {
 		if g.Arrival < e.S.Now() {
 			return fmt.Errorf("grid: task %d (%s): arrival %v before now %v", i, g.ID, g.Arrival, e.S.Now())
 		}
-		sorted = sorted && (i == 0 || gen[i-1].Arrival <= g.Arrival)
 		addDesign(designs, g.ExecReq)
 	}
 	e.prewarm(designs)
-	arrival := func(i int) *Generated { return &gen[i] }
+	e.stream(len(gen), "submit", func(i int) sim.Time { return gen[i].Arrival }, func(i int) {
+		e.queueItem(&item{rec: &gen[i]})
+	})
+	return nil
+}
+
+// stream feeds a timeline of n items into the simulator, item i firing
+// fire(i) at at(i), in (time, index) order: the order n Schedule calls
+// made now would give, so items tie with other events in schedule
+// order. A sorted timeline goes to the simulator as it is; an unsorted
+// one through a stable permutation. No item is queued as an event.
+func (e *Engine) stream(n int, label string, at func(i int) sim.Time, fire func(i int)) {
+	sorted := true
+	for i := 1; i < n && sorted; i++ {
+		sorted = at(i-1) <= at(i)
+	}
 	if !sorted {
-		order := make([]int, len(gen))
+		order := make([]int, n)
 		for i := range order {
 			order[i] = i
 		}
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(gen[a].Arrival, gen[b].Arrival) })
-		arrival = func(i int) *Generated { return &gen[order[i]] }
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(at(a), at(b)) })
+		atIdx, fireIdx := at, fire
+		at = func(i int) sim.Time { return atIdx(order[i]) }
+		fire = func(i int) { fireIdx(order[i]) }
 	}
-	e.S.Stream(len(gen), "submit", func(i int) sim.Time { return arrival(i).Arrival }, func(i int) {
-		e.queueItem(&item{gen: arrival(i)})
-	})
-	return nil
+	e.S.Stream(n, label, at, fire)
 }
 
 // admit hands one submission to the JSS and starts it. Each submit event
@@ -377,60 +356,49 @@ func (e *Engine) unreachable(nodeID string) bool {
 	return ok && f.Partition
 }
 
-// start initializes a run and enqueues its initially ready tasks.
+// start derives a run's unblock rule, from the plan's previous batch or
+// the graph's dependencies, and enqueues its ready tasks in plan or
+// graph order. The JSS has validated both: every task a program names,
+// and every producer a graph task names, is in the graph.
 func (e *Engine) start(run *appRun) {
-	if run.sub.Program != nil {
-		run.batches = run.sub.Program.Plan()
-		e.startBatch(run)
-		return
-	}
-	// waiting only tracks tasks still blocked on dependencies; the
-	// map stays nil for dependency-free graphs (the whole many-task
-	// workload model), and advance only ever looks up dependents,
-	// which by definition were blocked.
-	for _, id := range run.sub.Graph.Order() {
-		deps := 0
-		for _, dep := range run.sub.Graph.Dependencies(id) {
-			if _, ok := run.sub.Graph.Get(dep); ok {
-				deps++
+	var ready []string
+	if prog := run.sub.Program; prog != nil {
+		plan := prog.Plan()
+		ready = plan[0]
+		for k := 1; k < len(plan); k++ {
+			for _, id := range plan[k] {
+				run.block(id, plan[k-1])
 			}
 		}
-		if deps == 0 {
-			e.enqueue(run, id)
-			continue
+	} else {
+		for _, id := range run.sub.Graph.Order() {
+			if deps := run.sub.Graph.Dependencies(id); len(deps) > 0 {
+				run.block(id, deps)
+			} else {
+				ready = append(ready, id)
+			}
 		}
-		if run.waiting == nil {
-			run.waiting = make(map[string]int)
-		}
-		run.waiting[id] = deps
 	}
-}
-
-func (e *Engine) startBatch(run *appRun) {
-	if run.batchIdx >= len(run.batches) {
-		return
-	}
-	batch := run.batches[run.batchIdx]
-	run.batchLeft = len(batch)
-	for _, id := range batch {
+	for _, id := range ready {
 		e.enqueue(run, id)
 	}
 }
 
-func (e *Engine) enqueue(run *appRun, taskID string) {
-	t, ok := run.sub.Graph.Get(taskID)
-	if !ok {
-		return
-	}
-	e.J.Notify(run.sub, e.S.Now(), taskID, "queued")
-	e.queueItem(&item{run: run, t: t})
+// enqueue queues a ready task of a run from a record built for it, whose
+// Work.DataMB is the input volume the node's link carries.
+func (e *Engine) enqueue(run *appRun, id string) {
+	t, _ := run.sub.Graph.Get(id)
+	e.J.Notify(run.sub, e.S.Now(), id, "queued")
+	rec := &Generated{ID: id, ExecReq: &t.ExecReq, EstimatedSeconds: t.EstimatedSeconds, Work: t.Work}
+	rec.Work.DataMB = t.InputMB()
+	e.queueItem(&item{rec: rec, run: run})
 }
 
 // queueItem queues a newly arrived task and dispatches what fits.
 func (e *Engine) queueItem(it *item) {
 	e.seq++
 	e.m.Submitted++
-	it.tid, it.enq, it.seq = e.name(it.id()), e.S.Now(), e.seq
+	it.tid, it.enq, it.seq = e.name(it.rec.ID), e.S.Now(), e.seq
 	e.pushQueue(it, true)
 	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindQueued, TaskID: it.tid})
 	e.tryDispatch()
@@ -457,9 +425,9 @@ func (e *Engine) orderQueue() {
 	case sched.SJF:
 		slices.SortStableFunc(e.queue, func(a, b *item) int {
 			switch {
-			case a.estimate() < b.estimate():
+			case a.rec.EstimatedSeconds < b.rec.EstimatedSeconds:
 				return -1
-			case a.estimate() > b.estimate():
+			case a.rec.EstimatedSeconds > b.rec.EstimatedSeconds:
 				return 1
 			case a.seq < b.seq:
 				return -1
@@ -504,7 +472,7 @@ func (e *Engine) tryDispatch() {
 
 // dispatchOne attempts to place one task; true on success.
 func (e *Engine) dispatchOne(it *item) bool {
-	req, work := it.execReq(), it.work()
+	req, work := *it.rec.ExecReq, it.rec.Work
 	cands, err := e.MM.Candidates(req)
 	if err != nil || len(cands) == 0 {
 		return false
@@ -518,7 +486,7 @@ func (e *Engine) dispatchOne(it *item) bool {
 		if err != nil {
 			continue
 		}
-		transfer := e.linkTo(c.Node.ID).TransferSeconds(it.inputMB() + est.BitstreamMB)
+		transfer := e.linkTo(c.Node.ID).TransferSeconds(work.DataMB + est.BitstreamMB)
 		opts = append(opts, sched.Option{
 			Cand:             c,
 			ExecSeconds:      est.ExecSeconds,
@@ -555,7 +523,7 @@ func (e *Engine) execute(it *item, lease *rms.Lease) {
 	wait := float64(now - it.enq)
 	e.m.Wait.Observe(wait)
 
-	exec, err := lease.Estimator.EstimateSeconds(it.work())
+	exec, err := lease.Estimator.EstimateSeconds(it.rec.Work)
 	if err != nil {
 		// Work validated at submission; a failure here is a model bug.
 		panic(fmt.Sprintf("grid: estimator failed post-allocation: %v", err))
@@ -563,7 +531,7 @@ func (e *Engine) execute(it *item, lease *rms.Lease) {
 	// Transfer: input data always crosses the node's link; the
 	// configuration bitstream only when this lease actually reconfigured.
 	cand := lease.Cand
-	transfer := e.linkTo(cand.Node.ID).TransferSeconds(it.inputMB() + lease.BitstreamMB)
+	transfer := e.linkTo(cand.Node.ID).TransferSeconds(it.rec.Work.DataMB + lease.BitstreamMB)
 	span := transfer + lease.SynthesisSeconds + float64(lease.ReconfigDelay+lease.CompactionDelay) + exec
 
 	if lease.ReconfigDelay > 0 {
@@ -585,7 +553,7 @@ func (e *Engine) execute(it *item, lease *rms.Lease) {
 	if run := it.run; run != nil && run.sub.QoS.Monitor {
 		// Gate before Notify: the label string is only built when the
 		// user actually subscribed to progress events.
-		e.J.Notify(run.sub, now, it.t.ID, "dispatched to "+cand.Label())
+		e.J.Notify(run.sub, now, it.rec.ID, "dispatched to "+cand.Label())
 	}
 
 	exe := &execution{it: it, lease: lease, exec: exec, span: span}
@@ -636,27 +604,20 @@ func (e *Engine) complete(exe *execution) {
 	})
 	if run != nil {
 		e.J.Charge(run.sub, exe.exec, lease.Estimator.Kind())
-		e.J.Notify(run.sub, end, it.t.ID, "completed")
+		e.J.Notify(run.sub, end, it.rec.ID, "completed")
 		e.J.TaskDone(run.sub, end)
-		e.advance(run, it.t.ID)
+		e.advance(run, it.rec.ID)
 	}
 	e.tryDispatch()
 }
 
-// advance unlocks the tasks enabled by a completion.
+// advance enqueues, in insertion order, each successor of a finished
+// task that no longer waits on anything.
 func (e *Engine) advance(run *appRun, doneID string) {
-	if run.sub.Program != nil {
-		run.batchLeft--
-		if run.batchLeft == 0 {
-			run.batchIdx++
-			e.startBatch(run)
-		}
-		return
-	}
-	for _, dep := range run.sub.Graph.Dependents(doneID) {
-		run.waiting[dep]--
-		if run.waiting[dep] == 0 {
-			e.enqueue(run, dep)
+	for _, id := range run.next[doneID] {
+		run.waiting[id]--
+		if run.waiting[id] == 0 {
+			e.enqueue(run, id)
 		}
 	}
 }
@@ -822,7 +783,7 @@ func (e *Engine) failExecution(exe *execution, nodeID, elemID string) {
 	e.abortExecution(exe)
 	e.m.Failures++
 	if run := exe.it.run; run != nil && run.sub.QoS.Monitor {
-		e.J.Notify(run.sub, e.S.Now(), exe.it.t.ID,
+		e.J.Notify(run.sub, e.S.Now(), exe.it.rec.ID,
 			"failed on "+nodeID+"/"+elemID+", requeued")
 	}
 	e.trace(obs.Event{
@@ -848,7 +809,7 @@ func (e *Engine) requeueOrLose(it *item) {
 		e.m.TasksLost++
 		e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindLost, TaskID: it.tid})
 		if it.run != nil {
-			e.J.Fail(it.run.sub, e.S.Now(), "task "+it.t.ID+" lost after "+strconv.Itoa(it.attempts)+" failed attempts")
+			e.J.Fail(it.run.sub, e.S.Now(), "task "+it.rec.ID+" lost after "+strconv.Itoa(it.attempts)+" failed attempts")
 		}
 		return
 	}
@@ -860,7 +821,7 @@ func (e *Engine) requeueOrLose(it *item) {
 		e.pushQueue(it, false)
 		e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindRetry, TaskID: it.tid})
 		if it.run != nil {
-			e.J.Notify(it.run.sub, e.S.Now(), it.t.ID, "requeued for retry")
+			e.J.Notify(it.run.sub, e.S.Now(), it.rec.ID, "requeued for retry")
 		}
 		e.tryDispatch()
 	})
@@ -916,17 +877,17 @@ func (e *Engine) finish() {
 	e.m.Unfinished = len(inflight) + len(e.backoff) + len(e.queue)
 	for _, it := range inflight {
 		if it.run != nil {
-			e.J.Fail(it.run.sub, now, "task "+it.t.ID+" still running when the run ended")
+			e.J.Fail(it.run.sub, now, "task "+it.rec.ID+" still running when the run ended")
 		}
 	}
 	for _, it := range e.backoff {
 		if it.run != nil {
-			e.J.Fail(it.run.sub, now, "task "+it.t.ID+" backing off before a retry when the run ended")
+			e.J.Fail(it.run.sub, now, "task "+it.rec.ID+" backing off before a retry when the run ended")
 		}
 	}
 	for _, it := range e.queue {
 		if it.run != nil {
-			e.J.Fail(it.run.sub, now, fmt.Sprintf("task %s unschedulable under %s", it.t.ID, e.cfg.Strategy.Name()))
+			e.J.Fail(it.run.sub, now, fmt.Sprintf("task %s unschedulable under %s", it.rec.ID, e.cfg.Strategy.Name()))
 		}
 	}
 	ids := make([]string, 0, len(e.down))

@@ -83,7 +83,7 @@ func runningOn(t *testing.T, eng *Engine, taskID string) (string, string) {
 	for _, n := range eng.Reg.Nodes() {
 		for _, el := range n.Elements() {
 			for _, exe := range eng.running[el] {
-				if exe.it.id() == taskID {
+				if exe.it.rec.ID == taskID {
 					return n.ID, el.ID
 				}
 			}

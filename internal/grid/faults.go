@@ -25,15 +25,18 @@ type outage struct {
 	since sim.Time
 }
 
-// InjectFaults schedules a fault timeline (typically produced by
-// faults.Schedule) onto the engine's simulator. Call it before Run;
-// pair it with a Config.Faults spec so lease monitoring and the retry
-// policy are active.
+// InjectFaults streams a fault timeline (typically produced by
+// faults.Schedule) into the engine's simulator, in (Time, index) order:
+// an unsorted timeline is accepted, and faults tied on time apply in
+// slice order, after the events already scheduled for that time and
+// before those scheduled later. Each fault is read from the slice when
+// it applies, so the caller must not modify events until Run returns.
+// Call it before Run; pair it with a Config.Faults spec so lease
+// monitoring and the retry policy are active.
 func (e *Engine) InjectFaults(events []faults.Event) {
-	for _, ev := range events {
-		ev := ev
-		e.S.Schedule(ev.Time, "fault "+ev.Kind.String()+" "+ev.Node, func() { e.applyFault(ev) })
-	}
+	e.stream(len(events), "fault", func(i int) sim.Time { return events[i].Time }, func(i int) {
+		e.applyFault(events[i])
+	})
 }
 
 func (e *Engine) applyFault(ev faults.Event) {

@@ -584,3 +584,60 @@ func TestRuntimeDetachWaitsForDrain(t *testing.T) {
 			m.LeaseExpiries, m.Completed, m.TasksLost)
 	}
 }
+
+// peakQueue is a sim.Scheduler that records the most live events it
+// ever held.
+type peakQueue struct {
+	sim.Scheduler
+	peak *int
+}
+
+func (q peakQueue) Push(t sim.Time, priority int, label string, fn sim.Handler) sim.EventRef {
+	ref := q.Scheduler.Push(t, priority, label, fn)
+	*q.peak = max(*q.peak, q.Len())
+	return ref
+}
+
+// TestPeakQueuedEventsFaultShape pins the event queue to work in flight
+// on the repository benchmark's sim-faults shape (300 tasks at λ =
+// 0.1/s under hostile crashes and SEUs, six scenarios seeded as bench
+// seeds them from 4101): the trace and the fault timeline are streamed,
+// so the queue holds completions, lease renewals and retry backoffs,
+// 37 at its peak. A fault queued as an event would bring the whole
+// timeline, about 1,000 events, into the queue at once.
+func TestPeakQueuedEventsFaultShape(t *testing.T) {
+	const ceiling = 64
+	f := faults.Default()
+	f.CrashRate = 0.05
+	f.MeanOutageSeconds = 20
+	f.SEURate = 0.08
+	f.Retry = faults.RetryPolicy{MaxRetries: 6, BackoffSeconds: 0.5, BackoffCapSeconds: 15}
+	tc, err := DefaultToolchain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := 0
+	cfg := DefaultConfig()
+	cfg.Scheduler = func() sim.Scheduler { return peakQueue{sim.NewWheelQueue(), &peak} }
+	root := sim.NewRNG(4101)
+	for i := 0; i < 6; i++ {
+		seed := root.SplitSeed(uint64(i))
+		gen, err := Generate(sim.NewRNG(seed), DefaultWorkload(300, 0.1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := RunScenario(context.Background(), ScenarioSpec{
+			Seed: seed, Config: cfg, Grid: DefaultGridSpec(), Trace: gen, Toolchain: tc, Faults: &f,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.NodeCrashes == 0 || m.SEUFaults == 0 {
+			t.Fatalf("scenario %d applied %d crashes and %d SEUs; the shape lost its faults", i, m.NodeCrashes, m.SEUFaults)
+		}
+	}
+	t.Logf("peak of %d queued events", peak)
+	if peak > ceiling {
+		t.Errorf("the event queue peaked at %d events, ceiling %d", peak, ceiling)
+	}
+}

@@ -13,8 +13,12 @@ import (
 	"repro/internal/sim"
 )
 
-// liveHeap collects garbage and returns the live heap in bytes.
+// liveHeap collects garbage and returns the live heap in bytes. It
+// collects twice: objects that only sync.Pool victim caches hold at the
+// first collection are freed by the second, so the reading does not
+// depend on what the pools held when it was taken.
 func liveHeap() float64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -113,8 +113,9 @@ type Work struct {
 	// multi-core GPPs, VLIW issue slots, GPU warps, and spatial hardware
 	// exploit to different degrees.
 	ParallelFraction float64
-	// DataMB is the input+output volume, charged to network transfer when a
-	// task runs remotely.
+	// DataMB is the task's input volume, which the grid engine charges to
+	// the hosting node's link before the task runs. No processing-element
+	// model reads it.
 	DataMB float64
 	// HWSpeedup is the factor a dedicated hardware implementation of this
 	// task achieves over the reference grid CPU (ReferenceMIPS); 0 means

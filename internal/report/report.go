@@ -101,22 +101,6 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// Bar renders a horizontal ASCII bar chart line, used for the Fig. 10
-// profile rendering (value as a share of max, width columns).
-func Bar(value, max float64, width int) string {
-	if max <= 0 || width <= 0 {
-		return ""
-	}
-	n := int(value / max * float64(width))
-	if n > width {
-		n = width
-	}
-	if n < 0 {
-		n = 0
-	}
-	return strings.Repeat("#", n)
-}
-
 // PaperVsMeasured formats one EXPERIMENTS.md comparison line.
 func PaperVsMeasured(artifact, metric string, paper, measured any, note string) string {
 	s := fmt.Sprintf("%-8s %-28s paper=%-12v measured=%-12v", artifact, metric, paper, measured)

@@ -37,21 +37,6 @@ func TestTableNoTitle(t *testing.T) {
 	}
 }
 
-func TestBar(t *testing.T) {
-	if Bar(50, 100, 10) != "#####" {
-		t.Errorf("Bar = %q", Bar(50, 100, 10))
-	}
-	if Bar(200, 100, 10) != "##########" {
-		t.Error("overflow should clamp")
-	}
-	if Bar(-1, 100, 10) != "" {
-		t.Error("negative should be empty")
-	}
-	if Bar(1, 0, 10) != "" {
-		t.Error("zero max should be empty")
-	}
-}
-
 func TestPaperVsMeasured(t *testing.T) {
 	s := PaperVsMeasured("F10", "pairalign %", 89.76, 91.2, "(shape)")
 	if !strings.Contains(s, "paper=89.76") || !strings.Contains(s, "measured=91.2") || !strings.Contains(s, "(shape)") {
