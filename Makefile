@@ -52,7 +52,7 @@ bench-test:
 # contract: the gated benchmark families (the event-core queue, the
 # DReAMSim sweeps, sink overhead, reconlint and its taint pair, and the
 # control plane) are re-run and compared against the committed
-# BENCH_PR26.json baseline; an alloc or model-metric regression beyond
+# BENCH_PR28.json baseline; an alloc or model-metric regression beyond
 # the noise budget fails verify. fmt fails on any file gofmt would
 # change. bench-test smoke-runs every workload of
 # the repository benchmark, and cover holds the observability, engine,
@@ -71,7 +71,7 @@ verify: build fmt vet lint test race cover bench-test benchdiff
 # shared machine. On a different machine (CI) time gating switches off
 # automatically via the env fingerprint in the JSON.
 BENCHTIME_VERIFY ?= 3x
-BENCH_BASELINE   ?= BENCH_PR26.json
+BENCH_BASELINE   ?= BENCH_PR28.json
 BENCH_OUT        ?= /tmp/bench_head.json
 
 # The raw capture goes to a file first (not a pipe) so a failing

@@ -1,7 +1,6 @@
 package reconvirt
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"io"
@@ -425,73 +424,6 @@ func BenchmarkAblate_ConfigReuse(b *testing.B) {
 			}
 		})
 	}
-}
-
-// sortedListQueue is the naive event-queue alternative for the ablation: a
-// slice kept sorted by insertion.
-type sortedListQueue struct {
-	times []sim.Time
-}
-
-func (q *sortedListQueue) push(t sim.Time) {
-	i := 0
-	for i < len(q.times) && q.times[i] <= t {
-		i++
-	}
-	q.times = append(q.times, 0)
-	copy(q.times[i+1:], q.times[i:])
-	q.times[i] = t
-}
-
-func (q *sortedListQueue) pop() sim.Time {
-	t := q.times[0]
-	q.times = q.times[1:]
-	return t
-}
-
-// timeHeap is the heap-based counterpart over bare times.
-type timeHeap []sim.Time
-
-func (h timeHeap) Len() int           { return len(h) }
-func (h timeHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h timeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *timeHeap) Push(x any)        { *h = append(*h, x.(sim.Time)) }
-func (h *timeHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-
-// BenchmarkAblate_EventQueue compares the binary-heap pending-event set
-// against a sorted list at simulator-realistic sizes.
-func BenchmarkAblate_EventQueue(b *testing.B) {
-	const events = 2048
-	rng := sim.NewRNG(5)
-	times := make([]sim.Time, events)
-	for i := range times {
-		times[i] = sim.Time(rng.Float64() * 1000)
-	}
-	b.Run("heap", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			h := make(timeHeap, 0, events)
-			for _, t := range times {
-				heap.Push(&h, t)
-			}
-			for h.Len() > 0 {
-				heap.Pop(&h)
-			}
-		}
-	})
-	b.Run("sorted-list", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var q sortedListQueue
-			q.times = make([]sim.Time, 0, events)
-			for _, t := range times {
-				q.push(t)
-			}
-			for len(q.times) > 0 {
-				q.pop()
-			}
-		}
-	})
 }
 
 // BenchmarkQueue is the scheduler-seam hold benchmark: with N events

@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/capability"
 	"repro/internal/faults"
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -379,8 +380,8 @@ func run(strategyName, queueName string, tasks int, rate float64, seeds int, see
 			lost += m.TasksLost
 			mttr.Observe(m.MeanMTTR())
 			avail.Observe(m.Availability())
-			gppU += m.Utilization(kindGPP())
-			fpgaU += m.Utilization(kindFPGA())
+			gppU += m.Utilization(capability.KindGPP)
+			fpgaU += m.Utilization(capability.KindFPGA)
 		}
 		n := float64(len(perStrategy[si]))
 		row := []any{s.Name(), done, unfinished,

@@ -14,9 +14,6 @@ import (
 	"repro/internal/sim"
 )
 
-func kindFPGA() capability.Kind { return capability.KindFPGA }
-func kindGPP() capability.Kind  { return capability.KindGPP }
-
 // x1Workload is a reconfiguration-sensitive stream: short hardware tasks
 // on a slow configuration port, so placement decisions (reuse a resident
 // configuration vs reconfigure the nearest device) dominate outcomes.
@@ -127,8 +124,8 @@ func runX2() error {
 
 	tb := report.NewTable("X2: hybrid vs GPP-only (same work, same node count)",
 		"Grid", "turnaround", "mean wait", "FPGA util", "GPP util", "J/task")
-	tb.AddRow("hybrid (GPP+RPE)", mh.MeanTurnaround(), mh.MeanWait(), mh.Utilization(kindFPGA()), mh.Utilization(kindGPP()), mh.JoulesPerTask())
-	tb.AddRow("GPP-only", mg.MeanTurnaround(), mg.MeanWait(), 0.0, mg.Utilization(kindGPP()), mg.JoulesPerTask())
+	tb.AddRow("hybrid (GPP+RPE)", mh.MeanTurnaround(), mh.MeanWait(), mh.Utilization(capability.KindFPGA), mh.Utilization(capability.KindGPP), mh.JoulesPerTask())
+	tb.AddRow("GPP-only", mg.MeanTurnaround(), mg.MeanWait(), 0.0, mg.Utilization(capability.KindGPP), mg.JoulesPerTask())
 	fmt.Print(tb)
 	speedup := mg.MeanTurnaround() / mh.MeanTurnaround()
 	fmt.Println(report.PaperVsMeasured("X2", "hybrid wins for parallel workloads",

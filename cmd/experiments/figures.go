@@ -331,16 +331,16 @@ func runF9() error {
 	if err := g.Add(t); err != nil {
 		return err
 	}
-	sub, err := j.Submit("alice", g, nil, jss.QoS{Monitor: true, DeadlineSeconds: 120, MaxCostUnits: 100, Priority: 2}, 0)
+	sub, err := j.Submit("alice", g, nil, jss.QoS{Monitor: true, DeadlineSeconds: 120, MaxCostUnits: 100}, 0)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("submission %s by %s: status=%s quote=%.1f units\n", sub.ID, sub.User, sub.Status, sub.QuotedCost)
-	j.Dequeue()
+	j.Start(sub)
 	j.Notify(sub, 3, "T1", "dispatched to GPP0 <-> Node0")
 	j.Charge(sub, 30, capability.KindGPP)
 	j.Notify(sub, 33, "T1", "completed")
-	j.TaskDone(sub, 33)
+	j.TaskDone(sub, "T1", 33, func(string) {})
 	resp, err := j.Query(sub.ID)
 	if err != nil {
 		return err

@@ -3,8 +3,8 @@
 // scenario coverage matrix (internal/covmatrix), and optionally a
 // cmd/gridload soak summary, rendered as markdown and/or HTML.
 //
-//	relreport -old BENCH_PR26.json -new /tmp/bench_head.json -md report.md -html report.html
-//	relreport -old BENCH_PR26.json -new /tmp/bench_head.json -soak soak.json -md -
+//	relreport -old BENCH_PR28.json -new /tmp/bench_head.json -md report.md -html report.html
+//	relreport -old BENCH_PR28.json -new /tmp/bench_head.json -soak soak.json -md -
 //
 // Sections whose inputs are absent are omitted; relreport never gates
 // (that is cmd/benchdiff's job), it only renders. Exit status: 0 ok,

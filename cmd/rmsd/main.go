@@ -140,13 +140,7 @@ func newSinks(opt *options) (*sinks, error) {
 		sk.files = append(sk.files, f)
 		parts = append(parts, obs.NewCSV(f))
 	}
-	switch len(parts) {
-	case 0:
-	case 1:
-		sk.sink = parts[0]
-	default:
-		sk.sink = obs.Multi(parts...)
-	}
+	sk.sink = obs.Multi(parts...)
 	return sk, nil
 }
 

@@ -94,10 +94,11 @@ func TestDispatchRoundNothingFitsZeroAllocs(t *testing.T) {
 
 // dispatchCompleteAllocs is everything one software task's arrival,
 // dispatch and completion allocate on a warm engine: admitOne's record,
-// the item, the execution, the lease and the completion closure. A
-// per-candidate or per-placement allocation on the dispatch path, or a
-// graph or submission per workload task, raises it.
-const dispatchCompleteAllocs = 5
+// the item, the lease and the completion closure. A per-candidate or
+// per-placement allocation on the dispatch path, a second record per
+// task beside its item, or a graph or submission per workload task,
+// raises it.
+const dispatchCompleteAllocs = 4
 
 // TestDispatchCompletionAllocs pins the success path's allocations per
 // task, untraced and with a sink that discards everything, at the

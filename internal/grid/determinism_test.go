@@ -34,7 +34,7 @@ func faultFingerprint(m *Metrics) string {
 	var b strings.Builder
 	b.WriteString(fingerprint(m))
 	fmt.Fprintf(&b, "submitted=%d failures=%d retries=%d lost=%d expiries=%d\n",
-		m.Submitted, m.Failures, m.Retries, m.TasksLost, m.LeaseExpiries)
+		m.Submitted, m.Failures(), m.Retries, m.TasksLost, m.LeaseExpiries)
 	fmt.Fprintf(&b, "crashes=%d recoveries=%d seu=%d link=%d\n",
 		m.NodeCrashes, m.NodeRecoveries, m.SEUFaults, m.LinkFaults)
 	fmt.Fprintf(&b, "mttr=%v down=%v window=%v nodes=%d avail=%v\n",

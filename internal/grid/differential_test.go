@@ -121,7 +121,7 @@ func TestTraceMetricsDifferential(t *testing.T) {
 					{"submitted", tt.queued, m.Submitted},
 					{"completed", tt.complete, m.Completed},
 					{"reconfigs", tt.reconfig, m.Reconfigs},
-					{"failures", tt.fail, m.Failures},
+					{"failures", tt.fail, m.Failures()},
 					{"lost", tt.lost, m.TasksLost},
 					{"retries", tt.retry, m.Retries},
 					{"node crashes", tt.nodeDown, m.NodeCrashes},

@@ -86,34 +86,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// appRun tracks one Submit application's progress by one unblock rule
-// for graphs (Fig. 7) and programs (Fig. 8): waiting counts each blocked
-// task's unfinished predecessors, next lists each task's successors, and
-// a task is queued once its count reaches zero. Both stay nil when no
-// task waits.
-type appRun struct {
-	sub     *jss.Submission
-	waiting map[string]int
-	next    map[string][]string
-}
-
-// block makes task id wait for every task in after.
-func (run *appRun) block(id string, after []string) {
-	if run.waiting == nil {
-		run.waiting, run.next = make(map[string]int), make(map[string][]string)
-	}
-	run.waiting[id] = len(after)
-	for _, p := range after {
-		run.next[p] = append(run.next[p], id)
-	}
-}
-
-// item is one runnable task waiting for a processing element. rec is its
-// task tuple: a workload task's trace record, or the record enqueue
-// builds for a ready task of the Submit application run.
+// item is the engine's one record of a task, from its arrival until it
+// settles. rec is its task tuple: a workload task's trace record, or the
+// record enqueue builds for a ready task of the Submit application sub.
 type item struct {
 	rec *Generated
-	run *appRun
+	sub *jss.Submission
 	// tid is the task ID interned once at enqueue; every later trace of
 	// this task passes the handle instead of re-hashing the string.
 	// Untraced engines leave it zero.
@@ -124,6 +102,20 @@ type item struct {
 	// most recent one (the MTTR clock).
 	attempts int
 	lastFail sim.Time
+	// The current placement, set by execute: lease holds the candidate
+	// it runs on and the estimator whose kind prices it; exec is the pure
+	// execution time and span the full charged timeline (transfer +
+	// synthesis + reconfiguration + execution). ev is the completion and
+	// renew the pending lease-renewal check, both cancelled when the
+	// placement completes or aborts. They are refs, not pointers: events
+	// are pooled, and a ref that outlives its event (a crash cancels the
+	// completion, then a lease expiry tries again) degrades to a
+	// harmless no-op instead of touching a recycled event.
+	lease *rms.Lease
+	exec  float64
+	span  float64
+	ev    sim.EventRef
+	renew sim.EventRef
 }
 
 // Engine drives the simulation: submissions arrive, the scheduler places
@@ -147,10 +139,10 @@ type Engine struct {
 	// so candidate evaluation allocates nothing in steady state.
 	optsBuf []sched.Option
 	m       *Metrics
-	// running tracks in-flight executions per element, for failure
+	// running tracks the tasks in flight per element, for failure
 	// injection and the gauge sampler. It, down and linkFault are made at
 	// their first write; reads, len and delete work on a nil map.
-	running map[*node.Element][]*execution
+	running map[*node.Element][]*item
 	// lastReal is the virtual time of the last traced (model) event; the
 	// end-of-run metrics window clamps to it when sampling is enabled so
 	// a trailing sampler tick cannot widen WindowSeconds/Availability.
@@ -166,27 +158,6 @@ type Engine struct {
 	down      map[string]outage
 	linkFault map[string]faults.Event
 	backoff   []*item
-}
-
-// execution is one in-flight task placement; its lease holds the
-// candidate it runs on and the estimator whose kind prices it. The event
-// handles are refs, not pointers: events are pooled, and a ref that
-// outlives its event (a crash cancels the completion, then a lease expiry
-// tries again) degrades to a harmless no-op instead of touching a
-// recycled event.
-type execution struct {
-	it    *item
-	lease *rms.Lease
-	// exec is the pure execution time, span the full charged timeline
-	// (transfer + synthesis + reconfiguration + execution). Stored here so
-	// the completion handler closes over just the execution record instead
-	// of a dozen locals — one small closure per dispatch, not ten boxes.
-	exec float64
-	span float64
-	ev   sim.EventRef
-	// renew is the pending lease-renewal check, cancelled when the
-	// execution completes or aborts.
-	renew sim.EventRef
 }
 
 // NewEngine wires a simulator around an existing registry and matchmaker.
@@ -282,14 +253,16 @@ func (e *Engine) stream(n int, label string, at func(i int) sim.Time, fire func(
 	e.S.Stream(n, label, at, fire)
 }
 
-// admit hands one submission to the JSS and starts it. Each submit event
-// admits one submission; Dequeue honours priority if several were queued
-// at the same instant.
+// admit hands one submission to the JSS, starts it and queues the tasks
+// that are ready, in the order the JSS gives them.
 func (e *Engine) admit(user string, g *task.Graph, prog *task.Program, qos jss.QoS) {
-	if _, err := e.J.Submit(user, g, prog, qos, e.S.Now()); err != nil {
+	sub, err := e.J.Submit(user, g, prog, qos, e.S.Now())
+	if err != nil {
 		return // rejected; the JSS records the reason
 	}
-	e.start(&appRun{sub: e.J.Dequeue()})
+	for _, id := range e.J.Start(sub) {
+		e.enqueue(sub, id)
+	}
 }
 
 // addDesign adds the HDL design a task's requirement names, if any, to
@@ -356,42 +329,14 @@ func (e *Engine) unreachable(nodeID string) bool {
 	return ok && f.Partition
 }
 
-// start derives a run's unblock rule, from the plan's previous batch or
-// the graph's dependencies, and enqueues its ready tasks in plan or
-// graph order. The JSS has validated both: every task a program names,
-// and every producer a graph task names, is in the graph.
-func (e *Engine) start(run *appRun) {
-	var ready []string
-	if prog := run.sub.Program; prog != nil {
-		plan := prog.Plan()
-		ready = plan[0]
-		for k := 1; k < len(plan); k++ {
-			for _, id := range plan[k] {
-				run.block(id, plan[k-1])
-			}
-		}
-	} else {
-		for _, id := range run.sub.Graph.Order() {
-			if deps := run.sub.Graph.Dependencies(id); len(deps) > 0 {
-				run.block(id, deps)
-			} else {
-				ready = append(ready, id)
-			}
-		}
-	}
-	for _, id := range ready {
-		e.enqueue(run, id)
-	}
-}
-
-// enqueue queues a ready task of a run from a record built for it, whose
-// Work.DataMB is the input volume the node's link carries.
-func (e *Engine) enqueue(run *appRun, id string) {
-	t, _ := run.sub.Graph.Get(id)
-	e.J.Notify(run.sub, e.S.Now(), id, "queued")
+// enqueue queues a ready task of a submission from a record built for
+// it, whose Work.DataMB is the input volume the node's link carries.
+func (e *Engine) enqueue(sub *jss.Submission, id string) {
+	t, _ := sub.Graph.Get(id)
+	e.J.Notify(sub, e.S.Now(), id, "queued")
 	rec := &Generated{ID: id, ExecReq: &t.ExecReq, EstimatedSeconds: t.EstimatedSeconds, Work: t.Work}
 	rec.Work.DataMB = t.InputMB()
-	e.queueItem(&item{rec: rec, run: run})
+	e.queueItem(&item{rec: rec, sub: sub})
 }
 
 // queueItem queues a newly arrived task and dispatches what fits.
@@ -550,18 +495,18 @@ func (e *Engine) execute(it *item, lease *rms.Lease) {
 	}
 	e.m.SynthesisSeconds += lease.SynthesisSeconds
 
-	if run := it.run; run != nil && run.sub.QoS.Monitor {
+	if it.sub != nil && it.sub.QoS.Monitor {
 		// Gate before Notify: the label string is only built when the
 		// user actually subscribed to progress events.
-		e.J.Notify(run.sub, now, it.rec.ID, "dispatched to "+cand.Label())
+		e.J.Notify(it.sub, now, it.rec.ID, "dispatched to "+cand.Label())
 	}
 
-	exe := &execution{it: it, lease: lease, exec: exec, span: span}
+	it.lease, it.exec, it.span = lease, exec, span
 	elem := cand.Elem
 	if e.running == nil {
-		e.running = make(map[*node.Element][]*execution)
+		e.running = make(map[*node.Element][]*item)
 	}
-	e.running[elem] = append(e.running[elem], exe)
+	e.running[elem] = append(e.running[elem], it)
 	e.trace(obs.Event{
 		Time: now, Kind: obs.KindDispatch, TaskID: it.tid,
 		Node: e.nodeName(cand.Node), Element: e.elemName(elem),
@@ -572,19 +517,19 @@ func (e *Engine) execute(it *item, lease *rms.Lease) {
 			Node: e.nodeName(cand.Node), Element: e.elemName(elem),
 		})
 	}
-	e.superviseLease(exe)
-	exe.ev = e.S.After(sim.Time(span), "complete", func() { e.complete(exe) })
+	e.superviseLease(it)
+	it.ev = e.S.After(sim.Time(span), "complete", func() { e.complete(it) })
 }
 
-// complete is the completion handler for one execution: settle the lease,
-// fold the timeline into the metrics, and for a Submit task report to the
-// JSS and unlock whatever the finished task was blocking.
-func (e *Engine) complete(exe *execution) {
-	it, lease, run := exe.it, exe.lease, exe.it.run
+// complete is the completion handler for one placement: settle the
+// lease, fold the timeline into the metrics, and for a Submit task report
+// to the JSS and queue whatever the finished task was blocking.
+func (e *Engine) complete(it *item) {
+	lease := it.lease
 	elem := lease.Cand.Elem
 	end := e.S.Now()
-	e.S.Cancel(exe.renew)
-	e.dropRunning(elem, exe)
+	e.S.Cancel(it.renew)
+	e.dropRunning(elem, it)
 	if err := lease.Release(); err != nil {
 		panic(fmt.Sprintf("grid: release failed: %v", err))
 	}
@@ -593,8 +538,8 @@ func (e *Engine) complete(exe *execution) {
 	if it.attempts > 0 {
 		e.m.MTTR.Observe(float64(end - it.lastFail))
 	}
-	e.m.busySeconds[elem.Kind] += exe.span
-	e.m.Energy.ChargeActive(elem.Kind, exe.span)
+	e.m.busySeconds[elem.Kind] += it.span
+	e.m.Energy.ChargeActive(elem.Kind, it.span)
 	if end > e.m.Makespan {
 		e.m.Makespan = end
 	}
@@ -602,31 +547,19 @@ func (e *Engine) complete(exe *execution) {
 		Time: end, Kind: obs.KindComplete, TaskID: it.tid,
 		Node: e.nodeName(lease.Cand.Node), Element: e.elemName(elem),
 	})
-	if run != nil {
-		e.J.Charge(run.sub, exe.exec, lease.Estimator.Kind())
-		e.J.Notify(run.sub, end, it.rec.ID, "completed")
-		e.J.TaskDone(run.sub, end)
-		e.advance(run, it.rec.ID)
+	if sub := it.sub; sub != nil {
+		e.J.Charge(sub, it.exec, lease.Estimator.Kind())
+		e.J.Notify(sub, end, it.rec.ID, "completed")
+		e.J.TaskDone(sub, it.rec.ID, end, func(id string) { e.enqueue(sub, id) })
 	}
 	e.tryDispatch()
 }
 
-// advance enqueues, in insertion order, each successor of a finished
-// task that no longer waits on anything.
-func (e *Engine) advance(run *appRun, doneID string) {
-	for _, id := range run.next[doneID] {
-		run.waiting[id]--
-		if run.waiting[id] == 0 {
-			e.enqueue(run, id)
-		}
-	}
-}
-
-// dropRunning removes one execution record from an element's list.
-func (e *Engine) dropRunning(elem *node.Element, exe *execution) {
+// dropRunning removes one task from an element's running list.
+func (e *Engine) dropRunning(elem *node.Element, it *item) {
 	list := e.running[elem]
 	for i, cur := range list {
-		if cur == exe {
+		if cur == it {
 			e.running[elem] = append(list[:i], list[i+1:]...)
 			break
 		}
@@ -715,8 +648,8 @@ func (e *Engine) emitSample() {
 		Completed:    e.m.Completed,
 		EnergyJoules: e.m.Energy.TotalJoules(),
 	}
-	// Every element holding an execution is registered: a crashed or
-	// detaching node stays in the registry while it is busy.
+	// Every element running a task is registered: a crashed or detaching
+	// node stays in the registry while it is busy.
 	var unitsGPP, unitsFPGA, unitsGPU int
 	for _, n := range e.Reg.Nodes() {
 		for _, el := range n.Elements() {
@@ -759,38 +692,37 @@ func unitRatio(busy, units int) float64 {
 	return float64(busy) / float64(units)
 }
 
-// abortExecution tears one in-flight execution down: its completion and
+// abortExecution tears a task's placement down: its completion and
 // renewal events are cancelled, the lease released, and the region it
 // configured evicted — a failed or power-cycled fabric cannot be trusted
 // to hold a valid configuration, so no stale reuse happens.
-func (e *Engine) abortExecution(exe *execution) {
-	e.S.Cancel(exe.ev)
-	e.S.Cancel(exe.renew)
-	elem := exe.lease.Cand.Elem
-	e.dropRunning(elem, exe)
-	if err := exe.lease.Release(); err != nil {
+func (e *Engine) abortExecution(it *item) {
+	e.S.Cancel(it.ev)
+	e.S.Cancel(it.renew)
+	elem := it.lease.Cand.Elem
+	e.dropRunning(elem, it)
+	if err := it.lease.Release(); err != nil {
 		panic(fmt.Sprintf("grid: failure release: %v", err))
 	}
-	if exe.lease.Region != nil && elem.Fabric != nil {
-		_ = elem.Fabric.Evict(exe.lease.Region)
+	if it.lease.Region != nil && elem.Fabric != nil {
+		_ = elem.Fabric.Evict(it.lease.Region)
 	}
-	exe.it.lastFail = e.S.Now()
+	it.lastFail = e.S.Now()
 }
 
-// failExecution aborts one in-flight execution and routes its task
-// through the retry policy.
-func (e *Engine) failExecution(exe *execution, nodeID, elemID string) {
-	e.abortExecution(exe)
-	e.m.Failures++
-	if run := exe.it.run; run != nil && run.sub.QoS.Monitor {
-		e.J.Notify(run.sub, e.S.Now(), exe.it.rec.ID,
+// failExecution aborts a task's placement and routes the task through
+// the retry policy.
+func (e *Engine) failExecution(it *item, nodeID, elemID string) {
+	e.abortExecution(it)
+	if it.sub != nil && it.sub.QoS.Monitor {
+		e.J.Notify(it.sub, e.S.Now(), it.rec.ID,
 			"failed on "+nodeID+"/"+elemID+", requeued")
 	}
 	e.trace(obs.Event{
-		Time: e.S.Now(), Kind: obs.KindFail, TaskID: exe.it.tid,
-		Node: e.nodeName(exe.lease.Cand.Node), Element: e.elemName(exe.lease.Cand.Elem),
+		Time: e.S.Now(), Kind: obs.KindFail, TaskID: it.tid,
+		Node: e.nodeName(it.lease.Cand.Node), Element: e.elemName(it.lease.Cand.Elem),
 	})
-	e.requeueOrLose(exe.it)
+	e.requeueOrLose(it)
 }
 
 // requeueOrLose routes an aborted task through the retry policy: either
@@ -808,8 +740,8 @@ func (e *Engine) requeueOrLose(it *item) {
 	if pol.MaxRetries > 0 && it.attempts > pol.MaxRetries {
 		e.m.TasksLost++
 		e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindLost, TaskID: it.tid})
-		if it.run != nil {
-			e.J.Fail(it.run.sub, e.S.Now(), "task "+it.rec.ID+" lost after "+strconv.Itoa(it.attempts)+" failed attempts")
+		if it.sub != nil {
+			e.J.Fail(it.sub, e.S.Now(), "task "+it.rec.ID+" lost after "+strconv.Itoa(it.attempts)+" failed attempts")
 		}
 		return
 	}
@@ -820,8 +752,8 @@ func (e *Engine) requeueOrLose(it *item) {
 		e.backoff = slices.Delete(e.backoff, i, i+1)
 		e.pushQueue(it, false)
 		e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindRetry, TaskID: it.tid})
-		if it.run != nil {
-			e.J.Notify(it.run.sub, e.S.Now(), it.rec.ID, "requeued for retry")
+		if it.sub != nil {
+			e.J.Notify(it.sub, e.S.Now(), it.rec.ID, "requeued for retry")
 		}
 		e.tryDispatch()
 	})
@@ -867,27 +799,25 @@ func (e *Engine) finish() {
 	}
 	var inflight []*item
 	for _, list := range e.running {
-		for _, exe := range list {
-			inflight = append(inflight, exe.it)
-		}
+		inflight = append(inflight, list...)
 	}
 	// Enqueue order, not map order: a submission with several stranded
 	// tasks keeps the reason of the last one failed below.
 	slices.SortFunc(inflight, func(a, b *item) int { return a.seq - b.seq })
 	e.m.Unfinished = len(inflight) + len(e.backoff) + len(e.queue)
 	for _, it := range inflight {
-		if it.run != nil {
-			e.J.Fail(it.run.sub, now, "task "+it.rec.ID+" still running when the run ended")
+		if it.sub != nil {
+			e.J.Fail(it.sub, now, "task "+it.rec.ID+" still running when the run ended")
 		}
 	}
 	for _, it := range e.backoff {
-		if it.run != nil {
-			e.J.Fail(it.run.sub, now, "task "+it.rec.ID+" backing off before a retry when the run ended")
+		if it.sub != nil {
+			e.J.Fail(it.sub, now, "task "+it.rec.ID+" backing off before a retry when the run ended")
 		}
 	}
 	for _, it := range e.queue {
-		if it.run != nil {
-			e.J.Fail(it.run.sub, now, fmt.Sprintf("task %s unschedulable under %s", it.rec.ID, e.cfg.Strategy.Name()))
+		if it.sub != nil {
+			e.J.Fail(it.sub, now, fmt.Sprintf("task %s unschedulable under %s", it.rec.ID, e.cfg.Strategy.Name()))
 		}
 	}
 	ids := make([]string, 0, len(e.down))

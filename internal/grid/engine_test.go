@@ -82,8 +82,8 @@ func runningOn(t *testing.T, eng *Engine, taskID string) (string, string) {
 	t.Helper()
 	for _, n := range eng.Reg.Nodes() {
 		for _, el := range n.Elements() {
-			for _, exe := range eng.running[el] {
-				if exe.it.rec.ID == taskID {
+			for _, it := range eng.running[el] {
+				if it.rec.ID == taskID {
 					return n.ID, el.ID
 				}
 			}

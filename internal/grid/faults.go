@@ -66,28 +66,28 @@ func (e *Engine) leaseTTL() sim.Time {
 	return sim.Time(faults.DefaultLeaseTTL)
 }
 
-// superviseLease starts the lease renewal loop for an in-flight
-// execution: every TTL the RMS checks the hosting node, and while it
-// answers the lease is renewed for another TTL. The first check that
-// finds the node unreachable expires the lease, so failure-detection
-// latency is at most one TTL. Completion and abort cancel the pending
-// check, so a check that fires always finds its lease live. No-op
-// without an active fault policy.
-func (e *Engine) superviseLease(exe *execution) {
+// superviseLease starts the lease renewal loop for a task in flight:
+// every TTL the RMS checks the hosting node, and while it answers the
+// lease is renewed for another TTL. The first check that finds the node
+// unreachable expires the lease, so failure-detection latency is at most
+// one TTL. Completion and abort cancel the pending check, so a check
+// that fires always finds its lease live. No-op without an active fault
+// policy.
+func (e *Engine) superviseLease(it *item) {
 	ttl := e.leaseTTL()
 	if ttl <= 0 {
 		return
 	}
-	nodeID := exe.lease.Cand.Node.ID
+	nodeID := it.lease.Cand.Node.ID
 	var check func()
 	check = func() {
 		if e.unreachable(nodeID) {
-			e.expireLease(exe)
+			e.expireLease(it)
 			return
 		}
-		exe.renew = e.S.After(ttl, "lease-renew", check)
+		it.renew = e.S.After(ttl, "lease-renew", check)
 	}
-	exe.renew = e.S.After(ttl, "lease-renew", check)
+	it.renew = e.S.After(ttl, "lease-renew", check)
 }
 
 // expireLease is failure detection firing: the lease is declared dead,
@@ -95,20 +95,20 @@ func (e *Engine) superviseLease(exe *execution) {
 // re-enters the retry path (re-matchmaking on whatever nodes remain),
 // and — once the node has no surviving leases — its registry entry is
 // dropped so the matchmaker stops offering it.
-func (e *Engine) expireLease(exe *execution) {
-	nodeID := exe.lease.Cand.Node.ID
-	elemID := exe.lease.Cand.Elem.ID
+func (e *Engine) expireLease(it *item) {
+	nodeID := it.lease.Cand.Node.ID
+	elemID := it.lease.Cand.Elem.ID
 	e.m.LeaseExpiries++
 	e.trace(obs.Event{
-		Time: e.S.Now(), Kind: obs.KindLeaseExpired, TaskID: exe.it.tid,
-		Node: e.nodeName(exe.lease.Cand.Node), Element: e.elemName(exe.lease.Cand.Elem),
+		Time: e.S.Now(), Kind: obs.KindLeaseExpired, TaskID: it.tid,
+		Node: e.nodeName(it.lease.Cand.Node), Element: e.elemName(it.lease.Cand.Elem),
 	})
-	e.failExecution(exe, nodeID, elemID)
+	e.failExecution(it, nodeID, elemID)
 	e.releaseCrashedNode(nodeID)
 }
 
-// releaseCrashedNode drops a down node's registry entry once no
-// execution still holds capacity on it. The registry refuses to remove
+// releaseCrashedNode drops a down node's registry entry once no task
+// in flight still holds capacity on it. The registry refuses to remove
 // busy nodes, so a loaded node is released lease by lease as expiries
 // land; an idle one goes immediately at crash time.
 func (e *Engine) releaseCrashedNode(nodeID string) {
@@ -142,8 +142,8 @@ func (e *Engine) applyCrash(ev faults.Event) {
 	e.m.NodeCrashes++
 	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindNodeDown, Node: e.nodeName(n)})
 	for _, el := range n.Elements() {
-		for _, exe := range e.running[el] {
-			e.S.Cancel(exe.ev)
+		for _, it := range e.running[el] {
+			e.S.Cancel(it.ev)
 		}
 	}
 	e.releaseCrashedNode(ev.Node)
@@ -162,8 +162,8 @@ func (e *Engine) applyRecover(ev faults.Event) {
 	}
 	n := o.node
 	for _, el := range n.Elements() {
-		for _, exe := range append([]*execution(nil), e.running[el]...) {
-			e.expireLease(exe)
+		for _, it := range append([]*item(nil), e.running[el]...) {
+			e.expireLease(it)
 		}
 	}
 	_ = e.Reg.RemoveNode(ev.Node)
@@ -212,9 +212,9 @@ func (e *Engine) applySEU(ev faults.Event) {
 		_ = el.Fabric.Evict(r)
 		return
 	}
-	for _, exe := range append([]*execution(nil), e.running[el]...) {
-		if exe.lease.Region == r {
-			e.failExecution(exe, ev.Node, el.ID)
+	for _, it := range append([]*item(nil), e.running[el]...) {
+		if it.lease.Region == r {
+			e.failExecution(it, ev.Node, el.ID)
 			break
 		}
 	}

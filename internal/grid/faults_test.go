@@ -84,8 +84,8 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	if m.NodeCrashes != 1 || m.NodeRecoveries != 1 {
 		t.Errorf("crashes=%d recoveries=%d, want 1/1", m.NodeCrashes, m.NodeRecoveries)
 	}
-	if m.LeaseExpiries != 1 || m.Failures != 1 || m.Retries != 1 {
-		t.Errorf("expiries=%d failures=%d retries=%d, want 1/1/1", m.LeaseExpiries, m.Failures, m.Retries)
+	if m.LeaseExpiries != 1 || m.Failures() != 1 || m.Retries != 1 {
+		t.Errorf("expiries=%d failures=%d retries=%d, want 1/1/1", m.LeaseExpiries, m.Failures(), m.Retries)
 	}
 	if m.Completed != 1 || m.Unfinished != 0 || m.TasksLost != 0 {
 		t.Errorf("completed=%d unfinished=%d lost=%d; retried task must finish elsewhere",
@@ -187,8 +187,8 @@ func TestSEUAbortsTaskAndForcesReconfiguration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.SEUFaults != 1 || m.Failures != 1 || m.Retries != 1 {
-		t.Errorf("seu=%d failures=%d retries=%d, want 1/1/1", m.SEUFaults, m.Failures, m.Retries)
+	if m.SEUFaults != 1 || m.Failures() != 1 || m.Retries != 1 {
+		t.Errorf("seu=%d failures=%d retries=%d, want 1/1/1", m.SEUFaults, m.Failures(), m.Retries)
 	}
 	if m.Completed != 1 || m.Unfinished != 0 {
 		t.Errorf("completed=%d unfinished=%d; task must survive the upset", m.Completed, m.Unfinished)
@@ -313,8 +313,8 @@ func TestRetryBudgetExhaustedLosesTask(t *testing.T) {
 	if m.TasksLost != 1 || m.Completed != 0 || m.Unfinished != 0 {
 		t.Errorf("lost=%d completed=%d unfinished=%d, want 1/0/0", m.TasksLost, m.Completed, m.Unfinished)
 	}
-	if m.Retries != 1 || m.Failures != 2 {
-		t.Errorf("retries=%d failures=%d, want 1/2", m.Retries, m.Failures)
+	if m.Retries != 1 || m.Failures() != 2 {
+		t.Errorf("retries=%d failures=%d, want 1/2", m.Retries, m.Failures())
 	}
 	var sawLost bool
 	for _, ev := range rec.Events() {
@@ -389,8 +389,8 @@ func TestTransientFailureRetriesTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Failures != 1 {
-		t.Errorf("failures = %d, want 1", m.Failures)
+	if m.Failures() != 1 {
+		t.Errorf("failures = %d, want 1", m.Failures())
 	}
 	if m.Completed != 1 || m.Unfinished != 0 {
 		t.Errorf("completed=%d unfinished=%d; the retried task must finish", m.Completed, m.Unfinished)
@@ -452,8 +452,8 @@ func TestFailureOnIdleElementIsHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.SEUFaults != 0 || m.Failures != 0 || eng.Reg.Len() != 4 {
-		t.Errorf("seu=%d failures=%d nodes=%d; idle strikes must be harmless", m.SEUFaults, m.Failures, eng.Reg.Len())
+	if m.SEUFaults != 0 || m.Failures() != 0 || eng.Reg.Len() != 4 {
+		t.Errorf("seu=%d failures=%d nodes=%d; idle strikes must be harmless", m.SEUFaults, m.Failures(), eng.Reg.Len())
 	}
 }
 
@@ -501,8 +501,8 @@ func TestFailureEventVisibleToMonitoringUser(t *testing.T) {
 
 func TestFailureMetricsFieldZeroByDefault(t *testing.T) {
 	m := runSmall(t, sched.ReconfigAware{}, 30, 0.5)
-	if m.Failures != 0 {
-		t.Errorf("failures = %d without injection", m.Failures)
+	if m.Failures() != 0 {
+		t.Errorf("failures = %d without injection", m.Failures())
 	}
 }
 

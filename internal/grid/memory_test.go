@@ -153,7 +153,7 @@ func TestHeapPerPendingArrival(t *testing.T) {
 }
 
 // TestHeapPerSettledTask is the post-run memory ceiling: once a workload
-// task completes, the engine keeps no item, execution or interned ID
+// task completes, the engine keeps no item, lease or interned ID
 // for it, and the event pool stays as small as the run's peak of queued
 // events, not the trace's length.
 func TestHeapPerSettledTask(t *testing.T) {
@@ -185,18 +185,19 @@ func TestHeapPerSettledTask(t *testing.T) {
 // one-node registry and matchmaker, an untraced engine on the heap queue
 // holds its simulator, JSS and metrics, no map and no trace cache: the
 // JSS's submissions map and the running, outage and link-fault maps are
-// made at their first write. The smallest of three measurements counts.
-// Each engine allocates the same objects in any test order, but the
-// reading moves with what ran before it in the process: 925 B alone,
-// 935–944 B after any one other grid test, and 944 B in the package run
-// (2 vCPUs, amd64, Go 1.24.0). The ceiling sits above that spread.
+// made at their first write, and the JSS keeps no queue. The smallest of
+// three measurements counts. Each engine allocates the same objects in
+// any test order, but the reading can move with what ran before it in
+// the process; it reads 912 B alone, after one other grid test and in
+// the package run (2 vCPUs, amd64, Go 1.24.0). The ceiling leaves 16 B
+// for that spread.
 func TestHeapPerEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap ceiling run skipped in -short mode")
 	}
 	const (
 		engines       = 2_000
-		engineCeiling = 960 // bytes per engine
+		engineCeiling = 928 // bytes per engine
 	)
 	regs := make([]*rms.Registry, engines)
 	mms := make([]*rms.Matchmaker, engines)
@@ -286,8 +287,5 @@ func TestWorkloadTasksBypassJSS(t *testing.T) {
 	}
 	if resp.Status != jss.StatusDone || resp.TasksDone != 1 {
 		t.Errorf("settled Submit submission answers %+v", resp)
-	}
-	if sub := eng.J.Dequeue(); sub != nil {
-		t.Errorf("submission %s still queued after the drain", sub.ID)
 	}
 }

@@ -35,9 +35,6 @@ type Metrics struct {
 	Reuses          int
 	// Fallbacks counts software tasks served by soft-cores on RPEs.
 	Fallbacks int
-	// Failures counts task executions aborted by injected element
-	// failures (each aborted task is re-enqueued and retried).
-	Failures int
 	// Fault-injection and recovery accounting (zero unless a fault spec
 	// is active): Retries counts fault-induced re-queues, TasksLost the
 	// tasks abandoned after exhausting their retry budget, LeaseExpiries
@@ -140,6 +137,11 @@ func (m *Metrics) Availability() float64 {
 	return a
 }
 
+// Failures returns how many placements injected faults aborted. Every
+// aborted task is either re-queued or lost, so this is Retries +
+// TasksLost.
+func (m *Metrics) Failures() int { return m.Retries + m.TasksLost }
+
 // MeanMTTR returns the average fault-to-repair time over tasks that
 // failed at least once and eventually completed.
 func (m *Metrics) MeanMTTR() float64 { return m.MTTR.Mean() }
@@ -151,7 +153,7 @@ func (m *Metrics) String() string {
 		m.Strategy, m.Completed, m.Unfinished, m.MeanWait(), m.P95Wait(), m.MeanTurnaround(), m.Makespan)
 	fmt.Fprintf(&b, " reconfigs=%d (%.3gs, %.1f MB) reuse=%d fallback=%d", m.Reconfigs, m.ReconfigSeconds, m.BitstreamMB, m.Reuses, m.Fallbacks)
 	fmt.Fprintf(&b, " util{gpp=%.0f%% fpga=%.0f%%}", 100*m.Utilization(capability.KindGPP), 100*m.Utilization(capability.KindFPGA))
-	if m.Failures > 0 || m.NodeCrashes > 0 || m.SEUFaults > 0 || m.LinkFaults > 0 || m.TasksLost > 0 {
+	if m.Failures() > 0 || m.NodeCrashes > 0 || m.SEUFaults > 0 || m.LinkFaults > 0 {
 		fmt.Fprintf(&b, " faults{crash=%d seu=%d link=%d expired=%d retries=%d lost=%d mttr=%.3gs avail=%.2f%%}",
 			m.NodeCrashes, m.SEUFaults, m.LinkFaults, m.LeaseExpiries, m.Retries, m.TasksLost,
 			m.MeanMTTR(), 100*m.Availability())

@@ -4,11 +4,14 @@
 // events, and cost accounting. "The minimum level of services required by a
 // user is to submit his application tasks and get results. But more
 // services can be added to satisfy the Quality of Service requirements."
+// The JSS also runs each application it admits: it says which tasks are
+// ready, while the grid engine's RMS places them.
 package jss
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/capability"
@@ -26,8 +29,6 @@ type QoS struct {
 	MaxCostUnits float64
 	// Monitor subscribes the user to per-task progress events.
 	Monitor bool
-	// Priority orders the queue; higher runs earlier, FIFO within a level.
-	Priority int
 }
 
 // Status is a submission's lifecycle state.
@@ -86,7 +87,11 @@ type Submission struct {
 	FailureReason string
 
 	remaining int
-	seq       int // FIFO tie-break
+	// waiting counts each blocked task's unfinished predecessors and next
+	// lists each task's successors, the unblock rule Start derives; both
+	// stay nil when no task waits.
+	waiting map[string]int
+	next    map[string][]string
 }
 
 // CostRate is the per-execution-second price of a processing-element kind,
@@ -116,12 +121,12 @@ func QuoteCost(g *task.Graph) float64 {
 	return total
 }
 
-// JSS accepts, queues, and tracks submissions. It is driven by the grid
-// engine: the engine dequeues work and reports progress back.
+// JSS admits, starts and tracks submissions, and runs each one's unblock
+// rule. It keeps no queue: the grid engine starts each submission it
+// admits, queues the tasks the JSS reports ready and reports each
+// finished task back.
 type JSS struct {
-	nextID  int
-	nextSeq int
-	queue   []*Submission
+	nextID int
 	// all is made at the first Submit; reads work on a nil map, so a JSS
 	// that is never submitted to holds no map.
 	all map[string]*Submission
@@ -132,15 +137,15 @@ func New() *JSS {
 	return &JSS{}
 }
 
-// Submit validates and enqueues an application. Rejections (invalid
-// graphs, over-budget quotes, streaming designs) return an error and a
-// rejected submission record.
+// Submit validates and records an application, queued until Start runs
+// it. Rejections (invalid graphs, programs that name a task the graph
+// lacks or leave one of its tasks out, over-budget quotes, streaming
+// designs) return an error and a rejected submission record.
 func (j *JSS) Submit(user string, g *task.Graph, prog *task.Program, qos QoS, now sim.Time) (*Submission, error) {
 	if j.all == nil {
 		j.all = make(map[string]*Submission)
 	}
 	j.nextID++
-	j.nextSeq++
 	sub := &Submission{
 		ID:          fmt.Sprintf("sub-%04d", j.nextID),
 		User:        user,
@@ -149,7 +154,6 @@ func (j *JSS) Submit(user string, g *task.Graph, prog *task.Program, qos QoS, no
 		QoS:         qos,
 		SubmittedAt: now,
 		Status:      StatusQueued,
-		seq:         j.nextSeq,
 	}
 	if user == "" {
 		return j.reject(sub, "submission without a user")
@@ -164,9 +168,19 @@ func (j *JSS) Submit(user string, g *task.Graph, prog *task.Program, qos QoS, no
 		if err := prog.Validate(); err != nil {
 			return j.reject(sub, err.Error())
 		}
-		for _, id := range prog.TaskIDs() {
+		ids := prog.TaskIDs()
+		for _, id := range ids {
 			if _, ok := g.Get(id); !ok {
 				return j.reject(sub, fmt.Sprintf("program references unknown task %s", id))
+			}
+		}
+		// Validate refused repeated tasks, so a program naming fewer tasks
+		// than the graph holds leaves one out, which would never run.
+		if len(ids) < g.Len() {
+			for _, id := range g.Order() {
+				if !slices.Contains(ids, id) {
+					return j.reject(sub, fmt.Sprintf("program leaves out task %s", id))
+				}
 			}
 		}
 	}
@@ -181,7 +195,6 @@ func (j *JSS) Submit(user string, g *task.Graph, prog *task.Program, qos QoS, no
 		return j.reject(sub, fmt.Sprintf("quote %.2f exceeds cost cap %.2f", sub.QuotedCost, qos.MaxCostUnits))
 	}
 	sub.remaining = g.Len()
-	j.queue = append(j.queue, sub)
 	j.all[sub.ID] = sub
 	return sub, nil
 }
@@ -197,24 +210,43 @@ func (j *JSS) reject(sub *Submission, reason string) (*Submission, error) {
 	return sub, errors.New("jss: " + reason)
 }
 
-// Dequeue removes and returns the highest-priority queued submission
-// (FIFO within a priority level), or nil when empty.
-func (j *JSS) Dequeue() *Submission {
-	if len(j.queue) == 0 {
-		return nil
+// Start marks an admitted submission running and derives its unblock
+// rule once: under a program each batch of the plan waits for the batch
+// before it (Fig. 8), otherwise each task waits for the producers of its
+// inputs (Fig. 7). It returns the tasks that are ready now, in plan
+// order or graph order. Submit has validated both: every task a program
+// names, and every producer a graph task names, is in the graph.
+func (j *JSS) Start(s *Submission) []string {
+	s.Status = StatusRunning
+	if prog := s.Program; prog != nil {
+		plan := prog.Plan()
+		for k := 1; k < len(plan); k++ {
+			for _, id := range plan[k] {
+				s.block(id, plan[k-1])
+			}
+		}
+		return plan[0]
 	}
-	best := 0
-	for i := 1; i < len(j.queue); i++ {
-		a, b := j.queue[i], j.queue[best]
-		if a.QoS.Priority > b.QoS.Priority || (a.QoS.Priority == b.QoS.Priority && a.seq < b.seq) {
-			best = i
+	var ready []string
+	for _, id := range s.Graph.Order() {
+		if deps := s.Graph.Dependencies(id); len(deps) > 0 {
+			s.block(id, deps)
+		} else {
+			ready = append(ready, id)
 		}
 	}
-	sub := j.queue[best]
-	//reconlint:sanitized queue length is bounded by the caller's admission quota before Enqueue, so this removal copy is bounded
-	j.queue = append(j.queue[:best], j.queue[best+1:]...)
-	sub.Status = StatusRunning
-	return sub
+	return ready
+}
+
+// block makes task id wait for every task in after.
+func (s *Submission) block(id string, after []string) {
+	if s.waiting == nil {
+		s.waiting, s.next = make(map[string]int), make(map[string][]string)
+	}
+	s.waiting[id] = len(after)
+	for _, p := range after {
+		s.next[p] = append(s.next[p], id)
+	}
 }
 
 // Submissions returns every known submission sorted by ID.
@@ -241,21 +273,31 @@ func (j *JSS) Charge(s *Submission, seconds float64, kind capability.Kind) {
 	s.FinalCost += seconds * CostRate(kind)
 }
 
-// TaskDone marks one of the submission's tasks complete; when the last one
-// finishes the submission completes and the deadline outcome is recorded.
-// Only a dequeued (running) submission counts its tasks.
-func (j *JSS) TaskDone(s *Submission, now sim.Time) {
-	if s.Status != StatusRunning {
-		return
+// TaskDone reports that task id of a started submission finished. A
+// running submission counts it, and completes once its last task has,
+// recording the deadline outcome; a completed submission keeps no
+// unblock rule, since every task has run. Then ready is called, in
+// insertion order, with each successor of id that no longer waits on
+// anything, even after Fail: the rest of a failed application still
+// runs.
+func (j *JSS) TaskDone(s *Submission, id string, now sim.Time, ready func(id string)) {
+	if s.Status == StatusRunning {
+		s.remaining--
+		if s.remaining == 0 {
+			s.Status = StatusDone
+			s.CompletedAt = now
+			elapsed := float64(now - s.SubmittedAt)
+			s.DeadlineMet = s.QoS.DeadlineSeconds <= 0 || elapsed <= s.QoS.DeadlineSeconds
+			s.waiting, s.next = nil, nil
+			return
+		}
 	}
-	s.remaining--
-	if s.remaining > 0 {
-		return
+	for _, next := range s.next[id] {
+		s.waiting[next]--
+		if s.waiting[next] == 0 {
+			ready(next)
+		}
 	}
-	s.Status = StatusDone
-	s.CompletedAt = now
-	elapsed := float64(now - s.SubmittedAt)
-	s.DeadlineMet = s.QoS.DeadlineSeconds <= 0 || elapsed <= s.QoS.DeadlineSeconds
 }
 
 // Fail marks a submission failed with a reason.

@@ -1,6 +1,7 @@
 package jss
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,6 +27,158 @@ func oneTaskGraph(t *testing.T, id string) *task.Graph {
 	return g
 }
 
+// testGraph builds a graph of one-second software tasks, added in the
+// order given; deps names each task's producers, whose outputs it reads.
+func testGraph(t *testing.T, deps map[string][]string, order ...string) *task.Graph {
+	t.Helper()
+	g := task.NewGraph()
+	for _, id := range order {
+		tk := &task.Task{
+			ID:               id,
+			Outputs:          []task.DataOut{{DataID: id + "-o", SizeMB: 1}},
+			ExecReq:          task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: task.GPPOnly(1000, 1)},
+			EstimatedSeconds: 1,
+			Work:             pe.Work{MInstructions: 100},
+		}
+		for _, p := range deps[id] {
+			tk.Inputs = append(tk.Inputs, task.DataIn{SourceTask: p, DataID: p + "-o", SizeMB: 1})
+		}
+		if err := g.Add(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// noReady is a TaskDone callback for a task that unblocks nothing.
+func noReady(t *testing.T) func(string) {
+	return func(id string) {
+		t.Helper()
+		t.Errorf("task %s readied; want none", id)
+	}
+}
+
+// collect is a TaskDone callback that appends each readied task to got.
+func collect(got *[]string) func(string) {
+	return func(id string) { *got = append(*got, id) }
+}
+
+// TestStartReadyOrder pins which tasks Start readies and in which order:
+// the plan's first batch, in plan order, for a program (Fig. 8); every
+// task without producers, in graph order, for a graph (Fig. 7).
+func TestStartReadyOrder(t *testing.T) {
+	deps := map[string][]string{"T2": {"T9"}, "T5": {"T1", "T9"}}
+	order := []string{"T9", "T2", "T1", "T7", "T5"}
+	j := New()
+	prog, err := task.ParseApp("App{Par(T7,T1,T9), Seq(T5,T2)}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := j.Submit("a", testGraph(t, deps, order...), prog, QoS{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Start(sub); !slices.Equal(got, []string{"T7", "T1", "T9"}) || sub.Status != StatusRunning {
+		t.Errorf("program: Start readies %v (%v), want [T7 T1 T9] running", got, sub.Status)
+	}
+	sub, err = j.Submit("a", testGraph(t, deps, order...), nil, QoS{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Start(sub); !slices.Equal(got, []string{"T9", "T1", "T7"}) {
+		t.Errorf("graph: Start readies %v, want [T9 T1 T7]", got)
+	}
+}
+
+// TestTaskDoneReadiesSuccessors walks a program and a graph: each
+// finished task readies, in insertion order, the successors that wait on
+// nothing else, and the program's last task completes its submission,
+// which then keeps no unblock rule.
+func TestTaskDoneReadiesSuccessors(t *testing.T) {
+	j := New()
+	prog, err := task.ParseApp("App{Seq(A), Par(C,B,D), Seq(E)}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := j.Submit("a", testGraph(t, nil, "A", "B", "C", "D", "E"), prog, QoS{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Start(sub)
+	var got []string
+	j.TaskDone(sub, "A", 1, collect(&got))
+	if !slices.Equal(got, []string{"C", "B", "D"}) {
+		t.Errorf("after A: readied %v, want the Par batch [C B D] in plan order", got)
+	}
+	got = nil
+	j.TaskDone(sub, "B", 2, collect(&got))
+	j.TaskDone(sub, "D", 3, collect(&got))
+	if len(got) != 0 {
+		t.Errorf("E readied before its whole batch finished: %v", got)
+	}
+	j.TaskDone(sub, "C", 4, collect(&got))
+	if !slices.Equal(got, []string{"E"}) {
+		t.Errorf("after the batch: readied %v, want [E]", got)
+	}
+	j.TaskDone(sub, "E", 5, noReady(t))
+	if sub.Status != StatusDone || sub.CompletedAt != 5 {
+		t.Errorf("after the last task: status %v at %v, want done at 5", sub.Status, sub.CompletedAt)
+	}
+	if sub.waiting != nil || sub.next != nil {
+		t.Error("a completed submission keeps its unblock rule")
+	}
+
+	// A graph: X feeds Z, W and Y (inserted in that order); Y also waits
+	// for W.
+	deps := map[string][]string{"Z": {"X"}, "W": {"X"}, "Y": {"X", "W"}}
+	sub, err = j.Submit("a", testGraph(t, deps, "X", "Z", "W", "Y"), nil, QoS{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ready := j.Start(sub); !slices.Equal(ready, []string{"X"}) {
+		t.Fatalf("graph: Start readies %v, want [X]", ready)
+	}
+	got = nil
+	j.TaskDone(sub, "X", 1, collect(&got))
+	if !slices.Equal(got, []string{"Z", "W"}) {
+		t.Errorf("after X: readied %v, want [Z W]", got)
+	}
+	got = nil
+	j.TaskDone(sub, "W", 2, collect(&got))
+	if !slices.Equal(got, []string{"Y"}) {
+		t.Errorf("after W: readied %v, want [Y]", got)
+	}
+}
+
+// TestTaskDoneReadiesAfterFail pins that a failed submission's finished
+// tasks still ready their successors, so the rest of the application
+// runs, while the failure stands and nothing more is counted.
+func TestTaskDoneReadiesAfterFail(t *testing.T) {
+	j := New()
+	prog, err := task.ParseApp("App{Par(A,B), Seq(C)}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := j.Submit("a", testGraph(t, nil, "A", "B", "C"), prog, QoS{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Start(sub)
+	j.Fail(sub, 1, "task A lost after 3 failed attempts")
+	var got []string
+	j.TaskDone(sub, "B", 2, collect(&got))
+	if len(got) != 0 {
+		t.Errorf("C readied while A is unfinished: %v", got)
+	}
+	j.TaskDone(sub, "A", 3, collect(&got))
+	if !slices.Equal(got, []string{"C"}) {
+		t.Errorf("after Fail: readied %v, want [C]", got)
+	}
+	if sub.Status != StatusFailed || sub.remaining != 3 {
+		t.Errorf("status %v with %d tasks left, want failed with 3", sub.Status, sub.remaining)
+	}
+}
+
 func TestSubmitAndComplete(t *testing.T) {
 	j := New()
 	g := oneTaskGraph(t, "T1")
@@ -39,13 +192,12 @@ func TestSubmitAndComplete(t *testing.T) {
 	if sub.QuotedCost != 10 { // 10 s × GPP rate 1.0
 		t.Errorf("quote = %v", sub.QuotedCost)
 	}
-	got := j.Dequeue()
-	if got != sub || got.Status != StatusRunning {
-		t.Error("dequeue broken")
+	if ready := j.Start(sub); !slices.Equal(ready, []string{"T1"}) || sub.Status != StatusRunning {
+		t.Errorf("Start readies %v with status %v, want [T1] running", ready, sub.Status)
 	}
 	j.Notify(sub, 6, "T1", "dispatched")
 	j.Charge(sub, 10, capability.KindGPP)
-	j.TaskDone(sub, 20)
+	j.TaskDone(sub, "T1", 20, noReady(t))
 	if sub.Status != StatusDone || sub.CompletedAt != 20 {
 		t.Errorf("completion: %+v", sub)
 	}
@@ -64,8 +216,8 @@ func TestDeadlineMiss(t *testing.T) {
 	j := New()
 	g := oneTaskGraph(t, "T1")
 	sub, _ := j.Submit("alice", g, nil, QoS{DeadlineSeconds: 5}, 0)
-	j.Dequeue()
-	j.TaskDone(sub, 50)
+	j.Start(sub)
+	j.TaskDone(sub, "T1", 50, noReady(t))
 	if sub.DeadlineMet {
 		t.Error("50s elapsed > 5s deadline reported met")
 	}
@@ -86,6 +238,13 @@ func TestRejections(t *testing.T) {
 	prog, _ := task.ParseApp("App{Seq(T9)}")
 	if _, err := j.Submit("alice", oneTaskGraph(t, "T1"), prog, QoS{}, 0); err == nil {
 		t.Error("dangling program reference accepted")
+	}
+	// Program leaving a graph task out: B would never run, so the
+	// submission would never settle.
+	prog, _ = task.ParseApp("App{Seq(A)}")
+	_, err := j.Submit("alice", testGraph(t, map[string][]string{"A": nil, "B": nil}, "A", "B"), prog, QoS{}, 0)
+	if err == nil || !strings.Contains(err.Error(), "program leaves out task B") {
+		t.Errorf("program leaving out task B: err = %v", err)
 	}
 	// Over-budget quote.
 	if _, err := j.Submit("alice", oneTaskGraph(t, "T1"), nil, QoS{MaxCostUnits: 1}, 0); err == nil {
@@ -125,37 +284,6 @@ func TestStreamingDesignRejected(t *testing.T) {
 	}
 }
 
-func TestPriorityDequeueOrder(t *testing.T) {
-	j := New()
-	low, _ := j.Submit("a", oneTaskGraph(t, "T1"), nil, QoS{Priority: 1}, 0)
-	high, _ := j.Submit("b", oneTaskGraph(t, "T1"), nil, QoS{Priority: 9}, 0)
-	mid, _ := j.Submit("c", oneTaskGraph(t, "T1"), nil, QoS{Priority: 5}, 0)
-	if len(j.queue) != 3 {
-		t.Fatalf("queue = %d", len(j.queue))
-	}
-	if got := j.Dequeue(); got != high {
-		t.Errorf("first dequeue = %s", got.ID)
-	}
-	if got := j.Dequeue(); got != mid {
-		t.Errorf("second dequeue = %s", got.ID)
-	}
-	if got := j.Dequeue(); got != low {
-		t.Errorf("third dequeue = %s", got.ID)
-	}
-	if j.Dequeue() != nil {
-		t.Error("empty dequeue should be nil")
-	}
-}
-
-func TestFIFOWithinPriority(t *testing.T) {
-	j := New()
-	first, _ := j.Submit("a", oneTaskGraph(t, "T1"), nil, QoS{}, 0)
-	_, _ = j.Submit("b", oneTaskGraph(t, "T1"), nil, QoS{}, 0)
-	if got := j.Dequeue(); got != first {
-		t.Error("FIFO violated within equal priority")
-	}
-}
-
 func TestNotifyRequiresMonitorQoS(t *testing.T) {
 	j := New()
 	sub, _ := j.Submit("a", oneTaskGraph(t, "T1"), nil, QoS{}, 0)
@@ -168,15 +296,15 @@ func TestNotifyRequiresMonitorQoS(t *testing.T) {
 func TestFail(t *testing.T) {
 	j := New()
 	sub, _ := j.Submit("a", oneTaskGraph(t, "T1"), nil, QoS{}, 0)
-	j.Dequeue()
+	j.Start(sub)
 	j.Fail(sub, 9, "node vanished")
 	if sub.Status != StatusFailed || sub.FailureReason != "node vanished" {
 		t.Errorf("fail: %+v", sub)
 	}
-	// TaskDone after failure is a no-op.
-	j.TaskDone(sub, 10)
-	if sub.Status != StatusFailed {
-		t.Error("TaskDone resurrected a failed submission")
+	// TaskDone after failure counts nothing.
+	j.TaskDone(sub, "T1", 10, noReady(t))
+	if sub.Status != StatusFailed || sub.remaining != 1 {
+		t.Errorf("TaskDone after Fail: status %v, %d tasks left; want failed, 1", sub.Status, sub.remaining)
 	}
 }
 
@@ -197,26 +325,14 @@ func TestStatusString(t *testing.T) {
 
 func TestMultiTaskCompletionCounting(t *testing.T) {
 	j := New()
-	g := task.NewGraph()
-	for _, id := range []string{"Ta", "Tb"} {
-		tk := &task.Task{
-			ID:               id,
-			Outputs:          []task.DataOut{{DataID: id + "-o", SizeMB: 1}},
-			ExecReq:          task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: task.GPPOnly(1000, 1)},
-			EstimatedSeconds: 1,
-			Work:             pe.Work{MInstructions: 100, ParallelFraction: 0},
-		}
-		if err := g.Add(tk); err != nil {
-			t.Fatal(err)
-		}
-	}
+	g := testGraph(t, nil, "Ta", "Tb")
 	sub, _ := j.Submit("a", g, nil, QoS{}, 0)
-	j.Dequeue()
-	j.TaskDone(sub, 1)
+	j.Start(sub)
+	j.TaskDone(sub, "Ta", 1, noReady(t))
 	if sub.Status != StatusRunning {
 		t.Error("submission completed early")
 	}
-	j.TaskDone(sub, 2)
+	j.TaskDone(sub, "Tb", 2, noReady(t))
 	if sub.Status != StatusDone {
 		t.Error("submission not completed")
 	}
@@ -225,7 +341,7 @@ func TestMultiTaskCompletionCounting(t *testing.T) {
 func TestQueryResponseSnapshot(t *testing.T) {
 	j := New()
 	sub, _ := j.Submit("alice", oneTaskGraph(t, "T1"), nil, QoS{Monitor: true}, 2)
-	j.Dequeue()
+	j.Start(sub)
 	j.Notify(sub, 3, "T1", "dispatched")
 
 	resp, err := j.Query(sub.ID)
@@ -235,7 +351,7 @@ func TestQueryResponseSnapshot(t *testing.T) {
 	if resp.Status != StatusRunning || resp.TasksTotal != 1 || resp.TasksDone != 0 {
 		t.Errorf("mid-run response = %+v", resp)
 	}
-	j.TaskDone(sub, 9)
+	j.TaskDone(sub, "T1", 9, noReady(t))
 	resp, _ = j.Query(sub.ID)
 	if resp.Status != StatusDone || resp.TasksDone != 1 || resp.CompletedAt != 9 {
 		t.Errorf("final response = %+v", resp)

@@ -22,6 +22,7 @@ import (
 	"go/types"
 
 	"repro/internal/lint/analysis"
+	"repro/internal/lint/dataflow"
 )
 
 // Analyzer is the ctxflow analyzer.
@@ -73,7 +74,7 @@ func takesContext(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 		return false
 	}
 	for _, field := range fd.Type.Params.List {
-		if isContextType(pass.TypeOf(field.Type)) {
+		if dataflow.IsContextType(pass.TypeOf(field.Type)) {
 			return true
 		}
 	}
@@ -106,7 +107,7 @@ func checkPropagation(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		for i := 0; i < sig.Params().Len(); i++ {
-			if isContextType(sig.Params().At(i).Type()) {
+			if dataflow.IsContextType(sig.Params().At(i).Type()) {
 				pass.Reportf(fd.Name.Pos(),
 					"exported %s calls context-aware %s but does not accept a context.Context; add one and propagate it",
 					fd.Name.Name, fn.Name())
@@ -116,14 +117,4 @@ func checkPropagation(pass *analysis.Pass, fd *ast.FuncDecl) {
 		}
 		return true
 	})
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

@@ -209,3 +209,13 @@ func Resolve(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *t
 	}
 	return Build([]*PackageInfo{{Fset: fset, Files: files, Pkg: pkg, Info: info}})
 }
+
+// IsContextType reports whether t is context.Context.
+func IsContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
+}

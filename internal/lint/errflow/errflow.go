@@ -214,7 +214,7 @@ func (c *checker) isCtxErr(fn *types.Func) bool {
 	if !ok || sig.Recv() == nil {
 		return false
 	}
-	return isContextType(sig.Recv().Type())
+	return dataflow.IsContextType(sig.Recv().Type())
 }
 
 // checkDoneCase flags `case <-ctx.Done(): … return nil` in a function
@@ -273,7 +273,7 @@ func doneReceiver(pass *analysis.Pass, comm ast.Stmt) ast.Expr {
 	if !ok || sel.Sel.Name != "Done" {
 		return nil
 	}
-	if !isContextType(pass.TypeOf(sel.X)) {
+	if !dataflow.IsContextType(pass.TypeOf(sel.X)) {
 		return nil
 	}
 	return sel.X
@@ -285,14 +285,4 @@ func calleeLabel(pass *analysis.Pass, call *ast.CallExpr) string {
 		return fn.Name()
 	}
 	return "call"
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }

@@ -144,7 +144,7 @@ func referencesContext(pass *analysis.Pass, info *types.Info, nodes []ast.Node) 
 			if obj == nil {
 				return true
 			}
-			if isContextType(obj.Type()) {
+			if dataflow.IsContextType(obj.Type()) {
 				found = true
 				return false
 			}
@@ -155,15 +155,6 @@ func referencesContext(pass *analysis.Pass, info *types.Info, nodes []ast.Node) 
 		}
 	}
 	return false
-}
-
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
 // joinedByWaitGroup reports whether the goroutine calls Done (or
