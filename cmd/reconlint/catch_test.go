@@ -105,7 +105,7 @@ var catchTable = []catchRow{
 	{
 		class:    "float sum in map iteration order",
 		file:     "internal/grid/engine.go",
-		edits:    []seedEdit{{"\tfor _, id := range ids {\n\t\te.m.DownSeconds += float64(now - e.down[id].since)\n", "\tfor _, o := range e.down {\n\t\te.m.DownSeconds += float64(now - o.since)\n"}},
+		edits:    []seedEdit{{"\t\tfor _, id := range ids {\n\t\t\te.m.DownSeconds += float64(now - f.down[id].since)\n", "\t\tfor _, o := range f.down {\n\t\t\te.m.DownSeconds += float64(now - o.since)\n"}},
 		analyzer: "maporder",
 	},
 	// vet clean; test, race pass; benchdiff unchanged.

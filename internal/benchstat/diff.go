@@ -200,6 +200,12 @@ func Diff(old, new *Doc, opts Options) *Report {
 func classify(name, unit string, ov, nv float64, oiters, niters int64, opts Options) Delta {
 	d := Delta{Name: name, Unit: unit, Old: ov, New: nv, Pct: pct(ov, nv)}
 	delta := nv - ov
+	// A baseline that allocates nothing is a contract, not a noisy
+	// figure: its first allocation regresses, whatever the floor.
+	if unit == "allocs/op" && ov == 0 && nv > 0 {
+		d.Class, d.Note = ClassRegressed, "baseline allocates nothing"
+		return d
+	}
 	if !opts.budgetFor(unit).exceeded(ov, delta) {
 		d.Class = ClassSame
 		return d

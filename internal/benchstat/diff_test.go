@@ -64,6 +64,26 @@ func TestDiffThresholds(t *testing.T) {
 	}
 }
 
+// TestDiffZeroAllocBaselineGates: a benchmark whose baseline allocates
+// nothing regresses at its first allocation per op, though one alloc/op
+// sits far under the absolute floor; staying at zero is ok.
+func TestDiffZeroAllocBaselineGates(t *testing.T) {
+	old := doc(res("BenchmarkQueue/wheel", 3, map[string]float64{"allocs/op": 0, "B/op": 0}))
+	for _, tc := range []struct {
+		allocs float64
+		want   Class
+	}{
+		{0, ClassSame},
+		{1, ClassRegressed},
+	} {
+		new := doc(res("BenchmarkQueue/wheel", 3, map[string]float64{"allocs/op": tc.allocs, "B/op": 8 * tc.allocs}))
+		rep := Diff(old, new, DefaultOptions())
+		if got, note := classOf(t, rep, "BenchmarkQueue/wheel", "allocs/op"); got != tc.want {
+			t.Errorf("0 → %v allocs/op: class = %v (%s), want %v", tc.allocs, got, note, tc.want)
+		}
+	}
+}
+
 func TestDiffTimeGateOffAcrossMachines(t *testing.T) {
 	old := doc(res("BenchmarkX", 100, map[string]float64{"ns/op": 1_000_000}))
 	new := doc(res("BenchmarkX", 100, map[string]float64{"ns/op": 5_000_000}))

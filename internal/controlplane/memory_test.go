@@ -317,7 +317,7 @@ func TestHeapPerFaultyTenant(t *testing.T) {
 
 // submitRunAllocs is what one steady-state submit and run allocates on a
 // warm tenant in each wire scenario, formatting the task ID included.
-const submitRunAllocs = 4
+const submitRunAllocs = 3
 
 // TestSubmitRunAllocs pins the allocations of one task's whole life on a
 // warm tenant: admission, placement, execution and settling.

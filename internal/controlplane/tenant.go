@@ -374,7 +374,7 @@ func (te *tenantEngine) execute(p pending) {
 		}
 		exec, err := lease.Estimator.EstimateSeconds(p.t.Work)
 		if err != nil {
-			te.release(lease)
+			te.release(&lease)
 			te.evict(p)
 			return
 		}
@@ -389,7 +389,7 @@ func (te *tenantEngine) execute(p pending) {
 		strike, hit := te.faultWithin(te.now, te.now+total)
 		if !hit {
 			te.now += total
-			te.release(lease)
+			te.release(&lease)
 			te.stats.CostUnits += exec * jss.CostRate(lease.Estimator.Kind())
 			te.settle(p, stateDone)
 			te.stats.Completed++
@@ -404,7 +404,7 @@ func (te *tenantEngine) execute(p pending) {
 		// The attempt dies at the strike: the element is released, and
 		// the task retries (tier policy permitting) after backoff.
 		te.now = strike
-		te.release(lease)
+		te.release(&lease)
 		te.emit(obs.KindFail, p.id, cand.Elem)
 		aborts++
 		lastAbort = strike

@@ -152,7 +152,7 @@ func (vg *VirtualGrid) Place(t *task.Task, choose func([]rms.Candidate) int) (*r
 	if err != nil {
 		return nil, rms.Candidate{}, err
 	}
-	return lease, cands[idx], nil
+	return &lease, cands[idx], nil
 }
 
 // View is what a user sees at one abstraction level (Fig. 2): the visible

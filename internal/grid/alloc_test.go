@@ -50,11 +50,12 @@ func dispatchRig(t *testing.T, tracer obs.TraceSink) (*Engine, *node.Element, *n
 }
 
 // admitOne queues one task as a workload arrival at the current virtual
-// time, which dispatches it if anything fits. The record it queues is its
-// own allocation, where a run reads records from the caller's trace.
+// time, which dispatches it if anything fits. The trace record it queues
+// is its own allocation, where a run reads records from the caller's
+// trace.
 func admitOne(e *Engine, tk *task.Task) {
 	g := workloadRecord(tk, e.S.Now())
-	e.queueItem(&item{rec: &g})
+	e.queueItem(&g, nil)
 }
 
 // TestDispatchRoundNothingFitsZeroAllocs pins a dispatch round over a
@@ -93,12 +94,12 @@ func TestDispatchRoundNothingFitsZeroAllocs(t *testing.T) {
 }
 
 // dispatchCompleteAllocs is everything one software task's arrival,
-// dispatch and completion allocate on a warm engine: admitOne's record,
-// the item, the lease and the completion closure. A per-candidate or
-// per-placement allocation on the dispatch path, a second record per
-// task beside its item, or a graph or submission per workload task,
-// raises it.
-const dispatchCompleteAllocs = 4
+// dispatch and completion allocate on a warm engine: admitOne's own
+// trace record. The engine's item, with its lease and completion handler,
+// comes from the free list. A per-candidate or per-placement allocation
+// on the dispatch path, a record, lease or closure per task, or a graph
+// or submission per workload task, raises it.
+const dispatchCompleteAllocs = 1
 
 // TestDispatchCompletionAllocs pins the success path's allocations per
 // task, untraced and with a sink that discards everything, at the

@@ -89,6 +89,9 @@ func (c Config) Validate() error {
 // item is the engine's one record of a task, from its arrival until it
 // settles. rec is its task tuple: a workload task's trace record, or the
 // record enqueue builds for a ready task of the Submit application sub.
+// A settled record goes to the engine's free list and the next arrival
+// reuses it (see newItem), so a warm engine allocates no record, lease or
+// completion handler per task.
 type item struct {
 	rec *Generated
 	sub *jss.Submission
@@ -102,20 +105,28 @@ type item struct {
 	// most recent one (the MTTR clock).
 	attempts int
 	lastFail sim.Time
-	// The current placement, set by execute: lease holds the candidate
-	// it runs on and the estimator whose kind prices it; exec is the pure
-	// execution time and span the full charged timeline (transfer +
-	// synthesis + reconfiguration + execution). ev is the completion and
-	// renew the pending lease-renewal check, both cancelled when the
-	// placement completes or aborts. They are refs, not pointers: events
-	// are pooled, and a ref that outlives its event (a crash cancels the
-	// completion, then a lease expiry tries again) degrades to a
-	// harmless no-op instead of touching a recycled event.
-	lease *rms.Lease
+	// The current placement, set by dispatchOne and execute: lease holds
+	// the candidate it runs on and the estimator whose kind prices it;
+	// exec is the pure execution time and span the full charged timeline
+	// (transfer + synthesis + reconfiguration + execution). ev is the
+	// completion and renew the pending lease-renewal check, both
+	// cancelled when the placement completes or aborts. They are refs,
+	// not pointers: events are pooled, and a ref that outlives its event
+	// (a crash cancels the completion, then a lease expiry tries again)
+	// degrades to a harmless no-op instead of touching a recycled event.
+	lease rms.Lease
 	exec  float64
 	span  float64
 	ev    sim.EventRef
 	renew sim.EventRef
+	// done is the completion handler, built once with the record and
+	// kept when it is recycled.
+	done sim.Handler
+	// blocked is the engine's epoch when this task's placement last
+	// failed; tryDispatch skips the task until the epoch moves on.
+	blocked uint64
+	// next links the record into the engine's free list once it settles.
+	next *item
 }
 
 // Engine drives the simulation: submissions arrive, the scheduler places
@@ -135,29 +146,39 @@ type Engine struct {
 	// (stale seq) mark it dirty and the next orderQueue re-sorts once.
 	queueDirty bool
 	seq        int
+	// epoch counts the events that can grow capacity or a task's option
+	// set: a lease released, a node recovered or detached, a partition
+	// healed or replaced by a slowdown, an idle region evicted. A
+	// placement that failed fails
+	// again, with no side effect, until one of them happens, because
+	// Strategy.Choose is a pure function of its options; so tryDispatch
+	// skips a task whose item.blocked equals epoch. It starts at 1, so a
+	// zero stamp marks a task that never failed to place.
+	epoch uint64
 	// optsBuf is the scratch option slice dispatchOne reuses across calls,
 	// so candidate evaluation allocates nothing in steady state.
 	optsBuf []sched.Option
 	m       *Metrics
 	// running tracks the tasks in flight per element, for failure
-	// injection and the gauge sampler. It, down and linkFault are made at
-	// their first write; reads, len and delete work on a nil map.
+	// injection and the gauge sampler. It is made at its first write;
+	// reads, len and delete work on a nil map.
 	running map[*node.Element][]*item
+	// free heads the list of settled records that newItem hands out
+	// again. It holds as many records as the run's peak of queued,
+	// backing-off and running tasks.
+	free *item
 	// lastReal is the virtual time of the last traced (model) event; the
 	// end-of-run metrics window clamps to it when sampling is enabled so
 	// a trailing sampler tick cannot widen WindowSeconds/Availability.
 	lastReal sim.Time
-	// Fault-injection state, touched only from simulator handlers: down
-	// holds the outage record of each crashed node; linkFault holds the
-	// active link fault per node; backoff lists the tasks waiting out a
-	// retry backoff, in the order they began it. nodeNames/elemNames
-	// cache the interned obs handle per live object, so tracing an event
-	// hashes a pointer, not an ID string; an untraced engine has neither.
+	// nodeNames/elemNames cache the interned obs handle per live object,
+	// so tracing an event hashes a pointer, not an ID string; an untraced
+	// engine has neither.
 	nodeNames map[*node.Node]obs.Name
 	elemNames map[*node.Element]obs.Name
-	down      map[string]outage
-	linkFault map[string]faults.Event
-	backoff   []*item
+	// flt is the fault-injection state, made at the first fault that
+	// writes it (see faultState).
+	flt *faultState
 }
 
 // NewEngine wires a simulator around an existing registry and matchmaker.
@@ -179,6 +200,8 @@ func NewEngine(cfg Config, reg *rms.Registry, mm *rms.Matchmaker) (*Engine, erro
 		MM:  mm,
 		J:   jss.New(),
 		m:   newMetrics(cfg.Strategy.Name()),
+		// epoch starts at 1: see the field.
+		epoch: 1,
 	}
 	if cfg.Tracer != nil {
 		e.nodeNames = make(map[*node.Node]obs.Name)
@@ -200,8 +223,10 @@ func (e *Engine) Submit(at sim.Time, user string, g *task.Graph, prog *task.Prog
 // model) and is queued straight from the record; workload tasks bypass
 // the JSS, which serves Submit applications. Every record is checked
 // here, before the run, as task.ValidateForGraph checks a task, and a
-// streaming design is refused as the JSS refuses one. The trace is then
-// streamed into the simulator in (Arrival, index) order (see stream).
+// streaming design is refused as the JSS refuses one. The metrics' Wait
+// and Turnaround series are reserved for the trace's length, so they do
+// not regrow while it runs. The trace is then streamed into the
+// simulator in (Arrival, index) order (see stream).
 // Queued and running tasks point into gen and the requirements its
 // records share, so the caller must modify neither until Run returns.
 func (e *Engine) SubmitWorkload(gen []Generated) error {
@@ -223,9 +248,11 @@ func (e *Engine) SubmitWorkload(gen []Generated) error {
 		}
 		addDesign(designs, g.ExecReq)
 	}
+	e.m.Wait.Reserve(len(gen))
+	e.m.Turnaround.Reserve(len(gen))
 	e.prewarm(designs)
 	e.stream(len(gen), "submit", func(i int) sim.Time { return gen[i].Arrival }, func(i int) {
-		e.queueItem(&item{rec: &gen[i]})
+		e.queueItem(&gen[i], nil)
 	})
 	return nil
 }
@@ -310,7 +337,10 @@ func (e *Engine) linkTo(nodeID string) network.Link {
 	if e.cfg.Topology != nil {
 		l = e.cfg.Topology.LinkTo(nodeID)
 	}
-	if f, ok := e.linkFault[nodeID]; ok && !f.Partition && f.Factor > 1 {
+	if e.flt == nil {
+		return l
+	}
+	if f, ok := e.flt.linkFault[nodeID]; ok && !f.Partition && f.Factor > 1 {
 		l.BandwidthMBps /= f.Factor
 		l.LatencySeconds *= f.Factor
 	}
@@ -322,10 +352,13 @@ func (e *Engine) linkTo(nodeID string) network.Link {
 // (degraded-mode scheduling: strategies see a shrunken option set) and
 // lease renewals against them fail.
 func (e *Engine) unreachable(nodeID string) bool {
-	if _, down := e.down[nodeID]; down {
+	if e.flt == nil {
+		return false
+	}
+	if _, down := e.flt.down[nodeID]; down {
 		return true
 	}
-	f, ok := e.linkFault[nodeID]
+	f, ok := e.flt.linkFault[nodeID]
 	return ok && f.Partition
 }
 
@@ -336,17 +369,43 @@ func (e *Engine) enqueue(sub *jss.Submission, id string) {
 	e.J.Notify(sub, e.S.Now(), id, "queued")
 	rec := &Generated{ID: id, ExecReq: &t.ExecReq, EstimatedSeconds: t.EstimatedSeconds, Work: t.Work}
 	rec.Work.DataMB = t.InputMB()
-	e.queueItem(&item{rec: rec, sub: sub})
+	e.queueItem(rec, sub)
 }
 
-// queueItem queues a newly arrived task and dispatches what fits.
-func (e *Engine) queueItem(it *item) {
+// queueItem queues a newly arrived task, in a record from newItem, and
+// dispatches what fits.
+func (e *Engine) queueItem(rec *Generated, sub *jss.Submission) {
+	it := e.newItem()
 	e.seq++
 	e.m.Submitted++
-	it.tid, it.enq, it.seq = e.name(it.rec.ID), e.S.Now(), e.seq
+	it.rec, it.sub = rec, sub
+	it.tid, it.enq, it.seq = e.name(rec.ID), e.S.Now(), e.seq
 	e.pushQueue(it, true)
 	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindQueued, TaskID: it.tid})
 	e.tryDispatch()
+}
+
+// newItem hands out a zeroed record: the head of the free list, or a new
+// one with its completion handler when the list is empty.
+func (e *Engine) newItem() *item {
+	if it := e.free; it != nil {
+		e.free, it.next = it.next, nil
+		return it
+	}
+	it := &item{}
+	it.done = func() { e.complete(it) }
+	return it
+}
+
+// recycle puts a settled record on the free list, zeroed but for its
+// completion handler, so it pins no trace record, submission or region
+// and the task it next holds starts with no attempts, stamp or events.
+// Only a record no event can still fire for comes here: after complete,
+// or once requeueOrLose has declared its task lost; never one that is
+// queued, backing off or running.
+func (e *Engine) recycle(it *item) {
+	*it = item{done: it.done, next: e.free}
+	e.free = it
 }
 
 // pushQueue appends a waiting item. fresh means the item carries the
@@ -396,18 +455,23 @@ func (e *Engine) orderQueue() {
 
 // tryDispatch greedily places queued tasks until no further placement
 // succeeds (FCFS order with backfill: a blocked head does not stall
-// runnable tasks behind it).
+// runnable tasks behind it). A task whose placement failed is skipped
+// until the epoch moves, since until then it would fail again.
 func (e *Engine) tryDispatch() {
 	for {
 		e.orderQueue()
 		dispatched := false
 		for i := 0; i < len(e.queue); i++ {
 			it := e.queue[i]
+			if it.blocked == e.epoch {
+				continue
+			}
 			if e.dispatchOne(it) {
 				e.queue = append(e.queue[:i], e.queue[i+1:]...)
 				dispatched = true
 				break
 			}
+			it.blocked = e.epoch
 		}
 		if !dispatched {
 			return
@@ -452,7 +516,8 @@ func (e *Engine) dispatchOne(it *item) bool {
 			opts = append(opts[:idx], opts[idx+1:]...)
 			continue
 		}
-		e.execute(it, lease)
+		it.lease = lease
+		e.execute(it)
 		placed = true
 		break
 	}
@@ -462,8 +527,10 @@ func (e *Engine) dispatchOne(it *item) bool {
 	return placed
 }
 
-// execute charges the placement's timeline and schedules completion.
-func (e *Engine) execute(it *item, lease *rms.Lease) {
+// execute charges the timeline of the placement in it.lease and
+// schedules completion.
+func (e *Engine) execute(it *item) {
+	lease := &it.lease
 	now := e.S.Now()
 	wait := float64(now - it.enq)
 	e.m.Wait.Observe(wait)
@@ -501,7 +568,7 @@ func (e *Engine) execute(it *item, lease *rms.Lease) {
 		e.J.Notify(it.sub, now, it.rec.ID, "dispatched to "+cand.Label())
 	}
 
-	it.lease, it.exec, it.span = lease, exec, span
+	it.exec, it.span = exec, span
 	elem := cand.Elem
 	if e.running == nil {
 		e.running = make(map[*node.Element][]*item)
@@ -518,14 +585,15 @@ func (e *Engine) execute(it *item, lease *rms.Lease) {
 		})
 	}
 	e.superviseLease(it)
-	it.ev = e.S.After(sim.Time(span), "complete", func() { e.complete(it) })
+	it.ev = e.S.After(sim.Time(span), "complete", it.done)
 }
 
 // complete is the completion handler for one placement: settle the
-// lease, fold the timeline into the metrics, and for a Submit task report
-// to the JSS and queue whatever the finished task was blocking.
+// lease, fold the timeline into the metrics, for a Submit task report
+// to the JSS and queue whatever the finished task was blocking, and
+// recycle the record.
 func (e *Engine) complete(it *item) {
-	lease := it.lease
+	lease := &it.lease
 	elem := lease.Cand.Elem
 	end := e.S.Now()
 	e.S.Cancel(it.renew)
@@ -533,6 +601,7 @@ func (e *Engine) complete(it *item) {
 	if err := lease.Release(); err != nil {
 		panic(fmt.Sprintf("grid: release failed: %v", err))
 	}
+	e.epoch++
 	e.m.Completed++
 	e.m.Turnaround.Observe(float64(end - it.enq))
 	if it.attempts > 0 {
@@ -552,6 +621,7 @@ func (e *Engine) complete(it *item) {
 		e.J.Notify(sub, end, it.rec.ID, "completed")
 		e.J.TaskDone(sub, it.rec.ID, end, func(id string) { e.enqueue(sub, id) })
 	}
+	e.recycle(it)
 	e.tryDispatch()
 }
 
@@ -643,8 +713,8 @@ func (e *Engine) emitSample() {
 	s := obs.Sample{
 		Time:         e.S.Now(),
 		QueueDepth:   len(e.queue),
-		RetryBacklog: len(e.backoff),
-		NodesDown:    len(e.down),
+		RetryBacklog: len(e.flt.retries()),
+		NodesDown:    e.flt.nodesDown(),
 		Completed:    e.m.Completed,
 		EnergyJoules: e.m.Energy.TotalJoules(),
 	}
@@ -707,6 +777,7 @@ func (e *Engine) abortExecution(it *item) {
 	if it.lease.Region != nil && elem.Fabric != nil {
 		_ = elem.Fabric.Evict(it.lease.Region)
 	}
+	e.epoch++
 	it.lastFail = e.S.Now()
 }
 
@@ -743,13 +814,15 @@ func (e *Engine) requeueOrLose(it *item) {
 		if it.sub != nil {
 			e.J.Fail(it.sub, e.S.Now(), "task "+it.rec.ID+" lost after "+strconv.Itoa(it.attempts)+" failed attempts")
 		}
+		e.recycle(it)
 		return
 	}
 	e.m.Retries++
-	e.backoff = append(e.backoff, it)
+	f := e.faultState()
+	f.backoff = append(f.backoff, it)
 	e.S.After(sim.Time(pol.Delay(it.attempts)), "retry", func() {
-		i := slices.Index(e.backoff, it)
-		e.backoff = slices.Delete(e.backoff, i, i+1)
+		i := slices.Index(f.backoff, it)
+		f.backoff = slices.Delete(f.backoff, i, i+1)
 		e.pushQueue(it, false)
 		e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindRetry, TaskID: it.tid})
 		if it.sub != nil {
@@ -804,13 +877,14 @@ func (e *Engine) finish() {
 	// Enqueue order, not map order: a submission with several stranded
 	// tasks keeps the reason of the last one failed below.
 	slices.SortFunc(inflight, func(a, b *item) int { return a.seq - b.seq })
-	e.m.Unfinished = len(inflight) + len(e.backoff) + len(e.queue)
+	backoff := e.flt.retries()
+	e.m.Unfinished = len(inflight) + len(backoff) + len(e.queue)
 	for _, it := range inflight {
 		if it.sub != nil {
 			e.J.Fail(it.sub, now, "task "+it.rec.ID+" still running when the run ended")
 		}
 	}
-	for _, it := range e.backoff {
+	for _, it := range backoff {
 		if it.sub != nil {
 			e.J.Fail(it.sub, now, "task "+it.rec.ID+" backing off before a retry when the run ended")
 		}
@@ -820,16 +894,18 @@ func (e *Engine) finish() {
 			e.J.Fail(it.sub, now, fmt.Sprintf("task %s unschedulable under %s", it.rec.ID, e.cfg.Strategy.Name()))
 		}
 	}
-	ids := make([]string, 0, len(e.down))
-	for id := range e.down {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		e.m.DownSeconds += float64(now - e.down[id].since)
+	if f := e.flt; f != nil {
+		ids := make([]string, 0, len(f.down))
+		for id := range f.down {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			e.m.DownSeconds += float64(now - f.down[id].since)
+		}
 	}
 	e.m.WindowSeconds = float64(now)
-	e.m.Nodes = e.Reg.Len() + len(e.down)
+	e.m.Nodes = e.Reg.Len() + e.flt.nodesDown()
 	e.fillCapacity()
 	// A final sample closes every timeline series at end-of-run (with
 	// idle energy now billed).

@@ -12,9 +12,11 @@ import (
 	"repro/internal/faults"
 	"repro/internal/hdl"
 	"repro/internal/jss"
+	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/pe"
 	"repro/internal/rms"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -190,6 +192,193 @@ func TestArrivalTiesKeepScheduleOrder(t *testing.T) {
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("trace order:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestRecycledRecordStartsClean runs task A through a crash, a lease
+// expiry, a retry and a completion, then task B, which arrives after A
+// has settled and so gets A's record from the free list. B must not
+// inherit A's attempts: only A's repair is an MTTR sample, and the next
+// record the engine hands out holds no attempts, failure time, events,
+// lease, placement stamp or task.
+func TestRecycledRecordStartsClean(t *testing.T) {
+	eng := gppRig(t, DefaultConfig(), 1, 1000)
+	gen := []Generated{
+		workloadRecord(softwareTask("A", 1000, 100), 1),
+		workloadRecord(softwareTask("B", 1000, 100), 5),
+	}
+	if err := eng.SubmitWorkload(gen); err != nil {
+		t.Fatal(err)
+	}
+	eng.InjectFaults([]faults.Event{
+		{Time: 1.5, Kind: faults.KindNodeCrash, Node: "Node0", Seq: 1},
+		{Time: 2, Kind: faults.KindNodeRecover, Node: "Node0", Seq: 1},
+	})
+	m, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Completed != 2 || m.Retries != 1 || m.MTTR.N() != 1 {
+		t.Fatalf("completed %d, retries %d, MTTR samples %d; want 2, 1 and 1 (only A recovered)", m.Completed, m.Retries, m.MTTR.N())
+	}
+	free := 0
+	for it := eng.free; it != nil; it = it.next {
+		free++
+	}
+	if free != 1 {
+		t.Errorf("the free list holds %d records after a run with one task in flight at a time, want 1", free)
+	}
+	it := eng.newItem()
+	if it.attempts != 0 || it.lastFail != 0 || it.ev != (sim.EventRef{}) || it.renew != (sim.EventRef{}) ||
+		it.lease != (rms.Lease{}) || it.blocked != 0 || it.rec != nil || it.sub != nil {
+		t.Errorf("a recycled record starts with attempts %d, lastFail %v, ev %v, renew %v, lease %+v, blocked %d, rec %v, sub %v",
+			it.attempts, it.lastFail, it.ev, it.renew, it.lease, it.blocked, it.rec, it.sub)
+	}
+	if it.done == nil {
+		t.Error("a recycled record lost its completion handler")
+	}
+}
+
+// countingStrategy counts the Choose calls it passes on to its strategy.
+type countingStrategy struct {
+	sched.Strategy
+	calls *int
+}
+
+func (c countingStrategy) Choose(opts []sched.Option) int {
+	*c.calls++
+	return c.Strategy.Choose(opts)
+}
+
+// chooseCallsCeiling bounds the Choose calls per completed task on the
+// saturated scenario below. It reads 80.2 (24,052 calls for 300 tasks);
+// retrying every queued task on every event, as the engine did before
+// the capacity epoch, reads 218.6 (65,568 calls).
+const chooseCallsCeiling = 90
+
+// TestSaturatedChooseCallsPerCompletion pins the placement work of a
+// saturated run (300 tasks at λ = 1/s on the default grid, whose queue
+// grows long) as a count, not a wall time: a task whose placement
+// failed is not retried until capacity may have grown, so each event
+// does not rescan the whole queue.
+func TestSaturatedChooseCallsPerCompletion(t *testing.T) {
+	tc, err := DefaultToolchain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	cfg := DefaultConfig()
+	cfg.Strategy = countingStrategy{cfg.Strategy, &calls}
+	m, err := RunScenario(context.Background(), ScenarioSpec{
+		Seed: 1, Config: cfg, Grid: DefaultGridSpec(), Workload: DefaultWorkload(300, 1), Toolchain: tc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Completed != 300 {
+		t.Fatalf("completed %d of 300 tasks", m.Completed)
+	}
+	per := float64(calls) / float64(m.Completed)
+	t.Logf("%d Choose calls, %.1f per completion", calls, per)
+	if per > chooseCallsCeiling {
+		t.Errorf("a saturated run makes %.1f Choose calls per completion, ceiling %d", per, chooseCallsCeiling)
+	}
+}
+
+// TestSlowdownReplacingPartitionWakesQueue: a link slowdown that
+// replaces a node's partition makes the node reachable again with no
+// restore, so a task whose placement failed while the node was cut off
+// is tried again at the next dispatch round, ahead of a later arrival.
+func TestSlowdownReplacingPartitionWakesQueue(t *testing.T) {
+	rec := &obs.Recorder{}
+	cfg := DefaultConfig()
+	cfg.Tracer = rec
+	eng := gppRig(t, cfg, 1, 1000)
+	gen := []Generated{
+		workloadRecord(softwareTask("A", 1000, 100), 1),
+		workloadRecord(softwareTask("B", 1000, 100), 3),
+	}
+	if err := eng.SubmitWorkload(gen); err != nil {
+		t.Fatal(err)
+	}
+	eng.InjectFaults([]faults.Event{
+		{Time: 0.5, Kind: faults.KindLinkDegrade, Node: "Node0", Partition: true, Seq: 1},
+		{Time: 2, Kind: faults.KindLinkDegrade, Node: "Node0", Factor: 2, Seq: 2},
+	})
+	if _, err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	first := ""
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindDispatch {
+			first = fmt.Sprintf("%.4g %s", float64(ev.Time), ev.TaskID)
+			break
+		}
+	}
+	if first != "3 A" {
+		t.Errorf("first dispatch %q, want A at 3, when B's arrival retries the queue", first)
+	}
+}
+
+// TestDetachedNodeWakesQueue: a software task offered only the free core
+// of a cut-off node fails to place, and has no soft-core fallback while
+// that core is on offer. Once the node crashes idle and leaves the
+// registry, the task may fall back to a soft-core on another node's RPE,
+// so the next dispatch round tries it again, ahead of a later arrival.
+func TestDetachedNodeWakesQueue(t *testing.T) {
+	reg := rms.NewRegistry()
+	for _, mips := range []float64{1000, 42000} {
+		n, err := node.New(fmt.Sprintf("Node%d", reg.Len()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.AddGPP(capability.GPPCaps{CPUType: "x", MIPS: mips, RAMMB: 1024, Cores: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if mips > 1000 {
+			if _, err := n.AddRPE("XC5VLX110T"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := reg.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mm, err := rms.NewMatchmaker(reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &obs.Recorder{}
+	cfg := DefaultConfig()
+	cfg.Tracer = rec
+	eng, err := NewEngine(cfg, reg, mm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := []Generated{
+		// Only Node1's GPP is fast enough for L, which holds it all run.
+		workloadRecord(softwareTask("L", 1e7, 40000), 0),
+		workloadRecord(softwareTask("A", 1000, 100), 1),
+		workloadRecord(softwareTask("B", 1000, 100), 3),
+	}
+	if err := eng.SubmitWorkload(gen); err != nil {
+		t.Fatal(err)
+	}
+	eng.InjectFaults([]faults.Event{
+		{Time: 0.5, Kind: faults.KindLinkDegrade, Node: "Node0", Partition: true, Seq: 1},
+		{Time: 2, Kind: faults.KindNodeCrash, Node: "Node0", Seq: 2},
+	})
+	if _, err := eng.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindDispatch {
+			got = append(got, fmt.Sprintf("%.4g %s %s/%s", float64(ev.Time), ev.TaskID, ev.Node, ev.Element))
+		}
+	}
+	if len(got) < 2 || got[0] != "0 L Node1/GPP0" || got[1] != "3 A Node1/RPE0" {
+		t.Errorf("dispatches %q, want L on Node1's GPP at 0, then A on Node1's RPE at 3", got)
 	}
 }
 

@@ -25,6 +25,44 @@ type outage struct {
 	since sim.Time
 }
 
+// faultState is an engine's fault-injection state, touched only from
+// simulator handlers and made at the first fault that writes it (see
+// Engine.faultState), so an engine no fault reaches holds one nil
+// pointer. down holds the outage record of each crashed node; linkFault
+// holds the active link fault per node; backoff lists the tasks waiting
+// out a retry backoff, in the order they began it.
+type faultState struct {
+	down      map[string]outage
+	linkFault map[string]faults.Event
+	backoff   []*item
+}
+
+// faultState returns the engine's fault state, making it at the first
+// write.
+func (e *Engine) faultState() *faultState {
+	if e.flt == nil {
+		e.flt = &faultState{down: map[string]outage{}, linkFault: map[string]faults.Event{}}
+	}
+	return e.flt
+}
+
+// retries returns the tasks backing off before a retry; nil on an engine
+// no fault reached.
+func (f *faultState) retries() []*item {
+	if f == nil {
+		return nil
+	}
+	return f.backoff
+}
+
+// nodesDown returns how many nodes are crashed.
+func (f *faultState) nodesDown() int {
+	if f == nil {
+		return 0
+	}
+	return len(f.down)
+}
+
 // InjectFaults streams a fault timeline (typically produced by
 // faults.Schedule) into the engine's simulator, in (Time, index) order:
 // an unsorted timeline is accepted, and faults tied on time apply in
@@ -112,7 +150,7 @@ func (e *Engine) expireLease(it *item) {
 // busy nodes, so a loaded node is released lease by lease as expiries
 // land; an idle one goes immediately at crash time.
 func (e *Engine) releaseCrashedNode(nodeID string) {
-	o, down := e.down[nodeID]
+	o, down := e.faultState().down[nodeID]
 	if !down {
 		return
 	}
@@ -121,24 +159,26 @@ func (e *Engine) releaseCrashedNode(nodeID string) {
 			return
 		}
 	}
-	_ = e.Reg.RemoveNode(nodeID)
+	if e.Reg.RemoveNode(nodeID) == nil {
+		// A software task offered only this node's free cores, while the
+		// node was cut off, may now fall back to a soft-core elsewhere.
+		e.epoch++
+	}
 }
 
 // applyCrash silences a node: in-flight completions on it will never
 // arrive (their events are cancelled), but the leases stay granted until
 // the renewal check notices the node is gone — detection, not omniscience.
 func (e *Engine) applyCrash(ev faults.Event) {
-	if _, down := e.down[ev.Node]; down {
+	f := e.faultState()
+	if _, down := f.down[ev.Node]; down {
 		return // already down; this event's paired recovery will not match
 	}
 	n, ok := e.Reg.Node(ev.Node)
 	if !ok {
 		return // detached or already removed
 	}
-	if e.down == nil {
-		e.down = make(map[string]outage)
-	}
-	e.down[ev.Node] = outage{seq: ev.Seq, node: n, since: e.S.Now()}
+	f.down[ev.Node] = outage{seq: ev.Seq, node: n, since: e.S.Now()}
 	e.m.NodeCrashes++
 	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindNodeDown, Node: e.nodeName(n)})
 	for _, el := range n.Elements() {
@@ -156,7 +196,8 @@ func (e *Engine) applyCrash(ev faults.Event) {
 // reconfiguration again — and the node re-registers, immediately
 // eligible for queued work.
 func (e *Engine) applyRecover(ev faults.Event) {
-	o, down := e.down[ev.Node]
+	f := e.faultState()
+	o, down := f.down[ev.Node]
 	if !down || o.seq != ev.Seq {
 		return // not down, or downed again by a later crash
 	}
@@ -174,10 +215,11 @@ func (e *Engine) applyRecover(ev faults.Event) {
 	}
 	e.m.DownSeconds += float64(e.S.Now() - o.since)
 	e.m.NodeRecoveries++
-	delete(e.down, ev.Node)
+	delete(f.down, ev.Node)
 	if err := e.Reg.AddNode(n); err != nil {
 		panic(fmt.Sprintf("grid: re-adding recovered node %s: %v", ev.Node, err))
 	}
+	e.epoch++
 	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindNodeUp, Node: e.nodeName(n)})
 	e.tryDispatch()
 }
@@ -189,7 +231,7 @@ func (e *Engine) applyRecover(ev faults.Event) {
 // Strikes on down nodes, pure-GPP nodes, or unconfigured fabric are
 // harmless and uncounted.
 func (e *Engine) applySEU(ev faults.Event) {
-	if _, down := e.down[ev.Node]; down {
+	if _, down := e.faultState().down[ev.Node]; down {
 		return
 	}
 	n, ok := e.Reg.Node(ev.Node)
@@ -210,6 +252,7 @@ func (e *Engine) applySEU(ev faults.Event) {
 	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindSEU, Node: e.nodeName(n), Element: e.elemName(el)})
 	if !r.Busy {
 		_ = el.Fabric.Evict(r)
+		e.epoch++
 		return
 	}
 	for _, it := range append([]*item(nil), e.running[el]...) {
@@ -227,10 +270,12 @@ func (e *Engine) applySEU(ev faults.Event) {
 // fail, so in-flight work on it is (correctly, from the RMS's view)
 // declared lost even though the node itself kept running.
 func (e *Engine) applyLinkDegrade(ev faults.Event) {
-	if e.linkFault == nil {
-		e.linkFault = make(map[string]faults.Event)
+	f := e.faultState()
+	if cur, ok := f.linkFault[ev.Node]; ok && cur.Partition && !ev.Partition {
+		// A slowdown that replaces a partition makes the node reachable.
+		e.epoch++
 	}
-	e.linkFault[ev.Node] = ev
+	f.linkFault[ev.Node] = ev
 	e.m.LinkFaults++
 	detail := ""
 	if ev.Partition {
@@ -242,11 +287,13 @@ func (e *Engine) applyLinkDegrade(ev faults.Event) {
 // applyLinkRestore clears a link fault, unless a newer fault on the same
 // link superseded it (the newer fault's own restore will clear that).
 func (e *Engine) applyLinkRestore(ev faults.Event) {
-	cur, ok := e.linkFault[ev.Node]
+	f := e.faultState()
+	cur, ok := f.linkFault[ev.Node]
 	if !ok || cur.Seq != ev.Seq {
 		return
 	}
-	delete(e.linkFault, ev.Node)
+	delete(f.linkFault, ev.Node)
+	e.epoch++
 	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindLinkRestored, Node: e.name(ev.Node)})
 	e.tryDispatch()
 }

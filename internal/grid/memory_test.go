@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/capability"
@@ -127,14 +128,18 @@ func TestGenerateAllocsFlat(t *testing.T) {
 
 // TestHeapPerPendingArrival is the pre-run memory ceiling: SubmitWorkload
 // streams the trace, so a pending arrival holds no event, closure, task
-// graph or submission, and the whole trace costs a bounded cursor. A
-// stray runtime allocation between the two collections can only add
-// bytes, so the test keeps the smallest of five measurements, each on a
-// fresh rig.
+// graph or submission, and the whole trace costs a bounded cursor.
+// SubmitWorkload also reserves the metrics' Wait and Turnaround series
+// for the trace's length; the test takes exactly that reservation, two
+// float64 slices of the capacity slices.Grow gives, off the reading, and
+// holds the rest to the ceiling. A stray runtime allocation between the
+// two collections can only add bytes, so the test keeps the smallest of
+// five measurements, each on a fresh rig.
 func TestHeapPerPendingArrival(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap ceiling run skipped in -short mode")
 	}
+	reserved := 2 * 8 * float64(cap(slices.Grow([]float64(nil), heapTasks)))
 	retained := math.Inf(1)
 	for i := 0; i < 5; i++ {
 		eng, gen := reuseRig(t, heapTasks)
@@ -142,20 +147,59 @@ func TestHeapPerPendingArrival(t *testing.T) {
 		if err := eng.SubmitWorkload(gen); err != nil {
 			t.Fatal(err)
 		}
-		retained = min(retained, liveHeap()-heap0)
+		retained = min(retained, liveHeap()-heap0-reserved)
 		runtime.KeepAlive(eng)
 		runtime.KeepAlive(gen)
 	}
-	t.Logf("%.0f B for %d pending arrivals", retained, heapTasks)
+	t.Logf("%.0f B for %d pending arrivals, beside the %.0f B series reservation", retained, heapTasks, reserved)
 	if retained > pendingCeiling {
-		t.Errorf("%d pending arrivals hold %.0f B, ceiling %d", heapTasks, retained, pendingCeiling)
+		t.Errorf("%d pending arrivals hold %.0f B beside the series reservation, ceiling %d", heapTasks, retained, pendingCeiling)
+	}
+}
+
+// TestRunAllocsPerTask pins the garbage a warm workload run makes: a
+// task's arrival, dispatch and completion take a record, with its lease
+// and completion handler, from the engine's free list, and the metrics'
+// series were reserved for the whole trace, so SubmitWorkload and Run
+// together allocate under 0.1 times per task, and under 24 B per task,
+// 16 B of which is the reservation. What is left is the event queue's
+// own growth and SubmitWorkload's fixed set-up.
+func TestRunAllocsPerTask(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation run skipped in -short mode")
+	}
+	const (
+		tasks         = 100_000
+		allocsCeiling = 0.1
+		bytesCeiling  = 24
+	)
+	eng, gen := reuseRig(t, tasks)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := eng.SubmitWorkload(gen); err != nil {
+		t.Fatal(err)
+	}
+	m, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if m.Completed != tasks {
+		t.Fatalf("completed %d of %d tasks", m.Completed, tasks)
+	}
+	allocs := float64(after.Mallocs-before.Mallocs) / tasks
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / tasks
+	t.Logf("%.3f allocs and %.1f B per task", allocs, bytes)
+	if allocs >= allocsCeiling || bytes >= bytesCeiling {
+		t.Errorf("a warm run allocates %.3f times and %.1f B per task, want under %v and %d", allocs, bytes, allocsCeiling, bytesCeiling)
 	}
 }
 
 // TestHeapPerSettledTask is the post-run memory ceiling: once a workload
-// task completes, the engine keeps no item, lease or interned ID
-// for it, and the event pool stays as small as the run's peak of queued
-// events, not the trace's length.
+// task completes, the engine keeps no item, lease or interned ID for it
+// (its record joins the free list, which holds the run's peak of queued
+// and in-flight records, not one per task), and the event pool stays as
+// small as the run's peak of queued events, not the trace's length.
 func TestHeapPerSettledTask(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap ceiling run skipped in -short mode")
@@ -184,13 +228,14 @@ func TestHeapPerSettledTask(t *testing.T) {
 // TestHeapPerEngine is the engine's own memory ceiling: over a prebuilt
 // one-node registry and matchmaker, an untraced engine on the heap queue
 // holds its simulator, JSS and metrics, no map and no trace cache: the
-// JSS's submissions map and the running, outage and link-fault maps are
-// made at their first write, and the JSS keeps no queue. The smallest of
-// three measurements counts. Each engine allocates the same objects in
-// any test order, but the reading can move with what ran before it in
-// the process; it reads 912 B alone, after one other grid test and in
-// the package run (2 vCPUs, amd64, Go 1.24.0). The ceiling leaves 16 B
-// for that spread.
+// JSS's submissions map and the running map are made at their first
+// write, the outage and link-fault maps and the retry backoff list sit
+// behind one pointer made at the first fault, and the JSS keeps no
+// queue. The smallest of three measurements counts. Each engine
+// allocates the same objects in any test order, but the reading can
+// move with what ran before it in the process; it reads 896 B alone,
+// after one other grid test and in the package run (2 vCPUs, amd64,
+// Go 1.24.0). The ceiling leaves 32 B for that spread.
 func TestHeapPerEngine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap ceiling run skipped in -short mode")

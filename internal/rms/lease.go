@@ -138,59 +138,59 @@ func (m *Matchmaker) Estimate(c Candidate, req task.ExecReq, w pe.Work) (CostEst
 	return out, nil
 }
 
-// Allocate turns a candidate into a live lease. It may evict idle resident
-// configurations to make room and reports reconfiguration/synthesis costs.
-// When no room can be made it returns the fabric's placement error, such
-// as fabric.ErrNoRoom or fabric.ErrBusy.
-func (m *Matchmaker) Allocate(c Candidate, req task.ExecReq) (*Lease, error) {
+// Allocate turns a candidate into a live lease, returned by value so the
+// caller decides where it lives: the grid engine keeps it in its task
+// record, and a caller that needs its address takes it. It may evict
+// idle resident configurations to make room and reports
+// reconfiguration/synthesis costs. When no room can be made it returns
+// the fabric's placement error, such as fabric.ErrNoRoom or
+// fabric.ErrBusy.
+func (m *Matchmaker) Allocate(c Candidate, req task.ExecReq) (Lease, error) {
 	if err := req.Validate(); err != nil {
-		return nil, err
+		return Lease{}, err
 	}
 	switch {
 	case c.Elem.GPP != nil:
 		if err := c.Elem.AcquireCore(); err != nil {
-			return nil, err
+			return Lease{}, err
 		}
-		return &Lease{Cand: c, Estimator: c.Elem.GPP}, nil
+		return Lease{Cand: c, Estimator: c.Elem.GPP}, nil
 	case c.Elem.GPU != nil:
 		if err := c.Elem.AcquireGPU(); err != nil {
-			return nil, err
+			return Lease{}, err
 		}
-		return &Lease{Cand: c, Estimator: c.Elem.GPU}, nil
+		return Lease{Cand: c, Estimator: c.Elem.GPU}, nil
 	case c.Elem.Fabric != nil:
 		return m.allocateFabric(c, req)
 	}
-	return nil, fmt.Errorf("rms: candidate element %s has no backing model", c.Elem.ID)
+	return Lease{}, fmt.Errorf("rms: candidate element %s has no backing model", c.Elem.ID)
 }
 
 // allocateFabric places c's configuration, reusing a resident idle copy
 // when there is one. A failed placement builds nothing: a first synthesis
 // is committed, and its tool time charged, only once the region is held.
-func (m *Matchmaker) allocateFabric(c Candidate, req task.ExecReq) (*Lease, error) {
+func (m *Matchmaker) allocateFabric(c Candidate, req task.ExecReq) (Lease, error) {
 	bs, est, fresh, err := m.resolve(c, req)
 	if err != nil {
-		return nil, err
+		return Lease{}, err
 	}
 	f := c.Elem.Fabric
 	l := Lease{Cand: c, Region: f.FindLoaded(bs.ID), Estimator: est}
 	if l.Region == nil {
 		var compaction compactionCost
 		if l.Region, l.ReconfigDelay, compaction, err = m.configure(f, bs); err != nil {
-			return nil, err
+			return Lease{}, err
 		}
 		l.BitstreamMB = float64(bs.SizeBytes) / 1e6
 		l.CompactionDelay, l.CompactionMoves = compaction.delay, compaction.moves
 	}
 	if err := f.Acquire(l.Region); err != nil {
-		return nil, err
+		return Lease{}, err
 	}
 	if fresh != nil {
 		l.SynthesisSeconds = m.commit(fresh)
 	}
-	// Only the placed lease reaches the heap: a failed placement, the
-	// common case on a loaded grid, allocates nothing.
-	lease := l
-	return &lease, nil
+	return l, nil
 }
 
 // resolve decides a fabric candidate's configuration for req: the

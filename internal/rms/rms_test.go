@@ -424,7 +424,7 @@ func TestFailedPlacementCommitsNoSynthesis(t *testing.T) {
 		}
 		return task.ExecReq{Scenario: pe.UserDefinedHW, Requirements: task.FPGAFamily("Virtex-5", 100), Design: d}
 	}
-	allocate := func(req task.ExecReq) (*Lease, error) {
+	allocate := func(req task.ExecReq) (Lease, error) {
 		t.Helper()
 		cands, err := mm.Candidates(req)
 		if err != nil || len(cands) != 1 {
@@ -433,7 +433,7 @@ func TestFailedPlacementCommitsNoSynthesis(t *testing.T) {
 		return mm.Allocate(cands[0], req)
 	}
 	malign, pairalign := mkReq("malign-core"), mkReq("pairalign-core")
-	var busy []*Lease
+	var busy []Lease
 	for i := 0; i < 2; i++ {
 		l, err := allocate(malign)
 		if err != nil {

@@ -69,6 +69,14 @@ func (s *Series) Observe(x float64) {
 	s.sum += x
 }
 
+// Reserve makes room for n more observations, so the next n Observe
+// calls append without reallocating.
+func (s *Series) Reserve(n int) {
+	if n > cap(s.xs)-len(s.xs) {
+		s.xs = append(make([]float64, 0, len(s.xs)+n), s.xs...)
+	}
+}
+
 // N returns the number of observations.
 func (s *Series) N() int { return len(s.xs) }
 

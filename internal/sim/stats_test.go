@@ -107,6 +107,26 @@ func TestSeriesMeanIgnoresQuantile(t *testing.T) {
 	}
 }
 
+// TestSeriesReserve: Reserve keeps the observations already made, and
+// the next n Observe calls append without allocating.
+func TestSeriesReserve(t *testing.T) {
+	var s Series
+	s.Observe(4)
+	s.Reserve(100)
+	// AllocsPerRun calls the function once more than it measures: two
+	// calls of 50 fill the reservation exactly.
+	if avg := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 50; i++ {
+			s.Observe(1)
+		}
+	}); avg != 0 {
+		t.Errorf("observing into a reserved series allocates %.0f times, want 0", avg)
+	}
+	if s.N() != 101 || s.Mean() != 104.0/101 {
+		t.Errorf("after Reserve: N %d, mean %v; want 101 and %v", s.N(), s.Mean(), 104.0/101)
+	}
+}
+
 func TestSeriesEmpty(t *testing.T) {
 	var s Series
 	if s.Quantile(0.5) != 0 || s.Mean() != 0 {

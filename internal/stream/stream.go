@@ -166,7 +166,7 @@ func (m *Manager) Admit(spec Spec) (*Session, error) {
 		sess = &Session{
 			Spec:           spec,
 			Cand:           f.cand,
-			Lease:          lease,
+			Lease:          &lease,
 			ThroughputMBps: f.tput,
 			Headroom:       f.tput / spec.RateMBps,
 			Start:          m.sim.Now(),
