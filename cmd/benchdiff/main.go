@@ -2,7 +2,7 @@
 // noise-aware thresholds in internal/benchstat and enforces the perf
 // regression contract:
 //
-//	benchdiff -old BENCH_PR29.json -new /tmp/bench_head.json
+//	benchdiff -old BENCH_PR30.json -new /tmp/bench_head.json
 //
 // Exit status: 0 when no gated metric regressed, 1 on regression
 // (including a benchmark or metric that went dark), 2 on usage or

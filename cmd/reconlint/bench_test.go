@@ -26,7 +26,7 @@ func BenchmarkReconlint(b *testing.B) {
 // logtaint) over the repo. The load/type-check/dataflow build dominates
 // and is shared with the full suite, so the delta between this and
 // BenchmarkReconlint bounds what the nine other analyzers cost. make benchdiff gates both
-// against the committed BENCH_PR29.json baseline.
+// against the committed BENCH_PR30.json baseline.
 func BenchmarkReconlintTaint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		resetGlobals()

@@ -181,7 +181,7 @@ var catchTable = []catchRow{
 	{
 		class:    "operator queue bound presizes a tenant map unclamped",
 		file:     "internal/controlplane/tenant.go",
-		edits:    []seedEdit{{"\t\ttasks:       make(map[string]taskState),\n", "\t\ttasks:       make(map[string]taskState, policy.MaxQueue),\n"}},
+		edits:    []seedEdit{{"\t\ttasks:  make(map[string]taskState),\n", "\t\ttasks:  make(map[string]taskState, policy.MaxQueue),\n"}},
 		analyzer: "wiretaint",
 		deleted:  "sizecap",
 	},

@@ -3,6 +3,8 @@ package controlplane
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/task"
 )
 
 // TestDecodeRequestBounds pins the per-field semantic bounds added for
@@ -80,16 +82,14 @@ func TestHostileRejectAllocs(t *testing.T) {
 	// Admission reject: a duplicate task ID turns the submit away inside
 	// the tenant engine with constant work.
 	cfg := DefaultConfig()
-	te, err := newTenantEngine("acme", TierFull, 1, &cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp := te.submit(&TaskSpec{ID: "dup", WorkMI: 10}, 0, false); !resp.OK {
+	te := testTenant(t, "acme", TierFull, &cfg)
+	if resp := submitRun(te, &TaskSpec{ID: "dup", WorkMI: 10}); !resp.OK {
 		t.Fatalf("seed submit failed: %+v", resp)
 	}
 	spec := &TaskSpec{ID: "dup", WorkMI: 10}
+	var slot task.Task
 	admit := func() {
-		if resp := te.submit(spec, 0, false); resp.OK {
+		if resp := te.submit(spec, 0, false, &slot); resp.OK {
 			t.Fatal("duplicate submit accepted")
 		}
 	}

@@ -5,9 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
+	"unsafe"
 
 	"repro/internal/capability"
 	"repro/internal/faults"
@@ -40,15 +39,11 @@ func TestRetainedHeapPerSettledTask(t *testing.T) {
 		ceiling = 64 // bytes per settled task
 	)
 	cfg := DefaultConfig()
-	te, err := newTenantEngine("acme", TierVirtualized, 1, &cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	te := testTenant(t, "acme", TierVirtualized, &cfg)
 	// Warm the engine so its one-off structures (fabric configuration,
-	// queue array) are not charged to the tasks.
+	// synthesis cache) are not charged to the tasks.
 	for i := 0; i < 4096; i++ {
-		te.submit(&TaskSpec{ID: taskID("warm", i), WorkMI: 100}, 0, false)
-		te.run()
+		submitRun(te, &TaskSpec{ID: taskID("warm", i), WorkMI: 100})
 	}
 	heap0 := liveHeap()
 	for i := 0; i < tasks; i++ {
@@ -56,10 +51,9 @@ func TestRetainedHeapPerSettledTask(t *testing.T) {
 		if spec.Scenario == "userhw" {
 			spec.Design = "aes128"
 		}
-		if resp := te.submit(spec, 0, false); !resp.OK {
+		if resp := submitRun(te, spec); !resp.OK {
 			t.Fatalf("submit %d: %s %s", i, resp.Code, resp.Error)
 		}
-		te.run()
 	}
 	perTask := (liveHeap() - heap0) / tasks
 	runtime.KeepAlive(te)
@@ -77,32 +71,118 @@ func scenarioOf(i int) string {
 	return [...]string{"software", "softcore", "userhw"}[i%3]
 }
 
+// testTenant builds a tenant engine as a server under cfg builds one,
+// with seed 1 and the admission clock at 0.
+func testTenant(t *testing.T, id string, tier Tier, cfg *Config) *tenantEngine {
+	t.Helper()
+	policies := tierPolicies(cfg)
+	te, err := newTenantEngine(id, tier, &policies[tier], 1, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return te
+}
+
+// submitRun admits spec on te and runs an accepted task at once, as a
+// running server's shard does.
+func submitRun(te *tenantEngine, spec *TaskSpec) Response {
+	var tk task.Task
+	resp := te.submit(spec, 0, false, &tk)
+	if resp.OK {
+		te.execute(&tk)
+	}
+	return resp
+}
+
 // TestHeapPerTenant is the per-tenant memory ceiling: 10^4 tenants that
-// each submit one task and drain cost at most 2 KB apiece. What a tenant
-// owns is its dynamic state, with its node and registry indexed by their
-// lists alone; the capability sets, soft-core library and toolchain are
-// shared (TestTenantsShareCatalog).
+// submit and drain cost at most the ceiling apiece. What a tenant owns is
+// its dynamic state, with its node and registry indexed by their lists
+// alone; the capability sets, soft-core library, toolchain and tier
+// policies are shared (TestTenantsShareCatalog).
 func TestHeapPerTenant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap ceiling run skipped in -short mode")
 	}
-	const (
-		tenants = 10_000
-		ceiling = 2048 // bytes per tenant
-	)
+	const tenants = 10_000
 	tiers := []string{"full", "virtualized", "background"}
-	s := newTestServer(t, DefaultConfig())
-	heap0 := liveHeap()
-	for i := 0; i < tenants; i++ {
-		mustOK(t, s.Do(Request{Op: OpSubmit, Tenant: fmt.Sprintf("tenant-%05d", i), Tier: tiers[i%len(tiers)],
-			Task: spec("t0", float64(50+i%200))}))
+	for _, tc := range []struct {
+		name    string
+		tasks   int
+		ceiling float64 // bytes per tenant
+	}{
+		// One software task each: the tenant's own state.
+		{"one-task", 1, 1720},
+		// rmsd-fanout's shape: ten tasks each over the three wire
+		// scenarios, so a tenant also holds its userhw synthesis and ten
+		// settled tasks.
+		{"fanout", 10, 2440},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, DefaultConfig())
+			heap0 := liveHeap()
+			for i := 0; i < tenants; i++ {
+				for j := 0; j < tc.tasks; j++ {
+					ts := spec(taskID("t", j), float64(50+(i+j)%200))
+					if tc.tasks > 1 {
+						ts.Scenario = scenarioOf(i + j)
+						if ts.Scenario == "userhw" {
+							ts.Design = "aes128"
+						}
+					}
+					mustOK(t, s.Do(Request{Op: OpSubmit, Tenant: fmt.Sprintf("tenant-%05d", i), Tier: tiers[i%len(tiers)], Task: ts}))
+				}
+			}
+			mustOK(t, s.Do(Request{Op: OpDrain}))
+			perTenant := (liveHeap() - heap0) / tenants
+			runtime.KeepAlive(s)
+			t.Logf("%.0f B per tenant", perTenant)
+			if perTenant > tc.ceiling {
+				t.Errorf("tenants cost %.0f B each, ceiling %.0f", perTenant, tc.ceiling)
+			}
+		})
 	}
-	mustOK(t, s.Do(Request{Op: OpDrain}))
-	perTenant := (liveHeap() - heap0) / tenants
-	runtime.KeepAlive(s)
-	t.Logf("%.0f B per tenant", perTenant)
-	if perTenant > ceiling {
-		t.Errorf("tenants cost %.0f B each, ceiling %d", perTenant, ceiling)
+}
+
+// TestTenantEngineSize pins the tenant record to the 256-B size class:
+// it holds the tier's policy and its sink state by pointer, stores no
+// name in its counters and no rate in its bucket.
+func TestTenantEngineSize(t *testing.T) {
+	if size := unsafe.Sizeof(tenantEngine{}); size > 256 {
+		t.Errorf("tenantEngine is %d B, want at most 256", size)
+	}
+}
+
+// TestDrainedBacklogReleased pins that a drain leaves a tenant no queue
+// array sized by the backlog it ran: a background tenant that queued its
+// whole 16,384-task bound while paused retains, once drained, what a
+// tenant that ran the same tasks one by one retains.
+func TestDrainedBacklogReleased(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap ceiling run skipped in -short mode")
+	}
+	const slack = 4096 // bytes
+	backlog := TierBackground.Policy().MaxQueue
+	retained := func(paused bool) float64 {
+		s := newTestServer(t, DefaultConfig())
+		heap0 := liveHeap()
+		if paused {
+			mustOK(t, s.Do(Request{Op: OpPause}))
+		}
+		for i := 0; i < backlog; i++ {
+			mustOK(t, s.Do(Request{Op: OpSubmit, Tenant: "bg", Tier: "background", Task: spec(taskID("t", i), 100)}))
+		}
+		mustOK(t, s.Do(Request{Op: OpDrain}))
+		heap := liveHeap() - heap0
+		if st := mustOK(t, s.Do(Request{Op: OpStats, Tenant: "bg"})).Stats; st.Completed != backlog {
+			t.Fatalf("paused=%v: %+v", paused, st)
+		}
+		runtime.KeepAlive(s)
+		return heap
+	}
+	running, drained := retained(false), retained(true)
+	t.Logf("running %.0f B, drained backlog %.0f B", running, drained)
+	if drained > running+slack {
+		t.Errorf("a drained backlog of %d tasks retains %.0f B beyond a running tenant's %.0f B, slack %d", backlog, drained-running, running, slack)
 	}
 }
 
@@ -145,8 +225,8 @@ func TestTenantsShareCatalog(t *testing.T) {
 		}
 	}
 
-	probe, err := ta.buildTask(&TaskSpec{ID: "probe", WorkMI: 100, Scenario: "softcore"})
-	if err != nil {
+	var probe task.Task
+	if err := ta.buildTask(&TaskSpec{ID: "probe", WorkMI: 100, Scenario: "softcore"}, &probe); err != nil {
 		t.Fatal(err)
 	}
 	cores := func(te *tenantEngine) []*softcore.Core {
@@ -173,8 +253,8 @@ func TestTenantsShareCatalog(t *testing.T) {
 
 // TestSettledTasksUnreachable pins what a drained server keeps: each
 // task that completed, was evicted or was canceled is only its state in
-// the tenant's tasks map (TestSettledTasksCollected proves its task tuple
-// is garbage). Status and cancel still answer for every settled ID, byte
+// the tenant's tasks map (TestSettledTasksCollected proves the queue
+// keeps no task tuple). Status and cancel still answer for every settled ID, byte
 // for byte as before settling.
 func TestSettledTasksUnreachable(t *testing.T) {
 	cfg := DefaultConfig()
@@ -245,52 +325,49 @@ func TestSettledTasksUnreachable(t *testing.T) {
 }
 
 // TestSettledTasksCollected proves that a settled task leaves nothing
-// reachable behind: finalizers on every queued task's tuple must all
-// run once the tenant drains, while the tenant
-// itself stays live. The background tier evicts on its first fault
-// abort, so the run mixes completions, evictions after "retries
+// behind in its tenant's queue: after a cancel every slot of the queue's
+// array past its length is zero, and after the run every slot is and the
+// queue has let go of the array. The background tier evicts on its first
+// fault abort, so the run mixes completions, evictions after "retries
 // exhausted" and one task canceled from the middle of the paused queue.
 // A pop that leaves its slot set, or a cancel that removes by append
-// (keeping a copy of the last task in the vacated tail slot), leaves
-// finalizers unrun.
+// (keeping a copy of the last task in the vacated tail slot), leaves a
+// slot set.
 func TestSettledTasksCollected(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Faults = faults.Spec{CrashRate: 0.05, MeanOutageSeconds: 5, SEURate: 0.05, HorizonSeconds: 2000}
-	te, err := newTenantEngine("bg", TierBackground, 1, &cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	te := testTenant(t, "bg", TierBackground, &cfg)
 	const n = 40
 	for i := 0; i < n; i++ {
-		mustOK(t, te.submit(spec(taskID("t", i), float64(50+(i%2)*500000)), 0, false))
+		// Queued as a paused server's shard queues an accepted task.
+		var tk task.Task
+		mustOK(t, te.submit(spec(taskID("t", i), float64(50+(i%2)*500000)), 0, false, &tk))
+		te.queue = append(te.queue, tk)
 	}
-	var collected atomic.Int64
-	watchQueue(te, &collected)
+	array := te.queue[:cap(te.queue)]
+	setFrom := func(from int) int {
+		for i := from; i < len(array); i++ {
+			if !reflect.ValueOf(array[i]).IsZero() {
+				return i
+			}
+		}
+		return -1
+	}
 	mustOK(t, te.cancel(taskID("t", n/2)))
+	if i := setFrom(len(te.queue)); i >= 0 {
+		t.Errorf("after the cancel, slot %d past the queue's %d tasks holds %s", i, len(te.queue), array[i].ID)
+	}
 	te.run()
+	if i := setFrom(0); i >= 0 {
+		t.Errorf("after the run, slot %d holds %s", i, array[i].ID)
+	}
+	if te.queue != nil {
+		t.Errorf("the drained queue keeps an array of %d slots", cap(te.queue))
+	}
 
 	st := te.snapshot()
 	if st.Completed == 0 || st.Canceled != 1 || st.Evicted == 0 || st.Evicted != st.FaultAborts || st.Retries != 0 {
 		t.Fatalf("want completions, one cancel and only retries-exhausted evictions: %+v", st)
-	}
-	for i := 0; i < 20 && collected.Load() < n; i++ {
-		runtime.GC()
-		time.Sleep(time.Millisecond)
-	}
-	if got := collected.Load(); got != n {
-		t.Errorf("%d of %d task tuples collected after the drain", got, n)
-	}
-	runtime.KeepAlive(te)
-}
-
-// watchQueue sets a finalizer counting into collected on every queued
-// task's tuple. It is a function of its own so that no local of the
-// test keeps one of them alive.
-//
-//go:noinline
-func watchQueue(te *tenantEngine, collected *atomic.Int64) {
-	for _, p := range te.queue {
-		runtime.SetFinalizer(p.t, func(*task.Task) { collected.Add(1) })
 	}
 }
 
@@ -303,10 +380,7 @@ func TestHeapPerFaultyTenant(t *testing.T) {
 	cfg.Faults = faults.Default()
 	cfg.Faults.HorizonSeconds = 1e6
 	heap0 := liveHeap()
-	te, err := newTenantEngine("acme", TierVirtualized, 1, &cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	te := testTenant(t, "acme", TierVirtualized, &cfg)
 	retained := liveHeap() - heap0
 	runtime.KeepAlive(te)
 	t.Logf("%.0f B per tenant, %d strikes", retained, len(te.strikes))
@@ -316,8 +390,9 @@ func TestHeapPerFaultyTenant(t *testing.T) {
 }
 
 // submitRunAllocs is what one steady-state submit and run allocates on a
-// warm tenant in each wire scenario, formatting the task ID included.
-const submitRunAllocs = 3
+// warm tenant in each wire scenario: the test's own formatting of the
+// task ID.
+const submitRunAllocs = 1
 
 // TestSubmitRunAllocs pins the allocations of one task's whole life on a
 // warm tenant: admission, placement, execution and settling.
@@ -334,18 +409,14 @@ func TestSubmitRunAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			te, err := newTenantEngine("acme", TierFull, 1, &cfg, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			te := testTenant(t, "acme", TierFull, &cfg)
 			i := 0
 			one := func() {
 				i++
-				resp := te.submit(&TaskSpec{ID: taskID("t", i), WorkMI: 500, Scenario: tc.scenario, Design: "aes128", DataMB: tc.dataMB}, 0, false)
+				resp := submitRun(te, &TaskSpec{ID: taskID("t", i), WorkMI: 500, Scenario: tc.scenario, Design: "aes128", DataMB: tc.dataMB})
 				if !resp.OK {
 					t.Fatalf("submit: %s %s", resp.Code, resp.Error)
 				}
-				te.run()
 			}
 			for range 64 {
 				one()

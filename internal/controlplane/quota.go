@@ -10,40 +10,40 @@ package controlplane
 //   - tokens never exceeds burst,
 //   - tokens never goes negative,
 //   - over any clock window Δ, admissions ≤ burst + rate·Δ.
+//
+// A bucket stores only its balance: its rate and burst are the tenant's
+// tier policy's, which every take passes in.
 type tokenBucket struct {
-	rate  float64 // tokens per second; 0 disables refill-based limiting
-	burst float64
 	// tokens is the current balance; lastNanos the clock at last refill.
 	tokens    float64
 	lastNanos int64
 }
 
-func newTokenBucket(rate, burst float64, nowNanos int64) tokenBucket {
-	return tokenBucket{rate: rate, burst: burst, tokens: burst, lastNanos: nowNanos}
+func newTokenBucket(burst float64, nowNanos int64) tokenBucket {
+	return tokenBucket{tokens: burst, lastNanos: nowNanos}
 }
 
-// refill advances the bucket to nowNanos. A clock that goes backwards is
-// clamped (no refund, no negative elapsed).
-func (b *tokenBucket) refill(nowNanos int64) {
-	if b.rate <= 0 {
-		return
-	}
+// refill advances the bucket to nowNanos at rate tokens per second, up
+// to burst. A clock that goes backwards is clamped (no refund, no
+// negative elapsed).
+func (b *tokenBucket) refill(rate, burst float64, nowNanos int64) {
 	if nowNanos > b.lastNanos {
-		b.tokens += b.rate * float64(nowNanos-b.lastNanos) / 1e9
-		if b.tokens > b.burst {
-			b.tokens = b.burst
+		b.tokens += rate * float64(nowNanos-b.lastNanos) / 1e9
+		if b.tokens > burst {
+			b.tokens = burst
 		}
 		b.lastNanos = nowNanos
 	}
 }
 
 // take spends one token if available; false means the admission is over
-// quota. With rate 0 the bucket is inert and always admits.
-func (b *tokenBucket) take(nowNanos int64) bool {
-	if b.rate <= 0 {
+// quota. A rate of 0 disables refill-based limiting: the bucket is inert
+// and always admits.
+func (b *tokenBucket) take(rate, burst float64, nowNanos int64) bool {
+	if rate <= 0 {
 		return true
 	}
-	b.refill(nowNanos)
+	b.refill(rate, burst, nowNanos)
 	if b.tokens < 1 {
 		return false
 	}

@@ -71,6 +71,9 @@ type Server struct {
 	cfg    Config
 	rng    *sim.RNG // seed splitter; only the pure SplitSeed is used
 	shards []*shard
+	// policies holds each tier's policy under cfg, indexed by Tier: every
+	// tenant of a tier points at its entry.
+	policies [len(tierNames)]TierPolicy
 
 	draining atomic.Bool
 	paused   atomic.Bool
@@ -108,6 +111,7 @@ func New(cfg Config) (*Server, error) {
 		conns:      make(map[net.Conn]struct{}),
 		shutdownCh: make(chan struct{}),
 	}
+	s.policies = tierPolicies(&s.cfg)
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
 		s.shards[i] = newShard(i, s)
@@ -196,10 +200,7 @@ func (s *Server) Do(req Request) Response {
 	if req.Tenant == "" {
 		return errorResponse(req.Op, errWire(CodeBadRequest, "%s needs a tenant", req.Op))
 	}
-	reply, ok := s.shardFor(req.Tenant).send(opMsg{
-		kind: ctlRequest, req: req, nowNanos: s.now(),
-		reply: make(chan shardReply, 1),
-	})
+	reply, ok := s.shardFor(req.Tenant).send(opMsg{kind: ctlRequest, req: req, nowNanos: s.now()})
 	if !ok {
 		return errShutdown(req.Op)
 	}
@@ -233,7 +234,7 @@ func (s *Server) runQueued(op string) Response {
 func (s *Server) StatsAll() ([]TenantStats, error) {
 	dumps := make([][]TenantStats, 0, len(s.shards))
 	for _, sh := range s.shards {
-		reply, ok := sh.send(opMsg{kind: ctlStatsAll, reply: make(chan shardReply, 1)})
+		reply, ok := sh.send(opMsg{kind: ctlStatsAll})
 		if !ok {
 			return nil, errors.New("controlplane: server is shutting down")
 		}
@@ -246,7 +247,7 @@ func (s *Server) StatsAll() ([]TenantStats, error) {
 func (s *Server) DumpTenants() ([]TenantDump, error) {
 	dumps := make([][]TenantDump, 0, len(s.shards))
 	for _, sh := range s.shards {
-		reply, ok := sh.send(opMsg{kind: ctlDumpAll, reply: make(chan shardReply, 1)})
+		reply, ok := sh.send(opMsg{kind: ctlDumpAll})
 		if !ok {
 			return nil, errors.New("controlplane: server is shutting down")
 		}
@@ -329,19 +330,24 @@ func (s *Server) handleConn(conn net.Conn) {
 	enc := json.NewEncoder(conn)
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 4096), MaxRequestBytes+2)
+	// Every line is decoded into one request and answered from one
+	// response: decodeRequest zeroes req first, and resp is encoded
+	// through its pointer, so no line makes either anew.
+	var req Request
+	resp := new(Response)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		req, err := DecodeRequest(line, MaxRequestBytes)
-		var resp Response
-		if err != nil {
-			resp = errorResponse(req.Op, err)
+		if err := decodeRequest(line, MaxRequestBytes, &req); err != nil {
+			*resp = errorResponse(req.Op, err)
 		} else {
-			resp = s.Do(req)
+			*resp = s.Do(req)
 		}
-		if err := enc.Encode(resp); err != nil {
+		err := enc.Encode(resp)
+		*resp = Response{} // an idle connection holds no stats roster or dump
+		if err != nil {
 			return
 		}
 	}

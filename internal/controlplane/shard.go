@@ -3,6 +3,9 @@ package controlplane
 import (
 	"slices"
 	"sort"
+	"sync"
+
+	"repro/internal/task"
 )
 
 // The dispatcher is sharded: tenants are partitioned across N shards by a
@@ -73,6 +76,10 @@ type shard struct {
 	// the order runQueued empties their queues in. Higher tiers drain
 	// first — the control plane's rendering of RC3E priority.
 	order []*tenantEngine
+	// task is where an accepted task that runs at once is built and
+	// executed from (see submit), so it is never a heap object of its
+	// own. It is zero between messages.
+	task task.Task
 }
 
 func newShard(id int, srv *Server) *shard {
@@ -85,9 +92,18 @@ func newShard(id int, srv *Server) *shard {
 	}
 }
 
-// send delivers a message and waits for the reply; false means the
-// server shut down first.
+// replyPool recycles the one-slot reply channels of send across every
+// server.
+var replyPool = sync.Pool{New: func() any { return make(chan shardReply, 1) }}
+
+// send delivers a message on a reply channel from replyPool and waits for
+// the reply; false means the server shut down first. The channel goes
+// back to the pool only once its reply has been received: when a
+// shutdown cuts the wait off, the shard may have taken the message
+// already and still answer on the channel, and that late reply must not
+// reach another call.
 func (sh *shard) send(m opMsg) (shardReply, bool) {
+	m.reply = replyPool.Get().(chan shardReply)
 	select {
 	case sh.inbox <- m:
 	case <-sh.quit:
@@ -95,6 +111,7 @@ func (sh *shard) send(m opMsg) (shardReply, bool) {
 	}
 	select {
 	case r := <-m.reply:
+		replyPool.Put(m.reply)
 		return r, true
 	case <-sh.quit:
 		return shardReply{}, false
@@ -126,11 +143,7 @@ func (sh *shard) loop() {
 	}
 }
 
-// handle dispatches one inbox message. An accepted submit on a running
-// server is executed right after its reply goes out, so the client's
-// next request overlaps the execution but the shard reads it only once
-// the tenant's queue is empty again. The pause flag is read before the
-// reply, so a pause sent after this answer cannot hold the task back.
+// handle dispatches one inbox message.
 func (sh *shard) handle(m opMsg) {
 	switch m.kind {
 	case ctlRunQueued:
@@ -141,13 +154,43 @@ func (sh *shard) handle(m opMsg) {
 	case ctlDumpAll:
 		m.reply <- shardReply{dumps: sh.dumpAll()}
 	default:
-		resp := sh.request(m)
-		run := m.req.Op == OpSubmit && resp.OK && !sh.srv.paused.Load()
-		m.reply <- shardReply{resp: resp}
-		if run {
-			sh.tenants[m.req.Tenant].run()
+		if m.req.Op == OpSubmit {
+			sh.submit(m)
+			return
+		}
+		m.reply <- shardReply{resp: sh.request(m)}
+	}
+}
+
+// submit serves one submit. An accepted task on a running server is
+// executed right after its reply goes out, so the client's next request
+// overlaps the execution but the shard reads it only once the task is
+// terminal. It runs from the shard's task slot, unless its tenant still
+// has tasks queued from a pause that no resume or drain has run yet:
+// then it joins the queue behind them, and the queue runs empty. A
+// paused server only queues. The pause flag is read before the reply, so
+// a pause sent after this answer cannot hold the task back.
+func (sh *shard) submit(m opMsg) {
+	te, err := sh.engineFor(m.req.Tenant, m.req.Tier, m.nowNanos)
+	if err != nil {
+		m.reply <- shardReply{resp: errorResponse(OpSubmit, err)}
+		return
+	}
+	resp := te.submit(m.req.Task, m.nowNanos, sh.srv.draining.Load(), &sh.task)
+	paused := sh.srv.paused.Load()
+	queue := resp.OK && (paused || len(te.queue) > 0)
+	if queue {
+		te.queue = append(te.queue, sh.task)
+	}
+	m.reply <- shardReply{resp: resp}
+	if resp.OK && !paused {
+		if queue {
+			te.run()
+		} else {
+			te.execute(&sh.task)
 		}
 	}
+	sh.task = task.Task{}
 }
 
 // runQueued runs every tenant's queue empty in dispatch order.
@@ -157,15 +200,9 @@ func (sh *shard) runQueued() {
 	}
 }
 
-// request serves one tenant-routed wire request.
+// request serves one tenant-routed wire request other than a submit.
 func (sh *shard) request(m opMsg) Response {
 	switch m.req.Op {
-	case OpSubmit:
-		te, err := sh.engineFor(m.req.Tenant, m.req.Tier, m.nowNanos)
-		if err != nil {
-			return errorResponse(OpSubmit, err)
-		}
-		return te.submit(m.req.Task, m.nowNanos, sh.srv.draining.Load())
 	case OpStatus:
 		te, ok := sh.tenants[m.req.Tenant]
 		if !ok {
@@ -203,7 +240,7 @@ func (sh *shard) engineFor(tenant, tierName string, nowNanos int64) (*tenantEngi
 		}
 		return te, nil
 	}
-	te, err := newTenantEngine(tenant, tier, sh.srv.tenantSeed(tenant), &sh.srv.cfg, nowNanos)
+	te, err := newTenantEngine(tenant, tier, &sh.srv.policies[tier], sh.srv.tenantSeed(tenant), &sh.srv.cfg, nowNanos)
 	if err != nil {
 		return nil, err
 	}

@@ -7,12 +7,14 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // engineOf is a bare engine carrying what dispatch order reads.
 func engineOf(id string, tier Tier) *tenantEngine {
-	return &tenantEngine{id: id, tier: tier, policy: tier.Policy()}
+	p := tier.Policy()
+	return &tenantEngine{id: id, tier: tier, policy: &p}
 }
 
 // ids renders an engine order as its IDs.
@@ -72,9 +74,14 @@ func TestInsertByPriorityMatchesStableSort(t *testing.T) {
 // no loop goroutine, so nothing but the message order decides what a
 // status or cancel sees. On a running server an accepted submit has run
 // to a terminal state before the shard takes its next message; on a
-// paused server it stays queued, so a cancel finds it there.
+// paused server it stays queued, so a cancel finds it there. A submit
+// that reaches a running server before the resume has run its tenant's
+// backlog runs after that backlog.
 func TestShardRunsSubmitBeforeNextMessage(t *testing.T) {
+	rec := &obs.Recorder{}
 	srv := &Server{cfg: DefaultConfig(), rng: sim.NewRNG(1)}
+	srv.cfg.Sink = rec
+	srv.policies = tierPolicies(&srv.cfg)
 	sh := newShard(0, srv)
 	call := func(req Request) Response {
 		t.Helper()
@@ -96,8 +103,21 @@ func TestShardRunsSubmitBeforeNextMessage(t *testing.T) {
 	if resp := mustOK(t, call(Request{Op: OpCancel, Tenant: "ann", TaskID: "t2"})); resp.State != "canceled" {
 		t.Errorf("paused server: cancel = %q, want canceled", resp.State)
 	}
+	mustOK(t, call(Request{Op: OpSubmit, Tenant: "ann", Task: spec("t3", 1000)}))
+
+	srv.paused.Store(false)
+	mustOK(t, call(Request{Op: OpSubmit, Tenant: "ann", Task: spec("t4", 1000)}))
+	var done []string
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindComplete {
+			done = append(done, ev.TaskID.String())
+		}
+	}
+	if got := strings.Join(done, " "); got != "t1 t3 t4" {
+		t.Errorf("completion order %q, want %q", got, "t1 t3 t4")
+	}
 	st := mustOK(t, call(Request{Op: OpStats, Tenant: "ann"})).Stats
-	if st.Completed != 1 || st.Canceled != 1 || st.InFlight != 0 || !st.conserved() {
+	if st.Completed != 3 || st.Canceled != 1 || st.InFlight != 0 || !st.conserved() {
 		t.Errorf("stats = %+v", st)
 	}
 }

@@ -25,6 +25,17 @@ import (
 type TenantStats struct {
 	Tenant string `json:"tenant"`
 	Tier   string `json:"tier"`
+	tenantCounters
+	// VirtualSeconds is the tenant engine's virtual clock; CostUnits the
+	// accumulated execution cost at the jss cost rates (jss.CostRate).
+	VirtualSeconds float64 `json:"virtual_seconds"`
+	CostUnits      float64 `json:"cost_units"`
+}
+
+// tenantCounters are the counters of TenantStats: what a tenant stores.
+// Its name and tier, clock and cost are the tenant's own fields, which
+// snapshot adds.
+type tenantCounters struct {
 	// Submitted counts every submit request received for the tenant;
 	// Accepted the ones past admission (Accepted = Submitted - Rejected).
 	Submitted int `json:"submitted"`
@@ -54,10 +65,6 @@ type TenantStats struct {
 	FaultAborts   int     `json:"fault_aborts,omitempty"`
 	RepairedTasks int     `json:"repaired_tasks,omitempty"`
 	RepairSeconds float64 `json:"repair_seconds,omitempty"`
-	// VirtualSeconds is the tenant engine's virtual clock; CostUnits the
-	// accumulated execution cost at the jss cost rates (jss.CostRate).
-	VirtualSeconds float64 `json:"virtual_seconds"`
-	CostUnits      float64 `json:"cost_units"`
 }
 
 // taskState is a control-plane task's lifecycle state.
@@ -82,15 +89,6 @@ func (s taskState) String() string {
 	return fmt.Sprintf("taskState(%d)", int(s))
 }
 
-// pending is one accepted task waiting in a tenant's queue: its ID and
-// its task tuple. It lives only in the queue and in the run that takes
-// it out; once the task settles, its state in tenantEngine.tasks is all
-// that remains.
-type pending struct {
-	id string
-	t  *task.Task
-}
-
 // tenantEngine is one tenant's deterministic slice of the control plane:
 // a vFPGA slice (a private registry/matchmaker over the tier's device
 // set) and a virtual clock work executes under. Everything the engine
@@ -100,16 +98,17 @@ type pending struct {
 // cross-tenant interleaving.
 //
 // A tenantEngine is owned by exactly one shard goroutine; it needs no
-// locking.
+// locking. It keeps only what is its own: the tier's policy is the
+// server's, shared by pointer.
 type tenantEngine struct {
 	id     string
 	tier   Tier
-	policy TierPolicy
+	policy *TierPolicy
 
 	reg *rms.Registry
 	mm  *rms.Matchmaker
-	// now is the tenant's virtual clock. It moves only while run
-	// executes a task, to the time of each strike, retry and completion.
+	// now is the tenant's virtual clock. It moves only while a task
+	// executes, to the time of each strike, retry and completion.
 	now sim.Time
 
 	// strikes holds, in time order, the times of the slice's faults that
@@ -118,16 +117,28 @@ type tenantEngine struct {
 	// monotone).
 	strikes []sim.Time
 
-	queue []pending
+	// queue holds, in order, the tasks a paused server accepted; a
+	// running server executes each accepted task from its shard's slot
+	// instead (shard.submit). run empties the queue and drops its array.
+	queue []task.Task
 	// tasks holds the state of every task the tenant ever accepted:
 	// what status, cancel and the duplicate-ID check read back.
 	tasks map[string]taskState
 
 	bucket tokenBucket
 
-	stats TenantStats
+	// stats and cost accumulate the tenant's TenantStats; snapshot adds
+	// the name, tier and clock.
+	stats tenantCounters
+	cost  float64
 
-	// Observability: nil sink disables emission entirely.
+	// obs is nil without a sink, which disables emission entirely.
+	obs *tenantObs
+}
+
+// tenantObs is a tenant's observability state, made only when the
+// server has a sink.
+type tenantObs struct {
 	sink      obs.TraceSink
 	name      obs.Name
 	elemNames map[*node.Element]obs.Name
@@ -147,25 +158,10 @@ var tenantReqs = struct {
 	userHW:   task.FPGAFamily("Virtex-5", 1),
 }
 
-// newTenantEngine builds a tenant's slice for its tier. The clock
-// argument seeds the admission bucket's refill timeline.
-func newTenantEngine(id string, tier Tier, seed uint64, cfg *Config, nowNanos int64) (*tenantEngine, error) {
-	policy := tier.Policy()
-	if cfg.NowNanos == nil {
-		// Without an admission clock the bucket could never refill, so
-		// rate limiting is off entirely; queue bounds still apply.
-		policy.RatePerSec = 0
-	}
-	if cfg.MaxQueueOverride > 0 {
-		policy.MaxQueue = cfg.MaxQueueOverride
-	}
-	if cfg.RateOverride > 0 {
-		policy.RatePerSec = cfg.RateOverride
-	}
-	if cfg.BurstOverride > 0 {
-		policy.Burst = cfg.BurstOverride
-	}
-
+// newTenantEngine builds a tenant's slice for its tier under the
+// server's policy for that tier. The clock argument seeds the admission
+// bucket's refill timeline.
+func newTenantEngine(id string, tier Tier, policy *TierPolicy, seed uint64, cfg *Config, nowNanos int64) (*tenantEngine, error) {
 	n, err := node.New("n0")
 	if err != nil {
 		return nil, err
@@ -195,20 +191,21 @@ func newTenantEngine(id string, tier Tier, seed uint64, cfg *Config, nowNanos in
 	}
 
 	te := &tenantEngine{
-		id:          id,
-		tier:        tier,
-		policy:      policy,
-		reg:         reg,
-		mm:          mm,
-		tasks:       make(map[string]taskState),
-		bucket:      newTokenBucket(policy.RatePerSec, policy.Burst, nowNanos),
-		sink:        cfg.Sink,
-		sampleEvery: cfg.SampleEvery,
-		stats:       TenantStats{Tenant: id, Tier: tier.String()},
+		id:     id,
+		tier:   tier,
+		policy: policy,
+		reg:    reg,
+		mm:     mm,
+		tasks:  make(map[string]taskState),
+		bucket: newTokenBucket(policy.Burst, nowNanos),
 	}
-	if te.sink != nil {
-		te.name = obs.Str(id)
-		te.elemNames = make(map[*node.Element]obs.Name)
+	if cfg.Sink != nil {
+		te.obs = &tenantObs{
+			sink:        cfg.Sink,
+			name:        obs.Str(id),
+			elemNames:   make(map[*node.Element]obs.Name),
+			sampleEvery: cfg.SampleEvery,
+		}
 	}
 	if cfg.Faults.Enabled() {
 		rng := sim.NewRNG(seed).Split(faults.ScheduleStream)
@@ -229,9 +226,10 @@ func newTenantEngine(id string, tier Tier, seed uint64, cfg *Config, nowNanos in
 	return te, nil
 }
 
-// buildTask turns a validated wire TaskSpec into the paper's task tuple.
-func (te *tenantEngine) buildTask(spec *TaskSpec) (*task.Task, error) {
-	t := &task.Task{
+// buildTask turns a validated wire TaskSpec into the paper's task tuple,
+// written over *t.
+func (te *tenantEngine) buildTask(spec *TaskSpec, t *task.Task) error {
+	*t = task.Task{
 		ID: spec.ID,
 		Work: pe.Work{
 			MInstructions:    spec.WorkMI,
@@ -248,20 +246,21 @@ func (te *tenantEngine) buildTask(spec *TaskSpec) (*task.Task, error) {
 	case "userhw":
 		d, err := hdl.LookupIP(spec.Design)
 		if err != nil {
-			return nil, errWire(CodeInvalidTask, "task %q: %v", spec.ID, err)
+			return errWire(CodeInvalidTask, "task %q: %v", spec.ID, err)
 		}
 		t.ExecReq = task.ExecReq{Scenario: pe.UserDefinedHW, Requirements: tenantReqs.userHW, Design: d}
 		t.Work.HWSpeedup = d.AccelFactor
 	default:
-		return nil, errWire(CodeInvalidTask, "task %q: unknown scenario %q", spec.ID, spec.Scenario)
+		return errWire(CodeInvalidTask, "task %q: unknown scenario %q", spec.ID, spec.Scenario)
 	}
-	return t, nil
+	return nil
 }
 
 // submit runs admission for one task: queue bound, token-bucket quota,
-// and task construction and validation. On success the task is queued;
-// every failure path is a counted rejection.
-func (te *tenantEngine) submit(spec *TaskSpec, nowNanos int64, draining bool) Response {
+// and task construction and validation. On success it builds the task
+// tuple into *t and records the task as queued; the caller then runs
+// it or queues it. Every failure path is a counted rejection.
+func (te *tenantEngine) submit(spec *TaskSpec, nowNanos int64, draining bool, t *task.Task) Response {
 	te.stats.Submitted++
 	fail := func(err error) Response {
 		te.stats.Rejected++
@@ -277,19 +276,17 @@ func (te *tenantEngine) submit(spec *TaskSpec, nowNanos int64, draining bool) Re
 		te.stats.QuotaDenied++
 		return fail(errWire(CodeQueueFull, "queue full (%d tasks, tier %s bound %d)", len(te.queue), te.tier, te.policy.MaxQueue))
 	}
-	if !te.bucket.take(nowNanos) {
+	if !te.bucket.take(te.policy.RatePerSec, te.policy.Burst, nowNanos) {
 		te.stats.QuotaDenied++
 		return fail(errWire(CodeQuotaExceeded, "tenant %q is over its %s-tier admission rate", te.id, te.tier))
 	}
-	t, err := te.buildTask(spec)
-	if err != nil {
+	if err := te.buildTask(spec, t); err != nil {
 		return fail(err)
 	}
 	if err := task.ValidateForGraph(t); err != nil {
 		// %q because the error embeds the tenant-chosen task ID.
 		return fail(errWire(CodeInvalidTask, "task %q: %q", spec.ID, err))
 	}
-	te.queue = append(te.queue, pending{id: spec.ID, t: t})
 	te.tasks[spec.ID] = stateQueued
 	te.stats.Accepted++
 	te.stats.InFlight++
@@ -309,14 +306,13 @@ func (te *tenantEngine) cancel(taskID string) Response {
 		resp.State = st.String()
 		return resp
 	}
-	// A queued task is in the queue: run takes a task out only to settle
-	// it before returning.
-	i := slices.IndexFunc(te.queue, func(p pending) bool { return p.id == taskID })
-	p := te.queue[i]
+	// A queued task is in the queue: a task that runs reaches a terminal
+	// state before its shard reads another request.
+	i := slices.IndexFunc(te.queue, func(t task.Task) bool { return t.ID == taskID })
 	// Delete clears the vacated tail slot, so the backing array does not
 	// keep the canceled task alive.
 	te.queue = slices.Delete(te.queue, i, i+1)
-	te.settle(p, stateCanceled)
+	te.settle(taskID, stateCanceled)
 	te.stats.Canceled++
 	return Response{OK: true, Op: OpCancel, Tenant: te.id, TaskID: taskID, State: stateCanceled.String()}
 }
@@ -330,74 +326,81 @@ func (te *tenantEngine) status(taskID string) Response {
 	return Response{OK: true, Op: OpStatus, Tenant: te.id, TaskID: taskID, State: st.String()}
 }
 
-// snapshot returns the tenant's counters with the live queue depth.
+// snapshot returns the tenant's counters with its name, tier, clock and
+// cost.
 func (te *tenantEngine) snapshot() TenantStats {
-	s := te.stats
-	s.VirtualSeconds = float64(te.now)
-	return s
-}
-
-// run executes the queued tasks in order, each to a terminal state in
-// virtual time, until the queue is empty.
-func (te *tenantEngine) run() {
-	for len(te.queue) > 0 {
-		p := te.queue[0]
-		te.queue[0] = pending{} // the backing array must not keep a settled task alive
-		te.queue = te.queue[1:]
-		te.execute(p)
+	return TenantStats{
+		Tenant:         te.id,
+		Tier:           te.tier.String(),
+		tenantCounters: te.stats,
+		VirtualSeconds: float64(te.now),
+		CostUnits:      te.cost,
 	}
 }
 
-// execute runs p to a terminal state. Each attempt places p and charges
+// run executes the queued tasks in order, each to a terminal state in
+// virtual time, until the queue is empty, and then drops the queue's
+// array, so a drained backlog leaves nothing behind.
+func (te *tenantEngine) run() {
+	for len(te.queue) > 0 {
+		t := te.queue[0]
+		te.queue[0] = task.Task{} // the backing array must not keep a settled task alive
+		te.queue = te.queue[1:]
+		te.execute(&t)
+	}
+	te.queue = nil
+}
+
+// execute runs t to a terminal state. Each attempt places t and charges
 // the reconfiguration, synthesis and execution time; it either completes
 // at the end or aborts at the first fault that strikes the window, and
 // an aborted task attempts again after the tier's backoff until its
 // retries run out. A task that completes after aborts adds the time
 // since its last abort to the repair record.
-func (te *tenantEngine) execute(p pending) {
+func (te *tenantEngine) execute(t *task.Task) {
 	aborts := 0
 	var lastAbort sim.Time
 	for {
-		cands, err := te.mm.Candidates(p.t.ExecReq)
+		cands, err := te.mm.Candidates(t.ExecReq)
 		if err != nil || len(cands) == 0 {
-			te.evict(p)
+			te.evict(t.ID)
 			return
 		}
 		// First-fit over the deterministic candidate order: the slice is
 		// private and the engine runs one task at a time, so the first
 		// candidate is free by construction.
 		cand := cands[0]
-		lease, err := te.mm.Allocate(cand, p.t.ExecReq)
+		lease, err := te.mm.Allocate(cand, t.ExecReq)
 		if err != nil {
-			te.evict(p)
+			te.evict(t.ID)
 			return
 		}
-		exec, err := lease.Estimator.EstimateSeconds(p.t.Work)
+		exec, err := lease.Estimator.EstimateSeconds(t.Work)
 		if err != nil {
 			te.release(&lease)
-			te.evict(p)
+			te.evict(t.ID)
 			return
 		}
 		overhead := lease.ReconfigDelay + lease.CompactionDelay + sim.Time(lease.SynthesisSeconds)
 		total := overhead + sim.Time(exec)
 
-		te.emit(obs.KindDispatch, p.id, cand.Elem)
+		te.emit(obs.KindDispatch, t.ID, cand.Elem)
 		if lease.ReconfigDelay > 0 {
-			te.emit(obs.KindReconfig, p.id, cand.Elem)
+			te.emit(obs.KindReconfig, t.ID, cand.Elem)
 		}
 
 		strike, hit := te.faultWithin(te.now, te.now+total)
 		if !hit {
 			te.now += total
 			te.release(&lease)
-			te.stats.CostUnits += exec * jss.CostRate(lease.Estimator.Kind())
-			te.settle(p, stateDone)
+			te.cost += exec * jss.CostRate(lease.Estimator.Kind())
+			te.settle(t.ID, stateDone)
 			te.stats.Completed++
 			if aborts > 0 {
 				te.stats.RepairedTasks++
 				te.stats.RepairSeconds += float64(te.now - lastAbort)
 			}
-			te.emit(obs.KindComplete, p.id, cand.Elem)
+			te.emit(obs.KindComplete, t.ID, cand.Elem)
 			te.sample()
 			return
 		}
@@ -405,16 +408,16 @@ func (te *tenantEngine) execute(p pending) {
 		// the task retries (tier policy permitting) after backoff.
 		te.now = strike
 		te.release(&lease)
-		te.emit(obs.KindFail, p.id, cand.Elem)
+		te.emit(obs.KindFail, t.ID, cand.Elem)
 		aborts++
 		lastAbort = strike
 		te.stats.FaultAborts++
 		if aborts > te.policy.Retry.MaxRetries {
-			te.evict(p)
+			te.evict(t.ID)
 			return
 		}
 		te.stats.Retries++
-		te.emit(obs.KindRetry, p.id, nil)
+		te.emit(obs.KindRetry, t.ID, nil)
 		te.now += sim.Time(te.policy.Retry.Delay(aborts))
 	}
 }
@@ -428,17 +431,17 @@ func (te *tenantEngine) release(l *rms.Lease) {
 	}
 }
 
-// evict terminates p without completion.
-func (te *tenantEngine) evict(p pending) {
-	te.settle(p, stateEvicted)
+// evict terminates a task without completion.
+func (te *tenantEngine) evict(id string) {
+	te.settle(id, stateEvicted)
 	te.stats.Evicted++
-	te.emit(obs.KindLost, p.id, nil)
+	te.emit(obs.KindLost, id, nil)
 }
 
-// settle records p's terminal state: only the state in tasks outlives
-// the task.
-func (te *tenantEngine) settle(p pending, st taskState) {
-	te.tasks[p.id] = st
+// settle records a task's terminal state: only the state in tasks
+// outlives the task.
+func (te *tenantEngine) settle(id string, st taskState) {
+	te.tasks[id] = st
 	te.stats.InFlight--
 }
 
@@ -461,36 +464,38 @@ func (te *tenantEngine) faultWithin(from, to sim.Time) (sim.Time, bool) {
 
 // emit sends one lifecycle event to the sink (no-op without one).
 func (te *tenantEngine) emit(kind obs.Kind, taskID string, elem *node.Element) {
-	if te.sink == nil {
+	o := te.obs
+	if o == nil {
 		return
 	}
 	var en obs.Name
 	if elem != nil {
 		var ok bool
-		if en, ok = te.elemNames[elem]; !ok {
+		if en, ok = o.elemNames[elem]; !ok {
 			en = obs.Str(elem.ID)
-			te.elemNames[elem] = en
+			o.elemNames[elem] = en
 		}
 	}
-	te.sink.Emit(obs.Event{
+	o.sink.Emit(obs.Event{
 		Time:    te.now,
 		Kind:    kind,
 		TaskID:  obs.Str(taskID),
-		Node:    te.name,
+		Node:    o.name,
 		Element: en,
 	})
 }
 
 // sample emits a per-tenant gauge sample every sampleEvery completions.
 func (te *tenantEngine) sample() {
-	if te.sink == nil || te.sampleEvery <= 0 {
+	o := te.obs
+	if o == nil || o.sampleEvery <= 0 {
 		return
 	}
-	te.sinceSample++
-	if te.sinceSample < te.sampleEvery {
+	o.sinceSample++
+	if o.sinceSample < o.sampleEvery {
 		return
 	}
-	te.sinceSample = 0
+	o.sinceSample = 0
 	s := obs.Sample{
 		Time:       te.now,
 		QueueDepth: len(te.queue),
@@ -504,5 +509,5 @@ func (te *tenantEngine) sample() {
 			s.FabricSlicesTotal += st.TotalSlices
 		}
 	}
-	te.sink.Sample(s)
+	o.sink.Sample(s)
 }

@@ -120,3 +120,29 @@ func (t Tier) Policy() TierPolicy {
 		}
 	}
 }
+
+// tierPolicies returns every tier's policy under cfg's admission
+// settings, indexed by Tier. New builds them once per server, and each
+// tenant points at its tier's entry.
+func tierPolicies(cfg *Config) [len(tierNames)]TierPolicy {
+	var ps [len(tierNames)]TierPolicy
+	for t := range ps {
+		p := Tier(t).Policy()
+		if cfg.NowNanos == nil {
+			// Without an admission clock the bucket could never refill,
+			// so rate limiting is off entirely; queue bounds still apply.
+			p.RatePerSec = 0
+		}
+		if cfg.MaxQueueOverride > 0 {
+			p.MaxQueue = cfg.MaxQueueOverride
+		}
+		if cfg.RateOverride > 0 {
+			p.RatePerSec = cfg.RateOverride
+		}
+		if cfg.BurstOverride > 0 {
+			p.Burst = cfg.BurstOverride
+		}
+		ps[t] = p
+	}
+	return ps
+}

@@ -157,45 +157,54 @@ var wireScenarios = map[string]bool{"": true, "software": true, "softcore": true
 // non-finite numbers, and invalid task specs all return an error whose
 // ErrorCode is a stable wire code.
 func DecodeRequest(line []byte, maxBytes int) (Request, error) {
+	var req Request
+	err := decodeRequest(line, maxBytes, &req)
+	return req, err
+}
+
+// decodeRequest is DecodeRequest into *req, which it zeroes first, so no
+// field of an earlier request survives into this one: a connection
+// decodes all its lines into one Request.
+func decodeRequest(line []byte, maxBytes int, req *Request) error {
+	*req = Request{}
 	if maxBytes <= 0 {
 		maxBytes = MaxRequestBytes
 	}
-	var req Request
 	if len(line) > maxBytes {
-		return req, errWire(CodeOversized, "request of %d bytes exceeds the %d-byte cap", len(line), maxBytes)
+		return errWire(CodeOversized, "request of %d bytes exceeds the %d-byte cap", len(line), maxBytes)
 	}
-	if err := json.Unmarshal(line, &req); err != nil {
-		return req, errWire(CodeBadRequest, "malformed request: %v", err)
+	if err := json.Unmarshal(line, req); err != nil {
+		return errWire(CodeBadRequest, "malformed request: %v", err)
 	}
 	if !validOps[req.Op] {
-		return req, errWire(CodeUnknownOp, "unknown op %q", req.Op)
+		return errWire(CodeUnknownOp, "unknown op %q", req.Op)
 	}
 	if len(req.Tenant) > MaxNameBytes {
-		return req, errWire(CodeBadRequest, "tenant name longer than %d bytes", MaxNameBytes)
+		return errWire(CodeBadRequest, "tenant name longer than %d bytes", MaxNameBytes)
 	}
 	if len(req.TaskID) > MaxNameBytes {
-		return req, errWire(CodeBadRequest, "task_id longer than %d bytes", MaxNameBytes)
+		return errWire(CodeBadRequest, "task_id longer than %d bytes", MaxNameBytes)
 	}
 	if _, err := ParseTier(req.Tier); err != nil {
-		return req, errWire(CodeUnknownTier, "unknown tier %q", req.Tier)
+		return errWire(CodeUnknownTier, "unknown tier %q", req.Tier)
 	}
 	switch req.Op {
 	case OpSubmit:
 		if req.Tenant == "" {
-			return req, errWire(CodeBadRequest, "submit without a tenant")
+			return errWire(CodeBadRequest, "submit without a tenant")
 		}
 		if req.Task == nil {
-			return req, errWire(CodeBadRequest, "submit without a task")
+			return errWire(CodeBadRequest, "submit without a task")
 		}
 		if err := req.Task.Validate(); err != nil {
-			return req, err
+			return err
 		}
 	case OpStatus, OpCancel:
 		if req.Tenant == "" || req.TaskID == "" {
-			return req, errWire(CodeBadRequest, "%s needs tenant and task_id", req.Op)
+			return errWire(CodeBadRequest, "%s needs tenant and task_id", req.Op)
 		}
 	}
-	return req, nil
+	return nil
 }
 
 // Validate checks a wire task spec: a non-empty bounded ID, finite

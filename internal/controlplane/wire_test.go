@@ -127,7 +127,7 @@ func TestTokenBucketQuota(t *testing.T) {
 // TestTokenBucketInvariants sweeps the bucket directly: tokens stay in
 // [0, burst] and admissions over any window respect burst + rate·Δ.
 func TestTokenBucketInvariants(t *testing.T) {
-	b := newTokenBucket(5, 10, 0)
+	b := newTokenBucket(10, 0)
 	admissions := 0
 	clock := int64(0)
 	for i := 0; i < 10_000; i++ {
@@ -138,7 +138,7 @@ func TestTokenBucketInvariants(t *testing.T) {
 		default:
 			clock += int64(i%5) * 100_000_000
 		}
-		if b.take(clock) {
+		if b.take(5, 10, clock) {
 			admissions++
 		}
 		if b.tokens < 0 || b.tokens > 10 {

@@ -1,8 +1,9 @@
 package fabric
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // extent is a contiguous range of slice addresses [Start, Start+Len).
@@ -95,8 +96,10 @@ func (a *Allocator) Release(start, n int) error {
 			return fmt.Errorf("fabric: release [%d,%d) overlaps free extent [%d,%d)", start, start+n, e.Start, e.Start+e.Len)
 		}
 	}
-	a.free = append(a.free, extent{start, n})
-	sort.Slice(a.free, func(i, j int) bool { return a.free[i].Start < a.free[j].Start })
+	// The list is sorted by Start and the range overlaps no extent, so
+	// inserting at its sorted position keeps the order without a sort.
+	i, _ := slices.BinarySearchFunc(a.free, start, func(e extent, s int) int { return cmp.Compare(e.Start, s) })
+	a.free = slices.Insert(a.free, i, extent{start, n})
 	// Coalesce neighbours.
 	out := a.free[:1]
 	for _, e := range a.free[1:] {

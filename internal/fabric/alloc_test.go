@@ -155,3 +155,41 @@ func TestNewAllocatorPanicsOnNonPositive(t *testing.T) {
 	}()
 	NewAllocator(0)
 }
+
+// TestReleaseAllocs pins that returning a range to the free list
+// allocates nothing once the list has room: the range is inserted at its
+// sorted position, not appended and sorted.
+func TestReleaseAllocs(t *testing.T) {
+	a := NewAllocator(100)
+	starts := make([]int, 0, 10)
+	for i := 0; i < 10; i++ {
+		s, err := a.Alloc(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		starts = append(starts, s)
+	}
+	// Free every other block. The cycle below takes the first free block
+	// and returns it, which touches no other extent, so the list only
+	// loses and regains one entry and never regrows.
+	for i := 0; i < 10; i += 2 {
+		if err := a.Release(starts[i], 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle := func() {
+		s, err := a.Alloc(10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Release(s, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("an alloc and release allocate %.1f times, want 0", avg)
+	}
+	if a.Free() != 50 || a.LargestFree() != 10 {
+		t.Errorf("free %d, largest %d: the cycle changed the free list", a.Free(), a.LargestFree())
+	}
+}

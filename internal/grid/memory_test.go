@@ -159,18 +159,19 @@ func TestHeapPerPendingArrival(t *testing.T) {
 
 // TestRunAllocsPerTask pins the garbage a warm workload run makes: a
 // task's arrival, dispatch and completion take a record, with its lease
-// and completion handler, from the engine's free list, and the metrics'
-// series were reserved for the whole trace, so SubmitWorkload and Run
-// together allocate under 0.1 times per task, and under 24 B per task,
-// 16 B of which is the reservation. What is left is the event queue's
-// own growth and SubmitWorkload's fixed set-up.
+// and completion handler, from the engine's free list, the metrics'
+// series were reserved for the whole trace, and a fabric region returns
+// to its allocator's free list without a sort, so SubmitWorkload and Run
+// together allocate under 0.045 times per task (0.039 measured), and
+// under 24 B per task, 16 B of which is the reservation. What is left is
+// the event queue's own growth and SubmitWorkload's fixed set-up.
 func TestRunAllocsPerTask(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation run skipped in -short mode")
 	}
 	const (
 		tasks         = 100_000
-		allocsCeiling = 0.1
+		allocsCeiling = 0.045
 		bytesCeiling  = 24
 	)
 	eng, gen := reuseRig(t, tasks)

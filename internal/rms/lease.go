@@ -253,12 +253,29 @@ type synthKey struct {
 	partial        bool
 }
 
+// synthEntry is one committed synthesis in a matchmaker's cache.
+type synthEntry struct {
+	key synthKey
+	res *hdl.SynthesisResult
+}
+
+// synthesisLocked returns the cached synthesis for k, or nil. The caller
+// holds synthMu.
+func (m *Matchmaker) synthesisLocked(k synthKey) *hdl.SynthesisResult {
+	for _, e := range m.synthCache {
+		if e.key == k {
+			return e.res
+		}
+	}
+	return nil
+}
+
 // cachedSynthesis returns the committed synthesis of the named design for
 // the kind of image dev loads, or nil.
 func (m *Matchmaker) cachedSynthesis(design string, dev fabric.Device) *hdl.SynthesisResult {
 	m.synthMu.RLock()
 	defer m.synthMu.RUnlock()
-	return m.synthCache[synthKey{design, dev.FPGACaps.Device, dev.PartialRecon}]
+	return m.synthesisLocked(synthKey{design, dev.FPGACaps.Device, dev.PartialRecon})
 }
 
 // commit adds a first synthesis to the cache and returns the tool seconds
@@ -269,13 +286,10 @@ func (m *Matchmaker) commit(res *hdl.SynthesisResult) float64 {
 	k := synthKey{res.Design, res.Device, res.Bitstream.Partial}
 	m.synthMu.Lock()
 	defer m.synthMu.Unlock()
-	if _, ok := m.synthCache[k]; ok {
+	if m.synthesisLocked(k) != nil {
 		return 0
 	}
-	if m.synthCache == nil {
-		m.synthCache = make(map[synthKey]*hdl.SynthesisResult)
-	}
-	m.synthCache[k] = res
+	m.synthCache = append(m.synthCache, synthEntry{k, res})
 	return res.ToolSeconds
 }
 

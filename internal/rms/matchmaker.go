@@ -51,9 +51,13 @@ type Matchmaker struct {
 	// synthCache memoizes synthesis results per design×device×kind so CAD
 	// time is paid once: matching mutates the cache, and two engines
 	// sharing a matchmaker (or a future concurrent RMS) would otherwise
-	// race. The map is made when the first synthesis is stored.
+	// race. It holds one entry per design and device the provider has
+	// synthesized: 8 for the default workload's four designs on
+	// grid.DefaultGridSpec's two parts, 1 on a control-plane tenant. A
+	// lookup in a slice that short is a few comparisons, and the slice
+	// is a fraction of a map's size.
 	synthMu    sync.RWMutex
-	synthCache map[synthKey]*hdl.SynthesisResult // guarded by synthMu
+	synthCache []synthEntry // guarded by synthMu
 	// candBuf is the scratch candidate slice the scenario scans build
 	// into; the returned slice is valid until the next Candidates call
 	// (the engine consumes it within one dispatch attempt).
