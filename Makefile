@@ -51,8 +51,9 @@ bench-test:
 # verify is tier-1 plus the perf gate. benchdiff is the perf-regression
 # contract: the benchmark families (the event-core queue, the DReAMSim
 # sweeps, sink overhead, reconlint and its taint pair, and the control
-# plane) are re-run and compared against the committed BENCH_PR30.json
-# baseline; an alloc or model-metric regression beyond the noise budget
+# plane) are re-run and compared against the committed baseline that
+# BENCH_BASELINE names (the one place that names the file); an alloc or
+# model-metric regression beyond the noise budget
 # fails verify. The event-core queue gates on allocs/op alone: its
 # baseline reads 0, and a baseline of 0 regresses at any allocation,
 # while its B/op and ns/op sit under their absolute floors and only
@@ -79,7 +80,7 @@ verify: build fmt vet lint test race cover bench-test benchdiff
 # such strays round to 0. Its ns/op, 0.3-5 us, stays under the 50 us
 # floor, so wall time still never gates.
 BENCHTIME_VERIFY ?= 3x
-BENCH_BASELINE   ?= BENCH_PR30.json
+BENCH_BASELINE   ?= BENCH_PR31.json
 BENCH_OUT        ?= /tmp/bench_head.json
 
 # The raw capture goes to a file first (not a pipe) so a failing

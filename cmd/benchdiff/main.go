@@ -1,8 +1,9 @@
 // Command benchdiff compares two cmd/benchjson snapshots under the
 // noise-aware thresholds in internal/benchstat and enforces the perf
-// regression contract:
+// regression contract against the committed baseline, the file the
+// Makefile's BENCH_BASELINE names:
 //
-//	benchdiff -old BENCH_PR30.json -new /tmp/bench_head.json
+//	benchdiff -old BENCH_PRn.json -new /tmp/bench_head.json
 //
 // Exit status: 0 when no gated metric regressed, 1 on regression
 // (including a benchmark or metric that went dark), 2 on usage or

@@ -164,13 +164,20 @@ var catchTable = []catchRow{
 	},
 	// hotalloc's class; hotalloc reported it. vet clean; test, race
 	// pass; benchdiff regressed: FaultSweep/no-faults 36,386 to 488,324
-	// allocs/op, ArrivalSweep first-fit λ=0.5 3,718 to 6,501. Now
-	// TestDispatchRoundNothingFitsZeroAllocs and
-	// TestDispatchCompletionAllocs fail on it, 10 runs of 10.
+	// allocs/op, ArrivalSweep first-fit λ=0.5 3,718 to 6,501. Re-seeded
+	// in the placement step's candidate loop, which every placement runs,
+	// and measured alone on that tree: TestPlaceWarmZeroAllocs,
+	// TestDispatchRoundNothingFitsZeroAllocs,
+	// TestDispatchCompletionAllocs, TestRunAllocsPerTask,
+	// TestSubmitRunAllocs and TestWireSubmitAllocs fail on it, 10 runs
+	// of 10.
 	{
-		class:   "per-candidate fmt.Sprintf on the dispatch path",
-		file:    "internal/grid/engine.go",
-		edits:   []seedEdit{{"\t\tif e.unreachable(c.Node.ID) {\n", "\t\tif e.unreachable(c.Node.ID) || fmt.Sprintf(\"%s/%s\", c.Node.ID, c.Elem.ID) == \"\" {\n"}},
+		class: "per-candidate fmt.Sprintf on the dispatch path",
+		file:  "internal/sched/place.go",
+		edits: []seedEdit{
+			{"import (\n", "import (\n\t\"fmt\"\n"},
+			{"\t\tif !ok {\n\t\t\tcontinue\n", "\t\tif !ok || fmt.Sprintf(\"%s/%s\", c.Node.ID, c.Elem.ID) == \"\" {\n\t\t\tcontinue\n"},
+		},
 		deleted: "hotalloc",
 	},
 	// sizecap's class; sizecap and wiretaint both reported it. vet

@@ -55,7 +55,7 @@ func ExampleNewVirtualGrid() {
 		EstimatedSeconds: 10,
 		Work:             pe.Work{MInstructions: 4e5, ParallelFraction: 0.97, HWSpeedup: fft.AccelFactor},
 	}
-	lease, cand, err := vg.Place(t, nil) // synthesizes, reconfigures, leases
+	lease, cand, err := vg.Place(t) // synthesizes, reconfigures, leases
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func run() error {
 	fmt.Printf("after attach:  %d candidate(s): %s\n", len(cands), cands[0].Label())
 
 	// Run the task; while it holds the device, the node cannot leave.
-	lease, cand, err := vg.Place(hw, nil)
+	lease, cand, err := vg.Place(hw)
 	if err != nil {
 		return err
 	}

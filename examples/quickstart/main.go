@@ -80,7 +80,7 @@ func main() {
 		for _, c := range cands {
 			fmt.Printf("  candidate: %s\n", c.Label())
 		}
-		lease, cand, err := vg.Place(t, nil)
+		lease, cand, err := vg.Place(t)
 		if err != nil {
 			log.Fatal(err)
 		}

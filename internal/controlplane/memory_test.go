@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/capability"
 	"repro/internal/faults"
+	"repro/internal/hdl"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/softcore"
 	"repro/internal/task"
@@ -84,15 +86,19 @@ func testTenant(t *testing.T, id string, tier Tier, cfg *Config) *tenantEngine {
 }
 
 // submitRun admits spec on te and runs an accepted task at once, as a
-// running server's shard does.
+// running server's shard does, from the package's scratch option slice.
 func submitRun(te *tenantEngine, spec *TaskSpec) Response {
 	var tk task.Task
 	resp := te.submit(spec, 0, false, &tk)
 	if resp.OK {
-		te.execute(&tk)
+		te.execute(&tk, &testOpts)
 	}
 	return resp
 }
+
+// testOpts is the scratch option slice of the tests that run a tenant
+// without a shard.
+var testOpts []sched.Option
 
 // TestHeapPerTenant is the per-tenant memory ceiling: 10^4 tenants that
 // submit and drain cost at most the ceiling apiece. What a tenant owns is
@@ -113,9 +119,10 @@ func TestHeapPerTenant(t *testing.T) {
 		// One software task each: the tenant's own state.
 		{"one-task", 1, 1720},
 		// rmsd-fanout's shape: ten tasks each over the three wire
-		// scenarios, so a tenant also holds its userhw synthesis and ten
-		// settled tasks.
-		{"fanout", 10, 2440},
+		// scenarios, so a tenant also holds its record of the userhw
+		// synthesis it was charged for (the result is the toolchain's)
+		// and ten settled tasks. It reads 2,165 B (2,187 B under -race).
+		{"fanout", 10, 2270},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestServer(t, DefaultConfig())
@@ -190,9 +197,10 @@ func TestDrainedBacklogReleased(t *testing.T) {
 func setID(s capability.Set) uintptr { return reflect.ValueOf(s).Pointer() }
 
 // TestTenantsShareCatalog pins what two same-tier tenants on different
-// shards share: each element's capability set and the soft-core library
-// are one read-only value, while elements, fabrics and matchmakers stay
-// private to each tenant.
+// shards share: each element's capability set, the soft-core library and
+// a design's synthesis are one read-only value, while elements, fabrics,
+// matchmakers and the CAD time each is charged stay private to each
+// tenant.
 func TestTenantsShareCatalog(t *testing.T) {
 	s := newTestServer(t, DefaultConfig())
 	a, b := "tenant-a", ""
@@ -203,6 +211,9 @@ func TestTenantsShareCatalog(t *testing.T) {
 	}
 	for _, tenant := range []string{a, b} {
 		mustOK(t, s.Do(Request{Op: OpSubmit, Tenant: tenant, Tier: "full", Task: spec("t0", 100)}))
+		for _, id := range []string{"u1", "u2"} {
+			mustOK(t, s.Do(Request{Op: OpSubmit, Tenant: tenant, Tier: "full", Task: &TaskSpec{ID: id, WorkMI: 100, Scenario: "userhw", Design: "aes128"}}))
+		}
 	}
 	mustOK(t, s.Do(Request{Op: OpDrain}))
 
@@ -247,6 +258,33 @@ func TestTenantsShareCatalog(t *testing.T) {
 	for i := range ca {
 		if ca[i] != cb[i] || setID(ca[i].Caps()) != setID(cb[i].Caps()) {
 			t.Errorf("candidate %d: each tenant holds its own soft-core library", i)
+		}
+	}
+
+	// Each tenant's userhw tasks ran on its first RPE from the toolchain's
+	// one synthesis of the design for that part: the configuration
+	// resident there is that result's bitstream. Each matchmaker charged
+	// the synthesis's CAD time once, so each clock holds it once.
+	tc, err := hdl.DefaultToolchain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := hdl.LookupIP("aes128")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := ta.reg.Nodes()[0].RPEs()[0].Fabric.Device()
+	res, err := tc.Synthesize(d, dev, dev.PartialRecon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, te := range []*tenantEngine{ta, tb} {
+		rpe := te.reg.Nodes()[0].RPEs()[0]
+		if r := rpe.Fabric.FindLoaded(res.Bitstream.ID); r == nil || r.Bitstream != res.Bitstream {
+			t.Errorf("%s: %s does not hold the toolchain's synthesis of %s", te.id, rpe.ID, d.Name)
+		}
+		if clock := te.snapshot().VirtualSeconds; clock < res.ToolSeconds || clock >= 2*res.ToolSeconds {
+			t.Errorf("%s: clock reads %.3f s, want the %.3f s of CAD time charged once", te.id, clock, res.ToolSeconds)
 		}
 	}
 }
@@ -357,7 +395,7 @@ func TestSettledTasksCollected(t *testing.T) {
 	if i := setFrom(len(te.queue)); i >= 0 {
 		t.Errorf("after the cancel, slot %d past the queue's %d tasks holds %s", i, len(te.queue), array[i].ID)
 	}
-	te.run()
+	te.run(&testOpts)
 	if i := setFrom(0); i >= 0 {
 		t.Errorf("after the run, slot %d holds %s", i, array[i].ID)
 	}

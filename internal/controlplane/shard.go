@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/sched"
 	"repro/internal/task"
 )
 
@@ -80,6 +81,9 @@ type shard struct {
 	// executed from (see submit), so it is never a heap object of its
 	// own. It is zero between messages.
 	task task.Task
+	// opts is the scratch option slice every placement of the shard's
+	// tenants reuses, so no tenant keeps one of its own.
+	opts []sched.Option
 }
 
 func newShard(id int, srv *Server) *shard {
@@ -185,9 +189,9 @@ func (sh *shard) submit(m opMsg) {
 	m.reply <- shardReply{resp: resp}
 	if resp.OK && !paused {
 		if queue {
-			te.run()
+			te.run(&sh.opts)
 		} else {
-			te.execute(&sh.task)
+			te.execute(&sh.task, &sh.opts)
 		}
 	}
 	sh.task = task.Task{}
@@ -196,7 +200,7 @@ func (sh *shard) submit(m opMsg) {
 // runQueued runs every tenant's queue empty in dispatch order.
 func (sh *shard) runQueued() {
 	for _, te := range sh.order {
-		te.run()
+		te.run(&sh.opts)
 	}
 }
 

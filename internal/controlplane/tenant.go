@@ -12,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pe"
 	"repro/internal/rms"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -341,48 +342,36 @@ func (te *tenantEngine) snapshot() TenantStats {
 // run executes the queued tasks in order, each to a terminal state in
 // virtual time, until the queue is empty, and then drops the queue's
 // array, so a drained backlog leaves nothing behind.
-func (te *tenantEngine) run() {
+func (te *tenantEngine) run(opts *[]sched.Option) {
 	for len(te.queue) > 0 {
 		t := te.queue[0]
 		te.queue[0] = task.Task{} // the backing array must not keep a settled task alive
 		te.queue = te.queue[1:]
-		te.execute(&t)
+		te.execute(&t, opts)
 	}
 	te.queue = nil
 }
 
-// execute runs t to a terminal state. Each attempt places t and charges
-// the reconfiguration, synthesis and execution time; it either completes
-// at the end or aborts at the first fault that strikes the window, and
-// an aborted task attempts again after the tier's backoff until its
-// retries run out. A task that completes after aborts adds the time
-// since its last abort to the repair record.
-func (te *tenantEngine) execute(t *task.Task) {
+// execute runs t to a terminal state. Each attempt places t through
+// sched.Place, first-fit and with no link (the slice is private and runs
+// one task at a time, so the first candidate is free by construction),
+// and charges the reconfiguration, synthesis and execution time; it
+// either completes at the end or aborts at the first fault that strikes
+// the window, and an aborted task attempts again after the tier's
+// backoff until its retries run out. A task that completes after aborts
+// adds the time since its last abort to the repair record. opts is the
+// shard's scratch option slice.
+func (te *tenantEngine) execute(t *task.Task, opts *[]sched.Option) {
 	aborts := 0
 	var lastAbort sim.Time
 	for {
-		cands, err := te.mm.Candidates(t.ExecReq)
-		if err != nil || len(cands) == 0 {
+		p, ok := sched.Place(te.mm, &t.ExecReq, t.Work, nil, sched.FirstFit{}.Choose, opts)
+		if !ok {
 			te.evict(t.ID)
 			return
 		}
-		// First-fit over the deterministic candidate order: the slice is
-		// private and the engine runs one task at a time, so the first
-		// candidate is free by construction.
-		cand := cands[0]
-		lease, err := te.mm.Allocate(cand, t.ExecReq)
-		if err != nil {
-			te.evict(t.ID)
-			return
-		}
-		exec, err := lease.Estimator.EstimateSeconds(t.Work)
-		if err != nil {
-			te.release(&lease)
-			te.evict(t.ID)
-			return
-		}
-		overhead := lease.ReconfigDelay + lease.CompactionDelay + sim.Time(lease.SynthesisSeconds)
-		total := overhead + sim.Time(exec)
+		lease, exec := p.Lease, p.ExecSeconds
+		cand, total := lease.Cand, sim.Time(p.SpanSeconds)
 
 		te.emit(obs.KindDispatch, t.ID, cand.Elem)
 		if lease.ReconfigDelay > 0 {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/pe"
 	"repro/internal/rms"
+	"repro/internal/sched"
 	"repro/internal/task"
 )
 
@@ -130,29 +131,19 @@ func (vg *VirtualGrid) MapTask(t *task.Task) ([]rms.Candidate, error) {
 	return vg.mm.Candidates(t.ExecReq)
 }
 
-// Place maps a task and immediately leases the first candidate chosen by
-// the given selector (nil selects the first), for callers that execute
-// tasks directly rather than through the simulator.
-func (vg *VirtualGrid) Place(t *task.Task, choose func([]rms.Candidate) int) (*rms.Lease, rms.Candidate, error) {
-	cands, err := vg.MapTask(t)
-	if err != nil {
+// Place maps a task and leases the first candidate that takes it,
+// through the RMS's placement step with first-fit and no link, for
+// callers that execute tasks directly rather than through the simulator.
+func (vg *VirtualGrid) Place(t *task.Task) (*rms.Lease, rms.Candidate, error) {
+	if err := t.Validate(); err != nil {
 		return nil, rms.Candidate{}, err
 	}
-	if len(cands) == 0 {
+	var opts []sched.Option
+	p, ok := sched.Place(vg.mm, &t.ExecReq, t.Work, nil, sched.FirstFit{}.Choose, &opts)
+	if !ok {
 		return nil, rms.Candidate{}, fmt.Errorf("core: no resource satisfies %s", t.ID)
 	}
-	idx := 0
-	if choose != nil {
-		idx = choose(cands)
-		if idx < 0 || idx >= len(cands) {
-			return nil, rms.Candidate{}, fmt.Errorf("core: selector returned invalid index %d", idx)
-		}
-	}
-	lease, err := vg.mm.Allocate(cands[idx], t.ExecReq)
-	if err != nil {
-		return nil, rms.Candidate{}, err
-	}
-	return &lease, cands[idx], nil
+	return &p.Lease, p.Lease.Cand, nil
 }
 
 // View is what a user sees at one abstraction level (Fig. 2): the visible

@@ -8,7 +8,6 @@ import (
 	"repro/internal/hdl"
 	"repro/internal/node"
 	"repro/internal/pe"
-	"repro/internal/rms"
 	"repro/internal/task"
 )
 
@@ -123,7 +122,7 @@ func TestPlaceAndRelease(t *testing.T) {
 		EstimatedSeconds: 1,
 		Work:             pe.Work{MInstructions: 1000, ParallelFraction: 0.5},
 	}
-	lease, cand, err := vg.Place(sw, nil)
+	lease, cand, err := vg.Place(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +132,10 @@ func TestPlaceAndRelease(t *testing.T) {
 	if err := lease.Release(); err != nil {
 		t.Fatal(err)
 	}
-	// Selector misbehaviour is rejected.
-	if _, _, err := vg.Place(sw, func([]rms.Candidate) int { return 99 }); err == nil {
-		t.Error("invalid selector index accepted")
-	}
 	// No matching resource.
 	impossible := *sw
 	impossible.ExecReq = task.ExecReq{Scenario: pe.SoftwareOnly, Requirements: task.GPPOnly(9e9, 1)}
-	if _, _, err := vg.Place(&impossible, nil); err == nil {
+	if _, _, err := vg.Place(&impossible); err == nil {
 		t.Error("impossible placement accepted")
 	}
 }

@@ -60,10 +60,12 @@ func admitOne(e *Engine, tk *task.Task) {
 
 // TestDispatchRoundNothingFitsZeroAllocs pins a dispatch round over a
 // queue where nothing fits as allocation-free. The engine runs such a
-// round on every event while tasks wait, so a per-candidate allocation
-// here multiplies by queue length × events: the GPP's only core is
-// busy, so each waiting task is offered a soft-core on the RPE, whose
-// fabric is taken by a busy region, and every placement fails.
+// round on every event that moves its epoch while tasks wait, so a
+// per-candidate allocation here multiplies by queue length × events: the
+// GPP's only core is busy, so each waiting task is offered a soft-core
+// on the RPE, whose fabric is taken by a busy region, and every
+// placement fails. Each round moves the epoch first, as a release
+// would, so it attempts both tasks instead of skipping their stamps.
 func TestDispatchRoundNothingFitsZeroAllocs(t *testing.T) {
 	e, gpp, rpe := dispatchRig(t, nil)
 	if err := gpp.AcquireCore(); err != nil {
@@ -85,7 +87,11 @@ func TestDispatchRoundNothingFitsZeroAllocs(t *testing.T) {
 	if cands, err := e.MM.Candidates(*e.queue[0].rec.ExecReq); err != nil || len(cands) == 0 {
 		t.Fatalf("no soft-core fallback candidate (%v): the round would not reach placement", err)
 	}
-	if avg := testing.AllocsPerRun(100, e.tryDispatch); avg != 0 {
+	round := func() {
+		e.epoch++
+		e.tryDispatch()
+	}
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
 		t.Errorf("a dispatch round that places nothing allocates %.2f times, want 0", avg)
 	}
 	if len(e.queue) != 2 {

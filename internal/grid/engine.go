@@ -328,38 +328,29 @@ func (e *Engine) prewarm(designs map[string]*hdl.Design) {
 	}
 }
 
-// linkTo returns the network link for a node, with any active link
-// fault applied: a degraded link divides bandwidth and multiplies
-// latency by the fault's factor. (A partitioned node is excluded from
-// matchmaking entirely rather than slowed.)
-func (e *Engine) linkTo(nodeID string) network.Link {
+// link is the placement step's view of the network: the link to a node
+// with any active link fault applied (a degraded link divides bandwidth
+// and multiplies latency by the fault's factor), and false when the node
+// cannot be talked to: crashed, or cut off by a partition. Matchmaking
+// skips unreachable nodes (degraded-mode scheduling: strategies see a
+// shrunken option set) and lease renewals against them fail.
+func (e *Engine) link(nodeID string) (network.Link, bool) {
 	l := defaultLink
 	if e.cfg.Topology != nil {
 		l = e.cfg.Topology.LinkTo(nodeID)
 	}
 	if e.flt == nil {
-		return l
+		return l, true
 	}
-	if f, ok := e.flt.linkFault[nodeID]; ok && !f.Partition && f.Factor > 1 {
+	f, faulty := e.flt.linkFault[nodeID]
+	if _, down := e.flt.down[nodeID]; down || faulty && f.Partition {
+		return l, false
+	}
+	if faulty && f.Factor > 1 {
 		l.BandwidthMBps /= f.Factor
 		l.LatencySeconds *= f.Factor
 	}
-	return l
-}
-
-// unreachable reports whether a node cannot be talked to: crashed, or
-// cut off by a network partition. Matchmaking skips unreachable nodes
-// (degraded-mode scheduling: strategies see a shrunken option set) and
-// lease renewals against them fail.
-func (e *Engine) unreachable(nodeID string) bool {
-	if e.flt == nil {
-		return false
-	}
-	if _, down := e.flt.down[nodeID]; down {
-		return true
-	}
-	f, ok := e.flt.linkFault[nodeID]
-	return ok && f.Partition
+	return l, true
 }
 
 // enqueue queues a ready task of a submission from a record built for
@@ -479,73 +470,25 @@ func (e *Engine) tryDispatch() {
 	}
 }
 
-// dispatchOne attempts to place one task; true on success.
+// dispatchOne attempts to place one task through the placement step,
+// with the strategy choosing; true on success.
 func (e *Engine) dispatchOne(it *item) bool {
-	req, work := *it.rec.ExecReq, it.rec.Work
-	cands, err := e.MM.Candidates(req)
-	if err != nil || len(cands) == 0 {
-		return false
+	p, ok := sched.Place(e.MM, it.rec.ExecReq, it.rec.Work, e.link, e.cfg.Strategy.Choose, &e.optsBuf)
+	if ok {
+		e.execute(it, &p)
 	}
-	opts := e.optsBuf[:0]
-	for _, c := range cands {
-		if e.unreachable(c.Node.ID) {
-			continue
-		}
-		est, err := e.MM.Estimate(c, req, work)
-		if err != nil {
-			continue
-		}
-		transfer := e.linkTo(c.Node.ID).TransferSeconds(work.DataMB + est.BitstreamMB)
-		opts = append(opts, sched.Option{
-			Cand:             c,
-			ExecSeconds:      est.ExecSeconds,
-			ReconfigSeconds:  float64(est.ReconfigDelay),
-			TransferSeconds:  transfer,
-			SynthesisSeconds: est.SynthesisSeconds,
-		})
-	}
-	placed := false
-	for len(opts) > 0 {
-		idx := e.cfg.Strategy.Choose(opts)
-		if idx < 0 {
-			break
-		}
-		lease, err := e.MM.Allocate(opts[idx].Cand, req)
-		if err != nil {
-			// Element became unusable (area busy); drop the option.
-			opts = append(opts[:idx], opts[idx+1:]...)
-			continue
-		}
-		it.lease = lease
-		e.execute(it)
-		placed = true
-		break
-	}
-	// Keep the grown backing array for the next call; the lease holds its
-	// own copy of the candidate, so nothing aliases the buffer.
-	e.optsBuf = opts[:0]
-	return placed
+	return ok
 }
 
-// execute charges the timeline of the placement in it.lease and
-// schedules completion.
-func (e *Engine) execute(it *item) {
+// execute charges the timeline of placement p and schedules completion.
+func (e *Engine) execute(it *item, p *sched.Placement) {
+	it.lease, it.exec, it.span = p.Lease, p.ExecSeconds, p.SpanSeconds
 	lease := &it.lease
 	now := e.S.Now()
 	wait := float64(now - it.enq)
 	e.m.Wait.Observe(wait)
 
-	exec, err := lease.Estimator.EstimateSeconds(it.rec.Work)
-	if err != nil {
-		// Work validated at submission; a failure here is a model bug.
-		panic(fmt.Sprintf("grid: estimator failed post-allocation: %v", err))
-	}
-	// Transfer: input data always crosses the node's link; the
-	// configuration bitstream only when this lease actually reconfigured.
 	cand := lease.Cand
-	transfer := e.linkTo(cand.Node.ID).TransferSeconds(it.rec.Work.DataMB + lease.BitstreamMB)
-	span := transfer + lease.SynthesisSeconds + float64(lease.ReconfigDelay+lease.CompactionDelay) + exec
-
 	if lease.ReconfigDelay > 0 {
 		e.m.Reconfigs++
 		e.m.ReconfigSeconds += float64(lease.ReconfigDelay)
@@ -568,7 +511,6 @@ func (e *Engine) execute(it *item) {
 		e.J.Notify(it.sub, now, it.rec.ID, "dispatched to "+cand.Label())
 	}
 
-	it.exec, it.span = exec, span
 	elem := cand.Elem
 	if e.running == nil {
 		e.running = make(map[*node.Element][]*item)
@@ -585,7 +527,7 @@ func (e *Engine) execute(it *item) {
 		})
 	}
 	e.superviseLease(it)
-	it.ev = e.S.After(sim.Time(span), "complete", it.done)
+	it.ev = e.S.After(sim.Time(it.span), "complete", it.done)
 }
 
 // complete is the completion handler for one placement: settle the

@@ -119,7 +119,7 @@ func (e *Engine) superviseLease(it *item) {
 	nodeID := it.lease.Cand.Node.ID
 	var check func()
 	check = func() {
-		if e.unreachable(nodeID) {
+		if _, ok := e.link(nodeID); !ok {
 			e.expireLease(it)
 			return
 		}
@@ -265,7 +265,7 @@ func (e *Engine) applySEU(ev faults.Event) {
 }
 
 // applyLinkDegrade installs a link fault on a node: a slowdown divides
-// the link's bandwidth (see linkTo), a partition makes the node
+// the link's bandwidth (see link), a partition makes the node
 // unreachable — it is skipped by matchmaking and its lease renewals
 // fail, so in-flight work on it is (correctly, from the RMS's view)
 // declared lost even though the node itself kept running.

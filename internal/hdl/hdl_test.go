@@ -2,6 +2,7 @@ package hdl
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/capability"
@@ -158,6 +159,55 @@ func TestFullVsPartialBitstreamSizes(t *testing.T) {
 	}
 	if full.Bitstream.ID == part.Bitstream.ID {
 		t.Error("full and partial bitstreams must have distinct IDs")
+	}
+}
+
+// TestSynthesizeShared pins the toolchain's memo: callers that
+// synthesize one design for one device and kind at the same time all get
+// one result back, while another kind, or another design that only
+// shares the name, gets a result of its own.
+func TestSynthesizeShared(t *testing.T) {
+	tc, err := NewToolchain("test", "Virtex-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := LookupIP("fir64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := fabric.LookupDevice("XC5VLX110T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*SynthesisResult, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			res, err := tc.Synthesize(d, dev, true)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = res
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, res := range results {
+		if res == nil || res != results[0] {
+			t.Fatalf("caller %d got %p, caller 0 %p: want one result", i, res, results[0])
+		}
+	}
+	if full, err := tc.Synthesize(d, dev, false); err != nil || full == results[0] {
+		t.Errorf("the full bitstream shares the partial one's result (%v)", err)
+	}
+	twin := *d
+	twin.AccelFactor *= 2
+	if res, err := tc.Synthesize(&twin, dev, true); err != nil || res == results[0] {
+		t.Errorf("a design sharing the name %s shares its result (%v)", d.Name, err)
 	}
 }
 

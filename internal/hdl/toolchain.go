@@ -17,6 +17,23 @@ type Toolchain struct {
 	Vendor   string
 	families map[string]bool
 	model    *quipu.Model
+	// synth memoizes Synthesize: a synthesis is a pure function of the
+	// design, the device and the kind, so each is built once and shared
+	// by every matchmaker on the toolchain. Each matchmaker still
+	// charges CAD time for the results it commits (rms.Matchmaker's
+	// synthCache). Keyed by the *Design, so two designs that share a
+	// name never share a result, it holds one entry per design, device
+	// and kind ever synthesized.
+	synthMu sync.Mutex
+	synth   map[synthKey]*SynthesisResult // guarded by synthMu
+}
+
+// synthKey identifies one synthesis: a design for a device, partial or
+// full.
+type synthKey struct {
+	design  *Design
+	device  fabric.Device
+	partial bool
 }
 
 // NewToolchain creates a toolchain for the given device families using the
@@ -78,8 +95,8 @@ type SynthesisResult struct {
 	// accel memoizes the Estimator wrapper handed to the scheduler:
 	// candidate probing asks for it once per candidate per dispatch
 	// round, always for the design this result was synthesized from.
-	// Atomic because cached results are shared through the matchmaker's
-	// synthesis cache.
+	// Atomic because the toolchain shares each result with every
+	// matchmaker, on every shard and sweep worker.
 	accel atomic.Pointer[Accelerator]
 }
 
@@ -96,8 +113,29 @@ func (tc *Toolchain) EstimateArea(d *Design) (quipu.Prediction, error) {
 // Set partial to produce a region-level (partial reconfiguration)
 // bitstream. Synthesis fails when the toolchain does not support the
 // family, the design does not fit, or the design is a streaming design
-// (unsupported by the framework, per the paper's future work).
+// (unsupported by the framework, per the paper's future work). The
+// result is built once per design, device and kind, and shared: callers
+// must not mutate it, nor the design once it has been synthesized.
 func (tc *Toolchain) Synthesize(d *Design, dev fabric.Device, partial bool) (*SynthesisResult, error) {
+	k := synthKey{d, dev, partial}
+	tc.synthMu.Lock()
+	defer tc.synthMu.Unlock()
+	if res := tc.synth[k]; res != nil {
+		return res, nil
+	}
+	res, err := tc.synthesize(d, dev, partial)
+	if err != nil {
+		return nil, err
+	}
+	if tc.synth == nil {
+		tc.synth = make(map[synthKey]*SynthesisResult)
+	}
+	tc.synth[k] = res
+	return res, nil
+}
+
+// synthesize builds one synthesis result.
+func (tc *Toolchain) synthesize(d *Design, dev fabric.Device, partial bool) (*SynthesisResult, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

@@ -48,14 +48,14 @@ type Matchmaker struct {
 	// predetermined-hardware scenario and the software-only fallback.
 	// Read-only: it is defaultCores, shared by every matchmaker.
 	cores []*softcore.Core
-	// synthCache memoizes synthesis results per design×device×kind so CAD
-	// time is paid once: matching mutates the cache, and two engines
-	// sharing a matchmaker (or a future concurrent RMS) would otherwise
-	// race. It holds one entry per design and device the provider has
-	// synthesized: 8 for the default workload's four designs on
-	// grid.DefaultGridSpec's two parts, 1 on a control-plane tenant. A
-	// lookup in a slice that short is a few comparisons, and the slice
-	// is a fraction of a map's size.
+	// synthCache records the toolchain's results this matchmaker has
+	// committed, per design×device×kind, so it charges each CAD time once:
+	// matching mutates the cache, and two engines sharing a matchmaker (or
+	// a future concurrent RMS) would otherwise race. It holds one entry
+	// per design and device the provider has synthesized: 8 for the
+	// default workload's four designs on grid.DefaultGridSpec's two parts,
+	// 1 on a control-plane tenant. A lookup in a slice that short is a few
+	// comparisons, and the slice is a fraction of a map's size.
 	synthMu    sync.RWMutex
 	synthCache []synthEntry // guarded by synthMu
 	// candBuf is the scratch candidate slice the scenario scans build

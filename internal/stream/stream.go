@@ -14,10 +14,10 @@ package stream
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/pe"
 	"repro/internal/rms"
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -109,22 +109,11 @@ func NewManager(mm *rms.Matchmaker, s *sim.Simulator) (*Manager, error) {
 	return &Manager{mm: mm, sim: s, active: make(map[string]*Session)}, nil
 }
 
-// Throughput returns the sustainable rate (MB/s) of a candidate for the
-// stream's kernel: the inverse of the per-MB execution time.
-func (m *Manager) Throughput(c rms.Candidate, spec Spec) (float64, error) {
-	est, err := m.mm.Estimate(c, spec.Req, spec.chunkWork())
-	if err != nil {
-		return 0, err
-	}
-	if est.ExecSeconds <= 0 {
-		return 0, fmt.Errorf("stream: zero per-chunk time on %s", c.Label())
-	}
-	return 1 / est.ExecSeconds, nil
-}
-
-// Admit finds the best-throughput element meeting the stream's rate,
-// reserves it for the session, and schedules the automatic release. It
-// fails — counting a rejection — when no element sustains the rate.
+// Admit reserves, through the placement step, the element whose
+// throughput (MB/s: the inverse of the per-MB execution time) is highest
+// and meets the stream's rate, and schedules the automatic release. It
+// fails — counting a rejection — when no element sustains the rate or
+// every one that does is saturated.
 func (m *Manager) Admit(spec Spec) (*Session, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -132,52 +121,38 @@ func (m *Manager) Admit(spec Spec) (*Session, error) {
 	if _, dup := m.active[spec.ID]; dup {
 		return nil, fmt.Errorf("stream: %s already active", spec.ID)
 	}
-	cands, err := m.mm.Candidates(spec.Req)
-	if err != nil {
-		return nil, err
-	}
-	type scored struct {
-		cand rms.Candidate
-		tput float64
-	}
-	var feasible []scored
-	for _, c := range cands {
-		tput, err := m.Throughput(c, spec)
-		if err != nil {
-			continue
+	// The fastest option meeting the rate; the first one wins a tie.
+	feasible := false
+	fastest := func(opts []sched.Option) int {
+		best := -1
+		for i, o := range opts {
+			if o.ExecSeconds > 0 && 1/o.ExecSeconds >= spec.RateMBps && (best < 0 || 1/o.ExecSeconds > 1/opts[best].ExecSeconds) {
+				best = i
+			}
 		}
-		if tput >= spec.RateMBps {
-			feasible = append(feasible, scored{c, tput})
-		}
+		feasible = feasible || best >= 0
+		return best
 	}
-	if len(feasible) == 0 {
+	var opts []sched.Option
+	p, ok := sched.Place(m.mm, &spec.Req, spec.chunkWork(), nil, fastest, &opts)
+	switch {
+	case !feasible:
 		m.Rejected++
 		return nil, fmt.Errorf("stream: no element sustains %.1f MB/s for %s", spec.RateMBps, spec.ID)
-	}
-	// Highest throughput first; stable on the deterministic candidate order.
-	sort.SliceStable(feasible, func(i, j int) bool { return feasible[i].tput > feasible[j].tput })
-
-	var sess *Session
-	for _, f := range feasible {
-		lease, err := m.mm.Allocate(f.cand, spec.Req)
-		if err != nil {
-			continue // element saturated; try the next
-		}
-		sess = &Session{
-			Spec:           spec,
-			Cand:           f.cand,
-			Lease:          &lease,
-			ThroughputMBps: f.tput,
-			Headroom:       f.tput / spec.RateMBps,
-			Start:          m.sim.Now(),
-			End:            m.sim.Now() + spec.Duration,
-			mgr:            m,
-		}
-		break
-	}
-	if sess == nil {
+	case !ok:
 		m.Rejected++
 		return nil, fmt.Errorf("stream: all feasible elements saturated for %s", spec.ID)
+	}
+	tput := 1 / p.ExecSeconds
+	sess := &Session{
+		Spec:           spec,
+		Cand:           p.Lease.Cand,
+		Lease:          &p.Lease,
+		ThroughputMBps: tput,
+		Headroom:       tput / spec.RateMBps,
+		Start:          m.sim.Now(),
+		End:            m.sim.Now() + spec.Duration,
+		mgr:            m,
 	}
 	m.active[spec.ID] = sess
 	m.Admitted++

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/capability"
+	"repro/internal/fabric"
 	"repro/internal/hdl"
 	"repro/internal/node"
 	"repro/internal/pe"
@@ -142,6 +143,44 @@ func TestHighRateStreamNeedsAccelerator(t *testing.T) {
 	}
 	if mgr.Rejected != 1 {
 		t.Errorf("Rejected = %d", mgr.Rejected)
+	}
+}
+
+// TestAdmitFallsBackToNextFastest pins the admission order: the fastest
+// element that sustains the rate, then, while that one is saturated, the
+// next fastest, until every element that sustains it is saturated.
+func TestAdmitFallsBackToNextFastest(t *testing.T) {
+	mgr, _, _ := streamRig(t)
+	fill := func(e *node.Element) {
+		t.Helper()
+		f := e.Fabric
+		r, _, err := f.ConfigurePartial(fabric.PartialBitstream("hog", "k", f.Device(), f.State().AvailableSlices))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Acquire(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := mgr.Admit(hwStream("a", 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(first.Cand.Elem)
+	second, err := mgr.Admit(hwStream("b", 100))
+	if err != nil {
+		t.Fatalf("the next fastest element was not tried: %v", err)
+	}
+	if second.Cand.Elem == first.Cand.Elem || !(second.ThroughputMBps < first.ThroughputMBps) {
+		t.Errorf("admitted on %s at %.1f MB/s after %s at %.1f MB/s, want the slower other RPE",
+			second.Cand.Label(), second.ThroughputMBps, first.Cand.Label(), first.ThroughputMBps)
+	}
+	fill(second.Cand.Elem)
+	if _, err := mgr.Admit(hwStream("c", 100)); err == nil || !strings.Contains(err.Error(), "saturated") {
+		t.Errorf("with every sustaining element full, Admit = %v, want the saturated rejection", err)
+	}
+	if mgr.Rejected != 1 || mgr.Admitted != 2 {
+		t.Errorf("admitted %d, rejected %d; want 2 and 1", mgr.Admitted, mgr.Rejected)
 	}
 }
 
