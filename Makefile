@@ -80,7 +80,7 @@ verify: build fmt vet lint test race cover bench-test benchdiff
 # such strays round to 0. Its ns/op, 0.3-5 us, stays under the 50 us
 # floor, so wall time still never gates.
 BENCHTIME_VERIFY ?= 3x
-BENCH_BASELINE   ?= BENCH_PR31.json
+BENCH_BASELINE   ?= BENCH_PR32.json
 BENCH_OUT        ?= /tmp/bench_head.json
 
 # The raw capture goes to a file first (not a pipe) so a failing

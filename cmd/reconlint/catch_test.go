@@ -170,7 +170,7 @@ var catchTable = []catchRow{
 	// TestDispatchRoundNothingFitsZeroAllocs,
 	// TestDispatchCompletionAllocs, TestRunAllocsPerTask,
 	// TestSubmitRunAllocs and TestWireSubmitAllocs fail on it, 10 runs
-	// of 10.
+	// of 10; TestFaultRunAllocsPerTask, added later, fails on it too.
 	{
 		class: "per-candidate fmt.Sprintf on the dispatch path",
 		file:  "internal/sched/place.go",

@@ -112,11 +112,8 @@ type tenantEngine struct {
 	// executes, to the time of each strike, retry and completion.
 	now sim.Time
 
-	// strikes holds, in time order, the times of the slice's faults that
-	// abort an attempt: node crashes, SEUs and link partitions.
-	// faultWithin consumes them from the front (virtual time is
-	// monotone).
-	strikes []sim.Time
+	// strikes is nil unless the server injects faults; see tenantStrikes.
+	strikes *tenantStrikes
 
 	// queue holds, in order, the tasks a paused server accepted; a
 	// running server executes each accepted task from its shard's slot
@@ -135,6 +132,16 @@ type tenantEngine struct {
 
 	// obs is nil without a sink, which disables emission entirely.
 	obs *tenantObs
+}
+
+// tenantStrikes is a faulty tenant's strike cursor: the slice's fault
+// timeline, generated as faultWithin reads it (virtual time is
+// monotone), and the first strike read and not yet consumed. Only node
+// crashes, SEUs and link partitions strike, that is, abort an attempt.
+type tenantStrikes struct {
+	cur  *faults.Cursor
+	next sim.Time
+	held bool
 }
 
 // tenantObs is a tenant's observability state, made only when the
@@ -209,20 +216,11 @@ func newTenantEngine(id string, tier Tier, policy *TierPolicy, seed uint64, cfg 
 		}
 	}
 	if cfg.Faults.Enabled() {
-		rng := sim.NewRNG(seed).Split(faults.ScheduleStream)
-		events, err := faults.Schedule(rng, cfg.Faults, []string{n.ID})
+		cur, err := faults.NewCursor(sim.NewRNG(seed).Split(faults.ScheduleStream), cfg.Faults, []string{n.ID})
 		if err != nil {
 			return nil, err
 		}
-		// Only crashes, SEUs and partitions end an attempt; the tenant
-		// keeps their times and drops the rest of the schedule.
-		var strikes []sim.Time
-		for _, ev := range events {
-			if ev.Kind == faults.KindNodeCrash || ev.Kind == faults.KindSEU || ev.Kind == faults.KindLinkDegrade && ev.Partition {
-				strikes = append(strikes, ev.Time)
-			}
-		}
-		te.strikes = slices.Clone(strikes) // held for life: no spare capacity
+		te.strikes = &tenantStrikes{cur: cur}
 	}
 	return te, nil
 }
@@ -365,7 +363,7 @@ func (te *tenantEngine) execute(t *task.Task, opts *[]sched.Option) {
 	aborts := 0
 	var lastAbort sim.Time
 	for {
-		p, ok := sched.Place(te.mm, &t.ExecReq, t.Work, nil, sched.FirstFit{}.Choose, opts)
+		p, ok := sched.Place(te.mm, &t.ExecReq, t.Work, nil, nil, opts)
 		if !ok {
 			te.evict(t.ID)
 			return
@@ -435,20 +433,32 @@ func (te *tenantEngine) settle(id string, st taskState) {
 }
 
 // faultWithin returns the first strike in (from, to], consuming every
-// strike with time ≤ to.
+// strike with time ≤ to. It reads the timeline up to the first strike
+// past to, which it holds for the next call.
 func (te *tenantEngine) faultWithin(from, to sim.Time) (sim.Time, bool) {
-	for len(te.strikes) > 0 {
-		at := te.strikes[0]
-		if at > to {
+	s := te.strikes
+	if s == nil {
+		return 0, false
+	}
+	for {
+		if !s.held {
+			ev, ok := s.cur.Next()
+			if !ok {
+				return 0, false
+			}
+			if ev.Kind != faults.KindNodeCrash && ev.Kind != faults.KindSEU && (ev.Kind != faults.KindLinkDegrade || !ev.Partition) {
+				continue
+			}
+			s.next, s.held = ev.Time, true
+		}
+		if s.next > to {
 			return 0, false
 		}
-		te.strikes = te.strikes[1:]
-		if at <= from {
-			continue
+		s.held = false
+		if s.next > from {
+			return s.next, true
 		}
-		return at, true
 	}
-	return 0, false
 }
 
 // emit sends one lifecycle event to the sink (no-op without one).

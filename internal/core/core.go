@@ -139,7 +139,7 @@ func (vg *VirtualGrid) Place(t *task.Task) (*rms.Lease, rms.Candidate, error) {
 		return nil, rms.Candidate{}, err
 	}
 	var opts []sched.Option
-	p, ok := sched.Place(vg.mm, &t.ExecReq, t.Work, nil, sched.FirstFit{}.Choose, &opts)
+	p, ok := sched.Place(vg.mm, &t.ExecReq, t.Work, nil, nil, &opts)
 	if !ok {
 		return nil, rms.Candidate{}, fmt.Errorf("core: no resource satisfies %s", t.ID)
 	}

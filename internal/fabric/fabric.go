@@ -356,9 +356,12 @@ func (f *Fabric) OldestIdle() *Region {
 	return nil
 }
 
-// Regions returns a copy of the resident regions sorted by ID.
-func (f *Fabric) Regions() []*Region {
-	out := make([]*Region, len(f.regions))
-	copy(out, f.regions)
-	return out
+// Regions returns the resident regions sorted by ID. The returned slice
+// is the fabric's own list — read-only; callers must not mutate it or
+// hold it across a call that configures, evicts or compacts.
+func (f *Fabric) Regions() []*Region { return f.regions }
+
+// Busy reports whether any resident region is running a task.
+func (f *Fabric) Busy() bool {
+	return slices.ContainsFunc(f.regions, func(r *Region) bool { return r.Busy })
 }

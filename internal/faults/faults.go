@@ -1,8 +1,9 @@
-// Package faults generates deterministic fault schedules for the grid
+// Package faults generates deterministic fault timelines for the grid
 // simulator: node crashes and recoveries, SEU-style transient corruption
 // of RPE configurations, and network link degradation or partitions.
 //
-// A schedule is a pure function of (RNG, Spec, node list): the injector
+// A timeline is a pure function of (RNG, Spec, node list), generated as
+// it is read (Cursor): the injector
 // never reads wall-clock time or global randomness, so the same seed
 // replays the same fault timeline event for event. The grid engine owns
 // the *effects* of each event (which execution aborts, which lease
@@ -12,8 +13,9 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -204,71 +206,132 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Schedule generates the fault timeline for a run: three independent
-// Poisson processes (crashes, SEUs, link faults), each on its own split
-// of rng, merged into one time-sorted slice. It is a pure function of
-// its arguments — equal inputs yield equal schedules, which is what
-// makes fault runs replayable and sweep replicas worker-count
-// independent.
-func Schedule(rng *sim.RNG, spec Spec, nodeIDs []string) ([]Event, error) {
+// Cursor generates the fault timeline of a run as it is read: three
+// independent Poisson processes (crashes, SEUs, link faults), each on its
+// own split of the RNG, merged into one time-ordered stream. Its events
+// are a pure function of NewCursor's arguments, which is what makes fault
+// runs replayable and sweep replicas worker-count independent.
+//
+// The order is (Time, Seq, Kind). Seq is assigned process by process,
+// crashes first, then SEUs, then link faults, each in time order, so it
+// breaks ties between processes; Kind puts a zero-length outage's crash
+// before its recovery. A cursor holds each process's RNG and next start,
+// and the second halves (recoveries and restores) whose starts it has
+// yielded: its memory is bounded by how many outages overlap, not by the
+// horizon.
+type Cursor struct {
+	spec  Spec
+	nodes []string
+	procs [3]process
+	// ends holds the pending second halves, latest first, so the earliest
+	// is the last.
+	ends []Event
+}
+
+// process is one fault process: its RNG, its rate, and its next start,
+// drawn in full with the second half it pairs with. live is false once
+// the next start would fall past the horizon.
+type process struct {
+	rng        sim.RNG
+	rate       float64
+	t          sim.Time
+	seq        uint64
+	live       bool
+	start, end Event
+}
+
+// NewCursor returns a cursor over the fault timeline that rng, spec and
+// nodeIDs determine. A disabled spec or an empty node list yields no
+// event. The cursor reads nodeIDs as it goes: the caller must not modify
+// it while the cursor is in use.
+func NewCursor(rng *sim.RNG, spec Spec, nodeIDs []string) (*Cursor, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	c := &Cursor{spec: spec, nodes: nodeIDs}
 	if !spec.Enabled() || len(nodeIDs) == 0 {
-		return nil, nil
+		return c, nil
 	}
-	var events []Event
+	// Seq numbers the starts process by process, so each process's first
+	// Seq follows the start count of the processes before it. Counting
+	// replays a process's draws on a copy of its RNG.
 	var seq uint64
-	next := func() uint64 { seq++; return seq }
+	for i, rate := range [3]float64{spec.CrashRate, spec.SEURate, spec.LinkFaultRate} {
+		if rate <= 0 {
+			continue
+		}
+		p := &c.procs[i]
+		p.rng, p.rate, p.seq = *rng.Split(uint64(i + 1)), rate, seq+1
+		p.t = sim.Time(p.rng.ExpFloat64() / rate)
+		c.draw(i, p)
+		for q := *p; q.live; c.draw(i, &q) {
+			seq++
+		}
+	}
+	return c, nil
+}
 
-	if spec.CrashRate > 0 {
-		r := rng.Split(1)
-		for t := sim.Time(r.ExpFloat64() / spec.CrashRate); float64(t) <= spec.HorizonSeconds; t += sim.Time(r.ExpFloat64() / spec.CrashRate) {
-			id := next()
-			victim := nodeIDs[r.Intn(len(nodeIDs))]
-			outage := sim.Time(r.ExpFloat64() * spec.MeanOutageSeconds)
-			events = append(events,
-				Event{Time: t, Kind: KindNodeCrash, Node: victim, Seq: id},
-				Event{Time: t + outage, Kind: KindNodeRecover, Node: victim, Seq: id})
-		}
+// draw draws the start at p.t as process i, in the order of the
+// process's RNG draws: the victim, the start's own draws, then the gap
+// to the next start. p is process i's state or a copy of it.
+func (c *Cursor) draw(i int, p *process) {
+	if p.live = float64(p.t) <= c.spec.HorizonSeconds; !p.live {
+		return
 	}
-	if spec.SEURate > 0 {
-		r := rng.Split(2)
-		for t := sim.Time(r.ExpFloat64() / spec.SEURate); float64(t) <= spec.HorizonSeconds; t += sim.Time(r.ExpFloat64() / spec.SEURate) {
-			events = append(events, Event{
-				Time: t, Kind: KindSEU, Seq: next(),
-				Node:     nodeIDs[r.Intn(len(nodeIDs))],
-				Selector: r.Uint64(),
-			})
-		}
+	r, t, seq := &p.rng, p.t, p.seq
+	victim := c.nodes[r.Intn(len(c.nodes))]
+	switch i {
+	case 0:
+		outage := sim.Time(r.ExpFloat64() * c.spec.MeanOutageSeconds)
+		p.start = Event{Time: t, Kind: KindNodeCrash, Node: victim, Seq: seq}
+		p.end = Event{Time: t + outage, Kind: KindNodeRecover, Node: victim, Seq: seq}
+	case 1:
+		p.start = Event{Time: t, Kind: KindSEU, Node: victim, Seq: seq, Selector: r.Uint64()}
+	case 2:
+		dur := sim.Time(r.ExpFloat64() * c.spec.MeanLinkFaultSeconds)
+		part := r.Float64() < c.spec.PartitionShare
+		p.start = Event{Time: t, Kind: KindLinkDegrade, Node: victim, Seq: seq, Factor: c.spec.LinkDegradeFactor, Partition: part}
+		p.end = Event{Time: t + dur, Kind: KindLinkRestore, Node: victim, Seq: seq, Partition: part}
 	}
-	if spec.LinkFaultRate > 0 {
-		r := rng.Split(3)
-		for t := sim.Time(r.ExpFloat64() / spec.LinkFaultRate); float64(t) <= spec.HorizonSeconds; t += sim.Time(r.ExpFloat64() / spec.LinkFaultRate) {
-			id := next()
-			victim := nodeIDs[r.Intn(len(nodeIDs))]
-			dur := sim.Time(r.ExpFloat64() * spec.MeanLinkFaultSeconds)
-			part := r.Float64() < spec.PartitionShare
-			events = append(events,
-				Event{Time: t, Kind: KindLinkDegrade, Node: victim, Seq: id, Factor: spec.LinkDegradeFactor, Partition: part},
-				Event{Time: t + dur, Kind: KindLinkRestore, Node: victim, Seq: id, Partition: part})
-		}
-	}
+	p.seq++
+	p.t += sim.Time(r.ExpFloat64() / p.rate)
+}
 
-	// Merge into one deterministic timeline. Seq is assigned in
-	// generation order, so it is a stable tie-break for simultaneous
-	// events across processes; Kind breaks the (vanishing) chance of an
-	// equal-time pair sharing a Seq (a zero-length outage's crash must
-	// precede its recovery).
-	sort.SliceStable(events, func(i, j int) bool {
-		a, b := events[i], events[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
+// Next returns the timeline's next event, and false once it has ended.
+func (c *Cursor) Next() (Event, bool) {
+	next := -1
+	for i := range c.procs {
+		if p := &c.procs[i]; p.live && (next < 0 || compare(&p.start, &c.procs[next].start) < 0) {
+			next = i
 		}
-		if a.Seq != b.Seq {
-			return a.Seq < b.Seq
-		}
-		return a.Kind < b.Kind
-	})
-	return events, nil
+	}
+	if n := len(c.ends); n > 0 && (next < 0 || compare(&c.ends[n-1], &c.procs[next].start) < 0) {
+		ev := c.ends[n-1]
+		c.ends = c.ends[:n-1]
+		return ev, true
+	}
+	if next < 0 {
+		return Event{}, false
+	}
+	p := &c.procs[next]
+	ev := p.start
+	if ev.Kind != KindSEU {
+		// A second half sorts after its start, so it joins the pending
+		// set before anything could need it.
+		i, _ := slices.BinarySearchFunc(c.ends, &p.end, func(a Event, b *Event) int { return compare(b, &a) })
+		c.ends = slices.Insert(c.ends, i, p.end)
+	}
+	c.draw(next, p)
+	return ev, true
+}
+
+// compare orders events by (Time, Seq, Kind), the timeline's order.
+func compare(a, b *Event) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Kind, b.Kind)
 }

@@ -474,10 +474,7 @@ func TestStreamedFaultsMatchScheduledFaults(t *testing.T) {
 		}
 		fs := *spec
 		fs.HorizonSeconds = 150
-		sorted, err := faults.Schedule(sim.NewRNG(53).Split(faults.ScheduleStream), fs, nodeIDs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sorted := faultTimeline(t, sim.NewRNG(53).Split(faults.ScheduleStream), fs, nodeIDs)
 		shuffle := func(evs []faults.Event) []faults.Event {
 			out, r := slices.Clone(evs), sim.NewRNG(54)
 			for i := len(out) - 1; i > 0; i-- {
@@ -502,7 +499,7 @@ func TestStreamedFaultsMatchScheduledFaults(t *testing.T) {
 			for _, faultsFirst := range []bool{true, false} {
 				for _, horizon := range []sim.Time{0, 40} {
 					want := run(&fs, evs, scheduleEachFault, faultsFirst, horizon)
-					got := run(&fs, evs, (*Engine).InjectFaults, faultsFirst, horizon)
+					got := run(&fs, evs, injectFaults, faultsFirst, horizon)
 					label := fmt.Sprintf("%s/%s/faults-first=%v/horizon=%v", regime, name, faultsFirst, horizon)
 					if want.m.NodeCrashes+want.m.SEUFaults+want.m.LinkFaults == 0 {
 						t.Fatalf("%s: no fault applied; the differential checks nothing", label)

@@ -58,7 +58,7 @@ type Config struct {
 	Faults *faults.Spec
 	// Scheduler, when non-nil, constructs the simulator's pending-event
 	// set (one call per engine, so sweep replicas never share one). Nil
-	// uses the sim package default (the timing wheel). Any conforming
+	// uses the sim package default (the binary heap). Any conforming
 	// sim.Scheduler yields bit-identical runs; this is a performance
 	// knob and the seam the heap-vs-wheel differential tests swap.
 	Scheduler func() sim.Scheduler
@@ -119,9 +119,11 @@ type item struct {
 	span  float64
 	ev    sim.EventRef
 	renew sim.EventRef
-	// done is the completion handler, built once with the record and
-	// kept when it is recycled.
-	done sim.Handler
+	// done is the completion handler, built once with the record; check
+	// the lease-renewal check and retry the end of a retry backoff, each
+	// built at the record's first use of it. All three are kept when the
+	// record is recycled.
+	done, check, retry sim.Handler
 	// blocked is the engine's epoch when this task's placement last
 	// failed; tryDispatch skips the task until the epoch moves on.
 	blocked uint64
@@ -389,13 +391,13 @@ func (e *Engine) newItem() *item {
 }
 
 // recycle puts a settled record on the free list, zeroed but for its
-// completion handler, so it pins no trace record, submission or region
+// handlers, so it pins no trace record, submission or region
 // and the task it next holds starts with no attempts, stamp or events.
 // Only a record no event can still fire for comes here: after complete,
 // or once requeueOrLose has declared its task lost; never one that is
 // queued, backing off or running.
 func (e *Engine) recycle(it *item) {
-	*it = item{done: it.done, next: e.free}
+	*it = item{done: it.done, check: it.check, retry: it.retry, next: e.free}
 	e.free = it
 }
 
@@ -762,16 +764,24 @@ func (e *Engine) requeueOrLose(it *item) {
 	e.m.Retries++
 	f := e.faultState()
 	f.backoff = append(f.backoff, it)
-	e.S.After(sim.Time(pol.Delay(it.attempts)), "retry", func() {
-		i := slices.Index(f.backoff, it)
-		f.backoff = slices.Delete(f.backoff, i, i+1)
-		e.pushQueue(it, false)
-		e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindRetry, TaskID: it.tid})
-		if it.sub != nil {
-			e.J.Notify(it.sub, e.S.Now(), it.rec.ID, "requeued for retry")
-		}
-		e.tryDispatch()
-	})
+	if it.retry == nil {
+		it.retry = func() { e.retryNow(it) }
+	}
+	e.S.After(sim.Time(pol.Delay(it.attempts)), "retry", it.retry)
+}
+
+// retryNow ends a task's retry backoff: it re-enters the waiting queue
+// and dispatch runs.
+func (e *Engine) retryNow(it *item) {
+	f := e.flt
+	i := slices.Index(f.backoff, it)
+	f.backoff = slices.Delete(f.backoff, i, i+1)
+	e.pushQueue(it, false)
+	e.trace(obs.Event{Time: e.S.Now(), Kind: obs.KindRetry, TaskID: it.tid})
+	if it.sub != nil {
+		e.J.Notify(it.sub, e.S.Now(), it.rec.ID, "requeued for retry")
+	}
+	e.tryDispatch()
 }
 
 // Run executes the simulation to completion (or the horizon) and returns
@@ -900,9 +910,10 @@ type ScenarioSpec struct {
 	// generating one from Seed/Workload.
 	Trace []Generated
 	// Faults, when non-nil and enabled, injects a deterministic fault
-	// schedule (node crashes, SEUs, link faults) derived from Seed on an
-	// independent RNG split — replaying a seed replays its faults, and
-	// sweep replicas derive independent-but-seeded schedules. A zero
+	// timeline (node crashes, SEUs, link faults) derived from Seed on an
+	// independent RNG split and generated as the run reaches it —
+	// replaying a seed replays its faults, and sweep replicas derive
+	// independent-but-seeded timelines. A zero
 	// HorizonSeconds is defaulted from the workload's arrival window.
 	Faults *faults.Spec
 }
@@ -947,11 +958,11 @@ func RunScenario(ctx context.Context, spec ScenarioSpec) (*Metrics, error) {
 		for _, n := range reg.Nodes() {
 			ids = append(ids, n.ID)
 		}
-		evs, err := faults.Schedule(sim.NewRNG(spec.Seed).Split(faults.ScheduleStream), *cfg.Faults, ids)
+		cur, err := faults.NewCursor(sim.NewRNG(spec.Seed).Split(faults.ScheduleStream), *cfg.Faults, ids)
 		if err != nil {
 			return nil, err
 		}
-		eng.InjectFaults(evs)
+		eng.InjectFaults(cur)
 	}
 	if err := eng.SubmitWorkload(gen); err != nil {
 		return nil, err

@@ -112,7 +112,7 @@ func TestFinishFailsEveryUnfinishedSubmission(t *testing.T) {
 	eng.Submit(2, "queued", singleTaskGraph(t, softwareTask("C", 1000, 1e9)), nil, jss.QoS{})
 	advanceTo(t, eng, 5)
 	nodeID, _ := runningOn(t, eng, "B")
-	eng.InjectFaults([]faults.Event{{Time: 10, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1}})
+	injectFaults(eng, []faults.Event{{Time: 10, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1}})
 	m, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestArrivalTiesKeepScheduleOrder(t *testing.T) {
 	if err := eng.SubmitWorkload(gen); err != nil {
 		t.Fatal(err)
 	}
-	eng.InjectFaults([]faults.Event{
+	injectFaults(eng, []faults.Event{
 		{Time: 5, Kind: faults.KindNodeCrash, Node: "Node0", Seq: 1},
 		{Time: 6, Kind: faults.KindNodeRecover, Node: "Node0", Seq: 1},
 	})
@@ -210,7 +210,7 @@ func TestRecycledRecordStartsClean(t *testing.T) {
 	if err := eng.SubmitWorkload(gen); err != nil {
 		t.Fatal(err)
 	}
-	eng.InjectFaults([]faults.Event{
+	injectFaults(eng, []faults.Event{
 		{Time: 1.5, Kind: faults.KindNodeCrash, Node: "Node0", Seq: 1},
 		{Time: 2, Kind: faults.KindNodeRecover, Node: "Node0", Seq: 1},
 	})
@@ -301,7 +301,7 @@ func TestSlowdownReplacingPartitionWakesQueue(t *testing.T) {
 	if err := eng.SubmitWorkload(gen); err != nil {
 		t.Fatal(err)
 	}
-	eng.InjectFaults([]faults.Event{
+	injectFaults(eng, []faults.Event{
 		{Time: 0.5, Kind: faults.KindLinkDegrade, Node: "Node0", Partition: true, Seq: 1},
 		{Time: 2, Kind: faults.KindLinkDegrade, Node: "Node0", Factor: 2, Seq: 2},
 	})
@@ -364,7 +364,7 @@ func TestDetachedNodeWakesQueue(t *testing.T) {
 	if err := eng.SubmitWorkload(gen); err != nil {
 		t.Fatal(err)
 	}
-	eng.InjectFaults([]faults.Event{
+	injectFaults(eng, []faults.Event{
 		{Time: 0.5, Kind: faults.KindLinkDegrade, Node: "Node0", Partition: true, Seq: 1},
 		{Time: 2, Kind: faults.KindNodeCrash, Node: "Node0", Seq: 2},
 	})

@@ -63,18 +63,30 @@ func (f *faultState) nodesDown() int {
 	return len(f.down)
 }
 
-// InjectFaults streams a fault timeline (typically produced by
-// faults.Schedule) into the engine's simulator, in (Time, index) order:
-// an unsorted timeline is accepted, and faults tied on time apply in
-// slice order, after the events already scheduled for that time and
-// before those scheduled later. Each fault is read from the slice when
-// it applies, so the caller must not modify events until Run returns.
+// FaultSource yields a fault timeline in time order, one event per call
+// to Next, and false once the timeline has ended. A faults.Cursor is
+// one.
+type FaultSource interface {
+	Next() (faults.Event, bool)
+}
+
+// InjectFaults streams a fault timeline into the engine's simulator:
+// src yields the faults in time order (a faults.Cursor generates them),
+// and the engine pulls each as virtual time reaches the fault before it,
+// so no timeline is built or queued. Faults tied on time apply in src's
+// order, after the events already scheduled for that time and before
+// those scheduled later. A fault earlier than the one before it panics.
 // Call it before Run; pair it with a Config.Faults spec so lease
 // monitoring and the retry policy are active.
-func (e *Engine) InjectFaults(events []faults.Event) {
-	e.stream(len(events), "fault", func(i int) sim.Time { return events[i].Time }, func(i int) {
-		e.applyFault(events[i])
-	})
+func (e *Engine) InjectFaults(src FaultSource) {
+	// ahead is the fault the simulator looks ahead to, cur the one due.
+	var cur, ahead faults.Event
+	e.S.Pull("fault", func() (sim.Time, bool) {
+		var ok bool
+		cur = ahead
+		ahead, ok = src.Next()
+		return ahead.Time, ok
+	}, func() { e.applyFault(cur) })
 }
 
 func (e *Engine) applyFault(ev faults.Event) {
@@ -116,16 +128,21 @@ func (e *Engine) superviseLease(it *item) {
 	if ttl <= 0 {
 		return
 	}
-	nodeID := it.lease.Cand.Node.ID
-	var check func()
-	check = func() {
-		if _, ok := e.link(nodeID); !ok {
-			e.expireLease(it)
-			return
-		}
-		it.renew = e.S.After(ttl, "lease-renew", check)
+	if it.check == nil {
+		it.check = func() { e.checkLease(it) }
 	}
-	it.renew = e.S.After(ttl, "lease-renew", check)
+	it.renew = e.S.After(ttl, "lease-renew", it.check)
+}
+
+// checkLease is one renewal check of a task's lease: it renews the lease
+// for another TTL while the hosting node answers, and expires it
+// otherwise.
+func (e *Engine) checkLease(it *item) {
+	if _, ok := e.link(it.lease.Cand.Node.ID); !ok {
+		e.expireLease(it)
+		return
+	}
+	it.renew = e.S.After(e.leaseTTL(), "lease-renew", it.check)
 }
 
 // expireLease is failure detection firing: the lease is declared dead,
@@ -203,14 +220,23 @@ func (e *Engine) applyRecover(ev faults.Event) {
 	}
 	n := o.node
 	for _, el := range n.Elements() {
-		for _, it := range append([]*item(nil), e.running[el]...) {
-			e.expireLease(it)
+		// Expiring a lease drops its task from the running list, so the
+		// list's head is the next task to expire.
+		for len(e.running[el]) > 0 {
+			e.expireLease(e.running[el][0])
 		}
 	}
-	_ = e.Reg.RemoveNode(ev.Node)
+	// The node's last lease expiry (or its crash, had it none) detached
+	// it from the registry. Evicting a region leaves the regions before
+	// it in place, so the walk goes from the last.
 	for _, el := range n.RPEs() {
-		for _, r := range el.Fabric.Regions() {
-			_ = el.Fabric.Evict(r)
+		regs := el.Fabric.Regions()
+		for i := len(regs) - 1; i >= 0; i-- {
+			if r := regs[i]; !r.Busy {
+				if err := el.Fabric.Evict(r); err != nil {
+					panic(fmt.Sprintf("grid: evicting idle region %d of recovered node %s: %v", r.ID, ev.Node, err))
+				}
+			}
 		}
 	}
 	e.m.DownSeconds += float64(e.S.Now() - o.since)
@@ -255,7 +281,9 @@ func (e *Engine) applySEU(ev faults.Event) {
 		e.epoch++
 		return
 	}
-	for _, it := range append([]*item(nil), e.running[el]...) {
+	// failExecution drops the task from the running list, so the walk
+	// stops there.
+	for _, it := range e.running[el] {
 		if it.lease.Region == r {
 			e.failExecution(it, ev.Node, el.ID)
 			break

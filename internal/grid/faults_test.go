@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"strings"
@@ -17,6 +18,43 @@ import (
 	"repro/internal/sim"
 	"repro/internal/task"
 )
+
+// faultSlice is the slice adapter tests inject hand-written timelines
+// through: it yields its events in (Time, index) order, so an unsorted
+// timeline is accepted and faults tied on time keep their slice order.
+type faultSlice []faults.Event
+
+// Next yields the slice's next event.
+func (s *faultSlice) Next() (faults.Event, bool) {
+	if len(*s) == 0 {
+		return faults.Event{}, false
+	}
+	ev := (*s)[0]
+	*s = (*s)[1:]
+	return ev, true
+}
+
+// injectFaults streams a hand-written timeline into eng through a
+// faultSlice over a sorted copy of evs.
+func injectFaults(eng *Engine, evs []faults.Event) {
+	s := faultSlice(slices.Clone(evs))
+	slices.SortStableFunc(s, func(a, b faults.Event) int { return cmp.Compare(a.Time, b.Time) })
+	eng.InjectFaults(&s)
+}
+
+// faultTimeline reads the whole timeline of a cursor over the arguments.
+func faultTimeline(t *testing.T, rng *sim.RNG, spec faults.Spec, nodeIDs []string) []faults.Event {
+	t.Helper()
+	cur, err := faults.NewCursor(rng, spec, nodeIDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []faults.Event
+	for ev, ok := cur.Next(); ok; ev, ok = cur.Next() {
+		evs = append(evs, ev)
+	}
+	return evs
+}
 
 // faultPolicy is the lease/retry policy used by crafted-event tests:
 // tight TTL so detection is fast, modest retry budget.
@@ -65,7 +103,7 @@ func TestCrashRecoveryEndToEnd(t *testing.T) {
 	eng := faultRig(t, faultPolicy(), nil)
 	advanceTo(t, eng, 5)
 	nodeID, _ := busyRPE(t, eng)
-	eng.InjectFaults([]faults.Event{
+	injectFaults(eng, []faults.Event{
 		{Time: 10, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1},
 		{Time: 40, Kind: faults.KindNodeRecover, Node: nodeID, Seq: 1},
 	})
@@ -118,7 +156,7 @@ func TestCrashOfIdleNodeAndSeqPairing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.InjectFaults([]faults.Event{
+	injectFaults(eng, []faults.Event{
 		{Time: 5, Kind: faults.KindNodeCrash, Node: "Node1", Seq: 1},
 		// A second crash of a down node is a no-op, and its paired
 		// recovery must not resurrect the node early.
@@ -180,7 +218,7 @@ func TestSEUAbortsTaskAndForcesReconfiguration(t *testing.T) {
 	advanceTo(t, eng, 5)
 	nodeID, _ := busyRPE(t, eng)
 	sel, _ := seuSelector(t, eng, nodeID)
-	eng.InjectFaults([]faults.Event{
+	injectFaults(eng, []faults.Event{
 		{Time: 10, Kind: faults.KindSEU, Node: nodeID, Seq: 1, Selector: sel},
 	})
 	m, err := eng.Run(context.Background())
@@ -208,7 +246,7 @@ func TestPartitionExpiresLeaseAndReroutes(t *testing.T) {
 	eng := faultRig(t, faultPolicy(), rec)
 	advanceTo(t, eng, 5)
 	nodeID, _ := busyRPE(t, eng)
-	eng.InjectFaults([]faults.Event{
+	injectFaults(eng, []faults.Event{
 		{Time: 8, Kind: faults.KindLinkDegrade, Node: nodeID, Seq: 1, Factor: 1, Partition: true},
 		{Time: 60, Kind: faults.KindLinkRestore, Node: nodeID, Seq: 1, Partition: true},
 	})
@@ -248,7 +286,7 @@ func TestLinkDegradationSlowsTransfers(t *testing.T) {
 			faults.Event{Time: 0, Kind: faults.KindLinkDegrade, Node: id, Seq: uint64(i + 1), Factor: 200},
 			faults.Event{Time: 1000, Kind: faults.KindLinkRestore, Node: id, Seq: uint64(i + 1)})
 	}
-	eng.InjectFaults(evs)
+	injectFaults(eng, evs)
 	m, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +338,7 @@ func TestRetryBudgetExhaustedLosesTask(t *testing.T) {
 	}
 	// Two crashes, each aborting one attempt of the only task on the
 	// only node: the second abort exceeds MaxRetries=1.
-	eng.InjectFaults([]faults.Event{
+	injectFaults(eng, []faults.Event{
 		{Time: 10, Kind: faults.KindNodeCrash, Node: "Node0", Seq: 1},
 		{Time: 20, Kind: faults.KindNodeRecover, Node: "Node0", Seq: 1},
 		{Time: 30, Kind: faults.KindNodeCrash, Node: "Node0", Seq: 2},
@@ -336,7 +374,7 @@ func TestFaultTraceKindsRecorded(t *testing.T) {
 	eng := faultRig(t, faultPolicy(), rec)
 	advanceTo(t, eng, 5)
 	nodeID, _ := busyRPE(t, eng)
-	eng.InjectFaults([]faults.Event{
+	injectFaults(eng, []faults.Event{
 		{Time: 10, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1},
 		{Time: 40, Kind: faults.KindNodeRecover, Node: nodeID, Seq: 1},
 	})
@@ -384,7 +422,7 @@ func TestTransientFailureRetriesTask(t *testing.T) {
 	advanceTo(t, eng, 5)
 	nodeID, elemID := busyRPE(t, eng)
 	sel, _ := seuSelector(t, eng, nodeID)
-	eng.InjectFaults([]faults.Event{{Time: 10, Kind: faults.KindSEU, Node: nodeID, Seq: 1, Selector: sel}})
+	injectFaults(eng, []faults.Event{{Time: 10, Kind: faults.KindSEU, Node: nodeID, Seq: 1, Selector: sel}})
 	m, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -412,7 +450,7 @@ func TestPermanentFailureRemovesElement(t *testing.T) {
 	eng := faultRig(t, faultPolicy(), nil)
 	advanceTo(t, eng, 5)
 	nodeID, _ := busyRPE(t, eng)
-	eng.InjectFaults([]faults.Event{{Time: 10, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1}})
+	injectFaults(eng, []faults.Event{{Time: 10, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1}})
 	m, err := eng.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -443,7 +481,7 @@ func TestFailureOnIdleElementIsHarmless(t *testing.T) {
 	}
 	mm, _ := rms.NewMatchmaker(reg, nil)
 	eng, _ := NewEngine(DefaultConfig(), reg, mm)
-	eng.InjectFaults([]faults.Event{
+	injectFaults(eng, []faults.Event{
 		{Time: 1, Kind: faults.KindSEU, Node: hybridNode, Seq: 1},
 		{Time: 2, Kind: faults.KindSEU, Node: gppNode, Seq: 2},
 		{Time: 3, Kind: faults.KindSEU, Node: "NoSuchNode", Seq: 3},
@@ -479,7 +517,7 @@ func TestFailureEventVisibleToMonitoringUser(t *testing.T) {
 	eng.Submit(6, "alice", g, nil, jss.QoS{Monitor: true})
 	advanceTo(t, eng, 7)
 	nodeID, _ := runningOn(t, eng, "monitored")
-	eng.InjectFaults([]faults.Event{
+	injectFaults(eng, []faults.Event{
 		{Time: 8, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1},
 		{Time: 9, Kind: faults.KindNodeRecover, Node: nodeID, Seq: 1},
 	})
@@ -532,7 +570,7 @@ func TestRuntimeAttachUnblocksWaitingTasks(t *testing.T) {
 			hybrid = n.ID
 		}
 	}
-	eng.InjectFaults([]faults.Event{
+	injectFaults(eng, []faults.Event{
 		{Time: 0, Kind: faults.KindNodeCrash, Node: hybrid, Seq: 1},
 		{Time: 50, Kind: faults.KindNodeRecover, Node: hybrid, Seq: 1},
 	})
@@ -565,7 +603,7 @@ func TestRuntimeDetachWaitsForDrain(t *testing.T) {
 	eng := faultRig(t, faultPolicy(), nil)
 	advanceTo(t, eng, 5)
 	nodeID, _ := busyRPE(t, eng)
-	eng.InjectFaults([]faults.Event{{Time: 10, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1}})
+	injectFaults(eng, []faults.Event{{Time: 10, Kind: faults.KindNodeCrash, Node: nodeID, Seq: 1}})
 	registered := func(at sim.Time, want bool) {
 		eng.S.Schedule(at, "probe", func() {
 			if _, ok := eng.Reg.Node(nodeID); ok != want {

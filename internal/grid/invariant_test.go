@@ -183,11 +183,11 @@ func TestFabricCapacityInvariantDuringFaultyRun(t *testing.T) {
 				ids = append(ids, n.ID)
 				nodes[n.ID] = n
 			}
-			evs, err := faults.Schedule(sim.NewRNG(55).Split(faults.ScheduleStream), *fs, ids)
+			cur, err := faults.NewCursor(sim.NewRNG(55).Split(faults.ScheduleStream), *fs, ids)
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.InjectFaults(evs)
+			eng.InjectFaults(cur)
 			// Probe every 2 s through the fault window: fabric invariants
 			// must hold at every instant, including mid-outage.
 			for probeT := sim.Time(2); probeT <= 140; probeT += 2 {

@@ -131,7 +131,7 @@ func (e *Element) Busy() bool {
 	case e.GPP != nil:
 		return e.busyCores > 0
 	case e.Fabric != nil:
-		return e.Fabric.State().BusyRegions > 0
+		return e.Fabric.Busy()
 	case e.GPU != nil:
 		return e.busyGPU
 	}
@@ -289,8 +289,11 @@ func (n *Node) Remove(elemID string) error {
 	return nil
 }
 
-// Elements returns all elements in installation order.
-func (n *Node) Elements() []*Element { return append([]*Element(nil), n.elems...) }
+// Elements returns all elements in installation order. The returned
+// slice is the node's own list — read-only; callers must not mutate it or
+// hold it across Add*/Remove calls. The fault path walks it on every
+// crash, recovery and detach, so it is not copied.
+func (n *Node) Elements() []*Element { return n.elems }
 
 // ByKind returns the elements of one kind in installation order, or nil
 // for a kind outside the Table I enum. The returned slice is the node's

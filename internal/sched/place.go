@@ -44,6 +44,11 @@ type Placement struct {
 // sees an empty slice. buf is the caller's scratch option slice, kept
 // grown so a warm call allocates nothing; the lease holds its own copy of
 // the candidate, so nothing aliases it.
+//
+// A nil choose is first fit, as a nil Link reaches every node: Place
+// walks the candidates in order and leases the first that is reachable,
+// estimates and allocates, and estimates nothing past it. That is what
+// FirstFit.Choose picks, since an estimate commits nothing.
 func Place(mm *rms.Matchmaker, req *task.ExecReq, work pe.Work, link Link, choose func([]Option) int, buf *[]Option) (Placement, bool) {
 	cands, err := mm.Candidates(*req)
 	if err != nil || len(cands) == 0 {
@@ -57,6 +62,12 @@ func Place(mm *rms.Matchmaker, req *task.ExecReq, work pe.Work, link Link, choos
 		}
 		est, err := mm.Estimate(c, *req, work)
 		if err != nil {
+			continue
+		}
+		if choose == nil {
+			if p, ok := lease(mm, c, req, work, link, est.ExecSeconds); ok {
+				return p, true
+			}
 			continue
 		}
 		opts = append(opts, Option{
@@ -75,17 +86,26 @@ func Place(mm *rms.Matchmaker, req *task.ExecReq, work pe.Work, link Link, choos
 		if i < 0 {
 			break
 		}
-		lease, err := mm.Allocate(opts[i].Cand, *req)
-		if err != nil {
-			// The element became unusable (area busy): drop the option.
-			opts = append(opts[:i], opts[i+1:]...)
-			continue
+		if p, ok := lease(mm, opts[i].Cand, req, work, link, opts[i].ExecSeconds); ok {
+			return p, true
 		}
-		// The bitstream crosses the link only if this lease reconfigured.
-		l, _ := link.to(lease.Cand.Node.ID)
-		p := Placement{Lease: lease, ExecSeconds: opts[i].ExecSeconds, TransferSeconds: l.TransferSeconds(work.DataMB + lease.BitstreamMB)}
-		p.SpanSeconds = p.TransferSeconds + lease.SynthesisSeconds + float64(lease.ReconfigDelay+lease.CompactionDelay) + p.ExecSeconds
-		return p, true
+		// The element became unusable (area busy): drop the option.
+		opts = append(opts[:i], opts[i+1:]...)
 	}
 	return Placement{}, false
+}
+
+// lease allocates candidate c for req and prices the placement's
+// timeline, exec being its estimated execution time; false when Allocate
+// refuses c.
+func lease(mm *rms.Matchmaker, c rms.Candidate, req *task.ExecReq, work pe.Work, link Link, exec float64) (Placement, bool) {
+	l, err := mm.Allocate(c, *req)
+	if err != nil {
+		return Placement{}, false
+	}
+	// The bitstream crosses the link only if this lease reconfigured.
+	lk, _ := link.to(l.Cand.Node.ID)
+	p := Placement{Lease: l, ExecSeconds: exec, TransferSeconds: lk.TransferSeconds(work.DataMB + l.BitstreamMB)}
+	p.SpanSeconds = p.TransferSeconds + l.SynthesisSeconds + float64(l.ReconfigDelay+l.CompactionDelay) + p.ExecSeconds
+	return p, true
 }

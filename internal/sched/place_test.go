@@ -310,3 +310,57 @@ func TestPlaceWarmZeroAllocs(t *testing.T) {
 		t.Errorf("a warm placement allocates %.2f times, want 0", avg)
 	}
 }
+
+// TestPlaceNilChooserIsFirstFit: with a nil chooser, Place leases what
+// FirstFit.Choose leases and estimates no candidate past the lease. The
+// link counts the estimates: Place consults it once per candidate it
+// estimates, and once more to price the lease.
+func TestPlaceNilChooserIsFirstFit(t *testing.T) {
+	lx110 := device(t, "XC5VLX110T")
+	req := task.ExecReq{Scenario: pe.PredeterminedHW, SoftcoreISA: "rvex-vliw",
+		Requirements: capability.Requirements{}.Min(capability.ParamSoftIssueWidth, 2)}
+	work := pe.Work{MInstructions: 500, ParallelFraction: 0.9, DataMB: 1}
+	for _, tc := range []struct {
+		name           string
+		hog            int // node whose fabric a busy region fills; -1 for none
+		leased         string
+		firstFitLinks  int
+		chooseAllLinks int
+	}{
+		{name: "first-fits", hog: -1, leased: "N0", firstFitLinks: 2, chooseAllLinks: 4},
+		{name: "first-refused", hog: 0, leased: "N1", firstFitLinks: 3, chooseAllLinks: 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			place := func(choose func([]Option) int) (Placement, int) {
+				r := newPlaceRig(t, lx110, lx110, lx110)
+				if tc.hog >= 0 {
+					r.hog(t, tc.hog)
+				}
+				links := 0
+				link := func(string) (network.Link, bool) {
+					links++
+					return network.Link{BandwidthMBps: 125}, true
+				}
+				var buf []Option
+				p, ok := Place(r.mm, &req, work, link, choose, &buf)
+				if !ok {
+					t.Fatal("nothing placed")
+				}
+				return p, links
+			}
+			got, gotLinks := place(nil)
+			want, wantLinks := place(FirstFit{}.Choose)
+			if got.Lease.Cand.Node.ID != tc.leased || want.Lease.Cand.Node.ID != tc.leased {
+				t.Fatalf("leased %s with a nil chooser and %s with FirstFit, want %s", got.Lease.Cand.Node.ID, want.Lease.Cand.Node.ID, tc.leased)
+			}
+			if got.Lease.Cand.Elem.ID != want.Lease.Cand.Elem.ID || got.ExecSeconds != want.ExecSeconds ||
+				got.TransferSeconds != want.TransferSeconds || got.SpanSeconds != want.SpanSeconds {
+				t.Errorf("placements differ:\nnil chooser: %+v\nFirstFit:    %+v", got, want)
+			}
+			if gotLinks != tc.firstFitLinks || wantLinks != tc.chooseAllLinks {
+				t.Errorf("link consulted %d times with a nil chooser and %d with FirstFit, want %d and %d",
+					gotLinks, wantLinks, tc.firstFitLinks, tc.chooseAllLinks)
+			}
+		})
+	}
+}

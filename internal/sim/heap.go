@@ -32,7 +32,7 @@ func (h *eventHeap) Pop() any {
 }
 
 // HeapQueue is the binary-heap Scheduler: O(log n) Push/Pop, O(1) lazy
-// Cancel. It is the reference implementation — simple, allocation-pooled,
+// Cancel. It is the simulator's default — simple, allocation-pooled,
 // and robust at any event-time scale. The zero value is ready to use.
 type HeapQueue struct {
 	h     eventHeap

@@ -18,7 +18,8 @@ type Simulator struct {
 	// later one.
 	lastSeq uint64
 	// streams holds the attached streams with items left, in attach
-	// order; streamed counts those items.
+	// order; streamed counts the items they have announced and not
+	// fired.
 	streams  []*stream
 	streamed int
 	// Horizon, when non-zero, bounds Run: events and stream items after
@@ -27,14 +28,14 @@ type Simulator struct {
 	Horizon Time
 }
 
-// stream is the cursor of one Stream call: item next fires at t, which
-// caches at(next).
+// stream is one attached pull stream: its next item fires at t. Every
+// stream runs on one item of lookahead, pulled before the item ahead of
+// it fires.
 type stream struct {
-	at    func(i int) Time
-	fire  func(i int)
+	label string
+	next  func() (Time, bool)
+	fire  func()
 	after uint64 // the simulator's lastSeq when the stream was attached
-	next  int
-	n     int
 	t     Time
 }
 
@@ -52,8 +53,8 @@ func (st *stream) before(e *Event) bool {
 type Option func(*Simulator)
 
 // WithScheduler selects the pending-event set implementation. The default
-// is the timing wheel (NewWheelQueue); pass NewHeapQueue() for the binary
-// heap. Any Scheduler obeying the (Time, Priority, seq) contract yields
+// is the binary heap (NewHeapQueue); pass NewWheelQueue() for the timing
+// wheel. Any Scheduler obeying the (Time, Priority, seq) contract yields
 // bit-identical simulations, so this is a pure performance knob — and the
 // seam future parallel schedulers plug into.
 func WithScheduler(q Scheduler) Option {
@@ -67,7 +68,7 @@ func NewSimulator(opts ...Option) *Simulator {
 		o(s)
 	}
 	if s.queue == nil {
-		s.queue = NewWheelQueue()
+		s.queue = NewHeapQueue()
 	}
 	return s
 }
@@ -75,9 +76,10 @@ func NewSimulator(opts ...Option) *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Pending returns the number of live queued events and unfired stream
-// items. Canceled events do not count: a simulation whose remaining
-// events were all canceled reports 0.
+// Pending returns the number of live queued events and of the stream
+// items announced and not yet fired: every unfired item of a Stream, and
+// the item a Pull stream looks ahead to. Canceled events do not count: a
+// simulation whose remaining events were all canceled reports 0.
 func (s *Simulator) Pending() int { return s.queue.Len() + s.streamed }
 
 // push enqueues an event and records its sequence number for Stream.
@@ -105,9 +107,31 @@ func (s *Simulator) After(d Time, label string, fn Handler) EventRef {
 	return s.push(s.now+d, label, fn)
 }
 
+// Pull attaches a stream whose items come from next, which returns the
+// time of the stream's next item and false once it has none. The
+// simulator pulls the first item now and each later one just before the
+// item ahead of it fires, then calls fire, which runs the item that was
+// due: the source keeps that item while the simulator looks one ahead.
+// Items sort as Stream's do, and cannot be canceled. A pulled item
+// earlier than Now or than the item before it (NaN included) panics, as
+// Schedule does on a time in the past. Once the stream runs out, the
+// simulator drops next and fire before its last item fires, so Pending
+// no longer counts it there.
+func (s *Simulator) Pull(label string, next func() (Time, bool), fire func()) {
+	t, ok := next()
+	if !ok {
+		return
+	}
+	if !(t >= s.now) {
+		panic(fmt.Sprintf("sim: stream %q item at %v, before now %v", label, t, s.now))
+	}
+	s.streams = append(s.streams, &stream{label: label, next: next, fire: fire, after: s.lastSeq, t: t})
+	s.streamed++
+}
+
 // Stream attaches n items that fire in index order, item i calling
-// fire(i) at time at(i), without queuing an event per item: the
-// simulator keeps one cursor. Each item runs exactly where n Schedule
+// fire(i) at time at(i), without queuing an event per item: it is a pull
+// stream over the index. Each item runs exactly where n Schedule
 // calls, made in index order now, would have put it: among events tied
 // on time, after those queued before this call and before those pushed
 // after it. Items cannot be canceled. at must be non-decreasing in
@@ -126,8 +150,20 @@ func (s *Simulator) Stream(n int, label string, at func(i int) Time, fire func(i
 		}
 		prev = t
 	}
-	s.streams = append(s.streams, &stream{at: at, fire: fire, after: s.lastSeq, n: n, t: at(0)})
-	s.streamed += n
+	// Pending counts every unfired item, as n Schedule calls would: Pull
+	// counts the item it looks ahead to, and the rest count here until
+	// they come into view.
+	s.streamed += n - 1
+	i := -1
+	s.Pull(label, func() (Time, bool) {
+		if i++; i == n {
+			return 0, false
+		}
+		if i > 0 {
+			s.streamed--
+		}
+		return at(i), true
+	}, func() { fire(i - 1) })
 }
 
 // Cancel prevents a scheduled event from firing. It is safe on zero,
@@ -171,20 +207,23 @@ func (s *Simulator) fire(st *stream) {
 	fn()
 }
 
-// fireStream runs a stream's next item and advances its cursor. An
-// exhausted stream is detached, and its closures dropped, before its
+// fireStream runs a stream's next item after pulling the one behind it.
+// An exhausted stream is detached, and its closures dropped, before its
 // last item runs.
 func (s *Simulator) fireStream(st *stream) {
-	i, fire := st.next, st.fire
+	fire := st.fire
 	s.now = st.t
-	s.streamed--
-	if st.next++; st.next < st.n {
-		st.t = st.at(st.next)
+	if t, ok := st.next(); ok {
+		if !(t >= st.t) {
+			panic(fmt.Sprintf("sim: stream %q item at %v, before %v", st.label, t, st.t))
+		}
+		st.t = t
 	} else {
-		st.at, st.fire = nil, nil
+		s.streamed--
+		st.next, st.fire = nil, nil
 		s.streams = slices.DeleteFunc(s.streams, func(c *stream) bool { return c == st })
 	}
-	fire(i)
+	fire()
 }
 
 // Run executes events until the queue drains or the horizon (if set) is

@@ -234,3 +234,45 @@ func TestExhaustedStreamReleasesClosures(t *testing.T) {
 		})
 	}
 }
+
+// TestPullLooksOneAhead: a pull stream counts one item in Pending, runs
+// out before its last item fires, and panics on an item pulled earlier
+// than the one before it.
+func TestPullLooksOneAhead(t *testing.T) {
+	s := NewSimulator()
+	times := []Time{1, 2, 2, 5}
+	i := -1 // the item the stream looks ahead to
+	var seen []string
+	s.Pull("p", func() (Time, bool) {
+		if i++; i == len(times) {
+			return 0, false
+		}
+		return times[i], true
+	}, func() { seen = append(seen, fmt.Sprintf("%d@%v/%d", i-1, s.Now(), s.Pending())) })
+	if s.Pending() != 1 {
+		t.Fatalf("Pending = %d after attach, want 1", s.Pending())
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(seen, " "), "0@1s/1 1@2s/1 2@2s/1 3@5s/0"; got != want {
+		t.Errorf("fired %q, want %q", got, want)
+	}
+
+	s = NewSimulator()
+	back := []Time{1, 3, 2}
+	k := 0
+	s.Pull("back", func() (Time, bool) {
+		if k == len(back) {
+			return 0, false
+		}
+		k++
+		return back[k-1], true
+	}, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Error("a pulled item earlier than the one before it did not panic")
+		}
+	}()
+	_ = s.Run()
+}

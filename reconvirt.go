@@ -105,11 +105,12 @@ type (
 type EventScheduler = sim.Scheduler
 
 // NewHeapQueue returns an empty binary-heap event scheduler (O(log n) per
-// operation).
+// operation; the default).
 func NewHeapQueue() *sim.HeapQueue { return sim.NewHeapQueue() }
 
 // NewWheelQueue returns an empty hierarchical timing-wheel event
-// scheduler (amortized O(1) near-future operations; the default).
+// scheduler (amortized O(1) near-future operations), for callers that
+// hold many events pending.
 func NewWheelQueue() *sim.WheelQueue { return sim.NewWheelQueue() }
 
 // Observability (pluggable trace sinks). The engine emits lifecycle
