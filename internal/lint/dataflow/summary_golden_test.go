@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"go/token"
+	"go/types"
 	"os"
 	"path"
 	"path/filepath"
@@ -19,8 +20,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/summaries.golden
 // TestSummaryGolden pins every provenance and taint fact the solver
 // derives over the analyzer fixture packages: per-function results,
 // sinks, parameter sinks and field writes, plus the global field and
-// channel state. Each fixture package gets its own graph, exactly as
-// the analyzers see it under analysistest.
+// channel state. It pins the flow-sensitive layer the same way: each
+// function's lock acquisitions with the classes held at them, the
+// lock-order edges with their chains, and the spawn sites with MHP's
+// Concurrent and Spawner sets. Each fixture package gets its own graph,
+// exactly as the analyzers see it under analysistest.
 func TestSummaryGolden(t *testing.T) {
 	// dir names a second fixture tree under an analyzer's testdata.
 	fixtures := []struct{ analyzer, dir, path string }{
@@ -29,6 +33,10 @@ func TestSummaryGolden(t *testing.T) {
 		{"wiretaint", "", "controlplane"},
 		{"wiretaint", "alloc", "controlplane"},
 		{"logtaint", "", "controlplane"},
+		{"lockcheck", "", "a"},
+		{"lockorder", "", "a"},
+		{"chanmisuse", "", "a"},
+		{"goroleak", "", "a"},
 	}
 	var b strings.Builder
 	for _, fx := range fixtures {
@@ -81,8 +89,22 @@ func dumpGraph(b *strings.Builder, g *Graph) {
 		}
 		return fmt.Sprintf("tainted(%s)%s", v.Src, paramBits(v.Params))
 	}
+	held := func(s LockSet) string {
+		if len(s) == 0 {
+			return "nothing"
+		}
+		var parts []string
+		for _, c := range s.SortedClasses() {
+			parts = append(parts, c+mode(s[c].Lock)+"@"+at(s[c].Pos))
+		}
+		return strings.Join(parts, ", ")
+	}
+	lg := g.LockGraph()
 	for _, n := range g.SortedFuncs() {
 		fmt.Fprintf(b, "func %s\n", n.Fn.FullName())
+		for _, a := range lg.Locks[n.Fn].Acquires {
+			fmt.Fprintf(b, "  lock %s %s%s holding %s\n", at(a.Pos), a.Lock.Class, mode(a.Lock), held(a.Held))
+		}
 		if sum := g.Summary(n.Fn); sum != nil {
 			for i, r := range sum.Results {
 				fmt.Fprintf(b, "  prov result %d: %s\n", i, prov(r))
@@ -111,6 +133,27 @@ func dumpGraph(b *strings.Builder, g *Graph) {
 			}
 		}
 	}
+	for _, from := range sortedKeys(lg.Edges) {
+		for _, to := range sortedKeys(lg.Edges[from]) {
+			for _, e := range lg.Edges[from][to] {
+				fmt.Fprintf(b, "lock edge %s -> %s at %s via %s\n", from, to, at(e.Pos), strings.Join(e.Chain, " > "))
+			}
+		}
+	}
+	mhp := g.MHP()
+	for _, s := range mhp.Spawns {
+		var targets []string
+		for _, fn := range s.Targets {
+			targets = append(targets, fn.FullName())
+		}
+		fmt.Fprintf(b, "spawn %s in %s starts [%s]\n", at(s.Stmt.Pos()), s.Fn.FullName(), strings.Join(targets, " "))
+	}
+	for _, fn := range sortedFuncNames(mhp.Concurrent) {
+		fmt.Fprintf(b, "concurrent %s\n", fn)
+	}
+	for _, fn := range sortedFuncNames(mhp.Spawner) {
+		fmt.Fprintf(b, "spawner %s\n", fn)
+	}
 	// Global entries that read as "no information" are indistinguishable
 	// from absent ones, so only informative entries are pinned.
 	for _, k := range sortedKeys(g.prov.fields) {
@@ -133,6 +176,22 @@ func dumpGraph(b *strings.Builder, g *Graph) {
 			fmt.Fprintf(b, "taint chan %s: %s\n", k, taint(v))
 		}
 	}
+}
+
+func mode(l Lock) string {
+	if l.Reader {
+		return "(R)"
+	}
+	return ""
+}
+
+func sortedFuncNames(set map[*types.Func]bool) []string {
+	names := make([]string, 0, len(set))
+	for fn := range set {
+		names = append(names, fn.FullName())
+	}
+	sort.Strings(names)
+	return names
 }
 
 func paramBits(p uint64) string {
