@@ -24,6 +24,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/dataflow"
@@ -59,9 +60,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 // --- possibly-nil send/close ---------------------------------------
 
-// checkNilChannels runs a definite-assignment dataflow over the CFG for
-// the function's channel-typed locals declared nil (var ch chan T), and
-// reports sends/closes reachable with the local possibly still nil.
+// checkNilChannels runs a definite-assignment dataflow (a step on
+// dataflow.ForwardMust) for the function's channel-typed locals declared
+// nil (var ch chan T), and reports sends/closes reachable with the local
+// possibly still nil.
 func checkNilChannels(pass *analysis.Pass, node *dataflow.FuncNode) {
 	info := node.Info
 
@@ -97,39 +99,9 @@ func checkNilChannels(pass *analysis.Pass, node *dataflow.FuncNode) {
 		return
 	}
 
+	// Must-assigned: the nil-declared locals every path has assigned.
 	cfg := dataflow.BuildCFG(node.Decl.Body)
-	// Must-assigned forward dataflow: in[b] = ∩ out[preds].
-	type set = map[types.Object]bool
-	clone := func(s set) set {
-		o := make(set, len(s))
-		for k := range s {
-			o[k] = true
-		}
-		return o
-	}
-	intersect := func(a, b set) set {
-		o := make(set)
-		for k := range a {
-			if b[k] {
-				o[k] = true
-			}
-		}
-		return o
-	}
-	equal := func(a, b set) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if !b[k] {
-				return false
-			}
-		}
-		return true
-	}
-
-	// assignsIn collects the nil-decl objects a node definitely assigns.
-	assignsIn := func(n ast.Node, cur set) {
+	before := dataflow.ForwardMust(cfg, func(n ast.Node, assigned map[types.Object]bool) map[types.Object]bool {
 		ast.Inspect(n, func(x ast.Node) bool {
 			if _, ok := x.(*ast.FuncLit); ok {
 				return false
@@ -143,52 +115,15 @@ func checkNilChannels(pass *analysis.Pass, node *dataflow.FuncNode) {
 				if !ok {
 					continue
 				}
-				obj := info.ObjectOf(id)
-				if obj != nil && nilDecls[obj] {
-					cur[obj] = true
+				if obj := info.ObjectOf(id); nilDecls[obj] && !assigned[obj] {
+					assigned = maps.Clone(assigned)
+					assigned[obj] = true
 				}
 			}
 			return true
 		})
-	}
-
-	in := make([]set, len(cfg.Blocks))
-	out := make([]set, len(cfg.Blocks))
-	before := make(map[ast.Node]set)
-	for changed := true; changed; {
-		changed = false
-		for _, blk := range cfg.Blocks {
-			var cur set
-			for _, p := range blk.Preds {
-				if out[p.Index] == nil {
-					continue
-				}
-				if cur == nil {
-					cur = clone(out[p.Index])
-				} else {
-					cur = intersect(cur, out[p.Index])
-				}
-			}
-			if blk == cfg.Entry {
-				cur = make(set)
-			}
-			if cur == nil {
-				continue
-			}
-			if in[blk.Index] == nil || !equal(in[blk.Index], cur) {
-				in[blk.Index] = clone(cur)
-				changed = true
-			}
-			for _, n := range blk.Nodes {
-				before[n] = clone(cur)
-				assignsIn(n, cur)
-			}
-			if out[blk.Index] == nil || !equal(out[blk.Index], cur) {
-				out[blk.Index] = cur
-				changed = true
-			}
-		}
-	}
+		return assigned
+	})
 
 	report := func(n ast.Node, ch ast.Expr, verb string) {
 		id, ok := ast.Unparen(ch).(*ast.Ident)
@@ -199,8 +134,7 @@ func checkNilChannels(pass *analysis.Pass, node *dataflow.FuncNode) {
 		if obj == nil || !nilDecls[obj] {
 			return
 		}
-		assigned := before[n]
-		if assigned != nil && assigned[obj] {
+		if before[n][obj] {
 			return
 		}
 		what := "blocks forever"

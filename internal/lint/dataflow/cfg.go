@@ -6,12 +6,14 @@ import (
 )
 
 // CFG is a per-function control-flow graph over go/ast statements. It
-// is the substrate under the flow-sensitive analyses (reaching
-// locksets, definite channel initialization): blocks hold statements in
-// source order, edges model branches, loops, switches, selects, goto,
-// and labeled break/continue. Short-circuit operators are not split
-// into separate blocks — statement granularity is what the lockset and
-// init analyses need — and panics are not modeled as edges.
+// is the substrate under the flow-sensitive analyses, reaching locksets
+// and definite channel initialization, which both run on ForwardMust
+// (TestForwardMust pins the driver, the TestCFG* tests this graph).
+// Blocks hold statements in source order; edges model branches, loops,
+// switches, selects, goto, and labeled break/continue. Short-circuit
+// operators are not split into separate blocks — statement granularity
+// is what the lockset and init analyses need — and panics are not
+// modeled as edges.
 //
 // Defer is modeled with the Go runtime's semantics at the granularity
 // the lock analyses require: deferred calls are collected into Defers

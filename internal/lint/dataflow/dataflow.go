@@ -15,6 +15,15 @@
 // state, assignment routing, summaries with parameter bitmasks, field
 // writes through constructors, and sink propagation are shared.
 //
+// The flow-sensitive layer runs on one forward must-dataflow driver,
+// ForwardMust (mustflow.go), over the per-function CFG (cfg.go). The
+// lockset analysis (lockset.go) and chanmisuse's nil-channel check are
+// its two step functions. One breadth-first call-graph walk serves
+// Reachable and MHP's spawner set (mhp.go). A Graph builds its
+// lock-order graph (lockgraph.go) and its MHP sets once, on first use.
+// TestForwardMust pins the driver; testdata/summaries.golden pins both
+// domains and the lock and MHP facts over the analyzer fixtures.
+//
 // The graph is built once per driver run over every loaded package
 // (lint.Prepare) and shared by every analyzer that resolves it;
 // analyzer unit tests fall back to a single-package graph built on
@@ -31,6 +40,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -59,7 +69,9 @@ type FuncNode struct {
 	Callers map[*types.Func]bool
 }
 
-// Graph is the whole-program view: call graph plus both domains' state.
+// Graph is the whole-program view: call graph plus both domains' state,
+// and the flow-sensitive analyses derived from them, each built once on
+// first use and dropped with the graph.
 type Graph struct {
 	Fset  *token.FileSet
 	Funcs map[*types.Func]*FuncNode
@@ -67,6 +79,11 @@ type Graph struct {
 	// prov and taint are the two domains' fixpoint states (lattice.go).
 	prov  *solver[Value]
 	taint *solver[TaintValue]
+
+	lockOnce  sync.Once
+	lockGraph *LockGraph
+	mhpOnce   sync.Once
+	mhp       *MHPInfo
 }
 
 // Build constructs the call graph and runs the provenance and taint
@@ -128,9 +145,15 @@ func (g *Graph) SortedFuncs() []*FuncNode {
 
 // SortedCallees returns a node's callees in deterministic (full name,
 // position) order, so graph traversals do not depend on map ranging.
-func (n *FuncNode) SortedCallees() []*types.Func {
-	out := make([]*types.Func, 0, len(n.Callees))
-	for fn := range n.Callees {
+func (n *FuncNode) SortedCallees() []*types.Func { return byName(n.Callees) }
+
+// sortedCallers returns a node's callers in the same order.
+func (n *FuncNode) sortedCallers() []*types.Func { return byName(n.Callers) }
+
+// byName returns a function set's keys in (full name, position) order.
+func byName[V any](set map[*types.Func]V) []*types.Func {
+	out := make([]*types.Func, 0, len(set))
+	for fn := range set {
 		out = append(out, fn)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -145,6 +168,12 @@ func (n *FuncNode) SortedCallees() []*types.Func {
 // Reachable returns the set of functions reachable from roots over call
 // edges (roots included).
 func (g *Graph) Reachable(roots []*types.Func) map[*types.Func]bool {
+	return g.closure(roots, (*FuncNode).SortedCallees)
+}
+
+// closure is the one breadth-first walk over the call graph: roots plus
+// every function that edges leads to from them, transitively.
+func (g *Graph) closure(roots []*types.Func, edges func(*FuncNode) []*types.Func) map[*types.Func]bool {
 	seen := make(map[*types.Func]bool)
 	var queue []*types.Func
 	for _, r := range roots {
@@ -154,20 +183,29 @@ func (g *Graph) Reachable(roots []*types.Func) map[*types.Func]bool {
 		}
 	}
 	for len(queue) > 0 {
-		fn := queue[0]
+		node := g.Funcs[queue[0]]
 		queue = queue[1:]
-		node := g.Funcs[fn]
 		if node == nil {
 			continue
 		}
-		for _, callee := range node.SortedCallees() {
-			if !seen[callee] {
-				seen[callee] = true
-				queue = append(queue, callee)
+		for _, next := range edges(node) {
+			if !seen[next] {
+				seen[next] = true
+				queue = append(queue, next)
 			}
 		}
 	}
 	return seen
+}
+
+// IsEntry reports whether fn is an entry point the reachability-gated
+// analyzers (errflow, goroleak) start from: main.main, or an engine
+// run or sweep entry (a name starting with Run or Sweep).
+func IsEntry(fn *types.Func) bool {
+	if fn.Name() == "main" {
+		return fn.Pkg() != nil && fn.Pkg().Name() == "main"
+	}
+	return strings.HasPrefix(fn.Name(), "Run") || strings.HasPrefix(fn.Name(), "Sweep")
 }
 
 // program is the driver-registered whole-program graph; analyzers fall
@@ -184,16 +222,9 @@ func SetProgram(g *Graph) {
 	program.g = g
 }
 
-// Reset clears the registered whole-program graph and the derived
-// per-graph caches (tests).
+// Reset clears the registered whole-program graph (tests).
 func Reset() {
 	SetProgram(nil)
-	lockGraphCache.mu.Lock()
-	lockGraphCache.cache = nil
-	lockGraphCache.mu.Unlock()
-	mhpCache.mu.Lock()
-	mhpCache.cache = nil
-	mhpCache.mu.Unlock()
 }
 
 // Resolve returns the graph an analyzer pass should consult: the

@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"sync"
 )
 
 // AcqEdge is one "acquired To while holding From" observation: the
@@ -32,26 +31,12 @@ type LockGraph struct {
 	acquires map[*types.Func]map[string][]string
 }
 
-var lockGraphCache struct {
-	mu    sync.Mutex
-	cache map[*Graph]*LockGraph
-}
-
 // LockGraph computes (once per Graph) the flow-sensitive lockset
 // analysis for every function and the interprocedural lock-order graph
 // on top of it.
 func (g *Graph) LockGraph() *LockGraph {
-	lockGraphCache.mu.Lock()
-	defer lockGraphCache.mu.Unlock()
-	if lockGraphCache.cache == nil {
-		lockGraphCache.cache = make(map[*Graph]*LockGraph)
-	}
-	if lg, ok := lockGraphCache.cache[g]; ok {
-		return lg
-	}
-	lg := g.buildLockGraph()
-	lockGraphCache.cache[g] = lg
-	return lg
+	g.lockOnce.Do(func() { g.lockGraph = g.buildLockGraph() })
+	return g.lockGraph
 }
 
 func (g *Graph) buildLockGraph() *LockGraph {

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -129,42 +130,8 @@ func lockClass(root types.Object, path string) string {
 }
 
 // LockSet is a must-hold set of lock classes mapped to the acquisition
-// detail (the Lock and its site). nil means "unknown" (top) during the
-// dataflow; an empty non-nil map means "holds nothing".
+// detail (the Lock and its site).
 type LockSet map[string]HeldLock
-
-func (s LockSet) clone() LockSet {
-	out := make(LockSet, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-func (s LockSet) equal(o LockSet) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for k, v := range s {
-		ov, ok := o[k]
-		if !ok || ov.Pos != v.Pos || ov.Lock.Reader != v.Lock.Reader {
-			return false
-		}
-	}
-	return true
-}
-
-// intersect keeps the locks present in both (must analysis): a merge
-// point only holds what every predecessor holds.
-func (s LockSet) intersect(o LockSet) LockSet {
-	out := make(LockSet)
-	for k, v := range s {
-		if _, ok := o[k]; ok {
-			out[k] = v
-		}
-	}
-	return out
-}
 
 // SortedClasses returns the held classes in deterministic order.
 func (s LockSet) SortedClasses() []string {
@@ -179,9 +146,11 @@ func (s LockSet) SortedClasses() []string {
 // FuncLocks is the flow-sensitive lockset result for one function body:
 // the must-hold lockset *before* each statement/expression node of its
 // CFG, plus every acquisition site with the set held at that moment.
+// The sets are ForwardMust's and are read-only.
 type FuncLocks struct {
 	CFG *CFG
-	// Before maps each CFG node to the lockset in force when it executes.
+	// Before maps each reached CFG node to the lockset in force when it
+	// executes.
 	Before map[ast.Node]LockSet
 	// Acquires lists every Lock/RLock call with the lockset held at it.
 	Acquires []Acquisition
@@ -195,69 +164,29 @@ type Acquisition struct {
 }
 
 // AnalyzeLocks runs the reaching-lockset dataflow over one function
-// body. Deferred Unlock/RUnlock calls do not kill the set mid-body;
-// they are applied to the exit set. Calls to functions are not
-// transparent: a callee that acquires and releases internally does not
-// change the caller's set (Go locks are not reentrant, so the balanced
-// idiom dominates; cross-function holding is handled by the lock-order
-// summaries, not here).
+// body on ForwardMust. Deferred Unlock/RUnlock calls do not kill the
+// set mid-body; they are applied to the exit set. Calls to functions
+// are not transparent: a callee that acquires and releases internally
+// does not change the caller's set (Go locks are not reentrant, so the
+// balanced idiom dominates; cross-function holding is handled by the
+// lock-order summaries, not here).
 func AnalyzeLocks(info *types.Info, body *ast.BlockStmt) *FuncLocks {
 	cfg := BuildCFG(body)
-	fl := &FuncLocks{CFG: cfg, Before: make(map[ast.Node]LockSet)}
-
-	in := make([]LockSet, len(cfg.Blocks))
-	out := make([]LockSet, len(cfg.Blocks))
-	in[cfg.Entry.Index] = make(LockSet)
-
-	// Iterate to fixpoint; the lattice (must-sets shrink) and the
-	// bounded program size keep this fast.
-	for changed := true; changed; {
-		changed = false
-		for _, blk := range cfg.Blocks {
-			var cur LockSet
-			for _, p := range blk.Preds {
-				if out[p.Index] == nil {
-					continue
-				}
-				if cur == nil {
-					cur = out[p.Index].clone()
-				} else {
-					cur = cur.intersect(out[p.Index])
-				}
-			}
-			if blk == cfg.Entry {
-				cur = make(LockSet)
-			}
-			if cur == nil {
-				continue // unreachable so far
-			}
-			if in[blk.Index] == nil || !in[blk.Index].equal(cur) {
-				in[blk.Index] = cur.clone()
-				changed = true
-			}
-			for _, n := range blk.Nodes {
-				fl.Before[n] = cur.clone()
-				cur = transferLocks(info, n, cur)
-			}
-			if out[blk.Index] == nil || !out[blk.Index].equal(cur) {
-				out[blk.Index] = cur
-				changed = true
-			}
-		}
-	}
+	fl := &FuncLocks{CFG: cfg, Before: ForwardMust(cfg, func(n ast.Node, held LockSet) LockSet {
+		return transferLocks(info, n, held)
+	})}
 
 	// Acquisition sites with held-at sets, in source order.
 	seen := make(map[token.Pos]bool)
 	for _, blk := range cfg.Blocks {
 		for _, n := range blk.Nodes {
-			base := fl.Before[n]
 			walkNodeCalls(n, func(call *ast.CallExpr) {
 				op, ok := classifyLockCall(info, call)
 				if !ok || !op.acquire || seen[op.Pos] {
 					return
 				}
 				seen[op.Pos] = true
-				fl.Acquires = append(fl.Acquires, Acquisition{Lock: op.Lock, Pos: op.Pos, Held: base.clone()})
+				fl.Acquires = append(fl.Acquires, Acquisition{Lock: op.Lock, Pos: op.Pos, Held: fl.Before[n]})
 			})
 		}
 	}
@@ -280,14 +209,10 @@ func transferLocks(info *types.Info, n ast.Node, cur LockSet) LockSet {
 		if !ok {
 			return
 		}
-		if next == nil {
-			return
-		}
+		next = maps.Clone(next)
 		if op.acquire {
-			next = next.clone()
 			next[op.Lock.Class] = op
 		} else {
-			next = next.clone()
 			delete(next, op.Lock.Class)
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"sync"
 )
 
 // SpawnSite is one `go` statement: the function whose body contains it,
@@ -34,79 +33,35 @@ type MHPInfo struct {
 	Spawner map[*types.Func]bool
 }
 
-var mhpCache struct {
-	mu    sync.Mutex
-	cache map[*Graph]*MHPInfo
-}
-
 // MHP computes (once per Graph) the spawn sites and the
 // may-run-concurrently function sets.
 func (g *Graph) MHP() *MHPInfo {
-	mhpCache.mu.Lock()
-	defer mhpCache.mu.Unlock()
-	if mhpCache.cache == nil {
-		mhpCache.cache = make(map[*Graph]*MHPInfo)
-	}
-	if m, ok := mhpCache.cache[g]; ok {
-		return m
-	}
-	m := g.buildMHP()
-	mhpCache.cache[g] = m
-	return m
+	g.mhpOnce.Do(func() { g.mhp = g.buildMHP() })
+	return g.mhp
 }
 
+// buildMHP closes the spawn targets over callees (Concurrent) and the
+// spawning functions over callers (Spawner): anything that transitively
+// calls a spawning function has the spawned goroutine running alongside
+// its own continuation.
 func (g *Graph) buildMHP() *MHPInfo {
-	m := &MHPInfo{
-		Concurrent: make(map[*types.Func]bool),
-		Spawner:    make(map[*types.Func]bool),
-	}
-	var roots []*types.Func
+	m := &MHPInfo{}
+	var targets, spawners []*types.Func
 	for _, n := range g.SortedFuncs() {
-		n := n
 		ast.Inspect(n.Decl.Body, func(x ast.Node) bool {
 			gs, ok := x.(*ast.GoStmt)
 			if !ok {
 				return true
 			}
-			site := SpawnSite{Fn: n.Fn, Stmt: gs}
-			site.Targets = g.spawnTargets(n.Info, gs)
+			site := SpawnSite{Fn: n.Fn, Stmt: gs, Targets: g.spawnTargets(n.Info, gs)}
 			m.Spawns = append(m.Spawns, site)
-			m.Spawner[n.Fn] = true
-			roots = append(roots, site.Targets...)
+			spawners = append(spawners, n.Fn)
+			targets = append(targets, site.Targets...)
 			return true
 		})
 	}
-	// Concurrent: closure of spawn targets over call edges.
-	for fn := range g.Reachable(roots) {
-		m.Concurrent[fn] = true
-	}
-	// Spawner: closed over callers — anything that (transitively) calls
-	// a spawning function has the spawned goroutine running alongside
-	// its own continuation.
-	queue := make([]*types.Func, 0, len(m.Spawner))
-	for fn := range m.Spawner {
-		queue = append(queue, fn)
-	}
-	sort.Slice(queue, func(i, j int) bool { return queue[i].FullName() < queue[j].FullName() })
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		node := g.Funcs[fn]
-		if node == nil {
-			continue
-		}
-		callers := make([]*types.Func, 0, len(node.Callers))
-		for c := range node.Callers {
-			callers = append(callers, c)
-		}
-		sort.Slice(callers, func(i, j int) bool { return callers[i].FullName() < callers[j].FullName() })
-		for _, c := range callers {
-			if !m.Spawner[c] {
-				m.Spawner[c] = true
-				queue = append(queue, c)
-			}
-		}
-	}
+	m.Concurrent = g.Reachable(targets)
+	m.Spawner = g.closure(spawners, (*FuncNode).sortedCallers)
 	return m
 }
 

@@ -45,7 +45,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	g := dataflow.Resolve(pass.Fset, pass.Files, pass.Pkg, pass.TypesInfo)
 	var roots []*types.Func
 	for _, node := range g.SortedFuncs() {
-		if isRoot(node.Fn) {
+		if dataflow.IsEntry(node.Fn) {
 			roots = append(roots, node.Fn)
 		}
 	}
@@ -59,15 +59,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		c.checkBody(node.Decl.Body, sig)
 	}
 	return nil, nil
-}
-
-// isRoot reports whether fn anchors reachability: a program entry point
-// or an engine run/sweep entry.
-func isRoot(fn *types.Func) bool {
-	if fn.Pkg() != nil && fn.Pkg().Name() == "main" && fn.Name() == "main" {
-		return true
-	}
-	return strings.HasPrefix(fn.Name(), "Run") || strings.HasPrefix(fn.Name(), "Sweep")
 }
 
 type checker struct {

@@ -6,8 +6,8 @@
 // cancellable): a goroutine that outlives its spawner leaks memory per
 // call in a long-running control plane and races the next run's state.
 // The analyzer walks every `go` statement in functions reachable from
-// an entry point (func main, or a name starting with Run or Sweep) and
-// demands evidence of ownership, any of:
+// an entry point (dataflow.IsEntry: main.main, or a name starting with
+// Run or Sweep) and demands evidence of ownership, any of:
 //
 //   - cancellation: the goroutine references a context.Context (ctx
 //     passed in, ctx.Done() selected on) so the spawner's caller can
@@ -28,7 +28,6 @@ package goroleak
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/dataflow"
@@ -45,13 +44,13 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	g := dataflow.Resolve(pass.Fset, pass.Files, pass.Pkg, pass.TypesInfo)
 	mhp := g.MHP()
 
-	// Entry points: this package's main/Run*/Sweep* declarations.
+	// Entry points: this package's main.main/Run*/Sweep* declarations.
 	var entries []*types.Func
 	for _, node := range g.SortedFuncs() {
 		if node.Pkg != pass.Pkg {
 			continue
 		}
-		if isEntryName(node.Fn.Name()) {
+		if dataflow.IsEntry(node.Fn) {
 			entries = append(entries, node.Fn)
 		}
 	}
@@ -76,11 +75,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			site.Fn.Name())
 	}
 	return nil, nil
-}
-
-// isEntryName mirrors the errflow entry-point convention.
-func isEntryName(name string) bool {
-	return name == "main" || strings.HasPrefix(name, "Run") || strings.HasPrefix(name, "Sweep")
 }
 
 // ownedSpawn decides whether one go statement shows an ownership
