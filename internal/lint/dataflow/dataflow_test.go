@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint/dataflow"
@@ -115,6 +116,35 @@ func TestCallGraphCHA(t *testing.T) {
 	helper := fn(t, g, "helper")
 	if len(helper.Callers) == 0 {
 		t.Error("helper has no recorded callers")
+	}
+}
+
+// TestDerivedAnalysesOncePerGraph pins that a graph builds its
+// lock-order graph and MHP sets once, however many goroutines ask, and
+// that another graph of the same package builds its own.
+func TestDerivedAnalysesOncePerGraph(t *testing.T) {
+	pi := load(t, "p", chaSrc)
+	g := dataflow.Build([]*dataflow.PackageInfo{pi})
+	const callers = 4
+	var wg sync.WaitGroup
+	locks := make([]*dataflow.LockGraph, callers)
+	mhps := make([]*dataflow.MHPInfo, callers)
+	for i := range locks {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			locks[i], mhps[i] = g.LockGraph(), g.MHP()
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < callers; i++ {
+		if locks[i] != locks[0] || mhps[i] != mhps[0] {
+			t.Fatalf("caller %d got a second build of the graph's analyses", i)
+		}
+	}
+	other := dataflow.Build([]*dataflow.PackageInfo{pi})
+	if other.LockGraph() == locks[0] || other.MHP() == mhps[0] {
+		t.Error("a second graph shares the first graph's analyses")
 	}
 }
 
