@@ -119,6 +119,31 @@ func TestCallGraphCHA(t *testing.T) {
 	}
 }
 
+// TestIsEntry pins the one entry-point rule errflow and goroleak share:
+// main counts only in package main.
+func TestIsEntry(t *testing.T) {
+	body := `
+func main() {}
+func RunScenario() {}
+func SweepAll() {}
+func helper() {}
+`
+	for _, tc := range []struct {
+		pkg  string
+		want map[string]bool
+	}{
+		{"main", map[string]bool{"main": true, "RunScenario": true, "SweepAll": true, "helper": false}},
+		{"lib", map[string]bool{"main": false, "RunScenario": true, "SweepAll": true, "helper": false}},
+	} {
+		g := dataflow.Build([]*dataflow.PackageInfo{load(t, tc.pkg, "package "+tc.pkg+"\n"+body)})
+		for name, want := range tc.want {
+			if got := dataflow.IsEntry(fn(t, g, name).Fn); got != want {
+				t.Errorf("IsEntry(%s.%s) = %v, want %v", tc.pkg, name, got, want)
+			}
+		}
+	}
+}
+
 // TestDerivedAnalysesOncePerGraph pins that a graph builds its
 // lock-order graph and MHP sets once, however many goroutines ask, and
 // that another graph of the same package builds its own.

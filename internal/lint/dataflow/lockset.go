@@ -165,11 +165,11 @@ type Acquisition struct {
 
 // AnalyzeLocks runs the reaching-lockset dataflow over one function
 // body on ForwardMust. Deferred Unlock/RUnlock calls do not kill the
-// set mid-body; they are applied to the exit set. Calls to functions
-// are not transparent: a callee that acquires and releases internally
-// does not change the caller's set (Go locks are not reentrant, so the
-// balanced idiom dominates; cross-function holding is handled by the
-// lock-order summaries, not here).
+// set: they run after the body, which no node's set covers. Calls to
+// functions are not transparent: a callee that acquires and releases
+// internally does not change the caller's set (Go locks are not
+// reentrant, so the balanced idiom dominates; cross-function holding is
+// handled by the lock-order summaries, not here).
 func AnalyzeLocks(info *types.Info, body *ast.BlockStmt) *FuncLocks {
 	cfg := BuildCFG(body)
 	fl := &FuncLocks{CFG: cfg, Before: ForwardMust(cfg, func(n ast.Node, held LockSet) LockSet {
