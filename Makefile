@@ -50,8 +50,8 @@ bench-test:
 
 # verify is tier-1 plus the perf gate. benchdiff is the perf-regression
 # contract: the benchmark families (the event-core queue, the DReAMSim
-# sweeps, sink overhead, reconlint and its taint pair, and the control
-# plane) are re-run and compared against the committed baseline that
+# sweeps, sink overhead, reconlint and its taint pair, the control
+# plane and its wire decode) are re-run and compared against the committed baseline that
 # BENCH_BASELINE names (the one place that names the file); an alloc or
 # model-metric regression beyond the noise budget
 # fails verify. The event-core queue gates on allocs/op alone: its
@@ -93,7 +93,7 @@ define BENCH_SNAPSHOT
 { $(GO) test -run xxx -bench 'BenchmarkQueue' -benchtime 1000x -benchmem . \
   && $(GO) test -run xxx -bench 'BenchmarkDReAMSim_ArrivalSweep|BenchmarkDReAMSim_FaultSweep|BenchmarkSinkOverhead' -benchtime $(BENCHTIME_VERIFY) -benchmem . \
   && $(GO) test -run xxx -bench 'BenchmarkReconlint$$|BenchmarkReconlintTaint' -benchtime 1x -benchmem ./cmd/reconlint \
-  && $(GO) test -run xxx -bench 'BenchmarkControlPlane' -benchtime $(BENCHTIME_VERIFY) -benchmem ./internal/controlplane ; } > $(BENCH_RAW)
+  && $(GO) test -run xxx -bench 'BenchmarkControlPlane|BenchmarkWireDecode' -benchtime $(BENCHTIME_VERIFY) -benchmem ./internal/controlplane ; } > $(BENCH_RAW)
 endef
 
 # Re-record the committed baseline. Do this only when a benchmark

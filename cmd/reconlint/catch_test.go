@@ -185,10 +185,16 @@ var catchTable = []catchRow{
 	// against 4,096) and TestRepoTaintBaselineEmpty, race only in the
 	// latter; benchdiff regressed: BenchmarkControlPlane 474,866 to
 	// 3,955,880 B/op. Now wiretaint reports it, 10 runs of 10.
+	// Re-anchored on the task table's index once the tenant's task map
+	// became that table, made with a tenant's first task, and measured
+	// alone on that tree: vet clean; test and race fail in
+	// TestHeapPerTenant (39,655 B per tenant against 1,533, 39,846 B
+	// against 1,834 with ten tasks); BenchmarkControlPlane read 345,877
+	// B/op, about four times its baseline.
 	{
 		class:    "operator queue bound presizes a tenant map unclamped",
 		file:     "internal/controlplane/tenant.go",
-		edits:    []seedEdit{{"\t\ttasks:  make(map[string]taskState),\n", "\t\ttasks:  make(map[string]taskState, policy.MaxQueue),\n"}},
+		edits:    []seedEdit{{"\t\tte.tasks = new(taskTable)\n", "\t\tte.tasks = &taskTable{index: make([]uint32, te.policy.MaxQueue)}\n"}},
 		analyzer: "wiretaint",
 		deleted:  "sizecap",
 	},

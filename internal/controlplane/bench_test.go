@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -68,4 +69,36 @@ func BenchmarkControlPlane(b *testing.B) {
 	b.ReportMetric(completed, "completed")
 	b.ReportMetric(faultAborts, "fault-aborts")
 	b.ReportMetric(repairSeconds, "repair-s")
+}
+
+// BenchmarkWireDecode measures the wire decode layer as a connection
+// runs it, one warm decoder decoding the same line again: a submit of
+// the rmsd task mix and a status, which the one-pass path reads, and a
+// line with an escape, which goes to encoding/json.
+func BenchmarkWireDecode(b *testing.B) {
+	submit, err := json.Marshal(Request{Op: OpSubmit, Tenant: "tenant-00042", Tier: "virtualized",
+		Task: &TaskSpec{ID: "task-00117", WorkMI: 83.51302845511407, Parallel: 0.6046602879796196, Scenario: "userhw", Design: "aes128"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct{ name, line string }{
+		{"submit", string(submit)},
+		{"status", `{"op":"status","tenant":"tenant-00042","task_id":"task-00117"}`},
+		{"fallback", `{"op":"status","tenant":"tenant-00042","task_id":"task\u002d00117"}`},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			line := []byte(bc.line)
+			d := new(wireDecoder)
+			if err := d.decodeRequest(line, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := d.decodeRequest(line, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

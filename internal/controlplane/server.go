@@ -330,20 +330,25 @@ func (s *Server) handleConn(conn net.Conn) {
 	enc := json.NewEncoder(conn)
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 4096), MaxRequestBytes+2)
-	// Every line is decoded into one request and answered from one
-	// response: decodeRequest zeroes req first, and resp is encoded
-	// through its pointer, so no line makes either anew.
-	var req Request
+	// Every line is decoded by one decoder into its one request and
+	// answered from one response: decodeRequest zeroes the request
+	// first, and resp is encoded through its pointer, so no line makes
+	// either anew. A shard reads a submit's task spec, the decoder's
+	// own, only until it replies. A shutdown that cuts the wait for the
+	// reply off may leave the shard still reading it, but Shutdown has
+	// closed the connection by then, so the answer's write fails and no
+	// further line is decoded.
+	dec := new(wireDecoder)
 	resp := new(Response)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		if err := decodeRequest(line, MaxRequestBytes, &req); err != nil {
-			*resp = errorResponse(req.Op, err)
+		if err := dec.decodeRequest(line, MaxRequestBytes); err != nil {
+			*resp = errorResponse(dec.req.Op, err)
 		} else {
-			*resp = s.Do(req)
+			*resp = s.Do(dec.req)
 		}
 		err := enc.Encode(resp)
 		*resp = Response{} // an idle connection holds no stats roster or dump

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -265,13 +266,75 @@ func TestConnectionDecodeZeroed(t *testing.T) {
 	}
 }
 
+// TestPipelinedWireSubmits sends 300 submits over one connection in one
+// write, so the connection decodes each line into the task spec the
+// shard read for the line before while the shard runs that line's task.
+// Every answer names its own task, and the tenants end with what the
+// same submits give through Do, each with a spec of its own; under
+// -race, a shard that read the spec after replying is reported.
+func TestPipelinedWireSubmits(t *testing.T) {
+	var lines []byte
+	var reqs []Request
+	for i := 0; i < 300; i++ {
+		ts := &TaskSpec{ID: taskID("t", i), WorkMI: float64(50 + i%200), Parallel: float64(i%10) / 10, Scenario: scenarioOf(i)}
+		if ts.Scenario == "userhw" {
+			ts.Design = "aes128"
+		}
+		req := Request{Op: OpSubmit, Tenant: taskID("tenant", i%3), Task: ts}
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(append(lines, b...), '\n')
+		reqs = append(reqs, req)
+	}
+	s := newTestServer(t, DefaultConfig())
+	conn := serveLoopback(t, s)
+	go func() {
+		if _, err := conn.Write(lines); err != nil {
+			t.Error(err)
+		}
+	}()
+	rd := bufio.NewReader(conn)
+	for i, req := range reqs {
+		line, err := rd.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		if err := json.Unmarshal(line, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if !resp.OK || resp.Tenant != req.Tenant || resp.TaskID != req.Task.ID {
+			t.Fatalf("submit %d answered %s", i, line)
+		}
+	}
+	mustOK(t, s.Do(Request{Op: OpDrain}))
+	ref := newTestServer(t, DefaultConfig())
+	for _, req := range reqs {
+		mustOK(t, ref.Do(req))
+	}
+	mustOK(t, ref.Do(Request{Op: OpDrain}))
+	got, err := s.StatsAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.StatsAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("over one connection the tenants end as\n%+v\nthrough Do as\n%+v", got, want)
+	}
+}
+
 // TestWireSubmitAllocs pins what one submit costs the server over the
-// wire on a warm tenant: a connection decodes into one request and
-// encodes from one response, Do takes its reply channel from a pool and
-// the task runs from its shard's slot, so what is left is what
-// encoding/json allocates while decoding (the task spec and the
-// request's strings, the task ID among them, which the tenant keeps) and
-// the tenant's task map growing.
+// wire on a warm tenant: a connection decodes in one pass into one
+// request and its own task spec, reusing the tenant's and the design's
+// strings, and encodes from one response, Do takes its reply channel
+// from a pool and the task runs from its shard's slot, so what is left
+// is the task ID's string and the tenant's task table growing. It reads
+// 1.0 (2 vCPUs, amd64, Go 1.24.0).
 func TestWireSubmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
@@ -279,7 +342,7 @@ func TestWireSubmitAllocs(t *testing.T) {
 	const (
 		warm    = 64
 		runs    = 500
-		ceiling = 12.5 // allocations per submit
+		ceiling = 2 // allocations per submit
 	)
 	conn := serveLoopback(t, newTestServer(t, DefaultConfig()))
 	rd := bufio.NewReader(conn)

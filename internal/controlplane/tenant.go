@@ -43,8 +43,8 @@ type tenantCounters struct {
 	Accepted  int `json:"accepted"`
 	// Rejected counts every admission denial (quota, queue bound,
 	// invalid task, draining); QuotaDenied is the subset denied by a
-	// tier resource limit — admission rate or queue bound — as opposed
-	// to malformed or mistimed requests.
+	// resource limit — admission rate, queue bound or a full task
+	// table — as opposed to malformed or mistimed requests.
 	Rejected    int `json:"rejected"`
 	QuotaDenied int `json:"quota_denied"`
 	// Completed / Evicted / Canceled are terminal outcomes; InFlight is
@@ -69,7 +69,7 @@ type tenantCounters struct {
 }
 
 // taskState is a control-plane task's lifecycle state.
-type taskState int
+type taskState uint8
 
 const (
 	stateQueued taskState = iota
@@ -84,7 +84,7 @@ var taskStateNames = [...]string{
 }
 
 func (s taskState) String() string {
-	if s >= 0 && int(s) < len(taskStateNames) {
+	if int(s) < len(taskStateNames) {
 		return taskStateNames[s]
 	}
 	return fmt.Sprintf("taskState(%d)", int(s))
@@ -120,8 +120,9 @@ type tenantEngine struct {
 	// instead (shard.submit). run empties the queue and drops its array.
 	queue []task.Task
 	// tasks holds the state of every task the tenant ever accepted:
-	// what status, cancel and the duplicate-ID check read back.
-	tasks map[string]taskState
+	// what status, cancel and the duplicate-ID check read back. It is
+	// made with the first task, so a tenant that never has one holds none.
+	tasks *taskTable
 
 	bucket tokenBucket
 
@@ -204,7 +205,6 @@ func newTenantEngine(id string, tier Tier, policy *TierPolicy, seed uint64, cfg 
 		policy: policy,
 		reg:    reg,
 		mm:     mm,
-		tasks:  make(map[string]taskState),
 		bucket: newTokenBucket(policy.Burst, nowNanos),
 	}
 	if cfg.Sink != nil {
@@ -268,7 +268,7 @@ func (te *tenantEngine) submit(spec *TaskSpec, nowNanos int64, draining bool, t 
 	if draining {
 		return fail(errWire(CodeDraining, "server is draining; submissions are closed"))
 	}
-	if _, dup := te.tasks[spec.ID]; dup {
+	if _, dup := te.tasks.state(spec.ID); dup {
 		return fail(errWire(CodeInvalidTask, "task %q already exists", spec.ID))
 	}
 	if len(te.queue) >= te.policy.MaxQueue {
@@ -286,7 +286,13 @@ func (te *tenantEngine) submit(spec *TaskSpec, nowNanos int64, draining bool, t 
 		// %q because the error embeds the tenant-chosen task ID.
 		return fail(errWire(CodeInvalidTask, "task %q: %q", spec.ID, err))
 	}
-	te.tasks[spec.ID] = stateQueued
+	if te.tasks == nil {
+		te.tasks = new(taskTable)
+	}
+	if !te.tasks.add(spec.ID, stateQueued) {
+		te.stats.QuotaDenied++
+		return fail(errWire(CodeQuotaExceeded, "tenant %q has filled its task table with 4 GiB of task IDs", te.id))
+	}
 	te.stats.Accepted++
 	te.stats.InFlight++
 	te.emit(obs.KindQueued, spec.ID, nil)
@@ -296,7 +302,7 @@ func (te *tenantEngine) submit(spec *TaskSpec, nowNanos int64, draining bool, t 
 // cancel removes a queued task. Terminal tasks report their state with
 // OK=false and code unknown_task is reserved for IDs never seen.
 func (te *tenantEngine) cancel(taskID string) Response {
-	st, ok := te.tasks[taskID]
+	st, ok := te.tasks.state(taskID)
 	if !ok {
 		return errorResponse(OpCancel, errWire(CodeUnknownTask, "tenant %q has no task %q", te.id, taskID))
 	}
@@ -318,7 +324,7 @@ func (te *tenantEngine) cancel(taskID string) Response {
 
 // status reports a task's lifecycle state.
 func (te *tenantEngine) status(taskID string) Response {
-	st, ok := te.tasks[taskID]
+	st, ok := te.tasks.state(taskID)
 	if !ok {
 		return errorResponse(OpStatus, errWire(CodeUnknownTask, "tenant %q has no task %q", te.id, taskID))
 	}
@@ -425,10 +431,10 @@ func (te *tenantEngine) evict(id string) {
 	te.emit(obs.KindLost, id, nil)
 }
 
-// settle records a task's terminal state: only the state in tasks
+// settle records a task's terminal state: only its record in tasks
 // outlives the task.
 func (te *tenantEngine) settle(id string, st taskState) {
-	te.tasks[id] = st
+	te.tasks.set(id, st)
 	te.stats.InFlight--
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 )
 
 // The wire protocol is line-delimited JSON over TCP or a unix socket: one
@@ -139,17 +140,30 @@ func errorResponse(op string, err error) Response {
 	return Response{Op: op, Code: ErrorCode(err), Error: err.Error()}
 }
 
-// validOps is the decoder's operation whitelist.
-var validOps = map[string]bool{
-	OpSubmit: true, OpStatus: true, OpCancel: true, OpStats: true,
-	OpDrain: true, OpPause: true, OpResume: true, OpDump: true,
-	OpPing: true, OpShutdown: true,
-}
+// wireOps are the wire operations; validOps, their set, is the
+// decoder's operation whitelist.
+var (
+	wireOps  = [...]string{OpSubmit, OpStatus, OpCancel, OpStats, OpDrain, OpPause, OpResume, OpDump, OpPing, OpShutdown}
+	validOps = nameSet(wireOps[:])
+)
 
-// wireScenarios are the scenario names a TaskSpec may carry. The
-// device-specific scenario needs a user bitstream, which the wire format
-// does not transport; it is rejected as an unknown scenario.
-var wireScenarios = map[string]bool{"": true, "software": true, "softcore": true, "userhw": true}
+// scenarioNames are the scenario names a TaskSpec may carry, and
+// wireScenarios their set. The device-specific scenario needs a user
+// bitstream, which the wire format does not transport; it is rejected
+// as an unknown scenario.
+var (
+	scenarioNames = [...]string{"", "software", "softcore", "userhw"}
+	wireScenarios = nameSet(scenarioNames[:])
+)
+
+// nameSet returns the set of names.
+func nameSet(names []string) map[string]bool {
+	set := make(map[string]bool, len(names))
+	for _, n := range names {
+		set[n] = true
+	}
+	return set
+}
 
 // DecodeRequest parses and validates one request line under the given
 // size cap (maxBytes ≤ 0 selects MaxRequestBytes). It never panics:
@@ -157,15 +171,27 @@ var wireScenarios = map[string]bool{"": true, "software": true, "softcore": true
 // non-finite numbers, and invalid task specs all return an error whose
 // ErrorCode is a stable wire code.
 func DecodeRequest(line []byte, maxBytes int) (Request, error) {
-	var req Request
-	err := decodeRequest(line, maxBytes, &req)
-	return req, err
+	d := new(wireDecoder)
+	err := d.decodeRequest(line, maxBytes)
+	return d.req, err
 }
 
-// decodeRequest is DecodeRequest into *req, which it zeroes first, so no
-// field of an earlier request survives into this one: a connection
-// decodes all its lines into one Request.
-func decodeRequest(line []byte, maxBytes int, req *Request) error {
+// wireDecoder is what a connection decodes its lines with: the request
+// and the task spec every line decodes into, and the last tenant and
+// design names it read, whose strings a later line naming them reuses.
+type wireDecoder struct {
+	req            Request
+	spec           TaskSpec
+	tenant, design string
+}
+
+// decodeRequest decodes and validates line into d.req, which it zeroes
+// first, so no field of an earlier line survives into this one. A line
+// in the shape json.Marshal writes a Request in is read in one pass
+// (scan); any other line goes to encoding/json, so every reject keeps
+// its code and message.
+func (d *wireDecoder) decodeRequest(line []byte, maxBytes int) error {
+	req := &d.req
 	*req = Request{}
 	if maxBytes <= 0 {
 		maxBytes = MaxRequestBytes
@@ -173,8 +199,11 @@ func decodeRequest(line []byte, maxBytes int, req *Request) error {
 	if len(line) > maxBytes {
 		return errWire(CodeOversized, "request of %d bytes exceeds the %d-byte cap", len(line), maxBytes)
 	}
-	if err := json.Unmarshal(line, req); err != nil {
-		return errWire(CodeBadRequest, "malformed request: %v", err)
+	if !d.scan(line) {
+		*req = Request{}
+		if err := json.Unmarshal(line, req); err != nil {
+			return errWire(CodeBadRequest, "malformed request: %v", err)
+		}
 	}
 	if !validOps[req.Op] {
 		return errWire(CodeUnknownOp, "unknown op %q", req.Op)
@@ -238,3 +267,191 @@ func (t *TaskSpec) Validate() error {
 }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// scan reads line into d.req in one pass, and a task into d.spec, when
+// the line reads the same to encoding/json: one object of the schema's
+// exact-case keys, each at most once, whose strings are printable ASCII
+// with no escape and whose numbers follow JSON's grammar and parse with
+// strconv.ParseFloat, as encoding/json parses them. Op, tier and
+// scenario strings come from their fixed tables, and a tenant or design
+// equal to the last one read is that string again. On any other line it
+// returns false, with what it read so far left in d.req and d.spec.
+func (d *wireDecoder) scan(line []byte) bool {
+	l := wireLine{b: line}
+	return l.object(func(key []byte) (bit uint8, ok bool) {
+		var v []byte
+		switch string(key) {
+		case "op":
+			v, ok = l.str()
+			d.req.Op = tableName(v, wireOps[:])
+			return 1, ok
+		case "tenant":
+			v, ok = l.str()
+			d.req.Tenant = lastName(v, &d.tenant)
+			return 2, ok
+		case "tier":
+			v, ok = l.str()
+			d.req.Tier = tableName(v, tierNames[:])
+			return 4, ok
+		case "task_id":
+			v, ok = l.str()
+			d.req.TaskID = string(v)
+			return 8, ok
+		case "task":
+			d.req.Task = &d.spec
+			return 16, d.scanTask(&l)
+		}
+		return 0, false
+	}) && l.i == len(l.b)
+}
+
+// scanTask reads a task object into d.spec, which it zeroes first.
+func (d *wireDecoder) scanTask(l *wireLine) bool {
+	s := &d.spec
+	*s = TaskSpec{}
+	return l.object(func(key []byte) (bit uint8, ok bool) {
+		var v []byte
+		switch string(key) {
+		case "id":
+			v, ok = l.str()
+			s.ID = string(v)
+			return 1, ok
+		case "work_mi":
+			s.WorkMI, ok = l.num()
+			return 2, ok
+		case "parallel":
+			s.Parallel, ok = l.num()
+			return 4, ok
+		case "data_mb":
+			s.DataMB, ok = l.num()
+			return 8, ok
+		case "scenario":
+			v, ok = l.str()
+			s.Scenario = tableName(v, scenarioNames[:])
+			return 16, ok
+		case "design":
+			v, ok = l.str()
+			s.Design = lastName(v, &d.design)
+			return 32, ok
+		}
+		return 0, false
+	})
+}
+
+// tableName returns the entry of names equal to b, or else b as a new
+// string.
+func tableName(b []byte, names []string) string {
+	for _, n := range names {
+		if n == string(b) {
+			return n
+		}
+	}
+	return string(b)
+}
+
+// lastName returns *last if it equals b, or else b as a new string,
+// which it keeps in *last.
+func lastName(b []byte, last *string) string {
+	if *last != string(b) {
+		*last = string(b)
+	}
+	return *last
+}
+
+// wireLine is the one-pass decode's cursor over a request line.
+type wireLine struct {
+	b []byte
+	i int
+}
+
+// object reads an object, calling member on each key to read its value.
+// member returns the key's bit, 0 for an unknown key, and whether it
+// read the value; a key read twice fails the object.
+func (l *wireLine) object(member func(key []byte) (bit uint8, ok bool)) bool {
+	if !l.skip('{') {
+		return false
+	}
+	var seen uint8
+	for first := true; !l.skip('}'); first = false {
+		if !first && !l.skip(',') {
+			return false
+		}
+		key, ok := l.str()
+		if !ok || !l.skip(':') {
+			return false
+		}
+		bit, ok := member(key)
+		if !ok || bit == 0 || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+	}
+	return true
+}
+
+// skip consumes c if it is the next byte.
+func (l *wireLine) skip(c byte) bool {
+	if l.i < len(l.b) && l.b[l.i] == c {
+		l.i++
+		return true
+	}
+	return false
+}
+
+// str reads a string of printable ASCII with no escape: the string's
+// value is its bytes.
+func (l *wireLine) str() ([]byte, bool) {
+	if !l.skip('"') {
+		return nil, false
+	}
+	for start := l.i; l.i < len(l.b); l.i++ {
+		switch c := l.b[l.i]; {
+		case c == '"':
+			l.i++
+			return l.b[start : l.i-1], true
+		case c < ' ' || c > '~' || c == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// maxNumberBytes is the longest number the one-pass decode reads, so
+// the string it parses fits the compiler's stack buffer for a
+// conversion that does not escape.
+const maxNumberBytes = 32
+
+// num reads a number in JSON's grammar and parses it as encoding/json
+// parses a float64.
+func (l *wireLine) num() (float64, bool) {
+	start := l.i
+	l.skip('-')
+	if !l.skip('0') && l.digits() == 0 {
+		return 0, false
+	}
+	if l.skip('.') && l.digits() == 0 {
+		return 0, false
+	}
+	if l.skip('e') || l.skip('E') {
+		if !l.skip('+') {
+			l.skip('-')
+		}
+		if l.digits() == 0 {
+			return 0, false
+		}
+	}
+	if l.i-start > maxNumberBytes {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(string(l.b[start:l.i]), 64)
+	return f, err == nil
+}
+
+// digits consumes a run of decimal digits and returns its length.
+func (l *wireLine) digits() int {
+	start := l.i
+	for l.i < len(l.b) && '0' <= l.b[l.i] && l.b[l.i] <= '9' {
+		l.i++
+	}
+	return l.i - start
+}

@@ -13,21 +13,13 @@ import (
 // switches, selects, goto, and labeled break/continue. Short-circuit
 // operators are not split into separate blocks — statement granularity
 // is what the lockset and init analyses need — and panics are not
-// modeled as edges.
-//
-// Defer is modeled with the Go runtime's semantics at the granularity
-// the lock analyses require: deferred calls are collected into Defers
-// (in source order) and conceptually run after Exit, so a
-// defer mu.Unlock() never kills the lockset mid-body.
+// modeled as edges. A defer statement is a node where it appears, since
+// its arguments evaluate there; the lock analyses give it no effect
+// mid-body, so a defer mu.Unlock() never kills the lockset.
 type CFG struct {
 	Blocks []*Block
 	Entry  *Block
 	Exit   *Block
-	// Defers lists every defer statement in the function body, source
-	// order. Conditional defers are included — the lock analyses treat
-	// all of them as running at function exit, which is conservative for
-	// "still held" and exact for the dominant defer-at-top idiom.
-	Defers []*ast.DeferStmt
 }
 
 // Block is one straight-line run of statements. Nodes are ast.Stmt or
@@ -237,12 +229,9 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			// Handled by the switch builder: the case body's open block
 			// falls into the next clause. Nothing to wire here.
 		}
-	case *ast.DeferStmt:
-		b.cfg.Defers = append(b.cfg.Defers, s)
-		b.add(s)
 	default:
 		// Straight-line statements: assignments, declarations, calls,
-		// sends, go, inc/dec, empty.
+		// sends, go, defer, inc/dec, empty.
 		b.add(s)
 	}
 }

@@ -81,39 +81,6 @@ func hasSucc(b, s *Block) bool {
 	return false
 }
 
-func TestCFGDeferCollection(t *testing.T) {
-	fset, body := parseBody(t, `
-	defer a()
-	if cond {
-		defer b()
-	}
-	defer c()
-`)
-	cfg := BuildCFG(body)
-	if len(cfg.Defers) != 3 {
-		t.Fatalf("Defers = %d, want 3 (conditional defers included)", len(cfg.Defers))
-	}
-	for i := 1; i < len(cfg.Defers); i++ {
-		if cfg.Defers[i].Pos() < cfg.Defers[i-1].Pos() {
-			t.Errorf("Defers out of source order at %d", i)
-		}
-	}
-	// Defer statements also appear in the flow (their argument
-	// expressions evaluate at the defer site); the conditional one
-	// sits in the if-branch block, not the entry block.
-	condDefer := blockOf(t, cfg, fset, func(n ast.Node) bool {
-		d, ok := n.(*ast.DeferStmt)
-		if !ok {
-			return false
-		}
-		id, ok := d.Call.Fun.(*ast.Ident)
-		return ok && id.Name == "b"
-	})
-	if condDefer == cfg.Entry {
-		t.Error("conditional defer placed in the entry block")
-	}
-}
-
 func TestCFGGotoForwardAndUnreachable(t *testing.T) {
 	fset, body := parseBody(t, `
 	x = 1
