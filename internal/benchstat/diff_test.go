@@ -35,28 +35,44 @@ func classOf(t *testing.T, rep *Report, name, unit string) (Class, string) {
 
 func TestDiffThresholds(t *testing.T) {
 	base := map[string]float64{"ns/op": 1_000_000, "B/op": 100_000, "allocs/op": 1000, "reconfigs": 11}
+	// small is a row of a few allocations, like a one-pass wire decode.
+	small := map[string]float64{"ns/op": 1_000, "B/op": 16, "allocs/op": 1}
 	cases := []struct {
 		name    string
+		old     map[string]float64 // nil means base
 		iters   int64
 		metrics map[string]float64
 		unit    string
 		want    Class
+		// otherMachine diffs with wall-time gating off, as cmd/benchdiff
+		// does when SameMachine fails.
+		otherMachine bool
 	}{
-		{"within all budgets", 100, map[string]float64{"ns/op": 1_200_000, "B/op": 104_000, "allocs/op": 1050, "reconfigs": 11}, "allocs/op", ClassSame},
-		{"alloc regression beyond 10%", 100, map[string]float64{"ns/op": 1_000_000, "B/op": 100_000, "allocs/op": 1200, "reconfigs": 11}, "allocs/op", ClassRegressed},
-		{"alloc improvement beyond 10%", 100, map[string]float64{"ns/op": 1_000_000, "B/op": 100_000, "allocs/op": 500, "reconfigs": 11}, "allocs/op", ClassImproved},
-		{"bytes under absolute floor", 100, map[string]float64{"ns/op": 1_000_000, "B/op": 102_000, "allocs/op": 1000, "reconfigs": 11}, "B/op", ClassSame},
-		{"time regression with iterations", 100, map[string]float64{"ns/op": 2_000_000, "B/op": 100_000, "allocs/op": 1000, "reconfigs": 11}, "ns/op", ClassRegressed},
-		{"time regression under min-iters", 3, map[string]float64{"ns/op": 2_000_000, "B/op": 100_000, "allocs/op": 1000, "reconfigs": 11}, "ns/op", ClassInfo},
-		{"time improvement", 100, map[string]float64{"ns/op": 400_000, "B/op": 100_000, "allocs/op": 1000, "reconfigs": 11}, "ns/op", ClassImproved},
-		{"model metric drift up", 100, map[string]float64{"ns/op": 1_000_000, "B/op": 100_000, "allocs/op": 1000, "reconfigs": 12}, "reconfigs", ClassRegressed},
-		{"model metric drift down", 100, map[string]float64{"ns/op": 1_000_000, "B/op": 100_000, "allocs/op": 1000, "reconfigs": 10}, "reconfigs", ClassRegressed},
+		{"within all budgets", nil, 100, map[string]float64{"ns/op": 1_200_000, "B/op": 104_000, "allocs/op": 1050, "reconfigs": 11}, "allocs/op", ClassSame, false},
+		{"alloc regression beyond 10%", nil, 100, map[string]float64{"ns/op": 1_000_000, "B/op": 100_000, "allocs/op": 1200, "reconfigs": 11}, "allocs/op", ClassRegressed, false},
+		{"alloc improvement beyond 10%", nil, 100, map[string]float64{"ns/op": 1_000_000, "B/op": 100_000, "allocs/op": 500, "reconfigs": 11}, "allocs/op", ClassImproved, false},
+		{"bytes under absolute floor", nil, 100, map[string]float64{"ns/op": 1_000_000, "B/op": 102_000, "allocs/op": 1000, "reconfigs": 11}, "B/op", ClassSame, false},
+		{"small row allocs past the floor", small, 3, map[string]float64{"ns/op": 1_000, "B/op": 280, "allocs/op": 8}, "allocs/op", ClassRegressed, false},
+		{"small row bytes past the floor", small, 3, map[string]float64{"ns/op": 1_000, "B/op": 280, "allocs/op": 8}, "B/op", ClassRegressed, false},
+		{"time regression with iterations", nil, 100, map[string]float64{"ns/op": 2_000_000, "B/op": 100_000, "allocs/op": 1000, "reconfigs": 11}, "ns/op", ClassRegressed, false},
+		{"time regression under min-iters", nil, 3, map[string]float64{"ns/op": 2_000_000, "B/op": 100_000, "allocs/op": 1000, "reconfigs": 11}, "ns/op", ClassInfo, false},
+		{"time improvement", nil, 100, map[string]float64{"ns/op": 400_000, "B/op": 100_000, "allocs/op": 1000, "reconfigs": 11}, "ns/op", ClassImproved, false},
+		{"time improvement under min-iters", nil, 3, map[string]float64{"ns/op": 400_000, "B/op": 100_000, "allocs/op": 1000, "reconfigs": 11}, "ns/op", ClassInfo, false},
+		{"time improvement across machines", nil, 100, map[string]float64{"ns/op": 400_000, "B/op": 100_000, "allocs/op": 1000, "reconfigs": 11}, "ns/op", ClassInfo, true},
+		{"model metric drift up", nil, 100, map[string]float64{"ns/op": 1_000_000, "B/op": 100_000, "allocs/op": 1000, "reconfigs": 12}, "reconfigs", ClassRegressed, false},
+		{"model metric drift down", nil, 100, map[string]float64{"ns/op": 1_000_000, "B/op": 100_000, "allocs/op": 1000, "reconfigs": 10}, "reconfigs", ClassRegressed, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			old := doc(res("BenchmarkX", 100, base))
+			metrics := tc.old
+			if metrics == nil {
+				metrics = base
+			}
+			old := doc(res("BenchmarkX", 100, metrics))
 			new := doc(res("BenchmarkX", tc.iters, tc.metrics))
-			rep := Diff(old, new, DefaultOptions())
+			opts := DefaultOptions()
+			opts.GateTime = !tc.otherMachine
+			rep := Diff(old, new, opts)
 			if got, note := classOf(t, rep, "BenchmarkX", tc.unit); got != tc.want {
 				t.Errorf("class = %v (%s), want %v", got, note, tc.want)
 			}

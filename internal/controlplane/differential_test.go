@@ -73,8 +73,8 @@ func runTrace(t *testing.T, shards int, withFaults bool) (map[string][]string, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A tenant emits from one shard goroutine, so its events keep their
-	// order in the shared recorder.
+	// A tenant emits only under its shard's lock, so its events keep
+	// their order in the shared recorder.
 	done := make(map[string][]string, len(stats))
 	for _, ev := range rec.Events() {
 		if ev.Kind == obs.KindComplete {

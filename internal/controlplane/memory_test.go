@@ -226,8 +226,8 @@ func TestTenantsShareCatalog(t *testing.T) {
 	}
 	mustOK(t, s.Do(Request{Op: OpDrain}))
 
-	// The drain reply orders every shard's work before these reads, and
-	// idle shards write nothing.
+	// The drain took every shard's lock after that shard's work, and
+	// nothing writes a shard's tenants since.
 	ta, tb := s.shardFor(a).tenants[a], s.shardFor(b).tenants[b]
 	if ta.mm == tb.mm {
 		t.Fatal("two tenants share a matchmaker")
@@ -324,8 +324,8 @@ func TestSettledTasksUnreachable(t *testing.T) {
 	mustOK(t, s.Do(Request{Op: OpResume}))
 	mustOK(t, s.Do(Request{Op: OpDrain}))
 
-	// The drain reply orders every shard's work before these reads, and
-	// idle shards write nothing.
+	// The drain took every shard's lock after that shard's work, and
+	// nothing writes a shard's tenants since.
 	type settledTask struct {
 		tenant, id string
 		state      taskState

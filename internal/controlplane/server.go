@@ -35,8 +35,8 @@ type Config struct {
 	// Faults optionally injects a fault model into every tenant slice.
 	Faults faults.Spec
 	// Sink receives per-tenant lifecycle events and gauges when set.
-	// Sinks must be safe for concurrent use (the obs contract); shards
-	// emit from their own goroutines.
+	// Sinks must be safe for concurrent use (the obs contract): requests
+	// on different shards emit at once.
 	Sink obs.TraceSink
 	// NowNanos is the admission clock feeding token-bucket refill (the
 	// only wall-clock input the control plane has). nil disables rate
@@ -56,17 +56,17 @@ type Config struct {
 // DefaultShards is the dispatcher width when Config.Shards is unset.
 const DefaultShards = 4
 
-// MaxShards caps the dispatcher width: each shard costs a goroutine and
-// a 256-slot inbox, so a runaway configuration value is clamped rather
-// than allocated.
+// MaxShards caps the dispatcher width: each shard costs a lock and a
+// tenant map, so a runaway configuration value is clamped rather than
+// allocated.
 const MaxShards = 1024
 
 // DefaultConfig returns a deterministic quota-free configuration.
 func DefaultConfig() Config { return Config{Shards: DefaultShards, Seed: 1} }
 
 // Server is the control plane: shards plus the connection front end.
-// Request routing is lock-free (atomic flags and channel sends); the
-// mutex only guards the listener/connection roster.
+// Each shard has a lock of its own (see shard); mu guards only the
+// listener/connection roster.
 type Server struct {
 	cfg    Config
 	rng    *sim.RNG // seed splitter; only the pure SplitSeed is used
@@ -79,7 +79,7 @@ type Server struct {
 	paused   atomic.Bool
 	closed   atomic.Bool
 
-	// wg joins shard loops, accept loops, and connection handlers.
+	// wg joins the connection handlers.
 	wg sync.WaitGroup
 
 	mu        sync.Mutex // guards listeners and conns
@@ -90,14 +90,12 @@ type Server struct {
 	shutdownCh   chan struct{}
 }
 
-// New starts a server's shards. The caller must Shutdown it.
+// New builds a server. The caller must Shutdown it.
 func New(cfg Config) (*Server, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
 	if cfg.Shards > MaxShards {
-		// Each shard is a goroutine plus a buffered inbox; an absurd
-		// operator value must not translate into an absurd allocation.
 		cfg.Shards = MaxShards
 	}
 	if cfg.Faults.Enabled() {
@@ -114,11 +112,7 @@ func New(cfg Config) (*Server, error) {
 	s.policies = tierPolicies(&s.cfg)
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
-		s.shards[i] = newShard(i, s)
-	}
-	for _, sh := range s.shards {
-		s.wg.Add(1)
-		go sh.loop()
+		s.shards[i] = newShard(s)
 	}
 	return s, nil
 }
@@ -158,10 +152,19 @@ func errShutdown(op string) Response {
 	return errorResponse(op, errWire(CodeInternal, "server is shutting down"))
 }
 
-// Do serves one decoded request. It is safe for concurrent use and is
-// the same entry point the wire front end drives, so in-process callers
-// (tests, embedders) get identical semantics without a socket.
+// errShuttingDown is what StatsAll and DumpTenants return once Shutdown
+// has begun.
+var errShuttingDown = errors.New("controlplane: server is shutting down")
+
+// Do serves one request. It is safe for concurrent use and is the same
+// entry point the wire front end drives, so in-process callers (tests,
+// embedders) get identical semantics without a socket: Do checks every
+// request as DecodeRequest does, and a tenant's request is served on the
+// caller's goroutine under its shard's lock.
 func (s *Server) Do(req Request) Response {
+	if err := req.validate(); err != nil {
+		return errorResponse(req.Op, err)
+	}
 	switch req.Op {
 	case OpPing:
 		return Response{OK: true, Op: OpPing}
@@ -193,37 +196,18 @@ func (s *Server) Do(req Request) Response {
 			}
 			return Response{OK: true, Op: OpStats, Tenants: stats}
 		}
-	case OpSubmit, OpStatus, OpCancel:
-	default:
-		return errorResponse(req.Op, errWire(CodeUnknownOp, "unknown op %q", req.Op))
 	}
-	if req.Tenant == "" {
-		return errorResponse(req.Op, errWire(CodeBadRequest, "%s needs a tenant", req.Op))
-	}
-	reply, ok := s.shardFor(req.Tenant).send(opMsg{kind: ctlRequest, req: req, nowNanos: s.now()})
-	if !ok {
-		return errShutdown(req.Op)
-	}
-	return reply.resp
+	return s.shardFor(req.Tenant).do(&req, s.now())
 }
 
-// runQueued is the barrier behind drain and resume: every shard runs
-// every tenant's queue empty, and the call returns once all shards have.
-// Drain closes admission before it, so no task is in flight anywhere
-// when a drain answers; resume reopens admission first.
+// runQueued is the barrier behind drain and resume: it takes each
+// shard's lock in turn and runs every tenant's queue empty, so the call
+// returns once all shards have. Drain closes admission before it, so no
+// task is in flight anywhere when a drain answers; resume reopens
+// admission first.
 func (s *Server) runQueued(op string) Response {
-	replies := make([]chan shardReply, 0, len(s.shards))
 	for _, sh := range s.shards {
-		reply := make(chan shardReply, 1)
-		if !sh.post(opMsg{kind: ctlRunQueued, reply: reply}) {
-			return errShutdown(op)
-		}
-		replies = append(replies, reply)
-	}
-	for _, reply := range replies {
-		select {
-		case <-reply:
-		case <-s.shards[0].quit:
+		if !sh.runQueued() {
 			return errShutdown(op)
 		}
 	}
@@ -232,54 +216,12 @@ func (s *Server) runQueued(op string) Response {
 
 // StatsAll snapshots every tenant across all shards, sorted by name.
 func (s *Server) StatsAll() ([]TenantStats, error) {
-	dumps := make([][]TenantStats, 0, len(s.shards))
-	for _, sh := range s.shards {
-		reply, ok := sh.send(opMsg{kind: ctlStatsAll})
-		if !ok {
-			return nil, errors.New("controlplane: server is shutting down")
-		}
-		dumps = append(dumps, reply.stats)
-	}
-	return mergeSorted(dumps, func(a, b TenantStats) bool { return a.Tenant < b.Tenant }), nil
+	return snapshotAll(s, (*tenantEngine).snapshot, func(st *TenantStats) string { return st.Tenant })
 }
 
 // DumpTenants snapshots every tenant's full state, sorted by name.
 func (s *Server) DumpTenants() ([]TenantDump, error) {
-	dumps := make([][]TenantDump, 0, len(s.shards))
-	for _, sh := range s.shards {
-		reply, ok := sh.send(opMsg{kind: ctlDumpAll})
-		if !ok {
-			return nil, errors.New("controlplane: server is shutting down")
-		}
-		dumps = append(dumps, reply.dumps)
-	}
-	return mergeSorted(dumps, func(a, b TenantDump) bool { return a.Stats.Tenant < b.Stats.Tenant }), nil
-}
-
-// mergeSorted k-way merges per-shard slices that are already sorted.
-func mergeSorted[T any](parts [][]T, less func(a, b T) bool) []T {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]T, 0, total)
-	for len(parts) > 0 {
-		best := -1
-		for i, p := range parts {
-			if len(p) == 0 {
-				continue
-			}
-			if best < 0 || less(p[0], parts[best][0]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, parts[best][0])
-		parts[best] = parts[best][1:]
-	}
-	return out
+	return snapshotAll(s, (*tenantEngine).dump, func(d *TenantDump) string { return d.Stats.Tenant })
 }
 
 // ShutdownRequested is closed when a wire client sends OpShutdown; the
@@ -330,14 +272,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	enc := json.NewEncoder(conn)
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 4096), MaxRequestBytes+2)
-	// Every line is decoded by one decoder into its one request and
-	// answered from one response: decodeRequest zeroes the request
-	// first, and resp is encoded through its pointer, so no line makes
-	// either anew. A shard reads a submit's task spec, the decoder's
-	// own, only until it replies. A shutdown that cuts the wait for the
-	// reply off may leave the shard still reading it, but Shutdown has
-	// closed the connection by then, so the answer's write fails and no
-	// further line is decoded.
+	// Every line is parsed by one decoder into its one request and
+	// answered from one response: parse zeroes the request first, Do is
+	// done with it (the task spec included) when it returns, and resp is
+	// encoded through its pointer, so no line makes either anew.
 	dec := new(wireDecoder)
 	resp := new(Response)
 	for sc.Scan() {
@@ -345,7 +283,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		if len(line) == 0 {
 			continue
 		}
-		if err := dec.decodeRequest(line, MaxRequestBytes); err != nil {
+		if err := dec.parse(line, MaxRequestBytes); err != nil {
 			*resp = errorResponse(dec.req.Op, err)
 		} else {
 			*resp = s.Do(dec.req)
@@ -363,8 +301,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// Shutdown stops accepting work, closes listeners and connections, stops
-// every shard, and joins all goroutines. Idempotent.
+// Shutdown stops accepting work, closes listeners and connections, joins
+// the connection handlers, and takes every shard's lock once, so no
+// request is mid-flight when it returns and every later one answers
+// internal. Idempotent.
 func (s *Server) Shutdown() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
@@ -379,8 +319,11 @@ func (s *Server) Shutdown() {
 		_ = conn.Close()
 	}
 	s.mu.Unlock()
-	for _, sh := range s.shards {
-		close(sh.quit)
-	}
 	s.wg.Wait()
+	// A request that took its shard's lock before closed was set runs
+	// to its answer under it; one that takes it later sees closed.
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.mu.Unlock()
+	}
 }

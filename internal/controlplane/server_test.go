@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -267,11 +269,11 @@ func TestConnectionDecodeZeroed(t *testing.T) {
 }
 
 // TestPipelinedWireSubmits sends 300 submits over one connection in one
-// write, so the connection decodes each line into the task spec the
-// shard read for the line before while the shard runs that line's task.
-// Every answer names its own task, and the tenants end with what the
-// same submits give through Do, each with a spec of its own; under
-// -race, a shard that read the spec after replying is reported.
+// write, so the connection decodes each line into the task spec Do read
+// for the line before. Every answer names its own task, and the tenants
+// end with what the same submits give through Do, each with a spec of its
+// own; under -race, a Do that kept reading the spec after it returned is
+// reported.
 func TestPipelinedWireSubmits(t *testing.T) {
 	var lines []byte
 	var reqs []Request
@@ -331,13 +333,12 @@ func TestPipelinedWireSubmits(t *testing.T) {
 // TestWireSubmitAllocs pins what one submit costs the server over the
 // wire on a warm tenant: a connection decodes in one pass into one
 // request and its own task spec, reusing the tenant's and the design's
-// strings, and encodes from one response, Do takes its reply channel
-// from a pool and the task runs from its shard's slot, so what is left
-// is the task ID's string and the tenant's task table growing. It reads
-// 1.0 (2 vCPUs, amd64, Go 1.24.0).
+// strings, and encodes from one response, and the task runs from its
+// shard's slot, so what is left is the task ID's string and the tenant's
+// task table growing. It reads 1.0 (2 vCPUs, amd64, Go 1.24.0).
 func TestWireSubmitAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector")
+		t.Skip("sync.Pool, which encoding/json encodes through, drops items under the race detector")
 	}
 	const (
 		warm    = 64
@@ -386,13 +387,11 @@ func TestWireSubmitAllocs(t *testing.T) {
 	}
 }
 
-// TestReplyPoolShutdown shuts server A down while goroutines call A.Do
-// and server B serves submits and statuses. Reply channels are pooled
-// across servers, and a call that a shutdown cuts off drops its channel,
-// since A's shard may still answer on it: every answer B gives names B's
-// own tenant and task, and every call A takes after its shutdown is
-// refused as shutting down.
-func TestReplyPoolShutdown(t *testing.T) {
+// TestShutdownSparesOtherServers shuts server A down while goroutines
+// call A.Do and server B serves submits and statuses: every answer B
+// gives names B's own tenant and task, and every call A takes after its
+// shutdown is refused as shutting down.
+func TestShutdownSparesOtherServers(t *testing.T) {
 	a, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -450,4 +449,61 @@ func TestReplyPoolShutdown(t *testing.T) {
 	a.Shutdown()
 	shutDown.Store(true)
 	wg.Wait()
+}
+
+// TestShutdownIsABarrier shuts a server down while goroutines call Do on
+// tenants across its shards. Once Shutdown returns no request is
+// mid-flight, so the trace never grows again, and every later tenant
+// call answers internal. A Shutdown that did not take every shard's lock
+// would return while requests still run.
+func TestShutdownIsABarrier(t *testing.T) {
+	const callers, tenants = 4, 8
+	for round := 0; round < 20; round++ {
+		rec := &obs.Recorder{}
+		cfg := DefaultConfig()
+		cfg.Sink = rec
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg       sync.WaitGroup
+			calls    atomic.Int64
+			shutDown atomic.Bool // Shutdown has returned
+		)
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					tenant := taskID("tenant", g*tenants+i%tenants)
+					if shutDown.Load() {
+						for _, req := range []Request{
+							{Op: OpSubmit, Tenant: tenant, Task: spec(taskID("late", i), 10)},
+							{Op: OpStatus, Tenant: tenant, TaskID: taskID("t", 0)},
+							{Op: OpCancel, Tenant: tenant, TaskID: taskID("t", 0)},
+							{Op: OpStats, Tenant: tenant},
+						} {
+							if resp := s.Do(req); resp.OK || resp.Code != CodeInternal {
+								t.Errorf("%s after shutdown answered %+v", req.Op, resp)
+							}
+						}
+						return
+					}
+					s.Do(Request{Op: OpSubmit, Tenant: tenant, Task: spec(taskID("t", i), 10)})
+					calls.Add(1)
+				}
+			}(g)
+		}
+		for calls.Load() < 100 {
+			runtime.Gosched()
+		}
+		s.Shutdown()
+		events := len(rec.Events())
+		shutDown.Store(true)
+		wg.Wait()
+		if got := len(rec.Events()); got != events {
+			t.Fatalf("round %d: %d events after Shutdown returned, %d once its callers stopped", round, events, got)
+		}
+	}
 }

@@ -10,49 +10,16 @@ import (
 )
 
 // The dispatcher is sharded: tenants are partitioned across N shards by a
-// hash of the tenant name, and each shard is a single goroutine owning its
-// tenants outright — no locks, no shared state between shards. All
-// cross-shard communication is message passing over the shard inbox.
-// A shard handles one message at a time, and an accepted submit runs to
-// a terminal state before the shard reads its next message (unless the
-// server is paused, when it stays queued until resume or drain). So what
-// a request observes depends only on the requests before it, never on
-// how fast the shard ran: because every tenant engine is deterministic
-// in isolation (see tenantEngine) and a tenant's requests are totally
-// ordered by its shard, per-tenant results are identical for any shard
+// hash of the tenant name, and each shard's lock guards its tenants
+// outright; shards share no mutable state. A request holds its shard's
+// lock from admission to answer, and an accepted submit runs to a
+// terminal state before the lock is released (unless the server is
+// paused, when it stays queued until resume or drain). So what a request
+// observes depends only on the requests before it, never on how fast
+// anything ran: because every tenant engine is deterministic in
+// isolation (see tenantEngine) and its shard's lock totally orders a
+// tenant's requests, per-tenant results are identical for any shard
 // count; sharding buys throughput, never different answers.
-
-// ctlKind selects what an inbox message asks the shard to do.
-type ctlKind int
-
-const (
-	// ctlRequest carries a tenant-routed wire request.
-	ctlRequest ctlKind = iota
-	// ctlRunQueued asks the shard to run every tenant's queue empty and
-	// is answered when it has.
-	ctlRunQueued
-	// ctlStatsAll asks for every tenant's counter snapshot.
-	ctlStatsAll
-	// ctlDumpAll asks for every tenant's full state dump.
-	ctlDumpAll
-)
-
-// opMsg is one message into a shard inbox.
-type opMsg struct {
-	kind ctlKind
-	req  Request
-	// nowNanos is the admission clock reading taken at receipt.
-	nowNanos int64
-	reply    chan shardReply
-}
-
-// shardReply is a shard's answer; exactly one field is populated
-// depending on the request kind.
-type shardReply struct {
-	resp  Response
-	stats []TenantStats
-	dumps []TenantDump
-}
 
 // TenantDump is one tenant's full state snapshot for OpDump and
 // `rmsd -dump-state`.
@@ -62,178 +29,99 @@ type TenantDump struct {
 	Fabric []string
 }
 
-// shard owns a partition of the tenant space. Everything below is
-// accessed only from the shard's own loop goroutine.
+// shard owns a partition of the tenant space.
 type shard struct {
-	id    int
-	srv   *Server
-	inbox chan opMsg
-	// quit is closed by Server.Shutdown; it both stops the loop and
-	// unblocks senders.
-	quit chan struct{}
+	srv *Server
 
-	tenants map[string]*tenantEngine
+	mu      sync.Mutex
+	tenants map[string]*tenantEngine // guarded by mu
 	// order holds the engines sorted by (tier priority, creation order):
 	// the order runQueued empties their queues in. Higher tiers drain
 	// first — the control plane's rendering of RC3E priority.
-	order []*tenantEngine
+	order []*tenantEngine // guarded by mu
 	// task is where an accepted task that runs at once is built and
-	// executed from (see submit), so it is never a heap object of its
-	// own. It is zero between messages.
-	task task.Task
+	// executed from (see submitLocked), so it is never a heap object of
+	// its own. It is zero between requests.
+	task task.Task // guarded by mu
 	// opts is the scratch option slice every placement of the shard's
 	// tenants reuses, so no tenant keeps one of its own.
-	opts []sched.Option
+	opts []sched.Option // guarded by mu
 }
 
-func newShard(id int, srv *Server) *shard {
-	return &shard{
-		id:      id,
-		srv:     srv,
-		inbox:   make(chan opMsg, 256),
-		quit:    make(chan struct{}),
-		tenants: make(map[string]*tenantEngine),
-	}
+func newShard(srv *Server) *shard {
+	return &shard{srv: srv, tenants: make(map[string]*tenantEngine)}
 }
 
-// replyPool recycles the one-slot reply channels of send across every
-// server.
-var replyPool = sync.Pool{New: func() any { return make(chan shardReply, 1) }}
-
-// send delivers a message on a reply channel from replyPool and waits for
-// the reply; false means the server shut down first. The channel goes
-// back to the pool only once its reply has been received: when a
-// shutdown cuts the wait off, the shard may have taken the message
-// already and still answer on the channel, and that late reply must not
-// reach another call.
-func (sh *shard) send(m opMsg) (shardReply, bool) {
-	m.reply = replyPool.Get().(chan shardReply)
-	select {
-	case sh.inbox <- m:
-	case <-sh.quit:
-		return shardReply{}, false
+// do serves one validated tenant-routed request (submit, status, cancel,
+// or stats with a tenant) under the shard's lock. A request that takes
+// the lock after Shutdown began answers internal.
+func (sh *shard) do(req *Request, nowNanos int64) Response {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.srv.closed.Load() {
+		return errShutdown(req.Op)
 	}
-	select {
-	case r := <-m.reply:
-		replyPool.Put(m.reply)
-		return r, true
-	case <-sh.quit:
-		return shardReply{}, false
+	if req.Op == OpSubmit {
+		return sh.submitLocked(req, nowNanos)
 	}
+	te, ok := sh.tenants[req.Tenant]
+	if !ok {
+		return errorResponse(req.Op, errWire(CodeUnknownTenant, "unknown tenant %q", req.Tenant))
+	}
+	switch req.Op {
+	case OpStatus:
+		return te.status(req.TaskID)
+	case OpCancel:
+		return te.cancel(req.TaskID)
+	}
+	snap := te.snapshot()
+	return Response{OK: true, Op: OpStats, Tenant: te.id, Stats: &snap}
 }
 
-// post delivers a message without waiting for a reply; false means the
-// server shut down first.
-func (sh *shard) post(m opMsg) bool {
-	select {
-	case sh.inbox <- m:
-		return true
-	case <-sh.quit:
-		return false
-	}
-}
-
-// loop is the shard goroutine: it handles one message at a time, each
-// to the end (an accepted submit's execution included), until shutdown.
-func (sh *shard) loop() {
-	defer sh.srv.wg.Done()
-	for {
-		select {
-		case m := <-sh.inbox:
-			sh.handle(m)
-		case <-sh.quit:
-			return
-		}
-	}
-}
-
-// handle dispatches one inbox message.
-func (sh *shard) handle(m opMsg) {
-	switch m.kind {
-	case ctlRunQueued:
-		sh.runQueued()
-		m.reply <- shardReply{}
-	case ctlStatsAll:
-		m.reply <- shardReply{stats: sh.statsAll()}
-	case ctlDumpAll:
-		m.reply <- shardReply{dumps: sh.dumpAll()}
-	default:
-		if m.req.Op == OpSubmit {
-			sh.submit(m)
-			return
-		}
-		m.reply <- shardReply{resp: sh.request(m)}
-	}
-}
-
-// submit serves one submit. An accepted task on a running server is
-// executed right after its reply goes out, so the client's next request
-// overlaps the execution but the shard reads it only once the task is
-// terminal. It runs from the shard's task slot, unless its tenant still
-// has tasks queued from a pause that no resume or drain has run yet:
-// then it joins the queue behind them, and the queue runs empty. A
-// paused server only queues. The pause flag is read before the reply, so
-// a pause sent after this answer cannot hold the task back.
-func (sh *shard) submit(m opMsg) {
-	te, err := sh.engineFor(m.req.Tenant, m.req.Tier, m.nowNanos)
+// submitLocked serves one submit. An accepted task on a running server
+// runs from the shard's task slot to a terminal state before the submit
+// answers, unless its tenant still has tasks queued from a pause that no
+// resume or drain has run yet: then it joins the queue behind them, and
+// the queue runs empty. A paused server only queues. The answer is the
+// admission state either way.
+func (sh *shard) submitLocked(req *Request, nowNanos int64) Response {
+	te, err := sh.engineForLocked(req.Tenant, req.Tier, nowNanos)
 	if err != nil {
-		m.reply <- shardReply{resp: errorResponse(OpSubmit, err)}
-		return
+		return errorResponse(OpSubmit, err)
 	}
-	resp := te.submit(m.req.Task, m.nowNanos, sh.srv.draining.Load(), &sh.task)
-	paused := sh.srv.paused.Load()
-	queue := resp.OK && (paused || len(te.queue) > 0)
-	if queue {
-		te.queue = append(te.queue, sh.task)
-	}
-	m.reply <- shardReply{resp: resp}
-	if resp.OK && !paused {
-		if queue {
-			te.run(&sh.opts)
+	resp := te.submit(req.Task, nowNanos, sh.srv.draining.Load(), &sh.task)
+	if resp.OK {
+		if paused := sh.srv.paused.Load(); paused || len(te.queue) > 0 {
+			te.queue = append(te.queue, sh.task)
+			if !paused {
+				te.run(&sh.opts)
+			}
 		} else {
 			te.execute(&sh.task, &sh.opts)
 		}
 	}
 	sh.task = task.Task{}
+	return resp
 }
 
-// runQueued runs every tenant's queue empty in dispatch order.
-func (sh *shard) runQueued() {
+// runQueued runs every tenant's queue empty in dispatch order under the
+// shard's lock; false means Shutdown began first.
+func (sh *shard) runQueued() bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.srv.closed.Load() {
+		return false
+	}
 	for _, te := range sh.order {
 		te.run(&sh.opts)
 	}
+	return true
 }
 
-// request serves one tenant-routed wire request other than a submit.
-func (sh *shard) request(m opMsg) Response {
-	switch m.req.Op {
-	case OpStatus:
-		te, ok := sh.tenants[m.req.Tenant]
-		if !ok {
-			return errorResponse(OpStatus, errWire(CodeUnknownTenant, "unknown tenant %q", m.req.Tenant))
-		}
-		return te.status(m.req.TaskID)
-	case OpCancel:
-		te, ok := sh.tenants[m.req.Tenant]
-		if !ok {
-			return errorResponse(OpCancel, errWire(CodeUnknownTenant, "unknown tenant %q", m.req.Tenant))
-		}
-		return te.cancel(m.req.TaskID)
-	case OpStats:
-		te, ok := sh.tenants[m.req.Tenant]
-		if !ok {
-			return errorResponse(OpStats, errWire(CodeUnknownTenant, "unknown tenant %q", m.req.Tenant))
-		}
-		snap := te.snapshot()
-		return Response{OK: true, Op: OpStats, Tenant: te.id, Stats: &snap}
-	}
-	return errorResponse(m.req.Op, errWire(CodeUnknownOp, "unknown op %q", m.req.Op))
-}
-
-// engineFor returns the tenant's engine, creating it on first submit.
-// A tier named explicitly on a later submit must match the tier the
-// tenant was created under.
-func (sh *shard) engineFor(tenant, tierName string, nowNanos int64) (*tenantEngine, error) {
+// engineForLocked returns the tenant's engine, creating it on first
+// submit. A tier named explicitly on a later submit must match the tier
+// the tenant was created under.
+func (sh *shard) engineForLocked(tenant, tierName string, nowNanos int64) (*tenantEngine, error) {
 	tier, err := ParseTier(tierName)
 	if err != nil {
 		return nil, errWire(CodeUnknownTier, "unknown tier %q", tierName)
@@ -264,29 +152,44 @@ func insertByPriority(order []*tenantEngine, te *tenantEngine) []*tenantEngine {
 	return slices.Insert(order, i, te)
 }
 
-// statsAll snapshots every tenant, sorted by name.
-func (sh *shard) statsAll() []TenantStats {
-	out := make([]TenantStats, 0, len(sh.order))
-	for _, te := range sh.order {
-		out = append(out, te.snapshot())
+// snapshotAll snapshots every shard's tenants, each shard under its lock
+// into a slice of its own, and returns them in one slice sorted by name.
+func snapshotAll[T any](s *Server, snap func(*tenantEngine) T, name func(*T) string) ([]T, error) {
+	parts := make([][]T, len(s.shards))
+	for i, sh := range s.shards {
+		var ok bool
+		if parts[i], ok = snapshotShard(sh, snap); !ok {
+			return nil, errShuttingDown
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
+	out := slices.Concat(parts...)
+	sort.Slice(out, func(i, j int) bool { return name(&out[i]) < name(&out[j]) })
+	return out, nil
 }
 
-// dumpAll snapshots every tenant's full state, sorted by name.
-func (sh *shard) dumpAll() []TenantDump {
-	out := make([]TenantDump, 0, len(sh.order))
-	for _, te := range sh.order {
-		d := TenantDump{Stats: te.snapshot()}
-		for _, n := range te.reg.Nodes() {
-			for _, e := range n.RPEs() {
-				st := e.Fabric.State()
-				d.Fabric = append(d.Fabric, e.ID+" "+st.String())
-			}
-		}
-		out = append(out, d)
+// snapshotShard snapshots the shard's tenants under its lock in dispatch
+// order; false means Shutdown began first.
+func snapshotShard[T any](sh *shard, snap func(*tenantEngine) T) ([]T, bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.srv.closed.Load() {
+		return nil, false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stats.Tenant < out[j].Stats.Tenant })
-	return out
+	part := make([]T, len(sh.order))
+	for i, te := range sh.order {
+		part[i] = snap(te)
+	}
+	return part, true
+}
+
+// dump returns the tenant's counters and one line per RPE of its slice.
+func (te *tenantEngine) dump() TenantDump {
+	d := TenantDump{Stats: te.snapshot()}
+	for _, n := range te.reg.Nodes() {
+		for _, e := range n.RPEs() {
+			st := e.Fabric.State()
+			d.Fabric = append(d.Fabric, e.ID+" "+st.String())
+		}
+	}
+	return d
 }

@@ -70,24 +70,21 @@ func TestInsertByPriorityMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestShardRunsSubmitBeforeNextMessage calls shard.handle directly, with
-// no loop goroutine, so nothing but the message order decides what a
-// status or cancel sees. On a running server an accepted submit has run
-// to a terminal state before the shard takes its next message; on a
-// paused server it stays queued, so a cancel finds it there. A submit
-// that reaches a running server before the resume has run its tenant's
-// backlog runs after that backlog.
+// TestShardRunsSubmitBeforeNextMessage calls shard.do directly, so
+// nothing but the request order decides what a status or cancel sees. On
+// a running server an accepted submit has run to a terminal state before
+// it answers; on a paused server it stays queued, so a cancel finds it
+// there. A submit that reaches a running server before the resume has run
+// its tenant's backlog runs after that backlog.
 func TestShardRunsSubmitBeforeNextMessage(t *testing.T) {
 	rec := &obs.Recorder{}
 	srv := &Server{cfg: DefaultConfig(), rng: sim.NewRNG(1)}
 	srv.cfg.Sink = rec
 	srv.policies = tierPolicies(&srv.cfg)
-	sh := newShard(0, srv)
+	sh := newShard(srv)
 	call := func(req Request) Response {
 		t.Helper()
-		m := opMsg{kind: ctlRequest, req: req, reply: make(chan shardReply, 1)}
-		sh.handle(m)
-		return (<-m.reply).resp
+		return sh.do(&req, 0)
 	}
 
 	mustOK(t, call(Request{Op: OpSubmit, Tenant: "ann", Task: spec("t1", 1000)}))

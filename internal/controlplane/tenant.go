@@ -98,9 +98,9 @@ func (s taskState) String() string {
 // per-tenant results independent of the shard count and of
 // cross-tenant interleaving.
 //
-// A tenantEngine is owned by exactly one shard goroutine; it needs no
-// locking. It keeps only what is its own: the tier's policy is the
-// server's, shared by pointer.
+// A tenantEngine is reached only under its shard's lock; it needs no
+// lock of its own. It keeps only what is its own: the tier's policy is
+// the server's, shared by pointer.
 type tenantEngine struct {
 	id     string
 	tier   Tier
@@ -117,7 +117,8 @@ type tenantEngine struct {
 
 	// queue holds, in order, the tasks a paused server accepted; a
 	// running server executes each accepted task from its shard's slot
-	// instead (shard.submit). run empties the queue and drops its array.
+	// instead (shard.submitLocked). run empties the queue and drops its
+	// array.
 	queue []task.Task
 	// tasks holds the state of every task the tenant ever accepted:
 	// what status, cancel and the duplicate-ID check read back. It is
@@ -312,7 +313,7 @@ func (te *tenantEngine) cancel(taskID string) Response {
 		return resp
 	}
 	// A queued task is in the queue: a task that runs reaches a terminal
-	// state before its shard reads another request.
+	// state before its submit answers.
 	i := slices.IndexFunc(te.queue, func(t task.Task) bool { return t.ID == taskID })
 	// Delete clears the vacated tail slot, so the backing array does not
 	// keep the canceled task alive.

@@ -185,12 +185,19 @@ type wireDecoder struct {
 	tenant, design string
 }
 
-// decodeRequest decodes and validates line into d.req, which it zeroes
-// first, so no field of an earlier line survives into this one. A line
-// in the shape json.Marshal writes a Request in is read in one pass
-// (scan); any other line goes to encoding/json, so every reject keeps
-// its code and message.
+// decodeRequest parses line into d.req and validates it.
 func (d *wireDecoder) decodeRequest(line []byte, maxBytes int) error {
+	if err := d.parse(line, maxBytes); err != nil {
+		return err
+	}
+	return d.req.validate()
+}
+
+// parse parses line into d.req, which it zeroes first, so no field of an
+// earlier line survives into this one. A line in the shape json.Marshal
+// writes a Request in is read in one pass (scan); any other line goes to
+// encoding/json, so every reject keeps its code and message.
+func (d *wireDecoder) parse(line []byte, maxBytes int) error {
 	req := &d.req
 	*req = Request{}
 	if maxBytes <= 0 {
@@ -205,6 +212,14 @@ func (d *wireDecoder) decodeRequest(line []byte, maxBytes int) error {
 			return errWire(CodeBadRequest, "malformed request: %v", err)
 		}
 	}
+	return nil
+}
+
+// validate checks a request against the wire contract: a whitelisted
+// op, bounded names, a known tier, and what its op needs. Server.Do runs
+// it on every request, so one built in process meets the same checks as
+// one decoded from a line.
+func (req *Request) validate() error {
 	if !validOps[req.Op] {
 		return errWire(CodeUnknownOp, "unknown op %q", req.Op)
 	}
@@ -225,9 +240,7 @@ func (d *wireDecoder) decodeRequest(line []byte, maxBytes int) error {
 		if req.Task == nil {
 			return errWire(CodeBadRequest, "submit without a task")
 		}
-		if err := req.Task.Validate(); err != nil {
-			return err
-		}
+		return req.Task.Validate()
 	case OpStatus, OpCancel:
 		if req.Tenant == "" || req.TaskID == "" {
 			return errWire(CodeBadRequest, "%s needs tenant and task_id", req.Op)

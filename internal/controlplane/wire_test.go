@@ -1,44 +1,47 @@
 package controlplane
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
 	"testing"
 )
 
+// decodeCases are request lines and the wire code each decodes to.
+var decodeCases = []struct {
+	name string
+	line string
+	code string // "" means accepted
+}{
+	{"ping", `{"op":"ping"}`, ""},
+	{"submit ok", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":100}}`, ""},
+	{"submit full tier", `{"op":"submit","tenant":"a","tier":"full","task":{"id":"t1","work_mi":100}}`, ""},
+	{"status ok", `{"op":"status","tenant":"a","task_id":"t1"}`, ""},
+	{"stats no tenant", `{"op":"stats"}`, ""},
+	{"malformed json", `{not json`, CodeBadRequest},
+	{"empty object", `{}`, CodeUnknownOp},
+	{"unknown op", `{"op":"launch"}`, CodeUnknownOp},
+	{"unknown tier", `{"op":"submit","tenant":"a","tier":"platinum","task":{"id":"t1","work_mi":1}}`, CodeUnknownTier},
+	{"submit no tenant", `{"op":"submit","task":{"id":"t1","work_mi":1}}`, CodeBadRequest},
+	{"submit no task", `{"op":"submit","tenant":"a"}`, CodeBadRequest},
+	{"task no id", `{"op":"submit","tenant":"a","task":{"work_mi":1}}`, CodeInvalidTask},
+	{"task long id", `{"op":"submit","tenant":"a","task":{"id":"` + strings.Repeat("x", 300) + `","work_mi":1}}`, CodeInvalidTask},
+	{"task no work", `{"op":"submit","tenant":"a","task":{"id":"t1"}}`, CodeInvalidTask},
+	{"task negative work", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":-5}}`, CodeInvalidTask},
+	{"task huge exponent", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":1e999}}`, CodeBadRequest},
+	{"task parallel over 1", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":1,"parallel":1.5}}`, CodeInvalidTask},
+	{"task negative data", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":1,"data_mb":-1}}`, CodeInvalidTask},
+	{"task unknown scenario", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":1,"scenario":"quantum"}}`, CodeInvalidTask},
+	{"userhw no design", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":1,"scenario":"userhw"}}`, CodeInvalidTask},
+	{"status no task_id", `{"op":"status","tenant":"a"}`, CodeBadRequest},
+	{"cancel no tenant", `{"op":"cancel","task_id":"t1"}`, CodeBadRequest},
+}
+
 // TestDecodeRequestTable pins the decode/validation surface: every
 // malformed input maps to a stable wire code.
 func TestDecodeRequestTable(t *testing.T) {
-	cases := []struct {
-		name string
-		line string
-		code string // "" means accepted
-	}{
-		{"ping", `{"op":"ping"}`, ""},
-		{"submit ok", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":100}}`, ""},
-		{"submit full tier", `{"op":"submit","tenant":"a","tier":"full","task":{"id":"t1","work_mi":100}}`, ""},
-		{"status ok", `{"op":"status","tenant":"a","task_id":"t1"}`, ""},
-		{"stats no tenant", `{"op":"stats"}`, ""},
-		{"malformed json", `{not json`, CodeBadRequest},
-		{"empty object", `{}`, CodeUnknownOp},
-		{"unknown op", `{"op":"launch"}`, CodeUnknownOp},
-		{"unknown tier", `{"op":"submit","tenant":"a","tier":"platinum","task":{"id":"t1","work_mi":1}}`, CodeUnknownTier},
-		{"submit no tenant", `{"op":"submit","task":{"id":"t1","work_mi":1}}`, CodeBadRequest},
-		{"submit no task", `{"op":"submit","tenant":"a"}`, CodeBadRequest},
-		{"task no id", `{"op":"submit","tenant":"a","task":{"work_mi":1}}`, CodeInvalidTask},
-		{"task long id", `{"op":"submit","tenant":"a","task":{"id":"` + strings.Repeat("x", 300) + `","work_mi":1}}`, CodeInvalidTask},
-		{"task no work", `{"op":"submit","tenant":"a","task":{"id":"t1"}}`, CodeInvalidTask},
-		{"task negative work", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":-5}}`, CodeInvalidTask},
-		{"task huge exponent", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":1e999}}`, CodeBadRequest},
-		{"task parallel over 1", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":1,"parallel":1.5}}`, CodeInvalidTask},
-		{"task negative data", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":1,"data_mb":-1}}`, CodeInvalidTask},
-		{"task unknown scenario", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":1,"scenario":"quantum"}}`, CodeInvalidTask},
-		{"userhw no design", `{"op":"submit","tenant":"a","task":{"id":"t1","work_mi":1,"scenario":"userhw"}}`, CodeInvalidTask},
-		{"status no task_id", `{"op":"status","tenant":"a"}`, CodeBadRequest},
-		{"cancel no tenant", `{"op":"cancel","task_id":"t1"}`, CodeBadRequest},
-	}
-	for _, tc := range cases {
+	for _, tc := range decodeCases {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := DecodeRequest([]byte(tc.line), 0)
 			if tc.code == "" {
@@ -54,6 +57,32 @@ func TestDecodeRequestTable(t *testing.T) {
 				t.Errorf("code = %q, want %q (err: %v)", got, tc.code, err)
 			}
 		})
+	}
+}
+
+// TestDoChecksAsDecodeRequest pins that Do runs the wire's request
+// checks: each rejected line of decodeCases that encoding/json reads into
+// a Request gets, through Do, the code and message DecodeRequest gives
+// it, and a submit without a task is a bad request, not a panic.
+func TestDoChecksAsDecodeRequest(t *testing.T) {
+	s := newTestServer(t, DefaultConfig())
+	checked := 0
+	for _, tc := range decodeCases {
+		var req Request
+		if tc.code == "" || json.Unmarshal([]byte(tc.line), &req) != nil {
+			continue
+		}
+		checked++
+		_, err := DecodeRequest([]byte(tc.line), 0)
+		if resp := s.Do(req); resp.OK || resp.Code != tc.code || resp.Error != err.Error() {
+			t.Errorf("%s: Do answered %+v, DecodeRequest %s: %v", tc.name, resp, ErrorCode(err), err)
+		}
+	}
+	if checked < 10 {
+		t.Fatalf("only %d rejected lines decode to a request", checked)
+	}
+	if resp := s.Do(Request{Op: OpSubmit, Tenant: "a"}); resp.OK || resp.Code != CodeBadRequest {
+		t.Errorf("a submit without a task answered %+v", resp)
 	}
 }
 

@@ -96,12 +96,13 @@ func errflowScope(importPath string) bool {
 }
 
 // concurrencyScope covers the packages that share mutable state across
-// goroutines: the engine, the RMS control plane, and the observability
-// sinks (all hold locks; the engine and sweeps spawn workers).
+// goroutines: the engine, the RMS and its control plane, and the
+// observability sinks (all hold locks; the engine and sweeps spawn
+// workers, the control plane one handler per connection).
 func concurrencyScope(importPath string) bool {
 	for _, dir := range []string{
 		"internal/grid", "internal/rms", "internal/obs",
-		"internal/sim", "internal/faults",
+		"internal/sim", "internal/faults", "internal/controlplane",
 	} {
 		if pathHasDir(importPath, dir) {
 			return true

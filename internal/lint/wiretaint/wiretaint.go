@@ -16,9 +16,8 @@
 // tainted value, with the full source→sink chain, exactly like
 // seedflow: "wire field TaskSpec.WorkMI reaches an allocation size:
 // make (via buildTask -> reserve)". Taint propagates through function
-// summaries and channel sends, so a value a shard goroutine receives
-// from the dispatcher inbox is as hostile as the decode that produced
-// it.
+// summaries and channel sends, so a value one goroutine receives over
+// a channel from another is as hostile as the decode that produced it.
 //
 // Sanitizers — upper-bound guards, min/clamp, membership checks against
 // fixed tables, Validate-style calls, and the //reconlint:sanitized
