@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build fmt vet lint lint-sarif lint-taint test race bench-test verify bench-baseline benchdiff coverage-md report cover smoke
+.PHONY: build fmt vet lint lint-sarif lint-taint test race fuzz bench-test verify bench-baseline benchdiff coverage-md report cover smoke
 
 # The packages `make cover` measures, as internal/<package>=<minimum
 # statement coverage>.
@@ -42,6 +42,20 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=50 -run 'TestDifferentialShardCount|TestTraceRepeatable|TestShutdownIsABarrier' ./internal/controlplane
+
+# Runs every fuzz target for 10 s, one at a time (`go test -fuzz` takes
+# one target of one package per run); `go test` runs only their seed
+# corpora. CI runs this as a job of its own, outside verify. A failing
+# input is written under the package's testdata/fuzz/<target>/.
+FUZZ_TARGETS = task:FuzzParseApp faults:FuzzFaultCursor capability:FuzzParseRequirements \
+	controlplane:FuzzDecodeRequest controlplane:FuzzEncodeResponse \
+	sim:FuzzSchedulerDifferential benchstat:FuzzParseDoc
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t#*:}; \
+		echo "fuzz: $$name (internal/$$pkg, 10s)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s ./internal/$$pkg; \
+	done
 
 # The repository benchmark (bench/) is a module of its own, so `go test
 # ./...` from the root does not reach its tests; they run here, at toy

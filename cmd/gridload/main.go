@@ -17,7 +17,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -100,14 +99,21 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	if opt.conns > opt.tenants {
 		opt.conns = opt.tenants
 	}
+	// rmsd closes a connection that sends nothing for its connection
+	// timeout, so a paced connection must send more often than that.
+	if opt.mode == "open" && opt.rate > 0 && float64(opt.conns)/opt.rate >= controlplane.ConnTimeout.Seconds() {
+		return nil, fmt.Errorf("at rate %g each of %d connections would wait longer than rmsd's %v connection timeout between submissions", opt.rate, opt.conns, controlplane.ConnTimeout)
+	}
 	return opt, nil
 }
 
-// client is one wire connection.
+// client is one wire connection. It reads each answer with one
+// json.Decoder, which takes a line of any length, so the roster of any
+// number of tenants gridload can ask for reads back.
 type client struct {
 	conn net.Conn
 	enc  *json.Encoder
-	sc   *bufio.Scanner
+	dec  *json.Decoder
 }
 
 // dial connects, retrying until the deadline — rmsd may still be
@@ -117,9 +123,7 @@ func dial(network, addr string, wait time.Duration) (*client, error) {
 	for {
 		conn, err := net.Dial(network, addr)
 		if err == nil {
-			sc := bufio.NewScanner(conn)
-			sc.Buffer(make([]byte, 0, 4096), 16<<20)
-			return &client{conn: conn, enc: json.NewEncoder(conn), sc: sc}, nil
+			return &client{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}, nil
 		}
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("dialing %q %q: %w", network, addr, err)
@@ -141,14 +145,8 @@ func (c *client) roundTrip(req controlplane.Request) (controlplane.Response, err
 func (c *client) send(req controlplane.Request) error { return c.enc.Encode(req) }
 
 func (c *client) read() (controlplane.Response, error) {
-	if !c.sc.Scan() {
-		if err := c.sc.Err(); err != nil {
-			return controlplane.Response{}, err
-		}
-		return controlplane.Response{}, io.EOF
-	}
 	var resp controlplane.Response
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	if err := c.dec.Decode(&resp); err != nil {
 		return controlplane.Response{}, err
 	}
 	return resp, nil
@@ -326,21 +324,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		interval = time.Duration(float64(time.Second) * float64(opt.conns) / opt.rate)
 	}
 
-	// The control connection snapshots every tenant's counters before the
+	// A control connection snapshots every tenant's counters before the
 	// load, so the audit below covers this run's tasks only, even on a
-	// server that earlier runs already loaded.
-	ctl, err := dial(opt.network, opt.addr, opt.wait)
-	if err != nil {
-		fmt.Fprintln(stderr, "gridload:", err)
-		return 1
-	}
-	defer func() {
-		if err := ctl.close(); err != nil {
-			fmt.Fprintln(stderr, "gridload:", err)
-		}
-	}()
-	snapshot, err := tenantStats(ctl)
-	if err != nil {
+	// server that earlier runs already loaded. Each control phase dials
+	// a connection of its own, so none waits through the load, which
+	// may outlast rmsd's connection timeout.
+	var snapshot []controlplane.TenantStats
+	if err := control(opt, func(ctl *client) (err error) {
+		snapshot, err = tenantStats(ctl)
+		return err
+	}); err != nil {
 		fmt.Fprintln(stderr, "gridload:", err)
 		return 1
 	}
@@ -381,14 +374,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Control phase: drain the server and verify conservation from the
 	// authoritative per-tenant counters.
-	if !opt.noDrain {
-		if resp, err := ctl.roundTrip(controlplane.Request{Op: controlplane.OpDrain}); err != nil || !resp.OK {
-			fmt.Fprintf(stderr, "gridload: drain failed: %v %q\n", err, resp.Error)
-			return 1
+	var after []controlplane.TenantStats
+	if err := control(opt, func(ctl *client) (err error) {
+		if !opt.noDrain {
+			if resp, err := ctl.roundTrip(controlplane.Request{Op: controlplane.OpDrain}); err != nil || !resp.OK {
+				return fmt.Errorf("drain failed: %v %q", err, resp.Error)
+			}
 		}
-	}
-	after, err := tenantStats(ctl)
-	if err != nil {
+		after, err = tenantStats(ctl)
+		return err
+	}); err != nil {
 		fmt.Fprintln(stderr, "gridload:", err)
 		return 1
 	}
@@ -443,6 +438,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// control runs fn over a control connection of its own, closed after.
+func control(opt *options, fn func(*client) error) error {
+	ctl, err := dial(opt.network, opt.addr, opt.wait)
+	if err != nil {
+		return err
+	}
+	err = fn(ctl)
+	if cerr := ctl.close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // tenantStats fetches every tenant's counters, sorted by tenant.

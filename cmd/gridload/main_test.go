@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"strconv"
 	"testing"
@@ -96,4 +98,82 @@ func TestBackToBackRunsAuditOwnTasks(t *testing.T) {
 		second.Completed+second.Evicted != second.Accepted {
 		t.Fatalf("second run: %+v", second)
 	}
+}
+
+// TestLargeRosterStats: a stats answer longer than any fixed line cap
+// reads back whole. A stub server answers the stats request with a
+// roster of 80,000 tenants, an 18.6-MB line; read with a 16-MiB line
+// cap, it failed with "bufio.Scanner: token too long", and -tenants
+// allows up to 2^20.
+func TestLargeRosterStats(t *testing.T) {
+	const tenants = 80_000
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	type answer struct {
+		bytes int
+		err   error
+	}
+	sent := make(chan answer, 1)
+	go func() {
+		n, err := answerRoster(ln, tenants)
+		sent <- answer{n, err}
+	}()
+	c, err := dial("tcp", ln.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := tenantStats(c)
+	if cerr := c.close(); err == nil {
+		err = cerr
+	}
+	stub := <-sent
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stub.err != nil || stub.bytes <= 16<<20 {
+		t.Fatalf("the stub server wrote %d bytes, %v; want more than 16 MiB", stub.bytes, stub.err)
+	}
+	if len(stats) != tenants || stats[tenants-1].Tenant != fmt.Sprintf("tenant-%06d", tenants-1) || stats[tenants-1].Completed != 10 {
+		t.Fatalf("read %d tenants, the last %+v", len(stats), stats[len(stats)-1])
+	}
+}
+
+// answerRoster accepts one connection on ln, reads its request line and
+// answers it with a roster of the given number of tenants, each as
+// rmsd-fanout leaves it, written a row at a time. It returns the bytes
+// of the answer.
+func answerRoster(ln net.Listener, tenants int) (int, error) {
+	conn, err := ln.Accept()
+	if err != nil {
+		return 0, err
+	}
+	defer conn.Close()
+	if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+		return 0, err
+	}
+	w := bufio.NewWriter(conn)
+	n, err := w.WriteString(`{"ok":true,"op":"stats","tenants":[`)
+	for i := 0; i < tenants && err == nil; i++ {
+		st := controlplane.TenantStats{Tenant: fmt.Sprintf("tenant-%06d", i), Tier: "virtualized",
+			VirtualSeconds: 1234.5678901234 + float64(i), CostUnits: 98.76543210987 + float64(i)}
+		st.Submitted, st.Accepted, st.Completed = 10, 10, 10
+		var row []byte
+		if row, err = json.Marshal(st); err == nil && i > 0 {
+			row = append([]byte{','}, row...)
+		}
+		var m int
+		m, err = w.Write(row)
+		n += m
+	}
+	if err != nil {
+		return n, err
+	}
+	m, err := w.WriteString("]}\n")
+	if err != nil {
+		return n + m, err
+	}
+	return n + m, w.Flush()
 }

@@ -3,6 +3,7 @@ package controlplane
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"testing"
@@ -152,6 +153,56 @@ func TestHeapPerTenant(t *testing.T) {
 				t.Errorf("tenants cost %.0f B each, ceiling %.0f", perTenant, tc.ceiling)
 			}
 		})
+	}
+}
+
+// rosterServer returns a server with n tenants, each of which ran one
+// task.
+func rosterServer(t *testing.T, n int) *Server {
+	t.Helper()
+	s := newTestServer(t, DefaultConfig())
+	for i := 0; i < n; i++ {
+		mustOK(t, s.Do(Request{Op: OpSubmit, Tenant: fmt.Sprintf("tenant-%05d", i), Task: spec("t", float64(50+i%200))}))
+	}
+	return s
+}
+
+// rosterAnswerSlack is what a roster answer may allocate beside the
+// roster slice itself, which the heap rounds up to whole pages: the
+// sort's closure and swapper. A 10^4-tenant answer reads 1,442,008 to
+// 1,442,056 B in 4 to 6 objects, at most 264 B beside the roster's
+// 1,441,792 (2 vCPUs, amd64, Go 1.24.0).
+const rosterAnswerSlack = 4096
+
+// TestRosterAnswerAllocs pins what a 10^4-tenant roster answer costs the
+// server: the one roster slice Do snapshots into, and the answer goes
+// out through the connection's fixed buffer a row at a time, so nothing
+// else grows with the roster. Encoding the answer with encoding/json
+// allocated 11.29 MB: two copies of the roster and an encoder buffer
+// doubled up to 4 MB.
+func TestRosterAnswerAllocs(t *testing.T) {
+	const tenants = 10_000
+	s := rosterServer(t, tenants)
+	ww := newWireWriter(io.Discard)
+	answer := func() {
+		resp := s.Do(Request{Op: OpStats})
+		if len(resp.Tenants) != tenants {
+			t.Fatalf("the roster holds %d tenants, want %d", len(resp.Tenants), tenants)
+		}
+		if err := ww.encodeResponse(&resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	answer()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	answer()
+	runtime.ReadMemStats(&after)
+	roster := uint64(tenants) * uint64(unsafe.Sizeof(TenantStats{}))
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a %d-tenant roster answer allocates %d B in %d objects; the roster is %d B", tenants, got, after.Mallocs-before.Mallocs, roster)
+	if got > roster+rosterAnswerSlack {
+		t.Errorf("a roster answer allocates %d B, want at most the %d-B roster and %d B", got, roster, rosterAnswerSlack)
 	}
 }
 

@@ -12,12 +12,12 @@ package controlplane
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -61,6 +61,13 @@ const DefaultShards = 4
 // allocated.
 const MaxShards = 1024
 
+// ConnTimeout bounds how long a connection may keep the server waiting:
+// for the next request line to arrive whole, and for each write of an
+// answer to go out. A connection that overruns it is closed, so a client
+// that connects and never sends, or asks for the roster and never reads,
+// holds its handler and what it asked for for at most this long.
+const ConnTimeout = 5 * time.Minute
+
 // DefaultConfig returns a deterministic quota-free configuration.
 func DefaultConfig() Config { return Config{Shards: DefaultShards, Seed: 1} }
 
@@ -88,6 +95,9 @@ type Server struct {
 
 	shutdownOnce sync.Once
 	shutdownCh   chan struct{}
+
+	// connTimeout is ConnTimeout; tests shorten it before serving.
+	connTimeout time.Duration
 }
 
 // New builds a server. The caller must Shutdown it.
@@ -104,10 +114,11 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:        cfg,
-		rng:        sim.NewRNG(cfg.Seed),
-		conns:      make(map[net.Conn]struct{}),
-		shutdownCh: make(chan struct{}),
+		cfg:         cfg,
+		rng:         sim.NewRNG(cfg.Seed),
+		conns:       make(map[net.Conn]struct{}),
+		shutdownCh:  make(chan struct{}),
+		connTimeout: ConnTimeout,
 	}
 	s.policies = tierPolicies(&s.cfg)
 	s.shards = make([]*shard, cfg.Shards)
@@ -260,7 +271,10 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// handleConn runs one connection's request/response loop.
+// handleConn runs one connection's request/response loop. Each request
+// line must arrive whole within connTimeout of the wait for it, and each
+// write of an answer must go out within connTimeout, or the connection
+// is closed.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -269,16 +283,16 @@ func (s *Server) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	enc := json.NewEncoder(conn)
+	w := newWireWriter(deadlineWriter{conn, s.connTimeout})
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 4096), MaxRequestBytes+2)
 	// Every line is parsed by one decoder into its one request and
 	// answered from one response: parse zeroes the request first, Do is
 	// done with it (the task spec included) when it returns, and resp is
-	// encoded through its pointer, so no line makes either anew.
+	// written through its pointer, so no line makes either anew.
 	dec := new(wireDecoder)
 	resp := new(Response)
-	for sc.Scan() {
+	for conn.SetReadDeadline(deadline(s.connTimeout)) == nil && sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
@@ -288,7 +302,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		} else {
 			*resp = s.Do(dec.req)
 		}
-		err := enc.Encode(resp)
+		err := w.encodeResponse(resp)
 		*resp = Response{} // an idle connection holds no stats roster or dump
 		if err != nil {
 			return
@@ -297,8 +311,28 @@ func (s *Server) handleConn(conn net.Conn) {
 	// A line beyond the size cap kills the scanner; tell the client why
 	// before hanging up.
 	if errors.Is(sc.Err(), bufio.ErrTooLong) {
-		_ = enc.Encode(errorResponse("", errWire(CodeOversized, "request line exceeds the %d-byte cap", MaxRequestBytes)))
+		*resp = errorResponse("", errWire(CodeOversized, "request line exceeds the %d-byte cap", MaxRequestBytes))
+		_ = w.encodeResponse(resp)
 	}
+}
+
+// deadlineWriter writes to a connection under a fresh deadline on every
+// write, so a write that makes no progress for limit fails.
+type deadlineWriter struct {
+	conn  net.Conn
+	limit time.Duration
+}
+
+func (d deadlineWriter) Write(p []byte) (int, error) {
+	if err := d.conn.SetWriteDeadline(deadline(d.limit)); err != nil {
+		return 0, err
+	}
+	return d.conn.Write(p)
+}
+
+// deadline is the wall-clock instant limit from now.
+func deadline(limit time.Duration) time.Time {
+	return time.Now().Add(limit) //reconlint:allow detrand a connection deadline never reaches tenant state
 }
 
 // Shutdown stops accepting work, closes listeners and connections, joins

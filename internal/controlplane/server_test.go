@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"net"
 	"reflect"
 	"runtime"
@@ -12,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -384,6 +387,126 @@ func TestWireSubmitAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per wire submit", avg)
 	if avg > ceiling {
 		t.Errorf("a wire submit allocates %.1f times, want at most %v", avg, ceiling)
+	}
+}
+
+// TestWireAnswersMatchDo runs a live server whose tenant names reach the
+// fallback decoder ('<', '&' and a quote, which json.Marshal escapes):
+// its roster, dump and tenant-stats answers over the wire are
+// encoding/json's encoding of what Do answers, byte for byte.
+func TestWireAnswersMatchDo(t *testing.T) {
+	s := newTestServer(t, DefaultConfig())
+	conn := serveLoopback(t, s)
+	rd := bufio.NewReader(conn)
+	exchange := func(line []byte) string {
+		t.Helper()
+		if _, err := conn.Write(append(line, '\n')); err != nil {
+			t.Fatal(err)
+		}
+		answer, err := rd.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answer
+	}
+	tenants := []string{"a<b", "c&d", `e"f`, "g>h\u2028"}
+	for i, tenant := range tenants {
+		line, err := json.Marshal(Request{Op: OpSubmit, Tenant: tenant, Tier: tierNames[i%len(tierNames)], Task: spec(taskID("t", i), float64(100+i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if new(wireDecoder).scan(line) {
+			t.Fatalf("%s: read in one pass, not by the fallback decoder", line)
+		}
+		if answer := exchange(line); !strings.HasPrefix(answer, `{"ok":true`) {
+			t.Fatalf("%s answered %s", line, answer)
+		}
+	}
+	for _, req := range []Request{{Op: OpStats}, {Op: OpDump}, {Op: OpStats, Tenant: tenants[0]}} {
+		line, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := exchange(line)
+		if want := wireJSON(t, s.Do(req)) + "\n"; got != want {
+			t.Errorf("%s answered\n%s encoding/json writes Do's answer as\n%s", line, got, want)
+		}
+	}
+}
+
+// TestIdleConnectionClosed: a client that connects and never sends is
+// hung up on within a few connection timeouts, with no Shutdown.
+func TestIdleConnectionClosed(t *testing.T) {
+	s := newTestServer(t, DefaultConfig())
+	s.connTimeout = 50 * time.Millisecond
+	conn := serveLoopback(t, s)
+	if err := conn.SetReadDeadline(time.Now().Add(40 * s.connTimeout)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("an idle connection read %d bytes, %v; want the server to hang up", n, err)
+	}
+}
+
+// pipeListener hands Serve the server ends of net.Pipe connections, and
+// then fails its Accept once it is closed.
+type pipeListener struct {
+	conns     chan net.Conn
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.closeOnce.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// TestStalledReaderClosed asks a 10^4-tenant server for its roster over
+// net.Pipe, which buffers nothing, and never reads: no write of the
+// answer makes progress, so the server closes the connection once a
+// write has waited a connection timeout, with no Shutdown, and lets the
+// roster go. The client then reads nothing but the hang-up.
+func TestStalledReaderClosed(t *testing.T) {
+	s := rosterServer(t, 10_000)
+	s.connTimeout = 50 * time.Millisecond
+	client, server := net.Pipe()
+	defer client.Close()
+	ln := &pipeListener{conns: make(chan net.Conn, 1), closed: make(chan struct{})}
+	ln.conns <- server
+	go func() {
+		if err := s.Serve(ln); err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+	// The write returns once the server has read the line, and so after
+	// Serve registered the connection.
+	if _, err := client.Write([]byte(`{"op":"stats"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	for start := time.Now(); ; time.Sleep(s.connTimeout / 5) {
+		s.mu.Lock()
+		open := len(s.conns)
+		s.mu.Unlock()
+		if open == 0 {
+			break
+		}
+		if time.Since(start) > 40*s.connTimeout {
+			t.Fatalf("the connection is still open %v after its roster request", time.Since(start))
+		}
+	}
+	if n, err := client.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("the stalled client read %d bytes, %v; want the hang-up", n, err)
 	}
 }
 

@@ -152,34 +152,44 @@ func insertByPriority(order []*tenantEngine, te *tenantEngine) []*tenantEngine {
 	return slices.Insert(order, i, te)
 }
 
-// snapshotAll snapshots every shard's tenants, each shard under its lock
-// into a slice of its own, and returns them in one slice sorted by name.
+// snapshotAll snapshots every shard's tenants, each shard under its lock,
+// into one slice sized to the roster, and sorts it by name. A tenant
+// created between the count and its shard's snapshot grows the slice.
 func snapshotAll[T any](s *Server, snap func(*tenantEngine) T, name func(*T) string) ([]T, error) {
-	parts := make([][]T, len(s.shards))
-	for i, sh := range s.shards {
+	n := 0
+	for _, sh := range s.shards {
+		n += sh.size()
+	}
+	out := make([]T, 0, n)
+	for _, sh := range s.shards {
 		var ok bool
-		if parts[i], ok = snapshotShard(sh, snap); !ok {
+		if out, ok = snapshotShard(sh, out, snap); !ok {
 			return nil, errShuttingDown
 		}
 	}
-	out := slices.Concat(parts...)
 	sort.Slice(out, func(i, j int) bool { return name(&out[i]) < name(&out[j]) })
 	return out, nil
 }
 
-// snapshotShard snapshots the shard's tenants under its lock in dispatch
-// order; false means Shutdown began first.
-func snapshotShard[T any](sh *shard, snap func(*tenantEngine) T) ([]T, bool) {
+// size is the shard's tenant count.
+func (sh *shard) size() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return len(sh.order)
+}
+
+// snapshotShard appends the shard's tenants to out under its lock, in
+// dispatch order; false means Shutdown began first.
+func snapshotShard[T any](sh *shard, out []T, snap func(*tenantEngine) T) ([]T, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.srv.closed.Load() {
 		return nil, false
 	}
-	part := make([]T, len(sh.order))
-	for i, te := range sh.order {
-		part[i] = snap(te)
+	for _, te := range sh.order {
+		out = append(out, snap(te))
 	}
-	return part, true
+	return out, true
 }
 
 // dump returns the tenant's counters and one line per RPE of its slice.

@@ -1,8 +1,10 @@
 package controlplane
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -248,5 +250,149 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("DecodeRequest accepted %d bytes over the %d cap", len(line), MaxRequestBytes)
 		}
 		_ = strings.TrimSpace(req.Op)
+	})
+}
+
+// fillAnswer builds an answer from fuzz input by reflection, so a field
+// added to Response or TenantStats is filled, and compared, with no
+// change here. The i-th field of a struct, counting the embedded
+// counters in their place, is set when bit i of its mask is: a bool to
+// true, a string to strs[i%2], an int to n+i and a float to fs[i%2]. The
+// answer takes the low 16 bits of mask, its Stats the next 16, and row r
+// of Tenants (rows of them) the top 16 rotated by r.
+func fillAnswer(t *testing.T, mask uint64, strs [2]string, n int64, fs [2]float64, rows int) Response {
+	var fields func(v reflect.Value) []reflect.Value
+	fields = func(v reflect.Value) (out []reflect.Value) {
+		for j := 0; j < v.NumField(); j++ {
+			f := v.Field(j)
+			if v.Type().Field(j).Anonymous {
+				// The embedded counters' type is unexported, so reflect
+				// reads them as read-only; address them afresh.
+				f = reflect.NewAt(f.Type(), f.Addr().UnsafePointer()).Elem()
+				out = append(out, fields(f)...)
+				continue
+			}
+			out = append(out, f)
+		}
+		return out
+	}
+	var fill func(v reflect.Value, on uint16)
+	fill = func(v reflect.Value, on uint16) {
+		for i, f := range fields(v) {
+			if on>>(i%16)&1 == 0 {
+				continue
+			}
+			switch f.Kind() {
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.String:
+				f.SetString(strs[i%2])
+			case reflect.Int:
+				f.SetInt(n + int64(i))
+			case reflect.Float64:
+				f.SetFloat(fs[i%2])
+			case reflect.Pointer:
+				p := reflect.New(f.Type().Elem())
+				fill(p.Elem(), uint16(mask>>16))
+				f.Set(p)
+			case reflect.Slice:
+				s := reflect.MakeSlice(f.Type(), rows, rows)
+				for r := 0; r < rows; r++ {
+					fill(s.Index(r), bits.RotateLeft16(uint16(mask>>48), r))
+				}
+				f.Set(s)
+			default:
+				t.Fatalf("field %d of %s: no fill for a %s", i, v.Type(), f.Kind())
+			}
+		}
+	}
+	var resp Response
+	fill(reflect.ValueOf(&resp).Elem(), uint16(mask))
+	return resp
+}
+
+// encodeLimits is a writer that keeps what it is given and the largest
+// single write.
+type encodeLimits struct {
+	bytes.Buffer
+	maxWrite int
+}
+
+func (w *encodeLimits) Write(p []byte) (int, error) {
+	w.maxWrite = max(w.maxWrite, len(p))
+	return w.Buffer.Write(p)
+}
+
+// FuzzEncodeResponse compares the one-pass answer encoder with
+// json.NewEncoder(w).Encode on every input: the same bytes, newline
+// included, or, for an answer encoding/json refuses (a NaN or infinite
+// float), an error and no byte written. The encoder writes through its
+// one buffer, which never grows, and no write is larger than it. The low
+// three bits of shape are the roster's rows, and the rest repeat each
+// string, cut to MaxNameBytes, up to 32 times, so a short input makes an
+// answer longer than the buffer, with escapes across its edges.
+func FuzzEncodeResponse(f *testing.F) {
+	const (
+		submit    = 0x73                // ok, op, tenant, task_id, state
+		oneTenant = 0xffff<<16 | 0x93   // ok, op, tenant and stats, every stats field
+		roster    = 0xffff<<48 | 0x103  // ok, op and tenants, every row field
+		dump      = 0x203               // ok, op and dump
+		failed    = 0xe                 // op, code, error
+		sparse    = 0x5555<<48 | 0x0103 // rows with every other field
+		fields    = 0xffff<<48 | 0xffff<<16 | 0x3ff
+		long      = 31 << 3
+	)
+	negZero := math.Copysign(0, -1)
+	for _, seed := range []struct {
+		mask   uint64
+		s0, s1 string
+		n      int64
+		f0, f1 float64
+		shape  uint8
+	}{
+		{submit, "submit", "task-00117", 0, 0, 0, 0},
+		{oneTenant, "acme", "full", 3, 12.5, 0.125, 0},
+		{roster, "tenant-0001", "virtualized", 10, 83.51302845511407, 1234.5, 3},
+		{dump, "dump", "controlplane state seed=1\ntenant \"a\" tier=\"full\"\ntotals submitted=1\n", 0, 0, 0, 0},
+		{failed, "bad_request", `malformed request: invalid character '<' looking for beginning of value`, 0, 0, 0, 0},
+		// Strings that need HTML, control-character and line-separator
+		// escapes, and bytes that are not UTF-8.
+		{fields, "<script>&amp;\"\\/\x00\x01\x1f\b\f\n\r\t\x7f", "a\u2028b\u2029c\u00e9\U0001F600", 1, 1, 2, 2},
+		{fields, "\xff\xfe\xc3(\xe2\x82", "ok\xed\xa0\x80\xf4\x90\x80\x80", -7, 1, 2, 1},
+		// Floats in the 'e' range and at its edges, and -0.
+		{fields, "e", "range", 1 << 40, 1e21, 1e-7, 2},
+		{fields, "edge", "s", -1 << 40, 999999999999999900000, 1e-6, 2},
+		{fields, "tiny", "huge", 0, 5e-324, math.MaxFloat64, 2},
+		{fields, "neg", "zero", 0, negZero, -1.5e-300, 2},
+		{sparse, "x", "y", 2, negZero, 0, 7},
+		// Answers longer than the buffer.
+		{fields, "tenant \"a\" <b> & c\u2028\n", "\x01\xff", 9, 0.1, 3, long | 7},
+		{dump, "dump", "tenant \"a\" tier=\"full\" submitted=1 completed=1 cost=0.25\n  rpe-0 \u2029", 0, 0, 0, long},
+		// encoding/json refuses these.
+		{fields, "nan", "inf", 0, math.NaN(), 1, 1},
+		{fields, "nan", "inf", 0, 1, math.Inf(-1), 3},
+		{oneTenant, "inf", "inf", 0, math.Inf(1), 1, 0},
+	} {
+		f.Add(seed.mask, seed.s0, seed.s1, seed.n, seed.f0, seed.f1, seed.shape)
+	}
+	f.Fuzz(func(t *testing.T, mask uint64, s0, s1 string, n int64, f0, f1 float64, shape uint8) {
+		reps := 1 + int(shape>>3)
+		strs := [2]string{strings.Repeat(s0[:min(len(s0), MaxNameBytes)], reps), strings.Repeat(s1[:min(len(s1), MaxNameBytes)], reps)}
+		resp := fillAnswer(t, mask, strs, n, [2]float64{f0, f1}, int(shape&7))
+		var want bytes.Buffer
+		wantErr := json.NewEncoder(&want).Encode(&resp)
+		got := new(encodeLimits)
+		ww := newWireWriter(got)
+		err := ww.encodeResponse(&resp)
+		switch {
+		case wantErr != nil && (err == nil || got.Len() > 0):
+			t.Fatalf("encoding/json refuses %+v (%v); the encoder wrote %q, %v", resp, wantErr, got.Bytes(), err)
+		case wantErr == nil && err != nil:
+			t.Fatalf("encoding/json writes %+v; the encoder failed: %v", resp, err)
+		case !bytes.Equal(got.Bytes(), want.Bytes()):
+			t.Fatalf("encoding %+v:\n got  %q\n want %q", resp, got.Bytes(), want.Bytes())
+		case cap(ww.buf) != wireBufBytes || got.maxWrite > wireBufBytes:
+			t.Fatalf("the buffer grew to %d bytes, or a write of %d bytes bypassed it", cap(ww.buf), got.maxWrite)
+		}
 	})
 }
