@@ -177,3 +177,16 @@ func answerRoster(ln net.Listener, tenants int) (int, error) {
 	}
 	return n + m, w.Flush()
 }
+
+// TestOpenRateUnderConnTimeout: an open-mode rate that would leave each
+// connection waiting longer than rmsd's connection timeout between
+// submissions is refused, since rmsd would hang up on the connection.
+func TestOpenRateUnderConnTimeout(t *testing.T) {
+	var stderr bytes.Buffer
+	if _, err := parseFlags([]string{"-mode", "open", "-rate", "0.001", "-tenants", "1"}, &stderr); err == nil {
+		t.Error("one connection sending every 1,000 s was accepted")
+	}
+	if _, err := parseFlags([]string{"-mode", "open", "-rate", "1", "-tenants", "8", "-conns", "8"}, &stderr); err != nil {
+		t.Errorf("eight connections each sending every 8 s were refused: %v", err)
+	}
+}

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -183,13 +184,13 @@ const rosterAnswerSlack = 4096
 func TestRosterAnswerAllocs(t *testing.T) {
 	const tenants = 10_000
 	s := rosterServer(t, tenants)
-	ww := newWireWriter(io.Discard)
+	w := bufio.NewWriterSize(io.Discard, wireBufBytes)
 	answer := func() {
 		resp := s.Do(Request{Op: OpStats})
 		if len(resp.Tenants) != tenants {
 			t.Fatalf("the roster holds %d tenants, want %d", len(resp.Tenants), tenants)
 		}
-		if err := ww.encodeResponse(&resp); err != nil {
+		if err := encodeResponse(w, &resp); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -283,7 +283,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	w := newWireWriter(deadlineWriter{conn, s.connTimeout})
+	w := bufio.NewWriterSize(deadlineWriter{conn, s.connTimeout}, wireBufBytes)
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 4096), MaxRequestBytes+2)
 	// Every line is parsed by one decoder into its one request and
@@ -302,7 +302,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		} else {
 			*resp = s.Do(dec.req)
 		}
-		err := w.encodeResponse(resp)
+		err := encodeResponse(w, resp)
 		*resp = Response{} // an idle connection holds no stats roster or dump
 		if err != nil {
 			return
@@ -312,7 +312,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	// before hanging up.
 	if errors.Is(sc.Err(), bufio.ErrTooLong) {
 		*resp = errorResponse("", errWire(CodeOversized, "request line exceeds the %d-byte cap", MaxRequestBytes))
-		_ = w.encodeResponse(resp)
+		_ = encodeResponse(w, resp)
 	}
 }
 

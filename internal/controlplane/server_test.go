@@ -490,20 +490,19 @@ func TestStalledReaderClosed(t *testing.T) {
 		}
 	}()
 	// The write returns once the server has read the line, and so after
-	// Serve registered the connection.
+	// Serve started the connection's handler, the only one s.wg counts.
 	if _, err := client.Write([]byte(`{"op":"stats"}` + "\n")); err != nil {
 		t.Fatal(err)
 	}
-	for start := time.Now(); ; time.Sleep(s.connTimeout / 5) {
-		s.mu.Lock()
-		open := len(s.conns)
-		s.mu.Unlock()
-		if open == 0 {
-			break
-		}
-		if time.Since(start) > 40*s.connTimeout {
-			t.Fatalf("the connection is still open %v after its roster request", time.Since(start))
-		}
+	handled := make(chan struct{})
+	go func() {
+		s.wg.Wait()
+		close(handled)
+	}()
+	select {
+	case <-handled:
+	case <-time.After(40 * s.connTimeout):
+		t.Fatalf("the connection is still open %v after its roster request", 40*s.connTimeout)
 	}
 	if n, err := client.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
 		t.Fatalf("the stalled client read %d bytes, %v; want the hang-up", n, err)

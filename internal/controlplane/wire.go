@@ -1,10 +1,10 @@
 package controlplane
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"strconv"
 	"unicode/utf8"
@@ -17,7 +17,7 @@ import (
 // stable code, never to a dropped connection or a panic (the decoder is
 // fuzzed on that contract). Answers are written in one pass through one
 // fixed buffer per connection, in the bytes encoding/json writes
-// (wireWriter; the encoder is fuzzed against encoding/json).
+// (encodeResponse, fuzzed against encoding/json).
 
 // Wire operation names.
 const (
@@ -476,62 +476,51 @@ func (l *wireLine) digits() int {
 // wireBufBytes is the size of a connection's one write buffer.
 const wireBufBytes = 4096
 
-// numberRoom is more than the longest number an answer writes: an int,
-// or a float64 in the form encoding/json writes it.
+// numberRoom is more than the longest number or escape an answer
+// appends to its buffer at once: an int, or a float64 in the form
+// encoding/json writes it.
 const numberRoom = 32
 
 // errNonFinite is what encodeResponse returns for an answer holding a
 // NaN or an infinite float, which encoding/json refuses to write.
 var errNonFinite = errors.New("controlplane: answer holds a non-finite float")
 
-// wireWriter is a connection's one fixed write buffer. An answer is
-// written into it a field at a time, and the buffer goes to the
-// connection whenever it fills, so an answer longer than the buffer (a
-// roster, a dump) never exists whole in memory. The first write error
-// latches: later bytes are dropped, and flush reports it.
-type wireWriter struct {
-	w   io.Writer
-	buf []byte // capacity wireBufBytes, never grown
-	err error
-}
-
-func newWireWriter(w io.Writer) *wireWriter {
-	return &wireWriter{w: w, buf: make([]byte, 0, wireBufBytes)}
-}
-
-// encodeResponse writes resp in one pass, exactly as
+// encodeResponse writes resp to w in one pass, field by field, exactly as
 // json.NewEncoder(w).Encode(resp) writes it, newline included, and
-// flushes. An answer that encoding/json refuses writes none of its bytes
-// and returns errNonFinite.
-func (ww *wireWriter) encodeResponse(resp *Response) error {
+// flushes w. w is a connection's one fixed buffer of wireBufBytes, which
+// goes out whenever it fills, so an answer longer than it (a roster, a
+// dump) never exists whole in memory; w keeps its first write error,
+// and Flush returns it. An answer that encoding/json refuses writes none
+// of its bytes and returns errNonFinite.
+func encodeResponse(w *bufio.Writer, resp *Response) error {
 	if !resp.finite() {
 		return errNonFinite
 	}
-	ww.raw(`{"ok":`)
-	ww.raw(strconv.FormatBool(resp.OK))
-	ww.strField(`,"op":`, resp.Op)
-	ww.strField(`,"code":`, resp.Code)
-	ww.strField(`,"error":`, resp.Error)
-	ww.strField(`,"tenant":`, resp.Tenant)
-	ww.strField(`,"task_id":`, resp.TaskID)
-	ww.strField(`,"state":`, resp.State)
+	w.WriteString(`{"ok":`)
+	w.WriteString(strconv.FormatBool(resp.OK))
+	writeStrField(w, `,"op":`, resp.Op)
+	writeStrField(w, `,"code":`, resp.Code)
+	writeStrField(w, `,"error":`, resp.Error)
+	writeStrField(w, `,"tenant":`, resp.Tenant)
+	writeStrField(w, `,"task_id":`, resp.TaskID)
+	writeStrField(w, `,"state":`, resp.State)
 	if resp.Stats != nil {
-		ww.raw(`,"stats":`)
-		ww.stats(resp.Stats)
+		w.WriteString(`,"stats":`)
+		writeStats(w, resp.Stats)
 	}
 	if len(resp.Tenants) > 0 {
-		ww.raw(`,"tenants":[`)
+		w.WriteString(`,"tenants":[`)
 		for i := range resp.Tenants {
 			if i > 0 {
-				ww.raw(",")
+				w.WriteByte(',')
 			}
-			ww.stats(&resp.Tenants[i])
+			writeStats(w, &resp.Tenants[i])
 		}
-		ww.raw("]")
+		w.WriteByte(']')
 	}
-	ww.strField(`,"dump":`, resp.Dump)
-	ww.raw("}\n")
-	return ww.flush()
+	writeStrField(w, `,"dump":`, resp.Dump)
+	w.WriteString("}\n")
+	return w.Flush()
 }
 
 // finite reports whether every float resp holds is finite.
@@ -551,77 +540,75 @@ func (st *TenantStats) finite() bool {
 	return finite(st.RepairSeconds) && finite(st.VirtualSeconds) && finite(st.CostUnits)
 }
 
-// stats writes st as encoding/json writes a TenantStats: its fields in
-// declaration order with the embedded counters in their place, and the
-// omitempty fault fields only when nonzero.
-func (ww *wireWriter) stats(st *TenantStats) {
-	ww.raw(`{"tenant":`)
-	ww.str(st.Tenant)
-	ww.raw(`,"tier":`)
-	ww.str(st.Tier)
-	ww.intField(`,"submitted":`, st.Submitted)
-	ww.intField(`,"accepted":`, st.Accepted)
-	ww.intField(`,"rejected":`, st.Rejected)
-	ww.intField(`,"quota_denied":`, st.QuotaDenied)
-	ww.intField(`,"completed":`, st.Completed)
-	ww.intField(`,"evicted":`, st.Evicted)
-	ww.intField(`,"canceled":`, st.Canceled)
-	ww.intField(`,"in_flight":`, st.InFlight)
-	ww.intField(`,"retries":`, st.Retries)
+// writeStats writes st as encoding/json writes a TenantStats: its fields
+// in declaration order with the embedded counters in their place, and
+// the omitempty fault fields only when nonzero.
+func writeStats(w *bufio.Writer, st *TenantStats) {
+	w.WriteString(`{"tenant":`)
+	writeString(w, st.Tenant)
+	w.WriteString(`,"tier":`)
+	writeString(w, st.Tier)
+	writeIntField(w, `,"submitted":`, st.Submitted)
+	writeIntField(w, `,"accepted":`, st.Accepted)
+	writeIntField(w, `,"rejected":`, st.Rejected)
+	writeIntField(w, `,"quota_denied":`, st.QuotaDenied)
+	writeIntField(w, `,"completed":`, st.Completed)
+	writeIntField(w, `,"evicted":`, st.Evicted)
+	writeIntField(w, `,"canceled":`, st.Canceled)
+	writeIntField(w, `,"in_flight":`, st.InFlight)
+	writeIntField(w, `,"retries":`, st.Retries)
 	if st.FaultAborts != 0 {
-		ww.intField(`,"fault_aborts":`, st.FaultAborts)
+		writeIntField(w, `,"fault_aborts":`, st.FaultAborts)
 	}
 	if st.RepairedTasks != 0 {
-		ww.intField(`,"repaired_tasks":`, st.RepairedTasks)
+		writeIntField(w, `,"repaired_tasks":`, st.RepairedTasks)
 	}
 	if st.RepairSeconds != 0 {
-		ww.floatField(`,"repair_seconds":`, st.RepairSeconds)
+		writeFloatField(w, `,"repair_seconds":`, st.RepairSeconds)
 	}
-	ww.floatField(`,"virtual_seconds":`, st.VirtualSeconds)
-	ww.floatField(`,"cost_units":`, st.CostUnits)
-	ww.raw("}")
+	writeFloatField(w, `,"virtual_seconds":`, st.VirtualSeconds)
+	writeFloatField(w, `,"cost_units":`, st.CostUnits)
+	w.WriteByte('}')
 }
 
-// strField writes an omitempty string field: key and value, or nothing
-// when s is empty.
-func (ww *wireWriter) strField(key, s string) {
+// writeStrField writes an omitempty string field: key and value, or
+// nothing when s is empty.
+func writeStrField(w *bufio.Writer, key, s string) {
 	if s != "" {
-		ww.raw(key)
-		ww.str(s)
+		w.WriteString(key)
+		writeString(w, s)
 	}
 }
 
-func (ww *wireWriter) intField(key string, n int) {
-	ww.raw(key)
-	ww.room(numberRoom)
-	ww.buf = strconv.AppendInt(ww.buf, int64(n), 10)
+func writeIntField(w *bufio.Writer, key string, n int) {
+	w.WriteString(key)
+	w.Write(strconv.AppendInt(room(w), int64(n), 10))
 }
 
-// floatField writes a finite f as encoding/json writes a float64: the
-// shortest form that reads back as f, in 'e' notation below 1e-6 and
+// writeFloatField writes a finite f as encoding/json writes a float64:
+// the shortest form that reads back as f, in 'e' notation below 1e-6 and
 // from 1e21 up, with the exponent's leading zero dropped.
-func (ww *wireWriter) floatField(key string, f float64) {
-	ww.raw(key)
-	ww.room(numberRoom)
+func writeFloatField(w *bufio.Writer, key string, f float64) {
+	w.WriteString(key)
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	b := strconv.AppendFloat(ww.buf, f, format, -1, 64)
+	b := strconv.AppendFloat(room(w), f, format, -1, 64)
 	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
 		b[n-2] = b[n-1]
 		b = b[:n-1]
 	}
-	ww.buf = b
+	w.Write(b)
 }
 
-// str writes s as a JSON string, escaped as encoding/json escapes it:
-// '"' and '\' by a backslash, \b \f \n \r \t by name, any other control
-// byte and '<', '>' and '&' as \u00XX, a byte that is not UTF-8 as
-// \ufffd, and U+2028 and U+2029 as \u2028 and \u2029. Runs that need no
-// escape are copied whole.
-func (ww *wireWriter) str(s string) {
-	ww.raw(`"`)
+// writeString writes s as a JSON string, escaped as encoding/json
+// escapes it: '"' and '\' by a backslash, \b \f \n \r \t by name, any
+// other control byte and '<', '>' and '&' as \u00XX, a byte that is not
+// UTF-8 as \ufffd, and U+2028 and U+2029 as \u2028 and \u2029. Runs that
+// need no escape are copied whole.
+func writeString(w *bufio.Writer, s string) {
+	w.WriteByte('"')
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
@@ -630,23 +617,22 @@ func (ww *wireWriter) str(s string) {
 				i++
 				continue
 			}
-			ww.raw(s[start:i])
-			ww.room(6)
+			w.WriteString(s[start:i])
 			switch c {
 			case '"', '\\':
-				ww.buf = append(ww.buf, '\\', c)
+				w.Write(append(room(w), '\\', c))
 			case '\b':
-				ww.buf = append(ww.buf, '\\', 'b')
+				w.WriteString(`\b`)
 			case '\f':
-				ww.buf = append(ww.buf, '\\', 'f')
+				w.WriteString(`\f`)
 			case '\n':
-				ww.buf = append(ww.buf, '\\', 'n')
+				w.WriteString(`\n`)
 			case '\r':
-				ww.buf = append(ww.buf, '\\', 'r')
+				w.WriteString(`\r`)
 			case '\t':
-				ww.buf = append(ww.buf, '\\', 't')
+				w.WriteString(`\t`)
 			default:
-				ww.buf = append(ww.buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+				w.Write(append(room(w), '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF]))
 			}
 			i++
 			start = i
@@ -655,12 +641,11 @@ func (ww *wireWriter) str(s string) {
 		r, size := utf8.DecodeRuneInString(s[i:])
 		switch {
 		case r == utf8.RuneError && size == 1:
-			ww.raw(s[start:i])
-			ww.raw(`\ufffd`)
+			w.WriteString(s[start:i])
+			w.WriteString(`\ufffd`)
 		case r == '\u2028' || r == '\u2029':
-			ww.raw(s[start:i])
-			ww.raw(`\u202`)
-			ww.raw(hexDigits[r&0xF : r&0xF+1])
+			w.WriteString(s[start:i])
+			w.Write(append(room(w), '\\', 'u', '2', '0', '2', hexDigits[r&0xF]))
 		default:
 			i += size
 			continue
@@ -668,42 +653,18 @@ func (ww *wireWriter) str(s string) {
 		i += size
 		start = i
 	}
-	ww.raw(s[start:])
-	ww.raw(`"`)
+	w.WriteString(s[start:])
+	w.WriteByte('"')
 }
 
 const hexDigits = "0123456789abcdef"
 
-// raw writes s as it is, sending the buffer each time it fills.
-func (ww *wireWriter) raw(s string) {
-	for ww.err == nil {
-		n := copy(ww.buf[len(ww.buf):cap(ww.buf)], s)
-		ww.buf = ww.buf[:len(ww.buf)+n]
-		if n == len(s) {
-			return
-		}
-		s = s[n:]
-		ww.send()
+// room returns w's free buffer to append at most numberRoom bytes to,
+// sending what w holds first when fewer are free: a slice appended past
+// its capacity would grow into a new allocation.
+func room(w *bufio.Writer) []byte {
+	if w.Available() < numberRoom {
+		w.Flush()
 	}
-}
-
-// room sends the buffer unless n more bytes fit in it.
-func (ww *wireWriter) room(n int) {
-	if cap(ww.buf)-len(ww.buf) < n {
-		ww.send()
-	}
-}
-
-// send writes the buffer to the connection and empties it.
-func (ww *wireWriter) send() {
-	if ww.err == nil && len(ww.buf) > 0 {
-		_, ww.err = ww.w.Write(ww.buf)
-	}
-	ww.buf = ww.buf[:0]
-}
-
-// flush sends what the buffer holds and returns the first write error.
-func (ww *wireWriter) flush() error {
-	ww.send()
-	return ww.err
+	return w.AvailableBuffer()
 }

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"math"
@@ -312,25 +313,26 @@ func fillAnswer(t *testing.T, mask uint64, strs [2]string, n int64, fs [2]float6
 }
 
 // encodeLimits is a writer that keeps what it is given and the largest
-// single write.
+// single write. Like a connection, it has no WriteString, through which
+// bufio.Writer would hand on a long string unbuffered.
 type encodeLimits struct {
-	bytes.Buffer
+	got      bytes.Buffer
 	maxWrite int
 }
 
 func (w *encodeLimits) Write(p []byte) (int, error) {
 	w.maxWrite = max(w.maxWrite, len(p))
-	return w.Buffer.Write(p)
+	return w.got.Write(p)
 }
 
 // FuzzEncodeResponse compares the one-pass answer encoder with
 // json.NewEncoder(w).Encode on every input: the same bytes, newline
 // included, or, for an answer encoding/json refuses (a NaN or infinite
-// float), an error and no byte written. The encoder writes through its
-// one buffer, which never grows, and no write is larger than it. The low
-// three bits of shape are the roster's rows, and the rest repeat each
-// string, cut to MaxNameBytes, up to 32 times, so a short input makes an
-// answer longer than the buffer, with escapes across its edges.
+// float), an error and no byte written. Every write goes through the
+// one buffer, none larger than it. The low three bits of shape are the
+// roster's rows, and the rest repeat each string, cut to MaxNameBytes,
+// up to 32 times, so a short input makes an answer longer than the
+// buffer, with escapes across its edges.
 func FuzzEncodeResponse(f *testing.F) {
 	const (
 		submit    = 0x73                // ok, op, tenant, task_id, state
@@ -381,18 +383,18 @@ func FuzzEncodeResponse(f *testing.F) {
 		resp := fillAnswer(t, mask, strs, n, [2]float64{f0, f1}, int(shape&7))
 		var want bytes.Buffer
 		wantErr := json.NewEncoder(&want).Encode(&resp)
-		got := new(encodeLimits)
-		ww := newWireWriter(got)
-		err := ww.encodeResponse(&resp)
+		out := new(encodeLimits)
+		err := encodeResponse(bufio.NewWriterSize(out, wireBufBytes), &resp)
+		got := out.got.Bytes()
 		switch {
-		case wantErr != nil && (err == nil || got.Len() > 0):
-			t.Fatalf("encoding/json refuses %+v (%v); the encoder wrote %q, %v", resp, wantErr, got.Bytes(), err)
+		case wantErr != nil && (err == nil || len(got) > 0):
+			t.Fatalf("encoding/json refuses %+v (%v); the encoder wrote %q, %v", resp, wantErr, got, err)
 		case wantErr == nil && err != nil:
 			t.Fatalf("encoding/json writes %+v; the encoder failed: %v", resp, err)
-		case !bytes.Equal(got.Bytes(), want.Bytes()):
-			t.Fatalf("encoding %+v:\n got  %q\n want %q", resp, got.Bytes(), want.Bytes())
-		case cap(ww.buf) != wireBufBytes || got.maxWrite > wireBufBytes:
-			t.Fatalf("the buffer grew to %d bytes, or a write of %d bytes bypassed it", cap(ww.buf), got.maxWrite)
+		case !bytes.Equal(got, want.Bytes()):
+			t.Fatalf("encoding %+v:\n got  %q\n want %q", resp, got, want.Bytes())
+		case out.maxWrite > wireBufBytes:
+			t.Fatalf("a write of %d bytes bypassed the %d-byte buffer", out.maxWrite, wireBufBytes)
 		}
 	})
 }
