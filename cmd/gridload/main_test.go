@@ -100,11 +100,9 @@ func TestBackToBackRunsAuditOwnTasks(t *testing.T) {
 	}
 }
 
-// TestLargeRosterStats: a stats answer longer than any fixed line cap
-// reads back whole. A stub server answers the stats request with a
-// roster of 80,000 tenants, an 18.6-MB line; read with a 16-MiB line
-// cap, it failed with "bufio.Scanner: token too long", and -tenants
-// allows up to 2^20.
+// TestLargeRosterStats: a stats answer longer than 16 MiB reads back
+// whole, as -tenants allows up to 2^20 tenants. A stub server answers the
+// stats request with a roster of 80,000 tenants, a 19.1-MB line.
 func TestLargeRosterStats(t *testing.T) {
 	const tenants = 80_000
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -176,11 +176,9 @@ func rosterServer(t *testing.T, n int) *Server {
 const rosterAnswerSlack = 4096
 
 // TestRosterAnswerAllocs pins what a 10^4-tenant roster answer costs the
-// server: the one roster slice Do snapshots into, and the answer goes
-// out through the connection's fixed buffer a row at a time, so nothing
-// else grows with the roster. Encoding the answer with encoding/json
-// allocated 11.29 MB: two copies of the roster and an encoder buffer
-// doubled up to 4 MB.
+// server: the one roster slice Do snapshots into. The answer goes out
+// through the connection's fixed buffer a row at a time, so nothing else
+// grows with the roster.
 func TestRosterAnswerAllocs(t *testing.T) {
 	const tenants = 10_000
 	s := rosterServer(t, tenants)

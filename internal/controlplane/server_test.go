@@ -391,9 +391,9 @@ func TestWireSubmitAllocs(t *testing.T) {
 }
 
 // TestWireAnswersMatchDo runs a live server whose tenant names reach the
-// fallback decoder ('<', '&' and a quote, which json.Marshal escapes):
-// its roster, dump and tenant-stats answers over the wire are
-// encoding/json's encoding of what Do answers, byte for byte.
+// fallback decoder, since json.Marshal escapes their '<', '&', quote,
+// '>' and U+2028: its roster, dump and tenant-stats answers over the
+// wire are encoding/json's encoding of what Do answers, byte for byte.
 func TestWireAnswersMatchDo(t *testing.T) {
 	s := newTestServer(t, DefaultConfig())
 	conn := serveLoopback(t, s)
@@ -443,7 +443,7 @@ func TestIdleConnectionClosed(t *testing.T) {
 	if err := conn.SetReadDeadline(time.Now().Add(40 * s.connTimeout)); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := conn.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
 		t.Fatalf("an idle connection read %d bytes, %v; want the server to hang up", n, err)
 	}
 }
